@@ -12,12 +12,9 @@ top of the same ``register``/``send`` contract:
   letting one caller keep many requests in flight.  Requests overlap
   wherever the work releases the GIL: the modeled last-mile latency,
   SQLite stepping/commit I/O, and hashing.
-* :class:`ConcurrentViewMapServer` — the
-  :class:`~repro.net.server.ViewMapServer` hardened for that fabric: a
-  lock-guarded session log, and a coarse state lock around the
-  control-plane handlers (solicitations, video review, rewards) whose
-  system state is not internally synchronized.  The upload paths stay
-  lock-free because every ``repro.store`` backend is thread-safe.
+* ``ConcurrentViewMapServer`` — an alias of
+  :class:`~repro.net.server.ViewMapServer`, whose session log, retention
+  pass and control-plane handlers are lock-guarded on every fabric.
 
 Nested deliveries (an onion relay forwarding to the next hop from inside
 a handler) run inline on the worker that is already driving the request.
@@ -31,12 +28,9 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any
 
-from repro.errors import NetworkError, ReproError
-from repro.net.server import MAX_WATERMARK_STEP, ViewMapServer
-from repro.net.server import Handler as MessageHandler
+from repro.errors import NetworkError
+from repro.net.server import ViewMapServer
 from repro.net.transport import Endpoint, Handler
 from repro.obs.metrics import MetricsRegistry, stage_timer
 
@@ -183,105 +177,6 @@ class ThreadedNetwork:
         self.close()
 
 
-def _locked(lock: threading.RLock, handler: MessageHandler) -> MessageHandler:
-    """Serialize one message handler behind a lock."""
-
-    def guarded(message: dict[str, Any]) -> bytes:
-        with lock:
-            return handler(message)
-
-    return guarded
-
-
-@dataclass
-class ConcurrentViewMapServer(ViewMapServer):
-    """A ViewMap front-end safe to register on a :class:`ThreadedNetwork`.
-
-    Concurrency model (see ``docs/architecture.md``):
-
-    * the session log is appended under a dedicated lock, so
-      unlinkability probes read a consistent log during load;
-    * ``upload_vp`` / ``upload_vp_batch`` run without server-level locks
-      — duplicate suppression and insert atomicity are the storage
-      backend's job, and every ``repro.store`` backend provides them;
-    * the retention watermark (``system.retention``) advances under
-      ``control_lock``: the upload handler that first observes a newer
-      minute takes the lock, runs the eviction pass, and every other
-      upload stays lock-free (a cheap unlocked check rejects stale
-      minutes first);
-    * the remaining control-plane handlers (solicitations, video upload,
-      rewards, signing) share one re-entrant state lock because the
-      system objects they touch are plain dict/set state.  The lock is
-      public as :attr:`control_lock`: operator code driving the system
-      directly (``system.investigate(...)``) while this server is live
-      must hold it too.
-
-    Under concurrent duplicate submissions of the *same* VP the per-VP
-    ``accepted`` flags of a batch ack are best-effort (both racing
-    requests may claim acceptance) while the store itself keeps exactly
-    one copy; ``inserted`` counts are always authoritative.
-    """
-
-    #: handler kinds serialized behind the control-plane state lock
-    GUARDED_KINDS = (
-        "list_solicitations",
-        "upload_video",
-        "list_rewards",
-        "claim_reward",
-        "sign_blinded",
-    )
-
-    def __post_init__(self) -> None:
-        self._log_lock = threading.Lock()
-        self._state_lock = threading.RLock()
-        super().__post_init__()
-        for kind in self.GUARDED_KINDS:
-            self._handlers[kind] = _locked(self._state_lock, self._handlers[kind])
-
-    @property
-    def control_lock(self) -> threading.RLock:
-        """The control-plane lock; hold it for direct system mutations.
-
-        Guards the solicitation board, review queue and reward state
-        against the guarded handlers — e.g.
-        ``with server.control_lock: system.investigate(site, minute)``
-        while upload traffic is in flight.
-        """
-        return self._state_lock
-
-    def _log_session(self, kind: str, session: str) -> None:
-        """Record one (kind, session id) observation, thread-safely."""
-        with self._log_lock:
-            self.session_log.append((kind, session))
-
-    def _observe_minute(self, minute: int) -> None:
-        """Advance the retention watermark under the control-plane lock.
-
-        The unlocked first check keeps the upload fast path lock-free
-        for the overwhelmingly common case (another upload of the same
-        minute); only the request that first sees a newer minute pays
-        for the lock and the eviction pass.  The watermark is re-read
-        under the lock, so racing observers of the same new minute run
-        the pass once, and ``advance_retention`` itself keeps it
-        monotonic.  The advance is clamped to ``MAX_WATERMARK_STEP``
-        past the established watermark (see the serial server's
-        docstring — a bogus far-future minute must not evict the whole
-        window).
-        """
-        if self.system.retention is None or minute <= self.system.retention_watermark:
-            return
-        with self._state_lock:
-            watermark = self.system.retention_watermark
-            if minute <= watermark:
-                return
-            if watermark >= 0 and minute > watermark + MAX_WATERMARK_STEP:
-                # counted under the lock so campaign monitors read an
-                # exact engagement count (see the serial server)
-                self.metrics.inc("server.watermark.clamped")
-                minute = watermark + MAX_WATERMARK_STEP
-            try:
-                self.system.advance_retention(minute)
-            except ReproError:
-                # housekeeping must not fail the upload that triggered
-                # it; the unchanged watermark retries on the next upload
-                return
+#: the one server is safe on every fabric; the name stays importable
+#: because the pipeline benchmark and the campaign grid construct it
+ConcurrentViewMapServer = ViewMapServer

@@ -9,6 +9,12 @@ Dispatch goes through an explicit handler registry built at startup:
 the request ``kind`` is looked up in a closed table, so crafted kind
 strings can never resolve to arbitrary attributes of the server object.
 
+One server serves every fabric.  Its session log, retention pass and
+control-plane handlers are lock-guarded, which a serial fabric never
+contends and a concurrent one needs; the upload and ``query_view``
+paths take no server-level lock because every ``repro.store`` backend
+is thread-safe.
+
 When the system carries a retention policy, the upload stream doubles
 as the server's clock — but a *clamped* one: a client-claimed minute
 may advance the retention watermark by at most
@@ -24,6 +30,7 @@ investigation/solicitation side instead.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -49,18 +56,56 @@ Handler = Callable[[dict[str, Any]], bytes]
 MAX_WATERMARK_STEP = 2
 
 
+def _locked(lock: threading.RLock, handler: Handler) -> Handler:
+    """Serialize one message handler behind a lock."""
+
+    def guarded(message: dict[str, Any]) -> bytes:
+        with lock:
+            return handler(message)
+
+    return guarded
+
+
 @dataclass
 class ViewMapServer:
     """Network front-end for the ViewMap service.
 
     ``network`` is any fabric exposing the ``register``/``send`` contract
-    — the serial :class:`~repro.net.transport.InMemoryNetwork` (the
-    default execution model) or a
-    :class:`~repro.net.concurrency.ThreadedNetwork` worker pool.  On a
-    concurrent fabric use
-    :class:`~repro.net.concurrency.ConcurrentViewMapServer`, which
-    lock-guards the session log and control-plane handlers.
+    — the serial :class:`~repro.net.transport.InMemoryNetwork`, a
+    :class:`~repro.net.concurrency.ThreadedNetwork` worker pool or a
+    :class:`~repro.net.streaming.StreamingNetwork`.
+
+    Concurrency model (see ``docs/architecture.md``):
+
+    * the session log is appended under a dedicated lock, so
+      unlinkability probes read a consistent log during load;
+    * ``upload_vp`` / ``upload_vp_batch`` / ``query_view`` run without
+      server-level locks — duplicate suppression and insert atomicity
+      are the storage backend's job;
+    * the retention watermark (``system.retention``) advances under
+      :attr:`control_lock`: the upload that first observes a newer
+      minute takes the lock and runs the eviction pass, every other
+      upload stays lock-free;
+    * the remaining control-plane handlers (``GUARDED_KINDS``) share
+      that one re-entrant lock because the system objects they touch
+      are plain dict/set state.  Operator code driving the system
+      directly (``system.investigate(...)``) while this server is live
+      must hold it too.
+
+    Under concurrent duplicate submissions of the *same* VP the per-VP
+    ``accepted`` flags of a batch ack are best-effort (both racing
+    requests may claim acceptance) while the store itself keeps exactly
+    one copy; ``inserted`` counts are always authoritative.
     """
+
+    #: handler kinds serialized behind the control-plane state lock
+    GUARDED_KINDS = (
+        "list_solicitations",
+        "upload_video",
+        "list_rewards",
+        "claim_reward",
+        "sign_blinded",
+    )
 
     system: ViewMapSystem
     network: InMemoryNetwork
@@ -76,6 +121,8 @@ class ViewMapServer:
     _handlers: dict[str, Handler] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._log_lock = threading.Lock()
+        self._state_lock = threading.RLock()
         self._handlers = {
             "upload_vp": self._on_upload_vp,
             "upload_vp_batch": self._on_upload_vp_batch,
@@ -87,7 +134,20 @@ class ViewMapServer:
             "sign_blinded": self._on_sign_blinded,
             "public_key": self._on_public_key,
         }
+        for kind in self.GUARDED_KINDS:
+            self._handlers[kind] = _locked(self._state_lock, self._handlers[kind])
         self.network.register(self.address, self.handle)
+
+    @property
+    def control_lock(self) -> threading.RLock:
+        """The control-plane lock; hold it for direct system mutations.
+
+        Guards the solicitation board, review queue and reward state
+        against the guarded handlers — e.g.
+        ``with server.control_lock: system.investigate(site, minute)``
+        while upload traffic is in flight.
+        """
+        return self._state_lock
 
     def handle(self, payload: bytes) -> bytes:
         """Decode, dispatch, and encode one request/response exchange.
@@ -109,12 +169,9 @@ class ViewMapServer:
             return encode_message("error", reason=str(exc))
 
     def _log_session(self, kind: str, session: str) -> None:
-        """Record one (kind, session id) observation for unlinkability tests.
-
-        The concurrent front-end overrides this with a lock-guarded
-        append; the serial server appends directly.
-        """
-        self.session_log.append((kind, session))
+        """Record one (kind, session id) observation for unlinkability tests."""
+        with self._log_lock:
+            self.session_log.append((kind, session))
 
     def _observe_minute(self, minute: int) -> None:
         """Advance the retention watermark from an upload's minute.
@@ -122,8 +179,15 @@ class ViewMapServer:
         The upload stream is the server's clock: when VPs for a newer
         minute start arriving, the solicitation window has moved and
         minutes that fell out of it become evictable.  No-op unless the
-        system carries a retention policy.  The concurrent front-end
-        overrides this to run the pass under ``control_lock``.
+        system carries a retention policy.
+
+        The unlocked first check keeps the upload fast path lock-free
+        for the overwhelmingly common case (another upload of the same
+        minute); only the request that first sees a newer minute pays
+        for ``control_lock`` and the eviction pass.  The watermark is
+        re-read under the lock, so racing observers of the same new
+        minute run the pass once, and ``advance_retention`` itself
+        keeps it monotonic.
 
         Two guards apply, both based on ``system.retention_watermark``
         (the single source of truth — a system restarted over a
@@ -141,20 +205,24 @@ class ViewMapServer:
         next upload that observes this (or a newer) minute retries the
         pass.
         """
-        watermark = self.system.retention_watermark
-        if self.system.retention is None or minute <= watermark:
+        if self.system.retention is None or minute <= self.system.retention_watermark:
             return
-        if watermark >= 0 and minute > watermark + MAX_WATERMARK_STEP:
-            # the clamp engaging is a security signal, not just a guard:
-            # honest clock skew trips it rarely, a poisoning campaign
-            # trips it on every far-future claim — so count engagements
-            # where SLO dashboards and the campaign monitors can see them
-            self.metrics.inc("server.watermark.clamped")
-            minute = watermark + MAX_WATERMARK_STEP
-        try:
-            self.system.advance_retention(minute)
-        except ReproError:
-            return
+        with self._state_lock:
+            watermark = self.system.retention_watermark
+            if minute <= watermark:
+                return
+            if watermark >= 0 and minute > watermark + MAX_WATERMARK_STEP:
+                # the clamp engaging is a security signal, not just a
+                # guard: honest clock skew trips it rarely, a poisoning
+                # campaign trips it on every far-future claim — so
+                # count engagements (under the lock: campaign monitors
+                # read an exact count) where SLO dashboards see them
+                self.metrics.inc("server.watermark.clamped")
+                minute = watermark + MAX_WATERMARK_STEP
+            try:
+                self.system.advance_retention(minute)
+            except ReproError:
+                return
 
     # -- handlers ------------------------------------------------------------
 
@@ -258,11 +326,11 @@ class ViewMapServer:
         from the metadata sidecar in place and handed to the storage
         tier still as that span.  Reply bytes are the same
         ``batch_ack``/``error`` envelopes as the threaded path, so
-        clients decode both transports identically.  Safe on the
-        concurrent server: uploads are lock-free by design and the
-        watermark pass goes through the (overridden, lock-guarded)
-        ``_observe_minute``.  Streamed frames carry no session id;
-        they are logged under their own kind for the privacy probes.
+        clients decode both transports identically.  Uploads are
+        lock-free by design and the watermark pass goes through the
+        lock-guarded ``_observe_minute``.  Streamed frames carry no
+        session id; they are logged under their own kind for the
+        privacy probes.
         """
         try:
             self._log_session("upload_stream", "")

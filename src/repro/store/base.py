@@ -8,9 +8,11 @@ code.
 
 Backends must agree exactly on semantics so they are interchangeable:
 
-* ``insert`` rejects duplicate VP identifiers with ``ValidationError``;
-* ``insert_many`` skips duplicates (idempotent batch ingest) and returns
-  how many VPs were newly stored;
+* every write is one ``write(batch, strict)`` over a
+  :class:`~repro.store.codec.Batch`: duplicate ids are skipped and the
+  landed count returned, or with ``strict`` raise ``ValidationError``
+  before any record lands.  The four ``insert*`` entry points are
+  defined once, here, on top of it;
 * every read goes through one entry point — ``query(QuerySpec)``
   (:mod:`repro.store.serving`) — whose axes compose minute, area,
   trusted, k-nearest, count and encoded selection.  The historical
@@ -25,8 +27,7 @@ Backends must agree exactly on semantics so they are interchangeable:
   coverage-tile cache short-circuits minutes that cannot match);
 * ``query_encoded`` returns the *stored frame representation* of a
   selection (:mod:`repro.store.codec` batch buffer), byte-identical
-  across backends for the same insertion history — the decode-free
-  read contract mirroring ``insert_encoded``;
+  across backends for the same insertion history;
 * ``evict_before`` removes every VP of a minute strictly below the
   cutoff (the retention watermark of :mod:`repro.store.lifecycle`) and
   returns how many were dropped; with ``keep_trusted=True`` trusted VPs
@@ -35,14 +36,12 @@ Backends must agree exactly on semantics so they are interchangeable:
   ``compact`` reclaims whatever the backend can (freed pages, empty
   buckets) and reports gauges.
 
-Since the concurrent front-end (:mod:`repro.net.concurrency`) landed,
-the contract also includes thread safety: every backend must tolerate
-concurrent calls from many threads, and ``insert_many`` must be atomic
-per backend — two racing batches containing the same VP id agree on one
+The contract includes thread safety: every backend tolerates
+concurrent calls from many threads, and ``write`` is atomic per
+backend — two racing batches containing the same VP id agree on one
 winner and the returned counts sum to the number of VPs actually stored.
-How each backend meets this (coarse lock, per-thread connections +
-single-writer lock, per-shard atomicity) is its own business; see
-``docs/stores.md``.
+How each backend meets this (coarse lock, single-writer lock,
+per-shard atomicity) is its own business; see ``docs/stores.md``.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.core.viewprofile import ViewProfile
-from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import stage_timer
+from repro.store.codec import Batch, encode_vp_batch, vp_bounding_box
 from repro.store.serving import (
     MinuteTiles,
     QueryResult,
@@ -65,9 +64,6 @@ from repro.store.serving import (
     build_minute_tiles,
 )
 from repro.util.encoding import unpack_uint
-
-DUPLICATE_ID_MESSAGE = "a VP with this identifier already exists"
-
 
 @dataclass(frozen=True)
 class StoreStats:
@@ -99,27 +95,6 @@ def vp_claims_in_area(vp: ViewProfile, area: Rect) -> bool:
     return bool(inside.any())
 
 
-def vp_bounding_box(vp: ViewProfile) -> tuple[float, float, float, float]:
-    """(x_min, y_min, x_max, y_max) over the VP's claimed positions.
-
-    Memoized on the VP (claimed positions are immutable once built):
-    the box is recomputed on every storage-row build and batch framing
-    otherwise, and four numpy reductions per VP add up on city-scale
-    ingest.
-    """
-    cached = vp.__dict__.get("_bounding_box")
-    if cached is None:
-        pos = vp.positions_array
-        cached = (
-            float(pos[:, 0].min()),
-            float(pos[:, 1].min()),
-            float(pos[:, 0].max()),
-            float(pos[:, 1].max()),
-        )
-        vp.__dict__["_bounding_box"] = cached
-    return cached
-
-
 def min_squared_distance(vp: ViewProfile, site: Point) -> float:
     """Squared distance from ``site`` to the VP's nearest claimed position."""
     pos = vp.positions_array
@@ -137,55 +112,43 @@ class VPStore(ABC):
     # -- writes ------------------------------------------------------------
 
     @abstractmethod
+    def write(self, batch: Batch, strict: bool = False) -> int:
+        """Land one batch atomically; returns how many records were stored.
+
+        The backend's only write path.  Duplicates (against the store
+        or within the batch) are skipped, or with ``strict`` raise
+        ``ValidationError`` before any record lands.  Each backend
+        takes the batch in the form it stores: objects by reference,
+        rows and body spans, or the frame bytes.
+        """
+
     def insert(self, vp: ViewProfile) -> None:
         """Store one VP; raises ``ValidationError`` on a duplicate id."""
+        self.write(Batch.from_vps([vp]), strict=True)
 
     def insert_trusted(self, vp: ViewProfile) -> None:
         """Store a VP through the authority path, marking it trusted.
 
-        The trusted flag is set only after duplicate validation so a
-        rejected insert never mutates the caller's object.
+        The trusted bit travels in the batch metadata; the caller's
+        object is flagged only once the write has returned, so a
+        rejected or failed insert never leaves it claiming trust.
         """
-        if vp.vp_id in self:
-            raise ValidationError(DUPLICATE_ID_MESSAGE)
+        self.write(Batch.from_vps([vp], trusted=True), strict=True)
         vp.trusted = True
-        self.insert(vp)
 
     def insert_many(self, vps: Iterable[ViewProfile]) -> int:
         """Batch-ingest VPs, skipping duplicates; returns how many landed."""
-        vps = list(vps)
-        existing = self.existing_ids([vp.vp_id for vp in vps])
-        inserted = 0
-        for vp in vps:
-            if vp.vp_id in existing:
-                continue
-            existing.add(vp.vp_id)
-            self.insert(vp)
-            inserted += 1
-        return inserted
+        return self.write(Batch.from_vps(vps))
 
-    def insert_encoded(self, batch: bytes, strict: bool = False) -> int:
-        """Batch-ingest from a codec batch buffer; returns how many landed.
+    def insert_encoded(self, batch: bytes | memoryview, strict: bool = False) -> int:
+        """Batch-ingest a codec frame; returns how many records landed.
 
-        The zero-decode ingest contract: ``batch`` is a
-        :func:`repro.store.codec.encode_vp_batch` buffer, and backends
-        that can should ingest it without materializing
-        :class:`ViewProfile` objects (SQLite stores the rows as-is,
-        sharded fleets slice per-shard sub-batches out of the frame and
-        forward the bytes, worker proxies pipe the buffer through
-        unchanged).  This default decodes and falls back to the object
-        paths — correct for any backend, fast for none.  ``strict``
-        raises ``ValidationError`` on a duplicate id instead of
-        skipping it.
+        ``batch`` is a :func:`repro.store.codec.encode_vp_batch` buffer
+        or a read-only ``memoryview`` of one (the streaming front-end's
+        receive buffer).  No backend that stores bytes decodes a body
+        or copies a span on the way in.
         """
-        from repro.store.codec import decode_vp_batch  # circular at module scope
-
-        vps = decode_vp_batch(batch)
-        if not strict:
-            return self.insert_many(vps)
-        for vp in vps:
-            self.insert(vp)
-        return len(vps)
+        return self.write(Batch.from_frame(batch), strict)
 
     def existing_ids(self, vp_ids: Iterable[bytes]) -> set[bytes]:
         """Which of these identifiers are already stored (one batch probe).
@@ -271,8 +234,6 @@ class VPStore(ABC):
         SQLite serves stored rows pass-through and sharded fleets
         stitch owner-shard frames without decoding a body.
         """
-        from repro.store.codec import encode_vp_batch  # circular at module scope
-
         return encode_vp_batch(self._select(spec))
 
     def _select(self, spec: QuerySpec) -> list[ViewProfile]:

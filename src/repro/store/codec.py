@@ -23,33 +23,34 @@ the VP identifier:
     record := flags (1B) | minute (4B) | bbox (4 x float64)
               | vp_id (16B) | len-prefixed body blob
 
-so a consumer can route, deduplicate or build SQLite rows
-(:func:`iter_encoded_rows`) without decoding a single body.  The batch
-format is the IPC framing of the process shard workers
-(:mod:`repro.store.workers`), the feed of the SQLite group-commit path
-(:meth:`repro.store.sqlite.SQLiteStore.insert_encoded`) — and, since
-the zero-decode fast path landed, the binary payload of the
-``upload_vp_batch`` wire message itself: the authority validates and
-shard-routes from the metadata alone, slicing per-shard sub-batches
-out of the incoming frame (:func:`iter_encoded_records` +
-:func:`join_encoded_records`) and forwarding the record bytes
-untouched.
+so a consumer can route, deduplicate or build SQLite rows without
+decoding a single body.  The batch format is the IPC framing of the
+process shard workers (:mod:`repro.store.workers`), the row source of
+the SQLite backend and the binary payload of the ``upload_vp_batch``
+wire message itself: the authority validates and shard-routes from the
+metadata alone, slicing per-shard sub-batches out of the incoming frame
+and forwarding the record bytes untouched.
+
+:class:`Batch` is what every store backend's one write primitive takes:
+it hides whether the records arrived as :class:`ViewProfile` objects or
+as such a frame, and hands each backend the form it stores.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VP_ID_BYTES
 from repro.core.viewdigest import ViewDigest
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
-from repro.errors import WireFormatError
-from repro.store.base import vp_bounding_box
+from repro.errors import ValidationError, WireFormatError
 from repro.util.encoding import pack_prefixed, pack_uint, unpack_prefixed, unpack_uint
 from repro.util.timeline import minute_of
+
+DUPLICATE_ID_MESSAGE = "a VP with this identifier already exists"
 
 VP_BLOB_VERSION = 1
 
@@ -67,6 +68,27 @@ RECORD_OVERHEAD_BYTES = _RECORD_HEAD.size + VP_ID_BYTES + 4
 #: one full packed digest: t, location, file size, initial location,
 #: second index, vp_id, chain hash — field order of ``ViewDigest.pack``
 _PACKED_DIGEST = struct.Struct(">d2fQ2fQ16s16s")
+
+
+def vp_bounding_box(vp: ViewProfile) -> tuple[float, float, float, float]:
+    """(x_min, y_min, x_max, y_max) over the VP's claimed positions.
+
+    Memoized on the VP (claimed positions are immutable once built):
+    the box is recomputed on every storage-row build and batch framing
+    otherwise, and four numpy reductions per VP add up on city-scale
+    ingest.
+    """
+    cached = vp.__dict__.get("_bounding_box")
+    if cached is None:
+        pos = vp.positions_array
+        cached = (
+            float(pos[:, 0].min()),
+            float(pos[:, 1].min()),
+            float(pos[:, 0].max()),
+            float(pos[:, 1].max()),
+        )
+        vp.__dict__["_bounding_box"] = cached
+    return cached
 
 
 def encoded_body_bytes(n_digests: int) -> int:
@@ -151,11 +173,11 @@ def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
 
 
 def encode_row_batch(rows: Sequence[tuple]) -> bytes:
-    """Frame storage rows back into a batch buffer.
+    """Frame storage rows into a batch buffer.
 
-    The inverse of :func:`iter_encoded_rows`: each row is ``(vp_id,
-    minute, trusted, x_min, y_min, x_max, y_max, body)`` with the body
-    still encoded — exactly what a SQLite SELECT returns — so the
+    Each row is ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max,
+    body)`` with the body still encoded — the column order of the SQLite
+    backend's ``vps`` table and of :meth:`Batch.rows` — so the
     decode-free read path re-frames stored rows without materializing
     a single :class:`ViewProfile`.  Byte-identical to
     :func:`encode_vp_batch` over the decoded VPs: bodies are stored
@@ -163,6 +185,8 @@ def encode_row_batch(rows: Sequence[tuple]) -> bytes:
     """
     parts = [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(rows), 4)]
     for vp_id, minute, trusted, x_min, y_min, x_max, y_max, body in rows:
+        if minute < 0:
+            raise WireFormatError(f"cannot batch-encode negative minute {minute}")
         parts.append(
             _RECORD_HEAD.pack(
                 _FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
@@ -176,7 +200,7 @@ def encode_row_batch(rows: Sequence[tuple]) -> bytes:
 def iter_encoded_records(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
     """Walk a batch buffer yielding ``(row, start, end)`` per record.
 
-    ``row`` is the storage row of :func:`iter_encoded_rows`;
+    ``row`` is a storage row (see :func:`encode_row_batch`);
     ``batch[start:end]`` is the record's complete raw span (metadata +
     body, exactly as framed), so a router can regroup records into new
     batch buffers (:func:`join_encoded_records`) without ever decoding
@@ -187,23 +211,11 @@ def iter_encoded_records(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
         yield (*meta, batch[start + RECORD_OVERHEAD_BYTES : end]), start, end
 
 
-def iter_encoded_rows(batch: bytes) -> Iterator[tuple]:
-    """Walk a batch buffer yielding storage rows, bodies left encoded.
-
-    Each row is ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max,
-    body)`` — exactly the column order of the SQLite backend's ``vps``
-    table, so group-commit ingest is a pure pass-through.  Raises
-    :class:`WireFormatError` on version/length mismatches.
-    """
-    for row, _start, _end in iter_encoded_records(batch):
-        yield row
-
-
 def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
     """Walk a batch buffer yielding metadata only — bodies never sliced.
 
-    Yields ``(meta, start, end)`` where ``meta`` is the row of
-    :func:`iter_encoded_rows` *without* its body column and
+    Yields ``(meta, start, end)`` where ``meta`` is a storage row
+    (see :func:`encode_row_batch`) *without* its body column and
     ``batch[start:end]`` is the record's raw span.  The walk seeks past
     each body via its length prefix instead of materializing a ~4.5 kB
     slice, so consumers that only route or police metadata (the sharded
@@ -411,10 +423,131 @@ def decode_vp_batch(batch: bytes) -> list[ViewProfile]:
     halves of the same store (supervisor and worker), not uploader
     -controlled content.
     """
-    out: list[ViewProfile] = []
-    for vp_id, _minute, trusted, *_bbox, body in iter_encoded_rows(batch):
-        vp = decode_vp(body, trusted=bool(trusted))
-        if vp.vp_id != vp_id:
-            raise WireFormatError("VP batch record id does not match its body")
-        out.append(vp)
-    return out
+    return Batch.from_frame(batch).vps()
+
+
+class Batch:
+    """One store write: records as VP objects or as a codec frame.
+
+    Built :meth:`from_vps` or :meth:`from_frame`; ``meta`` holds one
+    ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` tuple per
+    record either way, and :meth:`rows`, :meth:`vps` and :meth:`frame`
+    derive the other forms on demand — so a backend asks for the form
+    it stores and never learns which one arrived.  The trusted bit
+    lives in ``meta``: a trusted write forces it without touching the
+    caller's objects.
+    """
+
+    __slots__ = ("meta", "_vps", "_frame", "_spans")
+
+    def __init__(
+        self,
+        meta: list[tuple],
+        vps: list[ViewProfile] | None = None,
+        frame: bytes | memoryview | None = None,
+        spans: list[tuple[int, int]] | None = None,
+    ) -> None:
+        self.meta = meta
+        self._vps = vps
+        self._frame = frame
+        self._spans = spans
+
+    @classmethod
+    def from_vps(cls, vps: Iterable[ViewProfile], trusted: bool = False) -> "Batch":
+        """Wrap the caller's objects; ``trusted`` marks every record."""
+        vps = list(vps)
+        meta = [
+            (vp.vp_id, vp.minute, int(trusted or vp.trusted), *vp_bounding_box(vp))
+            for vp in vps
+        ]
+        return cls(meta, vps=vps)
+
+    @classmethod
+    def from_frame(cls, frame: bytes | memoryview) -> "Batch":
+        """Wrap a codec frame (``bytes`` or a read-only ``memoryview``).
+
+        One metadata walk validates the framing; bodies stay where they
+        are.  Only the 16-byte ids are materialized (they key dicts).
+        """
+        meta: list[tuple] = []
+        spans: list[tuple[int, int]] = []
+        for (vp_id, *rest), start, end in iter_encoded_meta(frame):
+            meta.append((bytes(vp_id), *rest))
+            spans.append((start, end))
+        return cls(meta, frame=frame, spans=spans)
+
+    def __len__(self) -> int:
+        return len(self.meta)
+
+    def fresh_indices(self, strict: bool, *taken: Container[bytes]) -> list[int]:
+        """Indices of the records a store holding ``taken`` ids may land.
+
+        The one duplicate rule of every backend: a record is skipped
+        when its id is in any ``taken`` container or earlier in this
+        batch.  ``strict`` raises ``ValidationError`` on the first
+        duplicate instead — before the caller has landed anything, so
+        a strict write is all-or-nothing.
+        """
+        seen: set[bytes] = set()
+        fresh: list[int] = []
+        for index, record in enumerate(self.meta):
+            vp_id = record[0]
+            if vp_id in seen or any(vp_id in ids for ids in taken):
+                if strict:
+                    raise ValidationError(DUPLICATE_ID_MESSAGE)
+                continue
+            seen.add(vp_id)
+            fresh.append(index)
+        return fresh
+
+    def select(self, indices: Sequence[int]) -> "Batch":
+        """The sub-batch of ``indices`` (ascending); all of them is ``self``.
+
+        A partial selection of a frame regroups its record spans into
+        a new frame — the one counted span copy of the ingest path
+        (:func:`join_encoded_records`); a whole frame passes through.
+        """
+        if len(indices) == len(self.meta):
+            return self
+        meta = [self.meta[i] for i in indices]
+        if self._vps is not None:
+            return Batch(meta, vps=[self._vps[i] for i in indices])
+        picked = [self._spans[i] for i in indices]
+        spans: list[tuple[int, int]] = []
+        offset = 5  # records follow the version + count header
+        for start, end in picked:
+            spans.append((offset, offset + end - start))
+            offset += end - start
+        return Batch(meta, frame=join_encoded_records(self._frame, picked), spans=spans)
+
+    def rows(self) -> list[tuple]:
+        """Storage rows (``meta`` + encoded body) — what SQLite binds.
+
+        Frame bodies are slices of the source buffer: a ``memoryview``
+        frame yields ``memoryview`` bodies, never a ``bytes`` copy.
+        """
+        if self._vps is not None:
+            return [(*record, encode_vp(vp)) for record, vp in zip(self.meta, self._vps)]
+        frame = self._frame
+        return [
+            (*record, frame[start + RECORD_OVERHEAD_BYTES : end])
+            for record, (start, end) in zip(self.meta, self._spans)
+        ]
+
+    def vps(self) -> list[ViewProfile]:
+        """The records as objects: the caller's own, or decoded bodies."""
+        if self._vps is not None:
+            return self._vps
+        out: list[ViewProfile] = []
+        for vp_id, _minute, trusted, *_bbox, body in self.rows():
+            vp = decode_vp(body, trusted=bool(trusted))
+            if vp.vp_id != vp_id:
+                raise WireFormatError("VP batch record id does not match its body")
+            out.append(vp)
+        return out
+
+    def frame(self) -> bytes | memoryview:
+        """The records as one codec frame — what a worker pipe carries."""
+        if self._vps is not None:
+            return encode_row_batch(self.rows())
+        return self._frame

@@ -8,9 +8,9 @@ so ``get`` returns the exact instance that was inserted.
 
 Thread safety: every public method runs under one re-entrant lock, so
 the store can sit behind a :class:`~repro.net.concurrency.ThreadedNetwork`
-front-end.  Batch inserts (``insert_many``) are atomic — concurrent
-batches containing the same VP ids dedupe correctly and the returned
-counts never double-count.  The coarse lock is deliberate: operations
+front-end.  ``write`` is atomic — concurrent batches containing the
+same VP ids dedupe correctly and the returned counts never
+double-count.  The coarse lock is deliberate: operations
 are short (dict/grid updates), so finer striping would buy little and
 cost invariants.
 """
@@ -19,18 +19,12 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Iterable
 
 from repro.core.viewprofile import ViewProfile
-from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.obs.metrics import MetricsRegistry, stage_timer
-from repro.store.base import (
-    DUPLICATE_ID_MESSAGE,
-    StoreStats,
-    VPStore,
-    vp_bounding_box,
-)
+from repro.store.base import StoreStats, VPStore
+from repro.store.codec import Batch
 from repro.store.grid import DEFAULT_CELL_M, SpatialGrid
 from repro.store.serving import TileCache
 
@@ -57,31 +51,32 @@ class MemoryStore(VPStore):
 
     # -- writes ------------------------------------------------------------
 
-    def insert(self, vp: ViewProfile) -> None:
-        """Store one VP; raises ``ValidationError`` on a duplicate id."""
-        with self._lock:
-            if vp.vp_id in self._by_id:
-                raise ValidationError(DUPLICATE_ID_MESSAGE)
-            with self.tiles.write((vp.minute,)) as tile_writes:
-                self._by_id[vp.vp_id] = vp
-                self._by_minute[vp.minute].append(vp)
-                grid = self._grids.get(vp.minute)
-                if grid is None:
-                    grid = self._grids[vp.minute] = SpatialGrid(cell_m=self.cell_m)
-                grid.insert(vp)
-                tile_writes.add(
-                    vp.minute, 1 if vp.trusted else 0, *vp_bounding_box(vp)
-                )
+    def write(self, batch: Batch, strict: bool = False) -> int:
+        """Land the batch's objects by reference under the store lock.
 
-    def insert_trusted(self, vp: ViewProfile) -> None:
-        """Store a VP through the authority path, marking it trusted."""
-        with self._lock:
-            super().insert_trusted(vp)
-
-    def insert_many(self, vps: Iterable[ViewProfile]) -> int:
-        """Atomically batch-ingest VPs, skipping duplicates."""
-        with stage_timer(self.metrics, "store.insert"), self._lock:
-            return super().insert_many(vps)
+        A frame batch is decoded here (before the lock); an object
+        batch stores the caller's own instances.
+        """
+        with stage_timer(self.metrics, "store.insert"):
+            vps = batch.vps()
+            with self._lock:
+                fresh = batch.fresh_indices(strict, self._by_id)
+                minutes = {batch.meta[i][1] for i in fresh}
+                with self.tiles.write(minutes) as tile_writes:
+                    for i in fresh:
+                        vp, record = vps[i], batch.meta[i]
+                        minute = record[1]
+                        # the stored instance carries the batch's bit
+                        # from the moment it is visible to readers
+                        vp.trusted = bool(record[2])
+                        self._by_id[vp.vp_id] = vp
+                        self._by_minute[minute].append(vp)
+                        grid = self._grids.get(minute)
+                        if grid is None:
+                            grid = self._grids[minute] = SpatialGrid(cell_m=self.cell_m)
+                        grid.insert(vp)
+                        tile_writes.add(*record[1:])
+                return len(fresh)
 
     # -- point reads -------------------------------------------------------
 

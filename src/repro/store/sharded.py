@@ -15,11 +15,10 @@ Models the authority running N storage nodes.  Routing is a composite
   into the same minute stop serializing behind one backend's writer
   lock.  Minute queries gather from the (bounded) owner-shard set and
   re-merge into fleet-wide insertion order via a per-minute sequence
-  map.  Routing keys off the bounding box — metadata every encoded
-  batch record carries — so the zero-decode ingest path
-  (:meth:`ShardedStore.insert_encoded`) routes a wire frame's records
-  to exactly the shards the object path would pick, without decoding a
-  single body.
+  map.  Routing keys off the bounding box — metadata every
+  :class:`~repro.store.codec.Batch` record carries — so a wire frame's
+  records route to exactly the shards the same VPs would reach as
+  objects, without decoding a single body.
 
 Point lookups (``get``/``in``) probe shards in order, because an
 anonymous identifier carries no minute information.  Shards can be any
@@ -39,7 +38,7 @@ probed every shard per batch and throttled the whole fleet to one
 backend query stream.  The actual inserts then fan out to the shards in
 parallel: a lone caller uses a small private pool, concurrent callers
 run their own fan-outs inline on rotated shard orders (see
-``insert_many``).  Reservations are dropped once the rows are visible
+``_fanout``).  Reservations are dropped once the rows are visible
 in the shards, so the in-flight set stays small.
 
 Lifecycle: ``evict_before`` retires whole minutes fleet-wide — the
@@ -63,16 +62,11 @@ from repro.core.viewprofile import ViewProfile
 from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.obs.metrics import MetricsRegistry, merge_snapshots, stage_timer
-from repro.store.base import (
-    DUPLICATE_ID_MESSAGE,
-    StoreStats,
-    VPStore,
-    vp_bounding_box,
-)
+from repro.store.base import StoreStats, VPStore
 from repro.store.codec import (
+    Batch,
     encode_row_batch,
     iter_encoded_meta,
-    join_encoded_records,
     join_encoded_spans,
 )
 from repro.store.grid import DEFAULT_CELL_M
@@ -148,7 +142,7 @@ class ShardedStore(VPStore):
         # in any shard; guarded by the routing lock (see module docstring)
         self._route_lock = threading.Lock()
         self._in_flight: set[bytes] = set()
-        # concurrent insert_many calls in flight (guarded by _pool_lock)
+        # concurrent write calls in flight (guarded by _pool_lock)
         # plus a rotation counter that staggers which shard each inline
         # fan-out starts on, so concurrent callers don't convoy on the
         # same shard's writer lock
@@ -158,8 +152,8 @@ class ShardedStore(VPStore):
         # duplicate checks and point-read routing answer from memory
         # instead of probing every shard per batch (which serialized all
         # writers behind N backend queries).  Seeded from pre-populated
-        # shards (metadata-only scan), kept exact by _release_pairs on
-        # the write paths and evict_before.  ``_minute_ids`` groups the same
+        # shards (metadata-only scan), kept exact by _release on the
+        # write path and evict_before.  ``_minute_ids`` groups the same
         # ids by minute so eviction retires a minute's directory entries
         # wholesale; mutate both only through _directory_add and
         # evict_before.
@@ -324,30 +318,16 @@ class ShardedStore(VPStore):
         mixed = (cx * 0x9E3779B1 + cy * 0x85EBCA77) & 0xFFFFFFFF
         return mixed % self.shard_cells
 
-    def _cell_slot(self, vp: ViewProfile) -> int:
-        """The VP's spatial routing slot in ``[0, shard_cells)``.
+    def _shard_index(self, record: tuple) -> int:
+        """Composite ``(minute, cell)`` shard index of one batch record.
 
-        Derived from the routing cell of the bounding box's min corner
-        — deterministic per VP, so the same VP always routes to the
-        same shard, and computable from an encoded batch record's
-        metadata alone, so the zero-decode path
-        (:meth:`insert_encoded`) agrees with this object path on every
-        placement.
+        The cell is the routing cell of the bounding box's min corner —
+        deterministic per VP and read from the record metadata alone,
+        so objects and frames agree on every placement.
         """
         if self.shard_cells == 1:
-            return 0
-        x_min, y_min, _x_max, _y_max = vp_bounding_box(vp)
-        return self._slot_of_xy(x_min, y_min)
-
-    def _shard_index(self, vp: ViewProfile) -> int:
-        """Composite ``(minute, cell)`` shard index for one VP."""
-        return (vp.minute + self._cell_slot(vp)) % len(self.shards)
-
-    def _shard_index_row(self, row: tuple) -> int:
-        """Composite shard index from an encoded record's metadata row."""
-        if self.shard_cells == 1:
-            return row[1] % len(self.shards)
-        return (row[1] + self._slot_of_xy(row[3], row[4])) % len(self.shards)
+            return record[1] % len(self.shards)
+        return (record[1] + self._slot_of_xy(record[3], record[4])) % len(self.shards)
 
     def _owner_indices(self, minute: int) -> list[int]:
         """Every shard index that may hold VPs of one minute."""
@@ -369,56 +349,41 @@ class ShardedStore(VPStore):
 
     # -- writes ------------------------------------------------------------
 
-    def _reserve_pairs(self, pairs: list[tuple[bytes, int]]) -> list[int]:
+    def _reserve(self, batch: Batch, strict: bool) -> list[int]:
         """Claim the batch's fresh ids against the fleet and in-flight set.
 
-        ``pairs`` are ``(vp_id, minute)`` tuples — the metadata both the
-        object path and the zero-decode frame path have on hand.  Runs
-        the fleet-wide duplicate check and the claim as one atomic
+        Runs the fleet-wide duplicate check and the claim as one atomic
         step, closing the window where the same id at two different
         minutes (or cells) would pass two independent checks and land on
         two shards.  The check is a pure in-memory probe of the id
         directory — no backend round-trips while the routing lock is
-        held.  Returns the indices of the pairs this caller now owns
-        the right to insert (first claim per id wins); release with
-        ``_release_pairs``.
+        held.  Returns the indices of the records this caller now owns
+        the right to insert (first claim per id wins); a ``strict``
+        duplicate raises before anything is claimed.
         """
         with self._route_lock:
-            taken = self._ids
-            fresh: list[int] = []
-            seen: set[bytes] = set()
-            for index, (vp_id, _minute) in enumerate(pairs):
-                if vp_id in taken or vp_id in self._in_flight or vp_id in seen:
-                    continue
-                seen.add(vp_id)
-                fresh.append(index)
-            self._in_flight.update(seen)
+            fresh = batch.fresh_indices(strict, self._ids, self._in_flight)
+            self._in_flight.update(batch.meta[i][0] for i in fresh)
             if self.shard_cells > 1:
                 # claim fleet-wide insertion-order slots while the batch
                 # order is still known; a stale entry from a failed
                 # insert is harmless (merges only order rows that exist)
-                for index in fresh:
-                    vp_id, minute = pairs[index]
+                for i in fresh:
+                    vp_id, minute = batch.meta[i][:2]
                     seq_map = self._minute_seq.setdefault(minute, {})
                     seq_map[vp_id] = self._next_seq
                     self._next_seq += 1
             return fresh
 
-    def _reserve(self, vps: list[ViewProfile]) -> list[ViewProfile]:
-        """Object-path wrapper of ``_reserve_pairs``; returns claimed VPs."""
-        fresh = self._reserve_pairs([(vp.vp_id, vp.minute) for vp in vps])
-        return [vps[index] for index in fresh]
-
-    def _release_pairs(self, pairs: list[tuple[bytes, int]], stored: bool) -> None:
-        """Drop reservations; record ids whose rows landed in a shard."""
+    def _release(self, pairs: list[tuple[bytes, int]]) -> None:
+        """Drop reservations and record the ids: their rows landed."""
         with self._route_lock:
             self._in_flight.difference_update(vp_id for vp_id, _minute in pairs)
-            if stored:
-                for vp_id, minute in pairs:
-                    self._directory_add(vp_id, minute)
+            for vp_id, minute in pairs:
+                self._directory_add(vp_id, minute)
 
-    def _release_failed_pairs(self, pairs: list[tuple[bytes, int]]) -> None:
-        """Reconcile the directory when an insert raised mid-flight.
+    def _release_failed(self, pairs: list[tuple[bytes, int]]) -> None:
+        """Reconcile the directory when a write raised mid-flight.
 
         An exception leaves the per-shard outcome unknown (some
         sub-batches may have committed before another shard failed), so
@@ -435,107 +400,53 @@ class ShardedStore(VPStore):
             for vp_id in landed:
                 self._directory_add(vp_id, by_id[vp_id])
 
-    def _release_after_failure(self, vps: list[ViewProfile]) -> None:
-        """Object-path wrapper of ``_release_failed_pairs``."""
-        self._release_failed_pairs([(vp.vp_id, vp.minute) for vp in vps])
-
-    def insert(self, vp: ViewProfile) -> None:
-        """Store one VP; raises ``ValidationError`` on a duplicate id.
-
-        The duplicate-id check spans ALL shards (and in-flight writes):
-        the same R value at a different minute would otherwise land on a
-        second shard.
-        """
-        claimed = self._reserve([vp])
-        if not claimed:
-            raise ValidationError(DUPLICATE_ID_MESSAGE)
-        try:
-            with self.tiles.write((vp.minute,)) as tile_writes:
-                self.shards[self._shard_index(vp)].insert(vp)
-                tile_writes.add(
-                    vp.minute, 1 if vp.trusted else 0, *vp_bounding_box(vp)
-                )
-        except BaseException:
-            self._release_after_failure(claimed)
-            raise
-        self._release_pairs([(vp.vp_id, vp.minute)], stored=True)
-
-    def insert_trusted(self, vp: ViewProfile) -> None:
-        """Store a VP through the authority path, marking it trusted.
-
-        The trusted flag is set only after the fleet-wide reservation
-        succeeds, so a rejected insert — including one racing an
-        in-flight batch that holds the same id — never mutates the
-        caller's object.
-        """
-        claimed = self._reserve([vp])
-        if not claimed:
-            raise ValidationError(DUPLICATE_ID_MESSAGE)
-        try:
-            vp.trusted = True
-            with self.tiles.write((vp.minute,)) as tile_writes:
-                self.shards[self._shard_index(vp)].insert(vp)
-                tile_writes.add(vp.minute, 1, *vp_bounding_box(vp))
-        except BaseException:
-            self._release_after_failure(claimed)
-            raise
-        self._release_pairs([(vp.vp_id, vp.minute)], stored=True)
-
-    def insert_many(self, vps: Iterable[ViewProfile]) -> int:
-        """Batch-ingest VPs, skipping duplicates; returns how many landed.
+    def write(self, batch: Batch, strict: bool = False) -> int:
+        """Reserve, route from metadata, forward one sub-batch per shard.
 
         The batch is deduplicated (against the fleet, in-flight writes,
-        and within itself) under the routing lock, partitioned by owning
-        shard, and the per-shard sub-batches inserted in parallel.
-        Racing batches that contain the same VP agree on a single winner
-        and the summed counts stay exact.
-
-        Parallelism is adaptive: a lone caller fans its sub-batches out
-        on the private pool (overlapping per-shard commit I/O), while
-        concurrent callers each run their own fan-out inline — the
-        callers already provide the thread-level parallelism, and
-        funnelling every sub-batch through one bounded pool would just
-        queue them.  Inline fan-outs start on rotated shards so racing
-        callers walk the fleet out of phase instead of convoying on one
-        writer lock.
+        and within itself) under the routing lock and partitioned by
+        owning shard; each shard lands its sub-batch through its own
+        ``write``.  Racing batches that contain the same VP agree on a
+        single winner and the summed counts stay exact.  A frame that
+        routes entirely to one shard is forwarded untouched; otherwise
+        its record spans are regrouped without decoding a body.
         """
         with stage_timer(self.metrics, "route.insert"):
-            fresh = self._reserve(list(vps))
+            meta = batch.meta
+            fresh = self._reserve(batch, strict)
+            claimed = [meta[i][:2] for i in fresh]
             try:
-                by_shard: dict[int, list[ViewProfile]] = {}
-                for vp in fresh:
-                    by_shard.setdefault(self._shard_index(vp), []).append(vp)
-                with self.tiles.write({vp.minute for vp in fresh}) as tile_writes:
-                    inserted = self._fanout_insert(
-                        by_shard, lambda shard, batch: shard.insert_many(batch)
+                by_shard: dict[int, list[int]] = {}
+                for i in fresh:
+                    by_shard.setdefault(self._shard_index(meta[i]), []).append(i)
+                minutes = {minute for _vp_id, minute in claimed}
+                with self.tiles.write(minutes) as tile_writes:
+                    inserted = self._fanout(
+                        {idx: batch.select(ix) for idx, ix in by_shard.items()}, strict
                     )
                     if inserted == len(fresh):
-                        for vp in fresh:
-                            tile_writes.add(
-                                vp.minute,
-                                1 if vp.trusted else 0,
-                                *vp_bounding_box(vp),
-                            )
+                        for i in fresh:
+                            tile_writes.add(*meta[i][1:])
                     elif inserted:
                         # a shard rejected part of its sub-batch, so the
                         # landed set is unknown — rebuild on next read
-                        tile_writes.mark_dirty(*{vp.minute for vp in fresh})
+                        tile_writes.mark_dirty(*minutes)
             except BaseException:
-                self._release_after_failure(fresh)
+                self._release_failed(claimed)
                 raise
-            self._release_pairs([(vp.vp_id, vp.minute) for vp in fresh], stored=True)
+            self._release(claimed)
             return inserted
 
-    def _fanout_insert(
-        self, by_shard: dict[int, _T], submit: Callable[[VPStore, _T], int]
-    ) -> int:
-        """Run one per-shard insert payload map with adaptive parallelism.
+    def _fanout(self, by_shard: dict[int, Batch], strict: bool) -> int:
+        """Write one sub-batch per shard with adaptive parallelism.
 
-        The concurrency policy shared by the object and zero-decode
-        write paths: a lone caller fans out on the private pool
-        (overlapping per-shard commit I/O), concurrent callers run
-        inline on rotated shard orders so they walk the fleet out of
-        phase instead of convoying on one writer lock.
+        A lone caller fans out on the private pool (overlapping
+        per-shard commit I/O), while concurrent callers each run their
+        own fan-out inline — the callers already provide the
+        thread-level parallelism, and funnelling every sub-batch
+        through one bounded pool would just queue them.  Inline
+        fan-outs start on rotated shards so racing callers walk the
+        fleet out of phase instead of convoying on one writer lock.
         """
         with self._pool_lock:
             self._active_batches += 1
@@ -551,10 +462,10 @@ class ShardedStore(VPStore):
                     by_shard,
                     key=lambda idx: (idx + rotation) % len(self.shards),
                 )
-                return sum(submit(self.shards[idx], by_shard[idx]) for idx in order)
+                return sum(self.shards[idx].write(by_shard[idx], strict) for idx in order)
             futures = [
-                pool.submit(submit, self.shards[idx], payload)
-                for idx, payload in by_shard.items()
+                pool.submit(self.shards[idx].write, sub, strict)
+                for idx, sub in by_shard.items()
             ]
             # drain every sub-batch before surfacing a failure: the
             # post-failure directory reconciliation probes the shards
@@ -565,62 +476,6 @@ class ShardedStore(VPStore):
         finally:
             with self._pool_lock:
                 self._active_batches -= 1
-
-    def insert_encoded(self, batch: bytes | memoryview, strict: bool = False) -> int:
-        """Zero-decode batch ingest: slice the frame, forward the bytes.
-
-        The routing tier's half of the wire fast path: records are
-        routed from their metadata (minute + bounding-box cell),
-        per-shard sub-batches are carved out of the incoming buffer as
-        raw byte spans, and each shard ingests its slice through its
-        own ``insert_encoded`` — no VP body is decoded (or even sliced)
-        anywhere on the parent.  Reservation, fan-out and failure
-        reconciliation are exactly the object path's; a batch that
-        routes entirely to one shard forwards the original buffer
-        untouched.
-        """
-        with stage_timer(self.metrics, "route.insert"):
-            records = list(iter_encoded_meta(batch))
-            pairs = [(bytes(row[0]), row[1]) for row, _start, _end in records]
-            fresh = self._reserve_pairs(pairs)
-            if strict and len(fresh) != len(pairs):
-                self._release_pairs([pairs[i] for i in fresh], stored=False)
-                raise ValidationError(DUPLICATE_ID_MESSAGE)
-            claimed = [pairs[i] for i in fresh]
-            try:
-                by_shard: dict[int, list[int]] = {}
-                for i in fresh:
-                    by_shard.setdefault(
-                        self._shard_index_row(records[i][0]), []
-                    ).append(i)
-                if len(fresh) == len(records) and len(by_shard) == 1:
-                    frames = {next(iter(by_shard)): batch}  # pass-through, no copy
-                else:
-                    frames = {
-                        idx: join_encoded_records(
-                            batch, [(records[i][1], records[i][2]) for i in indices]
-                        )
-                        for idx, indices in by_shard.items()
-                    }
-                minutes = {records[i][0][1] for i in fresh}
-                with self.tiles.write(minutes) as tile_writes:
-                    inserted = self._fanout_insert(
-                        frames,
-                        lambda shard, buf: shard.insert_encoded(buf, strict=strict),
-                    )
-                    if inserted == len(fresh):
-                        for i in fresh:
-                            row = records[i][0]
-                            tile_writes.add(
-                                row[1], row[2], row[3], row[4], row[5], row[6]
-                            )
-                    elif inserted:
-                        tile_writes.mark_dirty(*minutes)
-            except BaseException:
-                self._release_failed_pairs(claimed)
-                raise
-            self._release_pairs(claimed, stored=True)
-            return inserted
 
     def existing_ids(self, vp_ids: Iterable[bytes]) -> set[bytes]:
         """Which of these identifiers are stored on any shard.

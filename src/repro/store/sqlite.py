@@ -22,7 +22,7 @@ Thread safety and performance (the concurrency-control contract of
   WAL, so their reads additionally serialize behind the writer lock —
   a reader never observes a half-applied batch on either flavor.
 * **single-writer lock** — all mutations serialize behind one re-entrant
-  lock, making ``insert_many`` atomic (duplicate-skipping counts never
+  lock, making ``write`` atomic (duplicate-skipping counts never
   double-count under concurrent batches).
 * **prepared-statement reuse** — every SQL string is a module constant
   and connections are opened with a generous ``cached_statements`` pool,
@@ -83,19 +83,13 @@ from repro.store.adaptive import (
     DEFAULT_MIN_ROWS,
     GroupCommitController,
 )
-from repro.store.base import (
-    DUPLICATE_ID_MESSAGE,
-    StoreStats,
-    VPStore,
-    vp_bounding_box,
-    vp_claims_in_area,
-)
+from repro.store.base import StoreStats, VPStore, vp_claims_in_area
 from repro.store.codec import (
+    DUPLICATE_ID_MESSAGE,
+    Batch,
     decode_vp,
     encode_row_batch,
-    encode_vp,
     encoded_body_claims_area,
-    iter_encoded_rows,
 )
 from repro.store.serving import MinuteTiles, QuerySpec, TileCache, build_minute_tiles
 
@@ -146,7 +140,7 @@ _COUNT_TRUSTED_BY_MINUTE = (
     "SELECT COUNT(*) FROM vps WHERE minute = ? AND trusted = 1"
 )
 # encoded (decode-free) read path: full row shape, pure pass-through
-# into codec frames — column order matches ``iter_encoded_rows`` exactly
+# into codec frames — column order matches ``encode_row_batch`` exactly
 _ENCODED_BY_MINUTE = (
     "SELECT vp_id, minute, trusted, x_min, y_min, x_max, y_max, body"
     " FROM vps WHERE minute = ? ORDER BY rowid"
@@ -356,35 +350,6 @@ class SQLiteStore(VPStore):
 
     # -- row mapping -------------------------------------------------------
 
-    @staticmethod
-    def _row_of(vp: ViewProfile) -> tuple:
-        """Map one VP to its table row (bbox columns + storage blob)."""
-        x_min, y_min, x_max, y_max = vp_bounding_box(vp)
-        return (
-            vp.vp_id,
-            vp.minute,
-            int(vp.trusted),
-            x_min,
-            y_min,
-            x_max,
-            y_max,
-            encode_vp(vp),
-        )
-
-    @staticmethod
-    def _tile_deltas(tile_writes, rows: list[tuple], inserted: int) -> None:
-        """Report an ``INSERT OR IGNORE`` batch to the tile write bracket.
-
-        When every row landed the per-row deltas are exact; a partial
-        batch (duplicates ignored by SQLite, identities unknown) marks
-        its minutes dirty instead — rebuild-on-demand stays exact.
-        """
-        if inserted == len(rows):
-            for row in rows:
-                tile_writes.add(row[1], row[2], row[3], row[4], row[5], row[6])
-        elif inserted:
-            tile_writes.mark_dirty(*{row[1] for row in rows})
-
     def _cache_epoch(self) -> int:
         """Snapshot the eviction epoch (captured *before* a row SELECT)."""
         if self.decode_cache <= 0:
@@ -484,141 +449,61 @@ class SQLiteStore(VPStore):
             with self._write_lock:
                 self._flush_locked()
 
-    def _enqueue_rows(self, rows: list[tuple], strict: bool) -> int:
-        """Admit encoded rows into the pending group (writer lock held).
-
-        Deduplicates against the table (one batched probe), the pending
-        buffer and the rows themselves; ``strict`` turns a duplicate
-        into ``ValidationError`` instead of a skip — raised *before*
-        any row of the batch is admitted, matching the all-or-nothing
-        transaction of the non-grouped strict path.  Flushes when the
-        group crosses any bound (rows/bytes/age).
-        """
-        taken = self._probe_ids([row[0] for row in rows if row[0] not in self._pending])
-        if strict:
-            seen: set[bytes] = set()
-            for row in rows:
-                vp_id = bytes(row[0])
-                if vp_id in self._pending or vp_id in taken or vp_id in seen:
-                    raise ValidationError(DUPLICATE_ID_MESSAGE)
-                seen.add(vp_id)
-        inserted = 0
-        # an admitted pending row counts as landed for the tile cache:
-        # tile builds flush first, so they observe exactly these rows
-        with self.tiles.write({row[1] for row in rows}) as tile_writes:
-            for row in rows:
-                vp_id = bytes(row[0])
-                if vp_id in self._pending or vp_id in taken:
-                    continue
-                taken.add(vp_id)
-                self._pending[vp_id] = row
-                self._pending_bytes += len(row[7])
-                tile_writes.add(row[1], row[2], row[3], row[4], row[5], row[6])
-                inserted += 1
-        if self._pending and self._pending_since is None:
-            self._pending_since = time.monotonic()
-        if (
-            len(self._pending) >= self.group_commit_rows
-            or self._pending_bytes >= self.group_commit_bytes
-            or (
-                self._pending_since is not None
-                and time.monotonic() - self._pending_since >= self.group_commit_latency_s
-            )
-        ):
-            self._flush_locked()
-        return inserted
-
     # -- writes ------------------------------------------------------------
 
-    def insert(self, vp: ViewProfile) -> None:
-        """Store one VP; raises ``ValidationError`` on a duplicate id."""
-        row = self._row_of(vp)
-        with self._write_lock:
-            if self.group_commit_rows > 0:
-                self._enqueue_rows([row], strict=True)
-                return
-            with self.tiles.write((row[1],)) as tile_writes:
-                try:
-                    with self._conn:
-                        self._conn.execute(_INSERT, row)
-                except sqlite3.IntegrityError as exc:
-                    raise ValidationError(DUPLICATE_ID_MESSAGE) from exc
-                tile_writes.add(row[1], row[2], row[3], row[4], row[5], row[6])
-            self._charge_commit()
+    def write(self, batch: Batch, strict: bool = False) -> int:
+        """Land the batch's rows in one transaction or one pending group.
 
-    def insert_trusted(self, vp: ViewProfile) -> None:
-        """Store a VP through the authority path, marking it trusted."""
-        with self._write_lock:
-            super().insert_trusted(vp)
-
-    def insert_many(self, vps: Iterable[ViewProfile]) -> int:
-        """Atomically batch-ingest VPs, skipping duplicates.
-
-        Rows are encoded outside the writer lock (the CPU-heavy part),
-        then applied in one ``INSERT OR IGNORE`` transaction — or, with
-        group commit enabled, admitted to the pending group and
-        committed together with neighbouring batches.
+        Rows are built outside the writer lock (encoding objects is the
+        CPU-heavy part; a frame's bodies are bound as spans of the
+        caller's buffer, never copied).  Under the lock the batch is
+        deduplicated against the table (one batched probe), the pending
+        group and itself, then its fresh rows either commit at once or
+        — with group commit enabled — join the pending group, which
+        flushes when it crosses any bound (rows/bytes/age).
         """
         with stage_timer(self.metrics, "store.insert") as timing:
-            rows = [self._row_of(vp) for vp in vps]
+            rows = batch.rows()
             with self._write_lock:
-                if self.group_commit_rows > 0:
-                    return self._enqueue_rows(rows, strict=False)
-                conn = self._conn
-                before = conn.total_changes
+                pending = self._pending
+                stored = self._probe_ids(
+                    [row[0] for row in rows if row[0] not in pending]
+                )
+                fresh = batch.fresh_indices(strict, pending, stored)
+                if len(fresh) != len(rows):
+                    rows = [rows[i] for i in fresh]
+                grouped = self.group_commit_rows > 0
+                # an admitted pending row counts as landed for the tile
+                # cache: tile builds flush first, so they observe it
                 with self.tiles.write({row[1] for row in rows}) as tile_writes:
-                    with conn:
-                        conn.executemany(_INSERT_OR_IGNORE, rows)
-                    inserted = conn.total_changes - before
-                    self._tile_deltas(tile_writes, rows, inserted)
-                self._charge_commit()
-                if self.commit_latency_s:
-                    timing.add_modeled(self.commit_latency_s)
-                return inserted
-
-    def insert_encoded(self, batch: bytes, strict: bool = False) -> int:
-        """Batch-ingest from a codec batch buffer without decoding bodies.
-
-        The buffer's records (see
-        :func:`repro.store.codec.iter_encoded_rows`) are already in row
-        shape, so ingest is a pure pass-through: no ``ViewProfile``
-        materialization on this side of the boundary.  This is the hot
-        path of the process shard workers.  ``strict`` makes duplicates
-        raise ``ValidationError`` (single-insert semantics); otherwise
-        they are skipped and the newly stored count is returned.
-
-        ``batch`` may be a read-only :class:`memoryview` (the streaming
-        front-end's receive buffer): bodies are bound to SQLite as
-        buffer objects *without* a ``bytes`` copy — the span the parser
-        assembled off the socket is the span ``executemany`` binds.
-        Only the 16-byte ids are materialized (dict keys in the
-        group-commit pending buffer must be hashable).
-        """
-        with stage_timer(self.metrics, "store.insert") as timing:
-            rows = [
-                (bytes(vp_id), minute, trusted, x0, y0, x1, y1, body)
-                for vp_id, minute, trusted, x0, y0, x1, y1, body in iter_encoded_rows(batch)
-            ]
-            with self._write_lock:
-                if self.group_commit_rows > 0:
-                    return self._enqueue_rows(rows, strict=strict)
-                conn = self._conn
-                before = conn.total_changes
-                with self.tiles.write({row[1] for row in rows}) as tile_writes:
-                    try:
-                        with conn:
-                            if strict:
-                                conn.executemany(_INSERT, rows)
-                            else:
-                                conn.executemany(_INSERT_OR_IGNORE, rows)
-                    except sqlite3.IntegrityError as exc:
-                        raise ValidationError(DUPLICATE_ID_MESSAGE) from exc
-                    inserted = conn.total_changes - before
-                    self._tile_deltas(tile_writes, rows, inserted)
-                self._charge_commit()
-                if self.commit_latency_s:
-                    timing.add_modeled(self.commit_latency_s)
-                return inserted
+                    if grouped:
+                        for row in rows:
+                            pending[row[0]] = row
+                            self._pending_bytes += len(row[7])
+                    elif rows:
+                        try:
+                            with self._conn:
+                                self._conn.executemany(_INSERT, rows)
+                        except sqlite3.IntegrityError as exc:
+                            raise ValidationError(DUPLICATE_ID_MESSAGE) from exc
+                    for row in rows:
+                        tile_writes.add(*row[1:7])
+                if not grouped:
+                    if rows:
+                        self._charge_commit()
+                        if self.commit_latency_s:
+                            timing.add_modeled(self.commit_latency_s)
+                elif pending:
+                    if self._pending_since is None:
+                        self._pending_since = time.monotonic()
+                    if (
+                        len(pending) >= self.group_commit_rows
+                        or self._pending_bytes >= self.group_commit_bytes
+                        or time.monotonic() - self._pending_since
+                        >= self.group_commit_latency_s
+                    ):
+                        self._flush_locked()
+                return len(rows)
 
     def _probe_ids(self, vp_ids: list[bytes]) -> set[bytes]:
         """Which of these ids have table rows (pending buffer NOT consulted)."""
@@ -746,7 +631,7 @@ class SQLiteStore(VPStore):
         """Decode-free selection: stored rows framed straight through.
 
         The SELECT returns rows in the exact column order of
-        :func:`repro.store.codec.iter_encoded_rows`; the only per-row
+        :func:`repro.store.codec.encode_row_batch`; the only per-row
         work on an area query is the decode-free exact membership test
         over the packed digest locations
         (:func:`repro.store.codec.encoded_body_claims_area`), which

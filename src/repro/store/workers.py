@@ -27,8 +27,7 @@ principle); the heavy lifting (decode, row building, ``executemany`` +
 commit) runs in parallel simple workers.  IPC framing is the columnar
 batch codec (:func:`~repro.store.codec.encode_vp_batch`): one
 length-prefixed buffer per batch instead of N pickled objects, and a
-SQLite worker ingests the records *without ever decoding a body*
-(:meth:`~repro.store.sqlite.SQLiteStore.insert_encoded`).
+SQLite worker ingests the records *without ever decoding a body*.
 
 Failure model: a worker that dies or stops answering within
 ``op_timeout_s`` is abandoned — the proxy raises ``StorageError``, the
@@ -50,8 +49,7 @@ from repro.core.viewprofile import ViewProfile
 from repro.errors import ReproError, StorageError
 from repro.geo.geometry import Rect
 from repro.store.base import StoreStats, VPStore
-from repro.store.codec import decode_vp_batch, encode_vp_batch
-from repro.util.encoding import unpack_uint
+from repro.store.codec import Batch, decode_vp_batch, encode_vp_batch
 from repro.obs.metrics import MetricsRegistry
 from repro.store.grid import DEFAULT_CELL_M
 from repro.store.memory import MemoryStore
@@ -115,13 +113,10 @@ def _build_worker_store(spec: dict) -> VPStore:
 def _dispatch(store: VPStore, request: tuple) -> object:
     """Execute one command against the worker's backend."""
     op = request[0]
-    if op == "batch":
-        # every backend speaks insert_encoded now: SQLite ingests the
-        # rows without decoding bodies, memory decodes worker-side
-        return store.insert_encoded(request[1])
-    if op == "insert":
-        store.insert_encoded(request[1], strict=True)
-        return None
+    if op == "write":
+        # SQLite ingests the rows without decoding bodies, memory
+        # decodes worker-side
+        return store.insert_encoded(request[2], strict=request[1])
     if op == "get":
         vp = store.get(request[1])
         return None if vp is None else encode_vp_batch([vp])
@@ -210,14 +205,12 @@ def _worker_main(conn: Connection, spec: dict) -> None:
                 store.close()  # flushes; acked only once durable
                 conn.send(("ok", None))
                 break
-            if request[0] == "batch_raw":
+            if request[0] == "write" and request[2] is None:
                 # the frame travels out-of-band as one raw pipe write —
                 # no pickling, and on the parent side no copy of the
                 # receive-buffer span it was handed (memoryviews go
                 # straight to ``send_bytes``)
-                frame = conn.recv_bytes()
-                conn.send(("ok", store.insert_encoded(frame, strict=request[1])))
-                continue
+                request = ("write", request[1], conn.recv_bytes())
             conn.send(("ok", _dispatch(store, request)))
         except Exception as exc:
             try:
@@ -329,41 +322,23 @@ class WorkerShard(VPStore):
 
     # -- writes ------------------------------------------------------------
 
-    def insert(self, vp: ViewProfile) -> None:
-        """Store one VP; raises ``ValidationError`` on a duplicate id."""
-        self._request("insert", encode_vp_batch([vp]))
+    def write(self, batch: Batch, strict: bool = False) -> int:
+        """Pipe the batch's frame to the worker as-is.
 
-    def insert_many(self, vps: Iterable[ViewProfile]) -> int:
-        """Batch-ingest VPs as ONE framed buffer over the pipe."""
-        vps = list(vps)
-        if not vps:
-            return 0
-        return self._request("batch", encode_vp_batch(vps))
-
-    def insert_encoded(self, batch: bytes | memoryview, strict: bool = False) -> int:
-        """Forward an already-framed batch buffer to the worker as-is.
-
-        The zero-decode hand-off: the buffer a wire frame (or a sharded
-        router's slice of one) arrives in IS the worker IPC framing, so
-        ingest is a pure pipe write — no decode, no re-encode, no
-        object materialization on the parent's GIL.  A ``memoryview``
-        span (the streaming front-end's receive buffer) rides
-        out-of-band via ``send_bytes`` without ever materializing
-        ``bytes`` on this side of the pipe; ``bytes`` buffers keep the
-        single-write pickled lane (one pipe round-trip beats two — the
+        The buffer a wire frame (or a sharded router's slice of one)
+        arrives in IS the worker IPC framing, so ingest is a pure pipe
+        write — no decode, no re-encode, no object materialization on
+        the parent's GIL; an object batch is framed here, once.  A
+        ``memoryview`` span (the streaming front-end's receive buffer)
+        rides out-of-band via ``send_bytes`` without ever materializing
+        ``bytes`` on this side of the pipe; ``bytes`` buffers ride
+        inside the pickled command (one pipe round-trip beats two — the
         out-of-band hand-off exists for zero-copy, not speed).
         """
-        if isinstance(batch, memoryview):
-            result = self._request("batch_raw", bool(strict), payload=batch)
-            if strict:
-                # strict admits every record or raises; the count is the
-                # frame header's, no need to re-walk the buffer
-                return unpack_uint(batch[1:5])
-            return result
-        if strict:
-            self._request("insert", batch)
-            return unpack_uint(batch[1:5])
-        return self._request("batch", batch)
+        frame = batch.frame()
+        if isinstance(frame, memoryview):
+            return self._request("write", strict, None, payload=frame)
+        return self._request("write", strict, frame)
 
     def existing_ids(self, vp_ids: Iterable[bytes]) -> set[bytes]:
         """Which of these identifiers the worker already stores."""

@@ -1,7 +1,8 @@
 """Property test: every backend answers every query identically.
 
-Randomized insert/query sequences (including duplicate-id rejection and
-trusted-path inserts) are replayed against ``MemoryStore``,
+Randomized insert/query sequences (every write entry point, object and
+frame, strict and not, with duplicate-id rejection and trusted-path
+inserts) are replayed against ``MemoryStore``,
 ``SQLiteStore``, ``ShardedStore`` and ``ProcessShardedStore`` (real
 worker OS processes) plus a deliberately naive reference model
 reproducing the seed database's flat linear-scan semantics; all five
@@ -14,9 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ValidationError
+from repro.errors import StorageError, ValidationError
 from repro.geo.geometry import Point, Rect
-from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
+from repro.store import (
+    STORE_KINDS,
+    MemoryStore,
+    ProcessShardedStore,
+    ShardedStore,
+    SQLiteStore,
+    decode_vp_batch,
+    encode_vp_batch,
+    make_store,
+)
 from tests.store.conftest import fingerprints, make_vp
 
 
@@ -46,6 +56,13 @@ class ReferenceModel:
                 self.insert(vp)
                 n += 1
         return n
+
+    def insert_encoded(self, frame, strict=False):
+        vps = decode_vp_batch(frame)
+        ids = [vp.vp_id for vp in vps]
+        if strict and (len(set(ids)) < len(ids) or any(i in self._by_id for i in ids)):
+            raise ValidationError("duplicate")
+        return self.insert_many(vps)
 
     def get(self, vp_id):
         return self._by_id.get(vp_id)
@@ -95,6 +112,21 @@ ops = st.lists(
     min_size=1,
     max_size=14,
 )
+#: the write entry points; the two frame ones are ``insert_encoded``
+ENTRY_POINTS = ("insert", "insert_trusted", "insert_many", "encoded", "encoded_strict")
+
+#: a write op is (seed, minute, x_cell, y_cell, entry point)
+write_ops = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.integers(0, 3),
+        st.integers(-2, 4),
+        st.integers(-2, 4),
+        st.sampled_from(ENTRY_POINTS),
+    ),
+    min_size=1,
+    max_size=14,
+)
 areas = st.tuples(
     st.floats(-700, 1400), st.floats(-700, 1400), st.floats(0, 900), st.floats(0, 900)
 )
@@ -109,7 +141,25 @@ def fresh_backends():
     ]
 
 
-@given(ops=ops, area=areas, batch=ops)
+def replay_write(store, entry, vps):
+    """Send ``vps`` through one entry point; the count stored, or "dup"."""
+    try:
+        if entry == "insert":
+            store.insert(vps[0])
+        elif entry == "insert_trusted":
+            store.insert_trusted(vps[0])
+        elif entry == "insert_many":
+            return store.insert_many(vps)
+        else:
+            return store.insert_encoded(
+                encode_vp_batch(vps), strict=entry == "encoded_strict"
+            )
+    except ValidationError:
+        return "dup"
+    return 1
+
+
+@given(ops=write_ops, area=areas, batch=ops)
 @settings(max_examples=25, deadline=None)
 def test_backends_agree_with_reference(ops, area, batch):
     reference = ReferenceModel()
@@ -129,23 +179,25 @@ def test_backends_agree_with_reference(ops, area, batch):
             for _ in stores
         ]
 
-    # -- replay inserts (trusted + anonymous + forced duplicates) ----------
+    # -- replay writes: every entry point, forced duplicates ----------------
+    # batch entry points carry this op's VP *then* the previous op's —
+    # usually a duplicate, placed last so a strict batch that is not
+    # all-or-nothing shows up as a stray stored record
+    previous = None
     for op in ops:
+        entry = op[4]
         copies = corpus(op)
-        outcomes = []
-        for store, vp in zip(stores, copies):
-            try:
-                if op[4]:
-                    store.insert_trusted(vp)
-                else:
-                    store.insert(vp)
-                outcomes.append("ok")
-            except ValidationError:
-                outcomes.append("dup")
-        assert len(set(outcomes)) == 1, "insert outcome diverged"
+        if previous is not None and entry not in ("insert", "insert_trusted"):
+            copies = [[new, old] for new, old in zip(copies, corpus(previous))]
+        else:
+            copies = [[vp] for vp in copies]
+        previous = op
+        outcomes = [replay_write(store, entry, vps) for store, vps in zip(stores, copies)]
+        assert len(set(outcomes)) == 1, f"{entry} outcome diverged: {outcomes}"
+        assert len({len(store) for store in stores}) == 1, f"{entry} left stray records"
         # on rejection no backend may have flipped the caller's flag
-        if outcomes[0] == "dup" and op[4]:
-            assert all(not vp.trusted for vp in copies)
+        if outcomes[0] == "dup" and entry == "insert_trusted":
+            assert all(not vps[0].trusted for vps in copies)
 
     # -- batch ingest (duplicates silently skipped) ------------------------
     batch_copies = [corpus(op) for op in batch]
@@ -271,3 +323,39 @@ def test_make_store_round_trip(kind):
     store.insert(vp)
     assert fingerprints(store.by_minute(0)) == fingerprints([vp])
     store.close()
+
+
+def _strict_store(kind):
+    if kind == "sqlite-grouped":
+        return SQLiteStore(group_commit_rows=64)
+    return make_store(kind, ingest_workers=2)
+
+
+@pytest.mark.parametrize("kind", STORE_KINDS + ("sqlite-grouped",))
+def test_strict_batch_is_all_or_nothing(kind):
+    """A strict batch with one duplicate raises and stores none of it."""
+    vps = [make_vp(seed=seed, minute=seed % 2) for seed in range(1, 5)]
+    with _strict_store(kind) as store:
+        store.insert(make_vp(seed=3, minute=1))
+        with pytest.raises(ValidationError):
+            store.insert_encoded(encode_vp_batch(vps), strict=True)
+        assert len(store) == 1
+        assert store.existing_ids([vp.vp_id for vp in vps]) == {vps[2].vp_id}
+        # the same batch, not strict, lands everything but the duplicate
+        assert store.insert_encoded(encode_vp_batch(vps)) == 3
+        assert len(store) == 4
+
+
+def test_failed_trusted_insert_leaves_caller_untrusted(tmp_path):
+    """A shard failure mid-``insert_trusted`` must not mint a trusted VP."""
+    store = ShardedStore.sqlite([str(tmp_path / f"s{i}.sqlite") for i in range(2)])
+    vp = make_vp(seed=9)
+    try:
+        for shard in store.shards:
+            shard.close()
+        with pytest.raises(StorageError):
+            store.insert_trusted(vp)
+        assert vp.trusted is False
+        assert vp.vp_id not in store
+    finally:
+        store.close()

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.errors import WireFormatError
 from repro.store.base import vp_bounding_box
 from repro.store.codec import (
+    Batch,
     decode_vp_batch,
     encode_vp,
     encode_vp_batch,
     encoded_body_bytes,
     iter_encoded_records,
-    iter_encoded_rows,
     join_encoded_records,
 )
 from tests.store.conftest import fingerprints, make_vp
@@ -71,7 +71,7 @@ def test_encoded_rows_match_storage_metadata(specs):
     # every record must carry exactly the columns the SQLite backend
     # derives from the decoded VP — the group-commit path trusts them
     vps = build_corpus(specs)
-    rows = list(iter_encoded_rows(encode_vp_batch(vps)))
+    rows = Batch.from_frame(encode_vp_batch(vps)).rows()
     assert len(rows) == len(vps)
     for vp, (vp_id, minute, trusted, x_min, y_min, x_max, y_max, body) in zip(vps, rows):
         assert bytes(vp_id) == vp.vp_id
@@ -79,6 +79,31 @@ def test_encoded_rows_match_storage_metadata(specs):
         assert bool(trusted) == vp.trusted
         assert (x_min, y_min, x_max, y_max) == vp_bounding_box(vp)
         assert bytes(body) == encode_vp(vp)
+
+
+@given(specs=vp_specs, data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_batch_forms_agree(specs, data):
+    # the write primitive's value type: whichever form the records
+    # arrived in, every derived form (and every sub-batch) is the same
+    vps = build_corpus(specs)
+    frame = encode_vp_batch(vps)
+    from_vps, from_frame = Batch.from_vps(vps), Batch.from_frame(frame)
+    assert from_vps.meta == from_frame.meta
+    assert from_vps.rows() == from_frame.rows()
+    assert from_vps.frame() == frame and from_frame.frame() is frame
+    assert all(a is b for a, b in zip(from_vps.vps(), vps))
+    assert fingerprints(from_frame.vps()) == fingerprints(vps)
+    indices = sorted(data.draw(st.sets(st.sampled_from(range(len(vps))))) if vps else [])
+    picked = [vps[i] for i in indices]
+    for batch in (from_vps, from_frame):
+        sub = batch.select(indices)
+        assert len(sub) == len(picked)
+        assert sub.frame() == encode_vp_batch(picked)
+        assert sub.rows() == Batch.from_vps(picked).rows()
+    # a trusted write forces the bit in the metadata only
+    assert all(record[2] for record in Batch.from_vps(vps, trusted=True).meta)
+    assert [vp.trusted for vp in vps] == [bool(spec[5]) for spec in specs]
 
 
 def test_empty_batch_round_trips():
