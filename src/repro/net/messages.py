@@ -2,8 +2,9 @@
 
 View profiles travel as fixed binary blocks (60 packed VDs + the Bloom
 bit-array — 4576 bytes, matching Section 6.1 minus the secret that never
-leaves the vehicle).  Control messages use a JSON envelope with hex-coded
-binary fields: explicit, debuggable, and independent of Python pickling.
+leaves the vehicle).  Control messages use a small JSON header with binary
+fields riding behind it as raw attachments: explicit, debuggable, O(1)
+overhead in the payload, and independent of Python pickling.
 
 Batch uploads additionally support the **zero-decode frame codec**: one
 ``upload_vp_batch`` request may carry, instead of a list of VP blocks, a
@@ -386,44 +387,81 @@ def unpack_query_view(message: dict[str, Any]) -> QuerySpec:
     )
 
 
+_ENVELOPE_HEAD = struct.Struct(">I")  # JSON header length (4B)
+
+#: the header holds ``{"$bytes": n}`` where a binary value was; its n raw
+#: bytes ride behind the header, in sorted-key traversal order
+_MARKER = "$bytes"
+
+
 def encode_message(kind: str, **fields: Any) -> bytes:
     """Encode one protocol message.
 
-    ``bytes`` values are hex-coded; lists of bytes likewise.  ``kind``
-    selects the server handler.
+    ``u32 header length | compact JSON header | attachment bytes``: every
+    ``bytes``-like value (top-level, in lists, in dicts) leaves a length
+    marker in the header and rides raw behind it, so the envelope costs
+    O(1) in the payload.  ``kind`` selects the server handler.
     """
-    payload: dict[str, Any] = {"kind": kind}
-    for key, value in fields.items():
-        payload[key] = _encode_value(value)
-    return json.dumps(payload, sort_keys=True).encode()
+    attachments: list[bytes | bytearray | memoryview] = []
+    header = json.dumps(
+        _detach({"kind": kind, **fields}, attachments),
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
+    return b"".join((_ENVELOPE_HEAD.pack(len(header)), header, *attachments))
 
 
-def _encode_value(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return {"hex": value.hex()}
-    if isinstance(value, list):
-        return [_encode_value(v) for v in value]
+def _detach(value: Any, attachments: list) -> Any:
+    """Swap binary values for length markers, in sorted-key order."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        attachments.append(value)
+        return {_MARKER: memoryview(value).nbytes}
+    if isinstance(value, (list, tuple)):
+        return [_detach(v, attachments) for v in value]
     if isinstance(value, dict):
-        return {k: _encode_value(v) for k, v in value.items()}
+        if value.keys() == {_MARKER} or not all(isinstance(k, str) for k in value):
+            raise WireFormatError(
+                f"message dict needs str keys and cannot be a bare {_MARKER!r} marker"
+            )
+        return {k: _detach(value[k], attachments) for k in sorted(value)}
     return value
 
 
-def decode_message(data: bytes) -> dict[str, Any]:
-    """Decode a protocol message, restoring hex-coded bytes fields."""
+def decode_message(data: bytes | memoryview) -> dict[str, Any]:
+    """Decode a protocol message, restoring its binary attachments.
+
+    The untrusted boundary: every malformed shape is a clean
+    :class:`WireFormatError` before any attachment is sliced.
+    """
+    view = memoryview(data)
+    if len(view) < _ENVELOPE_HEAD.size:
+        raise WireFormatError("protocol message shorter than its length prefix")
+    offset = _ENVELOPE_HEAD.size + _ENVELOPE_HEAD.unpack_from(view)[0]
+    if offset > len(view):
+        raise WireFormatError("protocol message header runs past the buffer")
+    slots: list[tuple[Any, Any, int]] = []
     try:
-        payload = json.loads(data.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+        payload = json.loads(str(view[_ENVELOPE_HEAD.size : offset], "utf-8"))
+        if not isinstance(payload, dict) or "kind" not in payload:
+            raise WireFormatError("protocol message missing kind")
+        _attachment_slots(payload, slots)
+    except (ValueError, RecursionError) as exc:
         raise WireFormatError("malformed protocol message") from exc
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise WireFormatError("protocol message missing kind")
-    return {k: _decode_value(v) for k, v in payload.items()}
+    if offset + sum(n for _, _, n in slots) != len(view):
+        raise WireFormatError("protocol message attachments do not tile the buffer")
+    for container, key, n in slots:
+        container[key] = bytes(view[offset : offset + n])
+        offset += n
+    return payload
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"hex"}:
-            return bytes.fromhex(value["hex"])
-        return {k: _decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    return value
+def _attachment_slots(value: Any, slots: list[tuple[Any, Any, int]]) -> None:
+    """Collect ``(container, key, length)`` per marker, in encode order."""
+    for key in sorted(value) if isinstance(value, dict) else range(len(value)):
+        item = value[key]
+        if isinstance(item, dict) and item.keys() == {_MARKER}:
+            if type(item[_MARKER]) is not int or item[_MARKER] < 0:
+                raise WireFormatError("attachment marker is not a non-negative int")
+            slots.append((value, key, item[_MARKER]))
+        elif isinstance(item, (dict, list)):
+            _attachment_slots(item, slots)

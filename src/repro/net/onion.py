@@ -29,19 +29,15 @@ _LEN_BYTES = 4
 
 def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with a SHA-256 keystream derived from (key, nonce)."""
-    out = bytearray(len(data))
-    counter = 0
-    offset = 0
-    while offset < len(data):
-        block = hashlib.sha256(
-            key + nonce + counter.to_bytes(8, "big")
-        ).digest()
-        n = min(len(block), len(data) - offset)
-        for i in range(n):
-            out[offset + i] = data[offset + i] ^ block[i]
-        offset += n
-        counter += 1
-    return bytes(out)
+    n = len(data)
+    prefix = key + nonce
+    stream = b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+        for counter in range(-(-n // 32))
+    )
+    # XOR the layer as two big integers: one pass in C, not one per byte
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")
+    return mixed.to_bytes(n, "big")
 
 
 def _frame(*parts: bytes) -> bytes:

@@ -321,8 +321,8 @@ class ViewMapServer:
 
         The entry point :class:`~repro.net.streaming.StreamingNetwork`
         calls for every ``FRAME`` record a connection's parser
-        completes: no JSON envelope, no hex decode — ``frame`` is a
-        read-only span of the connection's receive buffer, validated
+        completes: no envelope to parse, no attachment copy — ``frame``
+        is a read-only span of the connection's receive buffer, validated
         from the metadata sidecar in place and handed to the storage
         tier still as that span.  Reply bytes are the same
         ``batch_ack``/``error`` envelopes as the threaded path, so

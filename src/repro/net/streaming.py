@@ -17,7 +17,7 @@ Execution model
 
 One ``asyncio`` event loop runs on a background thread and owns every
 connection: parsing, admission and reply writing are loop-side;
-handlers (SQLite binds, modeled commit sleeps, JSON control messages)
+handlers (SQLite binds, modeled commit sleeps, control envelopes)
 run on a bounded thread pool exactly as wide as the threaded fabric's
 worker pool, so the two transports are comparable arm-for-arm.  Two
 connection flavors share all of that machinery:
@@ -51,7 +51,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Coroutine
 
-from repro.errors import NetworkError, ReproError, ValidationError
+from repro.errors import NetworkError, ReproError, ValidationError, WireFormatError
 from repro.net.messages import (
     MAX_STREAM_PAYLOAD_BYTES,
     STREAM_KIND_FRAME,
@@ -184,7 +184,7 @@ class StreamConnection:
         return decode_message(self.upload_frame_async(frame).result(timeout))
 
     def request(self, kind: str, timeout: float | None = 60.0, **fields: Any) -> dict:
-        """One JSON control round-trip (the threaded fabric's envelope)."""
+        """One control round-trip (the threaded fabric's envelope)."""
         future = self._submit(STREAM_KIND_MSG, encode_message(kind, **fields))
         return decode_message(future.result(timeout))
 
@@ -230,7 +230,7 @@ class StreamingNetwork:
 
     ``register``/``send`` keep the fabric contract (a
     :class:`~repro.net.server.ViewMapServer` constructs against it
-    unchanged; ``send`` runs one JSON round-trip over a transient
+    unchanged; ``send`` runs one envelope round-trip over a transient
     connection), and registration of a server's bound ``handle``
     automatically binds the zero-copy ``FRAME`` lane to that server's
     :meth:`~repro.net.server.ViewMapServer.ingest_frame_stream`.
@@ -344,7 +344,7 @@ class StreamingNetwork:
     # -- contract-compat delivery -----------------------------------------
 
     def send(self, source: str, destination: str, payload: bytes) -> bytes:
-        """One buffered JSON round-trip (fabric-contract compatibility).
+        """One buffered envelope round-trip (fabric-contract compatibility).
 
         Equivalent to a vehicle opening a connection, sending one MSG
         record, and hanging up — so serial-fabric callers (privacy
@@ -508,7 +508,16 @@ class StreamingNetwork:
                 reply = encode_message("error", reason=str(exc))
             session.queued_bytes -= len(payload)
             try:
-                await session.write(pack_stream_record(STREAM_KIND_MSG, reply))
+                record = pack_stream_record(STREAM_KIND_MSG, reply)
+            except WireFormatError as exc:
+                # a reply over the record bound (a wide query_view) is
+                # answered in its slot; the connection stays in order
+                self.metrics.inc("stream.reply.oversize")
+                record = pack_stream_record(
+                    STREAM_KIND_MSG, encode_message("error", reason=str(exc))
+                )
+            try:
+                await session.write(record)
             except (ConnectionError, OSError):
                 self._close_session(session, "peer write failed")
                 return

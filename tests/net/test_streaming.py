@@ -28,6 +28,7 @@ from repro.core.system import ViewMapSystem
 from repro.errors import NetworkError, ValidationError
 from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
 from repro.net.messages import (
+    MAX_STREAM_PAYLOAD_BYTES,
     STREAM_KIND_FRAME,
     STREAM_KIND_MSG,
     STREAM_MAGIC,
@@ -218,6 +219,37 @@ class TestStreamingTransport:
             )
         )
         assert reply["kind"] == "solicitations"
+
+    def test_oversize_reply_is_an_error_and_the_connection_survives(self, stack):
+        # a query_view over a crowded minute builds a reply larger than
+        # one stream record may carry; that used to kill the session
+        # task (the client hung to its timeout) — now the slot is
+        # answered with an error naming the bound and the connection,
+        # with its in-order reply matching, stays alive
+        system, net, server = stack
+        crowd = [make_complete_vp(3 * k) for k in range(1, 259)]  # all minute 0
+        assert {vp.minute for vp in crowd} == {0}
+        conn = net.connect(server.address)
+        for start in (0, 256):
+            ack = conn.upload_frame(pack_vp_batch_frame(crowd[start : start + 256]))
+            assert ack["kind"] == "batch_ack"
+        sweep = encode_message("query_view", session="s", minute=0, encoded=True)
+        listing = encode_message("list_solicitations", session="s")
+        first, second, third = (
+            conn._submit(STREAM_KIND_MSG, payload) for payload in (sweep, listing, sweep)
+        )
+        reply = decode_message(first.result(5.0))
+        assert reply["kind"] == "error"
+        assert f"{MAX_STREAM_PAYLOAD_BYTES}-byte bound" in reply["reason"]
+        assert decode_message(second.result(5.0))["kind"] == "solicitations"
+        assert decode_message(third.result(5.0))["kind"] == "error"
+        assert counter_value(net.metrics.snapshot(), "stream.reply.oversize") == 2
+        assert not conn.closed
+        # a read that fits still comes back whole on the same connection
+        narrow = conn.request(
+            "query_view", session="s", minute=0, encoded=True, area=[0, 0, 5000, 1]
+        )
+        assert narrow["kind"] == "view" and 0 < narrow["n"] < len(crowd)
 
     def test_connect_unknown_address(self, stack):
         _, net, _ = stack
