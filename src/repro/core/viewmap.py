@@ -128,9 +128,9 @@ def coverage_area(
     xs = [site.x]
     ys = [site.y]
     for vp in trusted_vps:
-        pos = vp.positions_array
-        xs.extend([float(pos[:, 0].min()), float(pos[:, 0].max())])
-        ys.extend([float(pos[:, 1].min()), float(pos[:, 1].max())])
+        x_min, y_min, x_max, y_max = vp.bounding_box
+        xs.extend([x_min, x_max])
+        ys.extend([y_min, y_max])
     return Rect(
         x_min=min(xs) - margin_m,
         y_min=min(ys) - margin_m,
@@ -221,15 +221,14 @@ def _candidate_pairs(
     # instants still become candidates (~20 m/s * probe gap each, 2 cars).
     slack_m = 2 * 20.0 * probe_step
     pairs: set[tuple[int, int]] = set()
-    index_of = {vp.vp_id: i for i, vp in enumerate(members)}
     for sec in probe_seconds:
         pts = []
         idxs = []
-        for vp in members:
+        for index, vp in enumerate(members):
             ts = vp.times_array
             if ts[0] <= sec <= ts[-1]:
                 pts.append(tuple(vp.trajectory.at(float(sec))))
-                idxs.append(index_of[vp.vp_id])
+                idxs.append(index)
         if len(pts) < 2:
             continue
         tree = cKDTree(np.asarray(pts))

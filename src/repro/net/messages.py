@@ -24,7 +24,6 @@ import struct
 from typing import Any
 
 from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
-from repro.core.viewdigest import ViewDigest
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
@@ -43,11 +42,11 @@ VP_WIRE_BYTES = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES + BLOOM_BYTES
 
 def pack_view_profile(vp: ViewProfile) -> bytes:
     """Serialize a VP to its upload form: 60 VDs then the Bloom bits."""
-    if len(vp.digests) != VIDEO_UNIT_SECONDS:
+    if vp.n_digests != VIDEO_UNIT_SECONDS:
         raise WireFormatError(
             f"only complete {VIDEO_UNIT_SECONDS}-digest VPs can be uploaded"
         )
-    body = b"".join(vd.pack() for vd in vp.digests) + vp.bloom.to_bytes()
+    body = vp.digest_block() + vp.bloom.to_bytes()
     if len(body) != VP_WIRE_BYTES:
         raise WireFormatError(f"packed VP is {len(body)} bytes, expected {VP_WIRE_BYTES}")
     return body
@@ -57,12 +56,8 @@ def unpack_view_profile(data: bytes) -> ViewProfile:
     """Parse an uploaded VP block.  Never yields a trusted VP."""
     if len(data) != VP_WIRE_BYTES:
         raise WireFormatError(f"VP block must be {VP_WIRE_BYTES} bytes, got {len(data)}")
-    digests = []
-    for i in range(VIDEO_UNIT_SECONDS):
-        chunk = data[i * VD_MESSAGE_BYTES : (i + 1) * VD_MESSAGE_BYTES]
-        digests.append(ViewDigest.unpack(chunk))
-    bloom = BloomFilter.from_bytes(data[VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES :])
-    return ViewProfile(digests=digests, bloom=bloom, trusted=False)
+    split = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
+    return ViewProfile.from_wire(data[:split], data[split:])
 
 
 #: upper bound on VPs per ``upload_vp_batch`` message — keeps one request
@@ -107,7 +102,7 @@ def pack_vp_batch_frame(vps: list[ViewProfile]) -> bytes:
             f"VP batch of {len(vps)} exceeds the {MAX_VP_BATCH}-VP limit"
         )
     for vp in vps:
-        if len(vp.digests) != VIDEO_UNIT_SECONDS:
+        if vp.n_digests != VIDEO_UNIT_SECONDS:
             raise WireFormatError(
                 f"only complete {VIDEO_UNIT_SECONDS}-digest VPs can be uploaded"
             )

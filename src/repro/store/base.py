@@ -55,7 +55,7 @@ import numpy as np
 from repro.core.viewprofile import ViewProfile
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import stage_timer
-from repro.store.codec import Batch, encode_vp_batch, vp_bounding_box
+from repro.store.codec import Batch, encode_vp_batch
 from repro.store.serving import (
     MinuteTiles,
     QueryResult,
@@ -230,7 +230,7 @@ class VPStore(ABC):
         re-encoding them (bodies are content-deterministic and the
         metadata head derives from the same values).  This default
         encodes the decoded selection — correct for every backend,
-        cheap for the memory store (per-VP blobs are memoized), while
+        cheap for the memory store (each VP holds its digest block), while
         SQLite serves stored rows pass-through and sharded fleets
         stitch owner-shard frames without decoding a body.
         """
@@ -299,14 +299,14 @@ class VPStore(ABC):
     def _build_tiles(self, minute: int) -> MinuteTiles:
         """Scan one minute into coverage tiles.
 
-        Default walks decoded VPs (bounding boxes are memoized);
+        Default walks stored VPs (each memoizes its bounding box);
         backends with out-of-body metadata override with a scan that
         never touches a body.
         """
         cell_m = self.tiles.cell_m if self.tiles is not None else 250.0
         return build_minute_tiles(
             (
-                (1 if vp.trusted else 0, *vp_bounding_box(vp))
+                (1 if vp.trusted else 0, *vp.bounding_box)
                 for vp in self._minute_vps(minute)
             ),
             cell_m,

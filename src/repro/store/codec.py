@@ -38,16 +38,22 @@ as such a frame, and hands each backend the form it stores.
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import Container, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VP_ID_BYTES
-from repro.core.viewdigest import ViewDigest
+from repro.core.viewdigest import PACKED_FIELD, packed_block_defect, packed_columns
 from repro.core.viewprofile import ViewProfile
-from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
-from repro.util.encoding import pack_prefixed, pack_uint, unpack_prefixed, unpack_uint
+from repro.util.encoding import (
+    pack_prefixed,
+    pack_uint,
+    unpack_pair_f32,
+    unpack_prefixed,
+    unpack_uint,
+)
 from repro.util.timeline import minute_of
 
 DUPLICATE_ID_MESSAGE = "a VP with this identifier already exists"
@@ -65,31 +71,6 @@ _RECORD_HEAD = struct.Struct(">BI4d")
 #: bytes of one record before its body blob: head + vp_id + length prefix
 RECORD_OVERHEAD_BYTES = _RECORD_HEAD.size + VP_ID_BYTES + 4
 
-#: one full packed digest: t, location, file size, initial location,
-#: second index, vp_id, chain hash — field order of ``ViewDigest.pack``
-_PACKED_DIGEST = struct.Struct(">d2fQ2fQ16s16s")
-
-
-def vp_bounding_box(vp: ViewProfile) -> tuple[float, float, float, float]:
-    """(x_min, y_min, x_max, y_max) over the VP's claimed positions.
-
-    Memoized on the VP (claimed positions are immutable once built):
-    the box is recomputed on every storage-row build and batch framing
-    otherwise, and four numpy reductions per VP add up on city-scale
-    ingest.
-    """
-    cached = vp.__dict__.get("_bounding_box")
-    if cached is None:
-        pos = vp.positions_array
-        cached = (
-            float(pos[:, 0].min()),
-            float(pos[:, 1].min()),
-            float(pos[:, 0].max()),
-            float(pos[:, 1].max()),
-        )
-        vp.__dict__["_bounding_box"] = cached
-    return cached
-
 
 def encoded_body_bytes(n_digests: int) -> int:
     """Exact storage-blob size of a VP carrying ``n_digests`` digests.
@@ -104,28 +85,29 @@ def encoded_body_bytes(n_digests: int) -> int:
 def encode_vp(vp: ViewProfile) -> bytes:
     """Serialize one VP (of any digest count) to its storage blob.
 
-    The blob is memoized on the VP (like ``ViewDigest.pack``): digests
-    and bloom are immutable once built, and the trusted flag
-    deliberately lives outside the blob, so one VP always encodes to
-    the same bytes.  A VP that crosses the storage path more than once
-    — serial row building, then batch framing to a shard worker — pays
-    the 60-digest join exactly once.
+    The digest block is the VP's own (held since it was read from
+    bytes, or joined once on first encode); the Bloom bits are read
+    live, because neighbours are added to a VP after it is built —
+    so the blob itself is never memoized.
     """
-    blob = vp.__dict__.get("_storage_blob")
-    if blob is None:
-        digest_block = b"".join(vd.pack() for vd in vp.digests)
-        blob = (
-            pack_uint(VP_BLOB_VERSION, 1)
-            + pack_uint(vp.bloom.k, 2)
-            + pack_prefixed(digest_block)
-            + vp.bloom.to_bytes()
+    block = vp.digest_block()
+    return b"".join(
+        (
+            pack_uint(VP_BLOB_VERSION, 1),
+            pack_uint(vp.bloom.k, 2),
+            pack_uint(len(block), 4),
+            block,
+            vp.bloom.to_bytes(),
         )
-        vp.__dict__["_storage_blob"] = blob
-    return blob
+    )
 
 
-def decode_vp(blob: bytes, trusted: bool = False) -> ViewProfile:
-    """Rebuild a VP from its storage blob; trust comes from the backend."""
+def decode_vp(blob: bytes | memoryview, trusted: bool = False) -> ViewProfile:
+    """Rebuild a VP from its storage blob; trust comes from the backend.
+
+    The VP keeps the blob's digest block as it is (copied out of a
+    ``memoryview``) and validates it whole; no digest is unpacked.
+    """
     if len(blob) < 3:
         raise WireFormatError("VP blob too short for header")
     version = unpack_uint(blob[0:1])
@@ -133,17 +115,7 @@ def decode_vp(blob: bytes, trusted: bool = False) -> ViewProfile:
         raise WireFormatError(f"unsupported VP blob version {version}")
     bloom_k = unpack_uint(blob[1:3])
     digest_block, offset = unpack_prefixed(blob, 3)
-    if len(digest_block) % VD_MESSAGE_BYTES:
-        raise WireFormatError(
-            f"digest block of {len(digest_block)} bytes is not a multiple "
-            f"of {VD_MESSAGE_BYTES}"
-        )
-    digests = [
-        ViewDigest.unpack(digest_block[i : i + VD_MESSAGE_BYTES])
-        for i in range(0, len(digest_block), VD_MESSAGE_BYTES)
-    ]
-    bloom = BloomFilter.from_bytes(blob[offset:], k=bloom_k)
-    return ViewProfile(digests=digests, bloom=bloom, trusted=trusted)
+    return ViewProfile.from_wire(digest_block, blob[offset:], bloom_k, trusted)
 
 
 # -- columnar batch format -------------------------------------------------
@@ -164,11 +136,11 @@ def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
             raise WireFormatError(f"cannot batch-encode negative minute {minute}")
         parts.append(
             _RECORD_HEAD.pack(
-                _FLAG_TRUSTED if vp.trusted else 0, minute, *vp_bounding_box(vp)
+                _FLAG_TRUSTED if vp.trusted else 0, minute, *vp.bounding_box
             )
         )
-        parts.append(vp.vp_id)
-        parts.append(pack_prefixed(encode_vp(vp)))
+        blob = encode_vp(vp)
+        parts += (vp.vp_id, pack_uint(len(blob), 4), blob)
     return b"".join(parts)
 
 
@@ -302,39 +274,37 @@ def verify_encoded_body(
             f"{n_digests * VD_MESSAGE_BYTES}"
         )
     base = body_start + 7
-    previous = 0
-    t0 = None
-    x_min = y_min = math.inf
-    x_max = y_max = -math.inf
-    isfinite = math.isfinite
-    # one C-level pass over the whole digest block — the per-record hot
-    # loop of wire validation, kept off the Python slice-per-field path;
-    # the memoryview slice is zero-copy, true to "checked in place"
-    for t, x, y, _size, _ix, _iy, second, digest_vp_id, _chain in (
-        _PACKED_DIGEST.iter_unpack(memoryview(batch)[base : base + block_bytes])
+    # the whole digest block as columns, in place — the per-record hot
+    # path of wire validation touches no digest one by one; the
+    # memoryview slice is zero-copy, true to "checked in place"
+    block = memoryview(batch)[base : base + block_bytes]
+    if len(block) != block_bytes:
+        raise WireFormatError("frame body digest block is truncated")
+    fields = packed_columns(block)
+    defect = packed_block_defect(fields)
+    if defect:
+        raise WireFormatError(f"frame body: {defect}")
+    if fields["vp_id"][0].tobytes() != vp_id:
+        raise WireFormatError("frame body digest is keyed by a different vp_id")
+    if fields["second_index"][-1] > n_digests:
+        raise WireFormatError("frame body digest seconds run past the digest count")
+    t, location = fields["t"], fields["location"]
+    if not (np.isfinite(t).all() and np.isfinite(location).all()):
+        # NaN/Inf would sail through min/max into the spatial index and
+        # time arrays — poison, not data
+        raise WireFormatError("frame body digest carries non-finite time/location")
+    if bbox is not None and tuple(bbox) != (
+        *location.min(axis=0).tolist(),
+        *location.max(axis=0).tolist(),
     ):
-        if digest_vp_id != vp_id:
-            raise WireFormatError("frame body digest is keyed by a different vp_id")
-        if not previous < second <= n_digests:
-            raise WireFormatError("frame body digest seconds are not increasing")
-        previous = second
-        if not (isfinite(t) and isfinite(x) and isfinite(y)):
-            # NaN/Inf would sail through min/max (which skip NaN) into
-            # the spatial index and time arrays — poison, not data
-            raise WireFormatError("frame body digest carries non-finite time/location")
-        if t0 is None:
-            t0 = t
-        if bbox is not None:
-            x_min, x_max = min(x_min, x), max(x_max, x)
-            y_min, y_max = min(y_min, y), max(y_max, y)
-    if bbox is not None and tuple(bbox) != (x_min, y_min, x_max, y_max):
         # exact comparison is sound: wire locations are float32-rounded
         # before packing, so an honest sidecar (built by
-        # vp_bounding_box over the same values) matches bit-for-bit
+        # ViewProfile.bounding_box over the same values) matches bit-for-bit
         raise WireFormatError(
             "frame record bounding box does not match the body's locations"
         )
-    if t0 is None or t0 < 0 or minute_of(t0) != minute:
+    t0 = float(t[0])
+    if t0 < 0 or minute_of(t0) != minute:
         raise WireFormatError("frame body start time does not match the claimed minute")
 
 
@@ -353,9 +323,12 @@ def encoded_body_claims_area(body: bytes, area, offset: int = 0) -> bool:
     base = offset + 7
     x_min, x_max = area.x_min, area.x_max
     y_min, y_max = area.y_min, area.y_max
-    for _t, x, y, *_rest in _PACKED_DIGEST.iter_unpack(
-        memoryview(body)[base : base + block_bytes]
-    ):
+    # digest by digest, first hit returns: on a hot cell nearly every
+    # row the SQL box filter lets through claims the area at once
+    view = memoryview(body)
+    first, last = PACKED_FIELD["location"].start, PACKED_FIELD["location"].stop
+    for start in range(base, base + block_bytes, VD_MESSAGE_BYTES):
+        x, y = unpack_pair_f32(view[start + first : start + last])
         if x_min <= x <= x_max and y_min <= y <= y_max:
             return True
     return False
@@ -457,7 +430,7 @@ class Batch:
         """Wrap the caller's objects; ``trusted`` marks every record."""
         vps = list(vps)
         meta = [
-            (vp.vp_id, vp.minute, int(trusted or vp.trusted), *vp_bounding_box(vp))
+            (vp.vp_id, vp.minute, int(trusted or vp.trusted), *vp.bounding_box)
             for vp in vps
         ]
         return cls(meta, vps=vps)

@@ -4,7 +4,9 @@ The drop-in successor of the seed's flat dict database: identical
 semantics, but ``by_minute_in_area`` touches only the grid cells the
 query rectangle overlaps instead of linearly scanning every VP of the
 minute (see :mod:`repro.store.grid`).  Objects are stored by reference,
-so ``get`` returns the exact instance that was inserted.
+so ``get`` returns the exact instance that was inserted; a VP that
+arrived inside a codec frame is held wire-backed — its packed digest
+block and Bloom bits, about the paper's 4.5 kB, no digest objects.
 
 Thread safety: every public method runs under one re-entrant lock, so
 the store can sit behind a :class:`~repro.net.concurrency.ThreadedNetwork`
@@ -54,8 +56,9 @@ class MemoryStore(VPStore):
     def write(self, batch: Batch, strict: bool = False) -> int:
         """Land the batch's objects by reference under the store lock.
 
-        A frame batch is decoded here (before the lock); an object
-        batch stores the caller's own instances.
+        A frame batch becomes wire-backed VPs here (before the lock),
+        each owning a copy of its digest block so the frame buffer can
+        be released; an object batch stores the caller's own instances.
         """
         with stage_timer(self.metrics, "store.insert"):
             vps = batch.vps()

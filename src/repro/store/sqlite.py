@@ -29,12 +29,15 @@ Thread safety and performance (the concurrency-control contract of
   so the C layer reuses compiled statements across calls; the batched
   id probe pads its ``IN (...)`` list to fixed bucket sizes for the same
   reason.
-* **LRU decode cache** — decoding a 4.5 kB blob back into a
-  :class:`ViewProfile` dominates read cost; a bounded, lock-guarded
-  id → VP cache (``decode_cache`` entries, 0 disables) makes repeated
-  investigation queries over hot minutes near-memory-speed.  Entries are
-  safe to share because stored VPs are immutable after ingest (the
-  trusted flag is fixed at insert time).
+* **LRU decode cache** — a bounded, lock-guarded id → VP cache
+  (``decode_cache`` entries, 0 disables) lets repeated investigation
+  queries over hot minutes reuse one :class:`ViewProfile` per row
+  together with whatever it has derived (position arrays, trajectory,
+  unpacked digests).  A miss no longer unpacks a digest — the VP wraps
+  the row's digest block — so an entry is about 6 kB and a miss costs
+  tens of microseconds (``docs/stores.md`` has the measurement).
+  Entries are safe to share because stored VPs are immutable after
+  ingest (the trusted flag is fixed at insert time).
 * **group commit** — with ``group_commit_rows > 0`` writes accumulate
   encoded rows in a pending buffer instead of committing per call: one
   ``executemany`` + commit lands a whole group, bounded by rows
@@ -368,7 +371,7 @@ class SQLiteStore(VPStore):
         being cached — a cached id must stay proof of existence.
         """
         if self.decode_cache <= 0:
-            return decode_vp(bytes(body), trusted=bool(trusted))
+            return decode_vp(body, trusted=bool(trusted))
         key = bytes(vp_id)
         with self._cache_lock:
             vp = self._cache.get(key)
@@ -377,7 +380,7 @@ class SQLiteStore(VPStore):
                 self._cache_hits += 1
                 return vp
             self._cache_misses += 1
-        vp = decode_vp(bytes(body), trusted=bool(trusted))  # decode unlocked
+        vp = decode_vp(body, trusted=bool(trusted))  # decode unlocked
         with self._cache_lock:
             if epoch == self._evict_epoch:
                 self._cache[key] = vp

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.vehicle import VehicleAgent
+from repro.core.viewdigest import ViewDigest
 from repro.crypto.rsa import RSAKeyPair
 from repro.geo.geometry import Point
 from repro.geo.roadnet import grid_city
@@ -29,6 +30,20 @@ def run_linked_minute(
             agent_b.receive(vda, t, pb)
             agent_a.receive(vdb, t, pa)
     return agent_a.finalize_minute(), agent_b.finalize_minute()
+
+
+@pytest.fixture
+def unpack_calls(monkeypatch):
+    """Counts ``ViewDigest.unpack`` calls made while the test runs."""
+    calls = []
+    real_unpack = ViewDigest.unpack.__func__
+
+    def counting_unpack(cls, data):
+        calls.append(1)
+        return real_unpack(cls, data)
+
+    monkeypatch.setattr(ViewDigest, "unpack", classmethod(counting_unpack))
+    return calls
 
 
 @pytest.fixture

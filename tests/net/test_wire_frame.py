@@ -195,7 +195,6 @@ class TestMalformedFrames:
         system, server = stack
         vp = vp_pool[2]
         vp_trusted = ViewProfile(digests=vp.digests, bloom=vp.bloom, trusted=True)
-        vp_trusted.__dict__.pop("_storage_blob", None)
         frame = encode_vp_batch([vp_trusted])
         with pytest.raises(ValidationError, match="trusted"):
             unpack_vp_batch_frame(frame)

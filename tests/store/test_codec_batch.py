@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
-from repro.store.base import vp_bounding_box
 from repro.store.codec import (
     Batch,
     decode_vp_batch,
@@ -77,7 +76,7 @@ def test_encoded_rows_match_storage_metadata(specs):
         assert bytes(vp_id) == vp.vp_id
         assert minute == vp.minute
         assert bool(trusted) == vp.trusted
-        assert (x_min, y_min, x_max, y_max) == vp_bounding_box(vp)
+        assert (x_min, y_min, x_max, y_max) == vp.bounding_box
         assert bytes(body) == encode_vp(vp)
 
 
@@ -145,11 +144,6 @@ def test_encoded_body_bytes_matches_real_blobs():
     for n in (1, 4, 60):
         vp = make_vp(seed=n, n=n)
         assert len(encode_vp(vp)) == encoded_body_bytes(n)
-
-
-def test_blob_memoized_per_vp():
-    vp = make_vp(seed=1)
-    assert encode_vp(vp) is encode_vp(vp)
 
 
 def test_batch_rejects_bad_version():

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError
 from repro.geo.geometry import Rect
 from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
@@ -225,7 +226,10 @@ class TestShardedFanout:
             a = make_vp(seed=7, minute=0)
             b = make_vp(seed=8, minute=1)
             # forge the id collision across minutes (keeps b's timestamps)
-            b.digests = [replace(vd, vp_id=a.vp_id) for vd in b.digests]
+            b = ViewProfile(
+                digests=[replace(vd, vp_id=a.vp_id) for vd in b.digests],
+                bloom=b.bloom,
+            )
             assert a.vp_id == b.vp_id and a.minute != b.minute
             barrier = threading.Barrier(2, timeout=5.0)
             counts = []
