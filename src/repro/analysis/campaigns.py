@@ -282,10 +282,10 @@ def _attack_components(campaign: str) -> tuple[str, ...]:
 
 def _mutual_fake_link(a: ViewProfile, b: ViewProfile) -> None:
     """Forge the two-way Bloom linkage between two colluding fakes."""
-    a.bloom.add(b.digests[0].bloom_key())
-    a.bloom.add(b.digests[-1].bloom_key())
-    b.bloom.add(a.digests[0].bloom_key())
-    b.bloom.add(a.digests[-1].bloom_key())
+    for vp, peer in ((a, b), (b, a)):
+        keys = peer.bloom_keys()
+        vp.bloom.add(keys[0])
+        vp.bloom.add(keys[-1])
 
 
 def _forge_component(

@@ -76,6 +76,7 @@ def forge_fake_vp(
         )
     bloom = BloomFilter()
     for neighbor in claim_neighbors or []:
-        bloom.add(neighbor.digests[0].bloom_key())
-        bloom.add(neighbor.digests[-1].bloom_key())
+        keys = neighbor.bloom_keys()
+        bloom.add(keys[0])
+        bloom.add(keys[-1])
     return ViewProfile(digests=digests, bloom=bloom)

@@ -20,14 +20,21 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.constants import GUARD_ALPHA, HASH_BYTES
 from repro.core.neighbors import NeighborRecord
-from repro.core.viewdigest import ViewDigest, make_secret, vp_id_from_secret
+from repro.core.viewdigest import (
+    PACKED_DIGEST_DTYPE,
+    PackedDigests,
+    make_secret,
+    vp_id_from_secret,
+    write_packed_rows,
+)
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.geo.geometry import Point
 from repro.geo.routing import route_polyline
-from repro.util.encoding import f32round
 from repro.util.rng import make_rng
 
 #: A routing callable: (start, end) -> polyline of Points along roads.
@@ -97,46 +104,38 @@ class GuardVPFactory:
             guard = self._build_guard(actual_vp, Point(*record.initial_location))
             guards.append(guard)
             # two-way neighbourship between guard and actual VP
-            actual_vp.bloom.add(guard.digests[0].bloom_key())
-            actual_vp.bloom.add(guard.digests[-1].bloom_key())
+            keys = guard.bloom_keys()
+            actual_vp.bloom.add(keys[0])
+            actual_vp.bloom.add(keys[-1])
         return guards
 
     def _build_guard(self, actual_vp: ViewProfile, start: Point) -> ViewProfile:
         """Fabricate one guard VP from ``start`` to the actual VP's end."""
         end = actual_vp.end_point
         polyline = self.route_fn(start, end)
-        n_samples = len(actual_vp.digests)
+        n_samples = actual_vp.n_digests
         fractions = _variable_fractions(n_samples, self.rng)
         points = route_polyline(polyline, fractions)
         # anchor the first VD at the neighbour's logged initial location
         points[0] = start
 
-        secret = make_secret(self.rng)
-        vp_id = vp_id_from_secret(secret)
-        initial = (f32round(start.x), f32round(start.y))
-        digests = []
+        vp_id = vp_id_from_secret(make_secret(self.rng))
         file_size = 0
-        for idx, (vd_ref, p) in enumerate(zip(actual_vp.digests, points), start=1):
-            file_size += int(
-                self.bytes_per_second * self.rng.uniform(0.9, 1.1)
-            )
-            digests.append(
-                ViewDigest(
-                    second_index=idx,
-                    t=vd_ref.t,
-                    location=(f32round(p.x), f32round(p.y)),
-                    file_size=file_size,
-                    initial_location=initial,
-                    vp_id=vp_id,
-                    chain_hash=self.rng.getrandbits(HASH_BYTES * 8).to_bytes(
-                        HASH_BYTES, "big"
-                    ),
-                )
-            )
+        file_sizes = []
+        hashes = bytearray()
+        for _ in range(n_samples):
+            file_size += int(self.bytes_per_second * self.rng.uniform(0.9, 1.1))
+            file_sizes.append(file_size)
+            hashes += self.rng.getrandbits(HASH_BYTES * 8).to_bytes(HASH_BYTES, "big")
+        block = np.zeros(n_samples, dtype=PACKED_DIGEST_DTYPE)
+        positions = [p.to_tuple() for p in points]
+        write_packed_rows(block, 0, vp_id, actual_vp.times_array, positions, file_sizes)
+        block["chain_hash"] = np.frombuffer(hashes, dtype=np.uint8).reshape(-1, HASH_BYTES)
         bloom = BloomFilter()
-        bloom.add(actual_vp.digests[0].bloom_key())
-        bloom.add(actual_vp.digests[-1].bloom_key())
-        return ViewProfile(digests=digests, bloom=bloom)
+        keys = actual_vp.bloom_keys()
+        bloom.add(keys[0])
+        bloom.add(keys[-1])
+        return ViewProfile(PackedDigests(block.tobytes()), bloom)
 
 
 def guard_coverage_probability(alpha: float, m: int, t_minutes: int) -> float:

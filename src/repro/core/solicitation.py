@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.core.viewdigest import packed_chain_heads, packed_columns
 from repro.core.viewprofile import ViewProfile
-from repro.crypto.hashing import CascadedHashChain
 from repro.errors import ValidationError
 
 
@@ -82,14 +82,16 @@ def validate_video_upload(system_vp: ViewProfile, chunks: list[bytes]) -> bool:
 
     ``system_vp`` is the VP already in the database (metadata + hash heads
     per second); ``chunks`` is the claimed per-second content.  Every
-    replayed head must equal the stored VD hash.  Guard VPs fail here by
-    construction (their hash fields are random), as do edited videos.
+    replayed head must equal the stored VD hash; the replay stops at
+    the first that does not, and reads the stored VP as packed columns
+    (no digest is unpacked, so the VP does not grow).  Guard VPs fail
+    here by construction (their hash fields are random), as do edited
+    videos.
     """
-    if len(chunks) != len(system_vp.digests):
+    if len(chunks) != system_vp.n_digests:
         return False
-    chain = CascadedHashChain(system_vp.vp_id)
-    for vd, chunk in zip(system_vp.digests, chunks):
-        head = chain.extend(vd.t, vd.location, vd.file_size, chunk)
-        if head != vd.chain_hash:
-            return False
-    return True
+    fields = packed_columns(system_vp.digest_block())
+    heads = packed_chain_heads(fields, system_vp.vp_id, chunks)
+    return all(
+        head == stored.tobytes() for head, stored in zip(heads, fields["chain_hash"])
+    )

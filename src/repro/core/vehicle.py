@@ -22,6 +22,7 @@ from repro.constants import DSRC_RANGE_M, VIDEO_UNIT_SECONDS
 from repro.core.guard import GuardVPFactory, RouteFn, straight_route
 from repro.core.neighbors import NeighborTable
 from repro.core.viewdigest import (
+    PackedDigests,
     VDGenerator,
     ViewDigest,
     make_secret,
@@ -112,19 +113,36 @@ class VehicleAgent:
         """R value of the video currently being recorded, if any."""
         return self._generator.vp_id if self._generator else None
 
-    def emit(self, t: float, position: Point, minute: int | None = None) -> ViewDigest:
-        """Record one second and return the view digest to broadcast."""
+    def _recording(self, minute: int | None) -> VDGenerator:
+        """The generator of the minute in progress (a new video if none is)."""
         if self._generator is None:
             self._generator = VDGenerator(make_secret(self._rng))
             self._chunks = []
             self._minute = minute
-        gen = self._generator
-        chunk = self.chunk_fn(
-            self._minute if self._minute is not None else 0,
-            gen.seconds_recorded + 1,
-        )
+        return self._generator
+
+    def emit(self, t: float, position: Point, minute: int | None = None) -> ViewDigest:
+        """Record one second and return the view digest to broadcast."""
+        gen = self._recording(minute)
+        chunk = self.chunk_fn(self._minute or 0, gen.seconds_recorded + 1)
         self._chunks.append(chunk)
         return gen.tick(t, position, chunk)
+
+    def record(
+        self, start_t: float, positions: list[Point], minute: int | None = None
+    ) -> PackedDigests:
+        """Record ``len(positions)`` seconds in one pass, the k-th at
+        ``start_t + k + 1``; returns the minute's digests so far."""
+        gen = self._recording(minute)
+        first = gen.seconds_recorded + 1
+        chunks = [self.chunk_fn(self._minute or 0, first + k) for k in range(len(positions))]
+        self._chunks.extend(chunks)
+        gen.record(
+            [start_t + k + 1 for k in range(len(positions))],
+            [position.to_tuple() for position in positions],
+            chunks,
+        )
+        return gen.digests
 
     def receive(self, vd: ViewDigest, now: float, own_position: Point) -> bool:
         """Validate and store a neighbour's broadcast digest."""
@@ -177,11 +195,10 @@ class VehicleAgent:
                 f"need {VIDEO_UNIT_SECONDS} positions, got {len(positions)}"
             )
         incoming = incoming or {}
+        self.record(start_t, positions, minute=minute)
         for i, position in enumerate(positions):
-            t = start_t + i + 1
-            self.emit(t, position, minute=minute)
             for vd in incoming.get(i, []):
-                self.receive(vd, now=t, own_position=position)
+                self.receive(vd, now=start_t + i + 1, own_position=position)
         return self.finalize_minute()
 
     def video_for(self, vp_id: bytes) -> RecordedVideo | None:

@@ -17,6 +17,7 @@ receiver can re-derive hash inputs exactly from the wire bytes.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,10 @@ from repro.constants import (
     VP_ID_BYTES,
     VP_SECRET_BYTES,
 )
-from repro.crypto.hashing import CascadedHashChain, digest16
+from repro.crypto.hashing import chain_step, digest16
 from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Point
 from repro.util.encoding import (
-    f32round,
     pack_float,
     pack_pair_f32,
     pack_uint,
@@ -90,6 +90,45 @@ def packed_block_defect(fields: np.ndarray) -> str | None:
     if (seconds[1:] <= seconds[:-1]).any():
         return "VP digests must have increasing second indices"
     return None
+
+
+def write_packed_rows(
+    block: np.ndarray,
+    first: int,
+    vp_id: bytes,
+    times: Sequence[float],
+    positions: Sequence[tuple[float, float]],
+    file_sizes: Sequence[int],
+) -> np.ndarray:
+    """Fill ``len(times)`` consecutive seconds of a minute's block, from
+    row ``first``, in every column but the chain hash; returns those rows.
+
+    Assigning a position *is* its rounding to float32; one that does not
+    fit raises what packing it would, instead of being stored as inf.
+    """
+    rows = block[first : first + len(times)]
+    rows["t"] = times
+    try:
+        with np.errstate(over="raise"):
+            rows["location"] = positions
+    except FloatingPointError as exc:
+        raise OverflowError("float too large to pack with f format") from exc
+    rows["file_size"] = file_sizes
+    rows["initial_location"] = block["location"][0]
+    rows["second_index"] = np.arange(first + 1, first + len(rows) + 1)
+    rows["vp_id"] = np.frombuffer(vp_id, dtype=np.uint8)
+    return rows
+
+
+def packed_chain_heads(
+    fields: np.ndarray, head: bytes, chunks: Sequence[bytes]
+) -> Iterator[bytes]:
+    """Replay the cascaded chain from ``head`` over the (T, L, F) columns
+    of packed digests and one content chunk each: ``H_ui``, second by second."""
+    metas = zip(fields["t"].tolist(), fields["location"].tolist(), fields["file_size"].tolist())
+    for (t, location, file_size), chunk in zip(metas, chunks):
+        head = chain_step(t, location, file_size, head, chunk)
+        yield head
 
 
 @dataclass(frozen=True)
@@ -183,6 +222,39 @@ class ViewDigest:
         return self.pack()
 
 
+class PackedDigests(Sequence):
+    """A block of packed digests, read as :class:`ViewDigest` objects.
+
+    What a minute of recording is on the vehicle, on the wire and in a
+    store: n x 72 bytes back to back.  An item is unpacked when asked
+    for and not kept, so reading one never grows the block's owner.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: bytes) -> None:
+        if len(block) % VD_MESSAGE_BYTES:
+            raise WireFormatError(
+                f"digest block of {len(block)} bytes is not a multiple "
+                f"of {VD_MESSAGE_BYTES}"
+            )
+        self.block = block
+
+    def __len__(self) -> int:
+        return len(self.block) // VD_MESSAGE_BYTES
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        start = range(len(self))[index] * VD_MESSAGE_BYTES
+        return ViewDigest.unpack(self.block[start : start + VD_MESSAGE_BYTES])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedDigests):
+            return self.block == other.block
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 def make_secret(rng: random.Random | int | None = None) -> bytes:
     """Draw the 8-byte per-video secret Q_u (Section 6.1)."""
     rng = make_rng(rng)
@@ -195,11 +267,13 @@ def vp_id_from_secret(secret: bytes) -> bytes:
 
 
 class VDGenerator:
-    """Produces the VD stream for one 1-minute video.
+    """Records one 1-minute video straight into its packed digest block.
 
     Seeded with ``R_u`` (``H_u0 = R_u``), it absorbs one content chunk per
-    second and emits the matching :class:`ViewDigest`.  The cascaded chain
-    makes each emission O(chunk size) — the property benchmarked in Fig. 8.
+    second — :meth:`tick` as the second happens, :meth:`record` for all
+    the seconds a caller already knows — and fills one 72-byte row each.
+    The cascaded chain makes each second O(chunk size) — the property
+    benchmarked in Fig. 8.
     """
 
     def __init__(self, secret: bytes) -> None:
@@ -207,37 +281,76 @@ class VDGenerator:
             raise ValidationError(f"secret must be {VP_SECRET_BYTES} bytes")
         self.secret = secret
         self.vp_id = vp_id_from_secret(secret)
-        self._chain = CascadedHashChain(self.vp_id)
-        self._initial_location: tuple[float, float] | None = None
+        self._block = np.zeros(VIDEO_UNIT_SECONDS, dtype=PACKED_DIGEST_DTYPE)
+        self._head = self.vp_id
         self._file_size = 0
-        self.digests: list[ViewDigest] = []
+        #: how many seconds of video have been absorbed
+        self.seconds_recorded = 0
 
     @property
-    def seconds_recorded(self) -> int:
-        """How many seconds of video have been absorbed."""
-        return len(self.digests)
+    def digests(self) -> PackedDigests:
+        """The digests emitted so far (a snapshot of the block)."""
+        return PackedDigests(self._block[: self.seconds_recorded].tobytes())
+
+    def _claim(self, seconds: int) -> int:
+        """The next free row, once ``seconds`` more are known to fit."""
+        first = self.seconds_recorded
+        if first + seconds > VIDEO_UNIT_SECONDS:
+            raise ValidationError("video already complete: 60 digests emitted")
+        return first
 
     def tick(self, t: float, location: Point | tuple[float, float], chunk: bytes) -> ViewDigest:
         """Absorb one second of recording and emit its view digest."""
-        if self.seconds_recorded >= VIDEO_UNIT_SECONDS:
-            raise ValidationError("video already complete: 60 digests emitted")
-        loc = location.to_tuple() if isinstance(location, Point) else tuple(location)
-        loc = (f32round(loc[0]), f32round(loc[1]))
-        if self._initial_location is None:
-            self._initial_location = loc
-        self._file_size += len(chunk)
-        chain_hash = self._chain.extend(t, loc, self._file_size, chunk)
-        vd = ViewDigest(
-            second_index=self.seconds_recorded + 1,
+        row = self._claim(1)
+        loc = location.to_tuple() if isinstance(location, Point) else location
+        loc = unpack_pair_f32(pack_pair_f32(*loc))  # the wire precision, before hashing
+        initial = tuple(self._block["location"][0].tolist()) if row else loc
+        file_size = self._file_size + len(chunk)
+        head = chain_step(t, loc, file_size, self._head, chunk)
+        self._block[row] = (
+            t,
+            loc,
+            file_size,
+            initial,
+            row + 1,
+            np.frombuffer(self.vp_id, dtype=np.uint8),
+            np.frombuffer(head, dtype=np.uint8),
+        )
+        self._head, self._file_size, self.seconds_recorded = head, file_size, row + 1
+        return ViewDigest(
+            second_index=row + 1,
             t=t,
             location=loc,
-            file_size=self._file_size,
-            initial_location=self._initial_location,
+            file_size=file_size,
+            initial_location=initial,
             vp_id=self.vp_id,
-            chain_hash=chain_hash,
+            chain_hash=head,
         )
-        self.digests.append(vd)
-        return vd
+
+    def record(
+        self,
+        times: Sequence[float],
+        positions: Sequence[tuple[float, float]],
+        chunks: Sequence[bytes],
+    ) -> None:
+        """Absorb the next ``len(chunks)`` seconds in one pass.
+
+        The same rows :meth:`tick` would write one by one: the metadata
+        goes in as columns, then one loop extends the chain over the
+        chunks.
+        """
+        if not len(times) == len(positions) == len(chunks):
+            raise ValidationError("record needs one time and one position per chunk")
+        first = self._claim(len(chunks))
+        if not chunks:
+            return
+        sizes = np.cumsum([len(chunk) for chunk in chunks]) + self._file_size
+        rows = write_packed_rows(self._block, first, self.vp_id, times, positions, sizes)
+        heads = b"".join(packed_chain_heads(rows, self._head, chunks))
+        rows["chain_hash"] = np.frombuffer(heads, dtype=np.uint8).reshape(-1, HASH_BYTES)
+        self._head = heads[-HASH_BYTES:]
+        self._file_size = int(sizes[-1])
+        self.seconds_recorded = first + len(rows)
 
     @property
     def complete(self) -> bool:

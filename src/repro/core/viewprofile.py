@@ -12,6 +12,7 @@ which :func:`ViewProfile.storage_bytes` reproduces exactly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -19,8 +20,14 @@ import numpy as np
 from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS, VP_SECRET_BYTES
 from repro.crypto.bloom import BloomFilter
 from repro.core.neighbors import NeighborTable
-from repro.core.viewdigest import PACKED_FIELD, ViewDigest, packed_block_defect, packed_columns
-from repro.errors import ValidationError, WireFormatError
+from repro.core.viewdigest import (
+    PACKED_FIELD,
+    PackedDigests,
+    ViewDigest,
+    packed_block_defect,
+    packed_columns,
+)
+from repro.errors import ValidationError
 from repro.geo.geometry import Point
 from repro.geo.trajectory import Trajectory
 from repro.util.encoding import unpack_float
@@ -30,12 +37,12 @@ from repro.util.timeline import minute_of
 class ViewProfile:
     """An anonymized per-minute view profile.
 
-    Backed either by the :class:`ViewDigest` objects it was built from
-    (a vehicle, a guard, an attack) or — read from bytes,
-    :meth:`from_wire` — by its packed digest block alone, n x 72 B as
-    stored.  Identifier, minute, times, positions and Bloom keys are
-    read off the packed form either way; the other side (``digests``,
-    :meth:`digest_block`) is derived on first use and kept.  Only
+    Backed by its packed digest block alone, n x 72 B as recorded, sent
+    and stored, whoever built it: a vehicle's generator hands over the
+    block it recorded into, :meth:`from_wire` the bytes it read, and a
+    list of :class:`ViewDigest` objects is packed on the spot.
+    Identifier, minute, times, positions and Bloom keys are read off
+    the block; ``digests`` unpacks on demand and keeps nothing.  Only
     ``bloom`` (neighbours are added after construction) and
     ``trusted`` (set by the ingesting authority) may change.
     """
@@ -43,20 +50,16 @@ class ViewProfile:
     __hash__ = None  # compared by value, like the dataclass it replaces
 
     def __init__(
-        self, digests: list[ViewDigest], bloom: BloomFilter, trusted: bool = False
+        self, digests: Sequence[ViewDigest], bloom: BloomFilter, trusted: bool = False
     ) -> None:
-        if not digests:
-            raise ValidationError("a view profile needs at least one digest")
-        ids = {vd.vp_id for vd in digests}
-        if len(ids) != 1:
-            raise ValidationError("all digests in a VP must share one R value")
-        for earlier, later in zip(digests, digests[1:]):
-            if later.second_index <= earlier.second_index:
-                raise ValidationError("VP digests must have increasing second indices")
-        for vd in digests:
-            vd.pack()  # a digest that cannot be packed fails here, not at first encode
-        self._digests: list[ViewDigest] | None = digests
-        self._block: bytes | None = None
+        if isinstance(digests, PackedDigests):
+            block = digests.block
+        else:  # the VP owns its block: the caller's list is read once, here
+            block = b"".join([vd.pack() for vd in digests])
+        defect = packed_block_defect(packed_columns(block))
+        if defect:
+            raise ValidationError(defect)
+        self._block = block
         self.bloom = bloom
         self.trusted = trusted
 
@@ -70,31 +73,18 @@ class ViewProfile:
     ) -> "ViewProfile":
         """Build a VP around its packed digest block and Bloom bits.
 
-        Every check the constructor runs digest by digest runs here
-        over the whole block, not at first attribute access.  A view is
-        copied: a stored VP never pins the buffer it arrived in.
+        Every structural check runs here, over the whole block, not at
+        first attribute access.  A view is copied: a stored VP never
+        pins the buffer it arrived in.
         """
-        if len(block) % VD_MESSAGE_BYTES:
-            raise WireFormatError(
-                f"digest block of {len(block)} bytes is not a multiple "
-                f"of {VD_MESSAGE_BYTES}"
-            )
-        block = bytes(block)
-        defect = packed_block_defect(packed_columns(block))
-        if defect:
-            raise ValidationError(defect)
-        vp = cls.__new__(cls)
-        vp._digests = None
-        vp._block = block
-        vp.bloom = BloomFilter.from_bytes(bloom_bits, k=bloom_k)
-        vp.trusted = trusted
-        return vp
+        digests = PackedDigests(bytes(block))
+        return cls(digests, BloomFilter.from_bytes(bloom_bits, k=bloom_k), trusted)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ViewProfile):
             return NotImplemented
         return (
-            self.bloom_keys() == other.bloom_keys()
+            self._block == other._block
             and self.bloom == other.bloom
             and self.trusted == other.trusted
         )
@@ -106,48 +96,23 @@ class ViewProfile:
         )
 
     @property
-    def digests(self) -> list[ViewDigest]:
-        """The VP's view digests (read-only; unpacked on first use).
-
-        Two threads racing the first access each unpack a complete
-        list and one of them is kept — no lock, no partial state.
-        """
-        digests = self._digests
-        if digests is None:
-            digests = self._digests = [ViewDigest.unpack(key) for key in self.bloom_keys()]
-        return digests
+    def digests(self) -> PackedDigests:
+        """The VP's view digests (read-only; each unpacked when read)."""
+        return PackedDigests(self._block)
 
     def digest_block(self) -> bytes:
-        """The packed digests back to back (an object-built VP joins
-        them on first encode and keeps the result)."""
-        block = self._block
-        if block is None:
-            block = self._block = b"".join([vd.pack() for vd in self._digests])
-        return block
+        """The packed digests back to back."""
+        return self._block
 
     @property
     def n_digests(self) -> int:
         """How many digests the VP carries (60 for a complete minute)."""
-        if self._digests is not None:
-            return len(self._digests)
         return len(self._block) // VD_MESSAGE_BYTES
-
-    def _packed(self, index: int) -> bytes:
-        """Wire bytes of one digest (``-1`` is the last)."""
-        if self._digests is not None:
-            return self._digests[index].pack()
-        start = index % self.n_digests * VD_MESSAGE_BYTES
-        return self._block[start : start + VD_MESSAGE_BYTES]
-
-    def _columns(self) -> np.ndarray:
-        """The digests as packed columns (nothing is kept: an object-built
-        VP must not grow before its first encode)."""
-        return packed_columns(self._block or b"".join(self.bloom_keys()))
 
     @property
     def vp_id(self) -> bytes:
         """R_u — the anonymous identifier this VP is addressed by."""
-        return self._packed(0)[PACKED_FIELD["vp_id"]]
+        return self._block[PACKED_FIELD["vp_id"]]
 
     @property
     def vp_id_hex(self) -> str:
@@ -162,12 +127,12 @@ class ViewProfile:
     @property
     def start_time(self) -> float:
         """Time of the first digest."""
-        return unpack_float(self._packed(0)[PACKED_FIELD["t"]])
+        return unpack_float(self._block[PACKED_FIELD["t"]])
 
     @property
     def end_time(self) -> float:
         """Time of the last digest."""
-        return unpack_float(self._packed(-1)[PACKED_FIELD["t"]])
+        return unpack_float(self._block[-VD_MESSAGE_BYTES:][PACKED_FIELD["t"]])
 
     @property
     def start_point(self) -> Point:
@@ -190,12 +155,12 @@ class ViewProfile:
     @cached_property
     def positions_array(self) -> np.ndarray:
         """(n_digests, 2) array of claimed positions, for bulk geometry."""
-        return self._columns()["location"].astype(np.float64)
+        return packed_columns(self._block)["location"].astype(np.float64)
 
     @cached_property
     def times_array(self) -> np.ndarray:
         """(n_digests,) array of digest times."""
-        return self._columns()["t"].astype(np.float64)
+        return packed_columns(self._block)["t"].astype(np.float64)
 
     @cached_property
     def bounding_box(self) -> tuple[float, float, float, float]:
@@ -207,8 +172,6 @@ class ViewProfile:
 
     def bloom_keys(self) -> list[bytes]:
         """Wire bytes of this VP's own digests (queried against peers)."""
-        if self._digests is not None:
-            return [vd.pack() for vd in self._digests]
         block = self._block
         return [
             block[i : i + VD_MESSAGE_BYTES] for i in range(0, len(block), VD_MESSAGE_BYTES)
@@ -235,7 +198,7 @@ class ViewProfile:
 
 
 def build_view_profile(
-    digests: list[ViewDigest],
+    digests: Sequence[ViewDigest],
     neighbors: NeighborTable,
     trusted: bool = False,
 ) -> ViewProfile:
@@ -248,4 +211,4 @@ def build_view_profile(
     for record in neighbors.records():
         for vd in record.digests():
             bloom.add(vd.bloom_key())
-    return ViewProfile(digests=list(digests), bloom=bloom, trusted=trusted)
+    return ViewProfile(digests=digests, bloom=bloom, trusted=trusted)

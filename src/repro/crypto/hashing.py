@@ -14,11 +14,15 @@ recording, while the cascaded hash stays constant-time.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
 from repro.constants import HASH_BYTES
 from repro.errors import DigestChainError
-from repro.util.encoding import pack_float, pack_uint
+
+#: ``T_ui | L_ui | F_ui`` as a chain step hashes them: 32 bytes, the
+#: location as two float64 (of values already rounded to float32)
+_CHAIN_META = struct.Struct(">dddQ")
 
 
 def digest16(*parts: bytes) -> bytes:
@@ -37,14 +41,14 @@ def digest32(*parts: bytes) -> bytes:
     return h.digest()
 
 
-def _meta_bytes(t: float, location: tuple[float, float], file_size: int) -> bytes:
-    """Serialize (T, L, F) exactly as the wire format does, for hashing."""
-    return (
-        pack_float(t)
-        + pack_float(location[0])
-        + pack_float(location[1])
-        + pack_uint(file_size, 8)
-    )
+def chain_step(
+    t: float, location: tuple[float, float], file_size: int, head: bytes, chunk: bytes
+) -> bytes:
+    """One cascaded-hash step: ``H_ui`` from the second's metadata, the
+    previous head and its content (hashed in place, never copied)."""
+    h = hashlib.sha256(_CHAIN_META.pack(t, *location, file_size) + head)
+    h.update(chunk)
+    return h.digest()[:HASH_BYTES]
 
 
 @dataclass
@@ -75,9 +79,7 @@ class CascadedHashChain:
         chunk: bytes,
     ) -> bytes:
         """Absorb one second of recording; return the new chain head H_ui."""
-        self.current = digest16(
-            _meta_bytes(t, location, file_size), self.current, chunk
-        )
+        self.current = chain_step(t, location, file_size, self.current, chunk)
         self.steps += 1
         return self.current
 
@@ -105,7 +107,7 @@ class NormalHashChain:
         self._buffer.extend(chunk)
         self.steps += 1
         return digest16(
-            _meta_bytes(t, location, file_size), self.seed, bytes(self._buffer)
+            _CHAIN_META.pack(t, *location, file_size), self.seed, bytes(self._buffer)
         )
 
     @property

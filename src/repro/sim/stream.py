@@ -32,9 +32,17 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
+from repro.constants import VIDEO_UNIT_SECONDS
 from repro.core.neighbors import NeighborTable
 from repro.core.vehicle import VehicleAgent
-from repro.core.viewdigest import VDGenerator, make_secret
+from repro.core.viewdigest import (
+    PackedDigests,
+    VDGenerator,
+    make_secret,
+    validate_incoming_vd,
+)
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.errors import SimulationError
 from repro.geo.geometry import Point
@@ -48,8 +56,8 @@ DEFAULT_AREA_M = 10_000.0
 #: well under the protocol's MAX_VP_BATCH bound
 DEFAULT_BATCH_VPS = 16
 
-#: seconds per minute of ticks a complete (wire-eligible) VP carries
-TICKS_PER_MINUTE = 60
+#: 0-based seconds of one recording minute (a complete, wire-eligible VP)
+_SECONDS = np.arange(VIDEO_UNIT_SECONDS, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -65,19 +73,39 @@ def stream_vp(seed: int, minute: int, vehicle: int, area_m: float) -> ViewProfil
     """One complete 60-digest VP for a (vehicle, minute) of the stream.
 
     The vehicle starts each minute at a seed-derived city position and
-    drives a short straight segment while ticking its generator once a
-    second — the cheapest trajectory that still produces genuine hash
-    chains, Bloom filters and bounding boxes (the parts ingest cost
-    depends on).
+    drives a short straight segment, one position a second, recorded
+    in one pass — the cheapest trajectory that still produces genuine
+    hash chains, Bloom filters and bounding boxes (the parts ingest
+    cost depends on).
     """
     rng = random.Random(derive_seed(seed, "stream-pos", minute, vehicle))
     x0 = rng.uniform(0.0, area_m)
     y0 = rng.uniform(0.0, area_m)
     gen = VDGenerator(make_secret(derive_seed(seed, "stream-vp", minute, vehicle)))
-    base = minute * float(TICKS_PER_MINUTE)
-    for i in range(TICKS_PER_MINUTE):
-        gen.tick(base + i + 1, Point(x0 + 2.0 * i, y0), b"chunk")
+    positions = np.empty((VIDEO_UNIT_SECONDS, 2))
+    positions[:, 0] = x0 + 2.0 * _SECONDS
+    positions[:, 1] = y0
+    times = minute * float(VIDEO_UNIT_SECONDS) + _SECONDS + 1
+    gen.record(times, positions, [b"chunk"] * VIDEO_UNIT_SECONDS)
     return build_view_profile(gen.digests, NeighborTable())
+
+
+def _first_and_last_heard(
+    digests: PackedDigests, times: list[float], track: list[Point], max_range_m: float
+) -> set[int]:
+    """Seconds of the first and the last of a peer's broadcasts that a
+    receiver driving ``track`` accepts — all a neighbour table keeps.
+    Scanned from either end of the minute, so a peer that stays in
+    range costs two unpacked digests, not sixty."""
+
+    def heard(s: int) -> bool:
+        return validate_incoming_vd(digests[s], times[s], track[s], max_range_m)
+
+    seconds = range(len(digests))
+    first = next((s for s in seconds if heard(s)), None)
+    if first is None:
+        return set()
+    return {first, next(s for s in reversed(seconds) if heard(s))}
 
 
 def stream_convoy_vps(
@@ -113,21 +141,25 @@ def stream_convoy_vps(
         for i in range(n_witnesses + 1)
     ]
     x0 = site_xy[0] - 30.0 * speed_mps
-    base = minute * float(TICKS_PER_MINUTE)
-    for second in range(TICKS_PER_MINUTE):
-        t = base + second + 1.0
-        positions = [
-            Point(x0 + speed_mps * second, site_xy[1] + lateral_gap_m * i)
-            for i in range(len(agents))
+    base = minute * float(VIDEO_UNIT_SECONDS)
+    seconds = range(VIDEO_UNIT_SECONDS)
+    tracks = [
+        [Point(x0 + speed_mps * s, site_xy[1] + lateral_gap_m * i) for s in seconds]
+        for i in range(len(agents))
+    ]
+    heard = [
+        agent.record(base, track, minute=minute) for agent, track in zip(agents, tracks)
+    ]
+    times = [base + s + 1.0 for s in seconds]
+    for i, agent in enumerate(agents):
+        arrivals = [
+            (s, j)
+            for j, digests in enumerate(heard)
+            if j != i
+            for s in _first_and_last_heard(digests, times, tracks[i], agent.max_range_m)
         ]
-        digests = [
-            agent.emit(t, pos, minute=minute)
-            for agent, pos in zip(agents, positions)
-        ]
-        for i, agent in enumerate(agents):
-            for j, vd in enumerate(digests):
-                if i != j:
-                    agent.receive(vd, t, positions[i])
+        for s, j in sorted(arrivals):  # the order the broadcasts arrive in
+            agent.receive(heard[j][s], times[s], tracks[i][s])
     results = [agent.finalize_minute() for agent in agents]
     return results[0].actual_vp, [r.actual_vp for r in results[1:]]
 

@@ -34,15 +34,22 @@ def run_linked_minute(
 
 @pytest.fixture
 def unpack_calls(monkeypatch):
-    """Counts ``ViewDigest.unpack`` calls made while the test runs."""
+    """Counts the ``ViewDigest`` objects made while the test runs: one
+    entry per ``ViewDigest.unpack`` call and one per construction."""
     calls = []
     real_unpack = ViewDigest.unpack.__func__
+    real_init = ViewDigest.__init__
 
     def counting_unpack(cls, data):
         calls.append(1)
         return real_unpack(cls, data)
 
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        real_init(self, *args, **kwargs)
+
     monkeypatch.setattr(ViewDigest, "unpack", classmethod(counting_unpack))
+    monkeypatch.setattr(ViewDigest, "__init__", counting_init)
     return calls
 
 

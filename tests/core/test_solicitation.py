@@ -8,6 +8,7 @@ from repro.core.solicitation import (
     validate_video_upload,
 )
 from repro.errors import ValidationError
+from repro.store.codec import decode_vp_batch, encode_vp_batch
 
 
 class TestBoard:
@@ -68,3 +69,16 @@ class TestVideoValidation:
         guard = res_a.guard_vps[0]
         # even replaying the creator's own chunks fails: hash fields random
         assert not validate_video_upload(guard, res_a.video.chunks)
+
+    def test_validation_unpacks_no_digest_of_a_stored_vp(self, linked_pair, unpack_calls):
+        # a stored VP is its packed block; walking ``.digests`` here used
+        # to leave 60 ViewDigest objects on it for good, per solicited video
+        _, _, res_a, _ = linked_pair
+        chunks = res_a.video.chunks
+        stored, stored_guard = decode_vp_batch(
+            encode_vp_batch([res_a.actual_vp, res_a.guard_vps[0]])
+        )
+        assert validate_video_upload(stored, chunks)
+        assert not validate_video_upload(stored, chunks[:30] + [b"edited"] + chunks[31:])
+        assert not validate_video_upload(stored_guard, chunks)  # random hash fields
+        assert len(unpack_calls) == 0

@@ -44,6 +44,25 @@ class TestConstruction:
             ViewProfile(digests=[vp.digests[1], vp.digests[0]], bloom=BloomFilter())
 
 
+    def test_vp_owns_its_block_not_the_callers_list(self):
+        # the constructor used to keep ``digests`` by reference: editing
+        # the list afterwards changed the VP without re-running a check
+        from repro.crypto.bloom import BloomFilter
+
+        digests = list(make_vp(seed=3, n=5).digests)
+        stranger = make_vp(seed=4, n=1).digests[0]
+        vp = ViewProfile(digests=digests, bloom=BloomFilter())
+        block, n_digests, vp_id = vp.digest_block(), vp.n_digests, vp.vp_id
+        digests.reverse()
+        digests.append(stranger)
+        del digests[1]
+        assert (vp.digest_block(), vp.n_digests, vp.vp_id) == (block, n_digests, vp_id)
+        assert [vd.second_index for vd in vp.digests] == [1, 2, 3, 4, 5]
+        # and what it hands out is not a way in either
+        vp.digests[:].clear()
+        assert vp.n_digests == 5
+
+
 class TestProperties:
     def test_vp_id_consistent(self):
         vp = make_vp(seed=4)

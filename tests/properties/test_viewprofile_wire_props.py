@@ -1,12 +1,13 @@
-"""A VP read from bytes equals the digest-by-digest decode, field by field.
+"""A VP is its packed block: round trips, observables, refused damage.
 
-``decode_vp`` keeps the blob's packed digest block and validates it as
-columns; the decoder it replaced unpacked every digest and handed the
-objects to the ``ViewProfile`` constructor.  That eager decoder lives on
-here (:func:`eager_decode_vp`) as the oracle: for any well-formed blob
-the two VPs must agree on every observable, and for any damaged blob
-``decode_vp`` must raise what the oracle raises — from the call itself,
-before an attribute of the result is read.
+Whoever builds it — a list of ``ViewDigest`` objects, a generator's
+block, ``decode_vp`` over a blob — a ``ViewProfile`` holds n x 72
+bytes, so "object-built equals wire-built" is one code path and is not
+tested as two.  What is: every observable of a VP equals what the
+digests it was built from say, field by field; blobs, frames and upload
+blocks round-trip byte for byte and never pin the buffer they came in;
+and every kind of damaged blob is refused with its pinned error class
+by ``decode_vp`` itself, before an attribute of the result is read.
 """
 
 from __future__ import annotations
@@ -35,48 +36,24 @@ from repro.store.codec import (
     encode_vp,
     encode_vp_batch,
 )
-from repro.util.encoding import (
-    f32round,
-    pack_prefixed,
-    pack_uint,
-    unpack_prefixed,
-    unpack_uint,
-)
+from repro.util.encoding import f32round, pack_prefixed, pack_uint
+from repro.util.timeline import minute_of
 from tests.store.conftest import make_vp
 
 
-def eager_decode_vp(blob: bytes, trusted: bool = False) -> ViewProfile:
-    """The decoder ``decode_vp`` replaced: every digest becomes an object."""
-    if len(blob) < 3:
-        raise WireFormatError("VP blob too short for header")
-    version = unpack_uint(blob[0:1])
-    if version != VP_BLOB_VERSION:
-        raise WireFormatError(f"unsupported VP blob version {version}")
-    bloom_k = unpack_uint(blob[1:3])
-    digest_block, offset = unpack_prefixed(blob, 3)
-    if len(digest_block) % VD_MESSAGE_BYTES:
-        raise WireFormatError("digest block is not a multiple of 72")
-    digests = [
-        ViewDigest.unpack(digest_block[i : i + VD_MESSAGE_BYTES])
-        for i in range(0, len(digest_block), VD_MESSAGE_BYTES)
-    ]
-    bloom = BloomFilter.from_bytes(blob[offset:], k=bloom_k)
-    return ViewProfile(digests=digests, bloom=bloom, trusted=trusted)
-
-
-def eager_encode_vp(vp: ViewProfile) -> bytes:
-    """The encoder's definition: header, the 60 ``pack()``s, live Bloom."""
+def reference_blob(digests: list[ViewDigest], bloom: BloomFilter) -> bytes:
+    """The storage blob's definition: header, every ``pack()``, the Bloom."""
     return (
         pack_uint(VP_BLOB_VERSION, 1)
-        + pack_uint(vp.bloom.k, 2)
-        + pack_prefixed(b"".join(vd.pack() for vd in vp.digests))
-        + vp.bloom.to_bytes()
+        + pack_uint(bloom.k, 2)
+        + pack_prefixed(b"".join(vd.pack() for vd in digests))
+        + bloom.to_bytes()
     )
 
 
 @st.composite
-def vp_blobs(draw) -> bytes:
-    """Storage blobs of arbitrary well-formed VPs, partial ones included."""
+def vp_parts(draw) -> tuple[list[ViewDigest], BloomFilter]:
+    """Digests and Bloom of an arbitrary well-formed VP, partial ones included."""
     seconds = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=60)))
     minute = draw(st.integers(0, 10_000))
     bloom_k = draw(st.integers(1, 16))
@@ -100,58 +77,66 @@ def vp_blobs(draw) -> bytes:
         )
         for second in seconds
     ]
-    bloom = BloomFilter.from_bytes(rng.randbytes(bloom_bytes), k=bloom_k)
-    return eager_encode_vp(ViewProfile(digests=digests, bloom=bloom))
+    return digests, BloomFilter.from_bytes(rng.randbytes(bloom_bytes), k=bloom_k)
 
 
-def assert_same_vp(wire: ViewProfile, ref: ViewProfile) -> None:
-    assert wire.vp_id == ref.vp_id and isinstance(wire.vp_id, bytes)
-    assert wire.vp_id_hex == ref.vp_id_hex
-    assert wire.minute == ref.minute
-    assert wire.n_digests == ref.n_digests
-    assert (wire.start_time, wire.end_time) == (ref.start_time, ref.end_time)
-    assert (wire.start_point, wire.end_point) == (ref.start_point, ref.end_point)
-    assert wire.trusted == ref.trusted
-    assert (wire.bloom.k, wire.bloom.to_bytes()) == (ref.bloom.k, ref.bloom.to_bytes())
-    for name in ("positions_array", "times_array"):
-        got, want = getattr(wire, name), getattr(ref, name)
-        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+def assert_vp_matches(vp: ViewProfile, digests: list[ViewDigest], bloom: BloomFilter) -> None:
+    """Every observable, against the digest objects the VP was built from."""
+    assert vp.vp_id == digests[0].vp_id and isinstance(vp.vp_id, bytes)
+    assert vp.vp_id_hex == digests[0].vp_id.hex()
+    assert vp.minute == minute_of(digests[0].t)
+    assert vp.n_digests == len(digests)
+    assert (vp.start_time, vp.end_time) == (digests[0].t, digests[-1].t)
+    assert (vp.start_point, vp.end_point) == (digests[0].point, digests[-1].point)
+    assert (vp.bloom.k, vp.bloom.to_bytes()) == (bloom.k, bloom.to_bytes())
+    positions = np.array([vd.location for vd in digests], dtype=np.float64)
+    times = np.array([vd.t for vd in digests], dtype=np.float64)
+    for got, want in ((vp.positions_array, positions), (vp.times_array, times)):
+        assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bit-exact, not just ==
-    assert wire.bounding_box == ref.bounding_box
-    assert wire.bloom_keys() == ref.bloom_keys()
-    for t in (ref.start_time - 1, ref.start_time, ref.end_time, ref.end_time + 1,
-              (ref.start_time + ref.end_time) / 2, ref.start_time + 0.3):
-        assert wire.trajectory.at(t) == ref.trajectory.at(t)
-    assert encode_vp(wire) == encode_vp(ref)
+    assert vp.bounding_box == (*positions.min(axis=0).tolist(), *positions.max(axis=0).tolist())
+    assert vp.bloom_keys() == [vd.pack() for vd in digests]
+    assert vp.digest_block() == b"".join(vd.pack() for vd in digests)
+    assert vp.trajectory.times == times.tolist()
+    assert [p.to_tuple() for p in vp.trajectory.points] == [vd.location for vd in digests]
+    assert encode_vp(vp) == reference_blob(digests, bloom)
     # last: everything above held without a digest object existing
-    assert wire.digests == ref.digests
-    assert [vd.pack() for vd in wire.digests] == [vd.pack() for vd in ref.digests]
-    assert wire == ref
+    assert vp.digests == digests and len(vp.digests) == len(digests)
+    assert vp.digests[-1] == digests[-1] and vp.digests[:2] == digests[:2]
 
 
-@given(blob=vp_blobs(), trusted=st.booleans(), as_view=st.booleans())
+@given(parts=vp_parts(), trusted=st.booleans(), as_view=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_wire_backed_vp_equals_eager_reference(blob, trusted, as_view):
+def test_vp_matches_the_digests_it_was_built_from(parts, trusted, as_view):
+    digests, bloom = parts
+    built = ViewProfile(digests=digests, bloom=bloom, trusted=trusted)
+    assert_vp_matches(built, digests, bloom)
+    blob = reference_blob(digests, bloom)
     source = bytearray(blob)
     wire = decode_vp(memoryview(source) if as_view else bytes(source), trusted)
     # the VP owns its bytes: scribbling over the source buffer afterwards
     # (a reused receive buffer) cannot reach it
     assert type(wire.digest_block()) is bytes
     source[:] = bytes(len(source))
-    assert_same_vp(wire, eager_decode_vp(blob, trusted))
-    assert encode_vp(wire) == blob
+    assert_vp_matches(wire, digests, bloom)
+    assert wire.trusted == built.trusted == trusted
+    assert wire == built and encode_vp(wire) == blob
 
 
-@given(blobs=st.lists(vp_blobs(), min_size=0, max_size=5), as_view=st.booleans())
+@given(batch=st.lists(vp_parts(), min_size=0, max_size=5), as_view=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_batch_frames_are_byte_identical(blobs, as_view):
-    blobs = list({decode_vp(b).vp_id: b for b in blobs}.values())
-    refs = [eager_decode_vp(blob, trusted=i % 2 == 0) for i, blob in enumerate(blobs)]
-    frame = encode_vp_batch(refs)
+def test_batch_frames_are_byte_identical(batch, as_view):
+    batch = list({digests[0].vp_id: (digests, bloom) for digests, bloom in batch}.values())
+    vps = [
+        ViewProfile(digests=digests, bloom=bloom, trusted=i % 2 == 0)
+        for i, (digests, bloom) in enumerate(batch)
+    ]
+    frame = encode_vp_batch(vps)
     wires = decode_vp_batch(memoryview(frame) if as_view else frame)
-    assert len(wires) == len(refs)
-    for wire, ref in zip(wires, refs):
-        assert_same_vp(wire, ref)
+    assert len(wires) == len(vps)
+    for wire, vp, (digests, bloom) in zip(wires, vps, batch):
+        assert_vp_matches(wire, digests, bloom)
+        assert wire == vp
     assert encode_vp_batch(decode_vp_batch(frame)) == frame
 
 
@@ -159,7 +144,7 @@ def test_upload_block_round_trip_matches_reference():
     ref = make_vp(seed=3, n=60)
     block = pack_view_profile(ref)
     wire = unpack_view_profile(block)
-    assert_same_vp(wire, ref)
+    assert_vp_matches(wire, list(ref.digests), ref.bloom)
     assert pack_view_profile(wire) == block
     assert type(unpack_view_profile(memoryview(block)).digest_block()) is bytes
 
@@ -172,15 +157,14 @@ def edge_set(vmap):
 def test_viewmap_from_stored_vps_has_the_same_edges(seed, unpack_calls):
     trusted, witnesses = stream_convoy_vps(seed, minute=2, n_witnesses=5, site_xy=(900.0, 400.0))
     trusted.trusted = True
-    objects = [trusted, *witnesses, make_vp(seed=77, n=60, minute=2, x0=50_000.0)]
-    frame = encode_vp_batch(objects)
-    stored = decode_vp_batch(frame)
+    built = [trusted, *witnesses, make_vp(seed=77, n=60, minute=2, x0=50_000.0)]
+    del unpack_calls[:]  # the convoy members heard each other's first and last digests
+    stored = decode_vp_batch(encode_vp_batch(built))
     got = build_viewmap(stored, minute=2)
+    want = build_viewmap(built, minute=2)
     assert not unpack_calls  # members and non-members alike: no digest object
-    eager = [eager_decode_vp(encode_vp(vp), vp.trusted) for vp in objects]
 
-    want = build_viewmap(objects, minute=2)
-    assert edge_set(got) == edge_set(want) == edge_set(build_viewmap(eager, minute=2))
+    assert edge_set(got) == edge_set(want)
     assert want.edge_count >= 5  # the convoy really is linked
     assert set(got.graph.nodes) == set(want.graph.nodes)
     assert got.trusted_ids() == want.trusted_ids()
@@ -260,26 +244,26 @@ def damaged_blobs() -> list[tuple[str, bytes, type]]:
 )
 @pytest.mark.parametrize("as_view", [False, True], ids=["bytes", "memoryview"])
 def test_damaged_blob_is_refused_at_decode(blob, expected, as_view):
-    with pytest.raises(expected) as oracle:
-        eager_decode_vp(blob)
-    assert type(oracle.value) is expected  # the oracle itself is pinned
     with pytest.raises(expected) as raised:
         decode_vp(memoryview(blob) if as_view else blob)  # no attribute is read
     assert type(raised.value) is expected
 
 
-def test_every_truncation_agrees_with_the_oracle():
-    """Cut anywhere: same exception class as the eager decoder, or the
-    same (short-Bloom) VP where that decoder accepts the prefix."""
+def test_every_truncation_is_refused_or_is_the_same_vp_with_a_shorter_bloom():
+    """Cut anywhere: inside the header or the digest block is damaged
+    framing, at the block's end an empty Bloom, and inside the Bloom a
+    valid blob of the same digests with fewer Bloom bytes."""
+    whole = decode_vp(good_blob())
     blob = good_blob()
+    block_end = 7 + 4 * VD_MESSAGE_BYTES
     for cut in range(len(blob)):
-        try:
-            ref = eager_decode_vp(blob[:cut])
-        except (WireFormatError, ValidationError) as exc:
-            with pytest.raises(type(exc)):
+        if cut <= block_end:
+            with pytest.raises(WireFormatError if cut < block_end else ValidationError):
                 decode_vp(blob[:cut])
         else:
-            assert_same_vp(decode_vp(blob[:cut]), ref)
+            vp = decode_vp(blob[:cut])
+            assert vp.digest_block() == whole.digest_block()
+            assert vp.bloom.to_bytes() == blob[block_end:cut]
 
 
 def test_damaged_upload_block_is_refused_at_unpack():
@@ -298,7 +282,7 @@ def test_damaged_upload_block_is_refused_at_unpack():
             unpack_view_profile(damaged[7:])
 
 
-# -- first access to ``digests`` under a race --------------------------------
+# -- ``digests`` under concurrent readers --------------------------------------
 
 
 def test_racing_first_access_to_digests_sees_complete_lists():
@@ -328,6 +312,6 @@ def test_racing_first_access_to_digests_sees_complete_lists():
         assert len(per_thread) == len(reference)
         for digests, ref in zip(per_thread, reference):
             assert digests == ref.digests
-    # and whichever list won is the one every later reader gets
+    # nothing was unpacked into the VPs: each read is its own objects
     for vp in stored:
-        assert vp.digests is vp.digests
+        assert vp.digests[0] == vp.digests[0] and vp.digests[0] is not vp.digests[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.system import ViewMapSystem
@@ -56,6 +58,32 @@ class TestStreamShape:
             list(iter_minute_frames(1, 1, batch_vps=0))
         with pytest.raises(SimulationError):
             list(iter_minute_frames(1, 1, batch_vps=MAX_VP_BATCH + 1))
+
+
+class TestPinnedInputs:
+    """Every benchmark input comes out of this module: its bytes are pinned.
+
+    Golden digests computed at commit 0a693d1, when a VP was still built
+    from 60 ``ViewDigest`` objects; a change to the generator that moves
+    one byte of a frame, an id or a Bloom filter fails here, not as an
+    unexplained shift in some benchmark's ``inputs_sha256``.
+    """
+
+    def test_streamed_frames_are_the_pinned_bytes(self):
+        frames = iter_minute_frames(16, 2, seed=1, area_m=2000.0)
+        digest = hashlib.sha256(b"".join(mf.frame for mf in frames)).hexdigest()
+        assert digest == "bf96f9be0704ba8046d97605576974b809c6211c060812e500d9cfd53f9dbfc2"
+
+    def test_convoy_ids_and_blooms_are_the_pinned_bytes(self):
+        from repro.sim.stream import stream_convoy_vps
+
+        trusted, witnesses = stream_convoy_vps(1, 0, 6, (1000.0, 1000.0))
+        digest = hashlib.sha256()
+        for vp in sorted([trusted, *witnesses], key=lambda vp: vp.vp_id):
+            digest.update(vp.vp_id + vp.bloom.to_bytes())
+        assert digest.hexdigest() == (
+            "7b97e5ede065f8cb809cdecea5b7af9463c397032434813df86a16c52dda9d5d"
+        )
 
 
 class TestStreamIngest:
