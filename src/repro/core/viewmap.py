@@ -9,6 +9,13 @@ site and the nearest trusted VPs.  Edges (*viewlinks*) join pairs that
 2. pass the *two-way* Bloom membership test: some VD of each VP appears
    in the other's Bloom filter (mutual linkage — precludes edges forged
    by only one side).
+
+Construction runs on columns: the members' packed digest blocks are
+stacked into ``(members, 60)`` arrays, and membership, the proximity
+sweep, the time-aligned range test and the Bloom test are array
+operations over all members or all surviving pairs, in passes of bounded
+size.  Nothing is cached on a :class:`ViewProfile` or in a module, and
+``networkx`` appears only behind :class:`ViewMapGraph`.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from scipy.spatial import cKDTree
 
 import networkx as nx
 
-from repro.constants import DSRC_RANGE_M
+from repro.constants import DSRC_RANGE_M, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
+from repro.core.viewdigest import packed_columns
 from repro.core.viewprofile import ViewProfile
-from repro.crypto.bloom import bloom_positions
+from repro.crypto.bloom import key_positions, unpacked_bits
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 
@@ -34,25 +42,6 @@ def mutual_linkage(a: ViewProfile, b: ViewProfile) -> bool:
     test, they are not mutual neighbor VPs" — both directions must pass.
     """
     return a.may_link_to(b) and b.may_link_to(a)
-
-
-def _aligned_within_range(
-    a: ViewProfile, b: ViewProfile, radius_m: float
-) -> bool:
-    """Any time-aligned pair of claimed locations within ``radius_m``?
-
-    VDs are time-stamped on a shared GPS clock; we align on integer
-    seconds and compare positions where both VPs have samples.
-    """
-    ta = a.times_array.astype(np.int64)
-    tb = b.times_array.astype(np.int64)
-    common, ia, ib = np.intersect1d(ta, tb, return_indices=True)
-    if common.size == 0:
-        return False
-    pa = a.positions_array[ia]
-    pb = b.positions_array[ib]
-    d2 = np.sum((pa - pb) ** 2, axis=1)
-    return bool(np.any(d2 <= radius_m * radius_m))
 
 
 @dataclass
@@ -150,89 +139,163 @@ def build_viewmap(
 
     ``profiles`` should already be filtered to the target minute (the VP
     database does that); ``area`` optionally restricts membership to the
-    coverage area C.  Edge discovery runs one KD-tree query per second so
-    only genuinely time-aligned proximate pairs reach the (more expensive)
-    mutual Bloom validation.  ``skip_bloom_check`` exists for synthetic
-    graph experiments where profiles carry no real Blooms.
+    coverage area C.  Nodes keep the input order, viewlinks are added in
+    ascending member order.  ``skip_bloom_check`` exists for synthetic
+    graph experiments where profiles carry no real Blooms.  Digest times
+    and positions must be finite (the store's frame check refuses others).
     """
     vmap = ViewMapGraph(minute=minute)
-    members = []
-    for vp in profiles:
-        if vp.minute != minute:
-            continue
-        if area is not None:
-            pos = vp.positions_array
-            inside = (
-                (pos[:, 0] >= area.x_min)
-                & (pos[:, 0] <= area.x_max)
-                & (pos[:, 1] >= area.y_min)
-                & (pos[:, 1] <= area.y_max)
-            )
-            if not bool(np.any(inside)):
-                continue
-        members.append(vp)
+    members = [vp for vp in profiles if vp.minute == minute]
+    cols = _Stacked(members)
+    if area is not None:
+        x, y = cols.xy[..., 0], cols.xy[..., 1]
+        inside = (x >= area.x_min) & (x <= area.x_max) & (y >= area.y_min) & (y <= area.y_max)
+        claims = (inside & cols.held).any(axis=1)
+        if not claims.all():
+            members = [vp for vp, keep in zip(members, claims.tolist()) if keep]
+            cols = _Stacked(members)
+    for vp in members:
         vmap.add_profile(vp)
     if len(members) < 2:
         return vmap
 
-    candidate_pairs = _candidate_pairs(members, radius_m)
-    key_positions: dict[bytes, list[tuple[int, ...]]] = {}
+    seconds = np.unique(cols.t[cols.held].astype(np.int64))
+    a, b = np.divmod(_candidate_codes(cols, seconds, radius_m), len(members))
+    linked = _aligned_within_range(cols, seconds, a, b, radius_m)
+    a, b = a[linked], b[linked]
     if not skip_bloom_check:
-        for vp in members:
-            key_positions[vp.vp_id] = [
-                bloom_positions(key, vp.bloom.k, vp.bloom.m_bits)
-                for key in vp.bloom_keys()
-            ]
-
-    for i, j in candidate_pairs:
-        a, b = members[i], members[j]
-        if not _aligned_within_range(a, b, radius_m):
-            continue
-        if skip_bloom_check:
-            vmap.add_viewlink(a.vp_id, b.vp_id)
-            continue
-        a_has_b = any(
-            a.bloom.contains_positions(pos) for pos in key_positions[b.vp_id]
-        )
-        if not a_has_b:
-            continue
-        b_has_a = any(
-            b.bloom.contains_positions(pos) for pos in key_positions[a.vp_id]
-        )
-        if b_has_a:
-            vmap.add_viewlink(a.vp_id, b.vp_id)
+        tests = _bloom_tests(members, cols, np.concatenate([a, b]), np.concatenate([b, a]))
+        linked = tests[: len(a)] & tests[len(a) :]
+        a, b = a[linked], b[linked]
+    ids = [vp.vp_id for vp in members]
+    for i, j in zip(a.tolist(), b.tolist()):
+        vmap.add_viewlink(ids[i], ids[j])
     return vmap
 
 
-def _candidate_pairs(
-    members: list[ViewProfile], radius_m: float
-) -> set[tuple[int, int]]:
-    """Pairs with some time-aligned sample within range (KD-tree sweep)."""
-    times = sorted(
-        {int(t) for vp in members for t in (vp.times_array[0], vp.times_array[-1])}
-    )
-    # sample a handful of aligned seconds: start, quarter points, end
-    all_seconds = sorted(
-        {int(t) for vp in members for t in vp.times_array.astype(np.int64)}
-    )
-    probe_step = max(1, len(all_seconds) // 12)
-    probe_seconds = all_seconds[::probe_step] or times
-    # Inflate the probe radius so pairs that dip into range between probe
-    # instants still become candidates (~20 m/s * probe gap each, 2 cars).
-    slack_m = 2 * 20.0 * probe_step
-    pairs: set[tuple[int, int]] = set()
-    for sec in probe_seconds:
-        pts = []
-        idxs = []
-        for index, vp in enumerate(members):
-            ts = vp.times_array
-            if ts[0] <= sec <= ts[-1]:
-                pts.append(tuple(vp.trajectory.at(float(sec))))
-                idxs.append(index)
-        if len(pts) < 2:
+#: pairs per pass of the time-alignment and Bloom stages: their
+#: temporaries stay at this many pairs x 60 digests however many
+#: candidates a dense population yields
+_PAIR_CHUNK = 1024
+
+
+class _Stacked:
+    """The members' digests as ``(members, 60)`` columns, short VPs zero-padded."""
+
+    def __init__(self, vps: list[ViewProfile]) -> None:
+        size = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
+        block = b"".join([vp.digest_block().ljust(size, b"\0") for vp in vps])
+        fields = packed_columns(block).reshape(len(vps), VIDEO_UNIT_SECONDS)
+        #: whether the row carries a digest (real second indices start at 1)
+        self.held = fields["second_index"] > 0
+        self.t = fields["t"].astype(np.float64)
+        self.xy = fields["location"].astype(np.float64)  # (members, 60, 2)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first of every run of equal values."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
+
+
+def _candidate_codes(cols: _Stacked, seconds: np.ndarray, radius_m: float) -> np.ndarray:
+    """Pairs close at some probe second, as sorted codes ``a * members + b``, a < b.
+
+    One KD-tree per probe second (a dozen across the seconds the members
+    cover) over the positions interpolated at that second, clamped and
+    in the float64 expression of ``Trajectory.at``; the radius is
+    inflated so that pairs which dip into range between probes still
+    become candidates (~20 m/s * probe gap each, 2 cars).
+    """
+    held, t, xy = cols.held, cols.t, cols.xy
+    first_t, last_t = t[:, 0], t[np.arange(len(t)), held.sum(axis=1) - 1]
+    unordered = (held[:, 1:] & (t[:, 1:] <= t[:, :-1])).any(axis=1)
+    probe_step = max(1, len(seconds) // 12)
+    reach = radius_m + 2 * 20.0 * probe_step
+    codes = np.empty(0, dtype=np.intp)
+    for sec in seconds[::probe_step].tolist():
+        s = float(sec)
+        live = np.flatnonzero((first_t <= s) & (s <= last_t))
+        if unordered[live].any():
+            raise ValidationError("trajectory times must be strictly increasing")
+        if live.size < 2:
             continue
-        tree = cKDTree(np.asarray(pts))
-        for ii, jj in tree.query_pairs(radius_m + slack_m):
-            a, b = idxs[ii], idxs[jj]
-            pairs.add((min(a, b), max(a, b)))
-    return pairs
+        # last sample at or before s: exact there, interpolated past it
+        at = (held[live] & (t[live] <= s)).sum(axis=1) - 1
+        points = xy[live, at]
+        between = t[live, at] < s
+        m, r = live[between], at[between]
+        frac = (s - t[m, r]) / (t[m, r + 1] - t[m, r])
+        points[between] = xy[m, r] + frac[:, None] * (xy[m, r + 1] - xy[m, r])
+        near = cKDTree(points).query_pairs(reach, output_type="ndarray")
+        # merged probe by probe, so a dense population holds its pairs once
+        # (sort + run starts: np.union1d hashes, 12x slower at these sizes)
+        codes = np.concatenate([codes, live[near[:, 0]] * len(t) + live[near[:, 1]]])
+        codes.sort()
+        codes = codes[_run_starts(codes)]
+    return codes
+
+
+def _aligned_within_range(
+    cols: _Stacked, seconds: np.ndarray, a: np.ndarray, b: np.ndarray, radius_m: float
+) -> np.ndarray:
+    """Per pair: any time-aligned pair of claimed locations within ``radius_m``?
+
+    VDs are time-stamped on a shared GPS clock; we align on integer
+    seconds and compare positions where both VPs have samples, a second
+    a VP repeats counting once, at its first digest.  Time values are
+    the uploader's choice, so the lookup is a binary search in one
+    sorted (member, second) index, never a table over the seconds.
+    """
+    stride = len(seconds)
+    rank = np.searchsorted(seconds, cols.t.astype(np.int64))
+    key = np.where(cols.held, np.arange(len(rank))[:, None] * stride + rank, -1).ravel()
+    order = np.argsort(key, kind="stable")
+    order = order[_run_starts(key[order]) & (key[order] >= 0)]
+    index, index_xy = key[order], cols.xy.reshape(-1, 2)[order]
+    own = np.full(key.shape, -1)
+    own[order] = index
+    own = own.reshape(cols.t.shape)  # a row's key where it is in the index, else -1
+    aligned = np.zeros(len(a), dtype=bool)
+    for lo in range(0, len(a), _PAIR_CHUNK):
+        ca, cb = a[lo : lo + _PAIR_CHUNK], b[lo : lo + _PAIR_CHUNK]
+        wanted = own[ca] + ((cb - ca) * stride)[:, None]  # the same second, at b
+        at = np.minimum(np.searchsorted(index, wanted), len(index) - 1)
+        d = cols.xy[ca] - index_xy[at]
+        close = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= radius_m * radius_m
+        both = (own[ca] >= 0) & (index[at] == wanted)
+        aligned[lo : lo + _PAIR_CHUNK] = (both & close).any(axis=1)
+    return aligned
+
+
+def _bloom_tests(
+    members: list[ViewProfile], cols: _Stacked, tester: np.ndarray, keyed: np.ndarray
+) -> np.ndarray:
+    """Per test: does ``tester``'s Bloom hold any of ``keyed``'s digests?
+
+    Bit positions are derived under the *tested* filter's geometry, as
+    :func:`mutual_linkage` does, once per keyed member and only for
+    those that got this far, and read out of the testers' unpacked bit
+    arrays.  Tests are grouped by that geometry; the wire only carries
+    one, so normally there is one group.
+    """
+    passed = np.zeros(len(tester), dtype=bool)
+    geometry = np.array([(vp.bloom.k, vp.bloom.m_bits) for vp in members])
+    for k, m_bits in set(map(tuple, geometry[np.unique(tester)].tolist())):
+        tests = np.flatnonzero((geometry[tester] == (k, m_bits)).all(axis=1))
+        tester_ids, tester_slot = np.unique(tester[tests], return_inverse=True)
+        bits = unpacked_bits([members[i].bloom for i in tester_ids.tolist()])
+        keyed_ids, keyed_slot = np.unique(keyed[tests], return_inverse=True)
+        keys = [key for i in keyed_ids.tolist() for key in members[i].bloom_keys()]
+        positions = np.zeros((len(keyed_ids), VIDEO_UNIT_SECONDS, k), dtype=np.intp)
+        positions[cols.held[keyed_ids]] = key_positions(keys, k, m_bits)
+        for lo in range(0, len(tests), _PAIR_CHUNK):
+            chunk = tests[lo : lo + _PAIR_CHUNK]
+            test, row = np.nonzero(cols.held[keyed[chunk]])
+            for column in range(k):  # all k bits set: bit by bit, over the keys still in
+                key_bit = positions[keyed_slot[lo + test], row, column]
+                found = bits[tester_slot[lo + test], key_bit] == 1
+                test, row = test[found], row[found]
+            passed[chunk[test]] = True
+    return passed

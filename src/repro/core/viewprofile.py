@@ -144,9 +144,9 @@ class ViewProfile:
         """Last claimed position."""
         return Point(*self.positions_array[-1].tolist())
 
-    @cached_property
+    @property
     def trajectory(self) -> Trajectory:
-        """The claimed time/location trajectory of the VP."""
+        """The claimed time/location trajectory of the VP (built per read)."""
         return Trajectory(
             times=self.times_array.tolist(),
             points=[Point(x, y) for x, y in self.positions_array.tolist()],

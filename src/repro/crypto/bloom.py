@@ -10,14 +10,20 @@ so the false-linkage probability is
 for ``m`` bits, ``n`` neighbour VPs (two VDs each) and ``k`` hash
 functions.  Fig. 14 plots this; the paper picks m=2048 for a 0.1% rate at
 300 neighbours.
+
+Viewmap construction asks in batches — :func:`key_positions` for many
+items, :func:`unpacked_bits` for many filters — and keeps nothing
+between builds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+
+import numpy as np
 
 from repro.constants import BLOOM_BITS
 from repro.errors import ValidationError
@@ -66,20 +72,31 @@ def _bit_positions(item: bytes, k: int, m_bits: int) -> list[int]:
     return [(h1 + i * h2) % m_bits for i in range(k)]
 
 
-@lru_cache(maxsize=1 << 16)
-def bloom_positions(item: bytes, k: int = 8, m_bits: int = BLOOM_BITS) -> tuple[int, ...]:
-    """Public access to an item's bit positions (module-level LRU).
+def key_positions(keys: Iterable[bytes], k: int, m_bits: int) -> np.ndarray:
+    """Bit positions of many items at once: an ``(items, k)`` integer array.
 
-    Viewmap construction performs tens of thousands of membership queries
-    against the same 60 VDs; precomputing positions once per VD and using
-    :meth:`BloomFilter.contains_positions` avoids re-hashing per query.
-    The LRU extends that reuse *across* ``build_viewmap`` calls: a
-    multi-minute ``investigate_period`` keeps meeting the same VPs (and
-    the paper's geometry never varies ``k``/``m`` per deployment), so
-    repeated minutes stop recomputing positions for keys already seen.
-    Returns a tuple — cached values must be immutable to share.
+    Row for row what :func:`_bit_positions` derives.  ``h1 + i * h2``
+    does not fit 64 bits, so both hashes are reduced mod ``m_bits``
+    before the multiplication (exact while ``k * m_bits < 2**64``).
+    Nothing is cached: viewmap construction derives the positions of
+    the VDs that reach its Bloom stage once per build and drops them.
     """
-    return tuple(_bit_positions(item, k, m_bits))
+    heads = b"".join([hashlib.sha256(key).digest()[:16] for key in keys])
+    h = np.frombuffer(heads, dtype=">u8").astype(np.uint64).reshape(-1, 2)
+    m = np.uint64(m_bits)
+    h1 = h[:, :1] % m
+    h2 = (h[:, 1:] | np.uint64(1)) % m
+    return ((h1 + np.arange(k, dtype=np.uint64) * h2) % m).astype(np.intp)
+
+
+def unpacked_bits(filters: Sequence[BloomFilter]) -> np.ndarray:
+    """Same-geometry filters as a ``(filters, m_bits)`` array of 0/1 bytes.
+
+    ``[i, pos]`` is bit ``pos`` of filter ``i``, so a batch of
+    :func:`key_positions` indexes it directly.
+    """
+    packed = np.frombuffer(b"".join([f._bits for f in filters]), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(filters), -1), axis=1, bitorder="little")
 
 
 @dataclass
@@ -115,10 +132,9 @@ class BloomFilter:
             for pos in _bit_positions(item, self.k, self.m_bits)
         )
 
-    def contains_positions(self, positions: tuple[int, ...] | list[int]) -> bool:
-        """Membership test from precomputed bit positions (hot path)."""
-        bits = self._bits
-        return all(bits[pos >> 3] & (1 << (pos & 7)) for pos in positions)
+    def contains_positions(self, positions: np.ndarray) -> np.ndarray:
+        """Membership of a :func:`key_positions` batch: one bool per item."""
+        return unpacked_bits([self])[0][positions].all(axis=-1)
 
     def fill_ratio(self) -> float:
         """Fraction of bits set — 1.0 flags an all-ones poisoning attack."""

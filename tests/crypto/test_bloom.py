@@ -2,11 +2,15 @@
 
 import pytest
 
+import numpy as np
+
 from repro.crypto.bloom import (
     BloomFilter,
-    bloom_positions,
+    _bit_positions,
     false_linkage_rate,
+    key_positions,
     optimal_hash_count,
+    unpacked_bits,
 )
 from repro.errors import ValidationError
 
@@ -51,27 +55,49 @@ class TestBloomFilter:
         assert b"x" in restored
         assert restored.to_bytes() == bloom.to_bytes()
 
-    def test_contains_positions_matches_contains(self):
-        bloom = BloomFilter()
-        bloom.add(b"present")
-        pos_in = bloom_positions(b"present", bloom.k, bloom.m_bits)
-        pos_out = bloom_positions(b"absent-key", bloom.k, bloom.m_bits)
-        assert bloom.contains_positions(pos_in)
-        assert bloom.contains_positions(pos_out) == (b"absent-key" in bloom)
+    @pytest.mark.parametrize(
+        "k, m_bits", [(8, 2048), (8, 2040), (3, 4096), (13, 8), (1, 1 << 20), (8, (1 << 40) + 8)]
+    )
+    def test_batched_positions_equal_the_scalar_derivation(self, k, m_bits):
+        # h1 + i * h2 overflows uint64 for nearly every key: the batch
+        # must reduce mod m_bits first, for power-of-two sizes or not
+        keys = [b"", b"k", bytes(72), bytes(range(72))] + [f"vd-{i}".encode() for i in range(200)]
+        batch = key_positions(keys, k, m_bits)
+        assert batch.shape == (len(keys), k) and batch.dtype == np.intp
+        assert batch.tolist() == [_bit_positions(key, k, m_bits) for key in keys]
+        assert key_positions(iter(keys[:3]), k, m_bits).tolist() == batch[:3].tolist()
+        assert key_positions([], k, m_bits).shape == (0, k)
 
-    def test_positions_memoized_across_calls(self):
-        # the module-level LRU hands back the SAME tuple for a repeated
-        # key — repeated investigate_period minutes stop re-hashing —
-        # and the cached positions still match a fresh derivation
-        first = bloom_positions(b"memo-key", 8, 2048)
-        again = bloom_positions(b"memo-key", 8, 2048)
-        assert again is first
-        assert isinstance(first, tuple)
-        bloom = BloomFilter()
-        bloom.add(b"memo-key")
-        assert bloom.contains_positions(first)
-        # a different geometry is a different cache entry, not a clash
-        assert bloom_positions(b"memo-key", 4, 2048) != first
+    @pytest.mark.parametrize("k, m_bits", [(8, 2048), (5, 2040), (2, 64)])
+    def test_contains_positions_matches_contains(self, k, m_bits):
+        bloom = BloomFilter(m_bits=m_bits, k=k)
+        present = [f"present-{i}".encode() for i in range(12)]
+        for key in present:
+            bloom.add(key)
+        keys = present + [f"absent-{i}".encode() for i in range(300)]
+        held = bloom.contains_positions(key_positions(keys, k, m_bits))
+        assert held.tolist() == [key in bloom for key in keys]
+        assert held[: len(present)].all()
+        assert bool(bloom.contains_positions(key_positions([b"present-0"], k, m_bits)[0]))
+        saturated = BloomFilter.all_ones(m_bits, k)
+        assert saturated.contains_positions(key_positions(keys, k, m_bits)).all()
+
+    def test_unpacked_bits_follow_the_filters_bit_order(self):
+        a, b = BloomFilter(m_bits=64, k=2), BloomFilter(m_bits=64, k=2)
+        a.add(b"a")
+        b.add(b"b")
+        bits = unpacked_bits([a, b])
+        assert bits.shape == (2, 64)
+        for row, bloom in zip(bits, (a, b)):
+            packed = bloom.to_bytes()
+            assert row.tolist() == [(packed[p >> 3] >> (p & 7)) & 1 for p in range(64)]
+
+    def test_no_position_cache_survives_a_lookup(self):
+        # the module used to keep a 65 536-entry LRU of per-key tuples
+        import repro.crypto.bloom as bloom_module
+
+        key_positions([b"x"], 8, 2048)
+        assert not any(hasattr(obj, "cache_info") for obj in vars(bloom_module).values())
 
     def test_all_ones_is_saturated(self):
         assert BloomFilter.all_ones().is_saturated()

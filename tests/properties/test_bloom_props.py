@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.bloom import BloomFilter, bloom_positions
+from repro.crypto.bloom import BloomFilter, key_positions
 
 items = st.binary(min_size=1, max_size=80)
 
@@ -41,8 +41,8 @@ class TestBloomProperties:
     @given(items)
     @settings(max_examples=50)
     def test_positions_deterministic_and_in_range(self, item):
-        positions = bloom_positions(item, 8, 2048)
-        assert positions == bloom_positions(item, 8, 2048)
+        positions = key_positions([item], 8, 2048)[0].tolist()
+        assert positions == key_positions([item], 8, 2048)[0].tolist()
         assert all(0 <= p < 2048 for p in positions)
         assert len(positions) == 8
 

@@ -17,12 +17,14 @@ import tracemalloc
 
 from repro.core.guard import GuardVPFactory
 from repro.core.neighbors import NeighborRecord
+import repro.crypto.bloom as bloom_module
+from repro.core.verification import verify_viewmap
 from repro.core.viewmap import build_viewmap
-from repro.geo.geometry import Rect
+from repro.geo.geometry import Point, Rect
 from repro.net.messages import pack_vp_batch_frame
-from repro.sim.stream import stream_vp
+from repro.sim.stream import stream_convoy_vps, stream_vp
 from repro.store import MemoryStore, SQLiteStore
-from repro.store.codec import encode_vp, encode_vp_batch
+from repro.store.codec import decode_vp_batch, encode_vp, encode_vp_batch
 from repro.store.serving import QuerySpec
 
 N_VPS = 256
@@ -125,3 +127,34 @@ def test_vehicle_built_vps_cost_what_stored_ones_do(unpack_calls):
     assert built <= STORED_VP_BYTES_MAX, built
     assert guard_built <= STORED_VP_BYTES_MAX, guard_built
     assert encoded <= built + FIRST_ENCODE_GROWTH_BYTES_MAX, (encoded, built)
+
+
+def test_an_investigation_leaves_stored_vps_the_size_they_were(unpack_calls):
+    # Building and verifying a viewmap reads blocks, it does not inflate
+    # them.  While ``build_viewmap`` walked ``vp.trajectory`` and cached
+    # per-key Bloom positions, each of these VPs kept 17.7 kB of cached
+    # arrays and points after one investigation, plus 36 kB in a
+    # module-level position cache.
+    sites = [(1000.0 + 300.0 * i, 1000.0) for i in range(6)]
+    frames = []
+    for i, site in enumerate(sites):
+        trusted, witnesses = stream_convoy_vps(20 + i, 3, 16, site)
+        trusted.trusted = True
+        frames.append(encode_vp_batch([trusted, *witnesses]))
+    recording = len(unpack_calls)  # the convoys' own VD exchange
+    tracemalloc.start()
+    try:
+        before = retained_bytes()
+        vps = [vp for frame in frames for vp in decode_vp_batch(frame)]
+        vmap = build_viewmap(vps, minute=3)
+        verification = verify_viewmap(vmap, Point(*sites[0]), 200.0)
+        nodes, edges, legitimate = vmap.node_count, vmap.edge_count, len(verification.legitimate)
+        del vmap, verification
+        per_vp = (retained_bytes() - before) / len(vps)
+    finally:
+        tracemalloc.stop()
+    assert nodes == len(vps) == 6 * 17 and edges >= 6 * 130 and legitimate > 1
+    assert per_vp <= STORED_VP_BYTES_MAX, per_vp
+    assert all("trajectory" not in vars(vp) for vp in vps)
+    assert not any(hasattr(obj, "cache_info") for obj in vars(bloom_module).values())
+    assert len(unpack_calls) == recording
