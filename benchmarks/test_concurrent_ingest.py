@@ -31,7 +31,7 @@ from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point
 from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
-from repro.net.messages import encode_message, pack_vp_batch, pack_vp_batch_frame
+from repro.net.messages import encode_message, pack_vp_batch_frame
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.store import ProcessShardedStore, ShardedStore, SQLiteStore, MemoryStore
@@ -123,7 +123,7 @@ def run_threaded(store, payloads, workers: int) -> float:
 def test_concurrent_ingest_throughput(show, tmp_path):
     batches = make_batches()
     payloads = [
-        encode_message("upload_vp_batch", session=f"s{i}", vps=pack_vp_batch(batch))
+        encode_message("upload_vp_batch", session=f"s{i}", frame=pack_vp_batch_frame(batch))
         for i, batch in enumerate(batches)
     ]
     expected_ids = {vp.vp_id for batch in batches for vp in batch}
@@ -336,18 +336,14 @@ def test_benchmark_process_hot_shard_ingest(benchmark, tmp_path):
     benchmark.pedantic(ingest, rounds=3, iterations=1)
 
 
-# -- zero-decode wire fast path: frame bytes straight into worker shards ----
+# -- zero-decode wire path: frame bytes straight into worker shards ---------
 #
-# The PR 4 wire path still builds every uploaded VP on the authority's
-# GIL (a ViewProfile around a validated copy of its digest block) and
-# then re-encodes it into the batch codec before piping it to a worker
-# — a redundant decode/encode crossing per VP, paid serially on the
-# parent.  The frame path ships the batch codec ON the wire: the server
-# validates and duplicate-probes from record metadata alone, slices the
-# fresh records out of the incoming buffer, and forwards the bytes
-# untouched to the worker processes.  Same modeled physics as above:
-# per-request last-mile latency on the fabric, per-commit durability
-# cost inside each worker.
+# The batch codec travels ON the wire: the server validates and
+# duplicate-probes from record metadata alone, slices the fresh records
+# out of the incoming buffer, and forwards the bytes untouched to the
+# worker processes.  Same modeled physics as above: per-request
+# last-mile latency on the fabric, per-commit durability cost inside
+# each worker.
 
 
 WIRE_BATCHES = 48          #: vehicles uploading the hot minute, one request each
@@ -378,15 +374,10 @@ def wire_hot_batches(tag: int) -> list[list[ViewProfile]]:
     ]
 
 
-def wire_payloads(batches: list[list[ViewProfile]], codec: str) -> list[bytes]:
+def wire_payloads(batches: list[list[ViewProfile]]) -> list[bytes]:
     """Pre-encode the upload requests (client work, outside the timing)."""
-    if codec == "frame":
-        return [
-            encode_message("upload_vp_batch", session=f"s{i}", frame=pack_vp_batch_frame(b))
-            for i, b in enumerate(batches)
-        ]
     return [
-        encode_message("upload_vp_batch", session=f"s{i}", vps=pack_vp_batch(b))
+        encode_message("upload_vp_batch", session=f"s{i}", frame=pack_vp_batch_frame(b))
         for i, b in enumerate(batches)
     ]
 
@@ -418,72 +409,9 @@ def run_wire_ingest(tmp_path, payloads: list[bytes], tag: str) -> float:
     return elapsed
 
 
-def test_wire_frame_fastpath_speedup(show, tmp_path, monkeypatch):
-    """Acceptance: the frame wire path is not slower than the PR 4
-    re-encode wire path and builds no VP on the authority."""
-    n = WIRE_BATCHES * WIRE_BATCH_VPS
-    legacy_batches = wire_hot_batches(0)
-    frame_batches = wire_hot_batches(1)
-    legacy_payloads = wire_payloads(legacy_batches, "blocks")
-    frame_payloads = wire_payloads(frame_batches, "frame")
-    built: list[int] = []
-    real_from_wire = ViewProfile.from_wire.__func__
-    monkeypatch.setattr(
-        ViewProfile,
-        "from_wire",
-        classmethod(lambda cls, *a, **kw: built.append(1) or real_from_wire(cls, *a, **kw)),
-    )
-    # best-of-N with early exit: a single-sample wall-clock ratio can
-    # dip under shared-vCPU scheduler noise mid-suite; the minima only
-    # sharpen with more samples, and a quiet machine exits after one
-    t_legacy = t_frame = float("inf")
-    for attempt in range(3):
-        t_legacy = min(t_legacy, run_wire_ingest(tmp_path, legacy_payloads, f"legacy{attempt}"))
-        built_legacy = len(built) - attempt * n  # this round's
-        t_frame = min(t_frame, run_wire_ingest(tmp_path, frame_payloads, f"frame{attempt}"))
-        built_frame = len(built) - attempt * n - built_legacy
-        if t_legacy / t_frame >= 1.0:
-            break
-    speedup = t_legacy / t_frame
-
-    show(
-        f"Zero-decode wire ingest — {WIRE_BATCHES} upload_vp_batch x "
-        f"{WIRE_BATCH_VPS} complete VPs of ONE minute, {N_PROC_WORKERS} worker "
-        f"processes, {1e3 * WIRE_LATENCY_S:.0f} ms RTT / "
-        f"{1e3 * COMMIT_LATENCY_S:.0f} ms commit modeled",
-        fmt_row("legacy / frame s", [t_legacy, t_frame], "{:>10.3f}"),
-        fmt_row("throughput kVP/s", [n / t_legacy / 1e3, n / t_frame / 1e3], "{:>10.2f}"),
-        fmt_row("frame speedup vs legacy", [1.0, speedup], "{:>10.2f}"),
-        fmt_row("VPs built on authority", [built_legacy, built_frame], "{:>10d}"),
-    )
-
-    # acceptance, wall clock: the frame path is never the slower one.
-    # Both arms sit on the modeled RTT + commit floor (~0.22 s each,
-    # ratio 0.96-1.35 measured) now that building a VP from bytes
-    # unpacks no digest, so the bound is a tie's noise floor, not the
-    # >= 2x a 60-digest decode per VP used to leave (ROADMAP: delete
-    # the block-list upload form, or re-base this gate)
-    assert speedup >= 0.8
-    # and, exactly: skipping the crossing means no VP is ever built on
-    # the authority, against one per uploaded VP on the block-list path
-    assert built_legacy == n
-    assert built_frame == 0
-
-    # and the fast path stored the full population it was sent (reopen
-    # the first attempt's shard files; every attempt ingests the same)
-    expected = {vp.vp_id for batch in frame_batches for vp in batch}
-    store = ProcessShardedStore.sqlite(
-        [str(tmp_path / f"wire-frame0-{i}.sqlite") for i in range(N_PROC_WORKERS)],
-        shard_cells=N_PROC_WORKERS,
-    )
-    assert store.existing_ids(expected) == expected
-    assert len(store) == n
-    store.close()
-
-
 def test_benchmark_wire_frame_ingest(benchmark, tmp_path):
     """Timed (regression-gated in CI): the zero-decode wire fast path."""
-    payloads = wire_payloads(wire_hot_batches(9), "frame")
+    payloads = wire_payloads(wire_hot_batches(9))
     state = {"round": 0}
 
     def ingest():

@@ -1,28 +1,21 @@
-"""Read-path serving: decode-free span queries vs decode-and-scan.
+"""Read-path serving: decode-free span queries racing an upload burst.
 
 The acceptance harness of the serving tier: analysts fire a hot-cell
 ``query_view`` storm at the concurrent front-end *while* a hot-minute
-upload burst is still landing in the process-sharded SQLite fleet.  Two
-arms serve the identical storm:
+upload burst is still landing in the process-sharded SQLite fleet.
+Workers slice stored spans, the router stitches owner frames
+byte-exactly, and the server forwards the frame; nobody on the
+authority decodes a digest.
 
-* **decode-and-scan** (``encoded=false``) — the legacy read: workers
-  decode every matching body, the router materializes fresh
-  :class:`~repro.core.viewprofile.ViewProfile` objects off the command
-  pipe, and the server re-encodes them for the wire;
-* **decode-free** (``encoded=true``) — the serving tier: workers slice
-  stored spans, the router stitches owner frames byte-exactly, and the
-  server forwards the frame.  Nobody on the authority decodes a digest.
+Gates (the reported per-query latency is the ``server.handle.query_view``
+histogram — pure serve cost, excluding the modeled last-mile RTT):
 
-Gates (the modeled per-query latency is the ``server.handle.query_view``
-histogram — pure serve cost, excluding the modeled last-mile RTT both
-arms pay identically):
-
-* the decode-free arm serves hot-cell queries >= 3x faster than
-  decode-and-scan (best-of-N rounds, arms alternated);
-* its tile cache took hits (cold-area short-circuits and the
+* every storm query is answered with a real frame;
+* the tile cache took hits (cold-area short-circuits and the
   authority-internal count gate are served without a scan);
-* after quiescence both arms return byte-identical hot-area frames —
-  the wire-level restatement of the backend-parity property.
+* after quiescence the served hot-area frame is byte-identical to
+  re-encoding the decoded selection — the wire-level restatement of
+  the backend-parity property.
 """
 
 from __future__ import annotations
@@ -34,7 +27,9 @@ from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
 from repro.net.messages import decode_message, encode_message
 from repro.obs.metrics import MetricsRegistry, snapshot_percentiles
 from repro.sim.stream import iter_upload_payloads
+from repro.geo.geometry import Rect
 from repro.store import ProcessShardedStore, QuerySpec
+from repro.store.codec import encode_vp_batch
 
 from benchmarks.conftest import fmt_row
 
@@ -45,31 +40,27 @@ WORKERS = 8               #: fabric worker threads
 WIRE_LATENCY_S = 0.005    #: modeled last-mile RTT per request
 
 #: the hot cell: the whole 10 km city the streamed fleet drives inside,
-#: so every hot query selects the full minute — the worst case for the
-#: decode-and-scan arm and the exact shape of an investigation sweep
+#: so every hot query selects the full minute — the exact shape of an
+#: investigation sweep
 HOT_AREA = [0.0, 0.0, 10_200.0, 10_000.0]
 #: a cold cell far outside the city — tile prune answers without a scan
 COLD_AREA = [60_000.0, 60_000.0, 61_000.0, 61_000.0]
 
 N_HOT = 20                #: hot-cell queries per storm
 N_COLD = 6                #: cold-cell queries per storm
-MIN_SPEEDUP = 3.0         #: decode-free must beat decode-and-scan by this
 
 
-def query_payload(area: list[float], encoded: bool) -> bytes:
-    return encode_message(
-        "query_view", session="analyst", minute=0, area=area, encoded=encoded
-    )
+def query_payload(area: list[float]) -> bytes:
+    return encode_message("query_view", session="analyst", minute=0, area=area)
 
 
-def run_read_storm(tmp_path, payloads, tag: str, encoded: bool):
+def run_read_storm(tmp_path, payloads, tag: str):
     """Half the burst pre-lands, then the storm races the second half.
 
-    Returns ``(serve_mean_s, storm_wall_s, server_snapshot, stats,
-    hot_frame)`` — the mean ``server.handle.query_view`` modeled latency,
-    the storm's wall clock, the server registry, the store's ``stats()``
-    (whose detail carries the tile-cache occupancy) and the quiesced
-    hot-area reply frame for the cross-arm byte-identity check.
+    Returns ``(serve_mean_s, storm_wall_s, server_snapshot, stats)`` —
+    the mean ``server.handle.query_view`` modeled latency, the storm's
+    wall clock, the server registry and the store's ``stats()`` (whose
+    detail carries the tile-cache occupancy).
     """
     store = ProcessShardedStore.sqlite(
         [str(tmp_path / f"read-{tag}-{i}.sqlite") for i in range(N_PROC_WORKERS)],
@@ -89,8 +80,8 @@ def run_read_storm(tmp_path, payloads, tag: str, encoded: bool):
         ]:
             f.result()
 
-        storm = [query_payload(HOT_AREA, encoded)] * N_HOT
-        storm += [query_payload(COLD_AREA, encoded)] * N_COLD
+        storm = [query_payload(HOT_AREA)] * N_HOT
+        storm += [query_payload(COLD_AREA)] * N_COLD
         t0 = time.perf_counter()
         ingest = [
             net.send_async("vehicle", server.address, p) for p in payloads[half:]
@@ -103,28 +94,23 @@ def run_read_storm(tmp_path, payloads, tag: str, encoded: bool):
         assert len(store) == N_VEHICLES
         assert all(reply["kind"] == "view" for reply in replies)
         # the measured histogram covers the storm only — the parity
-        # probes below run both arms and would dilute the arm's mean
+        # probe below would dilute its mean
         snap = server.metrics.snapshot()
 
-        # quiesced: wire-level parity against this run's store — the
-        # decode-and-scan reply re-encodes the exact selection the
-        # decode-free reply served as stored spans, so the two frames
-        # must be byte-identical (insertion order varies across runs,
+        # quiesced: parity against this run's store — re-encoding the
+        # decoded selection reproduces the stored spans the wire
+        # served, byte for byte (insertion order varies across runs,
         # so parity is a within-run property) — plus tile-served reads
         # (repeated cold-cell prunes and the investigate-period gate)
-        final = {}
-        for arm in (True, False):
-            final[arm] = decode_message(
-                net.send_async(
-                    "analyst", server.address, query_payload(HOT_AREA, arm)
-                ).result()
-            )
-            assert final[arm]["kind"] == "view" and final[arm]["n"] == N_VEHICLES
-        assert final[True]["frame"] == final[False]["frame"]
+        final = decode_message(
+            net.send_async("analyst", server.address, query_payload(HOT_AREA)).result()
+        )
+        assert final["kind"] == "view" and final["n"] == N_VEHICLES
+        spec = QuerySpec(minute=0, area=Rect(*HOT_AREA))
+        assert final["frame"] == system.database.query_encoded(spec)
+        assert encode_vp_batch(system.database.query(spec).vps) == final["frame"]
         for _ in range(2):
-            net.send_async(
-                "analyst", server.address, query_payload(COLD_AREA, encoded)
-            ).result()
+            net.send_async("analyst", server.address, query_payload(COLD_AREA)).result()
             assert system.database.query(QuerySpec(minute=0, count=True)).n == N_VEHICLES
         stats = store.stats()
     store.close()
@@ -133,31 +119,11 @@ def run_read_storm(tmp_path, payloads, tag: str, encoded: bool):
 
 
 def test_read_serving_gates(show, tmp_path):
-    """Acceptance: >= 3x decode-free speedup, tile hits, frame parity."""
+    """Acceptance: real frames, tile hits, frame parity."""
     payloads = list(
         iter_upload_payloads(N_VEHICLES, 1, seed=11, batch_vps=BATCH_VPS)
     )
-    # one untimed warmup per arm: process forking, page cache and
-    # import state warm up outside the measurement
-    run_read_storm(tmp_path, payloads, "warm-enc", encoded=True)
-    run_read_storm(tmp_path, payloads, "warm-leg", encoded=False)
-    best = {True: float("inf"), False: float("inf")}
-    wall = {True: float("inf"), False: float("inf")}
-    snap = stats = None
-    for round_ in range(3):
-        # alternate arm order every round so a load drift across the
-        # run penalizes both arms symmetrically
-        for arm in ((True, False), (False, True))[round_ % 2]:
-            serve, storm_wall, s, st = run_read_storm(
-                tmp_path, payloads, f"{'enc' if arm else 'leg'}{round_}", encoded=arm
-            )
-            wall[arm] = min(wall[arm], storm_wall)
-            if serve < best[arm]:
-                best[arm] = serve
-                if arm:
-                    snap, stats = s, st
-
-    speedup = best[False] / best[True]
+    serve, wall, snap, stats = run_read_storm(tmp_path, payloads, "gates")
     served = snap["serve.encoded_bytes"]
     tile = stats.detail["tile_cache"]
 
@@ -165,18 +131,14 @@ def test_read_serving_gates(show, tmp_path):
         f"Read serving — {N_HOT} hot + {N_COLD} cold queries racing a "
         f"{N_VEHICLES}-VP burst, {N_PROC_WORKERS} worker processes, "
         f"{1e3 * WIRE_LATENCY_S:.0f} ms RTT modeled",
-        fmt_row("serve mean scan/free ms", [1e3 * best[False], 1e3 * best[True]], "{:>10.2f}"),
-        fmt_row("storm wall scan/free s", [wall[False], wall[True]], "{:>10.3f}"),
-        fmt_row("speedup (>= 3x)", [speedup], "{:>10.1f}"),
+        fmt_row("serve mean ms", [1e3 * serve], "{:>10.2f}"),
+        fmt_row("storm wall s", [wall], "{:>10.3f}"),
         fmt_row("encoded MB served", [served["sum"] / 1e6], "{:>10.1f}"),
         fmt_row("tile hits / misses", [tile["hits"], tile["misses"]], "{:>10.0f}"),
     )
 
-    # the decode-and-scan arm materialized and re-encoded every body;
-    # the serving tier sliced spans — the modeled serve latency gate
-    # (cross-arm frame byte-identity is asserted inside every run)
-    assert speedup >= MIN_SPEEDUP
     # tile-served reads: cold-cell prunes and count gates took hits
+    # (frame byte-identity is asserted inside the run)
     assert tile["hits"] > 0
     # every storm query was answered with a real frame
     assert served["count"] >= N_HOT + N_COLD
@@ -195,9 +157,7 @@ def test_benchmark_read_serving(benchmark, tmp_path):
 
     def storm():
         state["round"] += 1
-        _, _, snap, _ = run_read_storm(
-            tmp_path, payloads, f"bench{state['round']}", encoded=True
-        )
+        _, _, snap, _ = run_read_storm(tmp_path, payloads, f"bench{state['round']}")
         state["snap"] = snap
 
     benchmark.pedantic(storm, rounds=3, iterations=1)

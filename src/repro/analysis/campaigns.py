@@ -1,4 +1,4 @@
-"""Seeded adversarial campaign grid: attacks × backends × retention × codec.
+"""Seeded adversarial campaign grid: attacks × backends × retention.
 
 The attack modules (:mod:`repro.attacks`) and the scale-out machinery
 (stores, retention, the concurrent front-end, zero-decode frames) each
@@ -11,11 +11,11 @@ acceptance layer — a deterministic grid runner that drives each attack
 campaign end to end through the wire protocol against a matrix of
 deployment configurations, and reduces every cell to one
 machine-readable :class:`CampaignRow` with a stable JSON schema
-(``campaign-row/v1``) that CI diffs against a committed baseline
+(``campaign-row/v2``) that CI diffs against a committed baseline
 (``tools/check_campaigns.py``).
 
-One **cell** = (campaign, store backend, retention policy, wire codec,
-seed).  Each cell boots a fresh authority behind a
+One **cell** = (campaign, store backend, retention policy, seed).
+Each cell boots a fresh authority behind a
 :class:`~repro.net.concurrency.ConcurrentViewMapServer` on a
 :class:`~repro.net.concurrency.ThreadedNetwork` and replays
 ``cfg.minutes`` minutes of traffic in minute-synchronous waves:
@@ -24,14 +24,14 @@ seed).  Each cell boots a fresh authority behind a
    VPs from :func:`~repro.sim.stream.stream_convoy_vps` cross the
    investigation site; the trusted VP enters through the authority
    path, witnesses plus :func:`~repro.sim.stream.stream_vp` background
-   traffic upload anonymously in concurrent batches (``objects`` or
-   zero-decode ``frame`` encoding per the cell's codec);
+   traffic upload anonymously in concurrent ``upload_vp_batch`` frames;
 2. **attack wave** — at ``cfg.attack_minute`` the campaign's forged
-   batches land *after* the honest wave settled, one component batch at
-   a time in a fixed order with poisoning last (a far-future claim
-   advances the retention watermark and may evict the attack minute
-   itself — sequencing keeps which uploads raced the eviction, and
-   therefore the final store content, deterministic);
+   batches land *after* the honest wave settled — as frames, like the
+   honest ones — one component batch at a time in a fixed order with
+   poisoning last (a far-future claim advances the retention watermark
+   and may evict the attack minute itself — sequencing keeps which
+   uploads raced the eviction, and therefore the final store content,
+   deterministic);
 3. **monitor sweep** — the operator-side detectors run: the
    ``server.watermark.clamped`` counter, the
    :func:`~repro.store.lifecycle.survey_overloaded` concentration
@@ -71,7 +71,6 @@ from repro.net.messages import (
     MAX_VP_BATCH,
     decode_message,
     encode_message,
-    pack_vp_batch,
     pack_vp_batch_frame,
 )
 from repro.net.server import MAX_WATERMARK_STEP
@@ -96,13 +95,9 @@ CAMPAIGNS = (
 #: with trusted VPs pinned past eviction
 RETENTIONS = ("none", "window", "pin_trusted")
 
-#: upload encodings the honest wave uses (attack batches always arrive
-#: as ``objects`` — adversaries do not run the optimized client)
-WIRE_CODECS = ("objects", "frame")
-
 #: schema tag stamped into every row; bump on any field change so a
 #: stale baseline fails loudly instead of diffing garbage
-ROW_SCHEMA = "campaign-row/v1"
+ROW_SCHEMA = "campaign-row/v2"
 
 #: offset past the timeline end a poisoning campaign claims, far beyond
 #: any honest clock skew the watermark clamp absorbs
@@ -138,7 +133,7 @@ class CampaignGridConfig:
     """Axes and workload knobs of one campaign grid run.
 
     The defaults are the committed-baseline grid: 6 campaigns × 2
-    backends × 3 retention policies × 2 codecs at seed 0.  Honest
+    backends × 3 retention policies at seed 0.  Honest
     traffic per minute is ``n_vehicles`` streamed background VPs plus
     ``witnesses`` convoy VPs plus one trusted VP, sized so honest
     minutes stay under ``max_vps_per_minute`` while a concentration
@@ -149,7 +144,6 @@ class CampaignGridConfig:
     campaigns: tuple[str, ...] = CAMPAIGNS
     backends: tuple[str, ...] = ("memory", "sqlite")
     retentions: tuple[str, ...] = RETENTIONS
-    codecs: tuple[str, ...] = WIRE_CODECS
     n_vehicles: int = 12
     minutes: int = 3
     batch_vps: int = 4
@@ -174,7 +168,6 @@ class CampaignGridConfig:
             ("campaigns", self.campaigns, CAMPAIGNS),
             ("backends", self.backends, STORE_KINDS),
             ("retentions", self.retentions, RETENTIONS),
-            ("codecs", self.codecs, WIRE_CODECS),
         ):
             if not values:
                 raise ValidationError(f"grid axis {axis!r} must not be empty")
@@ -207,13 +200,12 @@ class CampaignGridConfig:
 
 @dataclass(frozen=True)
 class CampaignRow:
-    """One cell's machine-readable outcome (schema ``campaign-row/v1``)."""
+    """One cell's machine-readable outcome (schema ``campaign-row/v2``)."""
 
     schema: str
     campaign: str
     backend: str
     retention: str
-    codec: str
     seed: int
     minutes: int
     #: wire traffic: requests delivered, per-VP accept/reject acks
@@ -376,12 +368,8 @@ def _forge_component(
     raise ValidationError(f"unknown attack component {component!r}")
 
 
-def _upload_payload(codec: str, session: str, vps: list[ViewProfile]) -> bytes:
-    if codec == "frame":
-        return encode_message(
-            "upload_vp_batch", session=session, frame=pack_vp_batch_frame(vps)
-        )
-    return encode_message("upload_vp_batch", session=session, vps=pack_vp_batch(vps))
+def _upload_payload(session: str, vps: list[ViewProfile]) -> bytes:
+    return encode_message("upload_vp_batch", session=session, frame=pack_vp_batch_frame(vps))
 
 
 def _require_batch_ack(response: bytes) -> None:
@@ -455,22 +443,19 @@ def run_campaign_cell(
     campaign: str,
     backend: str,
     retention: str,
-    codec: str,
     cfg: CampaignGridConfig,
     control: CampaignRow | None = None,
 ) -> CampaignRow:
     """Run one grid cell end to end and reduce it to its row.
 
     ``control`` is the clean-traffic row of the same (backend,
-    retention, codec, seed) — the reference for honest-VP loss and the
+    retention, seed) — the reference for honest-VP loss and the
     throughput ratio.  Omitted when computing the control itself.
     """
     if campaign not in CAMPAIGNS:
         raise ValidationError(f"unknown campaign {campaign!r}")
     if retention not in RETENTIONS:
         raise ValidationError(f"unknown retention policy {retention!r}")
-    if codec not in WIRE_CODECS:
-        raise ValidationError(f"unknown wire codec {codec!r}")
     store = _make_backend(backend)
     system = ViewMapSystem(
         key_bits=cfg.key_bits,
@@ -505,7 +490,7 @@ def run_campaign_cell(
                 net.send_async(
                     "campaign-client",
                     server.address,
-                    _upload_payload(codec, f"h-{minute}-{i}", honest[i : i + cfg.batch_vps]),
+                    _upload_payload(f"h-{minute}-{i}", honest[i : i + cfg.batch_vps]),
                 )
                 for i in range(0, len(honest), cfg.batch_vps)
             ]
@@ -519,11 +504,7 @@ def run_campaign_cell(
                         net.send(
                             "campaign-client",
                             server.address,
-                            encode_message(
-                                "upload_vp_batch",
-                                session=f"a-{component}",
-                                vps=pack_vp_batch(forged),
-                            ),
+                            _upload_payload(f"a-{component}", forged),
                         )
                     )
             fired = _monitor_sweep(server, cfg, minute)
@@ -572,7 +553,6 @@ def run_campaign_cell(
         campaign=campaign,
         backend=backend,
         retention=retention,
-        codec=codec,
         seed=cfg.seed,
         minutes=cfg.minutes,
         requests=wire.count,
@@ -601,9 +581,9 @@ def run_campaign_cell(
 
 
 def run_campaign_grid(cfg: CampaignGridConfig = CampaignGridConfig()) -> list[CampaignRow]:
-    """Run the whole grid; rows in (backend, retention, codec, campaign) order.
+    """Run the whole grid; rows in (backend, retention, campaign) order.
 
-    The clean control of each (backend, retention, codec) combination
+    The clean control of each (backend, retention) combination
     always runs — even when ``cfg.campaigns`` omits ``clean`` — because
     every other cell's loss and throughput figures are measured against
     it; it only appears in the returned rows when requested.
@@ -611,17 +591,14 @@ def run_campaign_grid(cfg: CampaignGridConfig = CampaignGridConfig()) -> list[Ca
     rows: list[CampaignRow] = []
     for backend in cfg.backends:
         for retention in cfg.retentions:
-            for codec in cfg.codecs:
-                control = run_campaign_cell("clean", backend, retention, codec, cfg)
-                for campaign in cfg.campaigns:
-                    if campaign == "clean":
-                        rows.append(control)
-                    else:
-                        rows.append(
-                            run_campaign_cell(
-                                campaign, backend, retention, codec, cfg, control=control
-                            )
-                        )
+            control = run_campaign_cell("clean", backend, retention, cfg)
+            for campaign in cfg.campaigns:
+                if campaign == "clean":
+                    rows.append(control)
+                else:
+                    rows.append(
+                        run_campaign_cell(campaign, backend, retention, cfg, control=control)
+                    )
     return rows
 
 
@@ -639,7 +616,7 @@ def row_invariant_violations(row: CampaignRow) -> list[str]:
     acceptable; strings describe what broke.
     """
     v: list[str] = []
-    where = f"[{row.campaign}/{row.backend}/{row.retention}/{row.codec}]"
+    where = f"[{row.campaign}/{row.backend}/{row.retention}]"
     if row.schema != ROW_SCHEMA:
         v.append(f"{where} schema {row.schema!r} != {ROW_SCHEMA!r}")
         return v

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from repro.core.database import VPDatabase
 from repro.core.viewmap import ViewMapGraph, build_viewmap
-from repro.errors import ValidationError
 from repro.geo.obstacles import corridor_los
 from repro.geo.routing import make_grid_route_fn
 from repro.mobility.scenarios import city_scenario
@@ -45,7 +44,6 @@ def city_viewmap_stats(
     store: VPStore | str | None = None,
     workers: int = 1,
     retention: RetentionPolicy | None = None,
-    wire_codec: str = "objects",
 ) -> tuple[CityViewmapStats, ViewMapGraph]:
     """Simulate one minute of city traffic and build its viewmap.
 
@@ -60,14 +58,8 @@ def city_viewmap_stats(
     window shorter than the trace evicts the early minutes — including
     the one the viewmap is built from, which is the point when
     demonstrating lifecycle behaviour, but keep it >= the trace length
-    for figure-faithful output).  ``wire_codec="frame"`` replays the
-    ingest through the zero-decode path: each batch is framed with the
-    columnar codec and the store ingests the bytes without decoding
-    bodies — the ``upload_vp_batch`` frame fast path, minus the onion
-    transport.
+    for figure-faithful output).
     """
-    if wire_codec not in ("objects", "frame"):
-        raise ValidationError(f"unknown wire codec {wire_codec!r}")
     scn = city_scenario(
         area_km=area_km,
         n_vehicles=n_vehicles,
@@ -86,13 +78,7 @@ def city_viewmap_stats(
     if isinstance(store, str):
         store = make_store(store)
     database = VPDatabase(store=store) if store is not None else VPDatabase()
-    encoded = wire_codec == "frame"
-    if workers > 1 or retention is not None:
-        result.ingest_concurrently(
-            database, workers=workers, retention=retention, encoded=encoded
-        )
-    else:
-        result.ingest_into(database, encoded=encoded)
+    result.ingest_concurrently(database, workers=workers, retention=retention)
     vmap = build_viewmap(database.by_minute(0), minute=0)
     stats = vmap.degree_stats()
     n_counts = list(result.neighbor_counts[0].values())

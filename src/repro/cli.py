@@ -124,7 +124,6 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
         stats, vmap = city_viewmap_stats(
             args.speed, n_vehicles=args.vehicles, area_km=args.area_km, seed=args.seed,
             store=store, workers=args.workers, retention=retention,
-            wire_codec=args.wire_codec,
         )
         # a fleet-wide count first: reads flush, so every worker's
         # pending group commit lands (and is measured) before the
@@ -165,7 +164,6 @@ def _cmd_campaigns(args: argparse.Namespace) -> None:
         "campaigns": args.grid_campaigns,
         "backends": args.grid_backends,
         "retentions": args.grid_retentions,
-        "codecs": args.grid_codecs,
     }
     cfg = CampaignGridConfig(
         seed=args.seed,
@@ -177,7 +175,7 @@ def _cmd_campaigns(args: argparse.Namespace) -> None:
     )
     rows = run_campaign_grid(cfg)
     print(
-        f"{'campaign':<14s} {'backend':<8s} {'retention':<12s} {'codec':<8s} "
+        f"{'campaign':<14s} {'backend':<8s} {'retention':<12s} "
         f"{'success':>7s} {'loss':>6s} {'detect':>6s} {'ratio':>6s}"
     )
     violations: list[str] = []
@@ -185,9 +183,8 @@ def _cmd_campaigns(args: argparse.Namespace) -> None:
         violations.extend(row_invariant_violations(row))
         print(
             f"{row.campaign:<14s} {row.backend:<8s} {row.retention:<12s} "
-            f"{row.codec:<8s} {row.attack_success_rate:>7.2f} "
-            f"{row.honest_vp_loss:>6.2f} {row.detection_latency_min:>6d} "
-            f"{row.throughput_ratio:>6.2f}"
+            f"{row.attack_success_rate:>7.2f} {row.honest_vp_loss:>6.2f} "
+            f"{row.detection_latency_min:>6d} {row.throughput_ratio:>6.2f}"
         )
     if args.campaigns_json:
         with open(args.campaigns_json, "w", encoding="utf-8") as fh:
@@ -347,14 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
             "off for sqlite, 512 inside procs workers)",
         )
         cmd.add_argument(
-            "--wire-codec",
-            choices=("objects", "frame"),
-            default="objects",
-            help="ingest replay encoding: objects = insert_many of VP "
-            "objects, frame = zero-decode columnar frames fed to "
-            "insert_encoded (the upload_vp_batch fast path)",
-        )
-        cmd.add_argument(
             "--commit-target-ms",
             type=float,
             default=0.0,
@@ -395,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--campaigns-json",
             type=str,
             default="",
-            help="write the campaign grid's rows (campaign-row/v1) to "
+            help="write the campaign grid's rows (campaign-row/v2) to "
             "this JSON file — the input of tools/check_campaigns.py",
         )
         cmd.add_argument(
@@ -434,13 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-connection cap on buffered-but-unprocessed upload "
             "bytes for --transport streaming; a peer exceeding it is "
             "shed with a clean error",
-        )
-        cmd.add_argument(
-            "--grid-codecs",
-            type=str,
-            default="",
-            help="comma-separated honest-wave wire codecs for the "
-            "campaigns grid: objects, frame (default: both)",
         )
     return parser
 

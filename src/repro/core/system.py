@@ -120,9 +120,10 @@ class ViewMapSystem:
     def ingest_vps(self, vps: list[ViewProfile]) -> int:
         """Batch-accept anonymously uploaded VPs (duplicates skipped).
 
-        The batch path the upload front-end and simulation runners use:
-        one backend round-trip instead of one per VP.  Returns how many
-        VPs were newly stored.
+        The batch path for callers that hold objects (replays, tests;
+        the wire delivers frames to :meth:`ingest_encoded`): one backend
+        round-trip instead of one per VP.  Returns how many VPs were
+        newly stored.
         """
         for vp in vps:
             if vp.trusted:

@@ -89,6 +89,10 @@ def packed_block_defect(fields: np.ndarray) -> str | None:
         return "all digests in a VP must share one R value"
     if (seconds[1:] <= seconds[:-1]).any():
         return "VP digests must have increasing second indices"
+    if not (np.isfinite(fields["t"]).all() and np.isfinite(fields["location"]).all()):
+        # NaN/Inf would sail through min/max into the spatial index and
+        # time arrays — poison, not data
+        return "VP digests carry non-finite time/location"
     return None
 
 

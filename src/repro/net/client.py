@@ -31,7 +31,6 @@ from repro.net.messages import (
     encode_message,
     pack_query_view,
     pack_view_profile,
-    pack_vp_batch,
     pack_vp_batch_frame,
 )
 from repro.net.onion import OnionNetwork
@@ -53,17 +52,17 @@ class VehicleClient:
     #: (``client.rtt.<kind>``); share one registry across a fleet to
     #: aggregate, or pass ``MetricsRegistry(enabled=False)`` to opt out
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: batch upload encoding: "blocks" sends the legacy list of fixed
-    #: VP blocks, "frame" sends one zero-decode columnar batch buffer
-    #: the authority routes and stores without decoding bodies
-    wire_codec: str = "blocks"
+    #: the one batch encoding; nothing reads this after construction —
+    #: the keyword outlives its axis only because the pipeline benchmark
+    #: still passes it (ROADMAP housekeeping)
+    wire_codec: str = "frame"
     #: VPs recorded locally but not yet uploaded
     pending_vps: list[ViewProfile] = field(default_factory=list)
     uploaded: int = 0
     cash: list[VirtualCash] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.wire_codec not in ("blocks", "frame"):
+        if self.wire_codec != "frame":
             raise NetworkError(f"unknown wire codec {self.wire_codec!r}")
 
     def queue_minute_output(self, actual_vp: ViewProfile, guard_vps: list[ViewProfile]) -> None:
@@ -108,19 +107,15 @@ class VehicleClient:
 
         The batch path sends up to ``MAX_VP_BATCH`` VPs per circuit
         instead of one, cutting onion round-trips by ~two orders of
-        magnitude on a full minute's output.  With ``wire_codec="frame"``
-        each request carries one columnar batch buffer instead of a
-        block list — same eligibility rules, but the authority ingests
-        it without decoding a body.  Guard VPs are deleted locally
-        after submission, exactly as in :meth:`upload_pending`.
+        magnitude on a full minute's output.  Each request carries one
+        columnar batch buffer the authority ingests without decoding a
+        body.  Guard VPs are deleted locally after submission, exactly
+        as in :meth:`upload_pending`.
         """
         landed = 0
         for start in range(0, len(self.pending_vps), MAX_VP_BATCH):
             batch = self.pending_vps[start : start + MAX_VP_BATCH]
-            if self.wire_codec == "frame":
-                reply = self._request("upload_vp_batch", frame=pack_vp_batch_frame(batch))
-            else:
-                reply = self._request("upload_vp_batch", vps=pack_vp_batch(batch))
+            reply = self._request("upload_vp_batch", frame=pack_vp_batch_frame(batch))
             landed += sum(1 for ok in reply["accepted"] if ok)
         self.pending_vps.clear()
         self.uploaded += landed
@@ -131,19 +126,14 @@ class VehicleClient:
         minute: int,
         area: Rect | None = None,
         trusted_only: bool = False,
-        encoded: bool = True,
     ) -> list[ViewProfile]:
         """Fetch one minute's (optionally area-scoped) VPs as objects.
 
         The read half of the zero-decode wire: the reply is one codec
-        batch frame, and THIS side decodes it — with ``encoded=True``
-        (the default) the authority served stored spans without ever
-        materializing a VP.  ``encoded=False`` requests the legacy
-        decode-and-scan shape, useful as a comparison arm.
+        batch frame of stored spans, and THIS side decodes it — the
+        authority never materializes a VP.
         """
-        spec = QuerySpec(
-            minute=minute, area=area, trusted_only=trusted_only, encoded=encoded
-        )
+        spec = QuerySpec(minute=minute, area=area, trusted_only=trusted_only)
         reply = self._request("query_view", **pack_query_view(spec))
         return decode_vp_batch(reply["frame"])
 

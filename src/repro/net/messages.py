@@ -6,14 +6,20 @@ leaves the vehicle).  Control messages use a small JSON header with binary
 fields riding behind it as raw attachments: explicit, debuggable, O(1)
 overhead in the payload, and independent of Python pickling.
 
-Batch uploads additionally support the **zero-decode frame codec**: one
-``upload_vp_batch`` request may carry, instead of a list of VP blocks, a
-single columnar batch buffer (:mod:`repro.store.codec`) whose record
-metadata (id, minute, trusted flag, bounding box) rides outside the
-bodies.  :func:`unpack_vp_batch_frame` validates such a frame from the
-metadata alone — framing integrity, batch size, body sizes, no trusted
-claims — so the authority can route and store the body bytes without
-ever decoding a digest.
+A *batch* of VPs crosses every boundary in one encoding, the
+**zero-decode frame codec**: an ``upload_vp_batch`` request and a
+``view`` reply each carry a single columnar batch buffer
+(:mod:`repro.store.codec`) whose record metadata (id, minute, trusted
+flag, bounding box) rides outside the bodies.
+:func:`unpack_vp_batch_frame` is the one validator of an uploaded batch
+— framing integrity, batch size, body sizes, no trusted claims, every
+body policed in place — so the authority can route and store the body
+bytes without ever decoding a digest.  The fixed block is the
+single-VP ``upload_vp`` form only.
+
+Handlers read request fields through :func:`message_field`: a missing
+or wrong-typed field is a :class:`ValidationError`, hence an ``error``
+reply, never an exception out of the server.
 """
 
 from __future__ import annotations
@@ -65,37 +71,18 @@ def unpack_view_profile(data: bytes) -> ViewProfile:
 MAX_VP_BATCH = 256
 
 
-def pack_vp_batch(vps: list[ViewProfile]) -> list[bytes]:
-    """Serialize a VP batch for one ``upload_vp_batch`` message."""
-    if len(vps) > MAX_VP_BATCH:
-        raise WireFormatError(
-            f"VP batch of {len(vps)} exceeds the {MAX_VP_BATCH}-VP limit"
-        )
-    return [pack_view_profile(vp) for vp in vps]
-
-
-def unpack_vp_batch(blocks: list[bytes]) -> list[ViewProfile]:
-    """Parse the VP blocks of one batch upload.  Never yields trusted VPs."""
-    if len(blocks) > MAX_VP_BATCH:
-        raise WireFormatError(
-            f"VP batch of {len(blocks)} exceeds the {MAX_VP_BATCH}-VP limit"
-        )
-    return [unpack_view_profile(block) for block in blocks]
-
-
 #: exact body size of a complete 60-digest VP inside a batch frame —
 #: the only record shape an upload frame may carry
 FRAME_BODY_BYTES = encoded_body_bytes(VIDEO_UNIT_SECONDS)
 
 
 def pack_vp_batch_frame(vps: list[ViewProfile]) -> bytes:
-    """Serialize a VP batch as one zero-decode columnar frame.
+    """Serialize a VP batch for one ``upload_vp_batch`` message.
 
-    The client-side twin of :func:`pack_vp_batch`: same eligibility
-    rules (complete 60-digest VPs only, at most ``MAX_VP_BATCH`` per
-    message, never trusted), but the batch travels as a single
-    ``repro.store.codec`` buffer the authority can validate, route and
-    store without decoding a body.
+    Complete 60-digest VPs only, at most ``MAX_VP_BATCH`` per message,
+    never trusted; the batch travels as a single ``repro.store.codec``
+    buffer the authority can validate, route and store without
+    decoding a body.
     """
     if len(vps) > MAX_VP_BATCH:
         raise WireFormatError(
@@ -322,19 +309,31 @@ class FrameParser:
         return records
 
 
+def message_field(message: dict[str, Any], name: str, kind: type, item: type | None = None) -> Any:
+    """One request field of exactly type ``kind`` (list items: ``item``).
+
+    The only way a handler reads a decoded message: a field that is
+    missing or not what the handler is about to use it as is a
+    :class:`ValidationError`.  Types are exact — ``True`` is no minute.
+    """
+    value = message.get(name)
+    if type(value) is not kind or (
+        item is not None and not all(type(entry) is item for entry in value)
+    ):
+        shape = kind.__name__ if item is None else f"{kind.__name__} of {item.__name__}"
+        raise ValidationError(f"{message.get('kind')} needs {name!r} as {shape}")
+    return value
+
+
 def pack_query_view(spec: QuerySpec) -> dict[str, Any]:
     """The request fields of one ``query_view`` message.
 
     The client-side twin of :func:`unpack_query_view`: only the axes
     the wire read path serves travel (minute, optional area box,
-    trusted filter, encoded flag) — count and k-nearest stay
+    trusted filter) — count, k-nearest and the result shape stay
     authority-internal.
     """
-    fields: dict[str, Any] = {
-        "minute": spec.minute,
-        "trusted": spec.trusted_only,
-        "encoded": spec.encoded,
-    }
+    fields: dict[str, Any] = {"minute": spec.minute, "trusted": spec.trusted_only}
     if spec.area is not None:
         fields["area"] = [
             spec.area.x_min,
@@ -348,15 +347,16 @@ def pack_query_view(spec: QuerySpec) -> dict[str, Any]:
 def unpack_query_view(message: dict[str, Any]) -> QuerySpec:
     """Parse and validate one ``query_view`` request.
 
-    Every rejection — a missing or non-integer minute, a malformed or
-    non-finite area box — is a clean :class:`ValidationError` (the
-    area reaches the tile index, where a NaN corner would otherwise
-    escape as a non-Repro exception).
+    Every rejection — a missing or non-integer minute, one past the
+    codec's 4-byte minute field, a malformed or non-finite area box —
+    is a clean :class:`ValidationError` (the area reaches the tile
+    index, where a NaN corner would otherwise escape as a non-Repro
+    exception).  The spec is always ``encoded``: a view is served as
+    stored spans, whatever else the message says.
     """
-    try:
-        minute = int(message["minute"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("query_view needs an integer minute") from exc
+    minute = message_field(message, "minute", int)
+    if minute >= 1 << 32:
+        raise ValidationError(f"query_view minute {minute} does not fit the codec")
     rect = None
     box = message.get("area")
     if box is not None:
@@ -378,7 +378,7 @@ def unpack_query_view(message: dict[str, Any]) -> QuerySpec:
         minute=minute,
         area=rect,
         trusted_only=bool(message.get("trusted", False)),
-        encoded=bool(message.get("encoded", False)),
+        encoded=True,
     )
 
 
@@ -437,8 +437,8 @@ def decode_message(data: bytes | memoryview) -> dict[str, Any]:
     slots: list[tuple[Any, Any, int]] = []
     try:
         payload = json.loads(str(view[_ENVELOPE_HEAD.size : offset], "utf-8"))
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise WireFormatError("protocol message missing kind")
+        if not isinstance(payload, dict) or type(payload.get("kind")) is not str:
+            raise WireFormatError("protocol message missing a string kind")
         _attachment_slots(payload, slots)
     except (ValueError, RecursionError) as exc:
         raise WireFormatError("malformed protocol message") from exc

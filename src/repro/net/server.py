@@ -39,14 +39,14 @@ from repro.errors import ReproError, ValidationError
 from repro.net.messages import (
     decode_message,
     encode_message,
+    message_field,
     unpack_query_view,
     unpack_view_profile,
-    unpack_vp_batch,
     unpack_vp_batch_frame,
 )
 from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import MetricsRegistry, stage_timer
-from repro.store.codec import encode_vp_batch, join_encoded_records
+from repro.store.codec import join_encoded_records
 
 Handler = Callable[[dict[str, Any]], bytes]
 
@@ -235,7 +235,7 @@ class ViewMapServer:
         duplicate ack rather than an error reply (which would abort the
         client's upload loop).
         """
-        vp = unpack_view_profile(message["vp"])
+        vp = unpack_view_profile(message_field(message, "vp", bytes))
         if vp.vp_id in self.system.database:
             self.metrics.inc("server.upload.rejected")
             return encode_message("ack", accepted=False, reason="duplicate")
@@ -253,36 +253,16 @@ class ViewMapServer:
 
         Replies with a per-VP accepted flag (duplicates — against the
         store or within the batch — are rejected individually, never the
-        whole batch).  Two request shapes are served: the legacy
-        ``vps`` list of fixed VP blocks (decoded into objects here),
-        and the zero-decode ``frame`` form — one columnar batch buffer
-        validated and duplicate-probed from its record metadata alone,
-        with the fresh records sliced out of the frame and handed to
-        the storage tier still encoded.  No VP body is decoded on this
-        path; old clients keep working unchanged.
+        whole batch).  The batch travels as one ``frame``, the columnar
+        codec buffer; a request without one, or carrying the retired
+        ``vps`` block list, is refused with nothing ingested.
         """
-        if "frame" in message:
-            return self._ingest_frame(message["frame"])
-        vps = unpack_vp_batch(message["vps"])
-        # one indexed probe for the whole batch, not a per-VP round-trip
-        taken = self.system.database.existing_ids([vp.vp_id for vp in vps])
-        accepted: list[bool] = []
-        fresh: list = []
-        for vp in vps:
-            ok = vp.vp_id not in taken
-            accepted.append(ok)
-            if ok:
-                taken.add(vp.vp_id)
-                fresh.append(vp)
-        inserted = self.system.ingest_vps(fresh)
-        if fresh:
-            self._observe_minute(max(vp.minute for vp in fresh))
-        self.metrics.inc("server.upload.accepted", len(fresh))
-        self.metrics.inc("server.upload.rejected", len(vps) - len(fresh))
-        return encode_message("batch_ack", accepted=accepted, inserted=inserted)
+        if "vps" in message:
+            raise ValidationError("upload_vp_batch carries one frame, not a vps list")
+        return self._ingest_frame(message_field(message, "frame", bytes))
 
-    def _ingest_frame(self, frame: bytes) -> bytes:
-        """Ingest one zero-decode batch frame (metadata-only fast path).
+    def _ingest_frame(self, frame: bytes | memoryview) -> bytes:
+        """Ingest one zero-decode batch frame (metadata-only path).
 
         Validation (framing, batch bound, complete-VP body sizes, no
         trusted claims) and the duplicate probe both read only the
@@ -342,29 +322,26 @@ class ViewMapServer:
     def _on_query_view(self, message: dict[str, Any]) -> bytes:
         """Serve one minute/area view query as a codec batch frame.
 
-        The read-side twin of the zero-decode upload path.  With
-        ``encoded=true`` (the serving default) the storage tier
-        assembles the reply straight from stored frame spans — no VP
-        body is decoded anywhere on the authority, the *client*
-        decodes.  With ``encoded=false`` the legacy decode-and-scan
-        shape is served: the matching VPs are materialized here and
-        re-encoded for the wire (the arm the read benchmark measures
-        the fast path against).  Replies are safe to serve lock-free on
-        a concurrent fabric because the store backends are thread-safe,
-        so this kind is deliberately NOT in ``GUARDED_KINDS``.
+        The read-side twin of the zero-decode upload path: the storage
+        tier assembles the reply straight from stored frame spans — no
+        VP body is decoded anywhere on the authority, the *client*
+        decodes.  Replies are safe to serve lock-free on a concurrent
+        fabric because the store backends are thread-safe, so this kind
+        is deliberately NOT in ``GUARDED_KINDS``.
         """
-        spec = unpack_query_view(message)
-        result = self.system.database.query(spec)
-        frame = result.frame if result.frame is not None else encode_vp_batch(result.vps)
-        self.metrics.observe("serve.encoded_bytes", float(len(frame)))
-        return encode_message("view", frame=frame, n=result.n)
+        result = self.system.database.query(unpack_query_view(message))
+        self.metrics.observe("serve.encoded_bytes", float(len(result.frame)))
+        return encode_message("view", frame=result.frame, n=result.n)
 
     def _on_list_solicitations(self, message: dict[str, Any]) -> bytes:
         ids = self.system.solicitations.requested_ids()
         return encode_message("solicitations", vp_ids=list(ids))
 
     def _on_upload_video(self, message: dict[str, Any]) -> bytes:
-        accepted = self.system.receive_video(message["vp_id"], message["chunks"])
+        accepted = self.system.receive_video(
+            message_field(message, "vp_id", bytes),
+            message_field(message, "chunks", list, item=bytes),
+        )
         return encode_message("ack", accepted=accepted)
 
     def _on_list_rewards(self, message: dict[str, Any]) -> bytes:
@@ -373,15 +350,20 @@ class ViewMapServer:
 
     def _on_claim_reward(self, message: dict[str, Any]) -> bytes:
         units = self.system.rewards.offered_units(
-            message["vp_id"], message["secret"]
+            message_field(message, "vp_id", bytes),
+            message_field(message, "secret", bytes),
         )
         return encode_message("reward_offer", units=units)
 
     def _on_sign_blinded(self, message: dict[str, Any]) -> bytes:
+        try:
+            blinded = [int(b) for b in message_field(message, "blinded", list, item=str)]
+        except ValueError as exc:
+            raise ValidationError("sign_blinded needs decimal blinded values") from exc
         signatures = self.system.rewards.sign_blinded_batch(
-            message["vp_id"],
-            message["secret"],
-            [int(b) for b in message["blinded"]],
+            message_field(message, "vp_id", bytes),
+            message_field(message, "secret", bytes),
+            blinded,
         )
         return encode_message("signatures", signatures=[str(s) for s in signatures])
 

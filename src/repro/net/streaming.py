@@ -46,6 +46,7 @@ shedding early instead of collapsing late.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -67,6 +68,8 @@ from repro.net.server import ViewMapServer
 from repro.net.transport import Endpoint, Handler
 from repro.obs.admission import DEFAULT_MAX_DEPTH, AdmissionController
 from repro.obs.metrics import MetricsRegistry, stage_timer
+
+_log = logging.getLogger(__name__)
 
 #: handler-pool width, matching the threaded fabric's default
 DEFAULT_WORKERS = 8
@@ -506,6 +509,13 @@ class StreamingNetwork:
                     reply = await self._dispatch_msg(session, payload)
             except ReproError as exc:
                 reply = encode_message("error", reason=str(exc))
+            except Exception:
+                # a crashed handler is answered in its slot: replies are
+                # matched by position, so a missing one would strand
+                # this request and every later one on the connection
+                _log.exception("handler crashed on a stream record")
+                self.metrics.inc("stream.handler.crashed")
+                reply = encode_message("error", reason="internal error")
             session.queued_bytes -= len(payload)
             try:
                 record = pack_stream_record(STREAM_KIND_MSG, reply)

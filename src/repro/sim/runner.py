@@ -32,19 +32,6 @@ LOS_DELIVERY_P = 0.95    #: fast-mode per-beacon delivery probability (LOS)
 NLOS_DELIVERY_P = 0.02   #: fast-mode per-beacon delivery probability (NLOS)
 
 
-def _batch_inserter(database, encoded: bool):
-    """The batch ingest callable: object path or zero-decode frame path."""
-    if not encoded:
-        return database.insert_many
-
-    from repro.store.codec import encode_vp_batch
-
-    def insert_encoded(vps: list[ViewProfile]) -> int:
-        return database.insert_encoded(encode_vp_batch(vps))
-
-    return insert_encoded
-
-
 @dataclass
 class SimulationResult:
     """Everything a full-fidelity run produces."""
@@ -70,27 +57,21 @@ class SimulationResult:
         """Every VP (actual + guard) across all minutes."""
         return [vp for vps in self.vps_by_minute.values() for vp in vps]
 
-    def ingest_into(self, database, encoded: bool = False) -> int:
+    def ingest_into(self, database) -> int:
         """Batch-insert every produced VP into a VP database (or store).
 
         Uses the ``insert_many`` batch path one minute at a time — the
         same shape a city-scale authority sees from batched uploads —
         and returns how many VPs were newly stored.  ``database`` is
         anything exposing ``insert_many`` (``VPDatabase`` or a raw
-        ``repro.store`` backend).  ``encoded=True`` replays through the
-        zero-decode wire path instead: each minute's batch is framed
-        with the columnar codec and handed to ``insert_encoded``,
-        exactly the bytes-in shape the ``upload_vp_batch`` frame codec
-        delivers to the storage tier.
+        ``repro.store`` backend).
         """
-        insert = _batch_inserter(database, encoded)
         return sum(
-            insert(self.vps_by_minute[minute]) for minute in sorted(self.vps_by_minute)
+            database.insert_many(self.vps_by_minute[minute])
+            for minute in sorted(self.vps_by_minute)
         )
 
-    def ingest_concurrently(
-        self, database, workers: int = 4, retention=None, encoded: bool = False
-    ) -> int:
+    def ingest_concurrently(self, database, workers: int = 4, retention=None) -> int:
         """Batch-insert every produced VP with N concurrent uploaders.
 
         Replays the corpus through the same ``insert_many`` batch path
@@ -114,16 +95,13 @@ class SimulationResult:
         process-sharded store (``make_store("procs", ...)``) composes
         naturally: the uploader threads feed the worker fleet
         concurrently, and eviction fans out across the worker
-        processes.  ``encoded=True`` frames every batch with the
-        columnar codec and ingests via ``insert_encoded`` (the
-        zero-decode wire path); the encode happens on the uploader
-        threads, exactly where a real fleet pays it.
+        processes.
         """
         minutes = sorted(self.vps_by_minute)
         if (workers <= 1 and retention is None) or not minutes:
-            return self.ingest_into(database, encoded=encoded)
+            return self.ingest_into(database)
         workers = max(workers, 1)
-        insert = _batch_inserter(database, encoded)
+        insert = database.insert_many
         from concurrent.futures import ThreadPoolExecutor
 
         def minute_batches(minute: int, n_chunks: int) -> list[list[ViewProfile]]:

@@ -41,8 +41,6 @@ from __future__ import annotations
 import struct
 from typing import Container, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VP_ID_BYTES
 from repro.core.viewdigest import PACKED_FIELD, packed_block_defect, packed_columns
 from repro.core.viewprofile import ViewProfile
@@ -240,9 +238,8 @@ def verify_encoded_body(
     Confirms by direct byte inspection — no :class:`ViewProfile`
     materialization, no hashing — everything :func:`decode_vp` and the
     VP constructors would enforce structurally at read time, plus the
-    sidecar-vs-body consistency the legacy wire path got for free by
-    deriving the metadata server-side: blob version, exact digest-block
-    geometry, every packed digest keyed by the sidecar's ``vp_id`` (one
+    consistency of the uploader-written sidecar with the body: blob
+    version, exact digest-block geometry, every packed digest keyed by the sidecar's ``vp_id`` (one
     body cannot be registered under a second identifier), strictly
     increasing 1-based second indices, a finite first digest time that
     lands in the sidecar's claimed ``minute``, ``bbox`` (when given)
@@ -250,9 +247,9 @@ def verify_encoded_body(
     would mis-index area queries and shard routing), and ``bloom_k``
     (when given) the only hash count the wire form may declare (a
     smaller k would inflate viewmap false linkage).  The zero-decode
-    upload path runs this per record so a stored body behaves exactly
-    like a legacy-path VP — a frame that passes can never poison a
-    minute read.  Raises :class:`WireFormatError` on any violation.
+    upload path runs this per record, so a frame that passes can never
+    poison a minute read.  Raises :class:`WireFormatError` on any
+    violation.
     ``body_start`` indexes the body blob inside ``batch`` (bodies are
     checked in place, never sliced out).
     """
@@ -289,10 +286,6 @@ def verify_encoded_body(
     if fields["second_index"][-1] > n_digests:
         raise WireFormatError("frame body digest seconds run past the digest count")
     t, location = fields["t"], fields["location"]
-    if not (np.isfinite(t).all() and np.isfinite(location).all()):
-        # NaN/Inf would sail through min/max into the spatial index and
-        # time arrays — poison, not data
-        raise WireFormatError("frame body digest carries non-finite time/location")
     if bbox is not None and tuple(bbox) != (
         *location.min(axis=0).tolist(),
         *location.max(axis=0).tolist(),

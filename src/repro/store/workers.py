@@ -132,24 +132,11 @@ def _dispatch(store: VPStore, request: tuple) -> object:
         return store.query(
             QuerySpec(minute=request[1], trusted_only=request[2], count=True)
         ).n
-    if op == "by_minute":
-        return encode_vp_batch(store.by_minute(request[1]))
-    if op == "trusted":
-        return encode_vp_batch(store.trusted_by_minute(request[1]))
-    if op == "in_area":
-        return encode_vp_batch(store.by_minute_in_area(request[1], Rect(*request[2])))
     if op == "query_enc":
         # decode-free span query: the worker's backend assembles the
         # codec frame (tile-pruned, row pass-through on SQLite) and the
         # raw bytes travel the pipe untouched
-        return store.query_encoded(
-            QuerySpec(
-                minute=request[1],
-                area=None if request[2] is None else Rect(*request[2]),
-                trusted_only=request[3],
-                encoded=True,
-            )
-        )
+        return store.query_encoded(request[1])
     if op == "tiles":
         # coverage tiles ship as their plain-dict form (cheap, picklable)
         return store.coverage_tiles(request[1]).to_dict()
@@ -374,23 +361,19 @@ class WorkerShard(VPStore):
         return self._request("minutes")
 
     def _minute_vps(self, minute: int) -> list[ViewProfile]:
-        return decode_vp_batch(self._request("by_minute", minute))
+        return decode_vp_batch(self.query_encoded(QuerySpec(minute=minute)))
 
     def _minute_count(self, minute: int, trusted_only: bool = False) -> int:
         """Minute population (metadata-only on the worker's tiles)."""
         return self._request("count", minute, trusted_only)
 
     def _minute_area_vps(self, minute: int, area: Rect) -> list[ViewProfile]:
-        """The spatial index query AND the body decodes of the candidate
-        check run on the worker's GIL; only matches travel back."""
-        return decode_vp_batch(
-            self._request(
-                "in_area", minute, (area.x_min, area.y_min, area.x_max, area.y_max)
-            )
-        )
+        """The spatial index query and the candidate check run on the
+        worker's GIL; only the matches' stored spans travel back."""
+        return decode_vp_batch(self.query_encoded(QuerySpec(minute=minute, area=area)))
 
     def _minute_trusted_vps(self, minute: int) -> list[ViewProfile]:
-        return decode_vp_batch(self._request("trusted", minute))
+        return decode_vp_batch(self.query_encoded(QuerySpec(minute=minute, trusted_only=True)))
 
     def query_encoded(self, spec: QuerySpec) -> bytes:
         """Decode-free span query: the worker's frame crosses as-is.
@@ -400,13 +383,7 @@ class WorkerShard(VPStore):
         proxy hands the raw buffer straight to its caller (the sharded
         router, or the serving tier's wire reply).
         """
-        area = spec.area
-        return self._request(
-            "query_enc",
-            spec.minute,
-            None if area is None else (area.x_min, area.y_min, area.x_max, area.y_max),
-            spec.trusted_only,
-        )
+        return self._request("query_enc", spec)
 
     def _build_tiles(self, minute: int) -> MinuteTiles:
         """Fetch the worker's coverage tiles (one dict round-trip)."""

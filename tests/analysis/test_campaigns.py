@@ -27,7 +27,6 @@ def tiny_config(**overrides) -> CampaignGridConfig:
         campaigns=("clean", "faker"),
         backends=("memory",),
         retentions=("window",),
-        codecs=("frame",),
         n_vehicles=4,
         witnesses=1,
         # one VP per request keeps the honest request volume high enough
@@ -51,8 +50,6 @@ class TestConfigValidation:
             CampaignGridConfig(backends=("postgres",))
         with pytest.raises(ValidationError):
             CampaignGridConfig(retentions=("forever",))
-        with pytest.raises(ValidationError):
-            CampaignGridConfig(codecs=("protobuf",))
 
     def test_rejects_empty_axes_and_bad_timeline(self):
         with pytest.raises(ValidationError):
@@ -67,11 +64,9 @@ class TestConfigValidation:
     def test_rejects_unknown_cell_axes(self):
         cfg = tiny_config()
         with pytest.raises(ValidationError):
-            run_campaign_cell("ddos", "memory", "window", "frame", cfg)
+            run_campaign_cell("ddos", "memory", "window", cfg)
         with pytest.raises(ValidationError):
-            run_campaign_cell("clean", "memory", "forever", "frame", cfg)
-        with pytest.raises(ValidationError):
-            run_campaign_cell("clean", "memory", "window", "protobuf", cfg)
+            run_campaign_cell("clean", "memory", "forever", cfg)
 
 
 class TestRowShape:
@@ -87,7 +82,7 @@ class TestRowShape:
 
     def test_clean_cell_sanity(self):
         cfg = tiny_config()
-        row = run_campaign_cell("clean", "memory", "window", "frame", cfg)
+        row = run_campaign_cell("clean", "memory", "window", cfg)
         per_minute = cfg.n_vehicles + cfg.witnesses
         assert row.honest_uploaded == per_minute * cfg.minutes
         assert row.accepted == row.honest_uploaded
@@ -99,10 +94,8 @@ class TestRowShape:
 
     def test_kitchen_sink_combines_all_components(self):
         cfg = tiny_config()
-        control = run_campaign_cell("clean", "memory", "none", "frame", cfg)
-        row = run_campaign_cell(
-            "kitchen_sink", "memory", "none", "frame", cfg, control=control
-        )
+        control = run_campaign_cell("clean", "memory", "none", cfg)
+        row = run_campaign_cell("kitchen_sink", "memory", "none", cfg, control=control)
         expected = cfg.n_fakes + cfg.n_chain + cfg.n_dummies + cfg.n_saturated + 1
         assert row.attack_vps == expected
         assert row.attack_success_rate == 0.0
@@ -122,7 +115,7 @@ class TestRowShape:
 class TestInvariantChecks:
     def _clean_row(self) -> CampaignRow:
         cfg = tiny_config()
-        return run_campaign_cell("clean", "memory", "window", "frame", cfg)
+        return run_campaign_cell("clean", "memory", "window", cfg)
 
     def test_detects_solicited_fakes(self):
         row = dataclasses.replace(

@@ -33,22 +33,18 @@ from repro.store import STORE_KINDS
 @pytest.fixture(scope="module")
 def retention_grid():
     """Every campaign against every retention policy on one backend."""
-    cfg = CampaignGridConfig(backends=("memory",), codecs=("frame",))
+    cfg = CampaignGridConfig(backends=("memory",))
     return cfg, run_campaign_grid(cfg)
 
 
 @pytest.fixture(scope="module")
 def backend_rows():
     """The faker campaign against all four store backends."""
-    cfg = CampaignGridConfig(
-        backends=STORE_KINDS, retentions=("window",), codecs=("frame",)
-    )
+    cfg = CampaignGridConfig(backends=STORE_KINDS, retentions=("window",))
     rows = {}
     for backend in STORE_KINDS:
-        control = run_campaign_cell("clean", backend, "window", "frame", cfg)
-        rows[backend] = run_campaign_cell(
-            "faker", backend, "window", "frame", cfg, control=control
-        )
+        control = run_campaign_cell("clean", backend, "window", cfg)
+        rows[backend] = run_campaign_cell("faker", backend, "window", cfg, control=control)
     return rows
 
 
@@ -122,7 +118,6 @@ class TestGridDeterminism:
             campaigns=("clean", "faker"),
             backends=("memory",),
             retentions=("window",),
-            codecs=("frame",),
             n_vehicles=4,
             witnesses=1,
             batch_vps=1,

@@ -9,7 +9,7 @@ from repro.net.messages import (
     MAX_VP_BATCH,
     decode_message,
     encode_message,
-    pack_vp_batch,
+    pack_vp_batch_frame,
 )
 from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
@@ -70,7 +70,7 @@ class TestBatchUpload:
         payload = encode_message(
             "upload_vp_batch",
             session="s",
-            vps=pack_vp_batch([res_a.actual_vp, res_a.actual_vp]),
+            frame=pack_vp_batch_frame([res_a.actual_vp, res_a.actual_vp]),
         )
         reply = decode_message(server.handle(payload))
         assert reply["kind"] == "batch_ack"
@@ -79,7 +79,7 @@ class TestBatchUpload:
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(WireFormatError):
-            pack_vp_batch([None] * (MAX_VP_BATCH + 1))
+            pack_vp_batch_frame([None] * (MAX_VP_BATCH + 1))
 
 
 class TestDispatchHardening:

@@ -9,7 +9,7 @@ from repro.core.vehicle import VehicleAgent
 from repro.errors import NetworkError
 from repro.net.client import VehicleClient
 from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
-from repro.net.messages import decode_message, encode_message, pack_vp_batch
+from repro.net.messages import decode_message, encode_message, pack_vp_batch_frame
 from repro.net.onion import OnionNetwork
 from repro.store import ShardedStore
 from tests.conftest import run_linked_minute
@@ -172,9 +172,7 @@ class TestConcurrentViewMapServer:
         b = VehicleAgent(vehicle_id=6, seed=8)
         res_a, _ = run_linked_minute(a, b)
         vps = [res_a.actual_vp] + res_a.guard_vps
-        payload = encode_message(
-            "upload_vp_batch", session="s", vps=pack_vp_batch(vps)
-        )
+        payload = encode_message("upload_vp_batch", session="s", frame=pack_vp_batch_frame(vps))
         futures = [net.send_async("c", server.address, payload) for _ in range(8)]
         replies = [decode_message(f.result(timeout=10.0)) for f in futures]
         assert all(r["kind"] == "batch_ack" for r in replies)

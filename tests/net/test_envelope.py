@@ -1,12 +1,16 @@
 """The envelope on the untrusted boundary, and its counted size.
 
-Two things are pinned here, next to the unit table in
+Three things are pinned here, next to the unit table in
 ``tests/net/test_messages.py``:
 
 * every malformed envelope produces an ``error`` *reply* — never an
   exception, never a partial ingest — through each front door:
   ``ViewMapServer.handle``, ``ThreadedNetwork.send`` and a MSG record
   on a held ``StreamConnection`` (which must stay usable afterwards);
+* so does every well-formed envelope whose *fields* are missing or of
+  the wrong type, for each registered kind — no request can make a
+  handler raise, and a handler that raises anyway is answered in its
+  slot instead of stranding the connection;
 * envelope and onion overhead are constants, counted in bytes: a
   future re-inflation of the wire (hex, base64, per-hop padding) fails
   here deterministically instead of waiting for a benchmark run.
@@ -14,15 +18,25 @@ Two things are pinned here, next to the unit table in
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.core.system import ViewMapSystem
+from repro.geo.geometry import Rect
 from repro.net.concurrency import ThreadedNetwork
-from repro.net.messages import decode_message, encode_message, pack_vp_batch_frame
+from repro.net.messages import (
+    decode_message,
+    encode_message,
+    pack_view_profile,
+    pack_vp_batch_frame,
+)
 from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.streaming import StreamingNetwork
 from repro.net.transport import InMemoryNetwork
+from repro.obs.metrics import counter_value
+from repro.store.serving import QuerySpec
 from tests.net.test_messages import MALFORMED_ENVELOPES
 from tests.net.test_wire_frame import make_complete_vp
 
@@ -85,6 +99,119 @@ class TestMalformedEnvelopesGetErrorReplies:
                     "solicitations"
                 )
                 assert conn.upload_frame(pack_vp_batch_frame(vp_pool[:2]))["inserted"] == 2
+
+
+#: one fieldless and one mistyped request per kind that reads fields;
+#: each mistyped value is one the handler's own code would raise a
+#: non-Repro exception on (unhashable, not iterable, not an int)
+MALFORMED_REQUESTS = {
+    "upload_vp fieldless": ("upload_vp", {}),
+    "upload_vp vp is an int": ("upload_vp", {"vp": 3}),
+    "upload_vp_batch fieldless": ("upload_vp_batch", {}),
+    "upload_vp_batch frame is an int": ("upload_vp_batch", {"frame": 5}),
+    "query_view fieldless": ("query_view", {}),
+    "query_view minute overflows": ("query_view", {"minute": 1e400}),
+    "upload_video fieldless": ("upload_video", {}),
+    "upload_video ids are lists": ("upload_video", {"vp_id": [1], "chunks": [5]}),
+    "claim_reward fieldless": ("claim_reward", {}),
+    "claim_reward vp_id is a list": ("claim_reward", {"vp_id": [1], "secret": b"q"}),
+    "sign_blinded fieldless": ("sign_blinded", {}),
+    "sign_blinded blinded is not decimal": (
+        "sign_blinded",
+        {"vp_id": b"i" * 16, "secret": b"q" * 8, "blinded": ["zz"]},
+    ),
+}
+
+#: kinds that read nothing from the request, so have no malformed form
+FIELDLESS_KINDS = {"list_solicitations", "list_rewards", "public_key"}
+
+
+def nan_vp_block(vp) -> bytes:
+    """``vp``'s upload block with NaN locations in digests 2-60."""
+    block = bytearray(pack_view_profile(vp))
+    for j in range(1, 60):
+        struct.pack_into(">2f", block, j * 72 + 8, float("nan"), float("nan"))
+    return bytes(block)
+
+
+@pytest.fixture(scope="module")
+def malformed_requests(vp_pool):
+    table = {
+        case: encode_message(kind, session="s", **fields)
+        for case, (kind, fields) in MALFORMED_REQUESTS.items()
+    }
+    table["upload_vp with NaN locations"] = encode_message(
+        "upload_vp", session="s", vp=nan_vp_block(vp_pool[0])
+    )
+    return table
+
+
+class TestMalformedRequestsGetErrorReplies:
+    def test_table_covers_every_registered_kind(self):
+        with ViewMapSystem(key_bits=512, seed=3) as system:
+            server = ViewMapServer(system=system, network=InMemoryNetwork())
+            covered = {kind for kind, _ in MALFORMED_REQUESTS.values()}
+            assert covered | FIELDLESS_KINDS == set(server._handlers)
+
+    def test_through_server_handle(self, malformed_requests):
+        with ViewMapSystem(key_bits=512, seed=3) as system:
+            server = ViewMapServer(system=system, network=InMemoryNetwork())
+            for case, payload in malformed_requests.items():
+                assert_error_reply(server.handle(payload), case)
+            assert len(system.database) == 0, "partial ingest on a rejected request"
+
+    def test_through_threaded_network(self, malformed_requests):
+        with ViewMapSystem(key_bits=512, seed=3) as system:
+            with ThreadedNetwork(workers=2) as net:
+                server = ViewMapServer(system=system, network=net)
+                for case, payload in malformed_requests.items():
+                    assert_error_reply(net.send("vehicle", server.address, payload), case)
+                assert len(system.database) == 0
+
+    def test_through_stream_connection(self, malformed_requests):
+        with ViewMapSystem(key_bits=512, seed=3) as system:
+            with StreamingNetwork(workers=2) as net:
+                server = ViewMapServer(system=system, network=net)
+                conn = net.connect(server.address)
+                for case, payload in malformed_requests.items():
+                    assert_error_reply(conn.request_raw(payload, timeout=10.0), case)
+                    # the held connection survives each one, in order
+                    reply = conn.request("list_solicitations", timeout=10.0, session="s")
+                    assert reply["kind"] == "solicitations", case
+                assert len(system.database) == 0
+                assert counter_value(net.metrics.snapshot(), "stream.handler.crashed") == 0
+
+    def test_nan_vp_block_leaves_minute_and_id_usable(self, vp_pool):
+        # the block form has the frame form's finite rule: a refused
+        # NaN VP is not half-stored, does not break the minute's area
+        # queries, and does not lock the honest owner's id out
+        vp = vp_pool[0]
+        with ViewMapSystem(key_bits=512, seed=3) as system:
+            server = ViewMapServer(system=system, network=InMemoryNetwork())
+            poisoned = encode_message("upload_vp", session="s", vp=nan_vp_block(vp))
+            assert_error_reply(server.handle(poisoned), "NaN VP")
+            assert len(system.database) == 0
+            area = Rect(-1e6, -1e6, 1e6, 1e6)
+            assert system.database.query(QuerySpec(minute=vp.minute, area=area)).vps == []
+            honest = encode_message("upload_vp", session="s", vp=pack_view_profile(vp))
+            assert decode_message(server.handle(honest)) == {"kind": "ack", "accepted": True}
+            assert system.database.query(QuerySpec(minute=vp.minute, area=area)).n == 1
+
+    def test_crashing_handler_is_answered_in_its_slot(self):
+        # replies on a held connection are matched by position: a
+        # handler that raises must still fill its slot, or this request
+        # and every later one on the connection would time out
+        def flaky(payload: bytes) -> bytes:
+            if decode_message(payload)["kind"] == "boom":
+                raise RuntimeError("handler bug")
+            return encode_message("pong")
+
+        with StreamingNetwork(workers=2) as net:
+            net.register("flaky", flaky)
+            conn = net.connect("flaky")
+            assert conn.request("boom", timeout=10.0)["kind"] == "error"
+            assert conn.request("ping", timeout=10.0)["kind"] == "pong"
+            assert counter_value(net.metrics.snapshot(), "stream.handler.crashed") == 1
 
 
 class TestCountedOverhead:

@@ -62,6 +62,7 @@ MALFORMED_ENVELOPES = {
         b'{"kind":"x","v":' + b"[" * 50_000 + b"]" * 50_000 + b"}"
     ),
     "missing kind": envelope(b'{"session":"s"}'),
+    "kind not a string": envelope(b'{"kind":["upload_vp"],"session":"s"}'),
     "old hex-in-JSON form": b'{"kind": "x", "vp": {"hex": "00ff"}}',
     "marker length negative": envelope(b'{"kind":"x","v":{"$bytes":-1}}'),
     "marker length a string": envelope(b'{"kind":"x","v":{"$bytes":"4"}}', b"abcd"),

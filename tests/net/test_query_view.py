@@ -1,11 +1,12 @@
 """Tests for the ``query_view`` wire message: decode-free span serving.
 
 The read half of the zero-decode wire: the server replies with one
-codec batch frame (stored spans when ``encoded=true``), and the client
-decodes.  Both arms must return the exact VPs the store holds, and the
-encoded arm's frame must be byte-identical to re-encoding the decoded
-selection — the acceptance criterion the backend parity suite asserts
-store-side, checked here end-to-end over the protocol.
+codec batch frame of stored spans, and the client decodes.  The reply
+must carry the exact VPs ``database.query(spec).vps`` holds, its frame
+must be byte-identical to re-encoding that decoded selection — the
+acceptance criterion the backend parity suite asserts store-side,
+checked here end-to-end over the protocol — and nothing a request says
+(an ``encoded`` field included) selects another shape.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.store.codec import encode_vp_batch
+from repro.store.serving import QuerySpec
 from tests.conftest import run_linked_minute
 from tests.store.conftest import fingerprints
 
@@ -33,7 +35,7 @@ def serving_stack():
     a = VehicleAgent(vehicle_id=1, seed=2)
     b = VehicleAgent(vehicle_id=2, seed=3)
     res_a, _ = run_linked_minute(a, b)
-    client = VehicleClient(agent=a, onion=onion, wire_codec="frame")
+    client = VehicleClient(agent=a, onion=onion)
     client.queue_minute_output(res_a.actual_vp, res_a.guard_vps)
     client.upload_pending_batch()
     return net, onion, system, server, client
@@ -42,28 +44,34 @@ def serving_stack():
 class TestQueryView:
     def test_encoded_reply_matches_store(self, serving_stack):
         net, onion, system, server, client = serving_stack
-        stored = system.database.by_minute(0)
+        stored = system.database.query(QuerySpec(minute=0)).vps
+        assert stored
         assert fingerprints(client.query_view(0)) == fingerprints(stored)
 
-    def test_decoded_arm_agrees_with_encoded(self, serving_stack):
+    def test_encoded_field_is_ignored(self, serving_stack):
+        # a request saying encoded=false (or anything else) gets the
+        # byte-identical stored-span frame: the client picks no shape
         net, onion, system, server, client = serving_stack
-        encoded = client.query_view(0, encoded=True)
-        decoded = client.query_view(0, encoded=False)
-        assert fingerprints(encoded) == fingerprints(decoded)
+        replies = [
+            server.handle(encode_message("query_view", session="s", minute=0, **extra))
+            for extra in ({}, {"encoded": True}, {"encoded": False}, {"encoded": "no"})
+        ]
+        assert decode_message(replies[0])["kind"] == "view"
+        assert all(reply == replies[0] for reply in replies)
 
-    def test_encoded_frame_is_byte_identical_to_reencoding(self, serving_stack):
+    def test_frame_is_byte_identical_to_reencoding(self, serving_stack):
         net, onion, system, server, client = serving_stack
-        payload = encode_message("query_view", session="s", minute=0, encoded=True)
+        payload = encode_message("query_view", session="s", minute=0)
         reply = decode_message(server.handle(payload))
         assert reply["kind"] == "view"
-        stored = system.database.by_minute(0)
+        stored = system.database.query(QuerySpec(minute=0)).vps
         assert reply["frame"] == encode_vp_batch(stored)
         assert reply["n"] == len(stored)
 
     def test_area_scoped_query(self, serving_stack):
         net, onion, system, server, client = serving_stack
-        stored = system.database.by_minute(0)
         everywhere = Rect(-1e6, -1e6, 1e6, 1e6)
+        stored = system.database.query(QuerySpec(minute=0, area=everywhere)).vps
         assert fingerprints(client.query_view(0, area=everywhere)) == fingerprints(
             stored
         )
@@ -101,6 +109,9 @@ class TestQueryViewHardening:
             {},  # missing minute
             {"minute": "soon"},
             {"minute": -3},
+            {"minute": True},
+            {"minute": 1e400},  # parses as inf
+            {"minute": 2**32},  # past the codec's minute field (and SQLite's ints at 2**63)
             {"minute": 0, "area": [1.0, 2.0, 3.0]},
             {"minute": 0, "area": [1.0, 2.0, 3.0, float("nan")]},
             {"minute": 0, "area": [5.0, 0.0, 1.0, 1.0]},  # inverted box

@@ -14,7 +14,7 @@ from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point
 from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
-from repro.net.messages import decode_message, encode_message, pack_vp_batch
+from repro.net.messages import decode_message, encode_message, pack_vp_batch_frame
 from repro.net.server import MAX_WATERMARK_STEP, ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.store import RetentionPolicy
@@ -30,7 +30,7 @@ def make_wire_vp(seed: int, minute: int, x0: float = 0.0) -> ViewProfile:
 
 
 def batch_payload(vps: list[ViewProfile], session: str = "s") -> bytes:
-    return encode_message("upload_vp_batch", session=session, vps=pack_vp_batch(vps))
+    return encode_message("upload_vp_batch", session=session, frame=pack_vp_batch_frame(vps))
 
 
 class TestSystemRetention:

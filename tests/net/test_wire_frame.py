@@ -1,17 +1,18 @@
 """Zero-decode ``upload_vp_batch`` frame path: parity and rejection.
 
-Two properties pin the fast path:
+Two properties pin the one batch encoding:
 
-* **parity** — a batch uploaded through the frame codec and the same
-  batch uploaded through the legacy block list leave byte-identical
-  store contents (ids, minutes, trusted flags, encoded bodies, and
-  per-minute order) on every backend: memory, sqlite (group commit on),
-  sharded and procs.  The fast path must be a pure transport
-  optimization, invisible to investigation reads.
+* **parity** — a batch uploaded as a frame and the same VPs handed to
+  ``ViewMapSystem.ingest_vps`` as objects leave byte-identical store
+  contents (ids, minutes, trusted flags, encoded bodies, and per-minute
+  order) and report the same acks on every backend: memory, sqlite
+  (group commit on), sharded and procs.  The wire is a pure transport,
+  invisible to investigation reads.
 * **rejection** — a malformed frame (truncated buffer, record count
   that disagrees with the bytes present, wrong body size, trusted
-  claim, oversized batch) is refused with a clean ``ValidationError``
-  before a single record is ingested: no partial batches, ever.
+  claim, oversized batch), a request with no frame, and the retired
+  ``vps`` block list are each refused with a clean error before a
+  single record is ingested: no partial batches, ever.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.net.messages import (
     MAX_VP_BATCH,
     decode_message,
     encode_message,
-    pack_vp_batch,
+    pack_view_profile,
     pack_vp_batch_frame,
     unpack_vp_batch_frame,
 )
@@ -85,23 +86,31 @@ def store_contents(system: ViewMapSystem) -> dict:
     return contents
 
 
-def upload_compositions(system: ViewMapSystem, pool, compositions, codec: str) -> list:
-    """Drive one server through a sequence of batch uploads; return replies."""
+def upload_compositions(system: ViewMapSystem, pool, compositions) -> list:
+    """Drive one server through a sequence of frame uploads; return acks."""
     net = InMemoryNetwork()
     server = ViewMapServer(system=system, network=net)
-    replies = []
+    acks = []
     for composition in compositions:
         batch = [pool[i] for i in composition]
-        if codec == "frame":
-            payload = encode_message(
-                "upload_vp_batch", session="s", frame=pack_vp_batch_frame(batch)
-            )
-        else:
-            payload = encode_message(
-                "upload_vp_batch", session="s", vps=pack_vp_batch(batch)
-            )
-        replies.append(decode_message(server.handle(payload)))
-    return replies
+        payload = encode_message("upload_vp_batch", session="s", frame=pack_vp_batch_frame(batch))
+        reply = decode_message(server.handle(payload))
+        acks.append((reply["accepted"], reply["inserted"]))
+    return acks
+
+
+def ingest_compositions(system: ViewMapSystem, pool, compositions) -> list:
+    """The same batches as objects through ``ingest_vps``; the acks it implies."""
+    acks = []
+    for composition in compositions:
+        batch = [pool[i] for i in composition]
+        seen = system.database.existing_ids([vp.vp_id for vp in batch])
+        accepted = []
+        for vp in batch:
+            accepted.append(vp.vp_id not in seen)
+            seen.add(vp.vp_id)
+        acks.append((accepted, system.ingest_vps(batch)))
+    return acks
 
 
 #: several batches per example so cross-request duplicates are exercised
@@ -113,15 +122,13 @@ compositions_strategy = st.lists(
 
 
 def assert_wire_parity(backend: str, pool, compositions) -> None:
-    with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as legacy:
-        with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as fast:
-            legacy_replies = upload_compositions(legacy, pool, compositions, "blocks")
-            fast_replies = upload_compositions(fast, pool, compositions, "frame")
-            # the two paths agree on every ack AND on the stored bytes
-            for a, b in zip(legacy_replies, fast_replies):
-                assert a["accepted"] == b["accepted"]
-                assert a["inserted"] == b["inserted"]
-            assert store_contents(legacy) == store_contents(fast)
+    with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as twin:
+        with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as wire:
+            # the two entry points agree on every ack AND on the stored bytes
+            assert ingest_compositions(twin, pool, compositions) == upload_compositions(
+                wire, pool, compositions
+            )
+            assert store_contents(twin) == store_contents(wire)
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite", "sharded"])
@@ -135,6 +142,24 @@ def test_frame_and_legacy_paths_store_identical_bytes(backend, vp_pool, composit
 @settings(max_examples=5, deadline=None)
 def test_frame_parity_on_process_workers(vp_pool, compositions):
     assert_wire_parity("procs", vp_pool, compositions)
+
+
+def test_frame_upload_builds_no_vp_on_the_authority(vp_pool, monkeypatch):
+    # zero-decode, exactly: into a store that keeps bytes, validation,
+    # the duplicate probe and the insert never construct a ViewProfile
+    built: list[int] = []
+    real_from_wire = ViewProfile.from_wire.__func__
+    monkeypatch.setattr(
+        ViewProfile,
+        "from_wire",
+        classmethod(lambda cls, *a, **kw: built.append(1) or real_from_wire(cls, *a, **kw)),
+    )
+    with ViewMapSystem(key_bits=512, seed=3, store=make_backend("sqlite")) as system:
+        acks = upload_compositions(system, vp_pool, [range(POOL_SIZE), [0, 1]])
+        assert [inserted for _, inserted in acks] == [POOL_SIZE, 0]
+        assert built == []
+        # the probe is live: reading the VPs back builds each of them
+        assert len(system.database.by_minute(vp_pool[0].minute)) == len(built) > 0
 
 
 class TestMalformedFrames:
@@ -155,6 +180,20 @@ class TestMalformedFrames:
         assert reply["kind"] == "error"
         assert len(system.database) == before, "partial ingest on a rejected frame"
         return reply["reason"]
+
+    def test_frameless_and_block_list_requests_rejected(self, stack, vp_pool):
+        # the batch has one encoding: no frame, a frame of the wrong
+        # type, or the retired ``vps`` block list (alone or beside a
+        # good frame) is an error reply with nothing stored
+        system, server = stack
+        blocks = [pack_view_profile(vp) for vp in vp_pool[:2]]
+        frame = pack_vp_batch_frame(vp_pool[:2])
+        for fields in ({}, {"frame": 5}, {"vps": blocks}, {"vps": blocks, "frame": frame}):
+            reply = decode_message(
+                server.handle(encode_message("upload_vp_batch", session="s", **fields))
+            )
+            assert reply["kind"] == "error", fields
+            assert len(system.database) == 0, fields
 
     def test_truncated_buffer(self, stack, vp_pool):
         system, server = stack
@@ -270,8 +309,8 @@ class TestMalformedFrames:
         self.reject(system, server, bytes(frame))
 
     def test_nonstandard_bloom_k_rejected(self, stack, vp_pool):
-        # the legacy path pins k=8 (BloomFilter.from_bytes default); a
-        # frame declaring a smaller k would inflate false linkage, so
+        # the single-VP block pins k=8 (BloomFilter.from_bytes default);
+        # a frame declaring a smaller k would inflate false linkage, so
         # the wire form must refuse any other hash count
         system, server = stack
         frame = bytearray(pack_vp_batch_frame([vp_pool[0]]))
@@ -345,7 +384,7 @@ class TestFrameClient:
         a = VehicleAgent(vehicle_id=1, seed=2)
         b = VehicleAgent(vehicle_id=2, seed=3)
         res_a, _ = run_linked_minute(a, b)
-        client = VehicleClient(agent=a, onion=onion, wire_codec="frame")
+        client = VehicleClient(agent=a, onion=onion)
         client.queue_minute_output(res_a.actual_vp, res_a.guard_vps)
         staged = len(client.pending_vps)
         assert client.upload_pending_batch() == staged
@@ -360,5 +399,7 @@ class TestFrameClient:
         net = InMemoryNetwork()
         onion = OnionNetwork(network=net, n_relays=4, hops=2, seed=5)
         agent = VehicleAgent(vehicle_id=1, seed=2)
-        with pytest.raises(NetworkError):
-            VehicleClient(agent=agent, onion=onion, wire_codec="msgpack")
+        assert VehicleClient(agent=agent, onion=onion, wire_codec="frame")
+        for codec in ("blocks", "msgpack"):
+            with pytest.raises(NetworkError):
+                VehicleClient(agent=agent, onion=onion, wire_codec=codec)
