@@ -40,6 +40,7 @@ from repro.store import (
 )
 from repro.store.base import VPStore
 from repro.store.codec import encode_vp
+from repro.store.serving import QuerySpec
 
 from benchmarks.conftest import bench_runs, fmt_row
 
@@ -107,7 +108,7 @@ def test_bounded_footprint_long_run(show, tmp_path):
     ref_path = str(tmp_path / "window-only.sqlite")
     with SQLiteStore(ref_path) as ref:
         for minute in range(minutes - WINDOW_MINUTES, minutes):
-            ref.insert_many([store_vp for store_vp in stores[0].by_minute(minute)])
+            ref.insert_many(stores[0].query(QuerySpec(minute=minute)).vps)
         ref.compact(min_reclaim_bytes=1)
         window_bytes = ref.file_bytes()
 
@@ -243,8 +244,8 @@ def test_hot_minute_cell_sharding_throughput(show):
     for batch in batches:
         store.insert_many(batch)
     area = Rect(2_000.0, 2_000.0, 6_000.0, 6_000.0)
-    assert [vp.vp_id for vp in store.by_minute_in_area(0, area)] == [
-        vp.vp_id for vp in ref.by_minute_in_area(0, area)
+    assert [vp.vp_id for vp in store.query(QuerySpec(minute=0, area=area)).vps] == [
+        vp.vp_id for vp in ref.query(QuerySpec(minute=0, area=area)).vps
     ]
     store.close()
 

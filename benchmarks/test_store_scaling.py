@@ -23,6 +23,7 @@ from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point, Rect
 from repro.store import MemoryStore, SQLiteStore
 from repro.store.base import vp_claims_in_area
+from repro.store.serving import QuerySpec
 
 from benchmarks.conftest import bench_runs, fmt_row
 
@@ -90,8 +91,9 @@ def test_store_scaling(show, tmp_path):
         sqlite.insert_many(corpus)
 
         t_lin, expected = timed(lambda: [linear_scan(corpus, a) for a in areas])
-        t_grid, via_grid = timed(lambda: [memory.by_minute_in_area(0, a) for a in areas])
-        t_sql, via_sql = timed(lambda: [sqlite.by_minute_in_area(0, a) for a in areas])
+        specs = [QuerySpec(minute=0, area=a) for a in areas]
+        t_grid, via_grid = timed(lambda: [memory.query(spec).vps for spec in specs])
+        t_sql, via_sql = timed(lambda: [sqlite.query(spec).vps for spec in specs])
         sqlite.close()
 
         # identical results, insertion order included
@@ -125,12 +127,12 @@ def test_sqlite_round_trip(show, tmp_path):
     assert n == len(corpus)
     before = [
         (vp.vp_id, [vd.pack() for vd in vp.digests])
-        for vp in store.by_minute_in_area(0, area)
+        for vp in store.query(QuerySpec(minute=0, area=area)).vps
     ]
     store.close()
 
     reopened = SQLiteStore(path)
-    t_q, after_vps = timed(lambda: reopened.by_minute_in_area(0, area))
+    t_q, after_vps = timed(lambda: reopened.query(QuerySpec(minute=0, area=area)).vps)
     after = [(vp.vp_id, [vd.pack() for vd in vp.digests]) for vp in after_vps]
     assert len(reopened) == len(corpus)
     assert after == before  # identical VPs across restart
@@ -150,5 +152,5 @@ def test_benchmark_grid_area_queries(benchmark):
     memory = MemoryStore()
     memory.insert_many(corpus)
     areas = query_areas()
-    results = benchmark(lambda: [memory.by_minute_in_area(0, a) for a in areas])
+    results = benchmark(lambda: [memory.query(QuerySpec(minute=0, area=a)).vps for a in areas])
     assert sum(len(r) for r in results) > 0

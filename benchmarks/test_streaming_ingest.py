@@ -32,6 +32,7 @@ from repro.net.streaming import StreamingNetwork
 from repro.obs.metrics import counter_value
 from repro.sim.stream import iter_minute_frames
 from repro.store.codec import iter_encoded_meta, span_copy_count
+from repro.store.serving import QuerySpec
 
 from benchmarks.conftest import fmt_row
 
@@ -70,7 +71,7 @@ def stored_population(system: ViewMapSystem) -> set[bytes]:
     return {
         vp.vp_id
         for minute in system.database.minutes()
-        for vp in system.database.by_minute(minute)
+        for vp in system.database.query(QuerySpec(minute=minute)).vps
     }
 
 

@@ -77,6 +77,7 @@ from repro.net.server import MAX_WATERMARK_STEP
 from repro.obs.metrics import Histogram, counter_value
 from repro.sim.stream import stream_convoy_vps, stream_vp
 from repro.store import STORE_KINDS, RetentionPolicy, make_store, survey_overloaded
+from repro.store.serving import QuerySpec
 from repro.util.rng import derive_seed
 
 #: the campaigns a grid can run; ``clean`` is the no-attack control
@@ -402,7 +403,7 @@ def _monitor_sweep(
             signals.add("far_future_minute")
         elif any(
             all_ones_attack_detected(vp)
-            for vp in database.by_minute(stored_minute)
+            for vp in database.query(QuerySpec(minute=stored_minute)).vps
         ):
             signals.add("bloom_saturation")
     return signals
@@ -423,13 +424,15 @@ def _investigate_site(
     """
     minute = cfg.attack_minute
     trusted = sorted(
-        system.database.trusted_by_minute(minute), key=lambda vp: vp.vp_id
+        system.database.query(QuerySpec(minute=minute, trusted_only=True)).vps,
+        key=lambda vp: vp.vp_id,
     )
     if not trusted:
         return [], set()
     area = coverage_area(cfg.site, trusted)
     candidates = sorted(
-        system.database.by_minute_in_area(minute, area), key=lambda vp: vp.vp_id
+        system.database.query(QuerySpec(minute=minute, area=area)).vps,
+        key=lambda vp: vp.vp_id,
     )
     vmap = build_viewmap(candidates, minute, area=area)
     verification = verify_viewmap(vmap, cfg.site, cfg.site_radius_m)

@@ -17,7 +17,7 @@ from repro.mobility.scenarios import city_scenario
 from repro.radio.channel import DsrcChannel
 from repro.sim.contacts import mean_contact_time
 from repro.sim.runner import run_viewmap_simulation
-from repro.store import RetentionPolicy, VPStore, make_store
+from repro.store import QuerySpec, RetentionPolicy, VPStore, make_store
 from repro.util.rng import derive_seed
 
 
@@ -79,7 +79,7 @@ def city_viewmap_stats(
         store = make_store(store)
     database = VPDatabase(store=store) if store is not None else VPDatabase()
     result.ingest_concurrently(database, workers=workers, retention=retention)
-    vmap = build_viewmap(database.by_minute(0), minute=0)
+    vmap = build_viewmap(database.query(QuerySpec(minute=0)).vps, minute=0)
     stats = vmap.degree_stats()
     n_counts = list(result.neighbor_counts[0].values())
     mean_neighbors = sum(n_counts) / max(len(n_counts), 1)

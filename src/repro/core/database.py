@@ -9,9 +9,9 @@ over a pluggable :class:`~repro.store.base.VPStore` backend (spatially
 indexed in-memory by default; SQLite for persistence; sharded for
 scale-out).  Reads go through ONE entry point —
 :meth:`VPDatabase.query` with a :class:`~repro.store.serving.QuerySpec`
-— and the historical per-shape methods (``by_minute``,
-``nearest_trusted``, …) are the store contract's thin wrappers over it,
-inherited here by plain delegation.
+(minute, area, trusted, k-nearest, count, encoded) — plus
+:meth:`VPDatabase.query_encoded` for a caller that wants the frame
+bytes alone; there is no per-shape read method to pick between.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.viewprofile import ViewProfile
-from repro.geo.geometry import Point, Rect
 from repro.store.base import StoreStats, VPStore
 from repro.store.memory import MemoryStore
 from repro.store.serving import MinuteTiles, QueryResult, QuerySpec
@@ -91,26 +90,6 @@ class VPDatabase:
     def coverage_tiles(self, minute: int) -> MinuteTiles:
         """Per-cell coverage/confidence tiles of one minute."""
         return self.store.coverage_tiles(minute)
-
-    # historical per-shape reads — pure sugar over ``query`` so callers
-    # migrating gradually keep working; no backend logic lives here
-    def by_minute(self, minute: int) -> list[ViewProfile]:
-        """All VPs covering one minute."""
-        return self.query(QuerySpec(minute=minute)).vps
-
-    def by_minute_in_area(self, minute: int, area: Rect) -> list[ViewProfile]:
-        """VPs of a minute claiming any location inside ``area``."""
-        return self.query(QuerySpec(minute=minute, area=area)).vps
-
-    def trusted_by_minute(self, minute: int) -> list[ViewProfile]:
-        """Trusted VPs of one minute."""
-        return self.query(QuerySpec(minute=minute, trusted_only=True)).vps
-
-    def nearest_trusted(self, minute: int, site: Point, k: int = 1) -> list[ViewProfile]:
-        """The k trusted VPs of a minute closest to the investigation site."""
-        return self.query(
-            QuerySpec(minute=minute, trusted_only=True, nearest=site, k=k)
-        ).vps
 
     def evict_before(self, minute: int, keep_trusted: bool = False) -> int:
         """Retire every VP below the retention cutoff; returns the count.

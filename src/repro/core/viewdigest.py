@@ -16,6 +16,7 @@ receiver can re-derive hash inputs exactly from the wire bytes.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -68,6 +69,12 @@ PACKED_FIELD = {
 }
 
 
+#: per-axis bound on the positions of one VP, in metres: a minute of
+#: driving covers well under 10 km, and the spatial indexes walk every
+#: cell of a VP's bounding box
+MAX_VP_EXTENT_M = 10_000.0
+
+
 def packed_columns(block: bytes | memoryview) -> np.ndarray:
     """A block of packed digests as one record per digest (a view, no copy)."""
     return np.frombuffer(block, dtype=PACKED_DIGEST_DTYPE)
@@ -85,14 +92,23 @@ def packed_block_defect(fields: np.ndarray) -> str | None:
     seconds = fields["second_index"]
     if not 1 <= seconds.min() <= seconds.max() <= VIDEO_UNIT_SECONDS:
         return f"second index must be 1..{VIDEO_UNIT_SECONDS}"
-    if (fields["vp_id"] != fields["vp_id"][0]).any():
+    vp_ids = fields["vp_id"]
+    if vp_ids.tobytes() != vp_ids[0].tobytes() * len(fields):
         return "all digests in a VP must share one R value"
     if (seconds[1:] <= seconds[:-1]).any():
         return "VP digests must have increasing second indices"
-    if not (np.isfinite(fields["t"]).all() and np.isfinite(fields["location"]).all()):
+    location = fields["location"]
+    (x_min, y_min), (x_max, y_max) = location.min(axis=0).tolist(), location.max(axis=0).tolist()
+    width, height = x_max - x_min, y_max - y_min
+    if not (np.isfinite(fields["t"]).all() and math.isfinite(width + height)):
         # NaN/Inf would sail through min/max into the spatial index and
-        # time arrays — poison, not data
+        # time arrays — poison, not data (either reaches a box corner,
+        # and no finite extent has one)
         return "VP digests carry non-finite time/location"
+    if width > MAX_VP_EXTENT_M or height > MAX_VP_EXTENT_M:
+        # the tile and grid indexes enumerate every cell of a VP's
+        # bounding box under the store's write lock
+        return f"VP positions span more than {MAX_VP_EXTENT_M:.0f} m along one axis"
     return None
 
 

@@ -24,8 +24,8 @@ contract):
 
 Every backend is thread-safe behind the concurrent authority front-end
 (:mod:`repro.net.concurrency`): memory serializes on one re-entrant
-lock, SQLite pairs per-thread connections with a single-writer lock and
-an LRU decode cache, and sharded fleets fan batch inserts out to their
+lock, SQLite pairs per-thread connections with a single-writer lock,
+and sharded fleets fan batch inserts out to their
 (thread-safe) shards concurrently.  Sharded fleets optionally route by
 ``(minute, spatial cell)`` composite keys (``shard_cells``) so a single
 hot minute fans out across shards.
@@ -34,7 +34,10 @@ Reads go through ONE entry point — ``VPStore.query`` with a
 :class:`~repro.store.serving.QuerySpec` — backed by the serving tier
 (:mod:`repro.store.serving`): incrementally-maintained per-cell coverage
 tiles answer count queries and prune area queries without touching rows,
-and ``query_encoded`` serves decode-free span replies for the wire.
+and ``query_encoded`` serves decode-free span replies for the wire.  Each
+backend implements one selection primitive (``query_encoded`` where it
+holds bytes, ``_select`` where it holds objects); the other form is
+derived from it once, in :mod:`repro.store.base`.
 
 Retention lives in :mod:`repro.store.lifecycle`: a
 :class:`RetentionPolicy` plus the ``evict_before``/``compact`` contract
@@ -65,7 +68,7 @@ from repro.store.serving import (
     TileCache,
 )
 from repro.store.sharded import DEFAULT_ROUTE_CELL_M, ShardedStore
-from repro.store.sqlite import DEFAULT_DECODE_CACHE, SQLiteStore
+from repro.store.sqlite import SQLiteStore
 from repro.store.workers import (
     DEFAULT_WORKER_GROUP_ROWS,
     ProcessShardedStore,
@@ -81,7 +84,6 @@ def make_store(
     path: str = "",
     n_shards: int = 4,
     cell_m: float = DEFAULT_CELL_M,
-    decode_cache: int = DEFAULT_DECODE_CACHE,
     shard_cells: int = 1,
     route_cell_m: float = DEFAULT_ROUTE_CELL_M,
     ingest_workers: int = 4,
@@ -96,8 +98,7 @@ def make_store(
     database) and to ``procs``, where it becomes the per-worker
     database prefix (``{path}.worker{i}.sqlite``; empty keeps the
     workers in memory); ``n_shards``/``cell_m`` tune sharded/memory
-    backends and ``decode_cache`` bounds the SQLite blob-decode LRU
-    (0 disables).  ``shard_cells`` > 1 switches the sharded backends to
+    backends.  ``shard_cells`` > 1 switches the sharded backends to
     composite ``(minute, spatial cell)`` routing with
     ``route_cell_m``-sized cells, spreading hot minutes across shards.
     ``ingest_workers`` sizes the ``procs`` worker-process fleet;
@@ -128,7 +129,6 @@ def make_store(
     if kind == "sqlite":
         return SQLiteStore(
             path or ":memory:",
-            decode_cache=decode_cache,
             group_commit_rows=group_commit_rows or 0,
             group_commit_target_s=group_commit_target_s,
         )
@@ -162,7 +162,6 @@ def make_store(
 
 __all__ = [
     "DEFAULT_CELL_M",
-    "DEFAULT_DECODE_CACHE",
     "DEFAULT_ROUTE_CELL_M",
     "DEFAULT_TILE_MINUTES",
     "GroupCommitController",

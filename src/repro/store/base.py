@@ -15,11 +15,15 @@ Backends must agree exactly on semantics so they are interchangeable:
   defined once, here, on top of it;
 * every read goes through one entry point — ``query(QuerySpec)``
   (:mod:`repro.store.serving`) — whose axes compose minute, area,
-  trusted, k-nearest, count and encoded selection.  The historical
-  methods (``by_minute``, ``by_minute_in_area``, ``trusted_by_minute``,
-  ``nearest_trusted``, ``count_by_minute``) are thin wrappers building
-  specs; backends implement the protected ``_minute_*`` primitives
-  instead of overriding the wrappers;
+  trusted, k-nearest, count and encoded selection.  Underneath it each
+  backend implements exactly ONE selection primitive, in the form it
+  stores: a backend that holds bytes (SQLite, the worker proxy, the
+  sharded routers) implements ``query_encoded(spec)`` and its decoded
+  reads are ``decode_vp_batch(query_encoded(spec))`` — fresh
+  wire-backed VPs per call; the memory backend, which holds objects by
+  reference, implements ``_select(spec)`` and its encoded reads are
+  ``encode_vp_batch(_select(spec))``.  No backend overrides both, so a
+  decoded and an encoded read of one spec can never disagree;
 * minute-scoped selections return VPs in insertion order;
 * an area axis selects a VP iff any of its claimed positions lies
   inside the (closed) query rectangle — identical to a full linear
@@ -27,7 +31,8 @@ Backends must agree exactly on semantics so they are interchangeable:
   coverage-tile cache short-circuits minutes that cannot match);
 * ``query_encoded`` returns the *stored frame representation* of a
   selection (:mod:`repro.store.codec` batch buffer), byte-identical
-  across backends for the same insertion history;
+  across backends for the same insertion history; an area ``count``
+  is that frame's count header, a whole-minute one the tile totals;
 * ``evict_before`` removes every VP of a minute strictly below the
   cutoff (the retention watermark of :mod:`repro.store.lifecycle`) and
   returns how many were dropped; with ``keep_trusted=True`` trusted VPs
@@ -48,22 +53,19 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
 from repro.core.viewprofile import ViewProfile
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import stage_timer
-from repro.store.codec import Batch, encode_vp_batch
-from repro.store.serving import (
-    MinuteTiles,
-    QueryResult,
-    QuerySpec,
-    TileCache,
-    build_minute_tiles,
-)
+from repro.store.codec import Batch, decode_vp_batch, encode_vp_batch
+from repro.store.serving import MinuteTiles, QueryResult, QuerySpec, TileCache
 from repro.util.encoding import unpack_uint
+
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class StoreStats:
@@ -72,7 +74,7 @@ class StoreStats:
     ``backend`` is the reporting store's ``kind``; ``vps``/``trusted``/
     ``minutes`` count stored VPs, trusted VPs and distinct minute
     indices.  ``detail`` carries backend-specific gauges: grid occupancy
-    for memory, connection/decode-cache counters for SQLite, per-shard
+    for memory, connection/group-commit counters for SQLite, per-shard
     breakdowns for sharded fleets.
     """
 
@@ -159,17 +161,14 @@ class VPStore(ABC):
         """
         return {vp_id for vp_id in vp_ids if vp_id in self}
 
+    @abstractmethod
     def iter_id_minutes(self) -> Iterable[tuple[bytes, int]]:
-        """(vp_id, minute) pairs of every stored VP.
+        """(vp_id, minute) pairs of every stored VP — no body is decoded.
 
         A metadata-only scan used to seed routing/duplicate indexes
         (e.g. a :class:`~repro.store.sharded.ShardedStore` wrapping
-        pre-populated persistent shards).  Backends override this to
-        avoid decoding VP bodies.
+        pre-populated persistent shards).
         """
-        for minute in self.minutes():
-            for vp in self.by_minute(minute):
-                yield vp.vp_id, minute
 
     # -- point reads -------------------------------------------------------
 
@@ -226,44 +225,36 @@ class VPStore(ABC):
         """Stored-frame form of a selection — the decode-free read op.
 
         Returns a :func:`repro.store.codec.encode_vp_batch` buffer of
-        the VPs the decoded selection would yield, byte-identical to
-        re-encoding them (bodies are content-deterministic and the
-        metadata head derives from the same values).  This default
-        encodes the decoded selection — correct for every backend,
-        cheap for the memory store (each VP holds its digest block), while
-        SQLite serves stored rows pass-through and sharded fleets
-        stitch owner-shard frames without decoding a body.
+        the VPs the decoded selection would yield (minute, area and
+        trusted axes), byte-identical to re-encoding them: bodies are
+        content-deterministic and the metadata head derives from the
+        same values.  A backend that stores bytes overrides this —
+        SQLite frames stored rows pass-through, sharded fleets stitch
+        owner-shard frames without decoding a body — and leaves
+        :meth:`_select` alone; this default is the memory store's,
+        whose VPs each hold their digest block.
         """
         return encode_vp_batch(self._select(spec))
 
     def _select(self, spec: QuerySpec) -> list[ViewProfile]:
-        """Decoded selection (minute/area/trusted axes) over primitives."""
-        if spec.trusted_only:
-            vps = self._minute_trusted_vps(spec.minute)
-            if spec.area is not None:
-                area = spec.area
-                vps = [vp for vp in vps if vp_claims_in_area(vp, area)]
-            return vps
-        if spec.area is not None:
-            if not self._tiles_allow(spec.minute, spec.area):
-                return []
-            return self._minute_area_vps(spec.minute, spec.area)
-        return self._minute_vps(spec.minute)
+        """Decoded selection (minute, area and trusted axes).
+
+        The other half of the pair: a backend overrides this or
+        :meth:`query_encoded`, never both.  This default decodes the
+        frame, so every byte-holding backend hands out fresh
+        wire-backed VPs per call (about 6 kB each, no digest unpacked).
+        """
+        return decode_vp_batch(self.query_encoded(spec))
 
     def _count_query(self, spec: QuerySpec) -> int:
-        """Count axis: exact cardinality, served from tiles when whole
-        -minute (tile totals are exact counts, not per-cell sums)."""
+        """Count axis: the minute's exact tile totals (not per-cell
+        sums), or with an area the selection frame's count header."""
         if spec.area is not None:
-            return len(self._select(spec))
-        if self.tiles is not None:
-            counts = self.tiles.counts(spec.minute)
-            if counts is None:
-                token = self.tiles.begin(spec.minute)
-                entry = self._build_tiles(spec.minute)
-                counts = (entry.n_vps, entry.n_trusted)
-                self.tiles.store(spec.minute, entry, token)
-            return counts[1] if spec.trusted_only else counts[0]
-        return self._minute_count(spec.minute, spec.trusted_only)
+            return unpack_uint(self.query_encoded(spec)[1:5])
+        counts = self.tiles.counts(spec.minute) if self.tiles is not None else None
+        if counts is None:
+            counts = self._scan_tiles(spec.minute, lambda t: (t.n_vps, t.n_trusted))
+        return counts[1] if spec.trusted_only else counts[0]
 
     def _tiles_allow(self, minute: int, area: Rect) -> bool:
         """Tile prune: may any VP of the minute claim inside ``area``?"""
@@ -271,95 +262,46 @@ class VPStore(ABC):
             return True
         verdict = self.tiles.overlaps(minute, area)
         if verdict is None:
-            token = self.tiles.begin(minute)
-            entry = self._build_tiles(minute)
-            verdict = entry.overlaps(area)
-            self.tiles.store(minute, entry, token)
+            verdict = self._scan_tiles(minute, lambda t: t.overlaps(area))
         return verdict
 
     def coverage_tiles(self, minute: int) -> MinuteTiles:
         """Materialized per-cell coverage/confidence of one minute.
 
-        Served from the tile cache when warm; a miss builds from the
-        backend's metadata scan and offers the entry to the cache
-        (admission subject to the epoch/generation discipline of
-        :class:`~repro.store.serving.TileCache`).
+        Served from the tile cache when warm (as an independent copy);
+        a miss builds from the backend's metadata scan.
         """
         if self.tiles is None:
             return self._build_tiles(minute)
         snap = self.tiles.snapshot(minute)
-        if snap is not None:
-            return snap
-        token = self.tiles.begin(minute)
-        entry = self._build_tiles(minute)
-        snap = entry.copy()
-        self.tiles.store(minute, entry, token)
+        if snap is None:
+            snap = self._scan_tiles(minute, MinuteTiles.copy)
         return snap
 
+    def _scan_tiles(self, minute: int, read: Callable[[MinuteTiles], _T]) -> _T:
+        """Build one minute's tiles, ``read`` the answer, offer them to the cache.
+
+        The read runs before the offer: an admitted entry belongs to
+        the cache, which mutates it under ingest deltas (admission is
+        subject to the epoch/generation discipline of
+        :class:`~repro.store.serving.TileCache`).
+        """
+        if self.tiles is None:
+            return read(self._build_tiles(minute))
+        token = self.tiles.begin(minute)
+        entry = self._build_tiles(minute)
+        answer = read(entry)
+        self.tiles.store(minute, entry, token)
+        return answer
+
+    @abstractmethod
     def _build_tiles(self, minute: int) -> MinuteTiles:
-        """Scan one minute into coverage tiles.
+        """Scan one minute's record metadata into coverage tiles.
 
-        Default walks stored VPs (each memoizes its bounding box);
-        backends with out-of-body metadata override with a scan that
-        never touches a body.
+        Never touches a body: the bounding boxes ride outside it on
+        every backend (memoized on the object, table columns, the
+        shards' own tile maps).
         """
-        cell_m = self.tiles.cell_m if self.tiles is not None else 250.0
-        return build_minute_tiles(
-            (
-                (1 if vp.trusted else 0, *vp.bounding_box)
-                for vp in self._minute_vps(minute)
-            ),
-            cell_m,
-        )
-
-    # -- backend read primitives ---------------------------------------------
-
-    @abstractmethod
-    def _minute_vps(self, minute: int) -> list[ViewProfile]:
-        """All VPs covering one minute, in insertion order."""
-
-    @abstractmethod
-    def _minute_area_vps(self, minute: int, area: Rect) -> list[ViewProfile]:
-        """VPs of a minute claiming any location inside ``area``."""
-
-    @abstractmethod
-    def _minute_trusted_vps(self, minute: int) -> list[ViewProfile]:
-        """Trusted VPs of one minute, in insertion order."""
-
-    def _minute_count(self, minute: int, trusted_only: bool = False) -> int:
-        """Minute cardinality when no tile cache is attached.
-
-        Backends override this with a metadata-only count — retention
-        passes survey every retained minute, which must not decode VP
-        bodies.
-        """
-        if trusted_only:
-            return len(self._minute_trusted_vps(minute))
-        return len(self._minute_vps(minute))
-
-    # -- legacy read methods (thin wrappers over ``query``) ------------------
-
-    def by_minute(self, minute: int) -> list[ViewProfile]:
-        """All VPs covering one minute, in insertion order."""
-        return self.query(QuerySpec(minute=minute)).vps
-
-    def count_by_minute(self, minute: int) -> int:
-        """How many VPs cover one minute (metadata/tile-served)."""
-        return self.query(QuerySpec(minute=minute, count=True)).n
-
-    def by_minute_in_area(self, minute: int, area: Rect) -> list[ViewProfile]:
-        """VPs of a minute claiming any location inside ``area``."""
-        return self.query(QuerySpec(minute=minute, area=area)).vps
-
-    def trusted_by_minute(self, minute: int) -> list[ViewProfile]:
-        """Trusted VPs of one minute, in insertion order."""
-        return self.query(QuerySpec(minute=minute, trusted_only=True)).vps
-
-    def nearest_trusted(self, minute: int, site: Point, k: int = 1) -> list[ViewProfile]:
-        """The k trusted VPs of a minute closest to the investigation site."""
-        return self.query(
-            QuerySpec(minute=minute, trusted_only=True, nearest=site, k=k)
-        ).vps
 
     # -- lifecycle / introspection -----------------------------------------
 

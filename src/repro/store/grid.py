@@ -1,14 +1,15 @@
 """Uniform spatial grid index over the claimed positions of one minute.
 
-``by_minute_in_area`` is the investigation hot path: the authority spans
-a coverage area over the incident site and trusted seeds, then asks for
+The area query is the investigation hot path: the authority spans a
+coverage area over the incident site and trusted seeds, then asks for
 every VP of the minute claiming a position inside it.  A linear scan
 touches all VPs of the minute; at city scale (tens of thousands of VPs
 per minute) that dominates investigation latency.
 
 The grid hashes every claimed position into a square cell keyed by
 ``(floor(x / cell_m), floor(y / cell_m))``.  An area query only visits
-the cells overlapped by the query rectangle, gathers candidate VPs, and
+the cells overlapped by the query rectangle (or, for a rectangle wider
+than the index, the occupied cells inside it), gathers candidate VPs, and
 exact-checks each one — so results are *identical* to the linear scan
 (including insertion order) while work scales with the query area
 instead of the minute population.
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.viewprofile import ViewProfile
 from repro.geo.geometry import Rect
 from repro.store.base import vp_claims_in_area
+from repro.store.serving import occupied_cells_in
 
 #: default cell edge — on the order of the DSRC radio range, so typical
 #: site queries (a few hundred metres) touch a handful of cells
@@ -53,18 +55,13 @@ class SpatialGrid:
 
     def candidates(self, area: Rect) -> list[ViewProfile]:
         """VPs with at least one position hashed into an overlapped cell."""
-        cx_min = int(area.x_min // self.cell_m)
-        cx_max = int(area.x_max // self.cell_m)
-        cy_min = int(area.y_min // self.cell_m)
-        cy_max = int(area.y_max // self.cell_m)
         found: list[tuple[int, ViewProfile]] = []
         seen: set[int] = set()
-        for cx in range(cx_min, cx_max + 1):
-            for cy in range(cy_min, cy_max + 1):
-                for seq, vp in self._cells.get((cx, cy), ()):
-                    if seq not in seen:
-                        seen.add(seq)
-                        found.append((seq, vp))
+        for cell in occupied_cells_in(self._cells, area, self.cell_m):
+            for seq, vp in self._cells[cell]:
+                if seq not in seen:
+                    seen.add(seq)
+                    found.append((seq, vp))
         found.sort(key=lambda pair: pair[0])
         return [vp for _, vp in found]
 

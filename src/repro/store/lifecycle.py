@@ -31,6 +31,7 @@ from typing import Any
 
 from repro.errors import ValidationError
 from repro.store.base import VPStore
+from repro.store.serving import QuerySpec
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def survey_overloaded(store: VPStore, max_vps_per_minute: int) -> dict[int, int]
         return {}
     overloaded: dict[int, int] = {}
     for minute in store.minutes():
-        population = store.count_by_minute(minute)
+        population = store.query(QuerySpec(minute=minute, count=True)).n
         if population > max_vps_per_minute:
             overloaded[minute] = population
     return overloaded

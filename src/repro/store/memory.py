@@ -1,10 +1,11 @@
 """In-memory VP store with a per-minute spatial grid index.
 
 The drop-in successor of the seed's flat dict database: identical
-semantics, but ``by_minute_in_area`` touches only the grid cells the
-query rectangle overlaps instead of linearly scanning every VP of the
-minute (see :mod:`repro.store.grid`).  Objects are stored by reference,
-so ``get`` returns the exact instance that was inserted; a VP that
+semantics, but an area query touches only the grid cells the query
+rectangle overlaps instead of linearly scanning every VP of the minute
+(see :mod:`repro.store.grid`).  Objects are stored by reference, so
+``get`` and ``query`` return the exact instances that were inserted —
+the one backend whose read primitive is the decoded ``_select``; a VP that
 arrived inside a codec frame is held wire-backed — its packed digest
 block and Bloom bits, about the paper's 4.5 kB, no digest objects.
 
@@ -23,12 +24,11 @@ import threading
 from collections import defaultdict
 
 from repro.core.viewprofile import ViewProfile
-from repro.geo.geometry import Rect
 from repro.obs.metrics import MetricsRegistry, stage_timer
 from repro.store.base import StoreStats, VPStore
 from repro.store.codec import Batch
 from repro.store.grid import DEFAULT_CELL_M, SpatialGrid
-from repro.store.serving import TileCache
+from repro.store.serving import MinuteTiles, QuerySpec, TileCache, build_minute_tiles
 
 
 class MemoryStore(VPStore):
@@ -103,33 +103,41 @@ class MemoryStore(VPStore):
         with self._lock:
             return vp_id in self._by_id
 
-    # -- minute/area read primitives -----------------------------------------
+    # -- minute/area reads ---------------------------------------------------
 
     def minutes(self) -> list[int]:
         """Sorted minute indices with at least one stored VP."""
         with self._lock:
             return sorted(self._by_minute)
 
-    def _minute_vps(self, minute: int) -> list[ViewProfile]:
-        with self._lock:
-            return list(self._by_minute.get(minute, []))
+    def _select(self, spec: QuerySpec) -> list[ViewProfile]:
+        """The stored instances a spec selects, in insertion order.
 
-    def _minute_count(self, minute: int, trusted_only: bool = False) -> int:
+        This backend's one read primitive: the minute list, or with an
+        area the minute's grid (tile-pruned first), then the trusted
+        filter.  ``query_encoded`` is the inherited encoding of it.
+        """
+        minute, area = spec.minute, spec.area
+        if area is not None and not self._tiles_allow(minute, area):
+            return []
         with self._lock:
-            if trusted_only:
-                return sum(1 for vp in self._by_minute.get(minute, ()) if vp.trusted)
-            return len(self._by_minute.get(minute, ()))
+            if area is None:
+                vps = list(self._by_minute.get(minute, ()))
+            else:
+                grid = self._grids.get(minute)
+                vps = grid.in_area(area) if grid is not None else []
+        if spec.trusted_only:
+            vps = [vp for vp in vps if vp.trusted]
+        return vps
 
-    def _minute_area_vps(self, minute: int, area: Rect) -> list[ViewProfile]:
+    def _build_tiles(self, minute: int) -> MinuteTiles:
+        """Tile build from the VPs' memoized bounding boxes."""
         with self._lock:
-            grid = self._grids.get(minute)
-            if grid is None:
-                return []
-            return grid.in_area(area)
-
-    def _minute_trusted_vps(self, minute: int) -> list[ViewProfile]:
-        with self._lock:
-            return [vp for vp in self._by_minute.get(minute, []) if vp.trusted]
+            boxes = [
+                (int(vp.trusted), *vp.bounding_box)
+                for vp in self._by_minute.get(minute, ())
+            ]
+        return build_minute_tiles(boxes, self.cell_m)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -1,16 +1,16 @@
 """Read-path serving tier: unified query specs and coverage tile cache.
 
-Five PRs optimized the ingest path; reads still decoded VPs and scanned
-per request through five ad-hoc store methods.  This module is the
-read-side counterpart of the zero-decode ingest work:
+The read-side counterpart of the zero-decode ingest work:
 
 * :class:`QuerySpec` / :class:`QueryResult` — the one query surface of
   the store layer.  Every read is a spec over orthogonal axes (minute,
-  area, trusted, k-nearest, count, encoded); the legacy methods
-  (``by_minute`` and friends) survive as thin wrappers building specs.
+  area, trusted, k-nearest, count, encoded) handed to
+  ``VPStore.query``; there are no per-shape read methods.
   ``encoded=True`` asks for the stored frame representation
   (:mod:`repro.store.codec`) instead of decoded objects — the client
-  owns the codec, so the authority can serve raw spans.
+  owns the codec, so the authority can serve raw spans.  A decoded
+  read is the same frame decoded (or, on the memory store, the frame
+  is the selected objects encoded): one selection primitive a backend.
 * :class:`MinuteTiles` — materialized per-cell coverage/confidence of
   one minute: for every grid cell a VP's bounding box overlaps, how
   many VPs (and how many trusted) cover it, plus exact minute totals.
@@ -20,10 +20,9 @@ read-side counterpart of the zero-decode ingest work:
   the object and the zero-decode ingest paths can maintain them
   without touching a body.
 * :class:`TileCache` — a bounded LRU of ``minute -> MinuteTiles`` with
-  the epoch-invalidation discipline of the SQLite decode cache,
-  extended for *incremental* maintenance: ingest applies per-record
-  deltas to cached entries inside a write bracket, eviction bumps a
-  global epoch.
+  epoch invalidation and *incremental* maintenance: ingest applies
+  per-record deltas to cached entries inside a write bracket, eviction
+  bumps a global epoch.
 
 Tile soundness: a tile map answers "could any VP of this minute claim a
 position inside this area?" with no false negatives — every claimed
@@ -31,10 +30,10 @@ position lies inside its VP's bounding box, hence inside an occupied
 cell.  An area query whose rectangle overlaps no occupied cell returns
 empty without scanning; the minute totals serve count queries exactly.
 
-Concurrency discipline (the part the decode cache did not need): a tile
-build scans store state while ingest may be landing rows, so a stored
-entry could miss a racing row, or a delta could double-count a row the
-scan already saw.  The write bracket kills both races:
+Concurrency discipline: a tile build scans store state while ingest may
+be landing rows, so a stored entry could miss a racing row, or a delta
+could double-count a row the scan already saw.  The write bracket kills
+both races:
 
 * ``write(minutes)`` bumps each minute's *generation* on entry **and**
   exit and holds an in-flight marker in between;
@@ -52,8 +51,7 @@ scan already saw.  The write bracket kills both races:
 
 ``evict_before`` calls :meth:`TileCache.invalidate_below`: the global
 epoch advances (pending builds of any minute are discarded) and cached
-minutes below the cutoff drop, mirroring the decode cache's
-``_evict_epoch`` exactly.
+minutes below the cutoff drop.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
@@ -139,6 +137,30 @@ def tile_cells_of_box(
             yield (cx, cy)
 
 
+def occupied_cells_in(
+    cells: Collection[tuple[int, int]], area: Rect, cell_m: float
+) -> Iterator[tuple[int, int]]:
+    """The members of ``cells`` inside the cell range of ``area``.
+
+    Iterates the smaller of (the rectangle's cell range, ``cells``): a
+    query rectangle comes off the wire unguarded, and one wider than
+    the index must cost the index's size, not its own.
+    """
+    cx_min = int(area.x_min // cell_m)
+    cx_max = int(area.x_max // cell_m)
+    cy_min = int(area.y_min // cell_m)
+    cy_max = int(area.y_max // cell_m)
+    if (cx_max - cx_min + 1) * (cy_max - cy_min + 1) <= len(cells):
+        for cx in range(cx_min, cx_max + 1):
+            for cy in range(cy_min, cy_max + 1):
+                if (cx, cy) in cells:
+                    yield (cx, cy)
+    else:
+        for cx, cy in cells:
+            if cx_min <= cx <= cx_max and cy_min <= cy <= cy_max:
+                yield (cx, cy)
+
+
 @dataclass
 class MinuteTiles:
     """Per-cell coverage/confidence of one minute, plus exact totals.
@@ -175,23 +197,9 @@ class MinuteTiles:
         """Could any VP of the minute claim a position inside ``area``?
 
         No false negatives: positions lie inside their VP's bounding
-        box, so an uncovered area cannot hide a match.  Iterates the
-        smaller of (occupied cells, area cell range).
+        box, so an uncovered area cannot hide a match.
         """
-        cx_min = int(area.x_min // self.cell_m)
-        cx_max = int(area.x_max // self.cell_m)
-        cy_min = int(area.y_min // self.cell_m)
-        cy_max = int(area.y_max // self.cell_m)
-        span = (cx_max - cx_min + 1) * (cy_max - cy_min + 1)
-        if span <= len(self.cells):
-            return any(
-                (cx, cy) in self.cells
-                for cx in range(cx_min, cx_max + 1)
-                for cy in range(cy_min, cy_max + 1)
-            )
-        return any(
-            cx_min <= cx <= cx_max and cy_min <= cy <= cy_max for cx, cy in self.cells
-        )
+        return next(occupied_cells_in(self.cells, area, self.cell_m), None) is not None
 
     def copy(self) -> "MinuteTiles":
         """Independent deep copy (cache entries mutate under deltas)."""
@@ -281,8 +289,7 @@ class TileWriteBatch:
 class TileCache:
     """Bounded LRU of per-minute coverage tiles with epoch invalidation.
 
-    The read-side sibling of the SQLite decode cache: ``lookup``-style
-    reads count hits/misses (``store.query.tile_hit`` / ``.tile_miss``
+    ``lookup``-style reads count hits/misses (``store.query.tile_hit`` / ``.tile_miss``
     when a registry is attached), eviction bumps a global epoch, and a
     build is only admitted if nothing invalidated it since ``begin``.
     See the module docstring for the write-bracket race analysis.
@@ -404,8 +411,8 @@ class TileCache:
 
         The epoch bump discards every pending build (an eviction pass
         may touch any minute's rows — ``keep_trusted`` rewrites buckets
-        above the cutoff too on some backends, so the conservative
-        global epoch mirrors the decode cache).
+        above the cutoff too on some backends, hence the conservative
+        global epoch).
         """
         with self._lock:
             self._epoch += 1

@@ -60,7 +60,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.core.viewprofile import ViewProfile
 from repro.errors import ValidationError
-from repro.geo.geometry import Rect
 from repro.obs.metrics import MetricsRegistry, merge_snapshots, stage_timer
 from repro.store.base import StoreStats, VPStore
 from repro.store.codec import (
@@ -531,64 +530,9 @@ class ShardedStore(VPStore):
             out.update(shard.minutes())
         return sorted(out)
 
-    def _merge_minute(
-        self, minute: int, per_shard: list[list[ViewProfile]]
-    ) -> list[ViewProfile]:
-        """Re-assemble one minute's fleet-wide insertion order.
-
-        Each shard returns its VPs in local insertion order; the
-        per-minute sequence map restores the global order.  The map is
-        seeded at construction for pre-populated shards (per-shard
-        order, every old VP before every new one), so unknown ids are a
-        last-resort safety net only: they keep their per-shard order and
-        trail the known ones.  Callers needing *exact* cross-restart
-        order use minute-only routing, where rowid order is the truth.
-        """
-        with self._route_lock:
-            seqs = dict(self._minute_seq.get(minute, ()))
-        known: list[tuple[int, ViewProfile]] = []
-        unknown: list[ViewProfile] = []
-        for vps in per_shard:
-            for vp in vps:
-                seq = seqs.get(vp.vp_id)
-                if seq is None:
-                    unknown.append(vp)
-                else:
-                    known.append((seq, vp))
-        known.sort(key=lambda pair: pair[0])
-        return [vp for _, vp in known] + unknown
-
-    def _gather_minute(
-        self, minute: int, query: Callable[[VPStore], list[ViewProfile]]
-    ) -> list[ViewProfile]:
-        """Run one minute-scoped query against every owner shard."""
-        if self.shard_cells == 1:
-            return query(self.shard_for(minute))
-        per_shard = [query(self.shards[idx]) for idx in self._owner_indices(minute)]
-        return self._merge_minute(minute, per_shard)
-
-    def _minute_vps(self, minute: int) -> list[ViewProfile]:
-        return self._gather_minute(minute, lambda s: s.by_minute(minute))
-
-    def _minute_count(self, minute: int, trusted_only: bool = False) -> int:
-        """Sum owner-shard counts; shards answer from their own tiles."""
-        if self.shard_cells == 1 and not trusted_only:
-            return self.shard_for(minute).count_by_minute(minute)
-        return sum(
-            self.shards[idx].query(
-                QuerySpec(minute=minute, trusted_only=trusted_only, count=True)
-            ).n
-            for idx in self._owner_indices(minute)
-        )
-
-    def _minute_area_vps(self, minute: int, area: Rect) -> list[ViewProfile]:
-        return self._gather_minute(minute, lambda s: s.by_minute_in_area(minute, area))
-
-    def _minute_trusted_vps(self, minute: int) -> list[ViewProfile]:
-        return self._gather_minute(minute, lambda s: s.trusted_by_minute(minute))
-
     def query_encoded(self, spec: QuerySpec) -> bytes:
-        """Decode-free span query, fanned out over owner shards only.
+        """The router's one read primitive: a decode-free span query,
+        fanned out over owner shards only.
 
         Each owner shard returns a ready codec frame of its matching
         records (already area-filtered and trusted-filtered on the
@@ -597,19 +541,21 @@ class ShardedStore(VPStore):
         routing the per-shard frames are re-merged into fleet-wide
         insertion order by walking their record *metadata* and joining
         the raw spans — no VP body is decoded on the router.
+
+        Each shard returns its records in local insertion order; the
+        per-minute sequence map restores the global one.  The map is
+        seeded at construction for pre-populated shards (per-shard
+        order, every old VP before every new one), so unknown ids are a
+        last-resort safety net only: they keep their per-shard order and
+        trail the known ones.  Callers needing *exact* cross-restart
+        order use minute-only routing, where rowid order is the truth.
         """
         if spec.area is not None and not self._tiles_allow(spec.minute, spec.area):
             return encode_row_batch([])
-        sub = QuerySpec(
-            minute=spec.minute,
-            area=spec.area,
-            trusted_only=spec.trusted_only,
-            encoded=True,
-        )
         if self.shard_cells == 1:
-            return self.shard_for(spec.minute).query_encoded(sub)
+            return self.shard_for(spec.minute).query_encoded(spec)
         frames = [
-            self.shards[idx].query_encoded(sub)
+            self.shards[idx].query_encoded(spec)
             for idx in self._owner_indices(spec.minute)
         ]
         with self._route_lock:

@@ -29,15 +29,12 @@ Thread safety and performance (the concurrency-control contract of
   so the C layer reuses compiled statements across calls; the batched
   id probe pads its ``IN (...)`` list to fixed bucket sizes for the same
   reason.
-* **LRU decode cache** — a bounded, lock-guarded id → VP cache
-  (``decode_cache`` entries, 0 disables) lets repeated investigation
-  queries over hot minutes reuse one :class:`ViewProfile` per row
-  together with whatever it has derived (position arrays, trajectory,
-  unpacked digests).  A miss no longer unpacks a digest — the VP wraps
-  the row's digest block — so an entry is about 6 kB and a miss costs
-  tens of microseconds (``docs/stores.md`` has the measurement).
-  Entries are safe to share because stored VPs are immutable after
-  ingest (the trusted flag is fixed at insert time).
+* **one read statement family** — selections are served as stored
+  rows framed straight through (:meth:`SQLiteStore.query_encoded`);
+  a decoded read is that frame decoded, one fresh wire-backed
+  :class:`ViewProfile` per row (it wraps the row's digest block —
+  about 6 kB and tens of microseconds, no digest unpacked), so there
+  is no id -> VP cache to size, purge or keep coherent with eviction.
 * **group commit** — with ``group_commit_rows > 0`` writes accumulate
   encoded rows in a pending buffer instead of committing per call: one
   ``executemany`` + commit lands a whole group, bounded by rows
@@ -72,12 +69,10 @@ import os
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 from typing import Iterable
 
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError, ValidationError
-from repro.geo.geometry import Rect
 from repro.obs.metrics import MetricsRegistry, stage_timer
 from repro.store.adaptive import (
     DEFAULT_MAX_BYTES,
@@ -86,7 +81,7 @@ from repro.store.adaptive import (
     DEFAULT_MIN_ROWS,
     GroupCommitController,
 )
-from repro.store.base import StoreStats, VPStore, vp_claims_in_area
+from repro.store.base import StoreStats, VPStore
 from repro.store.codec import (
     DUPLICATE_ID_MESSAGE,
     Batch,
@@ -117,33 +112,17 @@ CREATE INDEX IF NOT EXISTS idx_vps_minute_trusted ON vps (minute, trusted);
 # statement cache is hit on reuse instead of re-parsing SQL text
 _INSERT = "INSERT INTO vps VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
 _INSERT_OR_IGNORE = "INSERT OR IGNORE INTO vps VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
-_GET = "SELECT vp_id, body, trusted FROM vps WHERE vp_id = ?"
+_GET = "SELECT body, trusted FROM vps WHERE vp_id = ?"
 _EXISTS = "SELECT 1 FROM vps WHERE vp_id = ?"
 _COUNT = "SELECT COUNT(*) FROM vps"
 _COUNT_TRUSTED = "SELECT COUNT(*) FROM vps WHERE trusted = 1"
 _COUNT_MINUTES = "SELECT COUNT(DISTINCT minute) FROM vps"
 _MINUTES = "SELECT DISTINCT minute FROM vps ORDER BY minute"
-_BY_MINUTE = (
-    "SELECT vp_id, body, trusted FROM vps WHERE minute = ? ORDER BY rowid"
-)
-_BY_MINUTE_IN_AREA = (
-    "SELECT vp_id, body, trusted FROM vps"
-    " WHERE minute = ? AND x_max >= ? AND x_min <= ?"
-    " AND y_max >= ? AND y_min <= ? ORDER BY rowid"
-)
-_TRUSTED_BY_MINUTE = (
-    "SELECT vp_id, body, trusted FROM vps WHERE minute = ? AND trusted = 1"
-    " ORDER BY rowid"
-)
 _EVICT = "DELETE FROM vps WHERE minute < ?"
 _EVICT_UNTRUSTED = "DELETE FROM vps WHERE minute < ? AND trusted = 0"
 _ID_MINUTES = "SELECT vp_id, minute FROM vps ORDER BY rowid"
-_COUNT_BY_MINUTE = "SELECT COUNT(*) FROM vps WHERE minute = ?"
-_COUNT_TRUSTED_BY_MINUTE = (
-    "SELECT COUNT(*) FROM vps WHERE minute = ? AND trusted = 1"
-)
-# encoded (decode-free) read path: full row shape, pure pass-through
-# into codec frames — column order matches ``encode_row_batch`` exactly
+# the selection statements: full row shape, pure pass-through into
+# codec frames — column order matches ``encode_row_batch`` exactly
 _ENCODED_BY_MINUTE = (
     "SELECT vp_id, minute, trusted, x_min, y_min, x_max, y_max, body"
     " FROM vps WHERE minute = ? ORDER BY rowid"
@@ -172,8 +151,6 @@ _IN_BUCKETS = (1, 8, 64, 500)
 #: distinct shared-cache database names for concurrent ``:memory:`` stores
 _MEMDB_SEQ = itertools.count()
 
-DEFAULT_DECODE_CACHE = 1024
-
 #: compaction vacuums only when at least this much is reclaimable —
 #: roughly a few hundred evicted VPs' worth of freed pages
 DEFAULT_COMPACT_BYTES = 1 << 20
@@ -198,7 +175,6 @@ class SQLiteStore(VPStore):
     def __init__(
         self,
         path: str = ":memory:",
-        decode_cache: int = DEFAULT_DECODE_CACHE,
         cached_statements: int = 256,
         group_commit_rows: int = 0,
         group_commit_bytes: int = DEFAULT_GROUP_COMMIT_BYTES,
@@ -216,7 +192,6 @@ class SQLiteStore(VPStore):
         if commit_latency_s < 0:
             raise ValidationError("commit_latency_s must be >= 0")
         self.path = path
-        self.decode_cache = decode_cache
         self.cached_statements = cached_statements
         #: per-stage latency instrumentation (see ``docs/observability.md``);
         #: pass a disabled registry to price the store without it
@@ -280,14 +255,6 @@ class SQLiteStore(VPStore):
         self._read_guard = self._write_lock if self._uri else contextlib.nullcontext()
         self._registry: list[sqlite3.Connection] = []
         self._registry_lock = threading.Lock()
-        self._cache: OrderedDict[bytes, ViewProfile] = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        # bumped by evict_before (under the cache lock): a reader that
-        # selected rows before an eviction must not re-populate the
-        # cache with VPs whose rows are now gone
-        self._evict_epoch = 0
         # group-commit pending buffer: vp_id -> encoded row, insertion
         # -ordered and already deduplicated against the table.  All
         # access runs under the writer lock; the bare truthiness check
@@ -351,44 +318,6 @@ class SQLiteStore(VPStore):
             self._local.conn = conn
         return conn
 
-    # -- row mapping -------------------------------------------------------
-
-    def _cache_epoch(self) -> int:
-        """Snapshot the eviction epoch (captured *before* a row SELECT)."""
-        if self.decode_cache <= 0:
-            return 0
-        with self._cache_lock:
-            return self._evict_epoch
-
-    def _vp_of(
-        self, vp_id: bytes, body: bytes, trusted: int, epoch: int = -1
-    ) -> ViewProfile:
-        """Decode one row, going through the LRU decode cache.
-
-        ``epoch`` is the eviction epoch the caller captured before
-        running its SELECT; if an eviction landed in between, the row
-        may already be gone and the decoded VP is returned *without*
-        being cached — a cached id must stay proof of existence.
-        """
-        if self.decode_cache <= 0:
-            return decode_vp(body, trusted=bool(trusted))
-        key = bytes(vp_id)
-        with self._cache_lock:
-            vp = self._cache.get(key)
-            if vp is not None:
-                self._cache.move_to_end(key)
-                self._cache_hits += 1
-                return vp
-            self._cache_misses += 1
-        vp = decode_vp(body, trusted=bool(trusted))  # decode unlocked
-        with self._cache_lock:
-            if epoch == self._evict_epoch:
-                self._cache[key] = vp
-                self._cache.move_to_end(key)
-                while len(self._cache) > self.decode_cache:
-                    self._cache.popitem(last=False)
-        return vp
-
     # -- group commit ------------------------------------------------------
 
     def _charge_commit(self) -> None:
@@ -424,7 +353,8 @@ class SQLiteStore(VPStore):
         self._pending_since = None
 
     def flush(self) -> None:
-        """Commit any pending group-commit rows immediately."""
+        """Commit any pending group-commit rows now — every read calls
+        this first, so a query sees the writes before it."""
         if self._pending:
             with self._write_lock:
                 self._flush_locked()
@@ -445,12 +375,6 @@ class SQLiteStore(VPStore):
                 return False
             self._flush_locked()
             return True
-
-    def _flush_for_read(self) -> None:
-        """Make pending writes visible before a query (read-your-writes)."""
-        if self._pending:
-            with self._write_lock:
-                self._flush_locked()
 
     # -- writes ------------------------------------------------------------
 
@@ -539,7 +463,7 @@ class SQLiteStore(VPStore):
 
     def iter_id_minutes(self) -> list[tuple[bytes, int]]:
         """(vp_id, minute) pairs of every stored VP — no blob decode."""
-        self._flush_for_read()
+        self.flush()
         with self._read_guard:
             rows = self._conn.execute(_ID_MINUTES).fetchall()
         return [(bytes(vp_id), minute) for vp_id, minute in rows]
@@ -547,32 +471,17 @@ class SQLiteStore(VPStore):
     # -- point reads -------------------------------------------------------
 
     def get(self, vp_id: bytes) -> ViewProfile | None:
-        """Fetch one VP by identifier.
-
-        A decode-cache hit answers without touching SQLite at all —
-        rows are never updated, and the only deletion path
-        (``evict_before``) purges the matching cache entries before it
-        returns, so a cached id is proof of existence and content.
-        """
-        if self.decode_cache > 0:
-            key = bytes(vp_id)
-            with self._cache_lock:
-                vp = self._cache.get(key)
-                if vp is not None:
-                    self._cache.move_to_end(key)
-                    self._cache_hits += 1
-                    return vp
-        self._flush_for_read()
-        epoch = self._cache_epoch()
+        """Fetch one VP by identifier (a fresh wire-backed VP per call)."""
+        self.flush()
         with self._read_guard:
             row = self._conn.execute(_GET, (vp_id,)).fetchone()
         if row is None:
             return None
-        return self._vp_of(*row, epoch=epoch)
+        return decode_vp(row[0], trusted=bool(row[1]))
 
     def __len__(self) -> int:
         """Total stored VPs (pending group-commit rows included)."""
-        self._flush_for_read()
+        self.flush()
         with self._read_guard:
             return self._conn.execute(_COUNT).fetchone()[0]
 
@@ -589,49 +498,16 @@ class SQLiteStore(VPStore):
         with self._read_guard:
             return self._conn.execute(_EXISTS, (vp_id,)).fetchone() is not None
 
-    # -- minute/area read primitives -----------------------------------------
+    # -- minute/area reads ---------------------------------------------------
 
     def minutes(self) -> list[int]:
         """Sorted minute indices with at least one stored VP."""
-        self._flush_for_read()
+        self.flush()
         with self._read_guard:
             return [m for (m,) in self._conn.execute(_MINUTES).fetchall()]
 
-    def _minute_vps(self, minute: int) -> list[ViewProfile]:
-        self._flush_for_read()
-        epoch = self._cache_epoch()
-        with self._read_guard:
-            rows = self._conn.execute(_BY_MINUTE, (minute,)).fetchall()
-        return [self._vp_of(*row, epoch=epoch) for row in rows]
-
-    def _minute_count(self, minute: int, trusted_only: bool = False) -> int:
-        self._flush_for_read()
-        statement = _COUNT_TRUSTED_BY_MINUTE if trusted_only else _COUNT_BY_MINUTE
-        with self._read_guard:
-            return self._conn.execute(statement, (minute,)).fetchone()[0]
-
-    def _minute_area_vps(self, minute: int, area: Rect) -> list[ViewProfile]:
-        # the bbox index prunes candidates; each surviving row is
-        # decoded (cache-assisted) and exact-checked per position
-        self._flush_for_read()
-        epoch = self._cache_epoch()
-        with self._read_guard:
-            rows = self._conn.execute(
-                _BY_MINUTE_IN_AREA,
-                (minute, area.x_min, area.x_max, area.y_min, area.y_max),
-            ).fetchall()
-        candidates = (self._vp_of(*row, epoch=epoch) for row in rows)
-        return [vp for vp in candidates if vp_claims_in_area(vp, area)]
-
-    def _minute_trusted_vps(self, minute: int) -> list[ViewProfile]:
-        self._flush_for_read()
-        epoch = self._cache_epoch()
-        with self._read_guard:
-            rows = self._conn.execute(_TRUSTED_BY_MINUTE, (minute,)).fetchall()
-        return [self._vp_of(*row, epoch=epoch) for row in rows]
-
     def query_encoded(self, spec: QuerySpec) -> bytes:
-        """Decode-free selection: stored rows framed straight through.
+        """The one read primitive: stored rows framed straight through.
 
         The SELECT returns rows in the exact column order of
         :func:`repro.store.codec.encode_row_batch`; the only per-row
@@ -640,10 +516,10 @@ class SQLiteStore(VPStore):
         (:func:`repro.store.codec.encoded_body_claims_area`), which
         reads the same float32-rounded values the decoded path checks
         — so the result frame is byte-identical to re-encoding the
-        decoded selection.  No :class:`ViewProfile` exists anywhere on
-        this path.
+        decoded selection, which is this frame decoded (the inherited
+        ``_select``).  No :class:`ViewProfile` exists on this path.
         """
-        self._flush_for_read()
+        self.flush()
         area = spec.area
         if area is not None:
             if not self._tiles_allow(spec.minute, area):
@@ -667,7 +543,7 @@ class SQLiteStore(VPStore):
 
     def _build_tiles(self, minute: int) -> MinuteTiles:
         """Tile build from the metadata columns — bodies never selected."""
-        self._flush_for_read()
+        self.flush()
         with self._read_guard:
             rows = self._conn.execute(_TILE_ROWS, (minute,)).fetchall()
         return build_minute_tiles(rows, self.tiles.cell_m)
@@ -679,15 +555,10 @@ class SQLiteStore(VPStore):
 
         Runs inside the single-writer lock as one transaction, counted
         from the DELETE cursor — evicting millions of rows never
-        materializes their ids.  The decode cache is purged by scanning
-        its own (bounded) entries for evicted minutes, and the eviction
-        epoch is bumped first so readers that selected rows before this
-        pass decline to re-cache them: after eviction a cached id is no
-        longer proof of existence, so the cache must never outlive the
-        rows.  Freed pages go on SQLite's freelist; ``compact()``
-        returns them to the filesystem.  ``keep_trusted`` pins trusted
-        rows (investigation seeds) past the cutoff — the retention
-        contract of ``RetentionPolicy(pin_trusted=True)``.
+        materializes their ids.  Freed pages go on SQLite's freelist;
+        ``compact()`` returns them to the filesystem.  ``keep_trusted``
+        pins trusted rows (investigation seeds) past the cutoff — the
+        retention contract of ``RetentionPolicy(pin_trusted=True)``.
         """
         with stage_timer(self.metrics, "store.evict"), self._write_lock:
             self._flush_locked()
@@ -695,20 +566,10 @@ class SQLiteStore(VPStore):
             with conn:
                 statement = _EVICT_UNTRUSTED if keep_trusted else _EVICT
                 evicted = conn.execute(statement, (minute,)).rowcount
-            if evicted and self.decode_cache > 0:
-                with self._cache_lock:
-                    self._evict_epoch += 1
-                    stale = [
-                        key
-                        for key, vp in self._cache.items()
-                        if vp.minute < minute and not (keep_trusted and vp.trusted)
-                    ]
-                    for key in stale:
-                        del self._cache[key]
             if evicted:
-                # same discipline for the tile cache: pending builds
-                # are discarded and evicted minutes drop (a pinned
-                # minute's entry drops too — its population changed)
+                # pending tile builds are discarded and evicted minutes
+                # drop from the cache (a pinned minute's entry drops
+                # too — its population changed)
                 self.tiles.invalidate_below(minute)
             return evicted
 
@@ -769,7 +630,7 @@ class SQLiteStore(VPStore):
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> StoreStats:
-        """Occupancy snapshot (detail: path, connections, caches, groups).
+        """Occupancy snapshot (detail: path, connections, tiles, groups).
 
         Deliberately does NOT flush the pending group — a monitoring
         loop polling stats must not cap every group at the poll
@@ -800,13 +661,6 @@ class SQLiteStore(VPStore):
             n_minutes = len(table_minutes | {row[1] for row in pending_rows})
         with self._registry_lock:
             n_conns = len(self._registry)
-        with self._cache_lock:
-            cache = {
-                "size": len(self._cache),
-                "max": self.decode_cache,
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-            }
         return StoreStats(
             backend=self.kind,
             vps=total,
@@ -815,7 +669,6 @@ class SQLiteStore(VPStore):
             detail={
                 "path": self.path,
                 "connections": n_conns,
-                "decode_cache": cache,
                 "tile_cache": self.tiles.info(),
                 "group_commit": group,
                 "metrics": self.metrics.snapshot(),
@@ -838,5 +691,3 @@ class SQLiteStore(VPStore):
             conns, self._registry = self._registry, []
         for conn in conns:
             conn.close()
-        with self._cache_lock:
-            self._cache.clear()

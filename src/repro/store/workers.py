@@ -47,7 +47,6 @@ from typing import Iterable, Sequence
 import repro.errors as errors
 from repro.core.viewprofile import ViewProfile
 from repro.errors import ReproError, StorageError
-from repro.geo.geometry import Rect
 from repro.store.base import StoreStats, VPStore
 from repro.store.codec import Batch, decode_vp_batch, encode_vp_batch
 from repro.obs.metrics import MetricsRegistry
@@ -56,7 +55,6 @@ from repro.store.memory import MemoryStore
 from repro.store.serving import MinuteTiles, QuerySpec
 from repro.store.sharded import DEFAULT_ROUTE_CELL_M, ShardedStore
 from repro.store.sqlite import (
-    DEFAULT_DECODE_CACHE,
     DEFAULT_GROUP_COMMIT_BYTES,
     DEFAULT_GROUP_COMMIT_LATENCY_S,
     SQLiteStore,
@@ -97,7 +95,6 @@ def _build_worker_store(spec: dict) -> VPStore:
     if kind == "sqlite":
         return SQLiteStore(
             spec.get("path", ":memory:"),
-            decode_cache=spec.get("decode_cache", DEFAULT_DECODE_CACHE),
             group_commit_rows=spec.get("group_commit_rows", 0),
             group_commit_bytes=spec.get("group_commit_bytes", DEFAULT_GROUP_COMMIT_BYTES),
             group_commit_latency_s=spec.get(
@@ -128,10 +125,6 @@ def _dispatch(store: VPStore, request: tuple) -> object:
         return store.existing_ids(request[1])
     if op == "minutes":
         return store.minutes()
-    if op == "count":
-        return store.query(
-            QuerySpec(minute=request[1], trusted_only=request[2], count=True)
-        ).n
     if op == "query_enc":
         # decode-free span query: the worker's backend assembles the
         # codec frame (tile-pruned, row pass-through on SQLite) and the
@@ -353,30 +346,15 @@ class WorkerShard(VPStore):
     # -- minute/area queries -----------------------------------------------
 
     # the worker-side store owns the minute tiles; the proxy keeps none,
-    # so base-class query planning falls through to the pipe ops below
+    # so every read plan falls through to the two pipe ops below
     tiles = None
 
     def minutes(self) -> list[int]:
         """Sorted minute indices with at least one stored VP."""
         return self._request("minutes")
 
-    def _minute_vps(self, minute: int) -> list[ViewProfile]:
-        return decode_vp_batch(self.query_encoded(QuerySpec(minute=minute)))
-
-    def _minute_count(self, minute: int, trusted_only: bool = False) -> int:
-        """Minute population (metadata-only on the worker's tiles)."""
-        return self._request("count", minute, trusted_only)
-
-    def _minute_area_vps(self, minute: int, area: Rect) -> list[ViewProfile]:
-        """The spatial index query and the candidate check run on the
-        worker's GIL; only the matches' stored spans travel back."""
-        return decode_vp_batch(self.query_encoded(QuerySpec(minute=minute, area=area)))
-
-    def _minute_trusted_vps(self, minute: int) -> list[ViewProfile]:
-        return decode_vp_batch(self.query_encoded(QuerySpec(minute=minute, trusted_only=True)))
-
     def query_encoded(self, spec: QuerySpec) -> bytes:
-        """Decode-free span query: the worker's frame crosses as-is.
+        """The proxy's one read primitive: the worker's frame crosses as-is.
 
         Nothing is decoded on either side of the pipe — the worker's
         backend assembles the codec frame from stored spans and the

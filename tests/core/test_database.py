@@ -5,6 +5,7 @@ import pytest
 from repro.core.database import VPDatabase
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
+from repro.store.serving import QuerySpec
 from tests.core.test_viewprofile import make_vp
 
 
@@ -28,8 +29,8 @@ class TestInsertQuery:
         db = VPDatabase()
         db.insert(make_vp(seed=1))
         db.insert(make_vp(seed=2))
-        assert len(db.by_minute(0)) == 2
-        assert db.by_minute(5) == []
+        assert len(db.query(QuerySpec(minute=0)).vps) == 2
+        assert db.query(QuerySpec(minute=5)).vps == []
         assert db.minutes() == [0]
 
     def test_by_minute_in_area(self):
@@ -39,7 +40,7 @@ class TestInsertQuery:
         db.insert(near)
         db.insert(far)
         area = Rect(-100, -100, 1000, 100)
-        found = db.by_minute_in_area(0, area)
+        found = db.query(QuerySpec(minute=0, area=area)).vps
         assert found == [near]
 
 
@@ -49,12 +50,12 @@ class TestTrusted:
         vp = make_vp(seed=3)
         db.insert_trusted(vp)
         assert vp.trusted
-        assert db.trusted_by_minute(0) == [vp]
+        assert db.query(QuerySpec(minute=0, trusted_only=True)).vps == [vp]
 
     def test_anonymous_vps_not_trusted(self):
         db = VPDatabase()
         db.insert(make_vp(seed=4))
-        assert db.trusted_by_minute(0) == []
+        assert db.query(QuerySpec(minute=0, trusted_only=True)).vps == []
 
     def test_nearest_trusted_ordering(self):
         db = VPDatabase()
@@ -62,7 +63,7 @@ class TestTrusted:
         far = make_vp(seed=6, x0=5_000.0)
         db.insert_trusted(far)
         db.insert_trusted(near)
-        best = db.nearest_trusted(0, Point(0, 0), k=1)
+        best = db.query(QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0), k=1)).vps
         assert best == [near]
-        both = db.nearest_trusted(0, Point(0, 0), k=2)
+        both = db.query(QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0), k=2)).vps
         assert both == [near, far]

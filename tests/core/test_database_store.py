@@ -7,6 +7,7 @@ from repro.core.database import VPDatabase
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
 from repro.store import MemoryStore, ShardedStore, SQLiteStore
+from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprints, make_vp
 
 
@@ -55,7 +56,7 @@ class TestInsertTrustedMutation:
         vp = make_vp(seed=6)
         db.insert_trusted(vp)
         assert vp.trusted
-        assert db.trusted_by_minute(0) == [vp]
+        assert db.query(QuerySpec(minute=0, trusted_only=True)).vps == [vp]
 
 
 class TestNearestTrustedVectorized:
@@ -70,11 +71,11 @@ class TestNearestTrustedVectorized:
             return min(site.distance_to(p) for p in vp.trajectory.points)
 
         expected = sorted(vps, key=pointwise)[:3]
-        assert db.nearest_trusted(0, site, k=3) == expected
+        assert db.query(QuerySpec(minute=0, trusted_only=True, nearest=site, k=3)).vps == expected
 
     def test_uses_positions_array(self):
         db = VPDatabase()
         vp = make_vp(seed=9)
         db.insert_trusted(vp)
         assert isinstance(vp.positions_array, np.ndarray)
-        assert db.nearest_trusted(0, Point(0, 0)) == [vp]
+        assert db.query(QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0))).vps == [vp]

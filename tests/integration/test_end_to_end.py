@@ -14,6 +14,7 @@ from repro.geo.routing import make_grid_route_fn
 from repro.mobility.scenarios import city_scenario
 from repro.radio.channel import DsrcChannel
 from repro.sim.runner import run_viewmap_simulation
+from repro.store.serving import QuerySpec
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ class TestInvestigation:
         system, result, inv, _ = investigated
         # the database view of a guard VP and an actual VP expose the same
         # attributes; only ground truth (unavailable to the system) differs
-        minute_vps = system.database.by_minute(0)
+        minute_vps = system.database.query(QuerySpec(minute=0)).vps
         guards = [vp for vp in minute_vps if vp.vp_id in result.guard_creator]
         actuals = [
             vp

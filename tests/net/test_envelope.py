@@ -19,10 +19,14 @@ Three things are pinned here, next to the unit table in
 from __future__ import annotations
 
 import struct
+import threading
 
 import pytest
 
+from repro.constants import VD_MESSAGE_BYTES
 from repro.core.system import ViewMapSystem
+from repro.core.viewdigest import PACKED_FIELD
+from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.net.concurrency import ThreadedNetwork
 from repro.net.messages import (
@@ -30,12 +34,15 @@ from repro.net.messages import (
     encode_message,
     pack_view_profile,
     pack_vp_batch_frame,
+    unpack_view_profile,
 )
 from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.streaming import StreamingNetwork
 from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import counter_value
+from repro.store import make_store
+from repro.store.codec import RECORD_OVERHEAD_BYTES, decode_vp_batch
 from repro.store.serving import QuerySpec
 from tests.net.test_messages import MALFORMED_ENVELOPES
 from tests.net.test_wire_frame import make_complete_vp
@@ -126,6 +133,31 @@ MALFORMED_REQUESTS = {
 FIELDLESS_KINDS = {"list_solicitations", "list_rewards", "public_key"}
 
 
+#: the digest whose position the wide forms move (any but the first, so
+#: the initial location and the claimed minute stay honest)
+_MOVED = VD_MESSAGE_BYTES + PACKED_FIELD["location"].start
+
+
+def wide_vp_block(vp, span_m: float = 1e12) -> bytes:
+    """``vp``'s upload block with digest 2 moved ``span_m`` east: finite
+    float32 positions no minute of driving connects."""
+    block = bytearray(pack_view_profile(vp))
+    struct.pack_into(">f", block, _MOVED, span_m)
+    return bytes(block)
+
+
+def wide_vp_frame(vp, span_m: float = 1e12) -> bytes:
+    """The same VP as a one-record frame, its sidecar box made to match
+    (so the extent is the only thing wrong with it)."""
+    frame = bytearray(pack_vp_batch_frame([vp]))
+    record = 5  # past the frame's version + count header
+    moved = record + RECORD_OVERHEAD_BYTES + 7 + _MOVED  # 7: the blob header
+    struct.pack_into(">f", frame, moved, span_m)
+    (x_max,) = struct.unpack_from(">f", frame, moved)  # as float32 rounds it
+    struct.pack_into(">d", frame, record + 5 + 16, x_max)  # flags, minute, x_min, y_min
+    return bytes(frame)
+
+
 def nan_vp_block(vp) -> bytes:
     """``vp``'s upload block with NaN locations in digests 2-60."""
     block = bytearray(pack_view_profile(vp))
@@ -142,6 +174,12 @@ def malformed_requests(vp_pool):
     }
     table["upload_vp with NaN locations"] = encode_message(
         "upload_vp", session="s", vp=nan_vp_block(vp_pool[0])
+    )
+    table["upload_vp spanning 1e12 m"] = encode_message(
+        "upload_vp", session="s", vp=wide_vp_block(vp_pool[0])
+    )
+    table["upload_vp_batch spanning 1e12 m"] = encode_message(
+        "upload_vp_batch", session="s", frame=wide_vp_frame(vp_pool[0])
     )
     return table
 
@@ -197,6 +235,29 @@ class TestMalformedRequestsGetErrorReplies:
             assert decode_message(server.handle(honest)) == {"kind": "ack", "accepted": True}
             assert system.database.query(QuerySpec(minute=vp.minute, area=area)).n == 1
 
+    def test_wide_vp_is_refused_with_one_message(self, vp_pool):
+        # the extent bound lives where the NaN rule does, so the block
+        # form, the frame form and a store-side decode all say the same
+        vp = vp_pool[0]
+        with ViewMapSystem(key_bits=512, seed=3) as system:
+            server = ViewMapServer(system=system, network=InMemoryNetwork())
+            block, frame = wide_vp_block(vp), wide_vp_frame(vp)
+            reasons = {
+                decode_message(server.handle(encode_message(kind, session="s", **field)))[
+                    "reason"
+                ].split(": ")[-1]
+                for kind, field in (
+                    ("upload_vp", {"vp": block}),
+                    ("upload_vp_batch", {"frame": frame}),
+                )
+            }
+            with pytest.raises(ValidationError) as refused:
+                decode_vp_batch(frame)
+            reasons.add(str(refused.value))
+            assert reasons == {"VP positions span more than 10000 m along one axis"}
+            # a minute of driving at the bound's edge is still a VP
+            assert unpack_view_profile(wide_vp_block(vp, span_m=9_000.0)).vp_id == vp.vp_id
+
     def test_crashing_handler_is_answered_in_its_slot(self):
         # replies on a held connection are matched by position: a
         # handler that raises must still fill its slot, or this request
@@ -212,6 +273,64 @@ class TestMalformedRequestsGetErrorReplies:
             assert conn.request("boom", timeout=10.0)["kind"] == "error"
             assert conn.request("ping", timeout=10.0)["kind"] == "pong"
             assert counter_value(net.metrics.snapshot(), "stream.handler.crashed") == 1
+
+
+def within(seconds: float, call, *args):
+    """``call(*args)``, failing instead of hanging when it wedges."""
+    done: list = []
+    worker = threading.Thread(target=lambda: done.append(call(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert done, f"{getattr(call, '__name__', call)} still running after {seconds} s"
+    return done[0]
+
+
+class TestUnboundedGeometryDoesNotWedge:
+    """Two requests whose geometry made a store walk ~1e9 grid cells
+    under its lock: each is answered (or refused) at once, and the
+    server keeps serving."""
+
+    WIDE_AREA = [-1e7, -1e7, 1e7, 1e7]
+
+    def wide_query(self, vp) -> bytes:
+        return encode_message("query_view", session="s", minute=vp.minute, area=self.WIDE_AREA)
+
+    def test_wide_query_rectangle_through_server_handle(self, vp_pool):
+        vp = vp_pool[0]
+        with ViewMapSystem(key_bits=512, seed=3) as system:  # the memory backend
+            server = ViewMapServer(system=system, network=InMemoryNetwork())
+            system.database.insert(vp)
+            reply = decode_message(within(1.0, server.handle, self.wide_query(vp)))
+            assert (reply["kind"], reply["n"]) == ("view", 1)
+
+    def test_wide_query_rectangle_over_a_held_connection(self, vp_pool):
+        vp = vp_pool[0]
+        with ViewMapSystem(key_bits=512, seed=3) as system:
+            with StreamingNetwork(workers=2) as net:
+                server = ViewMapServer(system=system, network=net)
+                conn = net.connect(server.address)
+                assert conn.upload_frame(pack_vp_batch_frame([vp]))["inserted"] == 1
+                reply = decode_message(conn.request_raw(self.wide_query(vp), timeout=1.0))
+                assert (reply["kind"], reply["n"]) == ("view", 1)
+                after = conn.request("list_solicitations", timeout=1.0, session="s")
+                assert after["kind"] == "solicitations"
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_wide_vp_does_not_hang_ingest_on_warm_tiles(self, vp_pool, backend):
+        honest, vp = vp_pool[0], vp_pool[3]  # two VPs of one minute
+        store = make_store(backend)
+        with ViewMapSystem(key_bits=512, seed=3, store=store) as system:
+            server = ViewMapServer(system=system, network=InMemoryNetwork())
+            system.database.insert(honest)
+            store.coverage_tiles(honest.minute)  # warm: writes now apply tile deltas
+            assert vp.minute == honest.minute
+            upload = encode_message("upload_vp_batch", session="s", frame=wide_vp_frame(vp))
+            assert_error_reply(within(1.0, server.handle, upload), backend)
+            assert len(store) == 1
+            honest_upload = encode_message(
+                "upload_vp_batch", session="s", frame=pack_vp_batch_frame([vp])
+            )
+            assert decode_message(server.handle(honest_upload))["inserted"] == 1
 
 
 class TestCountedOverhead:

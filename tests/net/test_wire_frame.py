@@ -42,6 +42,7 @@ from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
 from repro.store.codec import encode_vp, encode_vp_batch, iter_encoded_records
+from repro.store.serving import QuerySpec
 from tests.conftest import run_linked_minute
 
 POOL_SIZE = 8
@@ -81,7 +82,7 @@ def store_contents(system: ViewMapSystem) -> dict:
     for minute in contents["minutes"]:
         contents[minute] = [
             (vp.vp_id, vp.minute, vp.trusted, encode_vp(vp))
-            for vp in system.database.by_minute(minute)
+            for vp in system.database.query(QuerySpec(minute=minute)).vps
         ]
     return contents
 
@@ -159,7 +160,7 @@ def test_frame_upload_builds_no_vp_on_the_authority(vp_pool, monkeypatch):
         assert [inserted for _, inserted in acks] == [POOL_SIZE, 0]
         assert built == []
         # the probe is live: reading the VPs back builds each of them
-        assert len(system.database.by_minute(vp_pool[0].minute)) == len(built) > 0
+        assert len(system.database.query(QuerySpec(minute=vp_pool[0].minute)).vps) == len(built) > 0
 
 
 class TestMalformedFrames:

@@ -7,6 +7,7 @@ from repro.errors import SimulationError
 from repro.mobility.scenarios import city_scenario, two_vehicle_passes
 from repro.radio.channel import DsrcChannel
 from repro.sim.runner import run_viewmap_simulation
+from repro.store.serving import QuerySpec
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +103,8 @@ class TestConcurrentIngest:
         )
         assert len(serial) == len(threaded) == 12
         for minute in serial.minutes():
-            assert {vp.vp_id for vp in serial.by_minute(minute)} == {
-                vp.vp_id for vp in threaded.by_minute(minute)
+            assert {vp.vp_id for vp in serial.query(QuerySpec(minute=minute)).vps} == {
+                vp.vp_id for vp in threaded.query(QuerySpec(minute=minute)).vps
             }
 
     def test_workers_exceeding_minutes_still_ingests_all(self):
@@ -141,7 +142,7 @@ class TestConcurrentIngest:
         assert store.minutes() == [2, 3]  # ...but only the window remains
         assert len(store) == 10
         for minute in (2, 3):
-            assert {vp.vp_id for vp in store.by_minute(minute)} == {
+            assert {vp.vp_id for vp in store.query(QuerySpec(minute=minute)).vps} == {
                 vp.vp_id for vp in result.vps_by_minute[minute]
             }
 

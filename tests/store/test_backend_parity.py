@@ -11,6 +11,8 @@ must agree on every observable.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from repro.store import (
     STORE_KINDS,
     MemoryStore,
     ProcessShardedStore,
+    QuerySpec,
     ShardedStore,
     SQLiteStore,
     decode_vp_batch,
@@ -76,28 +79,36 @@ class ReferenceModel:
     def minutes(self):
         return sorted({vp.minute for vp in self._order})
 
-    def by_minute(self, minute):
-        return [vp for vp in self._order if vp.minute == minute]
+    def select(self, spec):
+        """Linear scan for one ``QuerySpec`` (every axis but count/encoded)."""
+        vps = [vp for vp in self._order if vp.minute == spec.minute]
+        if spec.area is not None:
+            area = spec.area
+            vps = [
+                vp
+                for vp in vps
+                if any(
+                    area.x_min <= p.x <= area.x_max and area.y_min <= p.y <= area.y_max
+                    for p in vp.trajectory.points
+                )
+            ]
+        if spec.trusted_only:
+            vps = [vp for vp in vps if vp.trusted]
+        if spec.nearest is not None:
+            site = spec.nearest
+            vps.sort(key=lambda vp: min(site.distance_to(p) for p in vp.trajectory.points))
+            vps = vps[: spec.k]
+        return vps
 
-    def by_minute_in_area(self, minute, area):
-        out = []
-        for vp in self.by_minute(minute):
-            if any(
-                area.x_min <= p.x <= area.x_max and area.y_min <= p.y <= area.y_max
-                for p in vp.trajectory.points
-            ):
-                out.append(vp)
-        return out
 
-    def trusted_by_minute(self, minute):
-        return [vp for vp in self.by_minute(minute) if vp.trusted]
-
-    def nearest_trusted(self, minute, site, k=1):
-        trusted = self.trusted_by_minute(minute)
-        trusted.sort(
-            key=lambda vp: min(site.distance_to(p) for p in vp.trajectory.points)
-        )
-        return trusted[:k]
+def selection_specs(minute, rect, site):
+    """One spec per decoded selection shape the investigator uses."""
+    return (
+        QuerySpec(minute=minute),
+        QuerySpec(minute=minute, area=rect),
+        QuerySpec(minute=minute, trusted_only=True),
+        QuerySpec(minute=minute, trusted_only=True, nearest=site, k=2),
+    )
 
 
 #: an op is (seed, minute, x_cell, y_cell, trusted)
@@ -214,18 +225,10 @@ def test_backends_agree_with_reference(ops, area, batch):
     assert len({len(store) for store in stores}) == 1
     assert len({tuple(store.minutes()) for store in stores}) == 1
     for minute in range(4):
-        expected = fingerprints(reference.by_minute(minute))
-        for backend in backends:
-            assert fingerprints(backend.by_minute(minute)) == expected
-        expected_area = fingerprints(reference.by_minute_in_area(minute, rect))
-        for backend in backends:
-            assert fingerprints(backend.by_minute_in_area(minute, rect)) == expected_area
-        expected_trusted = fingerprints(reference.trusted_by_minute(minute))
-        for backend in backends:
-            assert fingerprints(backend.trusted_by_minute(minute)) == expected_trusted
-        expected_near = fingerprints(reference.nearest_trusted(minute, site, k=2))
-        for backend in backends:
-            assert fingerprints(backend.nearest_trusted(minute, site, k=2)) == expected_near
+        for spec in selection_specs(minute, rect, site):
+            expected = fingerprints(reference.select(spec))
+            for backend in backends:
+                assert fingerprints(backend.query(spec).vps) == expected, spec
     for vp in reference._order:
         for backend in backends:
             assert vp.vp_id in backend
@@ -240,8 +243,6 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
     """Every ``query(QuerySpec)`` axis agrees across backends — and the
     encoded (decode-free) results are *byte-identical* to re-encoding
     the decoded-path selection, on every backend."""
-    from repro.store import QuerySpec, encode_vp_batch
-
     reference = ReferenceModel()
     backends = fresh_backends()
     stores = [reference] + backends
@@ -265,46 +266,27 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
     rect = Rect(x0, y0, x0 + w, y0 + h)
     site = Point(150.0, 150.0)
     for minute in range(4):
-        selections = {
-            "minute": (QuerySpec(minute=minute), reference.by_minute(minute)),
-            "area": (
-                QuerySpec(minute=minute, area=rect),
-                reference.by_minute_in_area(minute, rect),
-            ),
-            "trusted": (
-                QuerySpec(minute=minute, trusted_only=True),
-                reference.trusted_by_minute(minute),
-            ),
-            "nearest": (
-                QuerySpec(minute=minute, trusted_only=True, nearest=site, k=2),
-                reference.nearest_trusted(minute, site, k=2),
-            ),
-        }
-        for label, (spec, expected) in selections.items():
+        for spec in selection_specs(minute, rect, site):
+            expected = reference.select(spec)
             for backend in backends:
                 result = backend.query(spec)
-                assert fingerprints(result.vps) == fingerprints(expected), label
-                assert result.n == len(expected), label
-        # count axis (tile-served where tiles exist)
-        for trusted_only, expected_n in (
-            (False, len(reference.by_minute(minute))),
-            (True, len(reference.trusted_by_minute(minute))),
+                assert fingerprints(result.vps) == fingerprints(expected), spec
+                assert result.n == len(expected), spec
+        # count axis (tile-served for a whole minute, the frame's count
+        # header with an area)
+        for spec in (
+            QuerySpec(minute=minute),
+            QuerySpec(minute=minute, trusted_only=True),
+            QuerySpec(minute=minute, area=rect),
+            QuerySpec(minute=minute, area=rect, trusted_only=True),
         ):
-            spec = QuerySpec(minute=minute, trusted_only=trusted_only, count=True)
+            expected_n = len(reference.select(spec))
             for backend in backends:
-                assert backend.query(spec).n == expected_n
+                assert backend.query(replace(spec, count=True)).n == expected_n, spec
         # encoded axis: byte-identical frames, client-side decode parity
-        for spec, expected in (
-            (QuerySpec(minute=minute, encoded=True), reference.by_minute(minute)),
-            (
-                QuerySpec(minute=minute, area=rect, encoded=True),
-                reference.by_minute_in_area(minute, rect),
-            ),
-            (
-                QuerySpec(minute=minute, trusted_only=True, encoded=True),
-                reference.trusted_by_minute(minute),
-            ),
-        ):
+        for spec in selection_specs(minute, rect, site)[:3]:
+            expected = reference.select(spec)
+            spec = replace(spec, encoded=True)
             expected_frame = encode_vp_batch(expected)
             for backend in backends:
                 result = backend.query(spec)
@@ -321,8 +303,48 @@ def test_make_store_round_trip(kind):
     store = make_store(kind, ingest_workers=2)
     vp = make_vp(seed=42)
     store.insert(vp)
-    assert fingerprints(store.by_minute(0)) == fingerprints([vp])
+    assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([vp])
     store.close()
+
+
+def test_identity_contract():
+    """Which reads return the inserted instance, stated once.
+
+    A store that holds objects hands them back: ``MemoryStore.get`` and
+    ``query`` return the inserted instance, and ``ShardedStore.get``
+    routes to its shard's.  A decoded *selection* through a router or
+    SQLite is ``decode_vp_batch(query_encoded(spec))`` — fresh
+    wire-backed VPs per call, equal in content; nothing below ``query``
+    caches objects, so no ``is`` may be asserted there.
+    """
+    spec = QuerySpec(minute=0)
+    vp = make_vp(seed=7)
+    with MemoryStore() as memory:
+        memory.insert(vp)
+        assert memory.get(vp.vp_id) is vp
+        assert memory.query(spec).vps[0] is vp
+    with ShardedStore.memory(n_shards=2) as sharded:
+        sharded.insert(vp)
+        assert sharded.get(vp.vp_id) is vp
+        first, second = sharded.query(spec).vps[0], sharded.query(spec).vps[0]
+        assert first is not vp and first is not second
+        assert fingerprints([first, second]) == fingerprints([vp, vp])
+    with SQLiteStore() as sqlite:
+        sqlite.insert(vp)
+        first, second = sqlite.query(spec).vps[0], sqlite.query(spec).vps[0]
+        assert first is not second and sqlite.get(vp.vp_id) is not sqlite.get(vp.vp_id)
+        assert fingerprints([first, second]) == fingerprints([vp, vp])
+
+
+def test_each_backend_defines_one_read_primitive():
+    """``_select`` or ``query_encoded`` — never both, never neither."""
+    from repro.store import WorkerShard
+
+    for backend in (MemoryStore, SQLiteStore, ShardedStore, WorkerShard):
+        own = {name for name in ("_select", "query_encoded") if name in vars(backend)}
+        assert len(own) == 1, (backend.__name__, own)
+    assert "_select" in vars(MemoryStore)
+    assert not {"_select", "query_encoded"} & set(vars(ProcessShardedStore))
 
 
 def _strict_store(kind):

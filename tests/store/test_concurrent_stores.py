@@ -17,6 +17,7 @@ from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError
 from repro.geo.geometry import Rect
 from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
+from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprint, make_vp
 
 N_THREADS = 6
@@ -96,8 +97,8 @@ class TestConcurrentIngest:
         # per-minute populations identical to the serial reference
         assert store.minutes() == serial.minutes()
         for minute in serial.minutes():
-            got = {fingerprint(vp) for vp in store.by_minute(minute)}
-            want = {fingerprint(vp) for vp in serial.by_minute(minute)}
+            got = {fingerprint(vp) for vp in store.query(QuerySpec(minute=minute)).vps}
+            want = {fingerprint(vp) for vp in serial.query(QuerySpec(minute=minute)).vps}
             assert got == want
         serial.close()
         store.close()
@@ -113,8 +114,8 @@ class TestConcurrentIngest:
         def reader():
             try:
                 while not stop.is_set():
-                    assert len(store.by_minute(0)) >= 8
-                    store.by_minute_in_area(0, area)
+                    assert len(store.query(QuerySpec(minute=0)).vps) >= 8
+                    store.query(QuerySpec(minute=0, area=area)).vps
                     assert seed_vps[0].vp_id in store
             except Exception as exc:  # surfaced after join
                 errors.append(exc)
@@ -152,34 +153,6 @@ class TestSQLiteConcurrencyMachinery:
         assert store.stats().detail["connections"] >= 4  # keepalive + probes
         store.close()
 
-    def test_decode_cache_hits_on_repeated_reads(self):
-        store = SQLiteStore(decode_cache=16)
-        vp = make_vp(seed=3)
-        store.insert(vp)
-        first = store.get(vp.vp_id)
-        second = store.get(vp.vp_id)
-        assert first is second  # cached object reused
-        cache = store.stats().detail["decode_cache"]
-        assert cache["hits"] >= 1 and cache["misses"] == 1
-        store.close()
-
-    def test_decode_cache_evicts_beyond_capacity(self):
-        store = SQLiteStore(decode_cache=2)
-        vps = [make_vp(seed=10 + i, minute=0, x0=50.0 * i) for i in range(4)]
-        store.insert_many(vps)
-        for vp in vps:
-            assert fingerprint(store.get(vp.vp_id)) == fingerprint(vp)
-        assert store.stats().detail["decode_cache"]["size"] == 2
-        store.close()
-
-    def test_decode_cache_disabled(self):
-        store = SQLiteStore(decode_cache=0)
-        vp = make_vp(seed=4)
-        store.insert(vp)
-        assert store.get(vp.vp_id) is not store.get(vp.vp_id)
-        assert fingerprint(store.get(vp.vp_id)) == fingerprint(vp)
-        store.close()
-
     def test_closed_store_refuses_queries(self):
         store = SQLiteStore()
         store.insert(make_vp(seed=5))
@@ -188,7 +161,7 @@ class TestSQLiteConcurrencyMachinery:
             len(store)
         store.close()  # idempotent
 
-    def test_trusted_flag_survives_cache_and_threads(self):
+    def test_trusted_flag_survives_threads(self):
         store = SQLiteStore()
         vp = make_vp(seed=6)
         store.insert_trusted(vp)
@@ -202,7 +175,7 @@ class TestSQLiteConcurrencyMachinery:
         t.start()
         t.join()
         assert out == [True]
-        assert len(store.trusted_by_minute(0)) == 1
+        assert len(store.query(QuerySpec(minute=0, trusted_only=True)).vps) == 1
         store.close()
 
 
@@ -285,7 +258,7 @@ class TestEvictionRaces:
         assert store.evict_before(1) == 8
         # the very VPs that were evicted insert cleanly again
         assert store.insert_many(vps) == 8
-        assert len(store.by_minute(0)) == 8
+        assert len(store.query(QuerySpec(minute=0)).vps) == 8
         for vp in vps:
             assert vp.vp_id in store
         store.close()

@@ -23,6 +23,7 @@ from repro.store import (
     SQLiteStore,
     apply_retention,
 )
+from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprints, make_vp
 
 
@@ -101,9 +102,10 @@ class TestApplyRetention:
                       ShardedStore.memory(4, shard_cells=4)):
             for i in range(5):
                 store.insert(make_vp(seed=i + 1, minute=i % 2, x0=500.0 * i))
-            assert store.count_by_minute(0) == len(store.by_minute(0)) == 3
-            assert store.count_by_minute(1) == 2
-            assert store.count_by_minute(7) == 0
+            assert store.query(QuerySpec(minute=0, count=True)).n == 3
+            assert len(store.query(QuerySpec(minute=0)).vps) == 3
+            assert store.query(QuerySpec(minute=1, count=True)).n == 2
+            assert store.query(QuerySpec(minute=7, count=True)).n == 0
             store.close()
 
 
@@ -134,36 +136,9 @@ class TestEvictionSemantics:
         # (the fleet-wide duplicate check must not remember ghosts)
         readd = make_vp(seed=1, minute=0)
         store.insert(readd)
-        assert fingerprints(store.by_minute(0)) == fingerprints([readd])
+        assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([readd])
         assert store.evict_before(10) == 7
         assert len(store) == 0
-        store.close()
-
-    def test_sqlite_decode_cache_purged_on_eviction(self):
-        store = SQLiteStore(decode_cache=16)
-        vp = make_vp(seed=1, minute=0)
-        store.insert(vp)
-        assert store.get(vp.vp_id) is not None  # now cached
-        store.evict_before(1)
-        # a cached id must never outlive its row
-        assert store.get(vp.vp_id) is None
-        assert vp.vp_id not in store
-        store.close()
-
-    def test_sqlite_stale_reader_does_not_repopulate_cache(self):
-        # a reader that selected rows before an eviction must not put
-        # the decoded (now-deleted) VP back into the cache afterwards
-        store = SQLiteStore(decode_cache=16)
-        vp = make_vp(seed=1, minute=0)
-        store.insert(vp)
-        stale_epoch = store._cache_epoch()
-        row = store._conn.execute(
-            "SELECT vp_id, body, trusted FROM vps WHERE vp_id = ?", (vp.vp_id,)
-        ).fetchone()
-        store.evict_before(1)  # bumps the epoch and purges
-        decoded = store._vp_of(*row, epoch=stale_epoch)
-        assert decoded is not None  # the stale reader still gets its VP...
-        assert store.get(vp.vp_id) is None  # ...but the cache stays clean
         store.close()
 
 
@@ -195,14 +170,12 @@ class TestTrustedPinning:
             assert store.evict_before(2, keep_trusted=True) == 6
             # seeds of the evicted minutes survive, in order, queryable
             for m in range(2):
-                assert fingerprints(store.by_minute(m)) == fingerprints([seeds[m]])
-                assert fingerprints(store.trusted_by_minute(m)) == fingerprints(
-                    [seeds[m]]
-                )
+                for spec in (QuerySpec(minute=m), QuerySpec(minute=m, trusted_only=True)):
+                    assert fingerprints(store.query(spec).vps) == fingerprints([seeds[m]])
                 assert store.get(seeds[m].vp_id) is not None
                 assert seeds[m].vp_id in store
             # minute 2 untouched: full population, original order
-            assert fingerprints(store.by_minute(2)) == fingerprints(
+            assert fingerprints(store.query(QuerySpec(minute=2)).vps) == fingerprints(
                 anon[6:9] + [seeds[2]]
             )
             # pinned ids stay claimed; evicted anonymous ids free up
@@ -223,7 +196,7 @@ class TestTrustedPinning:
         policy = RetentionPolicy(window_minutes=1, pin_trusted=True)
         report = apply_retention(store, policy, newest_minute=9)
         assert report.evicted == 1
-        assert len(store) == 1 and store.trusted_by_minute(0)
+        assert len(store) == 1 and store.query(QuerySpec(minute=0, trusted_only=True)).vps
         store.close()
 
     def test_unpinned_policy_still_evicts_trusted(self):
@@ -256,7 +229,7 @@ class TestCompositeRouting:
         for vp in vps[:10]:
             store.insert(vp)
         store.insert_many(vps[10:])
-        assert fingerprints(store.by_minute(0)) == fingerprints(vps)
+        assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints(vps)
         area = Rect(-10.0, -10.0, 3000.0, 1500.0)
         expected = [
             vp
@@ -266,7 +239,8 @@ class TestCompositeRouting:
                 for p in vp.trajectory.points
             )
         ]
-        assert fingerprints(store.by_minute_in_area(0, area)) == fingerprints(expected)
+        found = store.query(QuerySpec(minute=0, area=area)).vps
+        assert fingerprints(found) == fingerprints(expected)
 
     def test_minute_only_routing_unchanged(self):
         # shard_cells=1 must behave exactly as the historical router
@@ -290,7 +264,7 @@ class TestCompositeRouting:
             reopened.insert(make_vp(seed=1, minute=0))
         assert reopened.insert_many([vps[2], make_vp(seed=99, minute=0)]) == 1
         assert len(reopened) == 7
-        merged = reopened.by_minute(0)
+        merged = reopened.query(QuerySpec(minute=0)).vps
         got = {f for f in fingerprints(merged)}
         want = {f for f in fingerprints(vps + [make_vp(seed=99, minute=0)])}
         assert got == want
@@ -362,7 +336,8 @@ def test_any_interleaving_retains_exactly_the_survivors(ops, area):
         assert store.minutes() == sorted(alive)
         for minute in range(4):
             survivors = alive.get(minute, [])
-            assert fingerprints(store.by_minute(minute)) == fingerprints(survivors)
+            found = store.query(QuerySpec(minute=minute)).vps
+            assert fingerprints(found) == fingerprints(survivors)
             expected_area = [
                 vp
                 for vp in survivors
@@ -371,7 +346,6 @@ def test_any_interleaving_retains_exactly_the_survivors(ops, area):
                     for p in vp.trajectory.points
                 )
             ]
-            assert fingerprints(store.by_minute_in_area(minute, rect)) == fingerprints(
-                expected_area
-            )
+            found = store.query(QuerySpec(minute=minute, area=rect)).vps
+            assert fingerprints(found) == fingerprints(expected_area)
         store.close()

@@ -1,10 +1,13 @@
 """Tests for the grid-indexed in-memory VP store."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.store import MemoryStore, SpatialGrid
+from repro.store.serving import QuerySpec
 from tests.store.conftest import make_vp
 
 
@@ -29,7 +32,7 @@ class TestInsertQuery:
         vps = [make_vp(seed=i, minute=2) for i in range(5)]
         for vp in vps:
             store.insert(vp)
-        assert store.by_minute(2) == vps
+        assert store.query(QuerySpec(minute=2)).vps == vps
         assert store.minutes() == [2]
 
     def test_insert_many_skips_duplicates(self):
@@ -47,7 +50,7 @@ class TestAreaQuery:
         far = make_vp(seed=2, x0=10_000.0)
         store.insert(near)
         store.insert(far)
-        found = store.by_minute_in_area(0, Rect(-100, -100, 1000, 100))
+        found = store.query(QuerySpec(minute=0, area=Rect(-100, -100, 1000, 100))).vps
         assert found == [near]
 
     def test_vp_spanning_cells_found_once(self):
@@ -55,19 +58,19 @@ class TestAreaQuery:
         store = MemoryStore(cell_m=50.0)
         vp = make_vp(seed=3, n=10, step=40.0)  # spans 360 m -> 8 cells
         store.insert(vp)
-        found = store.by_minute_in_area(0, Rect(-1000, -1000, 1000, 1000))
+        found = store.query(QuerySpec(minute=0, area=Rect(-1000, -1000, 1000, 1000))).vps
         assert found == [vp]
 
     def test_boundary_inclusive(self):
         store = MemoryStore()
         vp = make_vp(seed=4, n=2, x0=0.0)  # positions at x=0 and x=10
         store.insert(vp)
-        assert store.by_minute_in_area(0, Rect(10.0, -5.0, 20.0, 5.0)) == [vp]
-        assert store.by_minute_in_area(0, Rect(10.5, -5.0, 20.0, 5.0)) == []
+        assert store.query(QuerySpec(minute=0, area=Rect(10.0, -5.0, 20.0, 5.0))).vps == [vp]
+        assert store.query(QuerySpec(minute=0, area=Rect(10.5, -5.0, 20.0, 5.0))).vps == []
 
     def test_empty_minute(self):
         store = MemoryStore()
-        assert store.by_minute_in_area(9, Rect(0, 0, 1, 1)) == []
+        assert store.query(QuerySpec(minute=9, area=Rect(0, 0, 1, 1))).vps == []
 
 
 class TestTrusted:
@@ -76,7 +79,7 @@ class TestTrusted:
         vp = make_vp(seed=5)
         store.insert_trusted(vp)
         assert vp.trusted
-        assert store.trusted_by_minute(0) == [vp]
+        assert store.query(QuerySpec(minute=0, trusted_only=True)).vps == [vp]
 
     def test_duplicate_insert_trusted_leaves_argument_untouched(self):
         store = MemoryStore()
@@ -93,8 +96,9 @@ class TestTrusted:
         far = make_vp(seed=8, x0=5_000.0)
         store.insert_trusted(far)
         store.insert_trusted(near)
-        assert store.nearest_trusted(0, Point(0, 0), k=1) == [near]
-        assert store.nearest_trusted(0, Point(0, 0), k=2) == [near, far]
+        nearest = QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0), k=1)
+        assert store.query(nearest).vps == [near]
+        assert store.query(replace(nearest, k=2)).vps == [near, far]
 
 
 class TestStats:

@@ -17,6 +17,7 @@ import pytest
 from repro.errors import StorageError, ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.store import ProcessShardedStore, RetentionPolicy, apply_retention
+from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprints, make_vp
 
 #: every worker round-trip in this file must answer well within this
@@ -51,9 +52,9 @@ class TestContractSmoke:
                 store.insert(make_vp(seed=1, minute=0))
             assert len(store) == 10
             assert store.minutes() == [0, 1]
-            assert store.count_by_minute(0) == 5
+            assert store.query(QuerySpec(minute=0, count=True)).n == 5
             expected0 = [vp for vp in vps if vp.minute == 0]
-            assert fingerprints(store.by_minute(0)) == fingerprints(expected0)
+            assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints(expected0)
             assert vps[3].vp_id in store
             assert fingerprints([store.get(vps[3].vp_id)]) == fingerprints([vps[3]])
             assert store.get(b"\x00" * 16) is None
@@ -66,15 +67,15 @@ class TestContractSmoke:
                     for p in vp.trajectory.points
                 )
             ]
-            assert fingerprints(store.by_minute_in_area(0, area)) == fingerprints(
-                expected_area
-            )
+            found = store.query(QuerySpec(minute=0, area=area)).vps
+            assert fingerprints(found) == fingerprints(expected_area)
             trusted = make_vp(seed=90, minute=0, x0=10.0)
             store.insert_trusted(trusted)
-            assert fingerprints(store.trusted_by_minute(0)) == fingerprints([trusted])
-            assert fingerprints(
-                store.nearest_trusted(0, Point(0.0, 0.0), k=1)
-            ) == fingerprints([trusted])
+            for spec in (
+                QuerySpec(minute=0, trusted_only=True),
+                QuerySpec(minute=0, trusted_only=True, nearest=Point(0.0, 0.0), k=1),
+            ):
+                assert fingerprints(store.query(spec).vps) == fingerprints([trusted])
             assert sorted(store.iter_id_minutes()) == sorted(
                 (vp.vp_id, vp.minute) for vp in vps + [trusted]
             )
@@ -119,7 +120,7 @@ class TestContractSmoke:
             assert len(reopened) == 6
             with pytest.raises(ValidationError):
                 reopened.insert(make_vp(seed=1, minute=0))
-            assert {f for f in fingerprints(reopened.by_minute(0))} == {
+            assert {f for f in fingerprints(reopened.query(QuerySpec(minute=0)).vps)} == {
                 f for f in fingerprints(vps)
             }
         finally:
@@ -166,7 +167,7 @@ class TestRetentionOnWorkers:
             policy = RetentionPolicy(window_minutes=1, pin_trusted=True)
             report = apply_retention(store, policy, newest_minute=5)
             assert report.evicted == 4
-            assert fingerprints(store.by_minute(0)) == fingerprints([seed_vp])
+            assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([seed_vp])
             assert store.get(seed_vp.vp_id) is not None
             # the pinned id stays claimed; evicted anonymous ids free up
             with pytest.raises(ValidationError):

@@ -255,7 +255,7 @@ def test_tile_counts_exact_under_concurrent_ingest_and_evict(store_cls):
     assert not errors
     # quiesced: tile-backed counts must match the rows that survived
     for minute in range(4):
-        expected = len(store.by_minute(minute))
+        expected = len(store.query(QuerySpec(minute=minute)).vps)
         assert store.query(QuerySpec(minute=minute, count=True)).n == expected
         tiles = store.coverage_tiles(minute)
         assert tiles.n_vps == expected

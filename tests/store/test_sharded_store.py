@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.store import ShardedStore
+from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprints, make_vp
 
 
@@ -58,7 +59,7 @@ class TestSemantics:
         vps = [make_vp(seed=1, minute=0), make_vp(seed=1, minute=1), make_vp(seed=2, minute=1)]
         assert store.insert_many(vps) == 2
         assert len(store) == 2
-        assert store.by_minute(1) == [vps[2]]
+        assert store.query(QuerySpec(minute=1)).vps == [vps[2]]
 
     def test_existing_ids_spans_shards(self):
         store = ShardedStore.memory(n_shards=3)
@@ -73,10 +74,11 @@ class TestSemantics:
         far = make_vp(seed=2, minute=3, x0=9_000.0)
         store.insert_trusted(near)
         store.insert(far)
-        assert store.by_minute(3) == [near, far]
-        assert store.by_minute_in_area(3, Rect(-50, -50, 100, 50)) == [near]
-        assert store.trusted_by_minute(3) == [near]
-        assert store.nearest_trusted(3, Point(0, 0)) == [near]
+        assert store.query(QuerySpec(minute=3)).vps == [near, far]
+        assert store.query(QuerySpec(minute=3, area=Rect(-50, -50, 100, 50))).vps == [near]
+        assert store.query(QuerySpec(minute=3, trusted_only=True)).vps == [near]
+        nearest = QuerySpec(minute=3, trusted_only=True, nearest=Point(0, 0))
+        assert store.query(nearest).vps == [near]
 
     def test_empty_shard_list_rejected(self):
         with pytest.raises(ValidationError):
@@ -105,7 +107,7 @@ class TestSqliteShards:
         reopened = ShardedStore.sqlite(paths)
         assert len(reopened) == 4
         assert reopened.minutes() == [0, 1, 2, 3]
-        assert fingerprints(reopened.by_minute(2)) == fingerprints([vps[2]])
+        assert fingerprints(reopened.query(QuerySpec(minute=2)).vps) == fingerprints([vps[2]])
         reopened.close()
 
 
@@ -142,7 +144,7 @@ class TestDirectorySnapshot:
         # cross-shard insertion order survives the restart
         with pytest.raises(ValidationError):
             reopened.insert(make_vp(seed=1, minute=0))
-        assert fingerprints(reopened.by_minute(0)) == fingerprints(
+        assert fingerprints(reopened.query(QuerySpec(minute=0)).vps) == fingerprints(
             [vp for vp in vps if vp.minute == 0]
         )
         assert reopened.get(vps[5].vp_id) is not None

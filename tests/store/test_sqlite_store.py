@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Point, Rect
 from repro.store import SQLiteStore, decode_vp, encode_vp
+from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprint, fingerprints, make_vp
 
 
@@ -52,10 +53,11 @@ class TestInsertQuery:
         store = SQLiteStore()
         vps = [make_vp(seed=i, minute=1, x0=50.0 * i) for i in range(6)]
         store.insert_many(vps)
-        assert fingerprints(store.by_minute(1)) == fingerprints(vps)
+        assert fingerprints(store.query(QuerySpec(minute=1)).vps) == fingerprints(vps)
         area = Rect(-10, -10, 120, 10)
         expected = [vp for vp in vps if vp.positions_array[:, 0].min() <= 120]
-        assert fingerprints(store.by_minute_in_area(1, area)) == fingerprints(expected)
+        found = store.query(QuerySpec(minute=1, area=area)).vps
+        assert fingerprints(found) == fingerprints(expected)
 
     def test_insert_many_skips_duplicates(self):
         store = SQLiteStore()
@@ -71,8 +73,9 @@ class TestInsertQuery:
         store.insert_trusted(far)
         store.insert_trusted(near)
         store.insert(make_vp(seed=5, x0=1.0))  # anonymous, must not appear
-        assert fingerprints(store.trusted_by_minute(0)) == fingerprints([far, near])
-        best = store.nearest_trusted(0, Point(0, 0), k=1)
+        trusted = store.query(QuerySpec(minute=0, trusted_only=True)).vps
+        assert fingerprints(trusted) == fingerprints([far, near])
+        best = store.query(QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0), k=1)).vps
         assert fingerprints(best) == fingerprints([near])
 
 
@@ -84,14 +87,14 @@ class TestPersistence:
         store.insert_many(vps)
         sentinel = make_vp(seed=99, minute=0)
         store.insert_trusted(sentinel)
-        expected_m0 = fingerprints(store.by_minute(0))
+        expected_m0 = fingerprints(store.query(QuerySpec(minute=0)).vps)
         store.close()
 
         reopened = SQLiteStore(path)
         assert len(reopened) == 9
         assert reopened.minutes() == [0, 1]
-        assert fingerprints(reopened.by_minute(0)) == expected_m0
-        assert len(reopened.trusted_by_minute(0)) == 1
+        assert fingerprints(reopened.query(QuerySpec(minute=0)).vps) == expected_m0
+        assert len(reopened.query(QuerySpec(minute=0, trusted_only=True)).vps) == 1
         from repro.store.base import vp_claims_in_area
 
         area = Rect(-10, -10, 250, 10)
@@ -100,7 +103,8 @@ class TestPersistence:
             for vp in vps + [sentinel]
             if vp.minute == 0 and vp_claims_in_area(vp, area)
         ]
-        assert fingerprints(reopened.by_minute_in_area(0, area)) == fingerprints(expected)
+        found = reopened.query(QuerySpec(minute=0, area=area)).vps
+        assert fingerprints(found) == fingerprints(expected)
         reopened.close()
 
     def test_stats(self):
@@ -142,7 +146,7 @@ class TestGroupCommit:
         vps = [make_vp(seed=i + 1, minute=0, x0=60.0 * i) for i in range(3)]
         store.insert_many(vps)
         assert store._pending
-        assert fingerprints(store.by_minute(0)) == fingerprints(vps)
+        assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints(vps)
         assert not store._pending  # read-your-writes forced the group down
         store.close()
 

@@ -29,6 +29,7 @@ from repro.store.codec import (
     note_span_copies,
     span_copy_count,
 )
+from repro.store.serving import QuerySpec
 from tests.net.test_wire_frame import make_backend, make_complete_vp
 
 
@@ -41,7 +42,7 @@ def contents(store) -> dict:
     return {
         minute: [
             (vp.vp_id, vp.minute, vp.trusted, encode_vp(vp))
-            for vp in store.by_minute(minute)
+            for vp in store.query(QuerySpec(minute=minute)).vps
         ]
         for minute in store.minutes()
     }
@@ -110,7 +111,7 @@ class TestViewPlumbing:
                 assert isinstance(row[7], memoryview)
                 assert row[7].obj is frame
             # the deferred flush binds those spans and reads see them
-            got = {vp.vp_id for m in store.minutes() for vp in store.by_minute(m)}
+            got = {vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps}
             assert got == {vp.vp_id for vp in vp_pool[:3]}
 
     def test_worker_pipe_carries_views(self, vp_pool):
@@ -119,7 +120,7 @@ class TestViewPlumbing:
         frame = encode_vp_batch(vp_pool[:3])
         with ProcessShardedStore.memory(n_workers=2, shard_cells=2) as store:
             assert store.insert_encoded(memoryview(frame).toreadonly()) == 3
-            got = {vp.vp_id for m in store.minutes() for vp in store.by_minute(m)}
+            got = {vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps}
             assert got == {vp.vp_id for vp in vp_pool[:3]}
 
     def test_strict_duplicate_still_clean_on_views(self, vp_pool):
