@@ -112,7 +112,6 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
         shard_cells=args.shard_cells,
         ingest_workers=args.ingest_workers,
         group_commit_rows=args.group_commit_rows,
-        group_commit_target_s=args.commit_target_ms / 1e3,
         slo_p99_ms=args.slo_p99_ms,
     )
     retention = (
@@ -217,10 +216,9 @@ def _cmd_stream(args: argparse.Namespace) -> None:
         shard_cells=args.shard_cells,
         ingest_workers=args.ingest_workers,
         group_commit_rows=args.group_commit_rows,
-        group_commit_target_s=args.commit_target_ms / 1e3,
         slo_p99_ms=args.slo_p99_ms,
     )
-    system = ViewMapSystem(database=store)
+    system = ViewMapSystem(store=store)
     frames = list(
         iter_minute_frames(args.vehicles, args.minutes, seed=args.seed)
     )
@@ -344,20 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
             "off for sqlite, 512 inside procs workers)",
         )
         cmd.add_argument(
-            "--commit-target-ms",
-            type=float,
-            default=0.0,
-            help="adaptive group-commit flush-latency target in ms for "
-            "--store sqlite/procs (0 = fixed sizing; >0 grows/shrinks "
-            "the group toward the target from observed commit latency)",
-        )
-        cmd.add_argument(
             "--slo-p99-ms",
             type=float,
             default=0.0,
             help="commit-latency p99 SLO in ms for --store sqlite/procs "
-            "(overrides --commit-target-ms: the adaptive controller "
-            "steers group sizes on observed p99 against this bound)",
+            "(0 = fixed group sizing; >0 makes it adaptive: the "
+            "controller grows/shrinks the group on observed commit "
+            "latency against this bound)",
         )
         cmd.add_argument(
             "--metrics-json",

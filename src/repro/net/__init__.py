@@ -21,12 +21,7 @@ sessions with the system").  This package provides:
 from repro.net.transport import InMemoryNetwork, Endpoint
 from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
 from repro.net.onion import OnionNetwork, OnionCircuit, Relay
-from repro.net.messages import (
-    pack_view_profile,
-    unpack_view_profile,
-    encode_message,
-    decode_message,
-)
+from repro.net.messages import encode_message, decode_message
 from repro.net.server import ViewMapServer
 from repro.net.client import VehicleClient
 
@@ -38,8 +33,6 @@ __all__ = [
     "OnionNetwork",
     "OnionCircuit",
     "Relay",
-    "pack_view_profile",
-    "unpack_view_profile",
     "encode_message",
     "decode_message",
     "ViewMapServer",

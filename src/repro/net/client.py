@@ -30,7 +30,6 @@ from repro.net.messages import (
     decode_message,
     encode_message,
     pack_query_view,
-    pack_view_profile,
     pack_vp_batch_frame,
 )
 from repro.net.onion import OnionNetwork
@@ -90,31 +89,33 @@ class VehicleClient:
     def upload_pending(self) -> int:
         """Upload all staged VPs (e.g. on WiFi); returns how many landed.
 
-        Guard VPs are deleted locally after submission — only actual
-        videos remain in the agent's archive.
+        One VP per request — a frame of one — so every VP rides its own
+        fresh circuit and never-reused session id and the authority
+        cannot link a vehicle's actual VP to its guards.  Guard VPs are
+        deleted locally after submission — only actual videos remain in
+        the agent's archive.
         """
-        landed = 0
-        for vp in self.pending_vps:
-            reply = self._request("upload_vp", vp=pack_view_profile(vp))
-            if reply.get("accepted"):
-                landed += 1
-        self.pending_vps.clear()
-        self.uploaded += landed
-        return landed
+        return self._upload_pending_in_frames(1)
 
     def upload_pending_batch(self) -> int:
         """Upload all staged VPs in batched requests; returns how many landed.
 
         The batch path sends up to ``MAX_VP_BATCH`` VPs per circuit
         instead of one, cutting onion round-trips by ~two orders of
-        magnitude on a full minute's output.  Each request carries one
-        columnar batch buffer the authority ingests without decoding a
-        body.  Guard VPs are deleted locally after submission, exactly
-        as in :meth:`upload_pending`.
+        magnitude on a full minute's output.  Guard VPs are deleted
+        locally after submission, exactly as in :meth:`upload_pending`.
+        """
+        return self._upload_pending_in_frames(MAX_VP_BATCH)
+
+    def _upload_pending_in_frames(self, frame_vps: int) -> int:
+        """Send the staged VPs ``frame_vps`` per ``upload_vp_batch`` request.
+
+        Each request carries one columnar batch buffer the authority
+        ingests without decoding a body.
         """
         landed = 0
-        for start in range(0, len(self.pending_vps), MAX_VP_BATCH):
-            batch = self.pending_vps[start : start + MAX_VP_BATCH]
+        for start in range(0, len(self.pending_vps), frame_vps):
+            batch = self.pending_vps[start : start + frame_vps]
             reply = self._request("upload_vp_batch", frame=pack_vp_batch_frame(batch))
             landed += sum(1 for ok in reply["accepted"] if ok)
         self.pending_vps.clear()

@@ -1,21 +1,20 @@
 """Wire formats for the ViewMap service protocol.
 
-View profiles travel as fixed binary blocks (60 packed VDs + the Bloom
-bit-array — 4576 bytes, matching Section 6.1 minus the secret that never
-leaves the vehicle).  Control messages use a small JSON header with binary
-fields riding behind it as raw attachments: explicit, debuggable, O(1)
-overhead in the payload, and independent of Python pickling.
+Control messages use a small JSON header with binary fields riding
+behind it as raw attachments: explicit, debuggable, O(1) overhead in the
+payload, and independent of Python pickling.
 
-A *batch* of VPs crosses every boundary in one encoding, the
-**zero-decode frame codec**: an ``upload_vp_batch`` request and a
-``view`` reply each carry a single columnar batch buffer
-(:mod:`repro.store.codec`) whose record metadata (id, minute, trusted
-flag, bounding box) rides outside the bodies.
+View profiles cross every boundary in one encoding, the **zero-decode
+frame codec**: an ``upload_vp_batch`` request and a ``view`` reply each
+carry a single columnar batch buffer (:mod:`repro.store.codec`) whose
+record metadata (id, minute, trusted flag, bounding box) rides outside
+the bodies — 60 packed VDs + the Bloom bit-array per record, matching
+Section 6.1 minus the secret that never leaves the vehicle.  A single
+VP is a frame of one.
 :func:`unpack_vp_batch_frame` is the one validator of an uploaded batch
 — framing integrity, batch size, body sizes, no trusted claims, every
 body policed in place — so the authority can route and store the body
-bytes without ever decoding a digest.  The fixed block is the
-single-VP ``upload_vp`` form only.
+bytes without ever decoding a digest.
 
 Handlers read request fields through :func:`message_field`: a missing
 or wrong-typed field is a :class:`ValidationError`, hence an ``error``
@@ -29,7 +28,7 @@ import math
 import struct
 from typing import Any
 
-from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
+from repro.constants import VIDEO_UNIT_SECONDS
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
@@ -42,29 +41,6 @@ from repro.store.codec import (
     verify_encoded_body,
 )
 from repro.store.serving import QuerySpec
-
-VP_WIRE_BYTES = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES + BLOOM_BYTES
-
-
-def pack_view_profile(vp: ViewProfile) -> bytes:
-    """Serialize a VP to its upload form: 60 VDs then the Bloom bits."""
-    if vp.n_digests != VIDEO_UNIT_SECONDS:
-        raise WireFormatError(
-            f"only complete {VIDEO_UNIT_SECONDS}-digest VPs can be uploaded"
-        )
-    body = vp.digest_block() + vp.bloom.to_bytes()
-    if len(body) != VP_WIRE_BYTES:
-        raise WireFormatError(f"packed VP is {len(body)} bytes, expected {VP_WIRE_BYTES}")
-    return body
-
-
-def unpack_view_profile(data: bytes) -> ViewProfile:
-    """Parse an uploaded VP block.  Never yields a trusted VP."""
-    if len(data) != VP_WIRE_BYTES:
-        raise WireFormatError(f"VP block must be {VP_WIRE_BYTES} bytes, got {len(data)}")
-    split = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
-    return ViewProfile.from_wire(data[:split], data[split:])
-
 
 #: upper bound on VPs per ``upload_vp_batch`` message — keeps one request
 #: near the size of a typical WiFi upload burst and bounds server work

@@ -41,7 +41,6 @@ from repro.net.messages import (
     encode_message,
     message_field,
     unpack_query_view,
-    unpack_view_profile,
     unpack_vp_batch_frame,
 )
 from repro.net.transport import InMemoryNetwork
@@ -79,7 +78,7 @@ class ViewMapServer:
 
     * the session log is appended under a dedicated lock, so
       unlinkability probes read a consistent log during load;
-    * ``upload_vp`` / ``upload_vp_batch`` / ``query_view`` run without
+    * ``upload_vp_batch`` / ``query_view`` run without
       server-level locks — duplicate suppression and insert atomicity
       are the storage backend's job;
     * the retention watermark (``system.retention``) advances under
@@ -124,7 +123,6 @@ class ViewMapServer:
         self._log_lock = threading.Lock()
         self._state_lock = threading.RLock()
         self._handlers = {
-            "upload_vp": self._on_upload_vp,
             "upload_vp_batch": self._on_upload_vp_batch,
             "query_view": self._on_query_view,
             "list_solicitations": self._on_list_solicitations,
@@ -225,28 +223,6 @@ class ViewMapServer:
                 return
 
     # -- handlers ------------------------------------------------------------
-
-    def _on_upload_vp(self, message: dict[str, Any]) -> bytes:
-        """Single-VP upload: duplicates get a rejection ack, never an error.
-
-        The ingest itself is the authoritative duplicate check — under a
-        concurrent fabric two racing uploads of the same VP both pass a
-        lookahead probe, and the loser must still receive the normal
-        duplicate ack rather than an error reply (which would abort the
-        client's upload loop).
-        """
-        vp = unpack_view_profile(message_field(message, "vp", bytes))
-        if vp.vp_id in self.system.database:
-            self.metrics.inc("server.upload.rejected")
-            return encode_message("ack", accepted=False, reason="duplicate")
-        try:
-            self.system.ingest_vp(vp)
-        except ValidationError:
-            self.metrics.inc("server.upload.rejected")
-            return encode_message("ack", accepted=False, reason="duplicate")
-        self._observe_minute(vp.minute)
-        self.metrics.inc("server.upload.accepted")
-        return encode_message("ack", accepted=True)
 
     def _on_upload_vp_batch(self, message: dict[str, Any]) -> bytes:
         """Batch upload: one round-trip for a vehicle's pending VPs.

@@ -88,9 +88,7 @@ def make_store(
     route_cell_m: float = DEFAULT_ROUTE_CELL_M,
     ingest_workers: int = 4,
     group_commit_rows: int | None = None,
-    group_commit_target_s: float = 0.0,
     slo_p99_ms: float = 0.0,
-    directory: str = "",
 ) -> VPStore:
     """Build a VP store backend from a CLI-style description.
 
@@ -106,24 +104,18 @@ def make_store(
     directly, ``procs`` inside each worker): ``None`` keeps each
     backend's default — off for ``sqlite``, 512 rows inside ``procs``
     workers — while an explicit 0 always means commit-per-batch.
-    ``group_commit_target_s`` > 0 makes the group sizing adaptive
-    (:mod:`repro.store.adaptive`): observed commit latency grows or
-    shrinks the rows/bytes bounds toward that flush-latency target.  A
-    target always implies grouping — the store seeds an unset row
-    bound itself, so tuning can never silently target a
-    commit-per-batch store.  ``slo_p99_ms`` > 0 declares the commit
-    p99 SLO in milliseconds: it overrides ``group_commit_target_s``,
-    because the adaptive controller's latency target *is* the commit
-    SLO — the controller steers group sizes on the observed p99
-    against exactly this bound (:mod:`repro.store.adaptive`).
-    ``directory`` names the sharded id-directory snapshot file
-    (cold-start seeding).  All backends are thread-safe (see
+    ``slo_p99_ms`` > 0 declares the commit p99 SLO in milliseconds and
+    makes the group sizing adaptive (:mod:`repro.store.adaptive`): the
+    controller's flush-latency target *is* the commit SLO, so observed
+    commit latency grows or shrinks the rows/bytes bounds toward exactly
+    this bound.  A target always implies grouping — the store seeds an
+    unset row bound itself, so tuning can never silently target a
+    commit-per-batch store.  All backends are thread-safe (see
     ``docs/stores.md``).
     """
     if slo_p99_ms < 0:
         raise ValidationError("slo_p99_ms must be >= 0")
-    if slo_p99_ms:
-        group_commit_target_s = slo_p99_ms / 1000.0
+    group_commit_target_s = slo_p99_ms / 1000.0
     if kind == "memory":
         return MemoryStore(cell_m=cell_m)
     if kind == "sqlite":
@@ -149,7 +141,6 @@ def make_store(
                 if group_commit_rows is None
                 else group_commit_rows,
                 group_commit_target_s=group_commit_target_s,
-                directory=directory,
             )
         return ProcessShardedStore.memory(
             n_workers=ingest_workers,

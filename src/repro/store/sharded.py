@@ -51,11 +51,9 @@ the minute bucket, and the next retention pass removes it.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.core.viewprofile import ViewProfile
@@ -81,9 +79,6 @@ MAX_FANOUT_WORKERS = 8
 #: minute's load, not answer area queries
 DEFAULT_ROUTE_CELL_M = 1000.0
 
-#: on-disk format version of the id-directory snapshot
-DIRECTORY_VERSION = 1
-
 _T = TypeVar("_T")
 
 
@@ -98,7 +93,6 @@ class ShardedStore(VPStore):
         fanout_workers: int | None = None,
         shard_cells: int = 1,
         route_cell_m: float = DEFAULT_ROUTE_CELL_M,
-        directory: str = "",
         metrics: MetricsRegistry | None = None,
         tile_cell_m: float = DEFAULT_CELL_M,
     ) -> None:
@@ -109,11 +103,7 @@ class ShardedStore(VPStore):
         forces serial fan-out).  ``shard_cells`` widens routing from
         minute-only (1) to ``(minute, spatial cell)`` composite keys
         over that many routing slots; ``route_cell_m`` is the edge of
-        one spatial routing cell.  ``directory`` names an id-directory
-        snapshot file: when it exists and matches the fleet's population
-        the directory is seeded from it instead of the full
-        ``iter_id_minutes`` scan (the cold-start win on large persistent
-        fleets), and ``close()`` re-saves it.
+        one spatial routing cell.
         """
         if not shards:
             raise ValidationError("a sharded store needs at least one shard")
@@ -164,9 +154,7 @@ class ShardedStore(VPStore):
         # dropped wholesale when the minute is evicted)
         self._minute_seq: dict[int, dict[bytes, int]] = {}
         self._next_seq = 0
-        self.directory = directory
-        if not (directory and self._load_directory(directory)):
-            self._seed_directory_from_shards()
+        self._seed_directory_from_shards()
 
     def _seed_directory_from_shards(self) -> None:
         """Rebuild the id directory with a metadata-only fleet scan."""
@@ -182,68 +170,6 @@ class ShardedStore(VPStore):
                     seq_map = self._minute_seq.setdefault(minute, {})
                     seq_map[vp_id] = self._next_seq
                     self._next_seq += 1
-
-    def _load_directory(self, path: str) -> bool:
-        """Seed the directory from a snapshot file; False falls back to a scan.
-
-        The snapshot is trusted only when its population matches the
-        fleet exactly (one cheap ``len`` per shard, no row scan) — a
-        snapshot from before a crash that lost or gained rows is
-        rejected rather than silently serving a directory the shards
-        contradict.
-        """
-        try:
-            data = json.loads(Path(path).read_text())
-            if data.get("version") != DIRECTORY_VERSION:
-                return False
-            entries = data.get("entries")
-            if not isinstance(entries, list):
-                return False
-            if len(entries) != sum(len(shard) for shard in self.shards):
-                return False
-            # fully parse before touching directory state: a malformed
-            # entry must leave the directory empty for the scan fallback
-            parsed = [
-                (bytes.fromhex(vp_id_hex), int(minute), None if seq is None else int(seq))
-                for vp_id_hex, minute, seq in entries
-            ]
-            saved_next_seq = int(data.get("next_seq", 0))
-        except (OSError, TypeError, ValueError):
-            return False
-        for vp_id, minute, seq in parsed:
-            self._directory_add(vp_id, minute)
-            if self.shard_cells > 1:
-                seq_map = self._minute_seq.setdefault(minute, {})
-                # saved order when the snapshot has it, scan order otherwise
-                seq_map[vp_id] = self._next_seq if seq is None else seq
-                self._next_seq += 1
-        self._next_seq = max(self._next_seq, saved_next_seq)
-        return True
-
-    def save_directory(self, path: str | None = None) -> str:
-        """Snapshot the id directory (ids, minutes, order) to a file.
-
-        ``path`` defaults to the ``directory`` the store was opened
-        with.  A fleet reopened with the same path skips the full
-        ``iter_id_minutes`` rebuild — the cold-start cost that grows
-        with fleet size.  Call at clean shutdown (``close()`` does it
-        automatically when ``directory`` is configured).
-        """
-        path = path or self.directory
-        if not path:
-            raise ValidationError("no directory snapshot path configured")
-        with self._route_lock:
-            entries = [
-                [vp_id.hex(), minute, self._minute_seq.get(minute, {}).get(vp_id)]
-                for vp_id, minute in self._ids.items()
-            ]
-            payload = {
-                "version": DIRECTORY_VERSION,
-                "next_seq": self._next_seq,
-                "entries": entries,
-            }
-        Path(path).write_text(json.dumps(payload))
-        return path
 
     def _directory_add(self, vp_id: bytes, minute: int) -> None:
         """Record one stored id in the directory.
@@ -278,20 +204,16 @@ class ShardedStore(VPStore):
         paths: Sequence[str],
         shard_cells: int = 1,
         route_cell_m: float = DEFAULT_ROUTE_CELL_M,
-        directory: str = "",
         group_commit_rows: int = 0,
     ) -> "ShardedStore":
         """A fleet of SQLite shards, one database file per path.
 
-        ``directory`` enables the id-directory snapshot (skip the full
-        rebuild scan on reopen); ``group_commit_rows`` turns on the
-        per-shard group-commit path.
+        ``group_commit_rows`` turns on the per-shard group-commit path.
         """
         return cls(
             [SQLiteStore(path, group_commit_rows=group_commit_rows) for path in paths],
             shard_cells=shard_cells,
             route_cell_m=route_cell_m,
-            directory=directory,
         )
 
     # -- routing -----------------------------------------------------------
@@ -707,20 +629,10 @@ class ShardedStore(VPStore):
         )
 
     def close(self) -> None:
-        """Shut the fan-out pool down and close every shard.
-
-        When a ``directory`` snapshot path is configured the id
-        directory is saved first (best-effort — a full scan on the next
-        open is the fallback, never an error at shutdown).
-        """
+        """Shut the fan-out pool down and close every shard."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if self.directory:
-            try:
-                self.save_directory()
-            except OSError:
-                pass
         for shard in self.shards:
             shard.close()

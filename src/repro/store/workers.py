@@ -445,7 +445,6 @@ class ProcessShardedStore(ShardedStore):
         fanout_workers: int | None = None,
         shard_cells: int = 1,
         route_cell_m: float = DEFAULT_ROUTE_CELL_M,
-        directory: str = "",
         mp_context: str = "",
         op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
         metrics: MetricsRegistry | None = None,
@@ -474,7 +473,6 @@ class ProcessShardedStore(ShardedStore):
                 fanout_workers=fanout_workers,
                 shard_cells=shard_cells,
                 route_cell_m=route_cell_m,
-                directory=directory,
                 metrics=metrics,
                 tile_cell_m=tile_cell_m,
             )
@@ -516,7 +514,6 @@ class ProcessShardedStore(ShardedStore):
         group_commit_latency_s: float = DEFAULT_GROUP_COMMIT_LATENCY_S,
         group_commit_target_s: float = 0.0,
         commit_latency_s: float = 0.0,
-        directory: str = "",
         metrics_enabled: bool = True,
         **kwargs: object,
     ) -> "ProcessShardedStore":
@@ -548,7 +545,6 @@ class ProcessShardedStore(ShardedStore):
             specs,
             shard_cells=shard_cells,
             route_cell_m=route_cell_m,
-            directory=directory,
             **kwargs,
         )
 

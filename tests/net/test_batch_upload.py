@@ -100,7 +100,6 @@ class TestDispatchHardening:
     def test_registry_covers_exactly_the_protocol(self, stack):
         net, onion, system, server = stack
         assert set(server._handlers) == {
-            "upload_vp",
             "upload_vp_batch",
             "query_view",
             "list_solicitations",

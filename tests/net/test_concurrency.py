@@ -138,7 +138,6 @@ class TestConcurrentViewMapServer:
     def test_registry_still_covers_exactly_the_protocol(self, concurrent_stack):
         net, onion, system, server = concurrent_stack
         assert set(server._handlers) == {
-            "upload_vp",
             "upload_vp_batch",
             "query_view",
             "list_solicitations",

@@ -26,15 +26,14 @@ import pytest
 from repro.constants import VD_MESSAGE_BYTES
 from repro.core.system import ViewMapSystem
 from repro.core.viewdigest import PACKED_FIELD
+from repro.core.viewprofile import ViewProfile
 from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.net.concurrency import ThreadedNetwork
 from repro.net.messages import (
     decode_message,
     encode_message,
-    pack_view_profile,
     pack_vp_batch_frame,
-    unpack_view_profile,
 )
 from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
@@ -45,7 +44,7 @@ from repro.store import make_store
 from repro.store.codec import RECORD_OVERHEAD_BYTES, decode_vp_batch
 from repro.store.serving import QuerySpec
 from tests.net.test_messages import MALFORMED_ENVELOPES
-from tests.net.test_wire_frame import make_complete_vp
+from tests.net.test_wire_frame import make_complete_vp, nan_vp_frame
 
 #: envelope bytes allowed on top of the binary payload, whatever its size
 MAX_ENVELOPE_OVERHEAD = 128
@@ -112,8 +111,6 @@ class TestMalformedEnvelopesGetErrorReplies:
 #: each mistyped value is one the handler's own code would raise a
 #: non-Repro exception on (unhashable, not iterable, not an int)
 MALFORMED_REQUESTS = {
-    "upload_vp fieldless": ("upload_vp", {}),
-    "upload_vp vp is an int": ("upload_vp", {"vp": 3}),
     "upload_vp_batch fieldless": ("upload_vp_batch", {}),
     "upload_vp_batch frame is an int": ("upload_vp_batch", {"frame": 5}),
     "query_view fieldless": ("query_view", {}),
@@ -138,10 +135,10 @@ FIELDLESS_KINDS = {"list_solicitations", "list_rewards", "public_key"}
 _MOVED = VD_MESSAGE_BYTES + PACKED_FIELD["location"].start
 
 
-def wide_vp_block(vp, span_m: float = 1e12) -> bytes:
-    """``vp``'s upload block with digest 2 moved ``span_m`` east: finite
+def wide_digest_block(vp, span_m: float = 1e12) -> bytes:
+    """``vp``'s digest block with digest 2 moved ``span_m`` east: finite
     float32 positions no minute of driving connects."""
-    block = bytearray(pack_view_profile(vp))
+    block = bytearray(vp.digest_block())
     struct.pack_into(">f", block, _MOVED, span_m)
     return bytes(block)
 
@@ -158,12 +155,7 @@ def wide_vp_frame(vp, span_m: float = 1e12) -> bytes:
     return bytes(frame)
 
 
-def nan_vp_block(vp) -> bytes:
-    """``vp``'s upload block with NaN locations in digests 2-60."""
-    block = bytearray(pack_view_profile(vp))
-    for j in range(1, 60):
-        struct.pack_into(">2f", block, j * 72 + 8, float("nan"), float("nan"))
-    return bytes(block)
+RETIRED_UPLOAD_VP = "upload_vp is an unknown kind"
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +164,14 @@ def malformed_requests(vp_pool):
         case: encode_message(kind, session="s", **fields)
         for case, (kind, fields) in MALFORMED_REQUESTS.items()
     }
-    table["upload_vp with NaN locations"] = encode_message(
-        "upload_vp", session="s", vp=nan_vp_block(vp_pool[0])
+    # the retired single-VP kind, carrying the block it used to store
+    table[RETIRED_UPLOAD_VP] = encode_message(
+        "upload_vp",
+        session="s",
+        vp=vp_pool[0].digest_block() + vp_pool[0].bloom.to_bytes(),
     )
-    table["upload_vp spanning 1e12 m"] = encode_message(
-        "upload_vp", session="s", vp=wide_vp_block(vp_pool[0])
+    table["upload_vp_batch with NaN locations"] = encode_message(
+        "upload_vp_batch", session="s", frame=nan_vp_frame(vp_pool[0])
     )
     table["upload_vp_batch spanning 1e12 m"] = encode_message(
         "upload_vp_batch", session="s", frame=wide_vp_frame(vp_pool[0])
@@ -197,6 +192,8 @@ class TestMalformedRequestsGetErrorReplies:
             for case, payload in malformed_requests.items():
                 assert_error_reply(server.handle(payload), case)
             assert len(system.database) == 0, "partial ingest on a rejected request"
+            retired = decode_message(server.handle(malformed_requests[RETIRED_UPLOAD_VP]))
+            assert retired["reason"] == "unknown kind: upload_vp"
 
     def test_through_threaded_network(self, malformed_requests):
         with ViewMapSystem(key_bits=512, seed=3) as system:
@@ -219,44 +216,50 @@ class TestMalformedRequestsGetErrorReplies:
                 assert len(system.database) == 0
                 assert counter_value(net.metrics.snapshot(), "stream.handler.crashed") == 0
 
-    def test_nan_vp_block_leaves_minute_and_id_usable(self, vp_pool):
-        # the block form has the frame form's finite rule: a refused
-        # NaN VP is not half-stored, does not break the minute's area
-        # queries, and does not lock the honest owner's id out
+    def test_nan_vp_frame_leaves_minute_and_id_usable(self, vp_pool):
+        # a refused NaN VP is not half-stored, does not break the
+        # minute's area queries, and does not lock the honest owner's
+        # id out
         vp = vp_pool[0]
         with ViewMapSystem(key_bits=512, seed=3) as system:
             server = ViewMapServer(system=system, network=InMemoryNetwork())
-            poisoned = encode_message("upload_vp", session="s", vp=nan_vp_block(vp))
+            poisoned = encode_message("upload_vp_batch", session="s", frame=nan_vp_frame(vp))
             assert_error_reply(server.handle(poisoned), "NaN VP")
             assert len(system.database) == 0
             area = Rect(-1e6, -1e6, 1e6, 1e6)
             assert system.database.query(QuerySpec(minute=vp.minute, area=area)).vps == []
-            honest = encode_message("upload_vp", session="s", vp=pack_view_profile(vp))
-            assert decode_message(server.handle(honest)) == {"kind": "ack", "accepted": True}
+            honest = encode_message(
+                "upload_vp_batch", session="s", frame=pack_vp_batch_frame([vp])
+            )
+            assert decode_message(server.handle(honest)) == {
+                "kind": "batch_ack",
+                "accepted": [True],
+                "inserted": 1,
+            }
             assert system.database.query(QuerySpec(minute=vp.minute, area=area)).n == 1
 
     def test_wide_vp_is_refused_with_one_message(self, vp_pool):
-        # the extent bound lives where the NaN rule does, so the block
-        # form, the frame form and a store-side decode all say the same
+        # the extent bound lives where the NaN rule does, so an uploaded
+        # frame, a VP built from its packed block and a store-side decode
+        # all say the same
         vp = vp_pool[0]
+        bloom = vp.bloom.to_bytes()
         with ViewMapSystem(key_bits=512, seed=3) as system:
             server = ViewMapServer(system=system, network=InMemoryNetwork())
-            block, frame = wide_vp_block(vp), wide_vp_frame(vp)
-            reasons = {
-                decode_message(server.handle(encode_message(kind, session="s", **field)))[
-                    "reason"
-                ].split(": ")[-1]
-                for kind, field in (
-                    ("upload_vp", {"vp": block}),
-                    ("upload_vp_batch", {"frame": frame}),
-                )
-            }
-            with pytest.raises(ValidationError) as refused:
-                decode_vp_batch(frame)
-            reasons.add(str(refused.value))
+            frame = wide_vp_frame(vp)
+            upload = encode_message("upload_vp_batch", session="s", frame=frame)
+            reasons = {decode_message(server.handle(upload))["reason"].split(": ")[-1]}
+            for build, wide in (
+                (ViewProfile.from_wire, (wide_digest_block(vp), bloom)),
+                (decode_vp_batch, (frame,)),
+            ):
+                with pytest.raises(ValidationError) as refused:
+                    build(*wide)
+                reasons.add(str(refused.value))
             assert reasons == {"VP positions span more than 10000 m along one axis"}
             # a minute of driving at the bound's edge is still a VP
-            assert unpack_view_profile(wide_vp_block(vp, span_m=9_000.0)).vp_id == vp.vp_id
+            edge = ViewProfile.from_wire(wide_digest_block(vp, span_m=9_000.0), bloom)
+            assert edge.vp_id == vp.vp_id
 
     def test_crashing_handler_is_answered_in_its_slot(self):
         # replies on a held connection are matched by position: a

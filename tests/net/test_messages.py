@@ -2,45 +2,48 @@
 
 import pytest
 
-from repro.errors import WireFormatError
+from repro.errors import ValidationError, WireFormatError
 from repro.net.messages import (
-    VP_WIRE_BYTES,
     decode_message,
     encode_message,
-    pack_view_profile,
-    unpack_view_profile,
+    pack_vp_batch_frame,
+    unpack_vp_batch_frame,
 )
+from repro.store.codec import RECORD_OVERHEAD_BYTES, decode_vp_batch
 from tests.core.test_viewprofile import make_vp
 
 
 class TestVPWireFormat:
+    """A single VP on the wire is a frame of one."""
+
     def test_wire_size(self):
-        vp = make_vp(seed=1)
-        data = pack_view_profile(vp)
-        assert len(data) == VP_WIRE_BYTES == 60 * 72 + 256
+        # batch header + record sidecar + blob header, then Section 6.1's
+        # 60 VDs and Bloom bits (minus the secret that stays on board)
+        frame = pack_vp_batch_frame([make_vp(seed=1)])
+        assert len(frame) == 5 + RECORD_OVERHEAD_BYTES + 7 + 60 * 72 + 256
 
     def test_roundtrip(self):
         vp = make_vp(seed=2)
-        restored = unpack_view_profile(pack_view_profile(vp))
+        (restored,) = decode_vp_batch(pack_vp_batch_frame([vp]))
         assert restored.vp_id == vp.vp_id
         assert len(restored.digests) == 60
         assert restored.bloom.to_bytes() == vp.bloom.to_bytes()
         assert restored.positions_array.tolist() == vp.positions_array.tolist()
 
-    def test_unpacked_vp_never_trusted(self):
+    def test_trusted_vp_never_packed(self):
         vp = make_vp(seed=3)
         vp.trusted = True
-        restored = unpack_view_profile(pack_view_profile(vp))
-        assert not restored.trusted
+        with pytest.raises(WireFormatError):
+            pack_vp_batch_frame([vp])
 
     def test_incomplete_vp_rejected(self):
         vp = make_vp(seed=4, n=30)
         with pytest.raises(WireFormatError):
-            pack_view_profile(vp)
+            pack_vp_batch_frame([vp])
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(WireFormatError):
-            unpack_view_profile(b"\x00" * 100)
+        with pytest.raises(ValidationError):
+            unpack_vp_batch_frame(b"\x00" * 100)
 
 
 def envelope(header: bytes, *attachments: bytes) -> bytes:

@@ -76,6 +76,14 @@ class TestSolicitationFlow:
         sessions = [s for _, s in server.session_log if s]
         assert len(set(sessions)) == len(sessions)  # never reused
 
+    def test_each_vp_rides_its_own_session(self, driven_clients):
+        # one circuit per VP, not per minute: the authority cannot tie
+        # the actual VP to its guards by a shared session
+        (net, onion, system, server), client, res_civ = driven_clients
+        client.upload_pending()
+        uploads = [s for kind, s in server.session_log if kind == "upload_vp_batch"]
+        assert len(uploads) == len(set(uploads)) == 1 + len(res_civ.guard_vps)
+
     def test_server_never_sees_client_address(self, driven_clients):
         (net, onion, system, server), client, _ = driven_clients
         client.upload_pending()

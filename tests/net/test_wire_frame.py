@@ -17,6 +17,8 @@ Two properties pin the one batch encoding:
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +35,6 @@ from repro.net.messages import (
     MAX_VP_BATCH,
     decode_message,
     encode_message,
-    pack_view_profile,
     pack_vp_batch_frame,
     unpack_vp_batch_frame,
 )
@@ -41,7 +42,12 @@ from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
-from repro.store.codec import encode_vp, encode_vp_batch, iter_encoded_records
+from repro.store.codec import (
+    RECORD_OVERHEAD_BYTES,
+    encode_vp,
+    encode_vp_batch,
+    iter_encoded_records,
+)
 from repro.store.serving import QuerySpec
 from tests.conftest import run_linked_minute
 
@@ -62,6 +68,18 @@ def make_complete_vp(seed: int) -> ViewProfile:
 def vp_pool() -> list[ViewProfile]:
     """Complete VPs are expensive to build; share one pool per module."""
     return [make_complete_vp(seed) for seed in range(1, POOL_SIZE + 1)]
+
+
+def nan_vp_frame(vp: ViewProfile) -> bytes:
+    """``vp`` as a one-record frame with NaN locations in digests 2-60,
+    its sidecar box shrunk to the one finite position left."""
+    frame = bytearray(pack_vp_batch_frame([vp]))
+    base = 5 + RECORD_OVERHEAD_BYTES + 7  # frame + record head + blob head
+    for j in range(1, 60):
+        struct.pack_into(">2f", frame, base + j * 72 + 8, float("nan"), float("nan"))
+    x, y = struct.unpack_from(">2f", frame, base + 8)
+    struct.pack_into(">4d", frame, 5 + 1 + 4, x, y, x, y)
+    return bytes(frame)
 
 
 def make_backend(kind: str):
@@ -187,7 +205,7 @@ class TestMalformedFrames:
         # type, or the retired ``vps`` block list (alone or beside a
         # good frame) is an error reply with nothing stored
         system, server = stack
-        blocks = [pack_view_profile(vp) for vp in vp_pool[:2]]
+        blocks = [vp.digest_block() + vp.bloom.to_bytes() for vp in vp_pool[:2]]
         frame = pack_vp_batch_frame(vp_pool[:2])
         for fields in ({}, {"frame": 5}, {"vps": blocks}, {"vps": blocks, "frame": frame}):
             reply = decode_message(
@@ -310,9 +328,9 @@ class TestMalformedFrames:
         self.reject(system, server, bytes(frame))
 
     def test_nonstandard_bloom_k_rejected(self, stack, vp_pool):
-        # the single-VP block pins k=8 (BloomFilter.from_bytes default);
-        # a frame declaring a smaller k would inflate false linkage, so
-        # the wire form must refuse any other hash count
+        # vehicles build their Blooms with k=8 (BloomFilter.k); a frame
+        # declaring a smaller k would inflate false linkage, so the wire
+        # form must refuse any other hash count
         system, server = stack
         frame = bytearray(pack_vp_batch_frame([vp_pool[0]]))
         from repro.store.codec import RECORD_OVERHEAD_BYTES
@@ -328,20 +346,11 @@ class TestMalformedFrames:
         # locations with a sidecar bbox matching only the finite ones
         # must be caught per digest — stored NaN positions would crash
         # the memory grid and hide from every area investigation
-        import struct
-
-        from repro.store.codec import RECORD_OVERHEAD_BYTES
-
         system, server = stack
-        frame = bytearray(pack_vp_batch_frame([vp_pool[0]]))
-        base = 5 + RECORD_OVERHEAD_BYTES + 7  # frame + record head + blob head
-        for j in range(1, 60):  # first digest stays finite (matches bbox=point)
-            struct.pack_into(">2f", frame, base + j * 72 + 8, float("nan"), float("nan"))
-        x, y = struct.unpack_from(">2f", frame, base + 8)
-        struct.pack_into(">4d", frame, 5 + 1 + 4, x, y, x, y)  # bbox of the finite one
+        frame = nan_vp_frame(vp_pool[0])
         with pytest.raises(ValidationError, match="non-finite"):
-            unpack_vp_batch_frame(bytes(frame))
-        self.reject(system, server, bytes(frame))
+            unpack_vp_batch_frame(frame)
+        self.reject(system, server, frame)
 
     def test_non_finite_bbox_rejected(self, stack, vp_pool):
         # NaN/Inf bbox doubles feed shard routing; they must die at the

@@ -4,7 +4,7 @@ Whoever builds it — a list of ``ViewDigest`` objects, a generator's
 block, ``decode_vp`` over a blob — a ``ViewProfile`` holds n x 72
 bytes, so "object-built equals wire-built" is one code path and is not
 tested as two.  What is: every observable of a VP equals what the
-digests it was built from say, field by field; blobs, frames and upload
+digests it was built from say, field by field; blobs, frames and digest
 blocks round-trip byte for byte and never pin the buffer they came in;
 and every kind of damaged blob is refused with its pinned error class
 by ``decode_vp`` itself, before an attribute of the result is read.
@@ -27,7 +27,6 @@ from repro.core.viewmap import build_viewmap
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
-from repro.net.messages import pack_view_profile, unpack_view_profile
 from repro.sim.stream import stream_convoy_vps
 from repro.store.codec import (
     VP_BLOB_VERSION,
@@ -140,13 +139,13 @@ def test_batch_frames_are_byte_identical(batch, as_view):
     assert encode_vp_batch(decode_vp_batch(frame)) == frame
 
 
-def test_upload_block_round_trip_matches_reference():
+def test_digest_block_round_trip_matches_reference():
     ref = make_vp(seed=3, n=60)
-    block = pack_view_profile(ref)
-    wire = unpack_view_profile(block)
+    block, bits = ref.digest_block(), ref.bloom.to_bytes()
+    wire = ViewProfile.from_wire(block, bits)
     assert_vp_matches(wire, list(ref.digests), ref.bloom)
-    assert pack_view_profile(wire) == block
-    assert type(unpack_view_profile(memoryview(block)).digest_block()) is bytes
+    assert (wire.digest_block(), wire.bloom.to_bytes()) == (block, bits)
+    assert type(ViewProfile.from_wire(memoryview(block), bits).digest_block()) is bytes
 
 
 def edge_set(vmap):
@@ -266,11 +265,14 @@ def test_every_truncation_is_refused_or_is_the_same_vp_with_a_shorter_bloom():
             assert vp.bloom.to_bytes() == blob[block_end:cut]
 
 
-def test_damaged_upload_block_is_refused_at_unpack():
-    block = pack_view_profile(make_vp(seed=5, n=60))
-    for bad in (block[:-1], block + b"\x00", b""):
+def test_damaged_digest_block_is_refused_by_from_wire():
+    vp = make_vp(seed=5, n=60)
+    block, bits = vp.digest_block(), vp.bloom.to_bytes()
+    for bad in (block[:-1], block + b"\x00"):
         with pytest.raises(WireFormatError):
-            unpack_view_profile(bad)
+            ViewProfile.from_wire(bad, bits)
+    with pytest.raises(ValidationError):
+        ViewProfile.from_wire(b"", bits)
     as_blob = b"\x00" * 7 + block  # reuse the digest-field editor's offsets
     for damaged in (
         with_digest_field(as_blob, 30, VP_ID, b"\xee" * 16),
@@ -279,7 +281,7 @@ def test_damaged_upload_block_is_refused_at_unpack():
         with_digest_field(as_blob, 10, SECOND, pack_uint(10, 8)),
     ):
         with pytest.raises(ValidationError):
-            unpack_view_profile(damaged[7:])
+            ViewProfile.from_wire(damaged[7:], bits)
 
 
 # -- ``digests`` under concurrent readers --------------------------------------

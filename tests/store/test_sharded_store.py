@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
-from repro.store import ShardedStore
+from repro.store import ProcessShardedStore, ShardedStore
 from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprints, make_vp
 
@@ -110,81 +110,36 @@ class TestSqliteShards:
         assert fingerprints(reopened.query(QuerySpec(minute=2)).vps) == fingerprints([vps[2]])
         reopened.close()
 
-
-class TestDirectorySnapshot:
-    """Cold-start seeding of the fleet id directory from a snapshot file."""
-
-    def fleet(self, tmp_path, directory=""):
+    @pytest.mark.parametrize(
+        "open_fleet",
+        [
+            lambda paths: ShardedStore.sqlite(paths, shard_cells=3),
+            lambda paths: ProcessShardedStore.sqlite(paths, shard_cells=2),
+        ],
+        ids=["sharded", "procs"],
+    )
+    def test_reopened_directory_is_what_the_shards_hold(self, tmp_path, open_fleet):
+        # the id directory is rebuilt from the shards on every open, so
+        # it cannot remember an evicted id or miss a stored one however
+        # many processes wrote in between
         paths = [str(tmp_path / f"shard{i}.sqlite") for i in range(3)]
-        return ShardedStore.sqlite(paths, shard_cells=3, directory=directory)
-
-    def test_snapshot_skips_the_rebuild_scan(self, tmp_path, monkeypatch):
-        snap = str(tmp_path / "directory.json")
-        store = self.fleet(tmp_path, directory=snap)
-        vps = [
-            make_vp(seed=i + 1, minute=i % 2, x0=700.0 * i, y0=300.0 * (i % 4))
-            for i in range(12)
-        ]
-        store.insert_many(vps)
-        store.close()  # auto-saves the snapshot
-
-        from repro.store.sqlite import SQLiteStore
-
-        scans = []
-        original = SQLiteStore.iter_id_minutes
-        monkeypatch.setattr(
-            SQLiteStore,
-            "iter_id_minutes",
-            lambda self: scans.append(1) or original(self),
-        )
-        reopened = self.fleet(tmp_path, directory=snap)
-        assert not scans, "snapshot seeding must not touch iter_id_minutes"
-        # directory semantics fully restored: duplicates rejected, point
-        # reads routed, and (unlike a scan-seeded reopen) the exact
-        # cross-shard insertion order survives the restart
-        with pytest.raises(ValidationError):
-            reopened.insert(make_vp(seed=1, minute=0))
-        assert fingerprints(reopened.query(QuerySpec(minute=0)).vps) == fingerprints(
-            [vp for vp in vps if vp.minute == 0]
-        )
-        assert reopened.get(vps[5].vp_id) is not None
-        reopened.close()
-
-    def test_stale_snapshot_falls_back_to_scan(self, tmp_path):
-        snap = str(tmp_path / "directory.json")
-        store = self.fleet(tmp_path, directory=snap)
-        store.insert_many([make_vp(seed=i + 1, minute=0, x0=800.0 * i) for i in range(4)])
-        store.save_directory()
-        # rows change after the snapshot: the stale file must be rejected
-        store.insert(make_vp(seed=99, minute=1))
-        store.close()  # close re-saves; simulate staleness by overwriting
-        import json
-        from pathlib import Path
-
-        payload = json.loads(Path(snap).read_text())
-        payload["entries"] = payload["entries"][:-1]
-        Path(snap).write_text(json.dumps(payload))
-
-        reopened = self.fleet(tmp_path, directory=snap)
-        assert len(reopened) == 5
-        with pytest.raises(ValidationError):
-            reopened.insert(make_vp(seed=99, minute=1))
-        reopened.close()
-
-    def test_corrupt_snapshot_falls_back_to_scan(self, tmp_path):
-        snap = tmp_path / "directory.json"
-        store = self.fleet(tmp_path, directory=str(snap))
-        store.insert(make_vp(seed=1, minute=0))
+        old, new = make_vp(seed=1, minute=0), make_vp(seed=2, minute=1, x0=900.0)
+        store = open_fleet(paths)
+        store.insert(old)
         store.close()
-        snap.write_text("{not json")
-        reopened = self.fleet(tmp_path, directory=str(snap))
-        assert len(reopened) == 1
-        with pytest.raises(ValidationError):
-            reopened.insert(make_vp(seed=1, minute=0))
-        reopened.close()
 
-    def test_save_requires_a_path(self):
-        store = ShardedStore.memory(n_shards=2)
-        with pytest.raises(ValidationError):
-            store.save_directory()
+        store = open_fleet(paths)
+        assert store.evict_before(old.minute + 1) == 1
+        store.insert(new)
         store.close()
+
+        store = open_fleet(paths)
+        try:
+            assert new.vp_id in store
+            assert fingerprints([store.get(new.vp_id)]) == fingerprints([new])
+            assert old.vp_id not in store and store.get(old.vp_id) is None
+            with pytest.raises(ValidationError):
+                store.insert(new)
+            assert len(store) == 1
+        finally:
+            store.close()

@@ -69,3 +69,10 @@ class TestCommands:
         ]) == 0
         # only the newest of the two simulated minutes survives ingest
         assert "1 minutes" in capsys.readouterr().out
+
+    def test_stream_small(self, capsys):
+        assert main([
+            "stream", "--vehicles", "6", "--minutes", "2", "--workers", "2",
+            "--store", "sqlite", "--slo-p99-ms", "15",
+        ]) == 0
+        assert "12 inserted, 0 shed, 12 stored" in capsys.readouterr().out

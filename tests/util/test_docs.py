@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
+
+from repro.core.system import ViewMapSystem
+from repro.net.server import ViewMapServer
+from repro.net.transport import InMemoryNetwork
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -26,6 +31,16 @@ class TestRepositoryDocs:
             p for f in check_docs.doc_files() for p in check_docs.check_file(f)
         ]
         assert problems == []
+
+    def test_documented_message_kinds_are_the_handler_registry(self):
+        # a kind cannot stay documented after it is gone, or be
+        # registered without being documented
+        text = (REPO_ROOT / "docs" / "protocol.md").read_text(encoding="utf-8")
+        section = text.split("\n## Message kinds\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^### `(\w+)`", section, flags=re.MULTILINE)
+        with ViewMapSystem(key_bits=512, seed=1) as system:
+            server = ViewMapServer(system=system, network=InMemoryNetwork())
+            assert sorted(documented) == sorted(server._handlers)
 
 
 class TestCheckerCatchesRot:
