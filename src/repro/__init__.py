@@ -13,8 +13,9 @@ Package map:
   viewmaps, verification, solicitation, rewarding, the system facade);
 * :mod:`repro.store` — pluggable VP storage backends behind the
   database facade: ``MemoryStore`` (spatial-grid indexed, the default),
-  ``SQLiteStore`` (persistent, survives authority restarts) and
-  ``ShardedStore`` (minute-partitioned scale-out); pick one via
+  ``SegmentStore`` (the persistent minute-segment log, survives
+  authority restarts) and ``ShardedStore`` (minute-partitioned
+  scale-out); pick one via
   ``ViewMapSystem(store=make_store("sqlite", path))`` or the CLI's
   ``--store`` option;
 * :mod:`repro.crypto` — hashes, Bloom filters, RSA blind signatures;
@@ -27,38 +28,39 @@ Package map:
 * :mod:`repro.analysis` — drivers for every table and figure.
 """
 
-from repro.core.system import Investigation, ViewMapSystem
-from repro.core.vehicle import RecordedVideo, VehicleAgent
-from repro.core.viewdigest import VDGenerator, ViewDigest
-from repro.core.viewmap import ViewMapGraph, build_viewmap, mutual_linkage
-from repro.core.viewprofile import ViewProfile, build_view_profile
-from repro.core.verification import VerificationResult, trustrank, verify_viewmap
-from repro.geo.geometry import Point, Rect
-from repro.store import MemoryStore, ShardedStore, SQLiteStore, VPStore, make_store
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ViewMapSystem",
-    "Investigation",
-    "VehicleAgent",
-    "RecordedVideo",
-    "ViewDigest",
-    "VDGenerator",
-    "ViewProfile",
-    "build_view_profile",
-    "ViewMapGraph",
-    "build_viewmap",
-    "mutual_linkage",
-    "VerificationResult",
-    "trustrank",
-    "verify_viewmap",
-    "Point",
-    "Rect",
-    "VPStore",
-    "MemoryStore",
-    "SQLiteStore",
-    "ShardedStore",
-    "make_store",
-    "__version__",
-]
+#: public name -> defining module.  Resolved on first attribute access
+#: (PEP 562): ``from repro import ViewMapSystem`` works as before, but
+#: ``import repro.store.workers`` — what every spawned worker process and
+#: ``repro --help`` pay — no longer drags in ``core.system`` and with it
+#: scipy and networkx.
+_EXPORTS = {
+    "ViewMapSystem": "repro.core.system",
+    "Investigation": "repro.core.system",
+    "VehicleAgent": "repro.core.vehicle",
+    "RecordedVideo": "repro.core.vehicle",
+    "ViewDigest": "repro.core.viewdigest",
+    "VDGenerator": "repro.core.viewdigest",
+    "ViewProfile": "repro.core.viewprofile",
+    "build_view_profile": "repro.core.viewprofile",
+    "ViewMapGraph": "repro.core.viewmap",
+    "build_viewmap": "repro.core.viewmap",
+    "mutual_linkage": "repro.core.viewmap",
+    "VerificationResult": "repro.core.verification",
+    "trustrank": "repro.core.verification",
+    "verify_viewmap": "repro.core.verification",
+    "Point": "repro.geo.geometry",
+    "Rect": "repro.geo.geometry",
+    "VPStore": "repro.store",
+    "MemoryStore": "repro.store",
+    "SQLiteStore": "repro.store",
+    "ShardedStore": "repro.store",
+    "make_store": "repro.store",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

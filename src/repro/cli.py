@@ -111,8 +111,6 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
         n_shards=args.shards,
         shard_cells=args.shard_cells,
         ingest_workers=args.ingest_workers,
-        group_commit_rows=args.group_commit_rows,
-        slo_p99_ms=args.slo_p99_ms,
     )
     retention = (
         RetentionPolicy(window_minutes=args.retention_minutes)
@@ -124,17 +122,11 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
             args.speed, n_vehicles=args.vehicles, area_km=args.area_km, seed=args.seed,
             store=store, workers=args.workers, retention=retention,
         )
-        # a fleet-wide count first: reads flush, so every worker's
-        # pending group commit lands (and is measured) before the
-        # snapshot below — otherwise the commits of a short run happen
-        # inside close() and never reach the metrics dump
-        len(store)
         occupancy = store.stats()
     finally:
-        # flushes group-commit buffers and stops worker processes — a
-        # daemon-killed fleet would strand WAL files mid-checkpoint
-        store.close()
-    print(f"store: {occupancy.backend} ({occupancy.vps} VPs, "
+        store.close()  # stops worker processes, closes segment files
+    # the backend as selected: ``sqlite`` names the persistent store
+    print(f"store: {args.store} ({occupancy.vps} VPs, "
           f"{occupancy.minutes} minutes)")
     tile = occupancy.detail.get("tile_cache")
     if tile:
@@ -215,8 +207,6 @@ def _cmd_stream(args: argparse.Namespace) -> None:
         n_shards=args.shards,
         shard_cells=args.shard_cells,
         ingest_workers=args.ingest_workers,
-        group_commit_rows=args.group_commit_rows,
-        slo_p99_ms=args.slo_p99_ms,
     )
     system = ViewMapSystem(store=store)
     frames = list(
@@ -226,10 +216,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
     started = time.perf_counter()
     try:
         if args.transport == "streaming":
-            with StreamingNetwork(
-                max_pending_bytes=args.max_pending_bytes,
-                slo_p99_s=args.slo_p99_ms / 1e3,
-            ) as net:
+            with StreamingNetwork(max_pending_bytes=args.max_pending_bytes) as net:
                 ConcurrentViewMapServer(system=system, network=net, address="authority")
                 lanes = [net.connect("authority") for _ in range(min(args.workers, 64))]
                 futures = [
@@ -308,13 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--store",
             choices=STORE_KINDS,
             default="memory",
-            help="VP storage backend (sqlite persists across runs)",
+            help="VP storage backend (sqlite: the persistent segment log)",
         )
         cmd.add_argument(
             "--store-path",
             type=str,
             default="",
-            help="database file for --store sqlite (default: in-memory)",
+            help="segment-file prefix for --store sqlite/procs "
+            "(default: anonymous temporary files / in-memory workers)",
         )
         cmd.add_argument(
             "--shards", type=int, default=4, help="shard count for --store sharded"
@@ -331,24 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=4,
             help="worker OS processes for --store procs (each shard gets "
-            "its own GIL and commit stream)",
-        )
-        cmd.add_argument(
-            "--group-commit-rows",
-            type=int,
-            default=None,
-            help="SQLite group-commit size in rows for --store sqlite/procs "
-            "(0 = commit per batch; default keeps each backend's own — "
-            "off for sqlite, 512 inside procs workers)",
-        )
-        cmd.add_argument(
-            "--slo-p99-ms",
-            type=float,
-            default=0.0,
-            help="commit-latency p99 SLO in ms for --store sqlite/procs "
-            "(0 = fixed group sizing; >0 makes it adaptive: the "
-            "controller grows/shrinks the group on observed commit "
-            "latency against this bound)",
+            "its own GIL and its own segment files)",
         )
         cmd.add_argument(
             "--metrics-json",

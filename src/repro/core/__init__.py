@@ -21,47 +21,38 @@ Layer map (bottom to top):
 * :mod:`repro.core.system` — the public-service facade tying it together.
 """
 
-from repro.core.viewdigest import ViewDigest, VDGenerator
-from repro.core.neighbors import NeighborTable, NeighborRecord
-from repro.core.viewprofile import ViewProfile, build_view_profile
-from repro.core.guard import GuardVPFactory
-from repro.core.vehicle import VehicleAgent, RecordedVideo
-from repro.core.viewmap import ViewMapGraph, build_viewmap, mutual_linkage
-from repro.core.verification import (
-    trustrank,
-    verify_viewmap,
-    VerificationResult,
-    lemma1_bound,
-    lemma2_bound,
-)
-from repro.core.database import VPDatabase
-from repro.core.solicitation import SolicitationBoard, validate_video_upload
-from repro.core.rewarding import RewardService, RewardGrant
-from repro.core.system import ViewMapSystem, Investigation
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ViewDigest",
-    "VDGenerator",
-    "NeighborTable",
-    "NeighborRecord",
-    "ViewProfile",
-    "build_view_profile",
-    "GuardVPFactory",
-    "VehicleAgent",
-    "RecordedVideo",
-    "ViewMapGraph",
-    "build_viewmap",
-    "mutual_linkage",
-    "trustrank",
-    "verify_viewmap",
-    "VerificationResult",
-    "lemma1_bound",
-    "lemma2_bound",
-    "VPDatabase",
-    "SolicitationBoard",
-    "validate_video_upload",
-    "RewardService",
-    "RewardGrant",
-    "ViewMapSystem",
-    "Investigation",
-]
+#: public name -> defining submodule, imported on first access (PEP 562):
+#: ``repro.core.viewprofile`` must not cost ``core.system``'s scipy and
+#: networkx imports to the store workers that only need the VP type
+_EXPORTS = {
+    "ViewDigest": ".viewdigest",
+    "VDGenerator": ".viewdigest",
+    "NeighborTable": ".neighbors",
+    "NeighborRecord": ".neighbors",
+    "ViewProfile": ".viewprofile",
+    "build_view_profile": ".viewprofile",
+    "GuardVPFactory": ".guard",
+    "VehicleAgent": ".vehicle",
+    "RecordedVideo": ".vehicle",
+    "ViewMapGraph": ".viewmap",
+    "build_viewmap": ".viewmap",
+    "mutual_linkage": ".viewmap",
+    "trustrank": ".verification",
+    "verify_viewmap": ".verification",
+    "VerificationResult": ".verification",
+    "lemma1_bound": ".verification",
+    "lemma2_bound": ".verification",
+    "VPDatabase": ".database",
+    "SolicitationBoard": ".solicitation",
+    "validate_video_upload": ".solicitation",
+    "RewardService": ".rewarding",
+    "RewardGrant": ".rewarding",
+    "ViewMapSystem": ".system",
+    "Investigation": ".system",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

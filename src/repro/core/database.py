@@ -6,7 +6,7 @@ a separate authenticated path (police fleet) and carry the trusted flag.
 
 Since the ``repro.store`` subsystem landed, this class is a thin facade
 over a pluggable :class:`~repro.store.base.VPStore` backend (spatially
-indexed in-memory by default; SQLite for persistence; sharded for
+indexed in-memory by default; the segment log for persistence; sharded for
 scale-out).  Reads go through ONE entry point —
 :meth:`VPDatabase.query` with a :class:`~repro.store.serving.QuerySpec`
 (minute, area, trusted, k-nearest, count, encoded) — plus

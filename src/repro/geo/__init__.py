@@ -6,30 +6,26 @@ shortest-path driving routes, timestamped trajectories, and obstacle maps
 with line-of-sight queries.
 """
 
-from repro.geo.geometry import (
-    Point,
-    Rect,
-    distance,
-    segment_intersects_rect,
-    segments_intersect,
-)
-from repro.geo.roadnet import RoadNetwork, grid_city
-from repro.geo.routing import Router, route_polyline
-from repro.geo.trajectory import Trajectory
-from repro.geo.obstacles import Building, ObstacleMap, corridor_los
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Point",
-    "Rect",
-    "distance",
-    "segment_intersects_rect",
-    "segments_intersect",
-    "RoadNetwork",
-    "grid_city",
-    "Router",
-    "route_polyline",
-    "Trajectory",
-    "Building",
-    "ObstacleMap",
-    "corridor_los",
-]
+#: public name -> defining submodule, imported on first access (PEP 562):
+#: ``repro.geo.geometry`` must not cost ``roadnet``'s networkx import
+_EXPORTS = {
+    "Point": ".geometry",
+    "Rect": ".geometry",
+    "distance": ".geometry",
+    "segment_intersects_rect": ".geometry",
+    "segments_intersect": ".geometry",
+    "RoadNetwork": ".roadnet",
+    "grid_city": ".roadnet",
+    "Router": ".routing",
+    "route_polyline": ".routing",
+    "Trajectory": ".trajectory",
+    "Building": ".obstacles",
+    "ObstacleMap": ".obstacles",
+    "corridor_los": ".obstacles",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

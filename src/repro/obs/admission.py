@@ -13,9 +13,9 @@ This module is the explicit back-pressure plane the ROADMAP calls for:
   the reply is a ``busy`` message carrying ``retry_after`` seconds, a
   deterministic function of the queue the upload would have joined;
 * **SLO-steered shedding** — when the observed commit p99 exceeds the
-  configured SLO (the same signal that steers
-  :class:`~repro.store.sqlite.GroupCommitController`), the effective
-  queue bound halves: the authority sheds load *before* latency
+  configured SLO (a ``store.commit`` histogram — recorded by no store
+  ``make_store`` builds since the segment log has no commit), the
+  effective queue bound halves: the authority sheds load *before* latency
   collapses rather than after.
 
 Everything is observable: ``server.admission.depth`` and

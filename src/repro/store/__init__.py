@@ -7,25 +7,26 @@ contract):
 * :class:`~repro.store.memory.MemoryStore` — per-minute uniform spatial
   grid; fastest, volatile.  The default, and the right choice for
   simulations and tests.
-* :class:`~repro.store.sqlite.SQLiteStore` — persistent single-file
-  backend with minute+bounding-box indexes; survives restarts and scales
-  past RAM.  Pick it for a long-lived authority.
+* :class:`~repro.store.segments.SegmentStore` — the persistent backend
+  (``make_store("sqlite", path)``): a minute-segment log that appends
+  wire records verbatim; survives restarts and scales past RAM.  Pick
+  it for a long-lived authority.
 * :class:`~repro.store.sharded.ShardedStore` — hash-partitions minutes
   across N inner backends to model horizontal scale-out.  Pick it when
   one node cannot absorb a city's upload stream.
 * :class:`~repro.store.workers.ProcessShardedStore` — the sharded
   fleet with every shard in its own worker OS process, fed over pipes
   with the columnar batch codec.  Pick it when a *hot* shard's ingest
-  is GIL-bound: batch encode/decode and SQLite group commits run on
-  the workers' GILs, so hot-shard ``insert_many`` scales with worker
-  count instead of ~1.1x.
+  is GIL-bound: batch encode/decode and segment appends run on the
+  workers' GILs, so hot-shard ``insert_many`` scales with worker count
+  instead of ~1.1x.
 
 :func:`make_store` maps the CLI-facing backend names to instances.
 
 Every backend is thread-safe behind the concurrent authority front-end
-(:mod:`repro.net.concurrency`): memory serializes on one re-entrant
-lock, SQLite pairs per-thread connections with a single-writer lock,
-and sharded fleets fan batch inserts out to their
+(:mod:`repro.net.concurrency`): memory and the segment log each
+serialize on one lock (the log reads outside it), and sharded fleets
+fan batch inserts out to their
 (thread-safe) shards concurrently.  Sharded fleets optionally route by
 ``(minute, spatial cell)`` composite keys (``shard_cells``) so a single
 hot minute fans out across shards.
@@ -60,6 +61,7 @@ from repro.store.lifecycle import (
     survey_overloaded,
 )
 from repro.store.memory import MemoryStore
+from repro.store.segments import SegmentStore
 from repro.store.serving import (
     DEFAULT_TILE_MINUTES,
     MinuteTiles,
@@ -69,11 +71,7 @@ from repro.store.serving import (
 )
 from repro.store.sharded import DEFAULT_ROUTE_CELL_M, ShardedStore
 from repro.store.sqlite import SQLiteStore
-from repro.store.workers import (
-    DEFAULT_WORKER_GROUP_ROWS,
-    ProcessShardedStore,
-    WorkerShard,
-)
+from repro.store.workers import ProcessShardedStore, WorkerShard
 
 #: backend names accepted by make_store and the CLI ``--store`` option
 STORE_KINDS = ("memory", "sqlite", "sharded", "procs")
@@ -87,43 +85,25 @@ def make_store(
     shard_cells: int = 1,
     route_cell_m: float = DEFAULT_ROUTE_CELL_M,
     ingest_workers: int = 4,
-    group_commit_rows: int | None = None,
-    slo_p99_ms: float = 0.0,
 ) -> VPStore:
     """Build a VP store backend from a CLI-style description.
 
-    ``path`` applies to ``sqlite`` (empty means a private in-memory
-    database) and to ``procs``, where it becomes the per-worker
-    database prefix (``{path}.worker{i}.sqlite``; empty keeps the
-    workers in memory); ``n_shards``/``cell_m`` tune sharded/memory
-    backends.  ``shard_cells`` > 1 switches the sharded backends to
-    composite ``(minute, spatial cell)`` routing with
+    ``sqlite`` names the persistent single-node backend — since PR 22
+    the minute-segment log (:class:`~repro.store.segments.SegmentStore`;
+    the name outlives the engine it used to select).  ``path`` is its
+    segment-file prefix (empty means anonymous temporary segments) and,
+    for ``procs``, the per-worker prefix (``{path}.worker{i}``; empty
+    keeps the workers in memory); ``n_shards``/``cell_m`` tune
+    sharded/memory backends.  ``shard_cells`` > 1 switches the sharded
+    backends to composite ``(minute, spatial cell)`` routing with
     ``route_cell_m``-sized cells, spreading hot minutes across shards.
-    ``ingest_workers`` sizes the ``procs`` worker-process fleet;
-    ``group_commit_rows`` sets SQLite group commit (``sqlite``
-    directly, ``procs`` inside each worker): ``None`` keeps each
-    backend's default — off for ``sqlite``, 512 rows inside ``procs``
-    workers — while an explicit 0 always means commit-per-batch.
-    ``slo_p99_ms`` > 0 declares the commit p99 SLO in milliseconds and
-    makes the group sizing adaptive (:mod:`repro.store.adaptive`): the
-    controller's flush-latency target *is* the commit SLO, so observed
-    commit latency grows or shrinks the rows/bytes bounds toward exactly
-    this bound.  A target always implies grouping — the store seeds an
-    unset row bound itself, so tuning can never silently target a
-    commit-per-batch store.  All backends are thread-safe (see
-    ``docs/stores.md``).
+    ``ingest_workers`` sizes the ``procs`` worker-process fleet.  All
+    backends are thread-safe (see ``docs/stores.md``).
     """
-    if slo_p99_ms < 0:
-        raise ValidationError("slo_p99_ms must be >= 0")
-    group_commit_target_s = slo_p99_ms / 1000.0
     if kind == "memory":
         return MemoryStore(cell_m=cell_m)
     if kind == "sqlite":
-        return SQLiteStore(
-            path or ":memory:",
-            group_commit_rows=group_commit_rows or 0,
-            group_commit_target_s=group_commit_target_s,
-        )
+        return SegmentStore(path)
     if kind == "sharded":
         return ShardedStore.memory(
             n_shards=n_shards,
@@ -133,14 +113,13 @@ def make_store(
         )
     if kind == "procs":
         if path:
-            return ProcessShardedStore.sqlite(
-                [f"{path}.worker{i}.sqlite" for i in range(ingest_workers)],
+            return ProcessShardedStore(
+                [
+                    {"kind": "segments", "path": f"{path}.worker{i}"}
+                    for i in range(ingest_workers)
+                ],
                 shard_cells=shard_cells,
                 route_cell_m=route_cell_m,
-                group_commit_rows=DEFAULT_WORKER_GROUP_ROWS
-                if group_commit_rows is None
-                else group_commit_rows,
-                group_commit_target_s=group_commit_target_s,
             )
         return ProcessShardedStore.memory(
             n_workers=ingest_workers,
@@ -164,6 +143,7 @@ __all__ = [
     "QuerySpec",
     "RetentionPolicy",
     "STORE_KINDS",
+    "SegmentStore",
     "ShardedStore",
     "SpatialGrid",
     "SQLiteStore",

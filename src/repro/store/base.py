@@ -3,7 +3,7 @@
 A *store* is the authority's durable memory of uploaded view profiles.
 The service layer (``repro.core.database.VPDatabase``) is a thin facade
 over one of these backends, so swapping a flat in-memory index for a
-persistent SQLite file or a sharded fleet never touches investigation
+persistent segment log or a sharded fleet never touches investigation
 code.
 
 Backends must agree exactly on semantics so they are interchangeable:
@@ -17,7 +17,7 @@ Backends must agree exactly on semantics so they are interchangeable:
   (:mod:`repro.store.serving`) — whose axes compose minute, area,
   trusted, k-nearest, count and encoded selection.  Underneath it each
   backend implements exactly ONE selection primitive, in the form it
-  stores: a backend that holds bytes (SQLite, the worker proxy, the
+  stores: a backend that holds bytes (the segment log, the worker proxy, the
   sharded routers) implements ``query_encoded(spec)`` and its decoded
   reads are ``decode_vp_batch(query_encoded(spec))`` — fresh
   wire-backed VPs per call; the memory backend, which holds objects by
@@ -74,7 +74,7 @@ class StoreStats:
     ``backend`` is the reporting store's ``kind``; ``vps``/``trusted``/
     ``minutes`` count stored VPs, trusted VPs and distinct minute
     indices.  ``detail`` carries backend-specific gauges: grid occupancy
-    for memory, connection/group-commit counters for SQLite, per-shard
+    for memory, path and tile gauges for the segment log, per-shard
     breakdowns for sharded fleets.
     """
 
@@ -229,7 +229,7 @@ class VPStore(ABC):
         trusted axes), byte-identical to re-encoding them: bodies are
         content-deterministic and the metadata head derives from the
         same values.  A backend that stores bytes overrides this —
-        SQLite frames stored rows pass-through, sharded fleets stitch
+        the segment log frames stored records pass-through, sharded fleets stitch
         owner-shard frames without decoding a body — and leaves
         :meth:`_select` alone; this default is the memory store's,
         whose VPs each hold their digest block.
@@ -323,7 +323,7 @@ class VPStore(ABC):
         """Reclaim space freed by eviction; returns backend gauges.
 
         Default is a no-op for backends with nothing to reclaim.
-        Implementations may run maintenance (SQLite vacuum/analyze,
+        Implementations may run maintenance (SQLite vacuum/analyze, while it stays,
         dropping empty buckets) and should stay incremental — compact
         runs on a live store between retention passes.
         """

@@ -46,7 +46,6 @@ from repro.core.viewdigest import PACKED_FIELD, packed_block_defect, packed_colu
 from repro.core.viewprofile import ViewProfile
 from repro.errors import ValidationError, WireFormatError
 from repro.util.encoding import (
-    pack_prefixed,
     pack_uint,
     unpack_pair_f32,
     unpack_prefixed,
@@ -129,16 +128,9 @@ def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
     """
     parts = [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(vps), 4)]
     for vp in vps:
-        minute = vp.minute
-        if minute < 0:
-            raise WireFormatError(f"cannot batch-encode negative minute {minute}")
-        parts.append(
-            _RECORD_HEAD.pack(
-                _FLAG_TRUSTED if vp.trusted else 0, minute, *vp.bounding_box
-            )
+        parts += _record_parts(
+            (vp.vp_id, vp.minute, vp.trusted, *vp.bounding_box, encode_vp(vp))
         )
-        blob = encode_vp(vp)
-        parts += (vp.vp_id, pack_uint(len(blob), 4), blob)
     return b"".join(parts)
 
 
@@ -154,17 +146,24 @@ def encode_row_batch(rows: Sequence[tuple]) -> bytes:
     verbatim and the metadata head derives from the same values.
     """
     parts = [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(rows), 4)]
-    for vp_id, minute, trusted, x_min, y_min, x_max, y_max, body in rows:
-        if minute < 0:
-            raise WireFormatError(f"cannot batch-encode negative minute {minute}")
-        parts.append(
-            _RECORD_HEAD.pack(
-                _FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
-            )
-        )
-        parts.append(bytes(vp_id))
-        parts.append(pack_prefixed(bytes(body)))
+    for row in rows:
+        parts += _record_parts(row)
     return b"".join(parts)
+
+
+def _record_parts(row: tuple) -> tuple:
+    """One storage row as the byte parts of its frame record.
+
+    Prefix and body stay separate parts: a ``memoryview`` body goes into
+    the caller's join as it is, so that join is the only copy.
+    """
+    vp_id, minute, trusted, x_min, y_min, x_max, y_max, body = row
+    if minute < 0:
+        raise WireFormatError(f"cannot batch-encode negative minute {minute}")
+    head = _RECORD_HEAD.pack(
+        _FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
+    )
+    return head, bytes(vp_id), pack_uint(len(body), 4), body
 
 
 def iter_encoded_records(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
@@ -179,6 +178,28 @@ def iter_encoded_records(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
     """
     for meta, start, end in iter_encoded_meta(batch):
         yield (*meta, batch[start + RECORD_OVERHEAD_BYTES : end]), start, end
+
+
+def unpack_record_meta(batch: bytes, offset: int = 0) -> tuple[tuple, int]:
+    """One record's metadata row (no body) and the offset just past it.
+
+    ``batch[offset:]`` begins with a record; the body is sought past
+    via its length prefix, never sliced.  The one place the record
+    head is parsed: the frame walkers and the segment log's recovery
+    scan (whose records stand alone, without a frame header) share it.
+    """
+    head_end = offset + _RECORD_HEAD.size
+    if head_end + VP_ID_BYTES + 4 > len(batch):
+        raise WireFormatError("truncated VP batch record")
+    flags, minute, x_min, y_min, x_max, y_max = _RECORD_HEAD.unpack(
+        batch[offset:head_end]
+    )
+    vp_id = batch[head_end : head_end + VP_ID_BYTES]
+    body_len = unpack_uint(batch[head_end + VP_ID_BYTES : head_end + VP_ID_BYTES + 4])
+    end = head_end + VP_ID_BYTES + 4 + body_len
+    if end > len(batch):
+        raise WireFormatError("truncated VP batch record")
+    return (vp_id, minute, flags & _FLAG_TRUSTED, x_min, y_min, x_max, y_max), end
 
 
 def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
@@ -202,22 +223,8 @@ def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
     offset = 5
     for _ in range(count):
         start = offset
-        head_end = offset + _RECORD_HEAD.size
-        if head_end + VP_ID_BYTES + 4 > len(batch):
-            raise WireFormatError("truncated VP batch record")
-        flags, minute, x_min, y_min, x_max, y_max = _RECORD_HEAD.unpack(
-            batch[offset:head_end]
-        )
-        vp_id = batch[head_end : head_end + VP_ID_BYTES]
-        body_len = unpack_uint(batch[head_end + VP_ID_BYTES : head_end + VP_ID_BYTES + 4])
-        offset = head_end + VP_ID_BYTES + 4 + body_len
-        if offset > len(batch):
-            raise WireFormatError("truncated VP batch record")
-        yield (
-            (vp_id, minute, flags & _FLAG_TRUSTED, x_min, y_min, x_max, y_max),
-            start,
-            offset,
-        )
+        meta, offset = unpack_record_meta(batch, start)
+        yield meta, start, offset
     if offset != len(batch):
         raise WireFormatError(
             f"VP batch of {count} records leaves {len(batch) - offset} trailing bytes"
@@ -499,6 +506,21 @@ class Batch:
             (*record, frame[start + RECORD_OVERHEAD_BYTES : end])
             for record, (start, end) in zip(self.meta, self._spans)
         ]
+
+    def record_spans(self) -> list[bytes | memoryview]:
+        """Each record's raw span (head + body) — what a log appends.
+
+        A frame's records are views of the caller's buffer, never
+        copies; an object batch is framed one record at a time, so it
+        never exists as a whole second frame beside its VPs.
+        """
+        if self._vps is not None:
+            return [
+                b"".join(_record_parts((*record, encode_vp(vp))))
+                for record, vp in zip(self.meta, self._vps)
+            ]
+        view = memoryview(self._frame)
+        return [view[start:end] for start, end in self._spans]
 
     def vps(self) -> list[ViewProfile]:
         """The records as objects: the caller's own, or decoded bodies."""

@@ -69,7 +69,6 @@ from repro.store.codec import (
 from repro.store.grid import DEFAULT_CELL_M
 from repro.store.memory import MemoryStore
 from repro.store.serving import MinuteTiles, QuerySpec, TileCache
-from repro.store.sqlite import SQLiteStore
 
 #: upper bound on the batch fan-out pool, whatever the shard count
 MAX_FANOUT_WORKERS = 8
@@ -210,6 +209,8 @@ class ShardedStore(VPStore):
 
         ``group_commit_rows`` turns on the per-shard group-commit path.
         """
+        from repro.store.sqlite import SQLiteStore
+
         return cls(
             [SQLiteStore(path, group_commit_rows=group_commit_rows) for path in paths],
             shard_cells=shard_cells,

@@ -1,10 +1,10 @@
 """Process-parallel shard workers: scale hot-shard ingest past the GIL.
 
-Thread-level concurrency stops paying on a hot shard: batch encoding,
-row building and the sqlite3 binding's per-row work all hold the GIL, so
-threaded ingest into one SQLite shard measured only ~1.1x serial.  This
-module moves each shard into its **own worker OS process** — its own
-GIL, its own page cache, its own commit stream:
+Thread-level concurrency stops paying on a hot shard: batch encoding
+and the store's per-record work hold the GIL, so threaded ingest into
+one persistent shard measured only ~1.1x serial.  This module moves
+each shard into its **own worker OS process** — its own GIL, its own
+segment files:
 
 * :class:`ProcessShardedStore` — a :class:`~repro.store.sharded.ShardedStore`
   whose shards are :class:`WorkerShard` proxies.  All the routing-tier
@@ -17,17 +17,15 @@ GIL, its own page cache, its own commit stream:
   strictly request/response under a per-proxy lock; the fan-out pool of
   the sharded wrapper provides cross-worker parallelism.
 * :func:`_worker_main` — the per-worker command loop: builds the real
-  backend (memory or SQLite) from a small spec dict, then serves ops
-  until ``close`` or the pipe drops.  Idle workers opportunistically
-  flush their group-commit buffer, so the latency bound holds without
-  a timer thread.
+  backend (memory or the segment log) from a small spec dict, then
+  serves ops until ``close`` or the pipe drops.
 
 The coordination plane stays thin (route, frame, forward — the KISS
-principle); the heavy lifting (decode, row building, ``executemany`` +
-commit) runs in parallel simple workers.  IPC framing is the columnar
-batch codec (:func:`~repro.store.codec.encode_vp_batch`): one
-length-prefixed buffer per batch instead of N pickled objects, and a
-SQLite worker ingests the records *without ever decoding a body*.
+principle); the heavy lifting (decode, checksums, appends) runs in
+parallel simple workers.  IPC framing is the columnar batch codec
+(:func:`~repro.store.codec.encode_vp_batch`): one length-prefixed
+buffer per batch instead of N pickled objects, and a segment-log
+worker appends the records *without ever decoding a body*.
 
 Failure model: a worker that dies or stops answering within
 ``op_timeout_s`` is abandoned — the proxy raises ``StorageError``, the
@@ -53,12 +51,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.store.grid import DEFAULT_CELL_M
 from repro.store.memory import MemoryStore
 from repro.store.serving import MinuteTiles, QuerySpec
+from repro.store.segments import SegmentStore
 from repro.store.sharded import DEFAULT_ROUTE_CELL_M, ShardedStore
-from repro.store.sqlite import (
-    DEFAULT_GROUP_COMMIT_BYTES,
-    DEFAULT_GROUP_COMMIT_LATENCY_S,
-    SQLiteStore,
-)
+from repro.store.sqlite import DEFAULT_GROUP_COMMIT_LATENCY_S
 
 #: how long the parent waits for one worker reply before declaring the
 #: worker hung and abandoning it (construction handshake included)
@@ -92,18 +87,13 @@ def _build_worker_store(spec: dict) -> VPStore:
     metrics = MetricsRegistry(enabled=bool(spec.get("metrics", True)))
     if kind == "memory":
         return MemoryStore(cell_m=spec.get("cell_m", DEFAULT_CELL_M), metrics=metrics)
-    if kind == "sqlite":
-        return SQLiteStore(
-            spec.get("path", ":memory:"),
-            group_commit_rows=spec.get("group_commit_rows", 0),
-            group_commit_bytes=spec.get("group_commit_bytes", DEFAULT_GROUP_COMMIT_BYTES),
-            group_commit_latency_s=spec.get(
-                "group_commit_latency_s", DEFAULT_GROUP_COMMIT_LATENCY_S
-            ),
-            group_commit_target_s=spec.get("group_commit_target_s", 0.0),
-            commit_latency_s=spec.get("commit_latency_s", 0.0),
-            metrics=metrics,
-        )
+    if kind == "segments":
+        return SegmentStore(spec.get("path", ""), metrics=metrics)
+    if kind == "sqlite":  # what ProcessShardedStore.sqlite builds; goes with it
+        from repro.store.sqlite import SQLiteStore
+
+        options = {k: v for k, v in spec.items() if k not in ("kind", "metrics")}
+        return SQLiteStore(**options, metrics=metrics)
     raise StorageError(f"unknown worker backend kind {spec.get('kind')!r}")
 
 
@@ -111,8 +101,8 @@ def _dispatch(store: VPStore, request: tuple) -> object:
     """Execute one command against the worker's backend."""
     op = request[0]
     if op == "write":
-        # SQLite ingests the rows without decoding bodies, memory
-        # decodes worker-side
+        # the segment log appends the records without decoding bodies,
+        # memory decodes worker-side
         return store.insert_encoded(request[2], strict=request[1])
     if op == "get":
         vp = store.get(request[1])
@@ -127,7 +117,7 @@ def _dispatch(store: VPStore, request: tuple) -> object:
         return store.minutes()
     if op == "query_enc":
         # decode-free span query: the worker's backend assembles the
-        # codec frame (tile-pruned, row pass-through on SQLite) and the
+        # codec frame (tile-pruned, record pass-through on the log) and the
         # raw bytes travel the pipe untouched
         return store.query_encoded(request[1])
     if op == "tiles":
@@ -156,9 +146,9 @@ def _worker_main(conn: Connection, spec: dict) -> None:
 
     Runs in the worker process.  The first message out is the readiness
     handshake (an error here — bad path, bad spec — reaches the parent
-    as a construction failure).  When the command pipe goes quiet the
-    worker flushes an overdue group-commit buffer, so the grouping
-    latency bound holds even with no further traffic.
+    as a construction failure).  A ``sqlite``-kind spec with group
+    commit (``ProcessShardedStore.sqlite`` only, going with it) also
+    flushes its overdue group whenever the command pipe goes quiet.
     """
     try:
         store = _build_worker_store(spec)
@@ -430,7 +420,7 @@ class ProcessShardedStore(ShardedStore):
     :class:`~repro.store.sharded.ShardedStore` — composite
     ``(minute, cell)`` keys, fleet-wide id directory, order-preserving
     minute merges, snapshot-consistent eviction — but batch
-    encode/decode and SQLite commits execute on the workers' GILs, so
+    encode/decode and segment appends execute on the workers' GILs, so
     hot-shard ingest scales with worker count instead of ~1.1x.
     Construction starts the worker processes (the supervisor role);
     ``close()`` stops them, escalating to ``terminate``/``kill`` if a
@@ -452,7 +442,7 @@ class ProcessShardedStore(ShardedStore):
     ) -> None:
         """Start one worker per spec dict and wrap them as a fleet.
 
-        ``specs`` entries are ``{"kind": "memory"|"sqlite", ...}`` as
+        ``specs`` entries are ``{"kind": "memory"|"segments", ...}`` as
         accepted by the worker loop (a ``"metrics": False`` entry turns
         that worker's registry off); ``mp_context`` forces a start
         method (default: ``fork`` on Linux, ``spawn`` elsewhere);

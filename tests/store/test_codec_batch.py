@@ -175,3 +175,38 @@ def test_batch_rejects_id_body_mismatch():
     buf[id_offset] ^= 0xFF
     with pytest.raises(WireFormatError):
         decode_vp_batch(bytes(buf))
+
+
+class TestFramingCopiesNothingTwice:
+    """``encode_row_batch`` joins prefix and body as separate parts.
+
+    It used to build ``pack_prefixed(bytes(body))`` per row — every
+    ~4.6 kB body copied before the join copied it again.
+    """
+
+    @staticmethod
+    def _peak(fn) -> tuple[int, bytes]:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_object_batch_frames_within_its_blobs_plus_the_join(self):
+        vps = [make_vp(seed=i + 1, n=60, minute=0) for i in range(64)]
+        Batch.from_vps(vps).frame()  # what a VP memoizes is not the framing's
+        peak, frame = self._peak(lambda: Batch.from_vps(vps).frame())
+        assert frame == encode_vp_batch(vps)
+        assert peak < 2.2 * len(frame)  # the encoded bodies, then one join
+
+    def test_memoryview_bodies_go_into_the_join_as_they_are(self):
+        from repro.store.codec import encode_row_batch
+
+        frame = encode_vp_batch([make_vp(seed=i + 1, n=60, minute=0) for i in range(64)])
+        rows = Batch.from_frame(memoryview(frame)).rows()
+        peak, again = self._peak(lambda: encode_row_batch(rows))
+        assert again == frame
+        assert peak < 1.2 * len(frame)  # the join is the only copy

@@ -27,6 +27,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -40,6 +41,7 @@ from repro.store import (
     ShardedStore,
     SQLiteStore,
     encode_vp_batch,
+    make_store,
 )
 from tests.store.conftest import fingerprint, make_vp
 
@@ -78,9 +80,17 @@ class ReadContract(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="repro-read-sm-"))
-        #: name -> constructor; the file-backed ones reopen their file
+        #: name -> constructor; the file-backed ones reopen their files.
+        #: ``make_store("sqlite"|"procs", path)`` is the segment log; the
+        #: SQLiteStore rows are the differential oracle it replaced
+        #: (they go with the class in PR 23).
         self.factories = {
             "memory": MemoryStore,
+            "segments": lambda: make_store("sqlite"),
+            "segments-file": lambda: make_store("sqlite", str(self.dir / "log")),
+            "segments-procs": lambda: make_store(
+                "procs", str(self.dir / "fleet"), ingest_workers=2, shard_cells=2
+            ),
             "sqlite": SQLiteStore,
             "sqlite-grouped": lambda: SQLiteStore(group_commit_rows=4),
             "sqlite-file": lambda: SQLiteStore(str(self.dir / "plain.sqlite")),
@@ -161,7 +171,11 @@ class ReadContract(RuleBasedStateMachine):
         for store in self.stores.values():
             store.compact()
 
-    @rule(name=st.sampled_from(["sqlite-file", "sqlite-file-grouped"]))
+    @rule(
+        name=st.sampled_from(
+            ["segments-file", "segments-procs", "sqlite-file", "sqlite-file-grouped"]
+        )
+    )
     def close_and_reopen(self, name):
         self.stores[name].close()
         self.stores[name] = self.factories[name]()
@@ -229,9 +243,10 @@ TestReadContract.settings = settings(
 )
 
 
-def test_sqlite_get_after_eviction_is_none_and_gets_agree():
+@pytest.mark.parametrize("build", [SQLiteStore, lambda: make_store("sqlite")])
+def test_get_after_eviction_is_none_and_gets_agree(build):
     # what the decode-cache tests pinned that outlives the cache
-    with SQLiteStore() as store:
+    with build() as store:
         vp = make_vp(seed=1, minute=0)
         store.insert(vp)
         first, second = store.get(vp.vp_id), store.get(vp.vp_id)

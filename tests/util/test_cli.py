@@ -73,6 +73,13 @@ class TestCommands:
     def test_stream_small(self, capsys):
         assert main([
             "stream", "--vehicles", "6", "--minutes", "2", "--workers", "2",
-            "--store", "sqlite", "--slo-p99-ms", "15",
+            "--store", "sqlite",
         ]) == 0
         assert "12 inserted, 0 shed, 12 stored" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--group-commit-rows", "--slo-p99-ms"])
+    def test_group_commit_flags_are_gone(self, flag, capsys):
+        # nothing they configured is reachable from make_store any more
+        with pytest.raises(SystemExit):
+            main(["stream", "--store", "sqlite", flag, "8"])
+        assert "unrecognized arguments" in capsys.readouterr().err

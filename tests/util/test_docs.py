@@ -6,6 +6,7 @@ import re
 import sys
 from pathlib import Path
 
+from repro.cli import build_parser
 from repro.core.system import ViewMapSystem
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
@@ -41,6 +42,22 @@ class TestRepositoryDocs:
         with ViewMapSystem(key_bits=512, seed=1) as system:
             server = ViewMapServer(system=system, network=InMemoryNetwork())
             assert sorted(documented) == sorted(server._handlers)
+
+    def test_readme_flags_exist_in_the_cli_parser(self):
+        # a removed flag cannot stay advertised (pytest's own are not ours)
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        lines = [ln for ln in text.splitlines() if "pytest" not in ln]
+        advertised = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
+        assert advertised, "README.md names no CLI flag: the pattern rotted"
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a.choices, dict)
+        )
+        known = {
+            flag
+            for command in subparsers.choices.values()
+            for flag in command._option_string_actions
+        }
+        assert advertised <= known, sorted(advertised - known)
 
 
 class TestCheckerCatchesRot:
