@@ -33,10 +33,9 @@ from repro.util.lazy import lazy_exports
 __version__ = "1.1.0"
 
 #: public name -> defining module.  Resolved on first attribute access
-#: (PEP 562): ``from repro import ViewMapSystem`` works as before, but
+#: (PEP 562): ``from repro import ViewMapSystem`` works as before, and
 #: ``import repro.store.workers`` — what every spawned worker process and
-#: ``repro --help`` pay — no longer drags in ``core.system`` and with it
-#: scipy and networkx.
+#: ``repro --help`` pay (34 MiB, numpy alone) — imports no ``core.system``.
 _EXPORTS = {
     "ViewMapSystem": "repro.core.system",
     "Investigation": "repro.core.system",

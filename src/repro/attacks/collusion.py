@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-import networkx as nx
-
 from repro.constants import TRUSTRANK_DAMPING
 from repro.core.verification import link_distances, verify_site_members
+from repro.core.viewmap import ViewLinks
 from repro.errors import SimulationError
 from repro.util.rng import derive_seed, make_rng
 
@@ -52,7 +51,7 @@ class SyntheticViewmapConfig:
 class SyntheticViewmap:
     """A generated viewmap with node kinds and positions."""
 
-    graph: nx.Graph
+    graph: ViewLinks
     positions: dict[int, tuple[float, float]]
     trusted: int
     legit: set[int]
@@ -102,9 +101,11 @@ def build_synthetic_viewmap(
     )
     # node 0 is the trusted VP, pinned at the seed position
     pts[0] = config.seed_xy
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(_geometric_edges(pts, config.link_radius_m, config.p_link, rng))
+    graph = ViewLinks()
+    for node in range(n):
+        graph.add_node(node)
+    for a, b in _geometric_edges(pts, config.link_radius_m, config.p_link, rng):
+        graph.add_edge(a, b)
     positions = {i: (float(pts[i, 0]), float(pts[i, 1])) for i in range(n)}
     return SyntheticViewmap(
         graph=graph,

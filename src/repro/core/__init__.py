@@ -24,8 +24,8 @@ Layer map (bottom to top):
 from repro.util.lazy import lazy_exports
 
 #: public name -> defining submodule, imported on first access (PEP 562):
-#: ``repro.core.viewprofile`` must not cost ``core.system``'s scipy and
-#: networkx imports to the store workers that only need the VP type
+#: ``repro.core.viewprofile`` (30 MiB) must not cost the store workers,
+#: which only need the VP type, all of ``core.system`` (35 MiB, numpy only)
 _EXPORTS = {
     "ViewDigest": ".viewdigest",
     "VDGenerator": ".viewdigest",

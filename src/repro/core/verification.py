@@ -22,18 +22,15 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
 import numpy as np
-from scipy import sparse
-
-import networkx as nx
 
 from repro.constants import TRUSTRANK_DAMPING, TRUSTRANK_MAX_ITER, TRUSTRANK_TOL
-from repro.core.viewmap import ViewMapGraph
+from repro.core.viewmap import ViewLinks, ViewMapGraph
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
 
 
 def trustrank(
-    graph: nx.Graph,
+    graph: ViewLinks,
     seeds: Iterable[Hashable],
     damping: float = TRUSTRANK_DAMPING,
     tol: float = TRUSTRANK_TOL,
@@ -41,11 +38,12 @@ def trustrank(
 ) -> dict[Hashable, float]:
     """Compute TrustRank scores for every node of an undirected graph.
 
-    Seeds share the static distribution ``d`` equally.  Unlike the web
-    TrustRank, mass flows along *undirected* viewlinks, "divided equally
-    among all adjacent edges".  Returns a dict node -> score.
+    Seeds share the static distribution ``d`` equally (one listed twice
+    counts once).  Unlike the web TrustRank, mass flows along *undirected*
+    viewlinks, "divided equally among all adjacent edges".  Returns a dict
+    node -> score; ``graph`` needs ``nodes`` / ``degree`` / ``neighbors``.
     """
-    seeds = list(seeds)
+    seeds = list(dict.fromkeys(seeds))
     if not seeds:
         raise ValidationError("trustrank needs at least one trusted seed")
     nodes = list(graph.nodes)
@@ -57,31 +55,22 @@ def trustrank(
             raise ValidationError("trusted seed is not a member of the graph")
 
     n = len(nodes)
-    rows, cols, vals = [], [], []
-    for node in nodes:
+    entries = []  # M as (row, column, value); M @ p sums a row's terms in this order
+    for j, node in enumerate(nodes):
         deg = graph.degree(node)
-        j = index[node]
-        if deg == 0:
-            # dangling node: keep its mass (self-loop) so an isolated
-            # trusted VP retains trust instead of leaking it
-            rows.append(j)
-            cols.append(j)
-            vals.append(1.0)
-            continue
-        w = 1.0 / deg
-        for nbr in graph.neighbors(node):
-            rows.append(index[nbr])
-            cols.append(j)
-            vals.append(w)
-    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        # a dangling node keeps its mass (self-loop), so an isolated
+        # trusted VP retains trust instead of leaking it
+        targets = [index[nbr] for nbr in graph.neighbors(node)] if deg else [j]
+        entries.extend((i, j, 1.0 / max(deg, 1)) for i in targets)
+    rows, cols, vals = map(np.array, zip(*entries))
 
     d = np.zeros(n)
-    for seed in seeds:
-        d[index[seed]] = 1.0 / len(seeds)
+    d[[index[seed] for seed in seeds]] = 1.0 / len(seeds)
 
     p = d.copy()
     for _ in range(max_iter):
-        p_next = damping * matrix.dot(p) + (1.0 - damping) * d
+        flow = np.bincount(rows, weights=vals * p[cols], minlength=n)
+        p_next = damping * flow + (1.0 - damping) * d
         if np.abs(p_next - p).sum() < tol:
             p = p_next
             break
@@ -110,7 +99,7 @@ class VerificationResult:
 
 
 def verify_site_members(
-    graph: nx.Graph,
+    graph: ViewLinks,
     seeds: list[Hashable],
     site_members: list[Hashable],
     damping: float = TRUSTRANK_DAMPING,
@@ -161,7 +150,7 @@ def lemma1_bound(damping: float, link_distance: int) -> float:
 
 
 def lemma2_bound(
-    graph: nx.Graph,
+    graph: ViewLinks,
     scores: dict[Hashable, float],
     attacker_nodes: set[Hashable],
     fake_nodes: set[Hashable],
@@ -183,7 +172,7 @@ def lemma2_bound(
     return (damping / (1.0 - damping)) * total
 
 
-def link_distances(graph: nx.Graph, seeds: list[Hashable]) -> dict[Hashable, int]:
+def link_distances(graph: ViewLinks, seeds: list[Hashable]) -> dict[Hashable, int]:
     """Minimum link distance from any seed to every node (BFS)."""
     dist: dict[Hashable, int] = {}
     frontier = list(seeds)

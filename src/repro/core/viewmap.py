@@ -15,17 +15,15 @@ stacked into ``(members, 60)`` arrays, and membership, the proximity
 sweep, the time-aligned range test and the Bloom test are array
 operations over all members or all surviving pairs, in passes of bounded
 size.  Nothing is cached on a :class:`ViewProfile` or in a module, and
-``networkx`` appears only behind :class:`ViewMapGraph`.
+numpy is all it needs: a grid pair search, a plain :class:`ViewLinks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable, Iterable
 
 import numpy as np
-from scipy.spatial import cKDTree
-
-import networkx as nx
 
 from repro.constants import DSRC_RANGE_M, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
 from repro.core.viewdigest import packed_columns
@@ -44,18 +42,80 @@ def mutual_linkage(a: ViewProfile, b: ViewProfile) -> bool:
     return a.may_link_to(b) and b.may_link_to(a)
 
 
+class ViewLinks:
+    """An undirected graph as insertion-ordered adjacency.
+
+    The slice of ``networkx.Graph`` that viewmaps, TrustRank and the
+    attack models use, with its orders (nodes as first added, a node's
+    neighbours as linked) and its self-loop degree of two, so either
+    type can stand in for the other.
+    """
+
+    def __init__(self) -> None:
+        self._adj: dict[Hashable, dict[Hashable, None]] = {}
+
+    def add_node(self, node: Hashable) -> None:
+        self._adj.setdefault(node, {})
+
+    def add_edge(self, a: Hashable, b: Hashable) -> None:
+        self.add_node(a)
+        self.add_node(b)
+        self._adj[a][b] = self._adj[b][a] = None
+
+    @property
+    def nodes(self):
+        return self._adj.keys()
+
+    @property
+    def edges(self) -> list[tuple[Hashable, Hashable]]:
+        """Every link once, from its earlier-added end."""
+        rank = {node: i for i, node in enumerate(self._adj)}
+        return [(a, b) for a, nbrs in self._adj.items() for b in nbrs if rank[a] <= rank[b]]
+
+    def neighbors(self, node: Hashable) -> Iterable[Hashable]:
+        return self._adj[node].keys()
+
+    def degree(self, node: Hashable) -> int:
+        return len(self._adj[node]) + (node in self._adj[node])
+
+    def has_edge(self, a: Hashable, b: Hashable) -> bool:
+        return b in self._adj.get(a, ())
+
+    def number_of_nodes(self) -> int:
+        return len(self._adj)
+
+    def number_of_edges(self) -> int:
+        return sum(map(self.degree, self._adj)) // 2
+
+    def number_connected_components(self) -> int:
+        reached: set[Hashable] = set()
+        components = 0
+        for start in self._adj:
+            components += start not in reached
+            frontier = [start]
+            while frontier:
+                node = frontier.pop()
+                if node not in reached:
+                    reached.add(node)
+                    frontier.extend(self._adj[node])
+        return components
+
+
 @dataclass
 class ViewMapGraph:
     """A constructed viewmap: VPs as nodes, viewlinks as edges."""
 
     minute: int
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: ViewLinks = field(default_factory=ViewLinks)
     profiles: dict[bytes, ViewProfile] = field(default_factory=dict)
+    #: the members' digest columns, stacked on first need
+    _cols: _Stacked | None = field(default=None, repr=False, compare=False)
 
     def add_profile(self, vp: ViewProfile) -> None:
         """Add a member VP as an (initially isolated) node."""
         self.profiles[vp.vp_id] = vp
-        self.graph.add_node(vp.vp_id, trusted=vp.trusted)
+        self.graph.add_node(vp.vp_id)
+        self._cols = None
 
     def add_viewlink(self, a: bytes, b: bytes) -> None:
         """Create the undirected viewlink between two member VPs."""
@@ -73,15 +133,16 @@ class ViewMapGraph:
 
     def trusted_ids(self) -> list[bytes]:
         """VP ids of the trusted seeds present in this viewmap."""
-        return [n for n, data in self.graph.nodes(data=True) if data.get("trusted")]
+        return [vp_id for vp_id, vp in self.profiles.items() if vp.trusted]
 
     def members_near(self, center: Point, radius_m: float) -> list[bytes]:
         """VP ids claiming any location within ``radius_m`` of ``center``."""
-        return [
-            vp_id
-            for vp_id, vp in self.profiles.items()
-            if vp.claims_location_near(center, radius_m)
-        ]
+        if self._cols is None:
+            self._cols = _Stacked(list(self.profiles.values()))
+        dx = self._cols.xy[..., 0] - center.x
+        dy = self._cols.xy[..., 1] - center.y
+        near = ((dx * dx + dy * dy <= radius_m * radius_m) & self._cols.held).any(axis=1)
+        return [vp_id for vp_id, hit in zip(self.profiles, near.tolist()) if hit]
 
     def isolated_ids(self) -> list[bytes]:
         """Members without a single viewlink (paper: <3% in practice)."""
@@ -95,14 +156,14 @@ class ViewMapGraph:
 
     def degree_stats(self) -> dict[str, float]:
         """Simple structural summary used by the Fig 21 bench."""
-        degrees = [d for _, d in self.graph.degree()]
+        degrees = [self.graph.degree(n) for n in self.graph.nodes]
         if not degrees:
             return {"nodes": 0, "edges": 0, "avg_degree": 0.0, "components": 0}
         return {
             "nodes": self.node_count,
             "edges": self.edge_count,
             "avg_degree": sum(degrees) / len(degrees),
-            "components": nx.number_connected_components(self.graph),
+            "components": self.graph.number_connected_components(),
         }
 
 
@@ -156,6 +217,7 @@ def build_viewmap(
             cols = _Stacked(members)
     for vp in members:
         vmap.add_profile(vp)
+    vmap._cols = cols
     if len(members) < 2:
         return vmap
 
@@ -202,8 +264,8 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 def _candidate_codes(cols: _Stacked, seconds: np.ndarray, radius_m: float) -> np.ndarray:
     """Pairs close at some probe second, as sorted codes ``a * members + b``, a < b.
 
-    One KD-tree per probe second (a dozen across the seconds the members
-    cover) over the positions interpolated at that second, clamped and
+    One pair search per probe second (a dozen across the seconds the
+    members cover) over the positions interpolated at that second, clamped and
     in the float64 expression of ``Trajectory.at``; the radius is
     inflated so that pairs which dip into range between probes still
     become candidates (~20 m/s * probe gap each, 2 cars).
@@ -228,13 +290,47 @@ def _candidate_codes(cols: _Stacked, seconds: np.ndarray, radius_m: float) -> np
         m, r = live[between], at[between]
         frac = (s - t[m, r]) / (t[m, r + 1] - t[m, r])
         points[between] = xy[m, r] + frac[:, None] * (xy[m, r + 1] - xy[m, r])
-        near = cKDTree(points).query_pairs(reach, output_type="ndarray")
+        lower, upper = _pairs_within(points, reach)
         # merged probe by probe, so a dense population holds its pairs once
         # (sort + run starts: np.union1d hashes, 12x slower at these sizes)
-        codes = np.concatenate([codes, live[near[:, 0]] * len(t) + live[near[:, 1]]])
+        codes = np.concatenate([codes, live[lower] * len(t) + live[upper]])
         codes.sort()
         codes = codes[_run_starts(codes)]
     return codes
+
+
+def _pairs_within(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``i < j`` of ``(n, 2)`` points no further apart than ``reach``.
+
+    A sorted-cell grid: points are keyed by their cell (``k = column *
+    W + row``, ``W`` two more than the top row so that a neighbour key
+    never wraps into another column), sorted once, and each point meets
+    the forward half of its 3 x 3 neighbourhood — what follows it in
+    cells ``[k, k + 1]`` and all of ``[k + W - 1, k + W + 1]`` — so every
+    near pair is expanded once, then kept on its squared distance.
+    """
+    # cells a hair wider than reach: no rounding on the way to a cell
+    # number can put a pair within reach two cells apart
+    cell = np.floor((points - points.min(axis=0, initial=np.inf)) / (reach * (1 + 2.0**-16)))
+    if cell.max(initial=0.0) >= 2.0**31:
+        raise ValidationError("positions span more cells than one viewmap can key")
+    cell = cell.astype(np.int64)
+    width = int(cell[:, 1].max(initial=0)) + 2
+    key = cell[:, 0] * width + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    x, y = points[order, 0], points[order, 1]
+    rank = np.arange(len(key))
+    start = np.concatenate([rank + 1, np.searchsorted(key, key + (width - 1))])
+    count = np.searchsorted(key, np.concatenate([key + 2, key + (width + 2)])) - start
+    first = np.repeat(np.concatenate([rank, rank]), count)
+    # every range start, start + 1, ... laid end to end
+    second = np.repeat(start - (np.cumsum(count) - count), count)
+    second += np.arange(len(second))
+    dx, dy = x[first] - x[second], y[first] - y[second]
+    near = dx * dx + dy * dy <= reach * reach
+    i, j = order[first[near]], order[second[near]]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def _aligned_within_range(

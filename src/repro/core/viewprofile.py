@@ -177,13 +177,6 @@ class ViewProfile:
             block[i : i + VD_MESSAGE_BYTES] for i in range(0, len(block), VD_MESSAGE_BYTES)
         ]
 
-    def claims_location_near(self, center: Point, radius_m: float) -> bool:
-        """True if any claimed location falls within ``radius_m`` of center."""
-        pos = self.positions_array
-        dx = pos[:, 0] - center.x
-        dy = pos[:, 1] - center.y
-        return bool(np.any(dx * dx + dy * dy <= radius_m * radius_m))
-
     def may_link_to(self, other: "ViewProfile") -> bool:
         """One-way Bloom check: is any of ``other``'s VDs in my bloom?"""
         return any(key in self.bloom for key in other.bloom_keys())

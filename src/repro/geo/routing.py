@@ -10,12 +10,13 @@ return a metre-accurate polyline that the guard-VP factory samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import RoutingError
 from repro.geo.geometry import Point, distance
-from repro.geo.roadnet import NodeId, RoadNetwork
+
+if TYPE_CHECKING:  # the polyline helpers below must not cost roadnet's networkx
+    from repro.geo.roadnet import NodeId, RoadNetwork
 
 
 @dataclass
@@ -26,6 +27,8 @@ class Router:
 
     def route_nodes(self, origin: NodeId, destination: NodeId) -> list[NodeId]:
         """Return the node sequence of the shortest path."""
+        import networkx as nx
+
         try:
             return nx.shortest_path(
                 self.network.graph, origin, destination, weight="length"

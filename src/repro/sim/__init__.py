@@ -10,25 +10,23 @@ constant-memory generator of wire-ready upload frames
 (:func:`iter_minute_frames`) that scales to million-vehicle bursts.
 """
 
-from repro.sim.runner import SimulationResult, ViewMapSimulation, run_viewmap_simulation
-from repro.sim.contacts import contact_intervals, mean_contact_time
-from repro.sim.stream import (
-    MinuteFrame,
-    iter_minute_frames,
-    iter_minute_vps,
-    iter_upload_payloads,
-    stream_convoy_vps,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "MinuteFrame",
-    "SimulationResult",
-    "ViewMapSimulation",
-    "run_viewmap_simulation",
-    "contact_intervals",
-    "iter_minute_frames",
-    "iter_minute_vps",
-    "iter_upload_payloads",
-    "mean_contact_time",
-    "stream_convoy_vps",
-]
+#: public name -> defining submodule, imported on first access (PEP 562):
+#: ``repro.sim.stream`` must not cost ``runner``'s and ``contacts``' scipy
+_EXPORTS = {
+    "MinuteFrame": ".stream",
+    "SimulationResult": ".runner",
+    "ViewMapSimulation": ".runner",
+    "run_viewmap_simulation": ".runner",
+    "contact_intervals": ".contacts",
+    "iter_minute_frames": ".stream",
+    "iter_minute_vps": ".stream",
+    "iter_upload_payloads": ".stream",
+    "mean_contact_time": ".contacts",
+    "stream_convoy_vps": ".stream",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

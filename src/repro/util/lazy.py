@@ -1,12 +1,12 @@
 """Lazy package re-exports (PEP 562 module ``__getattr__``).
 
 A package ``__init__`` that eagerly imports every submodule makes the
-lightest of them cost the heaviest: ``import repro.store.workers`` used
-to pull in ``repro.core.system`` and with it scipy and networkx —
-46 MiB and 0.4 s that every spawned worker process and ``repro --help``
-paid for nothing.  ``lazy_exports`` keeps ``from package import Name``
-and ``package.__all__`` as they were and defers each submodule import
-to the first access of a name it defines.
+lightest of them cost the heaviest: ``import repro.sim.stream`` used to
+pull in ``repro.sim.runner`` and with it scipy and networkx — 45 MiB
+and 0.4 s (81 MiB resident where 36 do) that the upload front-end and
+every forked store worker paid for nothing.  ``lazy_exports`` keeps
+``from package import Name`` and ``package.__all__`` as they were and
+defers each submodule import to the first access of a name it defines.
 """
 
 from __future__ import annotations

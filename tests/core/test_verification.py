@@ -1,8 +1,11 @@
 """Tests for TrustRank verification (Algorithm 1) and its bounds."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from scipy import sparse
 
+from repro.constants import TRUSTRANK_DAMPING, TRUSTRANK_MAX_ITER, TRUSTRANK_TOL
 from repro.core.verification import (
     lemma1_bound,
     lemma2_bound,
@@ -10,11 +13,53 @@ from repro.core.verification import (
     trustrank,
     verify_site_members,
 )
+from repro.core.viewmap import ViewLinks
 from repro.errors import ValidationError
 
 
 def path_graph(n=6):
     g = nx.path_graph(n)
+    return g
+
+
+def as_view_links(g: nx.Graph) -> ViewLinks:
+    links = ViewLinks()
+    for node in g.nodes:
+        links.add_node(node)
+    for a, b in g.edges:
+        links.add_edge(a, b)
+    return links
+
+
+def sparse_trustrank(g: nx.Graph, seeds: list) -> dict:
+    """The power iteration on a ``scipy.sparse`` matrix, as ``trustrank`` ran it."""
+    nodes = list(g.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    rows, cols, vals = [], [], []
+    for node in nodes:
+        if g.degree(node) == 0:
+            rows.append(index[node])
+            cols.append(index[node])
+            vals.append(1.0)
+        for nbr in g.neighbors(node):
+            rows.append(index[nbr])
+            cols.append(index[node])
+            vals.append(1.0 / g.degree(node))
+    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes)))
+    d = np.zeros(len(nodes))
+    d[[index[seed] for seed in seeds]] = 1.0 / len(seeds)
+    p = d.copy()
+    for _ in range(TRUSTRANK_MAX_ITER):
+        p, previous = TRUSTRANK_DAMPING * matrix.dot(p) + (1.0 - TRUSTRANK_DAMPING) * d, p
+        if np.abs(p - previous).sum() < TRUSTRANK_TOL:
+            break
+    return {node: float(p[index[node]]) for node in nodes}
+
+
+def loops_and_loners() -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(8))  # 6 and 7 stay isolated
+    g.add_edges_from([(0, 1), (1, 1), (2, 3), (3, 3), (0, 3), (4, 5), (5, 2)])
     return g
 
 
@@ -60,6 +105,30 @@ class TestTrustRank:
         g = path_graph(6)
         scores = trustrank(g, seeds=[0, 5])
         assert scores[0] == pytest.approx(scores[5], rel=1e-6)
+
+    @pytest.mark.parametrize("seeds", [[0, 1, 1], [0, 1, 0, 1]])
+    def test_a_repeated_seed_counts_once(self, seeds):
+        # d[seed] was *assigned* 1 / len(seeds): [0, 1, 1] summed to 0.667,
+        # [0, 1, 0, 1] to 0.5, and every score shrank with the static mass
+        g = path_graph(4)
+        want = trustrank(g, seeds=[0, 1])
+        scores = trustrank(g, seeds=seeds)
+        assert scores == want
+        assert sum(scores.values()) == pytest.approx(1.0)
+        verified = verify_site_members(g, seeds=seeds, site_members=[2, 3])
+        assert verified.scores == want and verified.legitimate == {2, 3}
+
+    @pytest.mark.parametrize(
+        "g",
+        [nx.random_geometric_graph(200, 0.15, seed=3), nx.path_graph(9), loops_and_loners()],
+        ids=["geometric", "path", "loops_and_loners"],
+    )
+    def test_equals_the_sparse_matrix_iteration_bit_for_bit(self, g):
+        # np.bincount adds each row's terms in the order csr_matrix.dot did
+        want = sparse_trustrank(g, [0, 2])
+        assert trustrank(g, seeds=[0, 2]) == want
+        assert trustrank(as_view_links(g), seeds=[0, 2]) == want
+        assert list(trustrank(as_view_links(g), seeds=[0, 2])) == list(want)
 
     def test_damping_zero_keeps_all_mass_on_seed(self):
         scores = trustrank(path_graph(), seeds=[0], damping=0.0)

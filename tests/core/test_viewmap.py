@@ -1,5 +1,7 @@
 """Tests for viewmap construction."""
 
+import random
+
 import pytest
 
 from repro.core.vehicle import VehicleAgent
@@ -12,6 +14,7 @@ from repro.core.viewmap import (
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 from tests.conftest import run_linked_minute
+from tests.core.test_viewmap_columns import block_vp, synthetic_population
 
 
 class TestMutualLinkage:
@@ -95,6 +98,38 @@ class TestViewMapGraph:
         vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp], minute=0)
         near = vmap.members_near(Point(300, 25), 100.0)
         assert set(near) == {res_a.actual_vp.vp_id, res_b.actual_vp.vp_id}
+
+    @pytest.mark.parametrize("assembled", ["build_viewmap", "add_profile"])
+    def test_members_near_is_any_held_position_in_range(self, assembled):
+        # one vectorised test over the stacked columns; the loop below is
+        # what ``ViewProfile.claims_location_near`` did member by member.
+        # Partial VPs: a zero-padded row is nobody's claim on (0, 0).
+        rnd = random.Random(11)
+        vps = synthetic_population(rnd, 14, "whole", disorder=False)
+        vps.append(block_vp(99, [1, 2], [1.0, 2.0], [(-900.0, 40.0), (-880.0, 40.0)]))
+        if assembled == "build_viewmap":
+            vmap = build_viewmap(vps, minute=0)
+        else:
+            vmap = ViewMapGraph(minute=0)
+            for vp in vps[:-1]:
+                vmap.add_profile(vp)
+            assert vps[-1].vp_id not in vmap.members_near(Point(-890.0, 40.0), 15.0)
+            vmap.add_profile(vps[-1])  # after the columns were stacked
+        for center, radius_m in [
+            (Point(0.0, 0.0), 50.0),
+            (Point(-890.0, 40.0), 15.0),
+            (Point(600.0, 600.0), 300.0),
+            (Point(600.0, 600.0), 5_000.0),
+            (Point(*vps[3].positions_array[-1].tolist()), 0.0),
+        ]:
+            want = []
+            for vp in vps:
+                d = vp.positions_array - (center.x, center.y)
+                if (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius_m * radius_m).any():
+                    want.append(vp.vp_id)
+            assert vmap.members_near(center, radius_m) == want
+        assert vmap.members_near(Point(0.0, 0.0), 50.0) == []
+        assert vmap.members_near(Point(-890.0, 40.0), 15.0) == [vps[-1].vp_id]
 
     def test_degree_stats(self, linked_pair):
         _, _, res_a, res_b = linked_pair

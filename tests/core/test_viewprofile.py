@@ -84,11 +84,6 @@ class TestProperties:
         assert vp.positions_array.shape == (60, 2)
         assert vp.times_array.shape == (60,)
 
-    def test_claims_location_near(self):
-        vp = make_vp(seed=8)
-        assert vp.claims_location_near(Point(300, 0), 50.0)
-        assert not vp.claims_location_near(Point(300, 500), 50.0)
-
     def test_storage_bytes_matches_paper(self):
         # Section 6.1: 60*72 + 256 + 8 = 4584 bytes
         assert ViewProfile.storage_bytes() == VP_STORAGE_BYTES == 4584

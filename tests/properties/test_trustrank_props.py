@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.verification import lemma1_bound, link_distances, trustrank
+from repro.core.viewmap import ViewLinks
 
 
 @st.composite
@@ -55,3 +56,36 @@ class TestTrustRankProperties:
     def test_any_damping_converges(self, g, damping):
         scores = trustrank(g, seeds=[0], damping=damping)
         assert abs(sum(scores.values()) - 1.0) < 0.05 or sum(scores.values()) < 1.0
+
+
+#: ("node", a, _) adds a node, ("edge", a, b) a link — self-loops,
+#: repeats and links that bring their own endpoints included
+insertions = st.lists(
+    st.tuples(st.sampled_from(["node", "edge"]), st.integers(0, 11), st.integers(0, 11)),
+    max_size=60,
+)
+
+
+class TestViewLinksAgainstNetworkx:
+    @given(insertions)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_graph_in_the_same_order(self, steps):
+        links, g = ViewLinks(), nx.Graph()
+        for kind, a, b in steps:
+            for graph in (links, g):
+                graph.add_node(a) if kind == "node" else graph.add_edge(a, b)
+        assert list(links.nodes) == list(g.nodes)
+        assert list(links.edges) == list(g.edges)
+        assert links.number_of_nodes() == g.number_of_nodes()
+        assert links.number_of_edges() == g.number_of_edges()
+        assert links.number_connected_components() == nx.number_connected_components(g)
+        for a in range(12):
+            if a in g:
+                assert a in links.nodes
+                assert links.degree(a) == g.degree(a)
+                assert list(links.neighbors(a)) == list(g.neighbors(a))
+            for b in range(12):
+                assert links.has_edge(a, b) == g.has_edge(a, b)
+        if steps:
+            seed = steps[0][1]
+            assert trustrank(links, [seed]) == trustrank(g, [seed])
