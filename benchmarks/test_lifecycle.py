@@ -5,16 +5,16 @@ Two claims of the lifecycle subsystem are pinned here:
 * **Bounded footprint** — with a :class:`RetentionPolicy` advancing as
   ingest does, a multi-hour upload stream leaves the store holding one
   retention window, not the whole history: live VPs stay within 2x of a
-  window's worth on every backend, and the SQLite on-disk footprint
-  (main file + WAL, after compaction) stays within 2x of a database
-  built from a single window.
+  window's worth on the volatile and the named segment log, and the
+  named log's segment files stay within 2x of a log built from a single
+  window (eviction unlinks whole segments; nothing needs compacting).
 * **Hot-minute fan-out** — composite ``(minute, spatial cell)`` routing
   spreads one hot minute across the shard fleet.  Wall-clock effect is
   measured on a fleet of *modeled storage nodes* with finite ingest
   bandwidth (`ThrottledNodeStore`, sleeping ``bytes/bandwidth`` under a
   per-node I/O lock — the same modeling idiom as ``latency_s`` on the
-  network fabrics; local SQLite files cannot stand in for nodes here
-  because CPython's GIL serializes their C calls at ~1.1x).  Minute-only
+  network fabrics; local segment files cannot stand in for nodes here
+  because CPython's GIL serializes the per-record work at ~1.1x).  Minute-only
   routing drowns one node in the whole minute; cell routing must sustain
   >= 2x the ingest throughput on 8 nodes.  Raw (unthrottled, in-process)
   numbers are printed alongside for transparency.
@@ -22,6 +22,7 @@ Two claims of the lifecycle subsystem are pinned here:
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,11 +33,10 @@ from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point, Rect
 from repro.store import (
-    MemoryStore,
     RetentionPolicy,
     ShardedStore,
-    SQLiteStore,
     apply_retention,
+    make_store,
 )
 from repro.store.base import VPStore
 from repro.store.codec import encode_vp
@@ -81,36 +81,45 @@ def minute_corpus(minute: int, n: int, seed: int = 0) -> list[ViewProfile]:
 # -- (a) bounded footprint over a multi-hour ingest ------------------------
 
 
+def segment_bytes(prefix: str) -> int:
+    """Bytes of every segment file a named log keeps under ``prefix``."""
+    directory, base = os.path.split(prefix)
+    return sum(
+        os.path.getsize(os.path.join(directory, name))
+        for name in os.listdir(directory)
+        if name.startswith(base + ".")
+    )
+
+
 def test_bounded_footprint_long_run(show, tmp_path):
     minutes = RUN_HOURS * 60 * bench_runs(1)
     policy = RetentionPolicy(window_minutes=WINDOW_MINUTES)
     window_vps = WINDOW_MINUTES * VPS_PER_MINUTE
 
-    path = str(tmp_path / "lifecycle.sqlite")
-    stores: list[VPStore] = [MemoryStore(), SQLiteStore(path)]
-    peaks = {store.kind: 0 for store in stores}
-    evicted = {store.kind: 0 for store in stores}
+    path = str(tmp_path / "lifecycle")
+    stores: dict[str, VPStore] = {
+        "memory": make_store("memory"),
+        "sqlite": make_store("sqlite", path),
+    }
+    peaks = {name: 0 for name in stores}
+    evicted = {name: 0 for name in stores}
 
     for minute in range(minutes):
         corpus = minute_corpus(minute, VPS_PER_MINUTE)
-        for store in stores:
+        for name, store in stores.items():
             store.insert_many(corpus)
-            report = apply_retention(store, policy, minute, compact=minute % 10 == 9)
-            evicted[store.kind] += report.evicted
-            peaks[store.kind] = max(peaks[store.kind], len(store))
+            report = apply_retention(store, policy, minute)
+            evicted[name] += report.evicted
+            peaks[name] = max(peaks[name], len(store))
 
-    sqlite_store = stores[1]
-    assert isinstance(sqlite_store, SQLiteStore)
-    sqlite_store.compact(min_reclaim_bytes=1)
-    steady_bytes = sqlite_store.file_bytes()
+    steady_bytes = segment_bytes(path)
 
-    # reference: a database holding exactly one window's worth of VPs
-    ref_path = str(tmp_path / "window-only.sqlite")
-    with SQLiteStore(ref_path) as ref:
+    # reference: a log holding exactly one window's worth of VPs
+    ref_path = str(tmp_path / "window-only")
+    with make_store("sqlite", ref_path) as ref:
         for minute in range(minutes - WINDOW_MINUTES, minutes):
-            ref.insert_many(stores[0].query(QuerySpec(minute=minute)).vps)
-        ref.compact(min_reclaim_bytes=1)
-        window_bytes = ref.file_bytes()
+            ref.insert_many(stores["memory"].query(QuerySpec(minute=minute)).vps)
+        window_bytes = segment_bytes(ref_path)
 
     total = minutes * VPS_PER_MINUTE
     show(
@@ -124,14 +133,14 @@ def test_bounded_footprint_long_run(show, tmp_path):
                 "{:>10.0f}"),
     )
 
-    for store in stores:
+    for name, store in stores.items():
         # steady state: exactly the retained window is live
         assert len(store) == window_vps
         assert store.minutes() == list(range(minutes - WINDOW_MINUTES, minutes))
         # the watermark advances each minute, so occupancy never exceeds
         # window + the minute being ingested — well inside the 2x bar
-        assert peaks[store.kind] <= 2 * window_vps
-        assert evicted[store.kind] == total - window_vps
+        assert peaks[name] <= 2 * window_vps
+        assert evicted[name] == total - window_vps
         store.close()
 
     # on-disk footprint tracks the window, not the 6-hour history
@@ -196,7 +205,7 @@ def hot_minute_batches() -> list[list[ViewProfile]]:
 
 def run_hot_minute(batches, shard_cells: int, throttled: bool) -> float:
     """Ingest the burst from 8 uploader threads; returns elapsed seconds."""
-    inner = [MemoryStore() for _ in range(N_SHARDS)]
+    inner = [make_store("memory") for _ in range(N_SHARDS)]
     shards = [ThrottledNodeStore(s) for s in inner] if throttled else inner
     store = ShardedStore(shards, shard_cells=shard_cells)
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -237,7 +246,7 @@ def test_hot_minute_cell_sharding_throughput(show):
     assert speedup >= 2.0
 
     # routing must not change what is stored or found
-    ref = MemoryStore()
+    ref = make_store("memory")
     for batch in batches:
         ref.insert_many(batch)
     store = ShardedStore.memory(n_shards=N_SHARDS, shard_cells=N_SHARDS)
@@ -256,7 +265,7 @@ def test_hot_minute_cell_sharding_throughput(show):
 def test_benchmark_retention_pass(benchmark):
     """Timed: ingest one minute + advance the watermark on a full window."""
     policy = RetentionPolicy(window_minutes=WINDOW_MINUTES)
-    store = MemoryStore()
+    store = make_store("memory")
     for minute in range(WINDOW_MINUTES):
         store.insert_many(minute_corpus(minute, VPS_PER_MINUTE))
     state = {"minute": WINDOW_MINUTES}
@@ -286,34 +295,3 @@ def test_benchmark_hot_minute_insert_many(benchmark):
         store.close()
 
     benchmark(ingest_and_reset)
-
-
-def test_benchmark_group_commit_small_batches(benchmark, tmp_path):
-    """Timed: many small batches into one SQLite store, group-committed.
-
-    The group-commit claim in one number: 40 x 8-VP batches (the wire
-    batch shape) land in a handful of grouped transactions instead of
-    40, each charged the modeled per-commit durability cost.
-    """
-    state = {"round": 0}
-
-    def ingest():
-        tag = state["round"]
-        state["round"] += 1
-        batches = [
-            [
-                make_vp(seed=1 + tag * 321 + b * 8 + i, minute=0, x=40.0 * i, y=8.0 * b)
-                for i in range(8)
-            ]
-            for b in range(40)
-        ]
-        store = SQLiteStore(
-            str(tmp_path / f"group-{tag}.sqlite"),
-            group_commit_rows=256,
-            commit_latency_s=0.010,
-        )
-        inserted = sum(store.insert_many(b) for b in batches)
-        assert len(store) == 320 and inserted == 320
-        store.close()
-
-    benchmark.pedantic(ingest, rounds=3, iterations=1)

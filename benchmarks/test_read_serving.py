@@ -2,7 +2,7 @@
 
 The acceptance harness of the serving tier: analysts fire a hot-cell
 ``query_view`` storm at the concurrent front-end *while* a hot-minute
-upload burst is still landing in the process-sharded SQLite fleet.
+upload burst is still landing in the process-sharded segment-log fleet.
 Workers slice stored spans, the router stitches owner frames
 byte-exactly, and the server forwards the frame; nobody on the
 authority decodes a digest.
@@ -62,8 +62,11 @@ def run_read_storm(tmp_path, payloads, tag: str):
     wall clock, the server registry and the store's ``stats()`` (whose
     detail carries the tile-cache occupancy).
     """
-    store = ProcessShardedStore.sqlite(
-        [str(tmp_path / f"read-{tag}-{i}.sqlite") for i in range(N_PROC_WORKERS)],
+    store = ProcessShardedStore(
+        [
+            {"kind": "segments", "path": str(tmp_path / f"read-{tag}.worker{i}")}
+            for i in range(N_PROC_WORKERS)
+        ],
         shard_cells=N_PROC_WORKERS,
         metrics=MetricsRegistry(),
     )

@@ -3,17 +3,15 @@
 The acceptance harness of the metrics plane: a hot-minute upload burst,
 generated by the constant-memory streaming load generator
 (:mod:`repro.sim.stream`), flows through the concurrent front-end into
-the process-sharded SQLite fleet, and the per-stage histograms recorded
-along the way answer the SLO questions directly:
+the process-sharded segment-log fleet, and the per-stage histograms
+recorded along the way answer the SLO questions directly:
 
-* the fleet-wide commit-latency p99 (merged from every worker process's
-  local registry over the command pipe) stays within the configured
-  commit SLO — the bound the adaptive group-commit controller steers
-  toward (:mod:`repro.store.adaptive`);
+* the fleet-wide insert histogram is exactly the merge of every worker
+  process's local registry, shipped over the command pipe;
 * the p99 *modeled* ingest latency at the server boundary stays within
-  the end-to-end ingest SLO.  Modeled latencies (last-mile RTT, commit
-  durability charges) run as real sleeps, so the percentile is machine
-  independent up to scheduling noise;
+  the end-to-end ingest SLO.  The modeled last-mile RTT runs as a real
+  sleep, so the percentile is machine independent up to scheduling
+  noise;
 * recording every histogram costs a bounded fraction of ingest
   throughput vs the same burst with every registry disabled
   (``MetricsRegistry(enabled=False)`` on the fabric, the server and all
@@ -47,11 +45,7 @@ BATCH_VPS = 8              #: VPs per streamed upload frame
 N_PROC_WORKERS = 4         #: worker OS processes in the storage fleet
 WORKERS = 8                #: fabric worker threads
 WIRE_LATENCY_S = 0.01      #: modeled last-mile RTT per upload request
-COMMIT_LATENCY_S = 0.010   #: modeled per-commit durability cost (fsync class)
-GROUP_ROWS = 512           #: seed group-commit size (adaptive from there)
-GROUP_DEADLINE_S = 0.25    #: group-commit age bound for the burst
 
-COMMIT_SLO_S = 0.050       #: commit-latency p99 SLO (the controller's target)
 INGEST_SLO_S = 0.250       #: end-to-end modeled ingest p99 SLO at the server
 #: metrics may cost at most this throughput fraction.  Generous on
 #: purpose: the timed region is ~0.3 s on a shared single vCPU, where
@@ -76,14 +70,16 @@ def run_slo_ingest(tmp_path, payloads, tag: str, enabled: bool):
     own registry snapshot plus the store's ``stats()`` (whose detail
     carries the fleet-wide merged metrics).
     """
-    store = ProcessShardedStore.sqlite(
-        [str(tmp_path / f"slo-{tag}-{i}.sqlite") for i in range(N_PROC_WORKERS)],
+    store = ProcessShardedStore(
+        [
+            {
+                "kind": "segments",
+                "path": str(tmp_path / f"slo-{tag}.worker{i}"),
+                "metrics": enabled,
+            }
+            for i in range(N_PROC_WORKERS)
+        ],
         shard_cells=N_PROC_WORKERS,
-        group_commit_rows=GROUP_ROWS,
-        group_commit_latency_s=GROUP_DEADLINE_S,
-        group_commit_target_s=COMMIT_SLO_S,
-        commit_latency_s=COMMIT_LATENCY_S,
-        metrics_enabled=enabled,
         metrics=MetricsRegistry(enabled=enabled),
     )
     with ThreadedNetwork(
@@ -101,8 +97,6 @@ def run_slo_ingest(tmp_path, payloads, tag: str, enabled: bool):
         ]
         for f in futures:
             f.result()
-        # the fleet-wide count flushes every worker's pending group, so
-        # the timed region ends with all rows committed (and measured)
         assert len(store) == N_VEHICLES
         elapsed = time.perf_counter() - t0
         server_snap = server.metrics.snapshot()
@@ -119,10 +113,10 @@ def test_slo_observability_gates(show, tmp_path):
     Both arms ingest the *identical* payload bytes (fresh stores per
     round, so nothing is a duplicate), alternating on/off each round
     and scoring the best round per arm — the instrumentation cost is
-    micro-seconds per request against modeled sleeps in the tens of
-    milliseconds, so anything beyond noise-cancelling best-of-N would
-    measure the scheduler, not the histograms.  Rounds are adaptive:
-    at least four, and up to twelve while the overhead bound would
+    micro-seconds per request against a modeled 10 ms RTT, so anything
+    beyond noise-cancelling best-of-N would measure the scheduler, not
+    the histograms.  Rounds are adaptive: at least four, and up to
+    twelve while the overhead bound would
     fail — both minima only sharpen with more samples, so on a busy
     CPU the extra rounds converge the estimate toward the true
     instrumentation cost instead of flaking on one noisy window.
@@ -153,18 +147,16 @@ def test_slo_observability_gates(show, tmp_path):
     assert len(per_worker) == N_PROC_WORKERS
     for snap in per_worker:
         assert snap["store.insert.wall_s"]["count"] >= 1
-        assert snap["store.commit.wall_s"]["count"] >= 1
     merged = stats.detail["metrics"]
-    fleet_commits = Histogram.from_dict(merged["store.commit.wall_s"])
-    assert fleet_commits.count == sum(
-        s["store.commit.wall_s"]["count"] for s in per_worker
+    fleet_inserts = Histogram.from_dict(merged["store.insert.wall_s"])
+    assert fleet_inserts.count == sum(
+        s["store.insert.wall_s"]["count"] for s in per_worker
     )
     # the disabled arm recorded nothing anywhere
     assert all(snap == {} for snap in off_workers)
     assert off_stats.detail["metrics"].get("store.insert.wall_s") is None
 
-    # -- the SLO gates --------------------------------------------------
-    commit_p99 = fleet_commits.p99
+    # -- the SLO gate ---------------------------------------------------
     ingest = Histogram.from_dict(front["server.handle.upload_vp_batch.modeled_s"])
     assert ingest.count == len(payloads)
     ingest_p99 = ingest.p99
@@ -176,15 +168,13 @@ def test_slo_observability_gates(show, tmp_path):
 
     show(
         f"SLO observability — streamed burst of {N_VEHICLES} VPs x 1 minute, "
-        f"{N_PROC_WORKERS} worker processes, {1e3 * WIRE_LATENCY_S:.0f} ms RTT / "
-        f"{1e3 * COMMIT_LATENCY_S:.0f} ms commit modeled",
-        fmt_row("commit p99 / SLO ms", [1e3 * commit_p99, 1e3 * COMMIT_SLO_S], "{:>10.1f}"),
+        f"{N_PROC_WORKERS} worker processes, {1e3 * WIRE_LATENCY_S:.0f} ms RTT modeled",
+        fmt_row("insert p99 ms", [1e3 * fleet_inserts.p99], "{:>10.1f}"),
         fmt_row("ingest p99 / SLO ms", [1e3 * ingest_p99, 1e3 * INGEST_SLO_S], "{:>10.1f}"),
         fmt_row("throughput on/off kVP/s", [tp_on / 1e3, tp_off / 1e3], "{:>10.2f}"),
         fmt_row("metrics overhead %", [100.0 * overhead], "{:>10.1f}"),
     )
 
-    assert commit_p99 <= COMMIT_SLO_S
     assert ingest_p99 <= INGEST_SLO_S
     assert overhead < MAX_OVERHEAD
 
@@ -214,7 +204,6 @@ def test_benchmark_slo_observability(benchmark, tmp_path):
         stage: rows[stage]
         for stage in (
             "server.handle.upload_vp_batch.modeled_s",
-            "store.commit.wall_s",
             "store.insert.wall_s",
             "net.queue_wait_s",
         )

@@ -1,15 +1,18 @@
-"""Store scaling: linear scan vs spatial grid vs SQLite area queries.
+"""Store scaling: linear scan vs the segment log's area queries.
 
 The investigation hot path asks for every VP of one minute inside a
 coverage area.  The seed database answered by linearly scanning the
-whole minute; the ``repro.store`` backends prune by spatial index.  This
-bench populates one minute with 10k–50k VPs (100k with
-``REPRO_BENCH_RUNS>=2``) spread over a 10x10 km city and times a batch
-of site-sized (500 m) queries per backend, asserting
+whole minute; the segment log prunes on its per-minute bounding-box
+columns and reads only the candidates' records.  This bench populates
+one minute with 10k–50k VPs (100k with ``REPRO_BENCH_RUNS>=2``) spread
+over a 10x10 km city and times a batch of site-sized (500 m) queries on
+the volatile (``memory``) and the named (``sqlite``) placement,
+asserting
 
-* all backends return identical VP sets (insertion order included);
-* the grid-indexed memory store beats the linear scan >= 5x at 50k VPs;
-* a SQLite store round-trips through close/reopen with identical VPs.
+* both placements return the linear scan's VP sets (insertion order
+  included);
+* the volatile store beats the linear scan >= 5x at 50k VPs;
+* a named log round-trips through close/reopen with identical VPs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.core.neighbors import NeighborTable
 from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point, Rect
-from repro.store import MemoryStore, SQLiteStore
+from repro.store import make_store
 from repro.store.base import vp_claims_in_area
 from repro.store.serving import QuerySpec
 
@@ -78,51 +81,52 @@ def test_store_scaling(show, tmp_path):
     lines = ["Store scaling — one-minute area queries "
              f"({N_QUERIES} sites of {QUERY_M:.0f} m over {AREA_M / 1000:.0f} km city)",
              fmt_row("VPs/minute", sizes, "{:>10.0f}")]
-    linear_ms, grid_ms, sqlite_ms, speedups = [], [], [], []
+    linear_ms, memory_ms, sqlite_ms, speedups = [], [], [], []
 
     for n in sizes:
         corpus = make_corpus(n)
         for vp in corpus:
             vp.positions_array  # prime caches so scans compare index work only
 
-        memory = MemoryStore()
+        memory = make_store("memory")
         memory.insert_many(corpus)
-        sqlite = SQLiteStore()
+        sqlite = make_store("sqlite", str(tmp_path / f"scaling-{n}"))
         sqlite.insert_many(corpus)
 
         t_lin, expected = timed(lambda: [linear_scan(corpus, a) for a in areas])
         specs = [QuerySpec(minute=0, area=a) for a in areas]
-        t_grid, via_grid = timed(lambda: [memory.query(spec).vps for spec in specs])
+        t_mem, via_mem = timed(lambda: [memory.query(spec).vps for spec in specs])
         t_sql, via_sql = timed(lambda: [sqlite.query(spec).vps for spec in specs])
         sqlite.close()
+        memory.close()
 
         # identical results, insertion order included
-        assert [ids(r) for r in via_grid] == [ids(r) for r in expected]
+        assert [ids(r) for r in via_mem] == [ids(r) for r in expected]
         assert [ids(r) for r in via_sql] == [ids(r) for r in expected]
 
         linear_ms.append(1e3 * t_lin)
-        grid_ms.append(1e3 * t_grid)
+        memory_ms.append(1e3 * t_mem)
         sqlite_ms.append(1e3 * t_sql)
-        speedups.append(t_lin / max(t_grid, 1e-9))
+        speedups.append(t_lin / max(t_mem, 1e-9))
 
     lines += [
         fmt_row("linear scan (seed) ms", linear_ms, "{:>10.2f}"),
-        fmt_row("memory grid ms", grid_ms, "{:>10.2f}"),
-        fmt_row("sqlite bbox ms", sqlite_ms, "{:>10.2f}"),
-        fmt_row("grid speedup x", speedups, "{:>10.1f}"),
+        fmt_row("memory log ms", memory_ms, "{:>10.2f}"),
+        fmt_row("named log ms", sqlite_ms, "{:>10.2f}"),
+        fmt_row("memory speedup x", speedups, "{:>10.1f}"),
     ]
     show(*lines)
 
-    # acceptance: grid >= 5x over the seed linear scan at 50k VPs/minute
+    # acceptance: >= 5x over the seed linear scan at 50k VPs/minute
     assert speedups[sizes.index(50_000)] >= 5.0
 
 
 def test_sqlite_round_trip(show, tmp_path):
-    path = str(tmp_path / "scaling.sqlite")
+    path = str(tmp_path / "scaling")
     corpus = make_corpus(2_000, seed=11)
     area = query_areas(seed=5)[0]
 
-    store = SQLiteStore(path)
+    store = make_store("sqlite", path)
     t_ins, n = timed(lambda: store.insert_many(corpus))
     assert n == len(corpus)
     before = [
@@ -131,7 +135,7 @@ def test_sqlite_round_trip(show, tmp_path):
     ]
     store.close()
 
-    reopened = SQLiteStore(path)
+    reopened = make_store("sqlite", path)
     t_q, after_vps = timed(lambda: reopened.query(QuerySpec(minute=0, area=area)).vps)
     after = [(vp.vp_id, [vd.pack() for vd in vp.digests]) for vp in after_vps]
     assert len(reopened) == len(corpus)
@@ -139,17 +143,19 @@ def test_sqlite_round_trip(show, tmp_path):
     reopened.close()
 
     show(
-        f"SQLite round-trip: {len(corpus)} VPs inserted in {1e3 * t_ins:.1f} ms, "
+        f"Segment-log round-trip: {len(corpus)} VPs inserted in {1e3 * t_ins:.1f} ms, "
         f"restart query {1e3 * t_q:.2f} ms, {len(after)} hits identical"
     )
 
 
 def test_benchmark_grid_area_queries(benchmark):
-    """Timed (regression-gated in CI): site queries on a 10k-VP minute."""
+    """Timed (regression-gated in CI): site queries on a 10k-VP minute.
+
+    The name is the benchmark's baseline key; the store is the volatile
+    segment log, which prunes on bounding-box columns, not a grid.
+    """
     corpus = make_corpus(10_000)
-    for vp in corpus:
-        vp.positions_array  # prime geometry caches outside the timing
-    memory = MemoryStore()
+    memory = make_store("memory")
     memory.insert_many(corpus)
     areas = query_areas()
     results = benchmark(lambda: [memory.query(QuerySpec(minute=0, area=a)).vps for a in areas])

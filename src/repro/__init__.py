@@ -11,11 +11,11 @@ Package map:
 
 * :mod:`repro.core` — the paper's contribution (VDs, VPs, guards,
   viewmaps, verification, solicitation, rewarding, the system facade);
-* :mod:`repro.store` — pluggable VP storage backends behind the
-  database facade: ``MemoryStore`` (spatial-grid indexed, the default),
-  ``SegmentStore`` (the persistent minute-segment log, survives
-  authority restarts) and ``ShardedStore`` (minute-partitioned
-  scale-out); pick one via
+* :mod:`repro.store` — VP storage behind the database facade: one
+  engine, the minute-segment log ``SegmentStore``, on anonymous
+  segments (volatile, the default), on named files (survives
+  authority restarts) or sharded across shards and worker processes
+  (``ShardedStore``); pick one via
   ``ViewMapSystem(store=make_store("sqlite", path))`` or the CLI's
   ``--store`` option;
 * :mod:`repro.crypto` — hashes, Bloom filters, RSA blind signatures;
@@ -54,8 +54,7 @@ _EXPORTS = {
     "Point": "repro.geo.geometry",
     "Rect": "repro.geo.geometry",
     "VPStore": "repro.store",
-    "MemoryStore": "repro.store",
-    "SQLiteStore": "repro.store",
+    "SegmentStore": "repro.store",
     "ShardedStore": "repro.store",
     "make_store": "repro.store",
 }

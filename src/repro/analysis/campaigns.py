@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 from repro.attacks.faker import forge_fake_vp
@@ -244,12 +246,15 @@ class CampaignRow:
         return out
 
 
-def _make_backend(kind: str):
-    """One cell's store: small shard/worker counts keep cells cheap."""
+def _make_backend(kind: str, scratch: str):
+    """One cell's store: small shard/worker counts keep cells cheap, and
+    ``sqlite`` names its segment files under ``scratch``."""
     if kind == "sharded":
         return make_store("sharded", n_shards=2)
     if kind == "procs":
         return make_store("procs", ingest_workers=2)
+    if kind == "sqlite":
+        return make_store("sqlite", os.path.join(scratch, "authority"))
     return make_store(kind)
 
 
@@ -260,7 +265,6 @@ def _make_retention(name: str, cfg: CampaignGridConfig) -> RetentionPolicy | Non
     return RetentionPolicy(
         window_minutes=cfg.window_minutes,
         max_vps_per_minute=cfg.max_vps_per_minute,
-        compact_every=0,
         pin_trusted=(name == "pin_trusted"),
     )
 
@@ -416,7 +420,7 @@ def _investigate_site(
 
     Mirrors :meth:`ViewMapSystem.investigate` but sorts the trusted
     seeds and candidates by VP id first: backend iteration order
-    (sharded fan-in, SQLite row order) must not leak into the viewmap's
+    (sharded fan-in, per-shard segment order) must not leak into the viewmap's
     node order, or TrustRank's float summation — and therefore the
     row — would differ between backends.  A minute whose trusted VP was
     evicted (kitchen-sink poisoning against an unpinned window) is not
@@ -459,7 +463,8 @@ def run_campaign_cell(
         raise ValidationError(f"unknown campaign {campaign!r}")
     if retention not in RETENTIONS:
         raise ValidationError(f"unknown retention policy {retention!r}")
-    store = _make_backend(backend)
+    scratch = tempfile.TemporaryDirectory(prefix="repro-campaign-")
+    store = _make_backend(backend, scratch.name)
     system = ViewMapSystem(
         key_bits=cfg.key_bits,
         seed=derive_seed(cfg.seed, "authority"),
@@ -522,7 +527,6 @@ def run_campaign_cell(
                 detection_minute = minute
             signals |= fired
 
-        len(store)  # read barrier: worker/group-commit buffers land
         watermark_final = system.retention_watermark
         honest_retained = sum(
             1 for vp_id in honest_ids if vp_id in system.database
@@ -537,6 +541,7 @@ def run_campaign_cell(
     finally:
         net.close()
         system.close()
+        scratch.cleanup()
 
     honest_uploaded = len(honest_ids)
     # the modeled axis sums identical declared latencies, so the float

@@ -50,7 +50,7 @@ def city_viewmap_stats(
     The simulated VP corpus is batch-ingested into an authority VP
     database before the viewmap is built, exercising the real ingest →
     query path.  ``store`` selects the storage backend (an instance or a
-    :func:`repro.store.make_store` kind name; default in-memory);
+    :func:`repro.store.make_store` kind name; default volatile);
     ``workers`` > 1 drives the ingest from that many concurrent uploader
     threads (the stores are thread-safe).  ``retention`` replays the
     ingest in minute order with the retention watermark advancing, so

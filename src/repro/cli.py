@@ -125,7 +125,7 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
         occupancy = store.stats()
     finally:
         store.close()  # stops worker processes, closes segment files
-    # the backend as selected: ``sqlite`` names the persistent store
+    # the backend as selected: ``sqlite`` names the persistent segment log
     print(f"store: {args.store} ({occupancy.vps} VPs, "
           f"{occupancy.minutes} minutes)")
     tile = occupancy.detail.get("tile_cache")
@@ -295,14 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--store",
             choices=STORE_KINDS,
             default="memory",
-            help="VP storage backend (sqlite: the persistent segment log)",
+            help="VP storage backend; every kind is the segment log "
+            "(memory: volatile, unlinked anonymous segments). Every kind "
+            "holds one open descriptor per live minute and shard: without "
+            "--retention-minutes a run past `ulimit -n` live minutes fails",
         )
         cmd.add_argument(
             "--store-path",
             type=str,
             default="",
             help="segment-file prefix for --store sqlite/procs "
-            "(default: anonymous temporary files / in-memory workers)",
+            "(default: anonymous segments, nothing named on disk)",
         )
         cmd.add_argument(
             "--shards", type=int, default=4, help="shard count for --store sharded"

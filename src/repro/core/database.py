@@ -4,10 +4,12 @@ Stores anonymized VPs exactly as uploaded — actual and guard VPs are
 indistinguishable and are treated identically.  Trusted VPs arrive through
 a separate authenticated path (police fleet) and carry the trusted flag.
 
-Since the ``repro.store`` subsystem landed, this class is a thin facade
-over a pluggable :class:`~repro.store.base.VPStore` backend (spatially
-indexed in-memory by default; the segment log for persistence; sharded for
-scale-out).  Reads go through ONE entry point —
+This class is a thin facade over a :class:`~repro.store.base.VPStore`
+backend — by default the segment log on anonymous segments
+(volatile, ``make_store("memory")``); named segments for persistence;
+sharded for scale-out.  Reads return fresh VPs decoded from the stored
+bytes, equal in content to what was inserted, never the same object.
+Reads go through ONE entry point —
 :meth:`VPDatabase.query` with a :class:`~repro.store.serving.QuerySpec`
 (minute, area, trusted, k-nearest, count, encoded) — plus
 :meth:`VPDatabase.query_encoded` for a caller that wants the frame
@@ -21,7 +23,7 @@ from typing import Iterable
 
 from repro.core.viewprofile import ViewProfile
 from repro.store.base import StoreStats, VPStore
-from repro.store.memory import MemoryStore
+from repro.store.segments import SegmentStore
 from repro.store.serving import MinuteTiles, QueryResult, QuerySpec
 
 
@@ -29,7 +31,7 @@ from repro.store.serving import MinuteTiles, QueryResult, QuerySpec
 class VPDatabase:
     """Minute-indexed store of anonymized view profiles."""
 
-    store: VPStore = field(default_factory=MemoryStore)
+    store: VPStore = field(default_factory=SegmentStore)
 
     def insert(self, vp: ViewProfile) -> None:
         """Store an uploaded VP; duplicate R values are rejected."""
@@ -99,14 +101,10 @@ class VPDatabase:
         """
         return self.store.evict_before(minute, keep_trusted=keep_trusted)
 
-    def compact(self) -> dict:
-        """Reclaim space freed by eviction (backend-specific gauges)."""
-        return self.store.compact()
-
     def stats(self) -> StoreStats:
         """Backend occupancy snapshot (see :class:`StoreStats`)."""
         return self.store.stats()
 
     def close(self) -> None:
-        """Release backend resources (meaningful for persistent stores)."""
+        """Release backend resources (segment descriptors, workers)."""
         self.store.close()

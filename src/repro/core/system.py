@@ -81,8 +81,6 @@ class ViewMapSystem:
     reviewed: set[bytes] = field(default_factory=set)
     #: newest minute a retention pass has run at (-1 = never)
     retention_watermark: int = field(default=-1, init=False)
-    #: watermark of the last compaction (paced by ``retention.compact_every``)
-    _last_compact_minute: int = field(default=-1, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.store is not None and self.database is not None:
@@ -174,23 +172,11 @@ class ViewMapSystem:
         """
         if self.retention is None or newest_minute <= self.retention_watermark:
             return None
-        # eviction runs every pass; compaction (vacuum/ANALYZE) is real
-        # maintenance work and is paced by the policy so it never lands
-        # on every minute rollover of a live upload stream
-        compact = (
-            self.retention.compact_every > 0
-            and newest_minute - self._last_compact_minute
-            >= self.retention.compact_every
-        )
-        report = apply_retention(
-            self.database.store, self.retention, newest_minute, compact=compact
-        )
+        report = apply_retention(self.database.store, self.retention, newest_minute)
         # the watermark moves only after the pass succeeded: a transient
         # storage error leaves it behind, so the next observation of the
         # same (or a newer) minute retries the eviction
         self.retention_watermark = newest_minute
-        if compact:
-            self._last_compact_minute = newest_minute
         return report
 
     # -- investigation -----------------------------------------------------

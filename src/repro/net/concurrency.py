@@ -11,7 +11,7 @@ top of the same ``register``/``send`` contract:
   existing client works unchanged) while ``send_async`` returns a future,
   letting one caller keep many requests in flight.  Requests overlap
   wherever the work releases the GIL: the modeled last-mile latency,
-  SQLite stepping/commit I/O, and hashing.
+  segment appends and reads, and hashing.
 * ``ConcurrentViewMapServer`` — an alias of
   :class:`~repro.net.server.ViewMapServer`, whose session log, retention
   pass and control-plane handlers are lock-guarded on every fabric.

@@ -188,8 +188,8 @@ class FrameParser:
     bytes are assembled into an exact-size per-record buffer allocated
     from the header's declared length; a completed record is emitted as
     a *read-only* :class:`memoryview` of that buffer, which is never
-    resized or reused, so downstream consumers (the group-commit
-    pending queue, worker pipes) may hold the span as long as they
+    resized or reused, so downstream consumers (worker pipes,
+    segment appends) may hold the span as long as they
     like.  That buffer is the only place payload bytes land between the
     socket and ``insert_encoded`` — the zero-copy property the
     streaming ingest benchmark asserts.

@@ -115,7 +115,7 @@ class ViewMapServer:
     #: and upload accept/reject counters.  The handler declares no
     #: modeled contributions of its own, so the modeled axis equals
     #: wall time — which already folds in every modeled sleep (network
-    #: delivery, commit charges) taken within the handler's extent
+    #: delivery) taken within the handler's extent
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     _handlers: dict[str, Handler] = field(init=False, repr=False)
 

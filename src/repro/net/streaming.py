@@ -17,7 +17,7 @@ Execution model
 
 One ``asyncio`` event loop runs on a background thread and owns every
 connection: parsing, admission and reply writing are loop-side;
-handlers (SQLite binds, modeled commit sleeps, control envelopes)
+handlers (segment appends, store reads, control envelopes)
 run on a bounded thread pool exactly as wide as the threaded fabric's
 worker pool, so the two transports are comparable arm-for-arm.  Two
 connection flavors share all of that machinery:
@@ -37,9 +37,8 @@ the connection with a clean error and a ``server.upload.shed`` count —
 nothing is ever partially ingested.
 
 Backpressure is explicit (:mod:`repro.obs.admission`): bounded
-per-shard admission queues, shed uploads answered with a ``busy`` reply
-carrying ``retry_after`` seconds, and the queue bound halves while the
-commit-p99 SLO signal is breached, so the authority degrades by
+per-shard admission queues, and shed uploads answered with a ``busy``
+reply carrying ``retry_after`` seconds, so the authority degrades by
 shedding early instead of collapsing late.
 """
 
@@ -237,9 +236,6 @@ class StreamingNetwork:
     connection), and registration of a server's bound ``handle``
     automatically binds the zero-copy ``FRAME`` lane to that server's
     :meth:`~repro.net.server.ViewMapServer.ingest_frame_stream`.
-
-    ``slo_p99_s`` arms SLO-steered shedding: the admission bound halves
-    while the bound store's observed ``store.commit`` p99 exceeds it.
     """
 
     def __init__(
@@ -252,7 +248,6 @@ class StreamingNetwork:
         read_deadline_s: float = DEFAULT_READ_DEADLINE_S,
         admission_shards: int = DEFAULT_ADMISSION_SHARDS,
         admission_depth: int = DEFAULT_MAX_DEPTH,
-        slo_p99_s: float = 0.0,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> None:
         if workers < 1:
@@ -263,11 +258,9 @@ class StreamingNetwork:
         self.max_pending_bytes = max_pending_bytes
         self.read_deadline_s = read_deadline_s
         self.chunk_bytes = chunk_bytes
-        self.slo_p99_s = slo_p99_s
         self.admission = AdmissionController(
             n_shards=admission_shards,
             max_depth=admission_depth,
-            slo_p99_s=slo_p99_s,
             metrics=self.metrics,
         )
         self._endpoints: dict[str, Endpoint] = {}
@@ -332,17 +325,10 @@ class StreamingNetwork:
         """Bind the zero-copy FRAME ingest lane at ``address``.
 
         Implicit when the server's own ``handle`` was registered; call
-        explicitly only for wrapped handlers.  Arms SLO steering by
-        wiring the admission controller to the bound store's observed
-        commit p99.
+        explicitly only for wrapped handlers.
         """
         with self._lock:
             self._servers[address] = server
-        if self.slo_p99_s and self.admission.commit_p99 is None:
-            registry = getattr(server.system.database, "metrics", None)
-            if isinstance(registry, MetricsRegistry):
-                hist = registry.histogram("store.commit.modeled_s")
-                self.admission.commit_p99 = hist.p99
 
     # -- contract-compat delivery -----------------------------------------
 

@@ -11,12 +11,7 @@ This module is the explicit back-pressure plane the ROADMAP calls for:
   ingest for the rest of the fleet;
 * **surfaced to clients** — a rejected upload is not silently dropped:
   the reply is a ``busy`` message carrying ``retry_after`` seconds, a
-  deterministic function of the queue the upload would have joined;
-* **SLO-steered shedding** — when the observed commit p99 exceeds the
-  configured SLO (a ``store.commit`` histogram — recorded by no store
-  ``make_store`` builds since the segment log has no commit), the
-  effective queue bound halves: the authority sheds load *before* latency
-  collapses rather than after.
+  deterministic function of the queue the upload would have joined.
 
 Everything is observable: ``server.admission.depth`` and
 ``server.admission.pending_bytes`` gauges (max-merged across
@@ -29,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -39,8 +33,8 @@ DEFAULT_MAX_DEPTH = 64
 #: global cap on admitted-but-uncommitted payload bytes across shards
 DEFAULT_MAX_PENDING_BYTES = 32 * 1024 * 1024
 
-#: the base unit of the retry-after estimate: roughly one group-commit
-#: flush interval, scaled by how deep the rejected upload's queue is
+#: the base unit of the retry-after estimate, scaled by how deep the
+#: rejected upload's queue is
 DEFAULT_RETRY_BASE_S = 0.05
 
 
@@ -60,11 +54,6 @@ class AdmissionController:
     — in which case :meth:`retry_after` says what to tell the client.
     Rejection happens *before* any ingest work: a shed upload never
     partially lands.
-
-    ``commit_p99`` is an optional zero-argument callable returning the
-    currently observed commit p99 in seconds (wire it to the store's
-    ``store.commit`` histogram); with ``slo_p99_s`` set, breaching the
-    SLO halves the effective depth bound until the signal recovers.
     """
 
     def __init__(
@@ -73,8 +62,6 @@ class AdmissionController:
         n_shards: int = 4,
         max_depth: int = DEFAULT_MAX_DEPTH,
         max_pending_bytes: int = DEFAULT_MAX_PENDING_BYTES,
-        slo_p99_s: float = 0.0,
-        commit_p99: Callable[[], float] | None = None,
         retry_base_s: float = DEFAULT_RETRY_BASE_S,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -85,8 +72,6 @@ class AdmissionController:
         self.n_shards = n_shards
         self.max_depth = max_depth
         self.max_pending_bytes = max_pending_bytes
-        self.slo_p99_s = slo_p99_s
-        self.commit_p99 = commit_p99
         self.retry_base_s = retry_base_s
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self._lock = threading.Lock()
@@ -101,19 +86,11 @@ class AdmissionController:
 
     # -- admission ---------------------------------------------------------
 
-    def effective_depth(self) -> int:
-        """The current per-shard bound, halved while the SLO is breached."""
-        if self.slo_p99_s and self.commit_p99 is not None:
-            if self.commit_p99() > self.slo_p99_s:
-                return max(1, self.max_depth // 2)
-        return self.max_depth
-
     def try_admit(self, shard: int, nbytes: int) -> AdmissionTicket | None:
         """Admit one upload of ``nbytes`` onto ``shard``, or shed it."""
-        bound = self.effective_depth()
         with self._lock:
             if (
-                self._depths[shard] >= bound
+                self._depths[shard] >= self.max_depth
                 or self._pending_bytes + nbytes > self.max_pending_bytes
             ):
                 self.metrics.inc("server.upload.shed")
@@ -136,16 +113,11 @@ class AdmissionController:
         """Deterministic back-off hint for a shed upload on ``shard``.
 
         Scales with the rejected queue's depth — roughly "wait for the
-        backlog ahead of you to drain" — and doubles while the commit
-        SLO is breached, so clients back off harder exactly when the
-        authority is slowest.  Always strictly positive.
+        backlog ahead of you to drain".  Always strictly positive.
         """
         with self._lock:
             depth = self._depths[shard]
         estimate = self.retry_base_s * (1 + depth)
-        if self.slo_p99_s and self.commit_p99 is not None:
-            if self.commit_p99() > self.slo_p99_s:
-                estimate *= 2.0
         self.metrics.observe("server.upload.retry_after_s", estimate)
         return estimate
 

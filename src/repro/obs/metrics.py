@@ -24,11 +24,11 @@ measurement-first spirit the systems literature argues for:
 * :func:`stage_timer` — the one instrumentation idiom used everywhere:
   wraps a stage, records wall time into ``<stage>.wall_s`` and
   *modeled* time into ``<stage>.modeled_s``.  Modeled time is the sum
-  of declared contributions (a fabric's ``latency_s``, a store's
-  ``commit_latency_s``) — the costs the single-CPU container simulates
-  with real sleeps — falling back to wall time when a stage declares
-  none.  Percentiles over modeled time are machine-independent;
-  percentiles over wall time price the implementation.
+  of declared contributions (a fabric's ``latency_s``) — the costs
+  the single-CPU container simulates with real sleeps — falling back
+  to wall time when a stage declares none.  Percentiles over modeled
+  time are machine-independent; percentiles over wall time price the
+  implementation.
 
 Cross-process aggregation: worker processes keep local registries,
 ``snapshot()`` travels over the existing command pipe as a plain dict,
@@ -393,7 +393,7 @@ class StageTimer:
         self.declared = False
 
     def add_modeled(self, seconds: float) -> None:
-        """Declare a modeled contribution (latency_s / commit_latency_s)."""
+        """Declare a modeled contribution (a fabric's ``latency_s``)."""
         self.modeled_s += seconds
         self.declared = True
 

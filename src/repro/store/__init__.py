@@ -1,68 +1,59 @@
-"""repro.store — pluggable, spatially-indexed, persistent VP storage.
+"""repro.store — one storage engine for VPs, in three placements.
 
-The authority's VP database is a facade over one of these interchangeable
-backends (all implementing the :class:`~repro.store.base.VPStore`
-contract):
+Every VP the authority holds lives in the minute-segment log
+(:class:`~repro.store.segments.SegmentStore`): one append-only segment
+per minute holding the codec frame records verbatim, and an in-memory
+index (ids, per-minute offset/bbox columns, coverage tiles) rebuilt from
+them.  What varies is only *where* the segments are and *who* owns them:
 
-* :class:`~repro.store.memory.MemoryStore` — per-minute uniform spatial
-  grid; fastest, volatile.  The default, and the right choice for
-  simulations and tests.
-* :class:`~repro.store.segments.SegmentStore` — the persistent backend
-  (``make_store("sqlite", path)``): a minute-segment log that appends
-  wire records verbatim; survives restarts and scales past RAM.  Pick
-  it for a long-lived authority.
-* :class:`~repro.store.sharded.ShardedStore` — hash-partitions minutes
-  across N inner backends to model horizontal scale-out.  Pick it when
-  one node cannot absorb a city's upload stream.
-* :class:`~repro.store.workers.ProcessShardedStore` — the sharded
-  fleet with every shard in its own worker OS process, fed over pipes
-  with the columnar batch codec.  Pick it when a *hot* shard's ingest
-  is GIL-bound: batch encode/decode and segment appends run on the
-  workers' GILs, so hot-shard ``insert_many`` scales with worker count
-  instead of ~1.1x.
-
-:func:`make_store` maps the CLI-facing backend names to instances.
+* **in process, volatile** — ``make_store("memory")``: the segments are
+  unlinked anonymous files (``tempfile.TemporaryFile``); nothing is
+  named on disk and everything vanishes at ``close()``.  The default of
+  :class:`~repro.core.database.VPDatabase`;
+* **in process, named** — ``make_store("sqlite", path)``: flat sibling
+  files ``{path}.{minute:08d}.seg`` that survive restarts (the kind name
+  outlives the engine it used to select);
+* **across shards** — :class:`~repro.store.sharded.ShardedStore`
+  (``make_store("sharded")``) hash-partitions minutes over N
+  in-process logs, and :class:`~repro.store.workers.ProcessShardedStore`
+  (``make_store("procs")``) puts each shard's log in its own worker OS
+  process behind a pipe: a failure domain per shard, not a speed-up (an
+  append costs less than the pipe hop; ``docs/stores.md`` has numbers).
 
 Every backend is thread-safe behind the concurrent authority front-end
-(:mod:`repro.net.concurrency`): memory and the segment log each
-serialize on one lock (the log reads outside it), and sharded fleets
-fan batch inserts out to their
-(thread-safe) shards concurrently.  Sharded fleets optionally route by
-``(minute, spatial cell)`` composite keys (``shard_cells``) so a single
-hot minute fans out across shards.
+(:mod:`repro.net.concurrency`): the log serializes on one lock and reads
+outside it, and sharded fleets fan batch inserts out to their shards
+concurrently, optionally routing by ``(minute, spatial cell)`` composite
+keys (``shard_cells``) so a single hot minute fans out across shards.
 
 Reads go through ONE entry point — ``VPStore.query`` with a
 :class:`~repro.store.serving.QuerySpec` — backed by the serving tier
-(:mod:`repro.store.serving`): incrementally-maintained per-cell coverage
-tiles answer count queries and prune area queries without touching rows,
-and ``query_encoded`` serves decode-free span replies for the wire.  Each
-backend implements one selection primitive (``query_encoded`` where it
-holds bytes, ``_select`` where it holds objects); the other form is
-derived from it once, in :mod:`repro.store.base`.
+(:mod:`repro.store.serving`): per-cell coverage tiles answer count
+queries and prune area queries without touching records.  Every backend
+holds bytes and implements one read primitive, ``query_encoded``;
+decoded reads are that frame decoded, defined once in
+:mod:`repro.store.base`.
 
 Retention lives in :mod:`repro.store.lifecycle`: a
-:class:`RetentionPolicy` plus the ``evict_before``/``compact`` contract
-every backend implements keep a long-running authority's footprint
-bounded to the solicitation window.  ``docs/stores.md`` is the
-selection and tuning guide.
+:class:`RetentionPolicy` plus the ``evict_before`` contract every
+backend implements keep a long-running authority's footprint bounded to
+the solicitation window.  ``docs/stores.md`` is the guide.
 """
 
 from __future__ import annotations
 
 from repro.errors import ValidationError
-from repro.store.adaptive import GroupCommitController
 from repro.store.base import StoreStats, VPStore
 from repro.store.codec import decode_vp, decode_vp_batch, encode_vp, encode_vp_batch
-from repro.store.grid import DEFAULT_CELL_M, SpatialGrid
 from repro.store.lifecycle import (
     LifecycleReport,
     RetentionPolicy,
     apply_retention,
     survey_overloaded,
 )
-from repro.store.memory import MemoryStore
 from repro.store.segments import SegmentStore
 from repro.store.serving import (
+    DEFAULT_CELL_M,
     DEFAULT_TILE_MINUTES,
     MinuteTiles,
     QueryResult,
@@ -70,7 +61,6 @@ from repro.store.serving import (
     TileCache,
 )
 from repro.store.sharded import DEFAULT_ROUTE_CELL_M, ShardedStore
-from repro.store.sqlite import SQLiteStore
 from repro.store.workers import ProcessShardedStore, WorkerShard
 
 #: backend names accepted by make_store and the CLI ``--store`` option
@@ -81,49 +71,45 @@ def make_store(
     kind: str = "memory",
     path: str = "",
     n_shards: int = 4,
-    cell_m: float = DEFAULT_CELL_M,
     shard_cells: int = 1,
     route_cell_m: float = DEFAULT_ROUTE_CELL_M,
     ingest_workers: int = 4,
 ) -> VPStore:
-    """Build a VP store backend from a CLI-style description.
+    """Build a VP store from a CLI-style description.
 
-    ``sqlite`` names the persistent single-node backend — since PR 22
-    the minute-segment log (:class:`~repro.store.segments.SegmentStore`;
-    the name outlives the engine it used to select).  ``path`` is its
-    segment-file prefix (empty means anonymous temporary segments) and,
-    for ``procs``, the per-worker prefix (``{path}.worker{i}``; empty
-    keeps the workers in memory); ``n_shards``/``cell_m`` tune
-    sharded/memory backends.  ``shard_cells`` > 1 switches the sharded
-    backends to composite ``(minute, spatial cell)`` routing with
-    ``route_cell_m``-sized cells, spreading hot minutes across shards.
-    ``ingest_workers`` sizes the ``procs`` worker-process fleet.  All
-    backends are thread-safe (see ``docs/stores.md``).
+    Every kind is the segment log.  ``memory`` is volatile: anonymous
+    segments, ``path`` ignored.  ``sqlite`` is the single-node log with
+    ``path`` as its segment-file prefix (empty means anonymous segments).
+    ``sharded`` is ``n_shards`` volatile logs in this process; ``procs``
+    is ``ingest_workers`` worker processes, each on
+    ``{path}.worker{i}`` (empty path: volatile workers).
+    ``shard_cells`` > 1 switches the sharded kinds to composite
+    ``(minute, spatial cell)`` routing with ``route_cell_m``-sized cells,
+    spreading hot minutes across shards.  All are thread-safe (see
+    ``docs/stores.md``).
     """
     if kind == "memory":
-        return MemoryStore(cell_m=cell_m)
+        return SegmentStore()
     if kind == "sqlite":
         return SegmentStore(path)
     if kind == "sharded":
         return ShardedStore.memory(
             n_shards=n_shards,
-            cell_m=cell_m,
+            shard_cells=shard_cells,
+            route_cell_m=route_cell_m,
+        )
+    if kind == "procs" and not path:
+        return ProcessShardedStore.memory(
+            n_workers=ingest_workers,
             shard_cells=shard_cells,
             route_cell_m=route_cell_m,
         )
     if kind == "procs":
-        if path:
-            return ProcessShardedStore(
-                [
-                    {"kind": "segments", "path": f"{path}.worker{i}"}
-                    for i in range(ingest_workers)
-                ],
-                shard_cells=shard_cells,
-                route_cell_m=route_cell_m,
-            )
-        return ProcessShardedStore.memory(
-            n_workers=ingest_workers,
-            cell_m=cell_m,
+        return ProcessShardedStore(
+            [
+                {"kind": "segments", "path": f"{path}.worker{i}"}
+                for i in range(ingest_workers)
+            ],
             shard_cells=shard_cells,
             route_cell_m=route_cell_m,
         )
@@ -134,9 +120,7 @@ __all__ = [
     "DEFAULT_CELL_M",
     "DEFAULT_ROUTE_CELL_M",
     "DEFAULT_TILE_MINUTES",
-    "GroupCommitController",
     "LifecycleReport",
-    "MemoryStore",
     "MinuteTiles",
     "ProcessShardedStore",
     "QueryResult",
@@ -145,8 +129,6 @@ __all__ = [
     "STORE_KINDS",
     "SegmentStore",
     "ShardedStore",
-    "SpatialGrid",
-    "SQLiteStore",
     "StoreStats",
     "TileCache",
     "VPStore",

@@ -1,10 +1,11 @@
-"""The VP store backend contract shared by every storage engine.
+"""The VP store backend contract: one engine, several placements.
 
-A *store* is the authority's durable memory of uploaded view profiles.
-The service layer (``repro.core.database.VPDatabase``) is a thin facade
-over one of these backends, so swapping a flat in-memory index for a
-persistent segment log or a sharded fleet never touches investigation
-code.
+A *store* is the authority's memory of uploaded view profiles.  The
+service layer (``repro.core.database.VPDatabase``) is a thin facade over
+one of these backends — the minute-segment log
+(:mod:`repro.store.segments`), on anonymous or named segments, or a
+sharded fleet of them in this process or in worker processes — so the
+placement never touches investigation code.
 
 Backends must agree exactly on semantics so they are interchangeable:
 
@@ -15,15 +16,12 @@ Backends must agree exactly on semantics so they are interchangeable:
   defined once, here, on top of it;
 * every read goes through one entry point — ``query(QuerySpec)``
   (:mod:`repro.store.serving`) — whose axes compose minute, area,
-  trusted, k-nearest, count and encoded selection.  Underneath it each
-  backend implements exactly ONE selection primitive, in the form it
-  stores: a backend that holds bytes (the segment log, the worker proxy, the
-  sharded routers) implements ``query_encoded(spec)`` and its decoded
-  reads are ``decode_vp_batch(query_encoded(spec))`` — fresh
-  wire-backed VPs per call; the memory backend, which holds objects by
-  reference, implements ``_select(spec)`` and its encoded reads are
-  ``encode_vp_batch(_select(spec))``.  No backend overrides both, so a
-  decoded and an encoded read of one spec can never disagree;
+  trusted, k-nearest, count and encoded selection.  Every backend holds
+  bytes and implements ONE read primitive, ``query_encoded(spec)``;
+  decoded reads are ``decode_vp_batch(query_encoded(spec))`` — fresh
+  wire-backed VPs per call, equal in content, never the inserted
+  instance — so a decoded and an encoded read of one spec can never
+  disagree;
 * minute-scoped selections return VPs in insertion order;
 * an area axis selects a VP iff any of its claimed positions lies
   inside the (closed) query rectangle — identical to a full linear
@@ -37,16 +35,14 @@ Backends must agree exactly on semantics so they are interchangeable:
   cutoff (the retention watermark of :mod:`repro.store.lifecycle`) and
   returns how many were dropped; with ``keep_trusted=True`` trusted VPs
   are pinned past the cutoff (``RetentionPolicy(pin_trusted=True)`` —
-  an eviction pass must never drop an investigation's seeds);
-  ``compact`` reclaims whatever the backend can (freed pages, empty
-  buckets) and reports gauges.
+  an eviction pass must never drop an investigation's seeds).
 
 The contract includes thread safety: every backend tolerates
 concurrent calls from many threads, and ``write`` is atomic per
 backend — two racing batches containing the same VP id agree on one
 winner and the returned counts sum to the number of VPs actually stored.
-How each backend meets this (coarse lock, single-writer lock,
-per-shard atomicity) is its own business; see ``docs/stores.md``.
+How each backend meets this (the log's one lock, per-shard atomicity)
+is its own business; see ``docs/stores.md``.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ import numpy as np
 from repro.core.viewprofile import ViewProfile
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import stage_timer
-from repro.store.codec import Batch, decode_vp_batch, encode_vp_batch
+from repro.store.codec import Batch, decode_vp_batch
 from repro.store.serving import MinuteTiles, QueryResult, QuerySpec, TileCache
 from repro.util.encoding import unpack_uint
 
@@ -73,9 +69,8 @@ class StoreStats:
 
     ``backend`` is the reporting store's ``kind``; ``vps``/``trusted``/
     ``minutes`` count stored VPs, trusted VPs and distinct minute
-    indices.  ``detail`` carries backend-specific gauges: grid occupancy
-    for memory, path and tile gauges for the segment log, per-shard
-    breakdowns for sharded fleets.
+    indices.  ``detail`` carries backend-specific gauges: path and tile
+    gauges for the segment log, per-shard breakdowns for sharded fleets.
     """
 
     backend: str
@@ -120,8 +115,7 @@ class VPStore(ABC):
         The backend's only write path.  Duplicates (against the store
         or within the batch) are skipped, or with ``strict`` raise
         ``ValidationError`` before any record lands.  Each backend
-        takes the batch in the form it stores: objects by reference,
-        rows and body spans, or the frame bytes.
+        takes the batch as bytes: record spans, or the whole frame.
         """
 
     def insert(self, vp: ViewProfile) -> None:
@@ -147,8 +141,8 @@ class VPStore(ABC):
 
         ``batch`` is a :func:`repro.store.codec.encode_vp_batch` buffer
         or a read-only ``memoryview`` of one (the streaming front-end's
-        receive buffer).  No backend that stores bytes decodes a body
-        or copies a span on the way in.
+        receive buffer).  No backend decodes a body or copies a span on
+        the way in.
         """
         return self.write(Batch.from_frame(batch), strict)
 
@@ -214,37 +208,24 @@ class VPStore(ABC):
                 return QueryResult(spec=spec, n=unpack_uint(frame[1:5]), frame=frame)
             if spec.count:
                 return QueryResult(spec=spec, n=self._count_query(spec))
-            vps = self._select(spec)
+            vps = decode_vp_batch(self.query_encoded(spec))
             if spec.nearest is not None:
                 site = spec.nearest
                 vps.sort(key=lambda vp: min_squared_distance(vp, site))
                 vps = vps[: spec.k]
             return QueryResult(spec=spec, n=len(vps), vps=vps)
 
+    @abstractmethod
     def query_encoded(self, spec: QuerySpec) -> bytes:
-        """Stored-frame form of a selection — the decode-free read op.
+        """The one read primitive: the stored frame of a selection.
 
         Returns a :func:`repro.store.codec.encode_vp_batch` buffer of
-        the VPs the decoded selection would yield (minute, area and
-        trusted axes), byte-identical to re-encoding them: bodies are
-        content-deterministic and the metadata head derives from the
-        same values.  A backend that stores bytes overrides this —
-        the segment log frames stored records pass-through, sharded fleets stitch
-        owner-shard frames without decoding a body — and leaves
-        :meth:`_select` alone; this default is the memory store's,
-        whose VPs each hold their digest block.
+        the records the minute, area and trusted axes select, in
+        insertion order — byte-identical to re-encoding the VPs, since
+        records are stored as framed.  The segment log frames its
+        records straight through; sharded fleets stitch owner-shard
+        frames without decoding a body.  :meth:`query` decodes it.
         """
-        return encode_vp_batch(self._select(spec))
-
-    def _select(self, spec: QuerySpec) -> list[ViewProfile]:
-        """Decoded selection (minute, area and trusted axes).
-
-        The other half of the pair: a backend overrides this or
-        :meth:`query_encoded`, never both.  This default decodes the
-        frame, so every byte-holding backend hands out fresh
-        wire-backed VPs per call (about 6 kB each, no digest unpacked).
-        """
-        return decode_vp_batch(self.query_encoded(spec))
 
     def _count_query(self, spec: QuerySpec) -> int:
         """Count axis: the minute's exact tile totals (not per-cell
@@ -299,8 +280,7 @@ class VPStore(ABC):
         """Scan one minute's record metadata into coverage tiles.
 
         Never touches a body: the bounding boxes ride outside it on
-        every backend (memoized on the object, table columns, the
-        shards' own tile maps).
+        every backend (the log's columns, the shards' own tile maps).
         """
 
     # -- lifecycle / introspection -----------------------------------------
@@ -319,22 +299,12 @@ class VPStore(ABC):
         never evicted mid-flight (``RetentionPolicy(pin_trusted=True)``).
         """
 
-    def compact(self) -> dict[str, Any]:
-        """Reclaim space freed by eviction; returns backend gauges.
-
-        Default is a no-op for backends with nothing to reclaim.
-        Implementations may run maintenance (SQLite vacuum/analyze, while it stays,
-        dropping empty buckets) and should stay incremental — compact
-        runs on a live store between retention passes.
-        """
-        return {}
-
     @abstractmethod
     def stats(self) -> StoreStats:
         """Occupancy snapshot for dashboards and benchmarks."""
 
     def close(self) -> None:
-        """Release backend resources (no-op for in-memory backends)."""
+        """Release backend resources (segment descriptors, workers)."""
 
     def __enter__(self) -> "VPStore":
         return self

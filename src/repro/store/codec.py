@@ -23,10 +23,10 @@ the VP identifier:
     record := flags (1B) | minute (4B) | bbox (4 x float64)
               | vp_id (16B) | len-prefixed body blob
 
-so a consumer can route, deduplicate or build SQLite rows without
+so a consumer can route, deduplicate or append records without
 decoding a single body.  The batch format is the IPC framing of the
-process shard workers (:mod:`repro.store.workers`), the row source of
-the SQLite backend and the binary payload of the ``upload_vp_batch``
+process shard workers (:mod:`repro.store.workers`), the record format
+of the segment log (:mod:`repro.store.segments`) and the binary payload of the ``upload_vp_batch``
 wire message itself: the authority validates and shard-routes from the
 metadata alone, slicing per-shard sub-batches out of the incoming frame
 and forwarding the record bytes untouched.
@@ -138,12 +138,10 @@ def encode_row_batch(rows: Sequence[tuple]) -> bytes:
     """Frame storage rows into a batch buffer.
 
     Each row is ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max,
-    body)`` with the body still encoded — the column order of the SQLite
-    backend's ``vps`` table and of :meth:`Batch.rows` — so the
-    decode-free read path re-frames stored rows without materializing
-    a single :class:`ViewProfile`.  Byte-identical to
-    :func:`encode_vp_batch` over the decoded VPs: bodies are stored
-    verbatim and the metadata head derives from the same values.
+    body)`` with the body still encoded — the column order of
+    :meth:`Batch.rows`.  Byte-identical to :func:`encode_vp_batch` over
+    the decoded VPs: bodies are stored verbatim and the metadata head
+    derives from the same values.
     """
     parts = [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(rows), 4)]
     for row in rows:
@@ -494,7 +492,7 @@ class Batch:
         return Batch(meta, frame=join_encoded_records(self._frame, picked), spans=spans)
 
     def rows(self) -> list[tuple]:
-        """Storage rows (``meta`` + encoded body) — what SQLite binds.
+        """Storage rows (``meta`` + encoded body) — what a frame is built from.
 
         Frame bodies are slices of the source buffer: a ``memoryview``
         frame yields ``memoryview`` bodies, never a ``bytes`` copy.

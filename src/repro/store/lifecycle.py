@@ -1,4 +1,4 @@
-"""Store lifecycle: retention policy, eviction watermarks, compaction.
+"""Store lifecycle: retention policy and eviction watermarks.
 
 The authority only ever investigates minutes inside the current
 solicitation window, yet a store ingesting a city's upload stream grows
@@ -12,8 +12,9 @@ that retention decision into the storage layer behind one small object:
 * :func:`apply_retention` — *how* to enforce it: computes the eviction
   cutoff for the newest observed minute, calls the backend's
   ``evict_before`` (every :class:`~repro.store.base.VPStore` implements
-  it), optionally triggers ``compact()``, and returns a
-  :class:`LifecycleReport` the caller can log or assert on.
+  it) and returns a :class:`LifecycleReport` the caller can log or
+  assert on.  Eviction unlinks whole minute segments, so there is no
+  compaction step.
 
 The policy object is deliberately dumb — no clocks, no threads.  The
 *watermark* (the newest minute the system has seen) is owned by whoever
@@ -27,7 +28,6 @@ a no-op, and a watermark never moves backwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.errors import ValidationError
 from repro.store.base import VPStore
@@ -45,12 +45,7 @@ class RetentionPolicy:
     minutes exceeding it are reported as overloaded — VPs are potential
     evidence, so the policy flags concentration floods (see
     ``repro.attacks.concentration``) for operator review instead of
-    silently discarding uploads.  ``compact_every`` paces how often a
-    watermark-driven caller triggers ``compact()`` (every N minutes of
-    watermark progress; 0 = never automatically): eviction itself is
-    cheap and runs every pass, while compaction does real maintenance
-    work (SQLite vacuum/ANALYZE/WAL truncation) and must not run on
-    every minute rollover of a live upload stream.
+    silently discarding uploads.
 
     ``pin_trusted`` exempts trusted VPs from eviction entirely: an
     investigation seeded from police-fleet VPs must never lose its
@@ -63,16 +58,13 @@ class RetentionPolicy:
     window_minutes: int
     grace: int = 0
     max_vps_per_minute: int = 0
-    compact_every: int = 10
     pin_trusted: bool = False
 
     def __post_init__(self) -> None:
         if self.window_minutes < 1:
             raise ValidationError("retention window must cover at least one minute")
-        if self.grace < 0 or self.max_vps_per_minute < 0 or self.compact_every < 0:
-            raise ValidationError(
-                "grace, max_vps_per_minute and compact_every must be >= 0"
-            )
+        if self.grace < 0 or self.max_vps_per_minute < 0:
+            raise ValidationError("grace and max_vps_per_minute must be >= 0")
 
     @property
     def retained_minutes(self) -> int:
@@ -105,8 +97,6 @@ class LifecycleReport:
     evicted: int
     #: minute -> population, for retained minutes above the advisory cap
     overloaded: dict[int, int] = field(default_factory=dict)
-    #: backend gauges from ``compact()`` (empty when compaction skipped)
-    compaction: dict[str, Any] = field(default_factory=dict)
 
 
 def survey_overloaded(store: VPStore, max_vps_per_minute: int) -> dict[int, int]:
@@ -136,14 +126,12 @@ def apply_retention(
     store: VPStore,
     policy: RetentionPolicy,
     newest_minute: int,
-    compact: bool = False,
 ) -> LifecycleReport:
     """Run one retention pass against a store at a given watermark.
 
     Evicts everything below ``policy.cutoff(newest_minute)`` — trusted
-    VPs excepted when the policy pins them — surveys retained minutes
-    against the advisory population cap, and (when ``compact=True``)
-    asks the backend to reclaim the space just freed.  Safe to call
+    VPs excepted when the policy pins them — and surveys retained
+    minutes against the advisory population cap.  Safe to call
     concurrently with ingest: ``evict_before`` is part of the
     thread-safe store contract, and an upload racing into an
     already-evicted minute simply lands again until the next pass.
@@ -151,11 +139,9 @@ def apply_retention(
     cutoff = policy.cutoff(newest_minute)
     evicted = store.evict_before(cutoff, keep_trusted=policy.pin_trusted)
     overloaded = survey_overloaded(store, policy.max_vps_per_minute)
-    compaction = store.compact() if compact else {}
     return LifecycleReport(
         newest_minute=newest_minute,
         cutoff=cutoff,
         evicted=evicted,
         overloaded=overloaded,
-        compaction=compaction,
     )

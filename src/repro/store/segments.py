@@ -1,4 +1,4 @@
-"""Persistent VP store as a minute-segment log.
+"""The VP store: a minute-segment log, the only storage engine.
 
 A VP is immutable, keyed by its minute and retired by its minute — the
 easy case for a log.  One append-only file per minute holds codec frame
@@ -9,11 +9,14 @@ records (:mod:`repro.store.codec`) verbatim, each behind a header::
 so a stored VP costs its wire record plus 8 bytes.  With a ``path`` the
 segments are flat sibling files ``{path}.{minute:08d}.seg`` (nothing is
 created at ``path`` itself); with an empty path they are anonymous
-``tempfile.TemporaryFile`` objects — the same engine, volatile.  The
-index lives in memory and is rebuilt by one scan at open: the
-``id -> (minute, row)`` map that rejects duplicates, and per minute the
-``(offset, length, trusted, bbox)`` columns and the ids in insertion
-order.  ``docs/stores.md`` has the contract in prose; in short:
+``tempfile.TemporaryFile`` objects, unlinked from birth — the same
+engine, volatile (``make_store("memory")``).  Either way the record
+bytes live in the kernel's page cache, not in this process's heap; the
+heap holds the index, about 216 B per VP.  The index lives in memory
+and is rebuilt by one scan at open: the ``id -> (minute, row)`` map
+that rejects duplicates, and per minute the ``(offset, length,
+trusted, bbox)`` columns and the ids in insertion order.
+``docs/stores.md`` has the contract in prose; in short:
 
 * **write** appends the fresh record spans of the caller's buffer with
   one ``os.writev`` per touched minute and only then publishes ids,
@@ -25,8 +28,8 @@ order.  ``docs/stores.md`` has the contract in prose; in short:
   under the lock, then selects and reads (``os.pread``) outside it —
   not ``mmap``: a file mapping would be resident memory.
 * **evict** closes and unlinks whole segments; a reader's duplicate
-  still reads the complete old file.  ``compact()`` is the inherited
-  no-op.  One descriptor stays open per live minute; retention bounds it.
+  still reads the complete old file, and there is nothing left to
+  compact.  One descriptor stays open per live minute; retention bounds it.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class _Segment:
 
 
 class SegmentStore(VPStore):
-    """Durable minute-segment log (see the module docstring)."""
+    """Minute-segment log, named or anonymous (see the module docstring)."""
 
     kind = "segments"
 
@@ -118,7 +121,11 @@ class SegmentStore(VPStore):
             # "a+b" creates without truncating; a rewrite target starts empty
             return _Segment(open(path, "w+b" if suffix else "a+b", buffering=0), path)
         except OSError as exc:
-            raise StorageError(f"cannot open a segment of {self.path!r}: {exc}") from exc
+            where = repr(self.path) if self.path else "anonymous segments"
+            raise StorageError(
+                f"cannot open the minute-{minute} segment of {where}: {exc} (one "
+                "descriptor stays open per live minute; a retention window bounds them)"
+            ) from exc
 
     def _recover(self) -> None:
         """Rebuild map, columns and id lists from the files at ``path``."""
@@ -293,7 +300,10 @@ class SegmentStore(VPStore):
             if segment is None:
                 return join_encoded_spans([])
             rows = segment.rows[: segment.n]
-            fd = os.dup(segment.file.fileno())
+            try:
+                fd = os.dup(segment.file.fileno())
+            except OSError as exc:
+                raise StorageError(f"cannot read VP store at {self.path!r}: {exc}") from exc
         try:
             if spec.trusted_only:
                 rows = rows[rows["trusted"]]

@@ -9,16 +9,14 @@ The read-side counterpart of the zero-decode ingest work:
   ``encoded=True`` asks for the stored frame representation
   (:mod:`repro.store.codec`) instead of decoded objects — the client
   owns the codec, so the authority can serve raw spans.  A decoded
-  read is the same frame decoded (or, on the memory store, the frame
-  is the selected objects encoded): one selection primitive a backend.
+  read is the same frame decoded: one selection primitive a backend.
 * :class:`MinuteTiles` — materialized per-cell coverage/confidence of
   one minute: for every grid cell a VP's bounding box overlaps, how
   many VPs (and how many trusted) cover it, plus exact minute totals.
   The wifi-coverage computation done offline in the exemplar scripts,
   maintained online.  Tiles are built from record *metadata* (the
-  bounding boxes that already ride outside the body blobs), so both
-  the object and the zero-decode ingest paths can maintain them
-  without touching a body.
+  bounding boxes that already ride outside the body blobs), so ingest
+  maintains them without touching a body.
 * :class:`TileCache` — a bounded LRU of ``minute -> MinuteTiles`` with
   epoch invalidation and *incremental* maintenance: ingest applies
   per-record deltas to cached entries inside a write bracket, eviction
@@ -71,6 +69,10 @@ if TYPE_CHECKING:  # import cycle: base imports serving
 #: default LRU capacity — minutes of tiles kept hot; a retention window
 #: is tens of minutes, so the default never evicts under normal load
 DEFAULT_TILE_MINUTES = 128
+
+#: tile edge — on the order of the DSRC radio range, so a site query (a
+#: few hundred metres) touches a handful of cells
+DEFAULT_CELL_M = 250.0
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,7 @@ class TileCache:
     def __init__(
         self,
         max_minutes: int = DEFAULT_TILE_MINUTES,
-        cell_m: float = 250.0,
+        cell_m: float = DEFAULT_CELL_M,
         metrics=None,
     ) -> None:
         if max_minutes < 1:

@@ -20,10 +20,10 @@ Models the authority running N storage nodes.  Routing is a composite
   records route to exactly the shards the same VPs would reach as
   objects, without decoding a single body.
 
-Point lookups (``get``/``in``) probe shards in order, because an
-anonymous identifier carries no minute information.  Shards can be any
-mix of backends (memory for hot minutes, SQLite for durable ones); the
-convenience constructors build homogeneous fleets.
+Point lookups (``get``/``in``) answer from the id directory and route
+to the minute's owner shards.  Shards are any ``VPStore`` — in-process
+segment logs (:meth:`ShardedStore.memory`, or named ones the caller
+opens) or worker-process proxies (:mod:`repro.store.workers`).
 
 Thread safety: routing itself is stateless, but the fleet-wide
 duplicate-id check must not race — the same id arriving at two
@@ -66,16 +66,15 @@ from repro.store.codec import (
     iter_encoded_meta,
     join_encoded_spans,
 )
-from repro.store.grid import DEFAULT_CELL_M
-from repro.store.memory import MemoryStore
+from repro.store.segments import SegmentStore
 from repro.store.serving import MinuteTiles, QuerySpec, TileCache
 
 #: upper bound on the batch fan-out pool, whatever the shard count
 MAX_FANOUT_WORKERS = 8
 
 #: default spatial routing-cell edge — district-sized, far coarser than
-#: the query grid (`DEFAULT_CELL_M`): routing only needs to split a hot
-#: minute's load, not answer area queries
+#: the coverage tiles (`DEFAULT_CELL_M`): routing only needs to split a
+#: hot minute's load, not answer area queries
 DEFAULT_ROUTE_CELL_M = 1000.0
 
 _T = TypeVar("_T")
@@ -93,7 +92,6 @@ class ShardedStore(VPStore):
         shard_cells: int = 1,
         route_cell_m: float = DEFAULT_ROUTE_CELL_M,
         metrics: MetricsRegistry | None = None,
-        tile_cell_m: float = DEFAULT_CELL_M,
     ) -> None:
         """Wrap an ordered shard fleet.
 
@@ -117,10 +115,9 @@ class ShardedStore(VPStore):
         #: every shard's shipped snapshot into ``detail["metrics"]``
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: router-level coverage tiles: area/count queries answer (or
-        #: short-circuit) here without touching a shard.  ``tile_cell_m``
-        #: must match the shards' query-grid cell so merged tile maps
-        #: align cell-for-cell.
-        self.tiles = TileCache(cell_m=tile_cell_m, metrics=self.metrics)
+        #: short-circuit) here without touching a shard; the shards use
+        #: the same default cell, so merged tile maps align cell-for-cell
+        self.tiles = TileCache(metrics=self.metrics)
         if fanout_workers is None:
             fanout_workers = min(len(self.shards), MAX_FANOUT_WORKERS)
         self.fanout_workers = fanout_workers
@@ -185,34 +182,12 @@ class ShardedStore(VPStore):
     def memory(
         cls,
         n_shards: int = 4,
-        cell_m: float = DEFAULT_CELL_M,
         shard_cells: int = 1,
         route_cell_m: float = DEFAULT_ROUTE_CELL_M,
     ) -> "ShardedStore":
-        """A fleet of in-memory shards."""
+        """A fleet of volatile shards: segment logs on anonymous segments."""
         return cls(
-            [MemoryStore(cell_m=cell_m) for _ in range(n_shards)],
-            shard_cells=shard_cells,
-            route_cell_m=route_cell_m,
-            tile_cell_m=cell_m,
-        )
-
-    @classmethod
-    def sqlite(
-        cls,
-        paths: Sequence[str],
-        shard_cells: int = 1,
-        route_cell_m: float = DEFAULT_ROUTE_CELL_M,
-        group_commit_rows: int = 0,
-    ) -> "ShardedStore":
-        """A fleet of SQLite shards, one database file per path.
-
-        ``group_commit_rows`` turns on the per-shard group-commit path.
-        """
-        from repro.store.sqlite import SQLiteStore
-
-        return cls(
-            [SQLiteStore(path, group_commit_rows=group_commit_rows) for path in paths],
+            [SegmentStore() for _ in range(n_shards)],
             shard_cells=shard_cells,
             route_cell_m=route_cell_m,
         )
@@ -363,7 +338,7 @@ class ShardedStore(VPStore):
         """Write one sub-batch per shard with adaptive parallelism.
 
         A lone caller fans out on the private pool (overlapping
-        per-shard commit I/O), while concurrent callers each run their
+        per-shard append I/O), while concurrent callers each run their
         own fan-out inline — the callers already provide the
         thread-level parallelism, and funnelling every sub-batch
         through one bounded pool would just queue them.  Inline
@@ -471,7 +446,7 @@ class ShardedStore(VPStore):
         order, every old VP before every new one), so unknown ids are a
         last-resort safety net only: they keep their per-shard order and
         trail the known ones.  Callers needing *exact* cross-restart
-        order use minute-only routing, where rowid order is the truth.
+        order use minute-only routing, where segment order is the truth.
         """
         if spec.area is not None and not self._tiles_allow(spec.minute, spec.area):
             return encode_row_batch([])
@@ -580,10 +555,6 @@ class ShardedStore(VPStore):
                         if not seq_map:
                             del self._minute_seq[m]
         return evicted
-
-    def compact(self) -> dict:
-        """Compact every shard; returns per-shard gauges in fleet order."""
-        return {"shards": self._map_shards(lambda shard: shard.compact())}
 
     def stats(self) -> StoreStats:
         """Fleet-wide occupancy with per-shard detail.

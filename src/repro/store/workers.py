@@ -1,10 +1,10 @@
-"""Process-parallel shard workers: scale hot-shard ingest past the GIL.
+"""Process shard workers: every shard's log in its own OS process.
 
-Thread-level concurrency stops paying on a hot shard: batch encoding
-and the store's per-record work hold the GIL, so threaded ingest into
-one persistent shard measured only ~1.1x serial.  This module moves
-each shard into its **own worker OS process** — its own GIL, its own
-segment files:
+This module moves each shard into its **own worker OS process** — its
+own GIL, its own segment files, its own failure domain.  It does not
+make ingest faster: a segment append costs less than the pipe hop that
+ships it, so a four-worker fleet ingests a hot minute at ~0.2-0.3x of
+one in-process log (``benchmarks/test_concurrent_ingest.py``).
 
 * :class:`ProcessShardedStore` — a :class:`~repro.store.sharded.ShardedStore`
   whose shards are :class:`WorkerShard` proxies.  All the routing-tier
@@ -16,8 +16,9 @@ segment files:
   ``VPStore`` contract over one ``multiprocessing`` pipe.  Requests are
   strictly request/response under a per-proxy lock; the fan-out pool of
   the sharded wrapper provides cross-worker parallelism.
-* :func:`_worker_main` — the per-worker command loop: builds the real
-  backend (memory or the segment log) from a small spec dict, then
+* :func:`_worker_main` — the per-worker command loop: builds the
+  worker's segment log from a small spec dict (``{"kind": "segments",
+  "path": ""}`` is a volatile worker on anonymous segments), then
   serves ops until ``close`` or the pipe drops.
 
 The coordination plane stays thin (route, frame, forward — the KISS
@@ -48,12 +49,9 @@ from repro.errors import ReproError, StorageError
 from repro.store.base import StoreStats, VPStore
 from repro.store.codec import Batch, decode_vp_batch, encode_vp_batch
 from repro.obs.metrics import MetricsRegistry
-from repro.store.grid import DEFAULT_CELL_M
-from repro.store.memory import MemoryStore
 from repro.store.serving import MinuteTiles, QuerySpec
 from repro.store.segments import SegmentStore
 from repro.store.sharded import DEFAULT_ROUTE_CELL_M, ShardedStore
-from repro.store.sqlite import DEFAULT_GROUP_COMMIT_LATENCY_S
 
 #: how long the parent waits for one worker reply before declaring the
 #: worker hung and abandoning it (construction handshake included)
@@ -62,10 +60,6 @@ DEFAULT_OP_TIMEOUT_S = 60.0
 #: how long ``close()`` waits for a worker to acknowledge and exit —
 #: deliberately short so a wedged worker never blocks shutdown (or CI)
 CLOSE_TIMEOUT_S = 10.0
-
-#: group-commit row bound for SQLite workers (the configuration the
-#: ingest benchmarks measure); 0 disables grouping
-DEFAULT_WORKER_GROUP_ROWS = 512
 
 
 def _default_context() -> multiprocessing.context.BaseContext:
@@ -76,33 +70,26 @@ def _default_context() -> multiprocessing.context.BaseContext:
 
 
 def _build_worker_store(spec: dict) -> VPStore:
-    """Instantiate the worker's real backend from its spec dict.
+    """Instantiate the worker's segment log from its spec dict.
 
-    ``spec["metrics"]`` (default True) toggles the worker-local
-    :class:`~repro.obs.metrics.MetricsRegistry` — each worker records
-    its own per-stage histograms and ships snapshots back over the
-    command loop (the ``metrics`` op, and piggybacked on ``stats``).
+    ``spec["path"]`` is the segment-file prefix (empty: anonymous
+    segments).  ``spec["metrics"]`` (default True) toggles the
+    worker-local :class:`~repro.obs.metrics.MetricsRegistry` — each
+    worker records its own per-stage histograms and ships snapshots
+    back over the command loop (the ``metrics`` op, and piggybacked on
+    ``stats``).
     """
-    kind = spec.get("kind")
+    if spec.get("kind") != "segments":
+        raise StorageError(f"unknown worker backend kind {spec.get('kind')!r}")
     metrics = MetricsRegistry(enabled=bool(spec.get("metrics", True)))
-    if kind == "memory":
-        return MemoryStore(cell_m=spec.get("cell_m", DEFAULT_CELL_M), metrics=metrics)
-    if kind == "segments":
-        return SegmentStore(spec.get("path", ""), metrics=metrics)
-    if kind == "sqlite":  # what ProcessShardedStore.sqlite builds; goes with it
-        from repro.store.sqlite import SQLiteStore
-
-        options = {k: v for k, v in spec.items() if k not in ("kind", "metrics")}
-        return SQLiteStore(**options, metrics=metrics)
-    raise StorageError(f"unknown worker backend kind {spec.get('kind')!r}")
+    return SegmentStore(spec.get("path", ""), metrics=metrics)
 
 
 def _dispatch(store: VPStore, request: tuple) -> object:
     """Execute one command against the worker's backend."""
     op = request[0]
     if op == "write":
-        # the segment log appends the records without decoding bodies,
-        # memory decodes worker-side
+        # the segment log appends the records without decoding bodies
         return store.insert_encoded(request[2], strict=request[1])
     if op == "get":
         vp = store.get(request[1])
@@ -127,8 +114,6 @@ def _dispatch(store: VPStore, request: tuple) -> object:
         return list(store.iter_id_minutes())
     if op == "evict":
         return store.evict_before(request[1], keep_trusted=request[2])
-    if op == "compact":
-        return store.compact()
     if op == "stats":
         return store.stats()
     if op == "metrics":
@@ -146,9 +131,7 @@ def _worker_main(conn: Connection, spec: dict) -> None:
 
     Runs in the worker process.  The first message out is the readiness
     handshake (an error here — bad path, bad spec — reaches the parent
-    as a construction failure).  A ``sqlite``-kind spec with group
-    commit (``ProcessShardedStore.sqlite`` only, going with it) also
-    flushes its overdue group whenever the command pipe goes quiet.
+    as a construction failure).
     """
     try:
         store = _build_worker_store(spec)
@@ -159,20 +142,14 @@ def _worker_main(conn: Connection, spec: dict) -> None:
             conn.close()
         return
     conn.send(("ok", "ready"))
-    idle_poll = None
-    if spec.get("group_commit_rows"):
-        idle_poll = spec.get("group_commit_latency_s", DEFAULT_GROUP_COMMIT_LATENCY_S)
     while True:
         try:
-            if idle_poll is not None and not conn.poll(idle_poll):
-                store.flush_if_due()
-                continue
             request = conn.recv()
         except (EOFError, OSError):
             break  # parent vanished: fall through to the store close
         try:
             if request[0] == "close":
-                store.close()  # flushes; acked only once durable
+                store.close()  # nothing is pending: the ack follows the close
                 conn.send(("ok", None))
                 break
             if request[0] == "write" and request[2] is None:
@@ -228,6 +205,7 @@ class WorkerShard(VPStore):
             target=_worker_main, args=(child_conn, self.spec), daemon=True
         )
         self._proc.start()
+        self._pid = self._proc.pid
         child_conn.close()
         self._broken = False
         self._closed = False
@@ -250,7 +228,7 @@ class WorkerShard(VPStore):
         if not self._conn.poll(self.op_timeout_s):
             self._abandon()
             raise StorageError(
-                f"shard worker (pid {self._proc.pid}) gave no reply within "
+                f"shard worker (pid {self._pid}) gave no reply within "
                 f"{self.op_timeout_s:.0f}s; worker abandoned"
             )
         reply = self._conn.recv()
@@ -284,7 +262,7 @@ class WorkerShard(VPStore):
     @property
     def worker_pid(self) -> int | None:
         """The worker process id (for health checks and dashboards)."""
-        return self._proc.pid
+        return self._pid
 
     def alive(self) -> bool:
         """True while the worker process runs and the proxy is usable."""
@@ -363,10 +341,6 @@ class WorkerShard(VPStore):
         """Remove the worker's VPs below the cutoff (trusted pinnable)."""
         return self._request("evict", minute, keep_trusted)
 
-    def compact(self) -> dict:
-        """Run backend compaction inside the worker; returns its gauges."""
-        return self._request("compact")
-
     def metrics_snapshot(self) -> dict:
         """The worker's metric registry snapshot (one light round-trip)."""
         return self._request("metrics")
@@ -375,7 +349,7 @@ class WorkerShard(VPStore):
         """The backend's own snapshot, annotated with the worker pid."""
         inner: StoreStats = self._request("stats")
         detail = dict(inner.detail)
-        detail["worker_pid"] = self._proc.pid
+        detail["worker_pid"] = self._pid
         return StoreStats(
             backend=inner.backend,
             vps=inner.vps,
@@ -387,10 +361,10 @@ class WorkerShard(VPStore):
     def close(self) -> None:
         """Stop the worker, waiting briefly; escalate if it hangs.
 
-        The ack is sent only after the worker closed (and flushed) its
-        backend, so a clean close is durable.  A worker that fails to
-        ack within ``CLOSE_TIMEOUT_S`` is terminated, then killed —
-        shutdown always returns.
+        The ack is sent only after the worker closed its segment log.
+        A worker that fails to ack within ``CLOSE_TIMEOUT_S`` is
+        terminated, then killed — shutdown always returns, and the
+        process handle's own descriptor goes with it.
         """
         with self._lock:
             if self._closed:
@@ -411,6 +385,7 @@ class WorkerShard(VPStore):
             if self._proc.is_alive():
                 self._proc.kill()
                 self._proc.join()
+        self._proc.close()
 
 
 class ProcessShardedStore(ShardedStore):
@@ -419,9 +394,8 @@ class ProcessShardedStore(ShardedStore):
     Same contract, same routing semantics as
     :class:`~repro.store.sharded.ShardedStore` — composite
     ``(minute, cell)`` keys, fleet-wide id directory, order-preserving
-    minute merges, snapshot-consistent eviction — but batch
-    encode/decode and segment appends execute on the workers' GILs, so
-    hot-shard ingest scales with worker count instead of ~1.1x.
+    minute merges, snapshot-consistent eviction — but segment appends
+    and reads execute in the workers, behind one pipe hop each.
     Construction starts the worker processes (the supervisor role);
     ``close()`` stops them, escalating to ``terminate``/``kill`` if a
     worker hangs.
@@ -438,11 +412,10 @@ class ProcessShardedStore(ShardedStore):
         mp_context: str = "",
         op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
         metrics: MetricsRegistry | None = None,
-        tile_cell_m: float = DEFAULT_CELL_M,
     ) -> None:
         """Start one worker per spec dict and wrap them as a fleet.
 
-        ``specs`` entries are ``{"kind": "memory"|"segments", ...}`` as
+        ``specs`` entries are ``{"kind": "segments", "path": prefix}`` as
         accepted by the worker loop (a ``"metrics": False`` entry turns
         that worker's registry off); ``mp_context`` forces a start
         method (default: ``fork`` on Linux, ``spawn`` elsewhere);
@@ -464,7 +437,6 @@ class ProcessShardedStore(ShardedStore):
                 shard_cells=shard_cells,
                 route_cell_m=route_cell_m,
                 metrics=metrics,
-                tile_cell_m=tile_cell_m,
             )
         except BaseException:
             for worker in workers:
@@ -475,61 +447,15 @@ class ProcessShardedStore(ShardedStore):
     def memory(
         cls,
         n_workers: int = 4,
-        cell_m: float = DEFAULT_CELL_M,
         shard_cells: int = 1,
         route_cell_m: float = DEFAULT_ROUTE_CELL_M,
         metrics_enabled: bool = True,
         **kwargs: object,
     ) -> "ProcessShardedStore":
-        """A fleet of in-memory worker processes (volatile)."""
+        """A volatile fleet: every worker on anonymous segments."""
         specs = [
-            {"kind": "memory", "cell_m": cell_m, "metrics": metrics_enabled}
+            {"kind": "segments", "path": "", "metrics": metrics_enabled}
             for _ in range(n_workers)
-        ]
-        return cls(
-            specs,
-            shard_cells=shard_cells,
-            route_cell_m=route_cell_m,
-            tile_cell_m=cell_m,
-            **kwargs,
-        )
-
-    @classmethod
-    def sqlite(
-        cls,
-        paths: Sequence[str],
-        shard_cells: int = 1,
-        route_cell_m: float = DEFAULT_ROUTE_CELL_M,
-        group_commit_rows: int = DEFAULT_WORKER_GROUP_ROWS,
-        group_commit_latency_s: float = DEFAULT_GROUP_COMMIT_LATENCY_S,
-        group_commit_target_s: float = 0.0,
-        commit_latency_s: float = 0.0,
-        metrics_enabled: bool = True,
-        **kwargs: object,
-    ) -> "ProcessShardedStore":
-        """A durable fleet: one SQLite worker process per database file.
-
-        Workers group-commit by default (``group_commit_rows`` rows per
-        transaction, ``group_commit_latency_s`` age bound) — the
-        configuration the ingest benchmarks measure.
-        ``group_commit_target_s`` > 0 makes each worker's group sizing
-        adaptive (see :mod:`repro.store.adaptive`), seeded from the
-        rows/bytes arguments.  ``commit_latency_s`` models each
-        worker's per-commit durability cost; the sleeps run in separate
-        processes, so they overlap across the fleet exactly as real
-        fsyncs on per-node storage.
-        """
-        specs = [
-            {
-                "kind": "sqlite",
-                "path": path,
-                "group_commit_rows": group_commit_rows,
-                "group_commit_latency_s": group_commit_latency_s,
-                "group_commit_target_s": group_commit_target_s,
-                "commit_latency_s": commit_latency_s,
-                "metrics": metrics_enabled,
-            }
-            for path in paths
         ]
         return cls(
             specs,

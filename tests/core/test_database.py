@@ -16,7 +16,8 @@ class TestInsertQuery:
         db.insert(vp)
         assert len(db) == 1
         assert vp.vp_id in db
-        assert db.get(vp.vp_id) is vp
+        got = db.get(vp.vp_id)
+        assert got == vp and got is not vp  # equal bytes, fresh object
 
     def test_duplicate_rejected(self):
         db = VPDatabase()

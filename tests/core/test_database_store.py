@@ -6,14 +6,17 @@ import pytest
 from repro.core.database import VPDatabase
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
-from repro.store import MemoryStore, ShardedStore, SQLiteStore
+from repro.store import SegmentStore, ShardedStore, make_store
 from repro.store.serving import QuerySpec
-from tests.store.conftest import fingerprints, make_vp
+from tests.store.conftest import build_store, fingerprints, make_vp
 
 
 class TestFacadeOverBackends:
     @pytest.mark.parametrize(
-        "store_factory", [MemoryStore, SQLiteStore, lambda: ShardedStore.memory(2)]
+        "store_factory",
+        [lambda: make_store("memory"), lambda: build_store("sqlite"),
+         lambda: ShardedStore.memory(2)],
+        ids=["memory", "sqlite", "sharded"],
     )
     def test_public_api_over_any_backend(self, store_factory):
         db = VPDatabase(store=store_factory())
@@ -26,11 +29,15 @@ class TestFacadeOverBackends:
         db.close()
 
     def test_default_backend_is_memory(self):
+        # "memory" is the segment log on anonymous segments: it keeps
+        # bytes, so a read is equal in content and a fresh object
         db = VPDatabase()
-        assert isinstance(db.store, MemoryStore)
+        assert isinstance(db.store, SegmentStore) and db.store.path == ""
         vp = make_vp(seed=2)
         db.insert(vp)
-        assert db.get(vp.vp_id) is vp  # stored by reference
+        got = db.get(vp.vp_id)
+        assert got == vp and got is not vp and got is not db.get(vp.vp_id)
+        db.close()
 
     def test_insert_many_batch_path(self):
         db = VPDatabase()

@@ -29,7 +29,7 @@ from repro.net.messages import decode_message, pack_vp_batch_frame
 from repro.net.streaming import StreamingNetwork
 from repro.obs.admission import AdmissionController
 from repro.obs.metrics import counter_value
-from repro.store import MemoryStore
+from repro.store import SegmentStore
 from tests.net.test_wire_frame import make_complete_vp
 
 # ---------------------------------------------------------------------------
@@ -79,35 +79,14 @@ def test_admission_controller_invariants(ops, n_shards, max_depth, max_pending):
     assert ctrl.pending_bytes() == 0
 
 
-def test_retry_after_scales_with_depth_and_slo():
-    observed = {"p99": 0.0}
-    ctrl = AdmissionController(
-        n_shards=1, max_depth=8, slo_p99_s=0.1, commit_p99=lambda: observed["p99"]
-    )
+def test_retry_after_scales_with_depth():
+    ctrl = AdmissionController(n_shards=1, max_depth=8)
     idle = ctrl.retry_after(0)
     tickets = [ctrl.try_admit(0, 100) for _ in range(4)]
     assert all(tickets)
     assert ctrl.retry_after(0) > idle, "deeper queue, longer hint"
-    calm = ctrl.retry_after(0)
-    observed["p99"] = 0.5  # SLO breached: hints double, bound halves
-    assert ctrl.retry_after(0) == pytest.approx(calm * 2.0)
-    assert ctrl.effective_depth() == 4
+    assert ctrl.retry_after(0) == pytest.approx(ctrl.retry_base_s * 5)
     for t in tickets:
-        ctrl.release(t)
-
-
-def test_slo_breach_halves_admission_bound():
-    observed = {"p99": 0.0}
-    ctrl = AdmissionController(
-        n_shards=1, max_depth=4, slo_p99_s=0.1, commit_p99=lambda: observed["p99"]
-    )
-    held = [ctrl.try_admit(0, 1) for _ in range(2)]
-    observed["p99"] = 1.0
-    assert ctrl.try_admit(0, 1) is None, "halved bound sheds at depth 2"
-    observed["p99"] = 0.0
-    ticket = ctrl.try_admit(0, 1)
-    assert ticket is not None, "recovered signal restores the full bound"
-    for t in (*held, ticket):
         ctrl.release(t)
 
 
@@ -116,7 +95,7 @@ def test_slo_breach_halves_admission_bound():
 # ---------------------------------------------------------------------------
 
 
-class GatedStore(MemoryStore):
+class GatedStore(SegmentStore):
     """A store whose encoded-ingest path blocks until the gate opens."""
 
     def __init__(self) -> None:

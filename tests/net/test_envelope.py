@@ -40,11 +40,11 @@ from repro.net.server import ViewMapServer
 from repro.net.streaming import StreamingNetwork
 from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import counter_value
-from repro.store import make_store
 from repro.store.codec import RECORD_OVERHEAD_BYTES, decode_vp_batch
 from repro.store.serving import QuerySpec
 from tests.net.test_messages import MALFORMED_ENVELOPES
 from tests.net.test_wire_frame import make_complete_vp, nan_vp_frame
+from tests.store.conftest import build_store
 
 #: envelope bytes allowed on top of the binary payload, whatever its size
 MAX_ENVELOPE_OVERHEAD = 128
@@ -321,7 +321,7 @@ class TestUnboundedGeometryDoesNotWedge:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_wide_vp_does_not_hang_ingest_on_warm_tiles(self, vp_pool, backend):
         honest, vp = vp_pool[0], vp_pool[3]  # two VPs of one minute
-        store = make_store(backend)
+        store = build_store(backend)
         with ViewMapSystem(key_bits=512, seed=3, store=store) as system:
             server = ViewMapServer(system=system, network=InMemoryNetwork())
             system.database.insert(honest)

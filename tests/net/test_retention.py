@@ -8,6 +8,8 @@ does it under ``control_lock`` with a lock-free fast path.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.neighbors import NeighborTable
 from repro.core.system import ViewMapSystem
 from repro.core.viewdigest import VDGenerator, make_secret
@@ -62,32 +64,11 @@ class TestSystemRetention:
         assert system.advance_retention(99) is None
         assert len(system.database) == 1
 
-    def test_compaction_paced_not_per_minute(self):
-        # eviction runs every pass; compaction only every compact_every
-        # minutes of watermark progress (it does real maintenance work)
-        system = ViewMapSystem(
-            key_bits=512,
-            seed=1,
-            retention=RetentionPolicy(window_minutes=2, compact_every=3),
-        )
-        compacted = []
-        for minute in range(1, 8):  # the fresh-system watermark anchors at 0
-            system.ingest_vps([make_wire_vp(seed=minute + 1, minute=minute)])
-            report = system.advance_retention(minute)
-            compacted.append(bool(report.compaction))
-        # one compaction per 3 minutes of watermark progress
-        assert compacted == [False, True, False, False, True, False, False]
-
-    def test_compact_every_zero_never_compacts(self):
-        system = ViewMapSystem(
-            key_bits=512,
-            seed=1,
-            retention=RetentionPolicy(window_minutes=1, compact_every=0),
-        )
-        for minute in range(1, 4):  # the fresh-system watermark anchors at 0
-            system.ingest_vps([make_wire_vp(seed=minute + 1, minute=minute)])
-            report = system.advance_retention(minute)
-            assert report.compaction == {}
+    def test_compaction_knob_is_gone(self):
+        # eviction unlinks whole minute segments, so there is nothing to
+        # compact and no pacing knob: the old argument is a TypeError
+        with pytest.raises(TypeError):
+            RetentionPolicy(window_minutes=2, compact_every=3)
 
 
 class TestSerialServerRetention:
@@ -156,9 +137,9 @@ class TestSerialServerRetention:
         # a fresh server process over a persistent store must not trust
         # its first observed upload either: the system seeds the
         # watermark from the stored minutes at construction
-        from repro.store import MemoryStore
+        from repro.store import make_store
 
-        store = MemoryStore()
+        store = make_store("memory")
         for minute in range(5):
             store.insert(make_wire_vp(seed=minute + 1, minute=minute))
         net = InMemoryNetwork()

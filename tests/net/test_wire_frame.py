@@ -41,7 +41,7 @@ from repro.net.messages import (
 from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
-from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
+from repro.store import ProcessShardedStore, ShardedStore
 from repro.store.codec import (
     RECORD_OVERHEAD_BYTES,
     encode_vp,
@@ -50,6 +50,7 @@ from repro.store.codec import (
 )
 from repro.store.serving import QuerySpec
 from tests.conftest import run_linked_minute
+from tests.store.conftest import build_store
 
 POOL_SIZE = 8
 
@@ -83,10 +84,8 @@ def nan_vp_frame(vp: ViewProfile) -> bytes:
 
 
 def make_backend(kind: str):
-    if kind == "memory":
-        return MemoryStore()
-    if kind == "sqlite":
-        return SQLiteStore(group_commit_rows=8)
+    if kind in ("memory", "sqlite"):
+        return build_store(kind)
     if kind == "sharded":
         return ShardedStore.memory(n_shards=3, shard_cells=3)
     if kind == "procs":

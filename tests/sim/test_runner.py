@@ -94,10 +94,10 @@ class TestConcurrentIngest:
         return result
 
     def test_concurrent_matches_serial_population(self):
-        from repro.store import MemoryStore
+        from repro.store import make_store
 
         result = self._fabricated_result()
-        serial, threaded = MemoryStore(), MemoryStore()
+        serial, threaded = make_store("memory"), make_store("memory")
         assert result.ingest_into(serial) == result.ingest_concurrently(
             threaded, workers=4
         )
@@ -108,33 +108,33 @@ class TestConcurrentIngest:
             }
 
     def test_workers_exceeding_minutes_still_ingests_all(self):
-        from repro.store import MemoryStore
+        from repro.store import make_store
 
         result = self._fabricated_result(n_minutes=1, per_minute=8)
-        store = MemoryStore()
+        store = make_store("memory")
         assert result.ingest_concurrently(store, workers=8) == 8
         assert len(store) == 8
 
     def test_empty_minute_from_defaultdict_read_is_harmless(self):
-        from repro.store import MemoryStore
+        from repro.store import make_store
 
         result = self._fabricated_result(n_minutes=1, per_minute=3)
         result.vps_by_minute[7]  # defaultdict read leaves an empty minute
-        store = MemoryStore()
+        store = make_store("memory")
         assert result.ingest_concurrently(store, workers=4) == 3
         assert len(store) == 3
 
     def test_no_vps_at_all(self):
         from repro.sim.runner import SimulationResult
-        from repro.store import MemoryStore
+        from repro.store import make_store
 
-        assert SimulationResult().ingest_concurrently(MemoryStore(), workers=4) == 0
+        assert SimulationResult().ingest_concurrently(make_store("memory"), workers=4) == 0
 
     def test_retention_replay_keeps_only_the_window(self):
-        from repro.store import MemoryStore, RetentionPolicy
+        from repro.store import RetentionPolicy, make_store
 
         result = self._fabricated_result(n_minutes=4, per_minute=5)
-        store = MemoryStore()
+        store = make_store("memory")
         inserted = result.ingest_concurrently(
             store, workers=4, retention=RetentionPolicy(window_minutes=2)
         )
@@ -147,10 +147,10 @@ class TestConcurrentIngest:
             }
 
     def test_retention_replay_with_single_worker(self):
-        from repro.store import MemoryStore, RetentionPolicy
+        from repro.store import RetentionPolicy, make_store
 
         result = self._fabricated_result(n_minutes=3, per_minute=4)
-        store = MemoryStore()
+        store = make_store("memory")
         inserted = result.ingest_concurrently(
             store, workers=1, retention=RetentionPolicy(window_minutes=1)
         )

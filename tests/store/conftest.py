@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+import tempfile
+
 from repro.core.neighbors import NeighborTable
 from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point
+from repro.store import VPStore, make_store
+
+#: named segment files of ``build_store("sqlite")``, removed at exit
+_SCRATCH = tempfile.TemporaryDirectory(prefix="repro-store-tests-")
+_PREFIXES = itertools.count()
 
 
 def make_vp(
@@ -38,3 +46,11 @@ def fingerprint(vp: ViewProfile) -> tuple:
 def fingerprints(vps: list[ViewProfile]) -> list[tuple]:
     """Ordered content identities of a VP list."""
     return [fingerprint(vp) for vp in vps]
+
+
+def build_store(kind: str, **kwargs) -> VPStore:
+    """``make_store(kind, **kwargs)``, the ``sqlite`` kind on fresh named
+    segment files: without a path it would be the ``memory`` placement
+    again, and a ``memory``/``sqlite`` row pair would test one thing twice."""
+    path = f"{_SCRATCH.name}/log{next(_PREFIXES)}" if kind == "sqlite" else ""
+    return make_store(kind, path, **kwargs)

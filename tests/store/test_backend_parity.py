@@ -2,16 +2,19 @@
 
 Randomized insert/query sequences (every write entry point, object and
 frame, strict and not, with duplicate-id rejection and trusted-path
-inserts) are replayed against ``MemoryStore``,
-``SQLiteStore``, ``ShardedStore`` and ``ProcessShardedStore`` (real
-worker OS processes) plus a deliberately naive reference model
-reproducing the seed database's flat linear-scan semantics; all five
-must agree on every observable.
+inserts) are replayed against every placement of the one engine — the
+volatile and named segment log, ``ShardedStore`` and
+``ProcessShardedStore`` (real worker OS processes) — plus a deliberately
+naive reference model reproducing the seed database's flat linear-scan
+semantics; all must agree on every observable.
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +24,16 @@ from repro.errors import StorageError, ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.store import (
     STORE_KINDS,
-    MemoryStore,
     ProcessShardedStore,
     QuerySpec,
+    SegmentStore,
     ShardedStore,
-    SQLiteStore,
+    VPStore,
     decode_vp_batch,
     encode_vp_batch,
     make_store,
 )
-from tests.store.conftest import fingerprints, make_vp
+from tests.store.conftest import build_store, fingerprints, make_vp
 
 
 class ReferenceModel:
@@ -143,10 +146,10 @@ areas = st.tuples(
 )
 
 
-def fresh_backends():
+def fresh_backends(tmp_dir):
     return [
-        MemoryStore(),
-        SQLiteStore(),
+        make_store("memory"),
+        make_store("sqlite", str(tmp_dir / "log")),
         ShardedStore.memory(n_shards=3),
         ProcessShardedStore.memory(n_workers=2, shard_cells=2),
     ]
@@ -174,7 +177,8 @@ def replay_write(store, entry, vps):
 @settings(max_examples=25, deadline=None)
 def test_backends_agree_with_reference(ops, area, batch):
     reference = ReferenceModel()
-    backends = fresh_backends()
+    tmp_dir = Path(tempfile.mkdtemp(prefix="repro-parity-"))
+    backends = fresh_backends(tmp_dir)
     stores = [reference] + backends
 
     def corpus(op):
@@ -235,6 +239,7 @@ def test_backends_agree_with_reference(ops, area, batch):
             assert fingerprints([backend.get(vp.vp_id)]) == fingerprints([vp])
     for backend in backends:
         backend.close()
+    shutil.rmtree(tmp_dir)
 
 
 @given(ops=ops, area=areas)
@@ -244,7 +249,8 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
     encoded (decode-free) results are *byte-identical* to re-encoding
     the decoded-path selection, on every backend."""
     reference = ReferenceModel()
-    backends = fresh_backends()
+    tmp_dir = Path(tempfile.mkdtemp(prefix="repro-parity-"))
+    backends = fresh_backends(tmp_dir)
     stores = [reference] + backends
     for op in ops:
         seed, minute, xc, yc, trusted = op
@@ -294,13 +300,12 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
                 assert result.n == len(expected)
     for backend in backends:
         backend.close()
+    shutil.rmtree(tmp_dir)
 
 
 @pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded", "procs"])
 def test_make_store_round_trip(kind):
-    from repro.store import make_store
-
-    store = make_store(kind, ingest_workers=2)
+    store = build_store(kind, ingest_workers=2)
     vp = make_vp(seed=42)
     store.insert(vp)
     assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([vp])
@@ -308,56 +313,40 @@ def test_make_store_round_trip(kind):
 
 
 def test_identity_contract():
-    """Which reads return the inserted instance, stated once.
+    """What a read returns, stated once: equal bytes, a fresh object.
 
-    A store that holds objects hands them back: ``MemoryStore.get`` and
-    ``query`` return the inserted instance, and ``ShardedStore.get``
-    routes to its shard's.  A decoded *selection* through a router or
-    SQLite is ``decode_vp_batch(query_encoded(spec))`` — fresh
-    wire-backed VPs per call, equal in content; nothing below ``query``
-    caches objects, so no ``is`` may be asserted there.
+    Every backend holds bytes, so ``get`` and a decoded ``query`` are
+    ``decode_vp_batch(query_encoded(spec))`` — fresh wire-backed VPs per
+    call, equal in content to the inserted one and never that instance;
+    nothing below ``query`` caches objects, so no ``is`` may be asserted.
     """
     spec = QuerySpec(minute=0)
     vp = make_vp(seed=7)
-    with MemoryStore() as memory:
-        memory.insert(vp)
-        assert memory.get(vp.vp_id) is vp
-        assert memory.query(spec).vps[0] is vp
-    with ShardedStore.memory(n_shards=2) as sharded:
-        sharded.insert(vp)
-        assert sharded.get(vp.vp_id) is vp
-        first, second = sharded.query(spec).vps[0], sharded.query(spec).vps[0]
-        assert first is not vp and first is not second
-        assert fingerprints([first, second]) == fingerprints([vp, vp])
-    with SQLiteStore() as sqlite:
-        sqlite.insert(vp)
-        first, second = sqlite.query(spec).vps[0], sqlite.query(spec).vps[0]
-        assert first is not second and sqlite.get(vp.vp_id) is not sqlite.get(vp.vp_id)
-        assert fingerprints([first, second]) == fingerprints([vp, vp])
+    for kind in STORE_KINDS:
+        with build_store(kind, n_shards=2, ingest_workers=2) as store:
+            store.insert(vp)
+            first, second = store.query(spec).vps[0], store.query(spec).vps[0]
+            got = store.get(vp.vp_id)
+            assert first == second == got == vp, kind
+            assert len({id(first), id(second), id(got), id(vp)}) == 4, kind
 
 
 def test_each_backend_defines_one_read_primitive():
-    """``_select`` or ``query_encoded`` — never both, never neither."""
+    """``query_encoded`` is abstract; decoded reads are defined once."""
     from repro.store import WorkerShard
 
-    for backend in (MemoryStore, SQLiteStore, ShardedStore, WorkerShard):
-        own = {name for name in ("_select", "query_encoded") if name in vars(backend)}
-        assert len(own) == 1, (backend.__name__, own)
-    assert "_select" in vars(MemoryStore)
-    assert not {"_select", "query_encoded"} & set(vars(ProcessShardedStore))
+    assert "query_encoded" in VPStore.__abstractmethods__
+    for backend in (SegmentStore, ShardedStore, WorkerShard):
+        assert "query_encoded" in vars(backend), backend.__name__
+        assert "query" not in vars(backend), backend.__name__
+    assert "query_encoded" not in vars(ProcessShardedStore)
 
 
-def _strict_store(kind):
-    if kind == "sqlite-grouped":
-        return SQLiteStore(group_commit_rows=64)
-    return make_store(kind, ingest_workers=2)
-
-
-@pytest.mark.parametrize("kind", STORE_KINDS + ("sqlite-grouped",))
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_strict_batch_is_all_or_nothing(kind):
     """A strict batch with one duplicate raises and stores none of it."""
     vps = [make_vp(seed=seed, minute=seed % 2) for seed in range(1, 5)]
-    with _strict_store(kind) as store:
+    with build_store(kind, ingest_workers=2) as store:
         store.insert(make_vp(seed=3, minute=1))
         with pytest.raises(ValidationError):
             store.insert_encoded(encode_vp_batch(vps), strict=True)
@@ -370,7 +359,7 @@ def test_strict_batch_is_all_or_nothing(kind):
 
 def test_failed_trusted_insert_leaves_caller_untrusted(tmp_path):
     """A shard failure mid-``insert_trusted`` must not mint a trusted VP."""
-    store = ShardedStore.sqlite([str(tmp_path / f"s{i}.sqlite") for i in range(2)])
+    store = ShardedStore([make_store("sqlite", str(tmp_path / f"s{i}")) for i in range(2)])
     vp = make_vp(seed=9)
     try:
         for shard in store.shards:

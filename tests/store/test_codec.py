@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import WireFormatError
 from repro.store.codec import decode_vp, encode_vp
-from tests.store.conftest import make_vp
+from tests.store.conftest import fingerprint, make_vp
 
 
 def test_digest_block_is_joined_once():
@@ -47,3 +48,25 @@ def test_digests_cannot_be_reassigned():
         with pytest.raises(AttributeError):
             vp.digests = list(vp.digests[:2])
         assert vp.bloom_keys()[0] == vp.digests[0].pack()
+
+
+def test_round_trip_partial_vp():
+    vp = make_vp(seed=1, n=3)
+    assert fingerprint(decode_vp(encode_vp(vp))) == fingerprint(vp)
+
+
+def test_trusted_comes_from_the_store_not_the_blob():
+    vp = make_vp(seed=2)
+    vp.trusted = True
+    assert not decode_vp(encode_vp(vp)).trusted
+    assert fingerprint(decode_vp(encode_vp(vp), trusted=True)) == fingerprint(vp)
+
+
+def test_malformed_blobs_rejected():
+    with pytest.raises(WireFormatError):
+        decode_vp(b"")
+    with pytest.raises(WireFormatError):
+        decode_vp(b"\x07" + encode_vp(make_vp(seed=3))[1:])  # bad version
+    blob = encode_vp(make_vp(seed=3))
+    with pytest.raises(WireFormatError):
+        decode_vp(blob[:-300])  # truncated digest block

@@ -16,7 +16,7 @@ import pytest
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError
 from repro.geo.geometry import Rect
-from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
+from repro.store import ProcessShardedStore, ShardedStore, make_store
 from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprint, make_vp
 
@@ -28,23 +28,20 @@ def make_backend(kind: str, tmp_path):
     """Fresh backend instances for each concurrency scenario."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     if kind == "memory":
-        return MemoryStore()
+        return make_store("memory")
     if kind == "sqlite":
-        return SQLiteStore()
-    if kind == "sqlite-file":
-        return SQLiteStore(str(tmp_path / "concurrent.sqlite"))
+        return make_store("sqlite", str(tmp_path / "concurrent"))
     if kind == "sharded":
         return ShardedStore.memory(n_shards=3)
     if kind == "sharded-sqlite":
-        return ShardedStore.sqlite(
-            [str(tmp_path / f"shard-{i}.sqlite") for i in range(3)]
+        return ShardedStore(
+            [make_store("sqlite", str(tmp_path / f"shard-{i}")) for i in range(3)]
         )
     if kind == "procs":
         return ProcessShardedStore.memory(n_workers=2, shard_cells=2)
     if kind == "procs-sqlite":
-        return ProcessShardedStore.sqlite(
-            [str(tmp_path / f"worker-{i}.sqlite") for i in range(2)],
-            shard_cells=2,
+        return make_store(
+            "procs", str(tmp_path / "fleet"), ingest_workers=2, shard_cells=2
         )
     raise AssertionError(kind)
 
@@ -52,7 +49,6 @@ def make_backend(kind: str, tmp_path):
 BACKENDS = [
     "memory",
     "sqlite",
-    "sqlite-file",
     "sharded",
     "sharded-sqlite",
     "procs",
@@ -133,36 +129,17 @@ class TestConcurrentIngest:
         store.close()
 
 
-class TestSQLiteConcurrencyMachinery:
-    def test_per_thread_connections_share_one_dataset(self):
-        store = SQLiteStore()
-        store.insert(make_vp(seed=1))
-        seen: dict[str, int] = {}
-
-        def probe(name: str) -> None:
-            seen[name] = len(store)  # forces a thread-local connection
-
-        threads = [
-            threading.Thread(target=probe, args=(f"t{i}",)) for i in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert seen == {"t0": 1, "t1": 1, "t2": 1}
-        assert store.stats().detail["connections"] >= 4  # keepalive + probes
-        store.close()
-
+class TestLogConcurrencyMachinery:
     def test_closed_store_refuses_queries(self):
-        store = SQLiteStore()
+        store = make_store("memory")
         store.insert(make_vp(seed=5))
         store.close()
         with pytest.raises(StorageError):
-            len(store)
+            store.get(make_vp(seed=5).vp_id)
         store.close()  # idempotent
 
     def test_trusted_flag_survives_threads(self):
-        store = SQLiteStore()
+        store = make_store("memory")
         vp = make_vp(seed=6)
         store.insert_trusted(vp)
         out: list[bool] = []
@@ -234,7 +211,7 @@ class TestShardedFanout:
 
     def test_serial_fanout_option(self):
         store = ShardedStore(
-            [MemoryStore() for _ in range(3)], fanout_workers=0
+            [make_store("memory") for _ in range(3)], fanout_workers=0
         )
         vps = [make_vp(seed=200 + i, minute=i % 3) for i in range(9)]
         assert store.insert_many(vps) == 9

@@ -16,15 +16,14 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.store import (
-    MemoryStore,
     ProcessShardedStore,
     RetentionPolicy,
     ShardedStore,
-    SQLiteStore,
     apply_retention,
+    make_store,
 )
 from repro.store.serving import QuerySpec
-from tests.store.conftest import fingerprints, make_vp
+from tests.store.conftest import build_store, fingerprints, make_vp
 
 
 class TestRetentionPolicy:
@@ -42,13 +41,11 @@ class TestRetentionPolicy:
             RetentionPolicy(window_minutes=1, grace=-1)
         with pytest.raises(ValidationError):
             RetentionPolicy(window_minutes=1, max_vps_per_minute=-1)
-        with pytest.raises(ValidationError):
-            RetentionPolicy(window_minutes=1, compact_every=-1)
 
 
 class TestApplyRetention:
     def test_evicts_below_cutoff_and_reports(self):
-        store = MemoryStore()
+        store = make_store("memory")
         for minute in range(5):
             store.insert(make_vp(seed=minute + 1, minute=minute))
         report = apply_retention(
@@ -61,7 +58,7 @@ class TestApplyRetention:
     def test_overload_flagged_not_discarded(self):
         # the per-minute cap is advisory: VPs are potential evidence, so
         # a concentration flood is reported, never silently dropped
-        store = MemoryStore()
+        store = make_store("memory")
         for i in range(4):
             store.insert(make_vp(seed=i + 1, minute=0, x0=40.0 * i))
         policy = RetentionPolicy(window_minutes=5, max_vps_per_minute=3)
@@ -69,36 +66,8 @@ class TestApplyRetention:
         assert report.overloaded == {0: 4}
         assert len(store) == 4
 
-    def test_compaction_gauges_returned(self):
-        store = SQLiteStore()
-        store.insert(make_vp(seed=1, minute=0))
-        store.insert(make_vp(seed=2, minute=9))
-        report = apply_retention(
-            store, RetentionPolicy(window_minutes=1), newest_minute=9, compact=True
-        )
-        assert report.evicted == 1
-        assert "db_bytes" in report.compaction
-        store.close()
-
-    def test_compaction_drains_the_freelist(self, tmp_path):
-        # PRAGMA incremental_vacuum is not stepped to completion by one
-        # execute(): compact() must loop until the freelist is empty,
-        # not free a single page and claim success
-        store = SQLiteStore(str(tmp_path / "vacuum.sqlite"))
-        store.insert_many(
-            [make_vp(seed=i + 1, minute=i % 10, x0=40.0 * i) for i in range(1500)]
-        )
-        store.evict_before(9)
-        conn = store._conn
-        freed = conn.execute("PRAGMA freelist_count").fetchone()[0]
-        assert freed > 10  # eviction left real pages to reclaim
-        report = store.compact(min_reclaim_bytes=1)
-        assert report["vacuumed"]
-        assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
-        store.close()
-
     def test_count_by_minute_matches_population(self):
-        for store in (MemoryStore(), SQLiteStore(), ShardedStore.memory(3),
+        for store in (make_store("memory"), build_store("sqlite"), ShardedStore.memory(3),
                       ShardedStore.memory(4, shard_cells=4)):
             for i in range(5):
                 store.insert(make_vp(seed=i + 1, minute=i % 2, x0=500.0 * i))
@@ -113,8 +82,8 @@ class TestEvictionSemantics:
     @pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded", "sharded-cells"])
     def test_evicted_vps_fully_gone(self, kind):
         store = {
-            "memory": MemoryStore,
-            "sqlite": SQLiteStore,
+            "memory": lambda: make_store("memory"),
+            "sqlite": lambda: build_store("sqlite"),
             "sharded": lambda: ShardedStore.memory(n_shards=3),
             "sharded-cells": lambda: ShardedStore.memory(n_shards=4, shard_cells=4),
         }[kind]()
@@ -150,8 +119,8 @@ class TestTrustedPinning:
     )
     def test_pinned_trusted_survive_eviction(self, kind):
         store = {
-            "memory": MemoryStore,
-            "sqlite": SQLiteStore,
+            "memory": lambda: make_store("memory"),
+            "sqlite": lambda: build_store("sqlite"),
             "sharded": lambda: ShardedStore.memory(n_shards=3),
             "sharded-cells": lambda: ShardedStore.memory(n_shards=4, shard_cells=4),
             "procs": lambda: ProcessShardedStore.memory(n_workers=2, shard_cells=2),
@@ -190,7 +159,7 @@ class TestTrustedPinning:
             store.close()
 
     def test_apply_retention_honors_pin_trusted(self):
-        store = MemoryStore()
+        store = make_store("memory")
         store.insert(make_vp(seed=1, minute=0))
         store.insert_trusted(make_vp(seed=2, minute=0, x0=40.0))
         policy = RetentionPolicy(window_minutes=1, pin_trusted=True)
@@ -200,7 +169,7 @@ class TestTrustedPinning:
         store.close()
 
     def test_unpinned_policy_still_evicts_trusted(self):
-        store = MemoryStore()
+        store = make_store("memory")
         store.insert_trusted(make_vp(seed=2, minute=0, x0=40.0))
         report = apply_retention(
             store, RetentionPolicy(window_minutes=1), newest_minute=9
@@ -250,13 +219,19 @@ class TestCompositeRouting:
         assert vp.vp_id in store.shards[5 % 3]
 
     def test_reopened_sqlite_fleet_keeps_duplicate_check(self, tmp_path):
-        paths = [str(tmp_path / f"shard-{i}.sqlite") for i in range(3)]
-        store = ShardedStore.sqlite(paths, shard_cells=3)
+        paths = [str(tmp_path / f"shard-{i}") for i in range(3)]
+
+        def open_fleet():
+            return ShardedStore(
+                [make_store("sqlite", path) for path in paths], shard_cells=3
+            )
+
+        store = open_fleet()
         vps = [make_vp(seed=i + 1, minute=0, x0=900.0 * i) for i in range(6)]
         store.insert_many(vps)
         store.close()
 
-        reopened = ShardedStore.sqlite(paths, shard_cells=3)
+        reopened = open_fleet()
         # the id directory is re-seeded from the shards: duplicates are
         # still rejected and the stored set is intact (order across
         # shards is per-shard after a restart, so compare as sets)
@@ -295,8 +270,8 @@ areas = st.tuples(
 
 def lifecycle_backends():
     return [
-        MemoryStore(),
-        SQLiteStore(),
+        make_store("memory"),
+        build_store("sqlite"),
         ShardedStore.memory(n_shards=3),
         ShardedStore.memory(n_shards=4, shard_cells=4, route_cell_m=300.0),
         ProcessShardedStore.memory(n_workers=2, shard_cells=2, route_cell_m=300.0),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 
 import pytest
 
@@ -24,14 +23,14 @@ from tests.store.conftest import fingerprints, make_vp
 OP_TIMEOUT_S = 30.0
 
 
-def make_fleet(tmp_path=None, n=2, **kwargs):
-    kwargs.setdefault("op_timeout_s", OP_TIMEOUT_S)
-    if tmp_path is None:
-        return ProcessShardedStore.memory(n_workers=n, shard_cells=n, **kwargs)
-    return ProcessShardedStore.sqlite(
-        [str(tmp_path / f"worker-{i}.sqlite") for i in range(n)],
+def make_fleet(tmp_path=None, n=2):
+    """``n`` workers on anonymous segments, or on named ones under ``tmp_path``."""
+    prefix = str(tmp_path / "fleet") if tmp_path is not None else ""
+    return ProcessShardedStore(
+        [{"kind": "segments", "path": f"{prefix}.worker{i}" if prefix else ""}
+         for i in range(n)],
         shard_cells=n,
-        **kwargs,
+        op_timeout_s=OP_TIMEOUT_S,
     )
 
 
@@ -84,15 +83,12 @@ class TestContractSmoke:
             assert store.shards[0].stats().detail["worker_pid"] == store.worker_pids()[0]
             assert store.evict_before(1) == 6
             assert store.minutes() == [1]
-            assert store.compact()["shards"]
         finally:
             store.close()
-        # close terminated the fleet: the workers are gone
-        deadline = time.monotonic() + OP_TIMEOUT_S
+        # close reaped the fleet: the workers are gone
         for shard in store.shards:
-            while shard._proc.is_alive() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not shard._proc.is_alive()
+            assert not shard.alive()
+            assert not os.path.exists(f"/proc/{shard.worker_pid}")
 
     def test_duplicate_id_across_minutes_rejected(self):
         # same R value at two different minutes routes to two different
@@ -151,9 +147,11 @@ class TestFailureModel:
         store.close()
 
     def test_worker_construction_failure_surfaces(self, tmp_path):
-        bad = str(tmp_path / "no-such-dir" / "worker.sqlite")
+        bad = str(tmp_path / "no-such-dir" / "worker")
         with pytest.raises(StorageError):
-            ProcessShardedStore.sqlite([bad], op_timeout_s=OP_TIMEOUT_S)
+            ProcessShardedStore(
+                [{"kind": "segments", "path": bad}], op_timeout_s=OP_TIMEOUT_S
+            )
 
 
 class TestRetentionOnWorkers:
@@ -173,18 +171,5 @@ class TestRetentionOnWorkers:
             with pytest.raises(ValidationError):
                 store.insert(make_vp(seed=50, minute=0, x0=5.0))
             store.insert(make_vp(seed=1, minute=0, x0=0.0))
-        finally:
-            store.close()
-
-    def test_group_commit_rows_flush_on_eviction(self, tmp_path):
-        store = make_fleet(tmp_path, group_commit_rows=10_000)
-        try:
-            store.insert_many(
-                [make_vp(seed=i + 1, minute=i % 3, x0=400.0 * i) for i in range(9)]
-            )
-            # rows may still sit in worker pending buffers; eviction must
-            # count them all the same
-            assert store.evict_before(2) == 6
-            assert len(store) == 3
         finally:
             store.close()

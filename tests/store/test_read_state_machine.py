@@ -1,13 +1,13 @@
 """One read oracle for every backend: a stateful property test.
 
 A hypothesis ``RuleBasedStateMachine`` drives the same write / evict /
-compact / reopen history into every backend configuration and, after
+reopen history into every backend configuration and, after
 every step, checks the read contract of ``repro.store.base`` for every
 axis combination ``QuerySpec`` allows:
 
 * ``encode_vp_batch(query(spec).vps) == query_encoded(spec)``, byte for
-  byte — each backend implements one selection primitive and derives
-  the other form from it, so the two can never disagree;
+  byte — every backend implements ``query_encoded`` alone and decoded
+  reads are derived from it, so the two can never disagree;
 * that frame is equal across backends (and equal to a flat model's);
 * ``query(count).n == len(query(spec).vps)``, with and without an area;
 * k-nearest keeps ``min(k, n)`` VPs, the same ones on every backend;
@@ -15,9 +15,8 @@ axis combination ``QuerySpec`` allows:
   return equal content.
 
 There is no read cache anywhere below ``query``: the plain assertions
-at the bottom keep what the SQLite decode-cache tests used to pin that
-is still behaviour ("``get`` after ``evict_before`` is ``None``", "two
-``get``\\ s return equal content").
+at the bottom pin "``get`` after ``evict_before`` is ``None``" and "two
+``get``\\ s return equal content".
 """
 
 from __future__ import annotations
@@ -35,11 +34,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.store import (
-    MemoryStore,
     ProcessShardedStore,
     QuerySpec,
     ShardedStore,
-    SQLiteStore,
     encode_vp_batch,
     make_store,
 )
@@ -80,22 +77,13 @@ class ReadContract(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="repro-read-sm-"))
-        #: name -> constructor; the file-backed ones reopen their files.
-        #: ``make_store("sqlite"|"procs", path)`` is the segment log; the
-        #: SQLiteStore rows are the differential oracle it replaced
-        #: (they go with the class in PR 23).
+        #: name -> constructor; every one is the segment log, and the
+        #: file-backed ones reopen their files
         self.factories = {
-            "memory": MemoryStore,
-            "segments": lambda: make_store("sqlite"),
+            "memory": lambda: make_store("memory"),
             "segments-file": lambda: make_store("sqlite", str(self.dir / "log")),
             "segments-procs": lambda: make_store(
                 "procs", str(self.dir / "fleet"), ingest_workers=2, shard_cells=2
-            ),
-            "sqlite": SQLiteStore,
-            "sqlite-grouped": lambda: SQLiteStore(group_commit_rows=4),
-            "sqlite-file": lambda: SQLiteStore(str(self.dir / "plain.sqlite")),
-            "sqlite-file-grouped": lambda: SQLiteStore(
-                str(self.dir / "grouped.sqlite"), group_commit_rows=4
             ),
             "sharded": lambda: ShardedStore.memory(n_shards=3),
             "sharded-cells": lambda: ShardedStore.memory(n_shards=3, shard_cells=3),
@@ -166,16 +154,7 @@ class ReadContract(RuleBasedStateMachine):
         for key in doomed:
             del self.model[key]
 
-    @rule()
-    def compact(self):
-        for store in self.stores.values():
-            store.compact()
-
-    @rule(
-        name=st.sampled_from(
-            ["segments-file", "segments-procs", "sqlite-file", "sqlite-file-grouped"]
-        )
-    )
+    @rule(name=st.sampled_from(["segments-file", "segments-procs"]))
     def close_and_reopen(self, name):
         self.stores[name].close()
         self.stores[name] = self.factories[name]()
@@ -243,7 +222,10 @@ TestReadContract.settings = settings(
 )
 
 
-@pytest.mark.parametrize("build", [SQLiteStore, lambda: make_store("sqlite")])
+@pytest.mark.parametrize(
+    "build", [lambda: make_store("memory"), lambda: make_store("sharded")],
+    ids=["memory", "sharded"],
+)
 def test_get_after_eviction_is_none_and_gets_agree(build):
     # what the decode-cache tests pinned that outlives the cache
     with build() as store:

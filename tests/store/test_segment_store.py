@@ -1,8 +1,8 @@
 """File-level behaviour of the minute-segment log.
 
 ``test_read_state_machine.py`` holds the engine to the read contract
-(three configurations of it, beside the kept ``SQLiteStore`` oracle);
-here is what that machine cannot express: torn writes, a reader racing
+in every placement (volatile, named, sharded, worker processes); here
+is what that machine cannot express: torn writes, a reader racing
 eviction, what the files look like, and what an ack is worth when a
 worker process dies.
 """

@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import MetricsRegistry, counter_value
-from repro.store import MemoryStore, SQLiteStore, make_store
+from repro.store import make_store
 from repro.store.serving import (
     MinuteTiles,
     QuerySpec,
@@ -25,7 +25,7 @@ from repro.store.serving import (
     build_minute_tiles,
     tile_cells_of_box,
 )
-from tests.store.conftest import make_vp
+from tests.store.conftest import build_store, make_vp
 
 
 class TestQuerySpec:
@@ -152,7 +152,7 @@ class TestTileCacheProtocol:
 @pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded", "procs"])
 class TestBackendTiles:
     def _store(self, kind):
-        return make_store(kind, n_shards=2, ingest_workers=2)
+        return build_store(kind, n_shards=2, ingest_workers=2)
 
     def test_counts_served_from_tiles_after_first_build(self, kind):
         store = self._store(kind)
@@ -206,8 +206,8 @@ class TestBackendTiles:
             store.close()
 
 
-@pytest.mark.parametrize("store_cls", [MemoryStore, SQLiteStore])
-def test_tile_counts_exact_under_concurrent_ingest_and_evict(store_cls):
+@pytest.mark.parametrize("kind", ["memory", "sharded"])
+def test_tile_counts_exact_under_concurrent_ingest_and_evict(kind):
     """Racing writers, a count reader and an evictor never desync tiles.
 
     The reader polls tile-backed counts while writers land rows and an
@@ -215,7 +215,7 @@ def test_tile_counts_exact_under_concurrent_ingest_and_evict(store_cls):
     count must equal the rows actually present — the write brackets and
     the eviction epoch must have discarded every stale build.
     """
-    store = store_cls()
+    store = make_store(kind, n_shards=2)
     errors: list[Exception] = []
     stop = threading.Event()
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
-from repro.store import ProcessShardedStore, ShardedStore
+from repro.store import ShardedStore, make_store
 from repro.store.serving import QuerySpec
 from tests.store.conftest import fingerprints, make_vp
 
@@ -28,7 +28,8 @@ class TestRouting:
         assert len(store) == 8
         for vp in vps:
             assert vp.vp_id in store
-            assert store.get(vp.vp_id) is vp
+            got = store.get(vp.vp_id)
+            assert got == vp and got is not vp  # equal bytes, fresh object
         assert store.get(b"\x00" * 16) is None
 
     def test_minutes_merged_across_shards(self):
@@ -96,15 +97,23 @@ class TestSemantics:
         assert sum(stats.detail["shard_vps"]) == 2
 
 
+def named_fleet(prefix, shard_cells=1):
+    """Three in-process shards on named segment files under ``prefix``."""
+    return ShardedStore(
+        [make_store("sqlite", f"{prefix}.shard{i}") for i in range(3)],
+        shard_cells=shard_cells,
+    )
+
+
 class TestSqliteShards:
     def test_sqlite_fleet_persists(self, tmp_path):
-        paths = [str(tmp_path / f"shard{i}.sqlite") for i in range(2)]
-        store = ShardedStore.sqlite(paths)
+        prefix = str(tmp_path / "fleet")
+        store = named_fleet(prefix)
         vps = [make_vp(seed=i, minute=i) for i in range(4)]
         store.insert_many(vps)
         store.close()
 
-        reopened = ShardedStore.sqlite(paths)
+        reopened = named_fleet(prefix)
         assert len(reopened) == 4
         assert reopened.minutes() == [0, 1, 2, 3]
         assert fingerprints(reopened.query(QuerySpec(minute=2)).vps) == fingerprints([vps[2]])
@@ -113,8 +122,8 @@ class TestSqliteShards:
     @pytest.mark.parametrize(
         "open_fleet",
         [
-            lambda paths: ShardedStore.sqlite(paths, shard_cells=3),
-            lambda paths: ProcessShardedStore.sqlite(paths, shard_cells=2),
+            lambda prefix: named_fleet(prefix, shard_cells=3),
+            lambda prefix: make_store("procs", prefix, ingest_workers=3, shard_cells=2),
         ],
         ids=["sharded", "procs"],
     )
@@ -122,18 +131,18 @@ class TestSqliteShards:
         # the id directory is rebuilt from the shards on every open, so
         # it cannot remember an evicted id or miss a stored one however
         # many processes wrote in between
-        paths = [str(tmp_path / f"shard{i}.sqlite") for i in range(3)]
+        prefix = str(tmp_path / "fleet")
         old, new = make_vp(seed=1, minute=0), make_vp(seed=2, minute=1, x0=900.0)
-        store = open_fleet(paths)
+        store = open_fleet(prefix)
         store.insert(old)
         store.close()
 
-        store = open_fleet(paths)
+        store = open_fleet(prefix)
         assert store.evict_before(old.minute + 1) == 1
         store.insert(new)
         store.close()
 
-        store = open_fleet(paths)
+        store = open_fleet(prefix)
         try:
             assert new.vp_id in store
             assert fingerprints([store.get(new.vp_id)]) == fingerprints([new])

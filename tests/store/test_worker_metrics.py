@@ -12,6 +12,7 @@ fresh ones: observability survives worker restarts.
 from __future__ import annotations
 
 from repro.obs.metrics import Histogram, merge_snapshots
+from repro.store import make_store
 from repro.store.sharded import ShardedStore
 from repro.store.workers import ProcessShardedStore
 from tests.store.conftest import make_vp
@@ -25,9 +26,7 @@ def fleet_vps(n: int, base_seed: int = 1) -> list:
 
 class TestWorkerMetrics:
     def test_each_worker_ships_its_own_snapshot(self, tmp_path):
-        store = ProcessShardedStore.sqlite(
-            [str(tmp_path / f"m-{i}.sqlite") for i in range(N_WORKERS)]
-        )
+        store = make_store("procs", str(tmp_path / "m"), ingest_workers=N_WORKERS)
         try:
             store.insert_many(fleet_vps(12))
             snaps = store.worker_metrics()
@@ -39,9 +38,7 @@ class TestWorkerMetrics:
             store.close()
 
     def test_stats_detail_merges_all_workers(self, tmp_path):
-        store = ProcessShardedStore.sqlite(
-            [str(tmp_path / f"s-{i}.sqlite") for i in range(N_WORKERS)]
-        )
+        store = make_store("procs", str(tmp_path / "s"), ingest_workers=N_WORKERS)
         try:
             store.insert_many(fleet_vps(12))
             per_worker = store.worker_metrics()
@@ -56,11 +53,8 @@ class TestWorkerMetrics:
         finally:
             store.close()
 
-    def test_metrics_can_be_disabled_per_fleet(self, tmp_path):
-        store = ProcessShardedStore.sqlite(
-            [str(tmp_path / f"off-{i}.sqlite") for i in range(N_WORKERS)],
-            metrics_enabled=False,
-        )
+    def test_metrics_can_be_disabled_per_fleet(self):
+        store = ProcessShardedStore.memory(n_workers=N_WORKERS, metrics_enabled=False)
         try:
             store.insert_many(fleet_vps(6))
             assert all(snap == {} for snap in store.worker_metrics())
@@ -68,8 +62,8 @@ class TestWorkerMetrics:
             store.close()
 
     def test_snapshot_merge_survives_worker_restart(self, tmp_path):
-        paths = [str(tmp_path / f"r-{i}.sqlite") for i in range(N_WORKERS)]
-        store = ProcessShardedStore.sqlite(paths)
+        prefix = str(tmp_path / "r")
+        store = make_store("procs", prefix, ingest_workers=N_WORKERS)
         try:
             store.insert_many(fleet_vps(8))
             saved = [dict(snap) for snap in store.worker_metrics()]
@@ -78,7 +72,7 @@ class TestWorkerMetrics:
         finally:
             store.close()  # the whole fleet of processes exits
 
-        restarted = ProcessShardedStore.sqlite(paths)
+        restarted = make_store("procs", prefix, ingest_workers=N_WORKERS)
         try:
             restarted.insert_many(fleet_vps(8, base_seed=100))
             fresh = restarted.worker_metrics()

@@ -11,17 +11,18 @@ pin the two halves of the zero-copy contract:
   copy and is visible on the counter (the positive control proving the
   ledger is live).
 * **identity** — a memoryview batch ingests to the same observable
-  contents as the equivalent ``bytes`` batch, SQLite's group-commit
-  buffer holds the *source* spans (``row.obj is`` the original buffer),
-  and the process-worker pipe carries views without pre-flattening.
+  contents as the equivalent ``bytes`` batch, the segment log appends
+  the *source* spans (``span.obj is`` the original buffer), and the
+  process-worker pipe carries views without pre-flattening.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.store import MemoryStore, ProcessShardedStore, ShardedStore, SQLiteStore
+from repro.store import ProcessShardedStore, ShardedStore, make_store
 from repro.store.codec import (
+    Batch,
     encode_vp,
     encode_vp_batch,
     iter_encoded_records,
@@ -99,18 +100,18 @@ class TestZeroCopyIngest:
 
 
 class TestViewPlumbing:
-    def test_sqlite_pending_rows_hold_source_spans(self, vp_pool):
-        # group commit retains rows between flushes: the retained body
-        # must be the span of the caller's buffer, not a copy of it
+    def test_log_appends_source_spans(self, vp_pool):
+        # the log's one writev is fed the record spans of the caller's
+        # buffer: each is a view of it, not a copy
         frame = encode_vp_batch(vp_pool[:3])
-        with SQLiteStore(group_commit_rows=64) as store:
-            store.insert_encoded(memoryview(frame).toreadonly(), strict=False)
-            rows = list(store._pending.values())
-            assert len(rows) == 3
-            for row in rows:
-                assert isinstance(row[7], memoryview)
-                assert row[7].obj is frame
-            # the deferred flush binds those spans and reads see them
+        batch = Batch.from_frame(memoryview(frame).toreadonly())
+        spans = batch.record_spans()
+        assert len(spans) == 3
+        for span in spans:
+            assert isinstance(span, memoryview)
+            assert span.obj is frame
+        with make_store("memory") as store:
+            assert store.write(batch) == 3
             got = {vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps}
             assert got == {vp.vp_id for vp in vp_pool[:3]}
 
@@ -125,6 +126,6 @@ class TestViewPlumbing:
 
     def test_strict_duplicate_still_clean_on_views(self, vp_pool):
         frame = memoryview(encode_vp_batch([vp_pool[0]])).toreadonly()
-        with MemoryStore() as store:
+        with make_store("memory") as store:
             assert store.insert_encoded(frame, strict=True) == 1
             assert store.insert_encoded(frame, strict=False) == 0
