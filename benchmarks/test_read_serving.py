@@ -2,10 +2,9 @@
 
 The acceptance harness of the serving tier: analysts fire a hot-cell
 ``query_view`` storm at the concurrent front-end *while* a hot-minute
-upload burst is still landing in the process-sharded segment-log fleet.
-Workers slice stored spans, the router stitches owner frames
-byte-exactly, and the server forwards the frame; nobody on the
-authority decodes a digest.
+upload burst is still landing in the named segment log.  The log
+frames stored spans byte-exactly and the server forwards the frame;
+nobody on the authority decodes a digest.
 
 Gates (the reported per-query latency is the ``server.handle.query_view``
 histogram — pure serve cost, excluding the modeled last-mile RTT):
@@ -28,14 +27,13 @@ from repro.net.messages import decode_message, encode_message
 from repro.obs.metrics import MetricsRegistry, snapshot_percentiles
 from repro.sim.stream import iter_upload_payloads
 from repro.geo.geometry import Rect
-from repro.store import ProcessShardedStore, QuerySpec
+from repro.store import QuerySpec, make_store
 from repro.store.codec import encode_vp_batch
 
 from benchmarks.conftest import fmt_row
 
 N_VEHICLES = 256          #: hot-minute fleet size (one streamed burst)
 BATCH_VPS = 8             #: VPs per streamed upload frame
-N_PROC_WORKERS = 4        #: worker OS processes in the storage fleet
 WORKERS = 8               #: fabric worker threads
 WIRE_LATENCY_S = 0.005    #: modeled last-mile RTT per request
 
@@ -62,14 +60,7 @@ def run_read_storm(tmp_path, payloads, tag: str):
     wall clock, the server registry and the store's ``stats()`` (whose
     detail carries the tile-cache occupancy).
     """
-    store = ProcessShardedStore(
-        [
-            {"kind": "segments", "path": str(tmp_path / f"read-{tag}.worker{i}")}
-            for i in range(N_PROC_WORKERS)
-        ],
-        shard_cells=N_PROC_WORKERS,
-        metrics=MetricsRegistry(),
-    )
+    store = make_store("sqlite", str(tmp_path / f"read-{tag}"))
     with ThreadedNetwork(
         workers=WORKERS, latency_s=WIRE_LATENCY_S, metrics=MetricsRegistry()
     ) as net:
@@ -132,7 +123,7 @@ def test_read_serving_gates(show, tmp_path):
 
     show(
         f"Read serving — {N_HOT} hot + {N_COLD} cold queries racing a "
-        f"{N_VEHICLES}-VP burst, {N_PROC_WORKERS} worker processes, "
+        f"{N_VEHICLES}-VP burst into one named log, "
         f"{1e3 * WIRE_LATENCY_S:.0f} ms RTT modeled",
         fmt_row("serve mean ms", [1e3 * serve], "{:>10.2f}"),
         fmt_row("storm wall s", [wall], "{:>10.3f}"),

@@ -3,27 +3,27 @@
 The acceptance harness of the metrics plane: a hot-minute upload burst,
 generated by the constant-memory streaming load generator
 (:mod:`repro.sim.stream`), flows through the concurrent front-end into
-the process-sharded segment-log fleet, and the per-stage histograms
-recorded along the way answer the SLO questions directly:
+one named segment log, and the per-stage histograms recorded along the
+way answer the SLO questions directly:
 
-* the fleet-wide insert histogram is exactly the merge of every worker
-  process's local registry, shipped over the command pipe;
+* the store's insert histogram holds exactly one observation per
+  upload;
 * the p99 *modeled* ingest latency at the server boundary stays within
   the end-to-end ingest SLO.  The modeled last-mile RTT runs as a real
   sleep, so the percentile is machine independent up to scheduling
   noise;
 * recording every histogram costs a bounded fraction of ingest
   throughput vs the same burst with every registry disabled
-  (``MetricsRegistry(enabled=False)`` on the fabric, the server and all
-  worker processes) — observability must not tax the ingest path it
+  (``MetricsRegistry(enabled=False)`` on the fabric, the server and the
+  store) — observability must not tax the ingest path it
   observes (``MAX_OVERHEAD``; the bound absorbs shared-vCPU scheduler
   noise, the real cost is micro-seconds per request).
 
 The timed benchmark additionally ships the measured per-stage
 percentiles into the pytest-benchmark report via ``extra_info`` (the
 payload ``tools/check_bench.py`` renders as p50/p99/p999 columns) and,
-when ``REPRO_METRICS_JSON`` names a path, dumps the merged fleet
-registry there for the CI artifact upload.
+when ``REPRO_METRICS_JSON`` names a path, dumps the combined front-end
+and store registry there for the CI artifact upload.
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ import time
 
 from repro.core.system import ViewMapSystem
 from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
-from repro.obs.metrics import Histogram, MetricsRegistry, merge_snapshots, snapshot_percentiles
+from repro.obs.metrics import Histogram, MetricsRegistry, snapshot_percentiles
 from repro.sim.stream import iter_upload_payloads
-from repro.store import ProcessShardedStore
+from repro.store import SegmentStore
 
 from benchmarks.conftest import fmt_row
 
 N_VEHICLES = 768           #: fleet size of the streamed burst (one minute)
 BATCH_VPS = 8              #: VPs per streamed upload frame
-N_PROC_WORKERS = 4         #: worker OS processes in the storage fleet
 WORKERS = 8                #: fabric worker threads
 WIRE_LATENCY_S = 0.01      #: modeled last-mile RTT per upload request
 
@@ -63,25 +62,23 @@ def stream_payloads(seed: int) -> list[bytes]:
     )
 
 
+def combined(*snapshots: dict) -> dict:
+    """One snapshot of several registries (counters add, histograms merge)."""
+    registry = MetricsRegistry()
+    for snap in snapshots:
+        registry.merge_snapshot(snap)
+    return registry.snapshot()
+
+
 def run_slo_ingest(tmp_path, payloads, tag: str, enabled: bool):
     """Drive one burst through the instrumented stack.
 
-    Returns ``(elapsed_s, server_snapshot, fleet_stats)`` — the server's
-    own registry snapshot plus the store's ``stats()`` (whose detail
-    carries the fleet-wide merged metrics).
+    Returns ``(elapsed_s, front_snapshot, store_stats)`` — the server's
+    and the fabric's registries combined, plus the store's ``stats()``
+    (whose detail carries the store's metrics).  The store is what
+    ``make_store("sqlite", path)`` builds, with the arm's registry.
     """
-    store = ProcessShardedStore(
-        [
-            {
-                "kind": "segments",
-                "path": str(tmp_path / f"slo-{tag}.worker{i}"),
-                "metrics": enabled,
-            }
-            for i in range(N_PROC_WORKERS)
-        ],
-        shard_cells=N_PROC_WORKERS,
-        metrics=MetricsRegistry(enabled=enabled),
-    )
+    store = SegmentStore(str(tmp_path / f"slo-{tag}"), metrics=MetricsRegistry(enabled=enabled))
     with ThreadedNetwork(
         workers=WORKERS,
         latency_s=WIRE_LATENCY_S,
@@ -102,13 +99,12 @@ def run_slo_ingest(tmp_path, payloads, tag: str, enabled: bool):
         server_snap = server.metrics.snapshot()
         net_snap = net.metrics.snapshot()
         stats = store.stats()
-        per_worker = store.worker_metrics()
     store.close()
-    return elapsed, merge_snapshots([server_snap, net_snap]), stats, per_worker
+    return elapsed, combined(server_snap, net_snap), stats
 
 
 def test_slo_observability_gates(show, tmp_path):
-    """Acceptance: SLOs hold, aggregation is fleet-wide, overhead bounded.
+    """Acceptance: SLOs hold, every insert is observed, overhead bounded.
 
     Both arms ingest the *identical* payload bytes (fresh stores per
     round, so nothing is a duplicate), alternating on/off each round
@@ -122,12 +118,12 @@ def test_slo_observability_gates(show, tmp_path):
     instrumentation cost instead of flaking on one noisy window.
     """
     payloads = stream_payloads(1)
-    # one untimed warmup per arm: process forking, page cache and
-    # import state warm up outside the measurement
+    # one untimed warmup per arm: page cache and import state warm up
+    # outside the measurement
     run_slo_ingest(tmp_path, payloads, "warm-on", enabled=True)
     run_slo_ingest(tmp_path, payloads, "warm-off", enabled=False)
     t_on = t_off = float("inf")
-    front = stats = per_worker = off_stats = off_workers = None
+    front = stats = off_stats = None
     for round_ in range(12):
         if round_ >= 4 and 1.0 - t_off / t_on < MAX_OVERHEAD:
             break
@@ -135,26 +131,17 @@ def test_slo_observability_gates(show, tmp_path):
         # run penalizes both arms symmetrically
         for arm in (("on", "off"), ("off", "on"))[round_ % 2]:
             enabled = arm == "on"
-            t, f, s, w = run_slo_ingest(
-                tmp_path, payloads, f"{arm}{round_}", enabled=enabled
-            )
+            t, f, s = run_slo_ingest(tmp_path, payloads, f"{arm}{round_}", enabled=enabled)
             if enabled and t < t_on:
-                t_on, front, stats, per_worker = t, f, s, w
+                t_on, front, stats = t, f, s
             elif not enabled and t < t_off:
-                t_off, off_stats, off_workers = t, s, w
+                t_off, off_stats = t, s
 
-    # -- cross-process aggregation: every worker contributed ------------
-    assert len(per_worker) == N_PROC_WORKERS
-    for snap in per_worker:
-        assert snap["store.insert.wall_s"]["count"] >= 1
-    merged = stats.detail["metrics"]
-    fleet_inserts = Histogram.from_dict(merged["store.insert.wall_s"])
-    assert fleet_inserts.count == sum(
-        s["store.insert.wall_s"]["count"] for s in per_worker
-    )
-    # the disabled arm recorded nothing anywhere
-    assert all(snap == {} for snap in off_workers)
-    assert off_stats.detail["metrics"].get("store.insert.wall_s") is None
+    # -- the store saw every upload ---------------------------------------
+    inserts = Histogram.from_dict(stats.detail["metrics"]["store.insert.wall_s"])
+    assert inserts.count == len(payloads)
+    # the disabled arm recorded nothing
+    assert off_stats.detail["metrics"] == {}
 
     # -- the SLO gate ---------------------------------------------------
     ingest = Histogram.from_dict(front["server.handle.upload_vp_batch.modeled_s"])
@@ -168,8 +155,8 @@ def test_slo_observability_gates(show, tmp_path):
 
     show(
         f"SLO observability — streamed burst of {N_VEHICLES} VPs x 1 minute, "
-        f"{N_PROC_WORKERS} worker processes, {1e3 * WIRE_LATENCY_S:.0f} ms RTT modeled",
-        fmt_row("insert p99 ms", [1e3 * fleet_inserts.p99], "{:>10.1f}"),
+        f"one named log, {1e3 * WIRE_LATENCY_S:.0f} ms RTT modeled",
+        fmt_row("insert p99 ms", [1e3 * inserts.p99], "{:>10.1f}"),
         fmt_row("ingest p99 / SLO ms", [1e3 * ingest_p99, 1e3 * INGEST_SLO_S], "{:>10.1f}"),
         fmt_row("throughput on/off kVP/s", [tp_on / 1e3, tp_off / 1e3], "{:>10.2f}"),
         fmt_row("metrics overhead %", [100.0 * overhead], "{:>10.1f}"),
@@ -185,17 +172,17 @@ def test_benchmark_slo_observability(benchmark, tmp_path):
     The benchmark's ``extra_info`` carries the per-stage percentile
     rows, so the CI summary table reports p50/p99/p999 next to the
     throughput medians; ``REPRO_METRICS_JSON`` additionally dumps the
-    full merged registry for the artifact upload.
+    full combined registry for the artifact upload.
     """
     payloads = stream_payloads(9)
     state = {"round": 0, "merged": {}}
 
     def ingest():
         state["round"] += 1
-        _, front, stats, _ = run_slo_ingest(
+        _, front, stats = run_slo_ingest(
             tmp_path, payloads, f"bench{state['round']}", enabled=True
         )
-        state["merged"] = merge_snapshots([front, stats.detail["metrics"]])
+        state["merged"] = combined(front, stats.detail["metrics"])
 
     benchmark.pedantic(ingest, rounds=3, iterations=1)
 

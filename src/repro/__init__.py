@@ -13,9 +13,8 @@ Package map:
   viewmaps, verification, solicitation, rewarding, the system facade);
 * :mod:`repro.store` — VP storage behind the database facade: one
   engine, the minute-segment log ``SegmentStore``, on anonymous
-  segments (volatile, the default), on named files (survives
-  authority restarts) or sharded across shards and worker processes
-  (``ShardedStore``); pick one via
+  segments (volatile, the default) or on named files (survives
+  authority restarts); pick one via
   ``ViewMapSystem(store=make_store("sqlite", path))`` or the CLI's
   ``--store`` option;
 * :mod:`repro.crypto` — hashes, Bloom filters, RSA blind signatures;
@@ -34,8 +33,8 @@ __version__ = "1.1.0"
 
 #: public name -> defining module.  Resolved on first attribute access
 #: (PEP 562): ``from repro import ViewMapSystem`` works as before, and
-#: ``import repro.store.workers`` — what every spawned worker process and
-#: ``repro --help`` pay (34 MiB, numpy alone) — imports no ``core.system``.
+#: ``import repro.store`` — what ``repro --help`` pays (numpy alone) —
+#: imports no ``core.system``.
 _EXPORTS = {
     "ViewMapSystem": "repro.core.system",
     "Investigation": "repro.core.system",
@@ -55,7 +54,6 @@ _EXPORTS = {
     "Rect": "repro.geo.geometry",
     "VPStore": "repro.store",
     "SegmentStore": "repro.store",
-    "ShardedStore": "repro.store",
     "make_store": "repro.store",
 }
 

@@ -4,7 +4,7 @@ The attack modules (:mod:`repro.attacks`) and the scale-out machinery
 (stores, retention, the concurrent front-end, zero-decode frames) each
 carry their own tests, but nothing exercised them *against each other*:
 does fake-VP rejection still hold when the forgeries arrive mid-ingest
-over the threaded fabric into a process-sharded store?  Does a
+over the threaded fabric into a file-backed store?  Does a
 far-future poisoning claim interact with windowed retention the way the
 watermark clamp promises, on every backend?  This module is that
 acceptance layer — a deterministic grid runner that drives each attack
@@ -247,12 +247,7 @@ class CampaignRow:
 
 
 def _make_backend(kind: str, scratch: str):
-    """One cell's store: small shard/worker counts keep cells cheap, and
-    ``sqlite`` names its segment files under ``scratch``."""
-    if kind == "sharded":
-        return make_store("sharded", n_shards=2)
-    if kind == "procs":
-        return make_store("procs", ingest_workers=2)
+    """One cell's store: ``sqlite`` names its segment files under ``scratch``."""
     if kind == "sqlite":
         return make_store("sqlite", os.path.join(scratch, "authority"))
     return make_store(kind)
@@ -419,9 +414,9 @@ def _investigate_site(
     """Investigate the attack minute; (solicited ids, candidate ids).
 
     Mirrors :meth:`ViewMapSystem.investigate` but sorts the trusted
-    seeds and candidates by VP id first: backend iteration order
-    (sharded fan-in, per-shard segment order) must not leak into the viewmap's
-    node order, or TrustRank's float summation — and therefore the
+    seeds and candidates by VP id first: the log's insertion order
+    (whichever concurrent upload landed first) must not leak into the
+    viewmap's node order, or TrustRank's float summation — and therefore the
     row — would differ between backends.  A minute whose trusted VP was
     evicted (kitchen-sink poisoning against an unpinned window) is not
     investigable and yields no solicitations.

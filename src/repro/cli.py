@@ -76,13 +76,11 @@ def _cmd_fig12(args: argparse.Namespace) -> None:
 
 
 def _dump_metrics(path: str, occupancy) -> None:
-    """Write the run's merged metric registry (and percentiles) as JSON.
+    """Write the run's store metric registry (and percentiles) as JSON.
 
-    The snapshot comes out of the store's ``stats().detail["metrics"]``
-    — for a sharded/procs backend that is already the fleet-wide merge
-    of every shard's (and worker process's) registry.  The file carries
-    both the raw mergeable snapshot and a pre-digested percentile view,
-    so dashboards need no repro import to read p50/p99/p999.
+    The snapshot comes out of the store's ``stats().detail["metrics"]``.
+    The file carries both the raw mergeable snapshot and a pre-digested
+    percentile view, so dashboards need no repro import to read p50/p99/p999.
     """
     import json
 
@@ -105,13 +103,7 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
     from repro.core.export import render_ascii, save_viewmap
     from repro.store import RetentionPolicy, make_store
 
-    store = make_store(
-        args.store,
-        path=args.store_path,
-        n_shards=args.shards,
-        shard_cells=args.shard_cells,
-        ingest_workers=args.ingest_workers,
-    )
+    store = make_store(args.store, path=args.store_path)
     retention = (
         RetentionPolicy(window_minutes=args.retention_minutes)
         if args.retention_minutes > 0
@@ -124,7 +116,7 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
         )
         occupancy = store.stats()
     finally:
-        store.close()  # stops worker processes, closes segment files
+        store.close()  # closes segment files
     # the backend as selected: ``sqlite`` names the persistent segment log
     print(f"store: {args.store} ({occupancy.vps} VPs, "
           f"{occupancy.minutes} minutes)")
@@ -201,13 +193,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
     from repro.sim.stream import iter_minute_frames
     from repro.store import make_store
 
-    store = make_store(
-        args.store,
-        path=args.store_path,
-        n_shards=args.shards,
-        shard_cells=args.shard_cells,
-        ingest_workers=args.ingest_workers,
-    )
+    store = make_store(args.store, path=args.store_path)
     system = ViewMapSystem(store=store)
     frames = list(
         iter_minute_frames(args.vehicles, args.minutes, seed=args.seed)
@@ -297,32 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
             default="memory",
             help="VP storage backend; every kind is the segment log "
             "(memory: volatile, unlinked anonymous segments). Every kind "
-            "holds one open descriptor per live minute and shard: without "
+            "holds one open descriptor per live minute: without "
             "--retention-minutes a run past `ulimit -n` live minutes fails",
         )
         cmd.add_argument(
             "--store-path",
             type=str,
             default="",
-            help="segment-file prefix for --store sqlite/procs "
+            help="segment-file prefix for --store sqlite "
             "(default: anonymous segments, nothing named on disk)",
-        )
-        cmd.add_argument(
-            "--shards", type=int, default=4, help="shard count for --store sharded"
-        )
-        cmd.add_argument(
-            "--shard-cells",
-            type=int,
-            default=1,
-            help="spatial routing cells per minute for --store sharded/procs "
-            "(>1 spreads a hot minute across shards)",
-        )
-        cmd.add_argument(
-            "--ingest-workers",
-            type=int,
-            default=4,
-            help="worker OS processes for --store procs (each shard gets "
-            "its own GIL and its own segment files)",
         )
         cmd.add_argument(
             "--metrics-json",

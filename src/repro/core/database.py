@@ -6,8 +6,8 @@ a separate authenticated path (police fleet) and carry the trusted flag.
 
 This class is a thin facade over a :class:`~repro.store.base.VPStore`
 backend — by default the segment log on anonymous segments
-(volatile, ``make_store("memory")``); named segments for persistence;
-sharded for scale-out.  Reads return fresh VPs decoded from the stored
+(volatile, ``make_store("memory")``), or named segments for
+persistence.  Reads return fresh VPs decoded from the stored
 bytes, equal in content to what was inserted, never the same object.
 Reads go through ONE entry point —
 :meth:`VPDatabase.query` with a :class:`~repro.store.serving.QuerySpec`
@@ -106,5 +106,5 @@ class VPDatabase:
         return self.store.stats()
 
     def close(self) -> None:
-        """Release backend resources (segment descriptors, workers)."""
+        """Release backend resources (segment descriptors)."""
         self.store.close()

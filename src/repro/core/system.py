@@ -281,7 +281,7 @@ class ViewMapSystem:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release storage resources (connections, shard pools).
+        """Release storage resources (segment descriptors).
 
         Quiesce the fronting network first; a persistent store keeps its
         data, an in-memory one is gone.

@@ -79,7 +79,7 @@ def unpack_vp_batch_frame(frame: bytes) -> tuple[list[tuple], list[tuple[int, in
 
     Returns ``(rows, spans)``: per-record metadata rows ``(vp_id,
     minute, trusted, x_min, y_min, x_max, y_max)`` and the raw byte
-    span of each record, so the caller can slice per-shard sub-batches
+    span of each record, so the caller can slice the fresh records
     straight out of ``frame``.  Every rejection — damaged framing, a
     record count that disagrees with the bytes present, an oversized
     batch, a non-finite or inverted bounding box, a body that is not
@@ -188,11 +188,10 @@ class FrameParser:
     bytes are assembled into an exact-size per-record buffer allocated
     from the header's declared length; a completed record is emitted as
     a *read-only* :class:`memoryview` of that buffer, which is never
-    resized or reused, so downstream consumers (worker pipes,
-    segment appends) may hold the span as long as they
-    like.  That buffer is the only place payload bytes land between the
-    socket and ``insert_encoded`` — the zero-copy property the
-    streaming ingest benchmark asserts.
+    resized or reused, so downstream consumers (segment appends) may
+    hold the span as long as they like.  That buffer is the only place
+    payload bytes land between the socket and ``insert_encoded`` — the
+    zero-copy property the streaming ingest benchmark asserts.
 
     Resource bounds are enforced *before* buffering: a header declaring
     more than ``max_payload_bytes`` (default: one full 256-VP batch

@@ -9,7 +9,7 @@ the socket (:class:`~repro.net.messages.FrameParser`), and a completed
 ``FRAME`` record is handed to
 :meth:`~repro.net.server.ViewMapServer.ingest_frame_stream` as a
 read-only :class:`memoryview` of the connection's receive buffer —
-vehicle socket → worker ``executemany`` with zero decode *and* zero
+vehicle socket → segment append with zero decode *and* zero
 intermediate copy on the authority.
 
 Execution model

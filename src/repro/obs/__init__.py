@@ -1,13 +1,10 @@
 """repro.obs — the SLO observability plane (see ``docs/observability.md``).
 
 Per-stage latency histograms with bounded-error percentiles, counters
-and gauges in a thread-safe :class:`MetricsRegistry`, the
-:func:`stage_timer` modeled-vs-wall timing idiom, and cross-process
-snapshot merging (:func:`merge_snapshots`).  Every layer of the stack —
-client, server, network fabric, storage backends, shard worker
-processes — keeps a registry and exposes it through ``stats()`` or a
-``metrics`` attribute; the process-sharded fleet merges its workers'
-snapshots into one fleet-wide view.
+and gauges in a thread-safe :class:`MetricsRegistry`, and the
+:func:`stage_timer` modeled-vs-wall timing idiom.  Every layer of the
+stack — client, server, network fabric, the store — keeps a registry
+and exposes it through ``stats()`` or a ``metrics`` attribute.
 """
 
 from repro.obs.metrics import (
@@ -18,7 +15,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     StageTimer,
     counter_value,
-    merge_snapshots,
     snapshot_percentiles,
     stage_timer,
 )
@@ -31,7 +27,6 @@ __all__ = [
     "MetricsRegistry",
     "StageTimer",
     "counter_value",
-    "merge_snapshots",
     "snapshot_percentiles",
     "stage_timer",
 ]

@@ -2,7 +2,7 @@
 
 Five PRs of write-path optimization left the authority fast but only
 *mean*-observable: ``stats()`` exposes counters, so tail latency across
-client -> server -> shard -> commit was invisible.  This module is the
+client -> server -> store -> commit was invisible.  This module is the
 percentile-aware instrumentation plane — deliberately simple, in the
 measurement-first spirit the systems literature argues for:
 
@@ -12,8 +12,8 @@ measurement-first spirit the systems literature argues for:
   lands in the same bucket as the true order statistic, bounding the
   relative error by one bucket's width.  Histograms merge associatively
   and commutatively (bucket counts add) and round-trip through JSON —
-  the properties that let worker processes ship snapshots to the parent
-  and let CI diff percentile baselines.
+  the properties that let saved snapshots be combined and let CI diff
+  percentile baselines.
 * :class:`Counter` / :class:`Gauge` — monotonic event counts and
   last-written levels.  Counters add under merge; gauges keep the
   maximum (a merged gauge answers "how bad did it get anywhere").
@@ -29,11 +29,6 @@ measurement-first spirit the systems literature argues for:
   to wall time when a stage declares none.  Percentiles over modeled
   time are machine-independent; percentiles over wall time price the
   implementation.
-
-Cross-process aggregation: worker processes keep local registries,
-``snapshot()`` travels over the existing command pipe as a plain dict,
-and :func:`merge_snapshots` folds any number of snapshots (from live
-workers, restarted workers, or saved JSON) into one fleet-wide view.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import ValidationError
 
@@ -336,20 +331,6 @@ class MetricsRegistry:
                     self._instruments[name] = incoming
                 else:
                     mine.merge(incoming)
-
-
-def merge_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Fold any number of registry snapshots into one combined snapshot.
-
-    The fleet-wide aggregation step: parent registry + every worker's
-    shipped snapshot (+ a restarted worker's saved one) in, one merged
-    JSON-safe dict out.  Order never matters — histogram merge is
-    associative and commutative, counters add, gauges keep the max.
-    """
-    merged = MetricsRegistry()
-    for snap in snapshots:
-        merged.merge_snapshot(snap)
-    return merged.snapshot()
 
 
 def counter_value(snap: dict, name: str) -> int:

@@ -91,11 +91,7 @@ class SimulationResult:
         advances — eviction runs concurrently with the next minute's
         uploads, exactly the steady state of a long-lived authority.
         The store then ends the run holding only the retained window
-        (trusted VPs excepted when the policy pins them).  A
-        process-sharded store (``make_store("procs", ...)``) composes
-        naturally: the uploader threads feed the worker fleet
-        concurrently, and eviction fans out across the worker
-        processes.
+        (trusted VPs excepted when the policy pins them).
         """
         minutes = sorted(self.vps_by_minute)
         if (workers <= 1 and retention is None) or not minutes:

@@ -1,10 +1,9 @@
-"""The VP store backend contract: one engine, several placements.
+"""The VP store backend contract: one engine, two placements.
 
 A *store* is the authority's memory of uploaded view profiles.  The
 service layer (``repro.core.database.VPDatabase``) is a thin facade over
 one of these backends — the minute-segment log
-(:mod:`repro.store.segments`), on anonymous or named segments, or a
-sharded fleet of them in this process or in worker processes — so the
+(:mod:`repro.store.segments`), on anonymous or named segments — so the
 placement never touches investigation code.
 
 Backends must agree exactly on semantics so they are interchangeable:
@@ -41,8 +40,7 @@ The contract includes thread safety: every backend tolerates
 concurrent calls from many threads, and ``write`` is atomic per
 backend — two racing batches containing the same VP id agree on one
 winner and the returned counts sum to the number of VPs actually stored.
-How each backend meets this (the log's one lock, per-shard atomicity)
-is its own business; see ``docs/stores.md``.
+The log meets this with one lock; see ``docs/stores.md``.
 """
 
 from __future__ import annotations
@@ -69,8 +67,8 @@ class StoreStats:
 
     ``backend`` is the reporting store's ``kind``; ``vps``/``trusted``/
     ``minutes`` count stored VPs, trusted VPs and distinct minute
-    indices.  ``detail`` carries backend-specific gauges: path and tile
-    gauges for the segment log, per-shard breakdowns for sharded fleets.
+    indices.  ``detail`` carries backend-specific gauges: for the
+    segment log its path, tile-cache gauges and metric registry.
     """
 
     backend: str
@@ -159,9 +157,8 @@ class VPStore(ABC):
     def iter_id_minutes(self) -> Iterable[tuple[bytes, int]]:
         """(vp_id, minute) pairs of every stored VP — no body is decoded.
 
-        A metadata-only scan used to seed routing/duplicate indexes
-        (e.g. a :class:`~repro.store.sharded.ShardedStore` wrapping
-        pre-populated persistent shards).
+        A metadata-only scan: what a caller checks a stored population
+        against without reading a record.
         """
 
     # -- point reads -------------------------------------------------------
@@ -180,10 +177,9 @@ class VPStore(ABC):
 
     # -- the unified query entry point ---------------------------------------
 
-    #: per-minute coverage tile cache — backends that materialize tiles
-    #: attach one at construction; ``None`` disables tile pruning (the
-    #: worker-shard proxy, whose worker-side store owns the tiles)
-    tiles: TileCache | None = None
+    #: per-minute coverage tile cache, attached by every backend at
+    #: construction
+    tiles: TileCache
 
     @abstractmethod
     def minutes(self) -> list[int]:
@@ -223,8 +219,7 @@ class VPStore(ABC):
         the records the minute, area and trusted axes select, in
         insertion order — byte-identical to re-encoding the VPs, since
         records are stored as framed.  The segment log frames its
-        records straight through; sharded fleets stitch owner-shard
-        frames without decoding a body.  :meth:`query` decodes it.
+        records straight through.  :meth:`query` decodes it.
         """
 
     def _count_query(self, spec: QuerySpec) -> int:
@@ -232,15 +227,13 @@ class VPStore(ABC):
         sums), or with an area the selection frame's count header."""
         if spec.area is not None:
             return unpack_uint(self.query_encoded(spec)[1:5])
-        counts = self.tiles.counts(spec.minute) if self.tiles is not None else None
+        counts = self.tiles.counts(spec.minute)
         if counts is None:
             counts = self._scan_tiles(spec.minute, lambda t: (t.n_vps, t.n_trusted))
         return counts[1] if spec.trusted_only else counts[0]
 
     def _tiles_allow(self, minute: int, area: Rect) -> bool:
         """Tile prune: may any VP of the minute claim inside ``area``?"""
-        if self.tiles is None:
-            return True
         verdict = self.tiles.overlaps(minute, area)
         if verdict is None:
             verdict = self._scan_tiles(minute, lambda t: t.overlaps(area))
@@ -252,8 +245,6 @@ class VPStore(ABC):
         Served from the tile cache when warm (as an independent copy);
         a miss builds from the backend's metadata scan.
         """
-        if self.tiles is None:
-            return self._build_tiles(minute)
         snap = self.tiles.snapshot(minute)
         if snap is None:
             snap = self._scan_tiles(minute, MinuteTiles.copy)
@@ -267,8 +258,6 @@ class VPStore(ABC):
         subject to the epoch/generation discipline of
         :class:`~repro.store.serving.TileCache`).
         """
-        if self.tiles is None:
-            return read(self._build_tiles(minute))
         token = self.tiles.begin(minute)
         entry = self._build_tiles(minute)
         answer = read(entry)
@@ -280,7 +269,7 @@ class VPStore(ABC):
         """Scan one minute's record metadata into coverage tiles.
 
         Never touches a body: the bounding boxes ride outside it on
-        every backend (the log's columns, the shards' own tile maps).
+        every backend (the log's published columns).
         """
 
     # -- lifecycle / introspection -----------------------------------------
@@ -304,7 +293,7 @@ class VPStore(ABC):
         """Occupancy snapshot for dashboards and benchmarks."""
 
     def close(self) -> None:
-        """Release backend resources (segment descriptors, workers)."""
+        """Release backend resources (segment descriptors)."""
 
     def __enter__(self) -> "VPStore":
         return self

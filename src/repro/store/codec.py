@@ -23,13 +23,11 @@ the VP identifier:
     record := flags (1B) | minute (4B) | bbox (4 x float64)
               | vp_id (16B) | len-prefixed body blob
 
-so a consumer can route, deduplicate or append records without
-decoding a single body.  The batch format is the IPC framing of the
-process shard workers (:mod:`repro.store.workers`), the record format
-of the segment log (:mod:`repro.store.segments`) and the binary payload of the ``upload_vp_batch``
-wire message itself: the authority validates and shard-routes from the
-metadata alone, slicing per-shard sub-batches out of the incoming frame
-and forwarding the record bytes untouched.
+so a consumer can deduplicate or append records without decoding a
+single body.  The batch format is the record format of the segment log
+(:mod:`repro.store.segments`) and the binary payload of the
+``upload_vp_batch`` wire message itself: the authority validates from
+the metadata alone and appends the record bytes untouched.
 
 :class:`Batch` is what every store backend's one write primitive takes:
 it hides whether the records arrived as :class:`ViewProfile` objects or
@@ -169,7 +167,7 @@ def iter_encoded_records(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
 
     ``row`` is a storage row (see :func:`encode_row_batch`);
     ``batch[start:end]`` is the record's complete raw span (metadata +
-    body, exactly as framed), so a router can regroup records into new
+    body, exactly as framed), so a caller can regroup records into new
     batch buffers (:func:`join_encoded_records`) without ever decoding
     a body.  A thin body-slicing wrapper over :func:`iter_encoded_meta`
     — one walker owns the framing validation.
@@ -207,8 +205,8 @@ def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
     (see :func:`encode_row_batch`) *without* its body column and
     ``batch[start:end]`` is the record's raw span.  The walk seeks past
     each body via its length prefix instead of materializing a ~4.5 kB
-    slice, so consumers that only route or police metadata (the sharded
-    router, trusted-claim re-checks) touch a few dozen bytes per
+    slice, so consumers that only police metadata (duplicate probes,
+    trusted-claim re-checks) touch a few dozen bytes per
     record however large the batch is.  Framing validation is the same
     as :func:`iter_encoded_records`.
     """
@@ -249,7 +247,7 @@ def verify_encoded_body(
     increasing 1-based second indices, a finite first digest time that
     lands in the sidecar's claimed ``minute``, ``bbox`` (when given)
     exactly the min/max of the digests' packed locations (a forged box
-    would mis-index area queries and shard routing), and ``bloom_k``
+    would mis-index area queries and coverage tiles), and ``bloom_k``
     (when given) the only hash count the wire form may declare (a
     smaller k would inflate viewmap false linkage).  The zero-decode
     upload path runs this per record, so a frame that passes can never
@@ -335,10 +333,10 @@ def encoded_body_claims_area(body: bytes, area, offset: int = 0) -> bool:
 #: process-local count of record-span byte materializations on the
 #: ingest path.  The streaming front-end's zero-copy contract — no
 #: ``bytes(...)`` copy of a record body between the socket receive
-#: buffer and the worker ``executemany`` — is asserted by regression
-#: tests and the streaming benchmark as "this counter did not move".
-#: Legitimate copies (regrouping a frame into per-shard sub-batches)
-#: report here via :func:`note_span_copies` so the seam stays honest.
+#: buffer and the segment append — is asserted by regression tests and
+#: the streaming benchmark as "this counter did not move".  Legitimate
+#: copies (regrouping a frame's fresh records after duplicates) report
+#: here via :func:`note_span_copies` so the seam stays honest.
 _span_copies = 0
 
 
@@ -359,8 +357,8 @@ def join_encoded_records(batch: bytes, spans: Sequence[tuple[int, int]]) -> byte
     ``spans`` are ``(start, end)`` pairs as yielded by
     :func:`iter_encoded_records` — the caller has already validated the
     source frame by walking it, so this is pure byte slicing: the
-    zero-decode router's tool for carving per-shard sub-batches out of
-    one incoming wire frame.  Passing every span of ``batch`` in order
+    upload handler's tool for carving the fresh records out of one
+    incoming wire frame.  Passing every span of ``batch`` in order
     reproduces it byte-for-byte.  This *is* a copy of every span it
     regroups, and says so (:func:`note_span_copies`): callers that can
     pass a whole frame through untouched should prefer that.
@@ -375,10 +373,9 @@ def join_encoded_records(batch: bytes, spans: Sequence[tuple[int, int]]) -> byte
 def join_encoded_spans(spans: Sequence[tuple[bytes, int, int]]) -> bytes:
     """Like :func:`join_encoded_records` across *several* source frames.
 
-    ``spans`` are ``(batch, start, end)`` triples — the sharded read
-    path's merge tool: each owner shard answers an encoded query with
-    its own frame, and the router stitches the records back into one
-    buffer in fleet insertion order without decoding a body.
+    ``spans`` are ``(batch, start, end)`` triples — the read path's
+    framing tool: the log frames records read from a segment into one
+    reply buffer without decoding a body.
     """
     return b"".join(
         [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(spans), 4)]
@@ -390,9 +387,8 @@ def decode_vp_batch(batch: bytes) -> list[ViewProfile]:
     """Rebuild the full VP list from a batch buffer (order preserved).
 
     The trusted flag is restored from the record metadata — inside a
-    batch buffer it is ingestion-path state in transit between two
-    halves of the same store (supervisor and worker), not uploader
-    -controlled content.
+    batch buffer it is ingestion-path state the store wrote, not
+    uploader-controlled content.
     """
     return Batch.from_frame(batch).vps()
 
@@ -402,11 +398,11 @@ class Batch:
 
     Built :meth:`from_vps` or :meth:`from_frame`; ``meta`` holds one
     ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` tuple per
-    record either way, and :meth:`rows`, :meth:`vps` and :meth:`frame`
-    derive the other forms on demand — so a backend asks for the form
-    it stores and never learns which one arrived.  The trusted bit
-    lives in ``meta``: a trusted write forces it without touching the
-    caller's objects.
+    record either way, and :meth:`rows`, :meth:`record_span` and
+    :meth:`vps` derive the other forms on demand — so a backend asks for
+    the form it stores and never learns which one arrived.  The trusted
+    bit lives in ``meta``: a trusted write forces it without touching
+    the caller's objects.
     """
 
     __slots__ = ("meta", "_vps", "_frame", "_spans")
@@ -471,28 +467,8 @@ class Batch:
             fresh.append(index)
         return fresh
 
-    def select(self, indices: Sequence[int]) -> "Batch":
-        """The sub-batch of ``indices`` (ascending); all of them is ``self``.
-
-        A partial selection of a frame regroups its record spans into
-        a new frame — the one counted span copy of the ingest path
-        (:func:`join_encoded_records`); a whole frame passes through.
-        """
-        if len(indices) == len(self.meta):
-            return self
-        meta = [self.meta[i] for i in indices]
-        if self._vps is not None:
-            return Batch(meta, vps=[self._vps[i] for i in indices])
-        picked = [self._spans[i] for i in indices]
-        spans: list[tuple[int, int]] = []
-        offset = 5  # records follow the version + count header
-        for start, end in picked:
-            spans.append((offset, offset + end - start))
-            offset += end - start
-        return Batch(meta, frame=join_encoded_records(self._frame, picked), spans=spans)
-
     def rows(self) -> list[tuple]:
-        """Storage rows (``meta`` + encoded body) — what a frame is built from.
+        """Storage rows (``meta`` + body) — what :func:`encode_row_batch` frames.
 
         Frame bodies are slices of the source buffer: a ``memoryview``
         frame yields ``memoryview`` bodies, never a ``bytes`` copy.
@@ -505,20 +481,17 @@ class Batch:
             for record, (start, end) in zip(self.meta, self._spans)
         ]
 
-    def record_spans(self) -> list[bytes | memoryview]:
-        """Each record's raw span (head + body) — what a log appends.
+    def record_span(self, index: int) -> bytes | memoryview:
+        """One record's raw span (head + body) — what a log appends.
 
-        A frame's records are views of the caller's buffer, never
-        copies; an object batch is framed one record at a time, so it
-        never exists as a whole second frame beside its VPs.
+        A frame's record is a view of the caller's buffer, never a copy;
+        an object batch frames the record on demand, so a caller walking
+        the batch in chunks never holds every framed record at once.
         """
         if self._vps is not None:
-            return [
-                b"".join(_record_parts((*record, encode_vp(vp))))
-                for record, vp in zip(self.meta, self._vps)
-            ]
-        view = memoryview(self._frame)
-        return [view[start:end] for start, end in self._spans]
+            return b"".join(_record_parts((*self.meta[index], encode_vp(self._vps[index]))))
+        start, end = self._spans[index]
+        return memoryview(self._frame)[start:end]
 
     def vps(self) -> list[ViewProfile]:
         """The records as objects: the caller's own, or decoded bodies."""
@@ -531,9 +504,3 @@ class Batch:
                 raise WireFormatError("VP batch record id does not match its body")
             out.append(vp)
         return out
-
-    def frame(self) -> bytes | memoryview:
-        """The records as one codec frame — what a worker pipe carries."""
-        if self._vps is not None:
-            return encode_row_batch(self.rows())
-        return self._frame

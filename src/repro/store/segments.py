@@ -19,8 +19,9 @@ trusted, bbox)`` columns and the ids in insertion order.
 ``docs/stores.md`` has the contract in prose; in short:
 
 * **write** appends the fresh record spans of the caller's buffer with
-  one ``os.writev`` per touched minute and only then publishes ids,
-  columns and tile deltas, all under the one store lock — an ack means
+  one ``os.writev`` per 256 records of a touched minute (an object batch
+  is framed chunk by chunk) and only then publishes ids, columns and
+  tile deltas, all under the one store lock — an ack means
   *handed to the kernel* (survives process death, not power loss);
   there is no pending buffer and nothing to flush.  A batch is atomic
   per minute: a failed append is truncated away, earlier minutes stay.
@@ -34,12 +35,14 @@ trusted, bbox)`` columns and the ids in insertion order.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import struct
 import tempfile
 import threading
 import zlib
+from typing import Iterable
 
 import numpy as np
 
@@ -190,27 +193,33 @@ class SegmentStore(VPStore):
         segment.size = end
         self._segments[minute] = segment
 
-    def _append(self, segment: _Segment, minute: int, records: list[tuple]) -> None:
+    def _append(self, segment: _Segment, minute: int, records: Iterable[tuple]) -> None:
         """Write ``(meta, span)`` records to the segment, then publish them.
 
-        One ``writev`` (per 256 records); a failed or short write is
-        truncated away before the error surfaces, so the file never
+        Records are drawn 256 at a time, one ``writev`` each, so an
+        object batch is framed one chunk at a time; the minute is
+        published only after its last chunk.  A failed or short write
+        is truncated away before the error surfaces, so the file never
         holds a record nothing names.
         """
         fd = segment.file.fileno()
-        parts: list = []
-        for _meta, span in records:
-            parts += (_HEADER.pack(len(span), zlib.crc32(span)), span)
+        records = iter(records)
+        written: list[tuple] = []
         try:
-            for start in range(0, len(parts), 2 * _WRITEV_RECORDS):
-                chunk = parts[start : start + 2 * _WRITEV_RECORDS]
-                if os.writev(fd, chunk) != sum(len(part) for part in chunk):
+            while chunk := list(itertools.islice(records, _WRITEV_RECORDS)):
+                parts: list = []
+                for meta, span in chunk:
+                    parts += (_HEADER.pack(len(span), zlib.crc32(span)), span)
+                    written.append((meta, len(span)))
+                if os.writev(fd, parts) != sum(len(part) for part in parts):
                     raise OSError("short write")
-        except OSError as exc:
+        except BaseException as exc:
             os.ftruncate(fd, segment.size)
             os.lseek(fd, segment.size, os.SEEK_SET)
+            if not isinstance(exc, OSError):
+                raise
             raise StorageError(f"cannot append to VP store at {self.path!r}: {exc}") from exc
-        self._publish(segment, minute, [(meta, len(span)) for meta, span in records])
+        self._publish(segment, minute, written)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -219,9 +228,8 @@ class SegmentStore(VPStore):
     # -- writes ------------------------------------------------------------
 
     def write(self, batch: Batch, strict: bool = False) -> int:
-        """Append the batch's fresh records, one ``writev`` per minute."""
+        """Append the batch's fresh records, minute by minute."""
         with stage_timer(self.metrics, "store.insert"):
-            spans = batch.record_spans()
             meta = batch.meta
             with self._lock:
                 self._check_open()
@@ -231,7 +239,8 @@ class SegmentStore(VPStore):
                 with self.tiles.write(by_minute) as tile_writes:
                     for minute, indices in by_minute.items():
                         segment = self._segments.get(minute) or self._open(minute)
-                        self._append(segment, minute, [(meta[i], spans[i]) for i in indices])
+                        records = ((meta[i], batch.record_span(i)) for i in indices)
+                        self._append(segment, minute, records)
                         for i in indices:
                             tile_writes.add(*meta[i][1:])
                 return sum(map(len, by_minute.values()))

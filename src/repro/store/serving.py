@@ -212,43 +212,6 @@ class MinuteTiles:
             cells={cell: list(counts) for cell, counts in self.cells.items()},
         )
 
-    def merge(self, other: "MinuteTiles") -> "MinuteTiles":
-        """Fold another shard's tiles in (shards partition VPs, so
-        totals and per-cell counts add exactly)."""
-        self.n_vps += other.n_vps
-        self.n_trusted += other.n_trusted
-        for cell, counts in other.cells.items():
-            mine = self.cells.get(cell)
-            if mine is None:
-                self.cells[cell] = list(counts)
-            else:
-                mine[0] += counts[0]
-                mine[1] += counts[1]
-        return self
-
-    def to_dict(self) -> dict:
-        """JSON/pipe-safe snapshot (cells keyed by "cx,cy")."""
-        return {
-            "cell_m": self.cell_m,
-            "n_vps": self.n_vps,
-            "n_trusted": self.n_trusted,
-            "cells": {
-                f"{cx},{cy}": list(counts) for (cx, cy), counts in self.cells.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MinuteTiles":
-        tiles = cls(
-            cell_m=float(data["cell_m"]),
-            n_vps=int(data["n_vps"]),
-            n_trusted=int(data["n_trusted"]),
-        )
-        for key, counts in data["cells"].items():
-            cx, cy = key.split(",")
-            tiles.cells[(int(cx), int(cy))] = [int(counts[0]), int(counts[1])]
-        return tiles
-
 
 def build_minute_tiles(
     boxes: Iterable[tuple[int, float, float, float, float]], cell_m: float

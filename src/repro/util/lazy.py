@@ -3,8 +3,8 @@
 A package ``__init__`` that eagerly imports every submodule makes the
 lightest of them cost the heaviest: ``import repro.sim.stream`` used to
 pull in ``repro.sim.runner`` and with it scipy and networkx — 45 MiB
-and 0.4 s (81 MiB resident where 36 do) that the upload front-end and
-every forked store worker paid for nothing.  ``lazy_exports`` keeps
+and 0.4 s (81 MiB resident where 36 do) that the upload front-end paid
+for nothing.  ``lazy_exports`` keeps
 ``from package import Name`` and ``package.__all__`` as they were and
 defers each submodule import to the first access of a name it defines.
 """

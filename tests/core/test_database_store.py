@@ -6,7 +6,7 @@ import pytest
 from repro.core.database import VPDatabase
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
-from repro.store import SegmentStore, ShardedStore, make_store
+from repro.store import SegmentStore, make_store
 from repro.store.serving import QuerySpec
 from tests.store.conftest import build_store, fingerprints, make_vp
 
@@ -14,9 +14,8 @@ from tests.store.conftest import build_store, fingerprints, make_vp
 class TestFacadeOverBackends:
     @pytest.mark.parametrize(
         "store_factory",
-        [lambda: make_store("memory"), lambda: build_store("sqlite"),
-         lambda: ShardedStore.memory(2)],
-        ids=["memory", "sqlite", "sharded"],
+        [lambda: make_store("memory"), lambda: build_store("sqlite")],
+        ids=["memory", "sqlite"],
     )
     def test_public_api_over_any_backend(self, store_factory):
         db = VPDatabase(store=store_factory())

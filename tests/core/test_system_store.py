@@ -17,7 +17,7 @@ def drive_minute():
     return run_linked_minute(police, civilian)
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
 def test_investigation_over_any_backend(kind):
     system = ViewMapSystem(key_bits=512, seed=1, store=build_store(kind))
     res_police, res_civ = drive_minute()

@@ -1,8 +1,8 @@
 """Integration: fake VPs cheating locations are rejected end to end.
 
-The whole class runs once per store backend — rejection is a property
+The whole class runs once per store placement — rejection is a property
 of verification, and it must not depend on whether the VPs came back
-out of the in-memory grid, SQLite, a sharded fleet or worker processes.
+out of anonymous or named segments.
 """
 
 import pytest
@@ -11,13 +11,14 @@ from repro.attacks.faker import forge_fake_vp
 from repro.core.system import ViewMapSystem
 from repro.core.vehicle import VehicleAgent
 from repro.geo.geometry import Point
-from repro.store import STORE_KINDS, make_store
+from repro.store import STORE_KINDS
 from tests.conftest import run_linked_minute
+from tests.store.conftest import build_store
 
 
 @pytest.fixture(params=STORE_KINDS)
 def system_with_incident(request):
-    store = make_store(request.param, n_shards=2, ingest_workers=2)
+    store = build_store(request.param)
     system = ViewMapSystem(key_bits=512, seed=31, store=store)
     police = VehicleAgent(vehicle_id=100, seed=31)
     witness = VehicleAgent(vehicle_id=1, seed=32)

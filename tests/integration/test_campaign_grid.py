@@ -39,7 +39,7 @@ def retention_grid():
 
 @pytest.fixture(scope="module")
 def backend_rows():
-    """The faker campaign against all four store backends."""
+    """The faker campaign against both store placements."""
     cfg = CampaignGridConfig(backends=STORE_KINDS, retentions=("window",))
     rows = {}
     for backend in STORE_KINDS:

@@ -196,15 +196,14 @@ class TestConcurrentServerRetention:
             assert len(system.database) == 9
             system.close()
 
-    def test_process_store_behind_concurrent_front_end(self):
-        # the worker-process fleet wired end to end: concurrent batch
-        # uploads through the server advance the watermark, eviction
-        # fans out across worker processes, and the fleet id directory
-        # (seeded over the pipe via iter_id_minutes) keeps rejecting
-        # duplicates after the passes
-        from repro.store import ProcessShardedStore
+    def test_named_store_behind_concurrent_front_end(self, tmp_path):
+        # the file-backed log wired end to end: batch uploads through
+        # the concurrent server advance the watermark, eviction unlinks
+        # whole segments, and the id map keeps rejecting duplicates
+        # after the passes
+        from repro.store import make_store
 
-        store = ProcessShardedStore.memory(n_workers=2, shard_cells=2)
+        store = make_store("sqlite", str(tmp_path / "log"))
         with ThreadedNetwork(workers=4) as net:
             system = ViewMapSystem(
                 key_bits=512, seed=1, store=store,

@@ -5,7 +5,7 @@ sequence of batch uploads driven through a held streaming connection
 and the same sequence through the buffer-whole threaded fabric leave
 **byte-identical** store contents (ids, minutes, trusted flags, encoded
 bodies, per-minute order) and identical acks — hypothesis-checked on
-all four backends: memory, sqlite (group commit on), sharded, procs.
+both placements, memory and sqlite.
 
 Uploads are sequential within each arm, so insertion order is
 deterministic and the comparison is exact, not just set-equal.
@@ -23,10 +23,10 @@ from repro.net.messages import decode_message, encode_message, pack_vp_batch_fra
 from repro.net.streaming import StreamingNetwork
 from tests.net.test_wire_frame import (
     POOL_SIZE,
-    make_backend,
     make_complete_vp,
     store_contents,
 )
+from tests.store.conftest import build_store
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ compositions_strategy = st.lists(
 
 
 def run_threaded(backend: str, pool, compositions) -> tuple[list, dict]:
-    with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as system:
+    with ViewMapSystem(key_bits=512, seed=3, store=build_store(backend)) as system:
         with ThreadedNetwork(workers=2) as net:
             server = ConcurrentViewMapServer(system=system, network=net)
             replies = []
@@ -55,7 +55,7 @@ def run_threaded(backend: str, pool, compositions) -> tuple[list, dict]:
 
 
 def run_streaming(backend: str, pool, compositions) -> tuple[list, dict]:
-    with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as system:
+    with ViewMapSystem(key_bits=512, seed=3, store=build_store(backend)) as system:
         with StreamingNetwork(workers=2) as net:
             server = ConcurrentViewMapServer(system=system, network=net)
             conn = net.connect(server.address)
@@ -76,14 +76,8 @@ def assert_transport_parity(backend: str, pool, compositions) -> None:
     assert threaded == streamed
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite", "sharded"])
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @given(compositions=compositions_strategy)
 @settings(max_examples=10, deadline=None)
 def test_streaming_and_threaded_store_identical_bytes(backend, vp_pool, compositions):
     assert_transport_parity(backend, vp_pool, compositions)
-
-
-@given(compositions=compositions_strategy)
-@settings(max_examples=3, deadline=None)
-def test_streaming_parity_on_process_workers(vp_pool, compositions):
-    assert_transport_parity("procs", vp_pool, compositions)

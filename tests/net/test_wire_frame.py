@@ -5,8 +5,8 @@ Two properties pin the one batch encoding:
 * **parity** — a batch uploaded as a frame and the same VPs handed to
   ``ViewMapSystem.ingest_vps`` as objects leave byte-identical store
   contents (ids, minutes, trusted flags, encoded bodies, and per-minute
-  order) and report the same acks on every backend: memory, sqlite
-  (group commit on), sharded and procs.  The wire is a pure transport,
+  order) and report the same acks on both placements, memory and
+  sqlite.  The wire is a pure transport,
   invisible to investigation reads.
 * **rejection** — a malformed frame (truncated buffer, record count
   that disagrees with the bytes present, wrong body size, trusted
@@ -41,7 +41,6 @@ from repro.net.messages import (
 from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
-from repro.store import ProcessShardedStore, ShardedStore
 from repro.store.codec import (
     RECORD_OVERHEAD_BYTES,
     encode_vp,
@@ -81,16 +80,6 @@ def nan_vp_frame(vp: ViewProfile) -> bytes:
     x, y = struct.unpack_from(">2f", frame, base + 8)
     struct.pack_into(">4d", frame, 5 + 1 + 4, x, y, x, y)
     return bytes(frame)
-
-
-def make_backend(kind: str):
-    if kind in ("memory", "sqlite"):
-        return build_store(kind)
-    if kind == "sharded":
-        return ShardedStore.memory(n_shards=3, shard_cells=3)
-    if kind == "procs":
-        return ProcessShardedStore.memory(n_workers=2, shard_cells=2)
-    raise AssertionError(kind)
 
 
 def store_contents(system: ViewMapSystem) -> dict:
@@ -140,8 +129,8 @@ compositions_strategy = st.lists(
 
 
 def assert_wire_parity(backend: str, pool, compositions) -> None:
-    with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as twin:
-        with ViewMapSystem(key_bits=512, seed=3, store=make_backend(backend)) as wire:
+    with ViewMapSystem(key_bits=512, seed=3, store=build_store(backend)) as twin:
+        with ViewMapSystem(key_bits=512, seed=3, store=build_store(backend)) as wire:
             # the two entry points agree on every ack AND on the stored bytes
             assert ingest_compositions(twin, pool, compositions) == upload_compositions(
                 wire, pool, compositions
@@ -149,17 +138,11 @@ def assert_wire_parity(backend: str, pool, compositions) -> None:
             assert store_contents(twin) == store_contents(wire)
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite", "sharded"])
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @given(compositions=compositions_strategy)
 @settings(max_examples=20, deadline=None)
 def test_frame_and_legacy_paths_store_identical_bytes(backend, vp_pool, compositions):
     assert_wire_parity(backend, vp_pool, compositions)
-
-
-@given(compositions=compositions_strategy)
-@settings(max_examples=5, deadline=None)
-def test_frame_parity_on_process_workers(vp_pool, compositions):
-    assert_wire_parity("procs", vp_pool, compositions)
 
 
 def test_frame_upload_builds_no_vp_on_the_authority(vp_pool, monkeypatch):
@@ -172,7 +155,7 @@ def test_frame_upload_builds_no_vp_on_the_authority(vp_pool, monkeypatch):
         "from_wire",
         classmethod(lambda cls, *a, **kw: built.append(1) or real_from_wire(cls, *a, **kw)),
     )
-    with ViewMapSystem(key_bits=512, seed=3, store=make_backend("sqlite")) as system:
+    with ViewMapSystem(key_bits=512, seed=3, store=build_store("sqlite")) as system:
         acks = upload_compositions(system, vp_pool, [range(POOL_SIZE), [0, 1]])
         assert [inserted for _, inserted in acks] == [POOL_SIZE, 0]
         assert built == []

@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_snapshots,
     snapshot_percentiles,
     stage_timer,
 )
@@ -111,7 +110,8 @@ class TestRegistry:
         b.set_gauge("g", 2)
         a.observe("h", 0.01)
         b.observe("h", 0.04)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
+        a.merge_snapshot(b.snapshot())
+        merged = a.snapshot()
         assert merged["n"]["value"] == 5
         assert merged["g"]["value"] == 5
         assert merged["h"]["count"] == 2

@@ -6,7 +6,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import HISTOGRAM_GROWTH, Histogram, merge_snapshots
+from repro.obs.metrics import HISTOGRAM_GROWTH, Histogram, MetricsRegistry
 
 # latency-like samples spanning microseconds to minutes, plus exact zeros
 values = st.one_of(
@@ -83,8 +83,10 @@ class TestHistogramProperties:
     @settings(max_examples=30)
     def test_snapshot_merge_order_invariant(self, populations):
         snaps = [{"lat": hist_of(p).to_dict()} for p in populations]
-        forward = merge_snapshots(snaps)
-        backward = merge_snapshots(list(reversed(snaps)))
+        forward, backward = MetricsRegistry(), MetricsRegistry()
+        for a, b in zip(snaps, reversed(snaps)):
+            forward.merge_snapshot(a)
+            backward.merge_snapshot(b)
         assert_same_distribution(
-            Histogram.from_dict(forward["lat"]), Histogram.from_dict(backward["lat"])
+            forward.histogram("lat"), backward.histogram("lat")
         )

@@ -1,11 +1,10 @@
-"""Property test: every backend answers every query identically.
+"""Property test: every placement answers every query identically.
 
 Randomized insert/query sequences (every write entry point, object and
 frame, strict and not, with duplicate-id rejection and trusted-path
-inserts) are replayed against every placement of the one engine — the
-volatile and named segment log, ``ShardedStore`` and
-``ProcessShardedStore`` (real worker OS processes) — plus a deliberately
-naive reference model reproducing the seed database's flat linear-scan
+inserts) are replayed against both placements of the one engine — the
+volatile and the named segment log — plus a deliberately naive
+reference model reproducing the seed database's flat linear-scan
 semantics; all must agree on every observable.
 """
 
@@ -24,16 +23,14 @@ from repro.errors import StorageError, ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.store import (
     STORE_KINDS,
-    ProcessShardedStore,
     QuerySpec,
     SegmentStore,
-    ShardedStore,
     VPStore,
     decode_vp_batch,
     encode_vp_batch,
     make_store,
 )
-from tests.store.conftest import build_store, fingerprints, make_vp
+from tests.store.conftest import PLACEMENTS, build_placement, build_store, fingerprints, make_vp
 
 
 class ReferenceModel:
@@ -150,8 +147,6 @@ def fresh_backends(tmp_dir):
     return [
         make_store("memory"),
         make_store("sqlite", str(tmp_dir / "log")),
-        ShardedStore.memory(n_shards=3),
-        ProcessShardedStore.memory(n_workers=2, shard_cells=2),
     ]
 
 
@@ -303,9 +298,9 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
     shutil.rmtree(tmp_dir)
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded", "procs"])
+@pytest.mark.parametrize("kind", list(PLACEMENTS))
 def test_make_store_round_trip(kind):
-    store = build_store(kind, ingest_workers=2)
+    store = build_placement(kind)
     vp = make_vp(seed=42)
     store.insert(vp)
     assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([vp])
@@ -323,7 +318,7 @@ def test_identity_contract():
     spec = QuerySpec(minute=0)
     vp = make_vp(seed=7)
     for kind in STORE_KINDS:
-        with build_store(kind, n_shards=2, ingest_workers=2) as store:
+        with build_store(kind) as store:
             store.insert(vp)
             first, second = store.query(spec).vps[0], store.query(spec).vps[0]
             got = store.get(vp.vp_id)
@@ -333,20 +328,16 @@ def test_identity_contract():
 
 def test_each_backend_defines_one_read_primitive():
     """``query_encoded`` is abstract; decoded reads are defined once."""
-    from repro.store import WorkerShard
-
     assert "query_encoded" in VPStore.__abstractmethods__
-    for backend in (SegmentStore, ShardedStore, WorkerShard):
-        assert "query_encoded" in vars(backend), backend.__name__
-        assert "query" not in vars(backend), backend.__name__
-    assert "query_encoded" not in vars(ProcessShardedStore)
+    assert "query_encoded" in vars(SegmentStore)
+    assert "query" not in vars(SegmentStore)
 
 
-@pytest.mark.parametrize("kind", STORE_KINDS)
+@pytest.mark.parametrize("kind", list(PLACEMENTS))
 def test_strict_batch_is_all_or_nothing(kind):
     """A strict batch with one duplicate raises and stores none of it."""
     vps = [make_vp(seed=seed, minute=seed % 2) for seed in range(1, 5)]
-    with build_store(kind, ingest_workers=2) as store:
+    with build_placement(kind) as store:
         store.insert(make_vp(seed=3, minute=1))
         with pytest.raises(ValidationError):
             store.insert_encoded(encode_vp_batch(vps), strict=True)
@@ -358,15 +349,47 @@ def test_strict_batch_is_all_or_nothing(kind):
 
 
 def test_failed_trusted_insert_leaves_caller_untrusted(tmp_path):
-    """A shard failure mid-``insert_trusted`` must not mint a trusted VP."""
-    store = ShardedStore([make_store("sqlite", str(tmp_path / f"s{i}")) for i in range(2)])
+    """A store failure mid-``insert_trusted`` must not mint a trusted VP."""
+    store = make_store("sqlite", str(tmp_path / "log"))
     vp = make_vp(seed=9)
-    try:
-        for shard in store.shards:
-            shard.close()
-        with pytest.raises(StorageError):
-            store.insert_trusted(vp)
-        assert vp.trusted is False
-        assert vp.vp_id not in store
-    finally:
-        store.close()
+    store.close()
+    with pytest.raises(StorageError):
+        store.insert_trusted(vp)
+    assert vp.trusted is False
+    with make_store("sqlite", str(tmp_path / "log")) as reopened:
+        assert vp.vp_id not in reopened
+
+
+def test_retired_kinds_resolve_to_the_one_log(tmp_path):
+    """``make_store("procs", path, ...)`` is ``make_store("sqlite", path)``.
+
+    The pipeline benchmark still asks for the retired placement with its
+    shard and worker counts: it gets one in-process log, no child
+    process, and exactly the files and bytes the ``sqlite`` kind writes.
+    """
+    import multiprocessing
+
+    frames = [
+        encode_vp_batch(
+            [make_vp(seed=4 * f + i + 1, minute=f % 3, x0=500.0 * i) for i in range(4)]
+        )
+        for f in range(6)
+    ]
+    for name in ("procs", "sqlite"):
+        (tmp_path / name).mkdir()
+    retired = make_store(
+        "procs", str(tmp_path / "procs" / "log"), n_shards=2, ingest_workers=2, shard_cells=2
+    )
+    with retired, make_store("sqlite", str(tmp_path / "sqlite" / "log")) as log:
+        assert type(retired) is SegmentStore
+        assert multiprocessing.active_children() == []
+        for frame in frames:
+            assert retired.insert_encoded(frame) == log.insert_encoded(frame) == 4
+    stored = {
+        name: {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        for name in ("procs", "sqlite")
+    }
+    assert len(stored["sqlite"]) == 3
+    assert stored["procs"] == stored["sqlite"]
+    with make_store("sharded", n_shards=3) as volatile:
+        assert type(volatile) is SegmentStore and volatile.path == ""

@@ -1,11 +1,10 @@
 """Property tests for the columnar VP batch codec.
 
-The batch buffer is the IPC framing of the process shard workers AND
-the feed of the SQLite group-commit path, so its guarantees are pinned
-hard: exact round-trip for any VP mix (digest counts, minutes,
-positions, trusted flags), record metadata identical to what the SQLite
-backend would derive from the decoded VP, and loud failures on
-truncated or version-skewed buffers.
+The batch buffer is the upload wire payload AND the record format of
+the segment log, so its guarantees are pinned hard: exact round-trip
+for any VP mix (digest counts, minutes, positions, trusted flags),
+record metadata identical to what the store would derive from the
+decoded VP, and loud failures on truncated or version-skewed buffers.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from repro.errors import WireFormatError
 from repro.store.codec import (
     Batch,
     decode_vp_batch,
+    encode_row_batch,
     encode_vp,
     encode_vp_batch,
     encoded_body_bytes,
@@ -80,26 +80,22 @@ def test_encoded_rows_match_storage_metadata(specs):
         assert bytes(body) == encode_vp(vp)
 
 
-@given(specs=vp_specs, data=st.data())
+@given(specs=vp_specs)
 @settings(max_examples=25, deadline=None)
-def test_batch_forms_agree(specs, data):
+def test_batch_forms_agree(specs):
     # the write primitive's value type: whichever form the records
-    # arrived in, every derived form (and every sub-batch) is the same
+    # arrived in, every derived form is the same
     vps = build_corpus(specs)
     frame = encode_vp_batch(vps)
     from_vps, from_frame = Batch.from_vps(vps), Batch.from_frame(frame)
     assert from_vps.meta == from_frame.meta
     assert from_vps.rows() == from_frame.rows()
-    assert from_vps.frame() == frame and from_frame.frame() is frame
+    assert encode_row_batch(from_vps.rows()) == frame
+    spans = [(start, end) for _row, start, end in iter_encoded_records(frame)]
+    for i, (start, end) in enumerate(spans):
+        assert from_vps.record_span(i) == from_frame.record_span(i) == frame[start:end]
     assert all(a is b for a, b in zip(from_vps.vps(), vps))
     assert fingerprints(from_frame.vps()) == fingerprints(vps)
-    indices = sorted(data.draw(st.sets(st.sampled_from(range(len(vps))))) if vps else [])
-    picked = [vps[i] for i in indices]
-    for batch in (from_vps, from_frame):
-        sub = batch.select(indices)
-        assert len(sub) == len(picked)
-        assert sub.frame() == encode_vp_batch(picked)
-        assert sub.rows() == Batch.from_vps(picked).rows()
     # a trusted write forces the bit in the metadata only
     assert all(record[2] for record in Batch.from_vps(vps, trusted=True).meta)
     assert [vp.trusted for vp in vps] == [bool(spec[5]) for spec in specs]
@@ -113,8 +109,8 @@ def test_empty_batch_round_trips():
 @settings(max_examples=25, deadline=None)
 def test_record_spans_tile_the_buffer(specs):
     # spans are contiguous, ordered, and joining ALL of them reproduces
-    # the source buffer byte-for-byte — the zero-decode router's slices
-    # are provably the framed records and nothing else
+    # the source buffer byte-for-byte — the slices a log appends are
+    # provably the framed records and nothing else
     vps = build_corpus(specs)
     batch = encode_vp_batch(vps)
     records = list(iter_encoded_records(batch))
@@ -131,7 +127,7 @@ def test_record_spans_tile_the_buffer(specs):
 @settings(max_examples=25, deadline=None)
 def test_sliced_sub_batches_decode_to_their_records(specs):
     # carving alternating records into a new frame preserves exactly
-    # those VPs, in span order — per-shard slicing is lossless
+    # those VPs, in span order — regrouping fresh records is lossless
     vps = build_corpus(specs)
     batch = encode_vp_batch(vps)
     records = list(iter_encoded_records(batch))
@@ -197,14 +193,12 @@ class TestFramingCopiesNothingTwice:
 
     def test_object_batch_frames_within_its_blobs_plus_the_join(self):
         vps = [make_vp(seed=i + 1, n=60, minute=0) for i in range(64)]
-        Batch.from_vps(vps).frame()  # what a VP memoizes is not the framing's
-        peak, frame = self._peak(lambda: Batch.from_vps(vps).frame())
+        encode_row_batch(Batch.from_vps(vps).rows())  # what a VP memoizes is not the framing's
+        peak, frame = self._peak(lambda: encode_row_batch(Batch.from_vps(vps).rows()))
         assert frame == encode_vp_batch(vps)
         assert peak < 2.2 * len(frame)  # the encoded bodies, then one join
 
     def test_memoryview_bodies_go_into_the_join_as_they_are(self):
-        from repro.store.codec import encode_row_batch
-
         frame = encode_vp_batch([make_vp(seed=i + 1, n=60, minute=0) for i in range(64)])
         rows = Batch.from_frame(memoryview(frame)).rows()
         peak, again = self._peak(lambda: encode_row_batch(rows))

@@ -1,6 +1,6 @@
-"""Concurrency contract tests for every VP store backend.
+"""Concurrency contract tests for every placement of the VP store.
 
-Each backend must keep exact semantics under parallel writers: no lost
+Each placement must keep exact semantics under parallel writers: no lost
 VPs, no duplicates, and batch-insert counts that sum to the number of
 VPs actually stored — byte-for-byte the state a serial reference run
 produces.
@@ -16,44 +16,15 @@ import pytest
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError
 from repro.geo.geometry import Rect
-from repro.store import ProcessShardedStore, ShardedStore, make_store
+from repro.store import make_store
 from repro.store.serving import QuerySpec
-from tests.store.conftest import fingerprint, make_vp
+from tests.store.conftest import PLACEMENTS, build_placement, fingerprint, make_vp
 
 N_THREADS = 6
 VPS_PER_THREAD = 12
 
 
-def make_backend(kind: str, tmp_path):
-    """Fresh backend instances for each concurrency scenario."""
-    tmp_path.mkdir(parents=True, exist_ok=True)
-    if kind == "memory":
-        return make_store("memory")
-    if kind == "sqlite":
-        return make_store("sqlite", str(tmp_path / "concurrent"))
-    if kind == "sharded":
-        return ShardedStore.memory(n_shards=3)
-    if kind == "sharded-sqlite":
-        return ShardedStore(
-            [make_store("sqlite", str(tmp_path / f"shard-{i}")) for i in range(3)]
-        )
-    if kind == "procs":
-        return ProcessShardedStore.memory(n_workers=2, shard_cells=2)
-    if kind == "procs-sqlite":
-        return make_store(
-            "procs", str(tmp_path / "fleet"), ingest_workers=2, shard_cells=2
-        )
-    raise AssertionError(kind)
-
-
-BACKENDS = [
-    "memory",
-    "sqlite",
-    "sharded",
-    "sharded-sqlite",
-    "procs",
-    "procs-sqlite",
-]
+BACKENDS = list(PLACEMENTS)
 
 
 def corpus_for(thread: int) -> list:
@@ -68,15 +39,15 @@ def corpus_for(thread: int) -> list:
 
 @pytest.mark.parametrize("kind", BACKENDS)
 class TestConcurrentIngest:
-    def test_parallel_insert_many_no_lost_no_duplicated(self, kind, tmp_path):
+    def test_parallel_insert_many_no_lost_no_duplicated(self, kind):
         batches = [corpus_for(t) for t in range(N_THREADS)]
 
-        serial = make_backend(kind, tmp_path / "serial")
+        serial = build_placement(kind)
         serial_counts = [serial.insert_many(batch) for batch in batches]
         expected_ids = {vp.vp_id for batch in batches for vp in batch}
         assert len(serial) == len(expected_ids)
 
-        store = make_backend(kind, tmp_path / "parallel")
+        store = build_placement(kind)
         barrier = threading.Barrier(N_THREADS, timeout=10.0)
 
         def ingest(batch):
@@ -99,8 +70,8 @@ class TestConcurrentIngest:
         serial.close()
         store.close()
 
-    def test_parallel_readers_during_writes(self, kind, tmp_path):
-        store = make_backend(kind, tmp_path)
+    def test_parallel_readers_during_writes(self, kind):
+        store = build_placement(kind)
         seed_vps = [make_vp(seed=i + 1, minute=0, x0=10.0 * i) for i in range(8)]
         store.insert_many(seed_vps)
         area = Rect(-5, -5, 500, 5)
@@ -156,23 +127,15 @@ class TestLogConcurrencyMachinery:
         store.close()
 
 
-class TestShardedFanout:
-    def test_multi_minute_batch_fans_out_and_counts_exactly(self):
-        store = ShardedStore.memory(n_shards=4)
-        vps = [make_vp(seed=100 + i, minute=i % 4, x0=10.0 * i) for i in range(32)]
-        assert store.insert_many(vps) == 32
-        assert [len(s) for s in store.shards] == [8, 8, 8, 8]
-        assert store.stats().detail["fanout_workers"] == 4
-        store.close()
-
-    def test_same_id_at_different_minutes_lands_on_one_shard_only(self):
-        # the same R value at two minutes routes to two shards; the
-        # fleet-wide reservation must keep exactly one copy even when
-        # the two inserts race
+@pytest.mark.parametrize("kind", BACKENDS)
+class TestOneWinner:
+    def test_same_id_at_different_minutes_lands_once(self, kind):
+        # the same R value at two minutes lands in two segments; the
+        # id map must keep exactly one copy even when the two inserts race
         from dataclasses import replace
 
-        for _ in range(20):
-            store = ShardedStore.memory(n_shards=2)
+        for _attempt in range(20):
+            store = build_placement(kind)
             a = make_vp(seed=7, minute=0)
             b = make_vp(seed=8, minute=1)
             # forge the id collision across minutes (keeps b's timestamps)
@@ -197,8 +160,8 @@ class TestShardedFanout:
             assert len(store) == 1
             store.close()
 
-    def test_insert_trusted_rejection_does_not_mutate(self):
-        store = ShardedStore.memory(n_shards=2)
+    def test_insert_trusted_rejection_does_not_mutate(self, kind):
+        store = build_placement(kind)
         original = make_vp(seed=9, minute=0)
         store.insert_many([original])
         duplicate = make_vp(seed=9, minute=0)  # same id, caller-held copy
@@ -209,27 +172,18 @@ class TestShardedFanout:
         assert store.get(original.vp_id).trusted is False
         store.close()
 
-    def test_serial_fanout_option(self):
-        store = ShardedStore(
-            [make_store("memory") for _ in range(3)], fanout_workers=0
-        )
-        vps = [make_vp(seed=200 + i, minute=i % 3) for i in range(9)]
-        assert store.insert_many(vps) == 9
-        assert len(store) == 9
-        store.close()
-
 
 class TestEvictionRaces:
     """Regression: retention passes racing ingest must never error.
 
-    Inserting into a minute that was just evicted re-creates it on the
-    owning shard — the reservation must treat evicted ids as free, not
-    raise a duplicate error off stale directory state.
+    Inserting into a minute that was just evicted re-creates its
+    segment — the id map must treat evicted ids as free, not raise a
+    duplicate error off stale state.
     """
 
-    @pytest.mark.parametrize("shard_cells", [1, 4])
-    def test_insert_into_just_evicted_minute_recreates_shard(self, shard_cells):
-        store = ShardedStore.memory(n_shards=4, shard_cells=shard_cells)
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_insert_into_just_evicted_minute_recreates_it(self, kind):
+        store = build_placement(kind)
         vps = [make_vp(seed=300 + i, minute=0, x0=40.0 * i) for i in range(8)]
         store.insert_many(vps)
         assert store.evict_before(1) == 8
@@ -241,12 +195,8 @@ class TestEvictionRaces:
         store.close()
 
     @pytest.mark.parametrize("kind", BACKENDS)
-    def test_concurrent_eviction_and_ingest_no_errors(self, kind, tmp_path):
-        store = make_backend(kind, tmp_path)
-        shard_cells = 3 if kind == "sharded" else 1
-        if kind == "sharded":
-            store.close()
-            store = ShardedStore.memory(n_shards=3, shard_cells=shard_cells)
+    def test_concurrent_eviction_and_ingest_no_errors(self, kind):
+        store = build_placement(kind)
         stop = threading.Event()
         errors: list[Exception] = []
 

@@ -1,9 +1,8 @@
 """Volatile stores leave nothing behind: no descriptor, no named file.
 
-Every volatile placement of the segment log — ``make_store("memory")``,
-an in-process ``sharded`` fleet and a pathless ``procs`` fleet — holds
-one descriptor per live minute, each on an anonymous segment that was
-never linked into any directory.  Eviction closes the evicted minutes'
+The volatile placement of the segment log, ``make_store("memory")``,
+holds exactly one descriptor per live minute, each on an anonymous
+segment that was never linked into any directory.  Eviction closes the evicted minutes'
 descriptors, ``close()`` must hand every one of them back, and no file
 named after the store may appear anywhere.  A named store returns its
 descriptors the same way and keeps exactly its segment files.  A store
@@ -31,9 +30,9 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def file_targets(pid: int | str = "self") -> Counter:
-    """What a process's descriptors on files point at (pipes and sockets excluded)."""
-    table = f"/proc/{pid}/fd"
+def file_targets() -> Counter:
+    """What this process's descriptors on files point at (pipes and sockets excluded)."""
+    table = "/proc/self/fd"
     targets: Counter = Counter()
     for fd in os.listdir(table):
         try:
@@ -45,36 +44,29 @@ def file_targets(pid: int | str = "self") -> Counter:
     return targets
 
 
-def opened_since(store, kind: str, files_before: Counter) -> Counter:
-    """File descriptors the store opened, in this process or its workers."""
-    if kind != "procs":
-        return file_targets() - files_before
-    opened: Counter = Counter()
-    for pid in store.worker_pids():
-        opened += file_targets(pid) - files_before  # fork inherits the rest
-    return opened
+def opened_since(files_before: Counter) -> Counter:
+    """File descriptors opened since ``files_before`` was taken."""
+    return file_targets() - files_before
 
 
 def anonymous_segments(opened: Counter) -> list[str]:
     return [target for target in opened.elements() if target.endswith(" (deleted)")]
 
 
-@pytest.mark.parametrize("kind", ["memory", "sharded", "procs"])
-def test_close_returns_every_descriptor_and_names_nothing(kind, tmp_path, monkeypatch):
+def test_close_returns_every_descriptor_and_names_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     temp_before = set(os.listdir(tempfile.gettempdir()))
     fds_before = len(os.listdir("/proc/self/fd"))
     files_before = file_targets()
 
-    store = make_store(kind, n_shards=3, ingest_workers=3)
+    store = make_store("memory")
     frame = encode_vp_batch([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
     assert store.insert_encoded(frame) == MINUTES
     # one descriptor per live minute, each on an unlinked segment
-    opened = opened_since(store, kind, files_before)
+    opened = opened_since(files_before)
     segments = anonymous_segments(opened)
     assert len(segments) == MINUTES, opened
-    # a worker's stdin is /dev/null; nothing else is a named file
-    assert set(opened) - set(segments) <= {"/dev/null"}, opened
+    assert set(opened) == set(segments), opened  # nothing else is a named file
 
     store.close()
     assert len(os.listdir("/proc/self/fd")) == fds_before
@@ -83,10 +75,9 @@ def test_close_returns_every_descriptor_and_names_nothing(kind, tmp_path, monkey
 
 
 @pytest.mark.parametrize("keep_trusted", [False, True], ids=["all", "keep-trusted"])
-@pytest.mark.parametrize("kind", ["memory", "sharded", "procs"])
-def test_eviction_returns_the_evicted_minutes_descriptors(kind, keep_trusted, tmp_path):
+def test_eviction_returns_the_evicted_minutes_descriptors(keep_trusted, tmp_path):
     files_before = file_targets()
-    store = make_store(kind, n_shards=3, ingest_workers=3)
+    store = make_store("memory")
     try:
         store.insert_many([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
         store.insert_trusted(make_vp(seed=MINUTES + 1, minute=0, x0=50.0))
@@ -97,22 +88,21 @@ def test_eviction_returns_the_evicted_minutes_descriptors(kind, keep_trusted, tm
         # old one is closed, not leaked beside it
         live = MINUTES - cutoff + pinned
         assert store.minutes() == ([0] if keep_trusted else []) + list(range(cutoff, MINUTES))
-        assert len(anonymous_segments(opened_since(store, kind, files_before))) == live
+        assert len(anonymous_segments(opened_since(files_before))) == live
         assert store.evict_before(MINUTES) == live
-        assert anonymous_segments(opened_since(store, kind, files_before)) == []
+        assert anonymous_segments(opened_since(files_before)) == []
     finally:
         store.close()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sharded"])
-def test_unretained_store_fails_cleanly_at_the_descriptor_ceiling(kind):
+def test_unretained_store_fails_cleanly_at_the_descriptor_ceiling():
     # no retention: every new minute keeps a descriptor, so past
     # RLIMIT_NOFILE the next new minute is refused with its cause named,
     # what landed stays whole, and eviction hands the descriptors back
     resource = pytest.importorskip("resource")
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     headroom = 16
-    store = make_store(kind, n_shards=3)
+    store = make_store("memory")
     minute = 0
     # the limit caps descriptor *numbers*: free ones below it are the
     # headroom plus whatever holes the table has
@@ -136,19 +126,18 @@ def test_unretained_store_fails_cleanly_at_the_descriptor_ceiling(kind):
         store.close()
 
 
-@pytest.mark.parametrize("kind", ["sqlite", "procs"])
-def test_named_store_close_returns_descriptors_and_keeps_its_files(kind, tmp_path):
+def test_named_store_close_returns_descriptors_and_keeps_its_files(tmp_path):
     fds_before = len(os.listdir("/proc/self/fd"))
     files_before = file_targets()
     path = str(tmp_path / "log")
-    store = make_store(kind, path, ingest_workers=3)
+    store = make_store("sqlite", path)
     store.insert_many([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
-    opened = opened_since(store, kind, files_before)
+    opened = opened_since(files_before)
     named = [target for target in opened.elements() if target.startswith(path)]
     assert len(named) == MINUTES and not anonymous_segments(opened), opened
 
     store.close()
     assert len(os.listdir("/proc/self/fd")) == fds_before
     assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(t) for t in named)
-    with make_store(kind, path, ingest_workers=3) as reopened:
+    with make_store("sqlite", path) as reopened:
         assert len(reopened) == MINUTES

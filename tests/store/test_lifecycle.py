@@ -1,9 +1,8 @@
 """Tests for the store lifecycle subsystem (retention + eviction).
 
-Covers the policy object itself, ``apply_retention`` reports, the
-composite-routing variants of :class:`ShardedStore`, and — as a
-hypothesis property — that for *any* interleaving of inserts and
-evictions, every backend answers area queries over the retained window
+Covers the policy object itself, ``apply_retention`` reports, and — as
+a hypothesis property — that for *any* interleaving of inserts and
+evictions, both placements answer area queries over the retained window
 with exactly the non-evicted matching VPs.
 """
 
@@ -15,15 +14,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Rect
-from repro.store import (
-    ProcessShardedStore,
-    RetentionPolicy,
-    ShardedStore,
-    apply_retention,
-    make_store,
-)
+from repro.store import RetentionPolicy, apply_retention, make_store
 from repro.store.serving import QuerySpec
-from tests.store.conftest import build_store, fingerprints, make_vp
+from tests.store.conftest import PLACEMENTS, build_placement, build_store, fingerprints, make_vp
 
 
 class TestRetentionPolicy:
@@ -67,8 +60,7 @@ class TestApplyRetention:
         assert len(store) == 4
 
     def test_count_by_minute_matches_population(self):
-        for store in (make_store("memory"), build_store("sqlite"), ShardedStore.memory(3),
-                      ShardedStore.memory(4, shard_cells=4)):
+        for store in (make_store("memory"), build_store("sqlite")):
             for i in range(5):
                 store.insert(make_vp(seed=i + 1, minute=i % 2, x0=500.0 * i))
             assert store.query(QuerySpec(minute=0, count=True)).n == 3
@@ -79,14 +71,9 @@ class TestApplyRetention:
 
 
 class TestEvictionSemantics:
-    @pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded", "sharded-cells"])
+    @pytest.mark.parametrize("kind", list(PLACEMENTS))
     def test_evicted_vps_fully_gone(self, kind):
-        store = {
-            "memory": lambda: make_store("memory"),
-            "sqlite": lambda: build_store("sqlite"),
-            "sharded": lambda: ShardedStore.memory(n_shards=3),
-            "sharded-cells": lambda: ShardedStore.memory(n_shards=4, shard_cells=4),
-        }[kind]()
+        store = build_placement(kind)
         vps = [
             make_vp(seed=10 * m + i + 1, minute=m, x0=300.0 * i)
             for m in range(4)
@@ -102,7 +89,7 @@ class TestEvictionSemantics:
             else:
                 assert vp.vp_id in store
         # evicted ids are free again: the same R value can be reused
-        # (the fleet-wide duplicate check must not remember ghosts)
+        # (the duplicate check must not remember ghosts)
         readd = make_vp(seed=1, minute=0)
         store.insert(readd)
         assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([readd])
@@ -114,17 +101,9 @@ class TestEvictionSemantics:
 class TestTrustedPinning:
     """``pin_trusted``: a retention pass never drops investigation seeds."""
 
-    @pytest.mark.parametrize(
-        "kind", ["memory", "sqlite", "sharded", "sharded-cells", "procs"]
-    )
+    @pytest.mark.parametrize("kind", list(PLACEMENTS))
     def test_pinned_trusted_survive_eviction(self, kind):
-        store = {
-            "memory": lambda: make_store("memory"),
-            "sqlite": lambda: build_store("sqlite"),
-            "sharded": lambda: ShardedStore.memory(n_shards=3),
-            "sharded-cells": lambda: ShardedStore.memory(n_shards=4, shard_cells=4),
-            "procs": lambda: ProcessShardedStore.memory(n_workers=2, shard_cells=2),
-        }[kind]()
+        store = build_placement(kind)
         try:
             anon = [
                 make_vp(seed=10 * m + i + 1, minute=m, x0=500.0 * i)
@@ -178,76 +157,6 @@ class TestTrustedPinning:
         store.close()
 
 
-class TestCompositeRouting:
-    def test_hot_minute_spreads_across_shards(self):
-        store = ShardedStore.memory(n_shards=8, shard_cells=8, route_cell_m=500.0)
-        vps = [
-            make_vp(seed=i + 1, minute=0, x0=700.0 * i, y0=900.0 * (i % 5))
-            for i in range(40)
-        ]
-        store.insert_many(vps)
-        occupied = sum(1 for shard in store.shards if len(shard) > 0)
-        assert occupied >= 4  # one minute no longer lives on one shard
-
-    def test_insertion_order_preserved_across_shards(self):
-        store = ShardedStore.memory(n_shards=4, shard_cells=4, route_cell_m=250.0)
-        vps = [
-            make_vp(seed=i + 1, minute=0, x0=800.0 * (i % 7), y0=650.0 * (i % 3))
-            for i in range(25)
-        ]
-        for vp in vps[:10]:
-            store.insert(vp)
-        store.insert_many(vps[10:])
-        assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints(vps)
-        area = Rect(-10.0, -10.0, 3000.0, 1500.0)
-        expected = [
-            vp
-            for vp in vps
-            if any(
-                -10.0 <= p.x <= 3000.0 and -10.0 <= p.y <= 1500.0
-                for p in vp.trajectory.points
-            )
-        ]
-        found = store.query(QuerySpec(minute=0, area=area)).vps
-        assert fingerprints(found) == fingerprints(expected)
-
-    def test_minute_only_routing_unchanged(self):
-        # shard_cells=1 must behave exactly as the historical router
-        store = ShardedStore.memory(n_shards=3)
-        vp = make_vp(seed=1, minute=5)
-        store.insert(vp)
-        assert vp.vp_id in store.shards[5 % 3]
-
-    def test_reopened_sqlite_fleet_keeps_duplicate_check(self, tmp_path):
-        paths = [str(tmp_path / f"shard-{i}") for i in range(3)]
-
-        def open_fleet():
-            return ShardedStore(
-                [make_store("sqlite", path) for path in paths], shard_cells=3
-            )
-
-        store = open_fleet()
-        vps = [make_vp(seed=i + 1, minute=0, x0=900.0 * i) for i in range(6)]
-        store.insert_many(vps)
-        store.close()
-
-        reopened = open_fleet()
-        # the id directory is re-seeded from the shards: duplicates are
-        # still rejected and the stored set is intact (order across
-        # shards is per-shard after a restart, so compare as sets)
-        with pytest.raises(ValidationError):
-            reopened.insert(make_vp(seed=1, minute=0))
-        assert reopened.insert_many([vps[2], make_vp(seed=99, minute=0)]) == 1
-        assert len(reopened) == 7
-        merged = reopened.query(QuerySpec(minute=0)).vps
-        got = {f for f in fingerprints(merged)}
-        want = {f for f in fingerprints(vps + [make_vp(seed=99, minute=0)])}
-        assert got == want
-        # a restart must never order new VPs ahead of persisted ones
-        assert fingerprints(merged[-1:]) == fingerprints([make_vp(seed=99, minute=0)])
-        reopened.close()
-
-
 # -- property: any insert/evict interleaving, exact retained answers -------
 
 #: an op is insert (False, seed-ish, minute, x_cell, y_cell) or evict
@@ -269,13 +178,7 @@ areas = st.tuples(
 
 
 def lifecycle_backends():
-    return [
-        make_store("memory"),
-        build_store("sqlite"),
-        ShardedStore.memory(n_shards=3),
-        ShardedStore.memory(n_shards=4, shard_cells=4, route_cell_m=300.0),
-        ProcessShardedStore.memory(n_workers=2, shard_cells=2, route_cell_m=300.0),
-    ]
+    return [make_store("memory"), build_store("sqlite")]
 
 
 @given(ops=lifecycle_ops, area=areas)

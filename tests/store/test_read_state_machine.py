@@ -1,16 +1,16 @@
 """One read oracle for every backend: a stateful property test.
 
 A hypothesis ``RuleBasedStateMachine`` drives the same write / evict /
-reopen history into every backend configuration and, after
+reopen history into both placements of the log and, after
 every step, checks the read contract of ``repro.store.base`` for every
 axis combination ``QuerySpec`` allows:
 
 * ``encode_vp_batch(query(spec).vps) == query_encoded(spec)``, byte for
   byte — every backend implements ``query_encoded`` alone and decoded
   reads are derived from it, so the two can never disagree;
-* that frame is equal across backends (and equal to a flat model's);
+* that frame is equal across placements (and equal to a flat model's);
 * ``query(count).n == len(query(spec).vps)``, with and without an area;
-* k-nearest keeps ``min(k, n)`` VPs, the same ones on every backend;
+* k-nearest keeps ``min(k, n)`` VPs, the same ones on every placement;
 * ``get(id)`` agrees with membership, and two ``get``\\ s of one id
   return equal content.
 
@@ -33,14 +33,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
-from repro.store import (
-    ProcessShardedStore,
-    QuerySpec,
-    ShardedStore,
-    encode_vp_batch,
-    make_store,
-)
-from tests.store.conftest import fingerprint, make_vp
+from repro.store import QuerySpec, encode_vp_batch, make_store
+from tests.store.conftest import build_store, fingerprint, make_vp
 
 MINUTES = 3
 AREAS = (
@@ -72,22 +66,16 @@ def vp_of(key):
 
 
 class ReadContract(RuleBasedStateMachine):
-    """Every backend configuration, one history, one oracle."""
+    """Both placements, one history, one oracle."""
 
     def __init__(self):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="repro-read-sm-"))
-        #: name -> constructor; every one is the segment log, and the
-        #: file-backed ones reopen their files
+        #: name -> constructor; both are the segment log, and the
+        #: file-backed one reopens its files
         self.factories = {
             "memory": lambda: make_store("memory"),
             "segments-file": lambda: make_store("sqlite", str(self.dir / "log")),
-            "segments-procs": lambda: make_store(
-                "procs", str(self.dir / "fleet"), ingest_workers=2, shard_cells=2
-            ),
-            "sharded": lambda: ShardedStore.memory(n_shards=3),
-            "sharded-cells": lambda: ShardedStore.memory(n_shards=3, shard_cells=3),
-            "procs": lambda: ProcessShardedStore.memory(n_workers=2, shard_cells=2),
         }
         self.stores = {name: build() for name, build in self.factories.items()}
         #: the flat model: stored keys in insertion order, key -> trusted
@@ -154,10 +142,10 @@ class ReadContract(RuleBasedStateMachine):
         for key in doomed:
             del self.model[key]
 
-    @rule(name=st.sampled_from(["segments-file", "segments-procs"]))
-    def close_and_reopen(self, name):
-        self.stores[name].close()
-        self.stores[name] = self.factories[name]()
+    @rule()
+    def close_and_reopen(self):
+        self.stores["segments-file"].close()
+        self.stores["segments-file"] = self.factories["segments-file"]()
 
     # -- the oracle ----------------------------------------------------------
 
@@ -222,13 +210,10 @@ TestReadContract.settings = settings(
 )
 
 
-@pytest.mark.parametrize(
-    "build", [lambda: make_store("memory"), lambda: make_store("sharded")],
-    ids=["memory", "sharded"],
-)
-def test_get_after_eviction_is_none_and_gets_agree(build):
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_get_after_eviction_is_none_and_gets_agree(kind):
     # what the decode-cache tests pinned that outlives the cache
-    with build() as store:
+    with build_store(kind) as store:
         vp = make_vp(seed=1, minute=0)
         store.insert(vp)
         first, second = store.get(vp.vp_id), store.get(vp.vp_id)

@@ -1,17 +1,19 @@
 """File-level behaviour of the minute-segment log.
 
 ``test_read_state_machine.py`` holds the engine to the read contract
-in every placement (volatile, named, sharded, worker processes); here
-is what that machine cannot express: torn writes, a reader racing
-eviction, what the files look like, and what an ack is worth when a
-worker process dies.
+in both placements (volatile, named); here is what that machine cannot
+express: torn and short writes, a reader racing eviction, what the
+files look like, and what an ack is worth when the writing process
+dies.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -20,7 +22,7 @@ import pytest
 
 from repro.errors import StorageError, ValidationError
 from repro.store import QuerySpec, SegmentStore, encode_vp_batch, make_store
-from repro.store.codec import RECORD_OVERHEAD_BYTES, encode_vp
+from repro.store.codec import RECORD_OVERHEAD_BYTES, Batch, encode_vp
 from repro.store.segments import _HEADER
 from tests.store.conftest import make_vp
 
@@ -185,7 +187,7 @@ class TestFiles:
         # what ``stored_bytes_per_vp`` rests on: flat regular files named
         # from the path, whose sizes sum to live records x (record + 8)
         path = str(tmp_path / "db")
-        (tmp_path / "db.workerX.00000000.seg").write_bytes(b"someone else's")
+        (tmp_path / "db.sibling.00000000.seg").write_bytes(b"someone else's")
         vps = [make_vp(seed=i + 1, n=1 + i % 3, minute=i % 4) for i in range(24)]
         store = SegmentStore(path)
         store.insert_many(vps)
@@ -193,7 +195,7 @@ class TestFiles:
         assert store.evict_before(2) == 13
         store.close()
         names = files_of(path)
-        assert names == ["db.00000002.seg", "db.00000003.seg", "db.workerX.00000000.seg"]
+        assert names == ["db.00000002.seg", "db.00000003.seg", "db.sibling.00000000.seg"]
         ours = names[:2]
         live = [vp for vp in vps if vp.minute >= 2]
         for name in ours:
@@ -239,6 +241,163 @@ class TestFiles:
             store.insert_many([make_vp(seed=i + 1, minute=i % 2) for i in range(4)])
             assert len(store) == 4
             assert os.listdir(tmp_path) == []  # anonymous: never had a name
+
+
+class TestShortWrite:
+    def test_a_short_second_chunk_leaves_the_minute_as_it_was(self, tmp_path, monkeypatch):
+        # an object batch is framed and written 256 records per writev;
+        # a short second writev must cut the first chunk off again and
+        # publish nothing, so the batch stays atomic per minute
+        path = str(tmp_path / "log")
+        segment = path + ".00000000.seg"
+        before = [make_vp(seed=i + 1, n=1, minute=0) for i in range(3)]
+        batch = [make_vp(seed=100 + i, n=1, minute=0) for i in range(300)]
+        store = SegmentStore(path)
+        store.insert_many(before)
+        size = os.path.getsize(segment)
+        real_writev, calls = os.writev, []
+
+        def short_second(fd, parts):
+            calls.append(len(parts) // 2)
+            written = real_writev(fd, parts)
+            return written - 1 if len(calls) == 2 else written
+
+        monkeypatch.setattr(os, "writev", short_second)
+        with pytest.raises(StorageError, match="short write"):
+            store.insert_many(batch)
+        monkeypatch.undo()
+        assert calls == [256, 44]
+        assert os.path.getsize(segment) == size
+        assert ids_of(store, 0) == [vp.vp_id for vp in before]
+        assert len(store) == 3 and not any(vp.vp_id in store for vp in batch)
+        assert store.insert_many(batch) == 300  # appends where the minute ended
+        store.close()
+        with SegmentStore(path) as reopened:
+            assert ids_of(reopened, 0) == [vp.vp_id for vp in before + batch]
+
+    @pytest.mark.parametrize("failing", [1, 3], ids=["first-chunk", "last-chunk"])
+    def test_a_failed_chunk_leaves_the_minute_as_it_was(self, tmp_path, monkeypatch, failing):
+        # 600 records are three writevs (256, 256, 88); any one failing
+        # must take the whole minute's append back
+        path = str(tmp_path / "log")
+        segment = path + ".00000000.seg"
+        before = [make_vp(seed=i + 1, n=1, minute=0) for i in range(2)]
+        batch = [make_vp(seed=100 + i, n=1, minute=0) for i in range(600)]
+        store = SegmentStore(path)
+        store.insert_many(before)
+        size = os.path.getsize(segment)
+        real_writev, calls = os.writev, []
+
+        def fail_one(fd, parts):
+            calls.append(len(parts) // 2)
+            if len(calls) == failing:
+                raise OSError(errno.ENOSPC, "no space left on device")
+            return real_writev(fd, parts)
+
+        monkeypatch.setattr(os, "writev", fail_one)
+        with pytest.raises(StorageError, match="no space"):
+            store.insert_many(batch)
+        monkeypatch.undo()
+        assert calls == [256, 256, 88][:failing]
+        assert os.path.getsize(segment) == size
+        assert ids_of(store, 0) == [vp.vp_id for vp in before] and len(store) == 2
+        assert store.query(QuerySpec(minute=0, count=True)).n == 2
+        store.close()
+        with SegmentStore(path) as reopened:
+            assert ids_of(reopened, 0) == [vp.vp_id for vp in before]
+
+    def test_an_encode_error_mid_batch_is_truncated_and_raised(self, tmp_path, monkeypatch):
+        # a record that cannot be framed is not a storage fault: the
+        # error surfaces as it is, after the chunks before it are cut off
+        path = str(tmp_path / "log")
+        segment = path + ".00000000.seg"
+        store = SegmentStore(path)
+        store.insert(make_vp(seed=1, n=1))
+        size = os.path.getsize(segment)
+        real_span = Batch.record_span
+
+        def broken_span(batch, index):
+            if index == 300:
+                raise ValueError("cannot frame record 300")
+            return real_span(batch, index)
+
+        monkeypatch.setattr(Batch, "record_span", broken_span)
+        with pytest.raises(ValueError, match="record 300"):
+            store.insert_many([make_vp(seed=100 + i, n=1) for i in range(400)])
+        monkeypatch.undo()
+        assert os.path.getsize(segment) == size and len(store) == 1
+        store.insert(make_vp(seed=2, n=1))  # the append handle is where the minute ends
+        store.close()
+        with SegmentStore(path) as reopened:
+            assert len(reopened) == 2
+
+    def test_a_failed_later_minute_keeps_the_earlier_ones(self, tmp_path, monkeypatch):
+        # atomic per minute, not per batch: minute 0 was written and
+        # published before minute 1's append failed
+        path = str(tmp_path / "log")
+        early = [make_vp(seed=i + 1, n=1, minute=0) for i in range(3)]
+        late = [make_vp(seed=10 + i, n=1, minute=1) for i in range(3)]
+        store = SegmentStore(path)
+        real_writev, calls = os.writev, []
+
+        def fail_second(fd, parts):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "input/output error")
+            return real_writev(fd, parts)
+
+        monkeypatch.setattr(os, "writev", fail_second)
+        with pytest.raises(StorageError):
+            store.insert_many(early + late)
+        monkeypatch.undo()
+        assert ids_of(store, 0) == [vp.vp_id for vp in early]
+        assert ids_of(store, 1) == [] and store.minutes() == [0]
+        assert store.query(QuerySpec(minute=0, count=True)).n == 3
+        assert store.insert_many(early + late) == 3  # the rest lands on a retry
+        store.close()
+        with SegmentStore(path) as reopened:
+            assert ids_of(reopened, 1) == [vp.vp_id for vp in late]
+
+
+class TestChunkedAppend:
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_an_object_batch_spans_writev_chunks(self, tmp_path, monkeypatch, n):
+        path = str(tmp_path / "log")
+        vps = [make_vp(seed=i + 1, n=1, minute=0) for i in range(n)]
+        real_writev, calls = os.writev, []
+
+        def counting(fd, parts):
+            calls.append(len(parts) // 2)
+            return real_writev(fd, parts)
+
+        monkeypatch.setattr(os, "writev", counting)
+        with SegmentStore(path) as store:
+            assert store.insert_many(vps) == n
+            # records are stored as framed: the read is the batch's frame
+            assert store.query_encoded(QuerySpec(minute=0)) == encode_vp_batch(vps)
+        monkeypatch.undo()
+        assert calls == [256] * (n // 256) + ([n % 256] if n % 256 else [])
+        segment = path + ".00000000.seg"
+        assert os.path.getsize(segment) == sum(stored_size(vp) for vp in vps)
+        with SegmentStore(path) as reopened:
+            assert ids_of(reopened, 0) == [vp.vp_id for vp in vps]
+
+    def test_a_frame_spans_writev_chunks(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "log")
+        vps = [make_vp(seed=i + 1, n=1, minute=0) for i in range(257)]
+        frame = encode_vp_batch(vps)
+        real_writev, calls = os.writev, []
+
+        def counting(fd, parts):
+            calls.append(len(parts) // 2)
+            return real_writev(fd, parts)
+
+        monkeypatch.setattr(os, "writev", counting)
+        with SegmentStore(path) as store:
+            assert store.insert_encoded(memoryview(frame).toreadonly()) == 257
+            assert store.query_encoded(QuerySpec(minute=0)) == frame
+        monkeypatch.undo()
+        assert calls == [256, 1]
 
 
 @pytest.mark.parametrize("keep_trusted", [False, True])
@@ -293,32 +452,30 @@ def test_a_read_racing_eviction_is_whole_or_empty(tmp_path, keep_trusted):
         store.close()
 
 
-def test_ack_means_stored_when_a_worker_is_killed(tmp_path):
-    """``make_store("procs", path)``: every acked id survives ``SIGKILL``.
+def test_ack_means_stored_when_the_writer_is_killed(tmp_path):
+    """``make_store("sqlite", path)``: every acked id survives ``SIGKILL``.
 
-    A write returns once the worker handed the records to the kernel;
-    there is no buffer in the worker for the ack to run ahead of.
+    A write returns once the records were handed to the kernel; there
+    is no buffer in the writing process for the ack to run ahead of.
     """
-    path = str(tmp_path / "fleet")
-    fleet = make_store("procs", path=path, ingest_workers=2, shard_cells=2)
-    acked = []
-    try:
-        for f in range(12):
-            vps = [
-                make_vp(seed=1 + 8 * f + i, n=2, minute=f % 3, x0=1500.0 * (i % 2))
-                for i in range(8)
-            ]
-            assert fleet.insert_encoded(encode_vp_batch(vps)) == 8
-            acked += [vp.vp_id for vp in vps]
-        for pid in fleet.worker_pids():
-            os.kill(pid, signal.SIGKILL)  # no close, no flush, no goodbye
-        for shard in fleet.shards:
-            shard._proc.join(timeout=10.0)
-            assert not shard._proc.is_alive()
-        with pytest.raises(StorageError):
-            len(fleet)
-    finally:
-        fleet.close()
-    with make_store("procs", path=path, ingest_workers=2, shard_cells=2) as reopened:
+    path = str(tmp_path / "log")
+    script = f"""
+import os, signal, sys
+from repro.sim.stream import stream_vp
+from repro.store import encode_vp_batch, make_store
+store = make_store("sqlite", {path!r})
+for f in range(12):
+    vps = [stream_vp(7, f % 3, 8 * f + i, 3000.0) for i in range(8)]
+    assert store.insert_encoded(encode_vp_batch(vps)) == 8
+    print(*(vp.vp_id.hex() for vp in vps), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)  # no close, no goodbye
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    acked = [bytes.fromhex(token) for token in done.stdout.split()]
+    assert len(acked) == 96
+    with make_store("sqlite", path) as reopened:
         assert sorted(vp_id for vp_id, _m in reopened.iter_id_minutes()) == sorted(acked)
         assert len(reopened) == len(acked)

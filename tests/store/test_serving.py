@@ -17,7 +17,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import MetricsRegistry, counter_value
-from repro.store import make_store
 from repro.store.serving import (
     MinuteTiles,
     QuerySpec,
@@ -25,7 +24,7 @@ from repro.store.serving import (
     build_minute_tiles,
     tile_cells_of_box,
 )
-from tests.store.conftest import build_store, make_vp
+from tests.store.conftest import PLACEMENTS, build_placement, make_vp
 
 
 class TestQuerySpec:
@@ -59,21 +58,6 @@ class TestMinuteTiles:
         assert tiles.n_vps == 1 and tiles.n_trusted == 1
         assert tiles.overlaps(Rect(50, 50, 60, 60))
         assert not tiles.overlaps(Rect(5000, 5000, 6000, 6000))
-
-    def test_merge_adds_totals_and_cells(self):
-        a = build_minute_tiles([(0, 0.0, 0.0, 10.0, 10.0)], cell_m=250.0)
-        b = build_minute_tiles([(1, 0.0, 0.0, 10.0, 10.0)], cell_m=250.0)
-        a.merge(b)
-        assert (a.n_vps, a.n_trusted) == (2, 1)
-        assert a.cells[(0, 0)] == [2, 1]
-
-    def test_dict_round_trip(self):
-        tiles = build_minute_tiles(
-            [(1, -10.0, -10.0, 5.0, 5.0), (0, 300.0, 0.0, 310.0, 10.0)], cell_m=250.0
-        )
-        clone = MinuteTiles.from_dict(tiles.to_dict())
-        assert clone.cells == tiles.cells
-        assert (clone.n_vps, clone.n_trusted) == (tiles.n_vps, tiles.n_trusted)
 
 
 class TestTileCacheProtocol:
@@ -149,10 +133,10 @@ class TestTileCacheProtocol:
         assert counter_value(snap, "store.query.tile_hit") == 1
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded", "procs"])
+@pytest.mark.parametrize("kind", list(PLACEMENTS))
 class TestBackendTiles:
     def _store(self, kind):
-        return build_store(kind, n_shards=2, ingest_workers=2)
+        return build_placement(kind)
 
     def test_counts_served_from_tiles_after_first_build(self, kind):
         store = self._store(kind)
@@ -206,7 +190,7 @@ class TestBackendTiles:
             store.close()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sharded"])
+@pytest.mark.parametrize("kind", list(PLACEMENTS))
 def test_tile_counts_exact_under_concurrent_ingest_and_evict(kind):
     """Racing writers, a count reader and an evictor never desync tiles.
 
@@ -215,7 +199,7 @@ def test_tile_counts_exact_under_concurrent_ingest_and_evict(kind):
     count must equal the rows actually present — the write brackets and
     the eviction epoch must have discarded every stale build.
     """
-    store = make_store(kind, n_shards=2)
+    store = build_placement(kind)
     errors: list[Exception] = []
     stop = threading.Event()
 

@@ -5,22 +5,21 @@ The streaming front-end hands ``insert_encoded`` a read-only
 pin the two halves of the zero-copy contract:
 
 * **counting** — :func:`repro.store.codec.span_copy_count` is the
-  process-local materialization ledger.  Single-destination ingest on
-  every backend moves **zero** record spans; the sharded router's
-  scatter regroup (:func:`join_encoded_records`) is the one legitimate
-  copy and is visible on the counter (the positive control proving the
-  ledger is live).
+  process-local materialization ledger.  Ingest on either placement
+  moves **zero** record spans; regrouping a frame's fresh records
+  (:func:`join_encoded_records`) is the one legitimate copy and is
+  visible on the counter (the positive control proving the ledger is
+  live).
 * **identity** — a memoryview batch ingests to the same observable
   contents as the equivalent ``bytes`` batch, the segment log appends
-  the *source* spans (``span.obj is`` the original buffer), and the
-  process-worker pipe carries views without pre-flattening.
+  the *source* spans (``span.obj is`` the original buffer).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.store import ProcessShardedStore, ShardedStore, make_store
+from repro.store import make_store
 from repro.store.codec import (
     Batch,
     encode_vp,
@@ -31,7 +30,8 @@ from repro.store.codec import (
     span_copy_count,
 )
 from repro.store.serving import QuerySpec
-from tests.net.test_wire_frame import make_backend, make_complete_vp
+from tests.net.test_wire_frame import make_complete_vp
+from tests.store.conftest import build_store
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +65,9 @@ class TestCopyLedger:
 
 
 class TestZeroCopyIngest:
-    @pytest.mark.parametrize("backend", ["memory", "sqlite", "sharded", "procs"])
-    def test_single_destination_ingest_moves_no_spans(self, backend, vp_pool):
-        # one record per batch has exactly one destination shard, so no
-        # regroup happens anywhere on the path — not even on sharded
-        with make_backend(backend) as store:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_ingest_moves_no_spans(self, backend, vp_pool):
+        with build_store(backend) as store:
             before = span_copy_count()
             for vp in vp_pool:
                 frame = memoryview(encode_vp_batch([vp])).toreadonly()
@@ -77,26 +75,15 @@ class TestZeroCopyIngest:
             assert span_copy_count() == before, "a body span was materialized"
             assert len(store) == len(vp_pool)
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite", "sharded", "procs"])
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_memoryview_and_bytes_ingest_identical(self, backend, vp_pool):
         frame = encode_vp_batch(vp_pool[:4])
-        with make_backend(backend) as via_bytes:
+        with build_store(backend) as via_bytes:
             via_bytes.insert_encoded(frame, strict=False)
             expected = contents(via_bytes)
-        with make_backend(backend) as via_view:
+        with build_store(backend) as via_view:
             via_view.insert_encoded(memoryview(frame).toreadonly(), strict=False)
             assert contents(via_view) == expected
-
-    def test_sharded_scatter_is_the_one_copy(self, vp_pool):
-        # a multi-record batch fanning out across shards must regroup —
-        # the positive control that the ledger actually observes copies
-        with ShardedStore.memory(n_shards=3, shard_cells=3) as store:
-            before = span_copy_count()
-            inserted = store.insert_encoded(
-                memoryview(encode_vp_batch(vp_pool)).toreadonly(), strict=False
-            )
-            assert inserted == len(vp_pool)
-            assert span_copy_count() > before, "scatter regroup went uncounted"
 
 
 class TestViewPlumbing:
@@ -105,22 +92,13 @@ class TestViewPlumbing:
         # buffer: each is a view of it, not a copy
         frame = encode_vp_batch(vp_pool[:3])
         batch = Batch.from_frame(memoryview(frame).toreadonly())
-        spans = batch.record_spans()
+        spans = [batch.record_span(i) for i in range(len(batch))]
         assert len(spans) == 3
         for span in spans:
             assert isinstance(span, memoryview)
             assert span.obj is frame
         with make_store("memory") as store:
             assert store.write(batch) == 3
-            got = {vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps}
-            assert got == {vp.vp_id for vp in vp_pool[:3]}
-
-    def test_worker_pipe_carries_views(self, vp_pool):
-        # the procs proxy ships the frame out-of-band over the pipe as
-        # raw bytes — a read-only view must survive the trip verbatim
-        frame = encode_vp_batch(vp_pool[:3])
-        with ProcessShardedStore.memory(n_workers=2, shard_cells=2) as store:
-            assert store.insert_encoded(memoryview(frame).toreadonly()) == 3
             got = {vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps}
             assert got == {vp.vp_id for vp in vp_pool[:3]}
 

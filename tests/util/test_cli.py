@@ -51,16 +51,24 @@ class TestCommands:
         assert out_file.exists()
         assert "viewlinks" in capsys.readouterr().out
 
-    def test_fig21_cell_sharded_store_with_retention(self, capsys):
-        # composite routing + a window covering the whole 2-minute trace:
-        # the figure output is unchanged and the store reports both minutes
+    def test_fig21_named_store_with_retention(self, tmp_path, capsys):
+        # a window covering the whole 2-minute trace: the figure output
+        # is unchanged and the store reports both minutes
         assert main([
             "fig21", "--vehicles", "12", "--area-km", "1.5",
-            "--store", "sharded", "--shards", "4", "--shard-cells", "4",
+            "--store", "sqlite", "--store-path", str(tmp_path / "log"),
             "--retention-minutes", "5", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "store: sharded" in out and "2 minutes" in out
+        assert "store: sqlite" in out and "2 minutes" in out
+
+    @pytest.mark.parametrize(
+        "flag", ["--shards", "--shard-cells", "--ingest-workers", "--store=procs"]
+    )
+    def test_retired_placement_options_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig21", flag, "2"])
+        assert "error" in capsys.readouterr().err
 
     def test_fig21_retention_shorter_than_trace_evicts_early_minutes(self, capsys):
         assert main([

@@ -16,16 +16,16 @@ def run_python(code: str) -> str:
     return done.stdout.strip()
 
 
-def test_store_workers_import_without_scipy_or_networkx():
+def test_store_imports_without_scipy_or_networkx():
     # package __init__ files re-export lazily (repro.util.lazy), so the
     # store layer does not import the experiment side's scientific stack
-    assert run_python("import sys, repro.store.workers; " + LOADED) == "[]"
+    assert run_python("import sys, repro.store; " + LOADED) == "[]"
 
 
 def test_upload_serving_and_investigation_run_on_numpy_alone():
-    # the always-on front-end, every forked shard worker and a complete
-    # investigation: viewmap construction is a numpy grid search over a
-    # plain adjacency, TrustRank a bincount (84 -> 39 MiB at import)
+    # the always-on front-end, the store and a complete investigation:
+    # viewmap construction is a numpy grid search over a plain
+    # adjacency, TrustRank a bincount (84 -> 39 MiB at import)
     code = """
 import sys
 import repro.core.system, repro.core.vehicle, repro.net.client, repro.net.concurrency
