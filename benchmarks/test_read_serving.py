@@ -10,8 +10,8 @@ Gates (the reported per-query latency is the ``server.handle.query_view``
 histogram — pure serve cost, excluding the modeled last-mile RTT):
 
 * every storm query is answered with a real frame;
-* the tile cache took hits (cold-area short-circuits and the
-  authority-internal count gate are served without a scan);
+* a cold-area query answers with an empty view (no row's bounding box
+  overlaps it, so no record is read);
 * after quiescence the served hot-area frame is byte-identical to
   re-encoding the decoded selection — the wire-level restatement of
   the backend-parity property.
@@ -41,7 +41,8 @@ WIRE_LATENCY_S = 0.005    #: modeled last-mile RTT per request
 #: so every hot query selects the full minute — the exact shape of an
 #: investigation sweep
 HOT_AREA = [0.0, 0.0, 10_200.0, 10_000.0]
-#: a cold cell far outside the city — tile prune answers without a scan
+#: a cold cell far outside the city — the bounding-box test on the
+#: log's columns answers it without reading a record
 COLD_AREA = [60_000.0, 60_000.0, 61_000.0, 61_000.0]
 
 N_HOT = 20                #: hot-cell queries per storm
@@ -55,10 +56,9 @@ def query_payload(area: list[float]) -> bytes:
 def run_read_storm(tmp_path, payloads, tag: str):
     """Half the burst pre-lands, then the storm races the second half.
 
-    Returns ``(serve_mean_s, storm_wall_s, server_snapshot, stats)`` —
-    the mean ``server.handle.query_view`` modeled latency, the storm's
-    wall clock, the server registry and the store's ``stats()`` (whose
-    detail carries the tile-cache occupancy).
+    Returns ``(serve_mean_s, storm_wall_s, server_snapshot)`` — the
+    mean ``server.handle.query_view`` modeled latency, the storm's wall
+    clock and the server registry.
     """
     store = make_store("sqlite", str(tmp_path / f"read-{tag}"))
     with ThreadedNetwork(
@@ -94,8 +94,8 @@ def run_read_storm(tmp_path, payloads, tag: str):
         # quiesced: parity against this run's store — re-encoding the
         # decoded selection reproduces the stored spans the wire
         # served, byte for byte (insertion order varies across runs,
-        # so parity is a within-run property) — plus tile-served reads
-        # (repeated cold-cell prunes and the investigate-period gate)
+        # so parity is a within-run property) — plus the cold answer
+        # and the whole-minute count the investigate-period gate reads
         final = decode_message(
             net.send_async("analyst", server.address, query_payload(HOT_AREA)).result()
         )
@@ -103,23 +103,24 @@ def run_read_storm(tmp_path, payloads, tag: str):
         spec = QuerySpec(minute=0, area=Rect(*HOT_AREA))
         assert final["frame"] == system.database.query_encoded(spec)
         assert encode_vp_batch(system.database.query(spec).vps) == final["frame"]
-        for _ in range(2):
+        cold = decode_message(
             net.send_async("analyst", server.address, query_payload(COLD_AREA)).result()
-            assert system.database.query(QuerySpec(minute=0, count=True)).n == N_VEHICLES
-        stats = store.stats()
+        )
+        assert (cold["kind"], cold["n"]) == ("view", 0)
+        assert cold["frame"] == encode_vp_batch([])
+        assert system.database.query(QuerySpec(minute=0, count=True)).n == N_VEHICLES
     store.close()
     hist = snap["server.handle.query_view.modeled_s"]
-    return hist["sum"] / hist["count"], storm_wall, snap, stats
+    return hist["sum"] / hist["count"], storm_wall, snap
 
 
 def test_read_serving_gates(show, tmp_path):
-    """Acceptance: real frames, tile hits, frame parity."""
+    """Acceptance: real frames, an empty cold answer, frame parity."""
     payloads = list(
         iter_upload_payloads(N_VEHICLES, 1, seed=11, batch_vps=BATCH_VPS)
     )
-    serve, wall, snap, stats = run_read_storm(tmp_path, payloads, "gates")
+    serve, wall, snap = run_read_storm(tmp_path, payloads, "gates")
     served = snap["serve.encoded_bytes"]
-    tile = stats.detail["tile_cache"]
 
     show(
         f"Read serving — {N_HOT} hot + {N_COLD} cold queries racing a "
@@ -128,12 +129,9 @@ def test_read_serving_gates(show, tmp_path):
         fmt_row("serve mean ms", [1e3 * serve], "{:>10.2f}"),
         fmt_row("storm wall s", [wall], "{:>10.3f}"),
         fmt_row("encoded MB served", [served["sum"] / 1e6], "{:>10.1f}"),
-        fmt_row("tile hits / misses", [tile["hits"], tile["misses"]], "{:>10.0f}"),
     )
 
-    # tile-served reads: cold-cell prunes and count gates took hits
-    # (frame byte-identity is asserted inside the run)
-    assert tile["hits"] > 0
+    # frame byte-identity and the cold answer are asserted inside the run;
     # every storm query was answered with a real frame
     assert served["count"] >= N_HOT + N_COLD
 
@@ -151,7 +149,7 @@ def test_benchmark_read_serving(benchmark, tmp_path):
 
     def storm():
         state["round"] += 1
-        _, _, snap, _ = run_read_storm(tmp_path, payloads, f"bench{state['round']}")
+        _, _, snap = run_read_storm(tmp_path, payloads, f"bench{state['round']}")
         state["snap"] = snap
 
     benchmark.pedantic(storm, rounds=3, iterations=1)

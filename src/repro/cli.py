@@ -120,11 +120,6 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
     # the backend as selected: ``sqlite`` names the persistent segment log
     print(f"store: {args.store} ({occupancy.vps} VPs, "
           f"{occupancy.minutes} minutes)")
-    tile = occupancy.detail.get("tile_cache")
-    if tile:
-        print(f"tile cache: {tile['minutes']}/{tile['max_minutes']} minutes, "
-              f"{tile['hits']} hits / {tile['misses']} misses "
-              f"(epoch {tile['epoch']})")
     print(f"{stats.label}: {stats.nodes} VPs, {stats.edges} viewlinks, "
           f"member ratio {stats.member_ratio:.3f}")
     print(render_ascii(vmap))

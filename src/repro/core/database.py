@@ -24,7 +24,7 @@ from typing import Iterable
 from repro.core.viewprofile import ViewProfile
 from repro.store.base import StoreStats, VPStore
 from repro.store.segments import SegmentStore
-from repro.store.serving import MinuteTiles, QueryResult, QuerySpec
+from repro.store.serving import QueryResult, QuerySpec
 
 
 @dataclass
@@ -88,10 +88,6 @@ class VPDatabase:
     def query_encoded(self, spec: QuerySpec) -> bytes:
         """Matching records as a ready codec frame (decode-free read)."""
         return self.store.query_encoded(spec)
-
-    def coverage_tiles(self, minute: int) -> MinuteTiles:
-        """Per-cell coverage/confidence tiles of one minute."""
-        return self.store.coverage_tiles(minute)
 
     def evict_before(self, minute: int, keep_trusted: bool = False) -> int:
         """Retire every VP below the retention cutoff; returns the count.

@@ -233,8 +233,9 @@ class ViewMapSystem:
         """
         investigations = []
         for minute in minutes:
-            # tile-backed trusted count: the gate costs O(1) per minute
-            # instead of materializing the trusted VPs it then discards
+            # a column count: the gate sums the minute's in-memory trusted
+            # column, reading no record, instead of materializing the
+            # trusted VPs it then discards
             gate = QuerySpec(minute=minute, trusted_only=True, count=True)
             if not self.database.query(gate).n:
                 continue

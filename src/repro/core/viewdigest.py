@@ -70,8 +70,7 @@ PACKED_FIELD = {
 
 
 #: per-axis bound on the positions of one VP, in metres: a minute of
-#: driving covers well under 10 km, and the spatial indexes walk every
-#: cell of a VP's bounding box
+#: driving covers well under 10 km, so a wider VP is not a drive
 MAX_VP_EXTENT_M = 10_000.0
 
 
@@ -106,8 +105,8 @@ def packed_block_defect(fields: np.ndarray) -> str | None:
         # and no finite extent has one)
         return "VP digests carry non-finite time/location"
     if width > MAX_VP_EXTENT_M or height > MAX_VP_EXTENT_M:
-        # the tile and grid indexes enumerate every cell of a VP's
-        # bounding box under the store's write lock
+        # 10 km in one minute is not a drive; and the viewmap's pair
+        # search keys grid cells over all of a minute's positions
         return f"VP positions span more than {MAX_VP_EXTENT_M:.0f} m along one axis"
     return None
 

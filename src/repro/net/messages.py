@@ -324,10 +324,10 @@ def unpack_query_view(message: dict[str, Any]) -> QuerySpec:
 
     Every rejection — a missing or non-integer minute, one past the
     codec's 4-byte minute field, a malformed or non-finite area box —
-    is a clean :class:`ValidationError` (the area reaches the tile
-    index, where a NaN corner would otherwise escape as a non-Repro
-    exception).  The spec is always ``encoded``: a view is served as
-    stored spans, whatever else the message says.
+    is a clean :class:`ValidationError` (the area reaches the store's
+    bounding-box test, where a NaN corner compares false and would
+    silently select nothing).  The spec is always ``encoded``: a view
+    is served as stored spans, whatever else the message says.
     """
     minute = message_field(message, "minute", int)
     if minute >= 1 << 32:

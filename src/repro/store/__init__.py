@@ -3,8 +3,8 @@
 Every VP the authority holds lives in the minute-segment log
 (:class:`~repro.store.segments.SegmentStore`): one append-only segment
 per minute holding the codec frame records verbatim, and an in-memory
-index (ids, per-minute offset/bbox columns, coverage tiles) rebuilt from
-them.  What varies is only *where* the segments are:
+index (ids, per-minute offset/trusted/bbox columns) rebuilt from them.
+What varies is only *where* the segments are:
 
 * **volatile** — ``make_store("memory")``: the segments are unlinked
   anonymous files (``tempfile.TemporaryFile``); nothing is named on
@@ -20,12 +20,11 @@ behind the concurrent authority front-end (:mod:`repro.net.concurrency`):
 it serializes writes on one lock and reads outside it.
 
 Reads go through ONE entry point — ``VPStore.query`` with a
-:class:`~repro.store.serving.QuerySpec` — backed by the serving tier
-(:mod:`repro.store.serving`): per-cell coverage tiles answer count
-queries and prune area queries without touching records.  The log
-holds bytes and implements one read primitive, ``query_encoded``;
-decoded reads are that frame decoded, defined once in
-:mod:`repro.store.base`.
+:class:`~repro.store.serving.QuerySpec`.  The log's per-minute columns
+are its only index: they answer whole-minute counts and prune area
+queries by bounding box before any record is read.  The log holds
+bytes and implements one read primitive, ``query_encoded``; decoded
+reads are that frame decoded, defined once in :mod:`repro.store.base`.
 
 Retention lives in :mod:`repro.store.lifecycle`: a
 :class:`RetentionPolicy` plus the ``evict_before`` contract keep a
@@ -45,14 +44,7 @@ from repro.store.lifecycle import (
     survey_overloaded,
 )
 from repro.store.segments import SegmentStore
-from repro.store.serving import (
-    DEFAULT_CELL_M,
-    DEFAULT_TILE_MINUTES,
-    MinuteTiles,
-    QueryResult,
-    QuerySpec,
-    TileCache,
-)
+from repro.store.serving import QueryResult, QuerySpec
 
 #: backend names accepted by make_store and the CLI ``--store`` option
 STORE_KINDS = ("memory", "sqlite")
@@ -92,17 +84,13 @@ def make_store(
 
 
 __all__ = [
-    "DEFAULT_CELL_M",
-    "DEFAULT_TILE_MINUTES",
     "LifecycleReport",
-    "MinuteTiles",
     "QueryResult",
     "QuerySpec",
     "RetentionPolicy",
     "STORE_KINDS",
     "SegmentStore",
     "StoreStats",
-    "TileCache",
     "VPStore",
     "apply_retention",
     "decode_vp",

@@ -24,12 +24,13 @@ Backends must agree exactly on semantics so they are interchangeable:
 * minute-scoped selections return VPs in insertion order;
 * an area axis selects a VP iff any of its claimed positions lies
   inside the (closed) query rectangle — identical to a full linear
-  scan, however the backend prunes candidates (and the shared
-  coverage-tile cache short-circuits minutes that cannot match);
+  scan, however the backend prunes candidates (the log tests each
+  row's bounding box first, so a cold area reads no record);
 * ``query_encoded`` returns the *stored frame representation* of a
   selection (:mod:`repro.store.codec` batch buffer), byte-identical
   across backends for the same insertion history; an area ``count``
-  is that frame's count header, a whole-minute one the tile totals;
+  is that frame's count header, a whole-minute one the minute's
+  published row count (``_count_query``);
 * ``evict_before`` removes every VP of a minute strictly below the
   cutoff (the retention watermark of :mod:`repro.store.lifecycle`) and
   returns how many were dropped; with ``keep_trusted=True`` trusted VPs
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -55,10 +56,8 @@ from repro.core.viewprofile import ViewProfile
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import stage_timer
 from repro.store.codec import Batch, decode_vp_batch
-from repro.store.serving import MinuteTiles, QueryResult, QuerySpec, TileCache
+from repro.store.serving import QueryResult, QuerySpec
 from repro.util.encoding import unpack_uint
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class StoreStats:
     ``backend`` is the reporting store's ``kind``; ``vps``/``trusted``/
     ``minutes`` count stored VPs, trusted VPs and distinct minute
     indices.  ``detail`` carries backend-specific gauges: for the
-    segment log its path, tile-cache gauges and metric registry.
+    segment log its path and metric registry.
     """
 
     backend: str
@@ -177,10 +176,6 @@ class VPStore(ABC):
 
     # -- the unified query entry point ---------------------------------------
 
-    #: per-minute coverage tile cache, attached by every backend at
-    #: construction
-    tiles: TileCache
-
     @abstractmethod
     def minutes(self) -> list[int]:
         """Sorted minute indices with at least one stored VP."""
@@ -194,9 +189,7 @@ class VPStore(ABC):
         distance (ties keep insertion order — stable sort) and keeps
         ``k``; ``count`` returns cardinality only; ``encoded`` returns
         the stored frame representation via :meth:`query_encoded`.
-        The whole read is one ``store.query`` stage observation, and
-        minutes whose coverage tiles cannot overlap the query area
-        short-circuit without touching a backend index.
+        The whole read is one ``store.query`` stage observation.
         """
         with stage_timer(getattr(self, "metrics", None), "store.query"):
             if spec.encoded:
@@ -222,54 +215,12 @@ class VPStore(ABC):
         records straight through.  :meth:`query` decodes it.
         """
 
-    def _count_query(self, spec: QuerySpec) -> int:
-        """Count axis: the minute's exact tile totals (not per-cell
-        sums), or with an area the selection frame's count header."""
-        if spec.area is not None:
-            return unpack_uint(self.query_encoded(spec)[1:5])
-        counts = self.tiles.counts(spec.minute)
-        if counts is None:
-            counts = self._scan_tiles(spec.minute, lambda t: (t.n_vps, t.n_trusted))
-        return counts[1] if spec.trusted_only else counts[0]
-
-    def _tiles_allow(self, minute: int, area: Rect) -> bool:
-        """Tile prune: may any VP of the minute claim inside ``area``?"""
-        verdict = self.tiles.overlaps(minute, area)
-        if verdict is None:
-            verdict = self._scan_tiles(minute, lambda t: t.overlaps(area))
-        return verdict
-
-    def coverage_tiles(self, minute: int) -> MinuteTiles:
-        """Materialized per-cell coverage/confidence of one minute.
-
-        Served from the tile cache when warm (as an independent copy);
-        a miss builds from the backend's metadata scan.
-        """
-        snap = self.tiles.snapshot(minute)
-        if snap is None:
-            snap = self._scan_tiles(minute, MinuteTiles.copy)
-        return snap
-
-    def _scan_tiles(self, minute: int, read: Callable[[MinuteTiles], _T]) -> _T:
-        """Build one minute's tiles, ``read`` the answer, offer them to the cache.
-
-        The read runs before the offer: an admitted entry belongs to
-        the cache, which mutates it under ingest deltas (admission is
-        subject to the epoch/generation discipline of
-        :class:`~repro.store.serving.TileCache`).
-        """
-        token = self.tiles.begin(minute)
-        entry = self._build_tiles(minute)
-        answer = read(entry)
-        self.tiles.store(minute, entry, token)
-        return answer
-
     @abstractmethod
-    def _build_tiles(self, minute: int) -> MinuteTiles:
-        """Scan one minute's record metadata into coverage tiles.
+    def _count_query(self, spec: QuerySpec) -> int:
+        """The count axis: exactly how many VPs ``spec`` selects.
 
-        Never touches a body: the bounding boxes ride outside it on
-        every backend (the log's published columns).
+        With an area it is the selection frame's count header; a
+        whole-minute count reads the backend's index, no record.
         """
 
     # -- lifecycle / introspection -----------------------------------------

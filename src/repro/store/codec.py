@@ -247,7 +247,7 @@ def verify_encoded_body(
     increasing 1-based second indices, a finite first digest time that
     lands in the sidecar's claimed ``minute``, ``bbox`` (when given)
     exactly the min/max of the digests' packed locations (a forged box
-    would mis-index area queries and coverage tiles), and ``bloom_k``
+    would mis-prune area queries), and ``bloom_k``
     (when given) the only hash count the wire form may declare (a
     smaller k would inflate viewmap false linkage).  The zero-decode
     upload path runs this per record, so a frame that passes can never

@@ -20,14 +20,16 @@ trusted, bbox)`` columns and the ids in insertion order.
 
 * **write** appends the fresh record spans of the caller's buffer with
   one ``os.writev`` per 256 records of a touched minute (an object batch
-  is framed chunk by chunk) and only then publishes ids, columns and
-  tile deltas, all under the one store lock — an ack means
+  is framed chunk by chunk) and only then publishes ids and columns,
+  all under the one store lock — an ack means
   *handed to the kernel* (survives process death, not power loss);
   there is no pending buffer and nothing to flush.  A batch is atomic
   per minute: a failed append is truncated away, earlier minutes stay.
 * **read** takes the minute's columns and a duplicate of its descriptor
   under the lock, then selects and reads (``os.pread``) outside it —
-  not ``mmap``: a file mapping would be resident memory.
+  not ``mmap``: a file mapping would be resident memory.  The columns
+  are the only index: a whole-minute count is the minute's row count,
+  and an area's bounding-box test runs before any record is read.
 * **evict** closes and unlinks whole segments; a reader's duplicate
   still reads the complete old file, and there is nothing left to
   compact.  One descriptor stays open per live minute; retention bounds it.
@@ -58,7 +60,8 @@ from repro.store.codec import (
     join_encoded_spans,
     unpack_record_meta,
 )
-from repro.store.serving import MinuteTiles, QuerySpec, TileCache, build_minute_tiles
+from repro.store.serving import QuerySpec
+from repro.util.encoding import unpack_uint
 
 #: per-record header: record length, CRC-32 of the record
 _HEADER = struct.Struct("<II")
@@ -100,7 +103,6 @@ class SegmentStore(VPStore):
     def __init__(self, path: str = "", metrics: MetricsRegistry | None = None) -> None:
         self.path = path
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tiles = TileCache(metrics=self.metrics)
         self._lock = threading.Lock()
         #: minute -> segment; a registered segment holds at least one record
         self._segments: dict[int, _Segment] = {}
@@ -236,13 +238,10 @@ class SegmentStore(VPStore):
                 by_minute: dict[int, list[int]] = {}
                 for i in batch.fresh_indices(strict, self._ids):
                     by_minute.setdefault(meta[i][1], []).append(i)
-                with self.tiles.write(by_minute) as tile_writes:
-                    for minute, indices in by_minute.items():
-                        segment = self._segments.get(minute) or self._open(minute)
-                        records = ((meta[i], batch.record_span(i)) for i in indices)
-                        self._append(segment, minute, records)
-                        for i in indices:
-                            tile_writes.add(*meta[i][1:])
+                for minute, indices in by_minute.items():
+                    segment = self._segments.get(minute) or self._open(minute)
+                    records = ((meta[i], batch.record_span(i)) for i in indices)
+                    self._append(segment, minute, records)
                 return sum(map(len, by_minute.values()))
 
     def iter_id_minutes(self) -> list[tuple[bytes, int]]:
@@ -301,8 +300,6 @@ class SegmentStore(VPStore):
         reply is byte-identical to re-encoding the decoded selection.
         """
         area = spec.area
-        if area is not None and not self._tiles_allow(spec.minute, area):
-            return join_encoded_spans([])
         with self._lock:
             self._check_open()
             segment = self._segments.get(spec.minute)
@@ -335,13 +332,19 @@ class SegmentStore(VPStore):
             os.close(fd)
         return join_encoded_spans([(record, 0, len(record)) for record in records])
 
-    def _build_tiles(self, minute: int) -> MinuteTiles:
-        """Tile build from the published columns — no record is read."""
+    def _count_query(self, spec: QuerySpec) -> int:
+        """A whole minute's count is its published row count (trusted
+        rows under ``trusted_only``); an area's is its frame's header."""
+        if spec.area is not None:
+            return unpack_uint(self.query_encoded(spec)[1:5])
         with self._lock:
-            segment = self._segments.get(minute)
-            rows = segment.rows[: segment.n] if segment is not None else np.empty(0, _ROW)
-        boxes = zip(rows["trusted"].tolist(), *rows["box"].T.tolist())
-        return build_minute_tiles(boxes, self.tiles.cell_m)
+            self._check_open()
+            segment = self._segments.get(spec.minute)
+            if segment is None:
+                return 0
+            if spec.trusted_only:
+                return int(segment.rows["trusted"][: segment.n].sum())
+            return segment.n
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -386,13 +389,10 @@ class SegmentStore(VPStore):
                     ) from exc
                 finally:
                     old.file.close()
-            if evicted:
-                # pending tile builds are discarded, evicted minutes drop
-                self.tiles.invalidate_below(minute)
             return evicted
 
     def stats(self) -> StoreStats:
-        """Occupancy snapshot (detail: path, tiles, metrics)."""
+        """Occupancy snapshot (detail: path, metrics)."""
         with self._lock:
             segments = list(self._segments.values())
             return StoreStats(
@@ -400,11 +400,7 @@ class SegmentStore(VPStore):
                 vps=len(self._ids),
                 trusted=sum(int(s.rows["trusted"][: s.n].sum()) for s in segments),
                 minutes=len(segments),
-                detail={
-                    "path": self.path,
-                    "tile_cache": self.tiles.info(),
-                    "metrics": self.metrics.snapshot(),
-                },
+                detail={"path": self.path, "metrics": self.metrics.snapshot()},
             )
 
     def close(self) -> None:

@@ -319,13 +319,12 @@ class TestUnboundedGeometryDoesNotWedge:
                 assert after["kind"] == "solicitations"
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_wide_vp_does_not_hang_ingest_on_warm_tiles(self, vp_pool, backend):
+    def test_wide_vp_is_refused_and_ingest_goes_on(self, vp_pool, backend):
         honest, vp = vp_pool[0], vp_pool[3]  # two VPs of one minute
         store = build_store(backend)
         with ViewMapSystem(key_bits=512, seed=3, store=store) as system:
             server = ViewMapServer(system=system, network=InMemoryNetwork())
             system.database.insert(honest)
-            store.coverage_tiles(honest.minute)  # warm: writes now apply tile deltas
             assert vp.minute == honest.minute
             upload = encode_message("upload_vp_batch", session="s", frame=wide_vp_frame(vp))
             assert_error_reply(within(1.0, server.handle, upload), backend)

@@ -273,7 +273,7 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
                 result = backend.query(spec)
                 assert fingerprints(result.vps) == fingerprints(expected), spec
                 assert result.n == len(expected), spec
-        # count axis (tile-served for a whole minute, the frame's count
+        # count axis (the minute's row count for a whole minute, the frame's count
         # header with an area)
         for spec in (
             QuerySpec(minute=minute),

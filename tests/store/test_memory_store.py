@@ -92,7 +92,7 @@ class TestAreaQuery:
         assert fingerprints(found) == fingerprints([near])
 
     def test_vp_spanning_cells_found_once(self, store):
-        # 360 m of positions cross several coverage tiles; the VP is one row
+        # 360 m of positions span a wide bounding box; the VP is one row
         vp = make_vp(seed=3, n=10, step=40.0)
         store.insert_many(spread(2) + [vp])
         found = store.query(QuerySpec(minute=0, area=Rect(-1000, -1000, 5000, 1000))).vps

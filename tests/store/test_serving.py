@@ -1,11 +1,11 @@
-"""Tests for the read-path serving tier: QuerySpec, tiles, TileCache.
+"""Tests for the read path: QuerySpec, and selection on the log's columns.
 
-The concurrency-sensitive part is the tile cache's write-bracket
-discipline: a cached minute may only be served when no ingest bracket
-overlapped its build, and eviction invalidates by epoch.  These tests
-exercise the token protocol directly, then drive whole backends through
-racing ingest/evict/count traffic and assert the cache never serves a
-count the store contradicts.
+The log's per-minute columns are its only index: a whole-minute count
+is the minute's published row count, and an area query tests each row's
+bounding box before it reads a record.  These tests hold both answers to
+a naive scan of the inserted VPs on every placement, including the
+rectangles a coarser index would have short-circuited, and drive racing
+ingest/evict/count traffic through the one store lock.
 """
 
 from __future__ import annotations
@@ -13,17 +13,14 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
-from repro.obs.metrics import MetricsRegistry, counter_value
-from repro.store.serving import (
-    MinuteTiles,
-    QuerySpec,
-    TileCache,
-    build_minute_tiles,
-    tile_cells_of_box,
-)
+from repro.store import encode_vp_batch
+from repro.store.base import vp_claims_in_area
+from repro.store.serving import QuerySpec
 from tests.store.conftest import PLACEMENTS, build_placement, make_vp
 
 
@@ -48,156 +45,133 @@ class TestQuerySpec:
             QuerySpec(**kwargs)
 
 
-class TestMinuteTiles:
-    def test_cells_of_box_inclusive(self):
-        cells = set(tile_cells_of_box(-10.0, 0.0, 260.0, 0.0, 250.0))
-        assert cells == {(-1, 0), (0, 0), (1, 0)}
-
-    def test_overlap_has_no_false_negatives(self):
-        tiles = build_minute_tiles([(1, 0.0, 0.0, 100.0, 100.0)], cell_m=250.0)
-        assert tiles.n_vps == 1 and tiles.n_trusted == 1
-        assert tiles.overlaps(Rect(50, 50, 60, 60))
-        assert not tiles.overlaps(Rect(5000, 5000, 6000, 6000))
-
-
-class TestTileCacheProtocol:
-    def test_build_store_read(self):
-        cache = TileCache(cell_m=250.0)
-        token = cache.begin(0)
-        tiles = build_minute_tiles([(1, 0.0, 0.0, 10.0, 10.0)], cell_m=250.0)
-        assert cache.store(0, tiles, token)
-        assert cache.counts(0) == (1, 1)
-        assert cache.overlaps(0, Rect(0, 0, 5, 5)) is True
-
-    def test_store_rejected_when_bracket_overlaps_build(self):
-        cache = TileCache(cell_m=250.0)
-        token = cache.begin(0)
-        with cache.write((0,)) as tile_writes:
-            tile_writes.add(0, 0, 0.0, 0.0, 1.0, 1.0)
-        # the bracket ran between begin and store: the scan may or may
-        # not have seen the row, so the build must be discarded
-        assert not cache.store(0, MinuteTiles(cell_m=250.0), token)
-        assert cache.counts(0) is None
-
-    def test_store_rejected_while_bracket_in_flight(self):
-        cache = TileCache(cell_m=250.0)
-        with cache.write((0,)):
-            token = cache.begin(0)
-            assert not cache.store(0, MinuteTiles(cell_m=250.0), token)
-
-    def test_bracket_deltas_keep_cached_entry_exact(self):
-        cache = TileCache(cell_m=250.0)
-        token = cache.begin(0)
-        assert cache.store(0, MinuteTiles(cell_m=250.0), token)
-        with cache.write((0,)) as tile_writes:
-            tile_writes.add(0, 1, 0.0, 0.0, 10.0, 10.0)
-        assert cache.counts(0) == (1, 1)
-
-    def test_mark_dirty_drops_the_minute(self):
-        cache = TileCache(cell_m=250.0)
-        token = cache.begin(0)
-        assert cache.store(0, MinuteTiles(cell_m=250.0), token)
-        with cache.write((0,)) as tile_writes:
-            tile_writes.mark_dirty(0)
-        assert cache.counts(0) is None
-
-    def test_invalidate_below_bumps_epoch_and_drops(self):
-        cache = TileCache(cell_m=250.0)
-        for minute in (0, 5):
-            token = cache.begin(minute)
-            assert cache.store(minute, MinuteTiles(cell_m=250.0), token)
-        pending = cache.begin(7)
-        cache.invalidate_below(3)
-        assert cache.counts(0) is None  # evicted minute dropped
-        assert cache.counts(5) == (0, 0)  # surviving minute kept
-        # a build begun before the eviction may have scanned doomed rows
-        assert not cache.store(7, MinuteTiles(cell_m=250.0), pending)
-
-    def test_lru_bound(self):
-        cache = TileCache(max_minutes=2, cell_m=250.0)
-        for minute in range(3):
-            token = cache.begin(minute)
-            assert cache.store(minute, MinuteTiles(cell_m=250.0), token)
-        assert cache.counts(0) is None
-        assert cache.info()["minutes"] == 2
-
-    def test_hit_miss_counters_reach_registry(self):
-        registry = MetricsRegistry()
-        cache = TileCache(cell_m=250.0, metrics=registry)
-        cache.counts(0)  # miss
-        token = cache.begin(0)
-        cache.store(0, MinuteTiles(cell_m=250.0), token)
-        cache.counts(0)  # hit
-        snap = registry.snapshot()
-        assert counter_value(snap, "store.query.tile_miss") == 1
-        assert counter_value(snap, "store.query.tile_hit") == 1
-
-
 @pytest.mark.parametrize("kind", list(PLACEMENTS))
-class TestBackendTiles:
-    def _store(self, kind):
-        return build_placement(kind)
-
-    def test_counts_served_from_tiles_after_first_build(self, kind):
-        store = self._store(kind)
-        try:
+class TestMinuteSelection:
+    def test_whole_minute_counts(self, kind):
+        with build_placement(kind) as store:
             store.insert_many([make_vp(seed=i, minute=1) for i in range(4)])
             store.insert_trusted(make_vp(seed=99, minute=1))
-            spec = QuerySpec(minute=1, count=True)
-            assert store.query(spec).n == 5
-            assert store.query(spec).n == 5
+            assert store.query(QuerySpec(minute=1, count=True)).n == 5
             assert store.query(QuerySpec(minute=1, trusted_only=True, count=True)).n == 1
-            info = store.stats().detail["tile_cache"]
-            assert info["hits"] >= 1
-        finally:
-            store.close()
+            assert store.query(QuerySpec(minute=2, count=True)).n == 0
 
-    def test_area_miss_short_circuits(self, kind):
-        store = self._store(kind)
-        try:
+    def test_far_area_returns_an_empty_frame(self, kind):
+        with build_placement(kind) as store:
             store.insert_many([make_vp(seed=i, minute=0, x0=0.0) for i in range(3)])
             far = Rect(50_000.0, 50_000.0, 51_000.0, 51_000.0)
-            store.query(QuerySpec(minute=0, count=True))  # prime the tiles
             assert store.query(QuerySpec(minute=0, area=far)).vps == []
             frame = store.query_encoded(QuerySpec(minute=0, area=far, encoded=True))
-            assert frame[1:5] == (0).to_bytes(4, "big")
-        finally:
-            store.close()
+            assert frame == encode_vp_batch([])
+            assert store.query(QuerySpec(minute=0, area=far, count=True)).n == 0
 
-    def test_eviction_invalidates_tiles(self, kind):
-        store = self._store(kind)
-        try:
+    def test_counts_after_eviction(self, kind):
+        with build_placement(kind) as store:
             store.insert_many([make_vp(seed=i, minute=0) for i in range(3)])
+            store.insert_trusted(make_vp(seed=9, minute=0))
             store.insert_many([make_vp(seed=10 + i, minute=5) for i in range(2)])
-            assert store.query(QuerySpec(minute=0, count=True)).n == 3
+            assert store.query(QuerySpec(minute=0, count=True)).n == 4
+            store.evict_before(3, keep_trusted=True)
+            assert store.query(QuerySpec(minute=0, count=True)).n == 1
+            assert store.query(QuerySpec(minute=0, trusted_only=True, count=True)).n == 1
             store.evict_before(3)
             assert store.query(QuerySpec(minute=0, count=True)).n == 0
             assert store.query(QuerySpec(minute=5, count=True)).n == 2
-        finally:
-            store.close()
 
-    def test_coverage_tiles_totals_match_population(self, kind):
-        store = self._store(kind)
-        try:
-            store.insert_many(
-                [make_vp(seed=i, minute=2, x0=400.0 * i) for i in range(4)]
-            )
-            store.insert_trusted(make_vp(seed=50, minute=2))
-            tiles = store.coverage_tiles(2)
-            assert (tiles.n_vps, tiles.n_trusted) == (5, 1)
-            assert sum(c[0] for c in tiles.cells.values()) >= 5
-        finally:
-            store.close()
+
+# -- the rectangles a coarse index used to short-circuit ------------------------
+
+#: a population of one minute: (seed, x0, y0, step between positions, trusted)
+populations = st.lists(
+    st.tuples(
+        st.integers(0, 10_000),
+        st.floats(0.0, 2_000.0),
+        st.floats(0.0, 2_000.0),
+        st.floats(20.0, 120.0),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda row: row[0],
+)
+
+
+def _cold(vps, data) -> Rect:
+    """Outside the city: no VP comes within tens of kilometres."""
+    x = data.draw(st.floats(50_000.0, 1e6))
+    return Rect(x, -x, x + data.draw(st.floats(0.0, 1e4)), -x + 10.0)
+
+
+def _degenerate(vps, data) -> Rect:
+    """Zero width, lying on one VP's bounding-box edge."""
+    x_min, y_min, x_max, y_max = data.draw(st.sampled_from(vps)).bounding_box
+    x = data.draw(st.sampled_from([x_min, x_max]))
+    return Rect(x, y_min - data.draw(st.floats(0.0, 5.0)), x, y_max)
+
+
+def _wider_than_city(vps, data) -> Rect:
+    half = data.draw(st.floats(1e5, 1e7))
+    return Rect(-half, -half, half, half)
+
+
+def _between_positions(vps, data) -> Rect:
+    """Inside one VP's bounding box (so inside a cell it touches) while
+    none of that VP's positions lies in the rectangle."""
+    vp = data.draw(st.sampled_from(vps))
+    pos = vp.positions_array
+    i = data.draw(st.integers(0, len(pos) - 2))
+    (x_lo, y), (x_hi, _) = pos[i].tolist(), pos[i + 1].tolist()
+    gap = x_hi - x_lo
+    left = x_lo + gap * data.draw(st.floats(0.05, 0.45))
+    right = x_hi - gap * data.draw(st.floats(0.05, 0.45))
+    rect = Rect(left, y - 5.0, right, y + 5.0)
+    assert not vp_claims_in_area(vp, rect)
+    return rect
+
+
+RECTANGLES = {
+    "cold": _cold,
+    "degenerate": _degenerate,
+    "wider-than-city": _wider_than_city,
+    "between-positions": _between_positions,
+}
+
+
+@pytest.mark.parametrize("shape", list(RECTANGLES))
+@pytest.mark.parametrize("kind", list(PLACEMENTS))
+@settings(max_examples=15, deadline=None)
+@given(population=populations, data=st.data())
+def test_area_selection_matches_a_naive_scan(kind, shape, population, data):
+    """``query_encoded`` is byte-identical to re-encoding a naive
+    ``vp_claims_in_area`` scan, and both count axes match its counts."""
+    vps = [
+        make_vp(seed=seed, minute=0, x0=x0, y0=y0, step=step)
+        for seed, x0, y0, step, _trusted in population
+    ]
+    with build_placement(kind) as store:
+        for vp, (*_, trusted) in zip(vps, population):
+            (store.insert_trusted if trusted else store.insert)(vp)
+        area = RECTANGLES[shape](vps, data)
+        for trusted_only in (False, True):
+            naive = [
+                vp
+                for vp in vps
+                if vp_claims_in_area(vp, area) and (vp.trusted or not trusted_only)
+            ]
+            spec = QuerySpec(minute=0, area=area, trusted_only=trusted_only)
+            assert store.query_encoded(spec) == encode_vp_batch(naive)
+            counted = QuerySpec(minute=0, area=area, trusted_only=trusted_only, count=True)
+            assert store.query(counted).n == len(naive)
+            whole = QuerySpec(minute=0, trusted_only=trusted_only, count=True)
+            assert store.query(whole).n == sum(vp.trusted or not trusted_only for vp in vps)
 
 
 @pytest.mark.parametrize("kind", list(PLACEMENTS))
-def test_tile_counts_exact_under_concurrent_ingest_and_evict(kind):
-    """Racing writers, a count reader and an evictor never desync tiles.
+def test_minute_counts_exact_under_concurrent_ingest_and_evict(kind):
+    """Racing writers, a count reader and an evictor never desync counts.
 
-    The reader polls tile-backed counts while writers land rows and an
-    evictor advances the watermark; afterwards every minute's cached
-    count must equal the rows actually present — the write brackets and
-    the eviction epoch must have discarded every stale build.
+    The reader polls whole-minute counts while writers land rows and an
+    evictor advances the watermark; afterwards every minute's count must
+    equal the number of VPs a decoded read of the minute returns.
     """
     store = build_placement(kind)
     errors: list[Exception] = []
@@ -233,14 +207,13 @@ def test_tile_counts_exact_under_concurrent_ingest_and_evict(kind):
         t.start()
     threads[3].start()
     for t in threads[:3] + threads[4:]:
-        t.join()
+        t.join(timeout=60)
     stop.set()
-    threads[3].join()
+    threads[3].join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a store call wedged"
     assert not errors
-    # quiesced: tile-backed counts must match the rows that survived
+    # quiesced: every count must match the rows a decoded read returns
     for minute in range(4):
         expected = len(store.query(QuerySpec(minute=minute)).vps)
         assert store.query(QuerySpec(minute=minute, count=True)).n == expected
-        tiles = store.coverage_tiles(minute)
-        assert tiles.n_vps == expected
     store.close()

@@ -2,8 +2,7 @@
 
 Every ``SegmentStore`` times its writes (``store.insert``), evictions
 (``store.evict``) and reads (``store.query``) into one
-``MetricsRegistry`` and counts tile-cache hits and misses into the same
-registry; ``stats().detail["metrics"]`` is its snapshot.  Snapshots are
+``MetricsRegistry``; ``stats().detail["metrics"]`` is its snapshot.  Snapshots are
 plain dicts, so a saved one folds cleanly into a reopened store's fresh
 ones with ``MetricsRegistry.merge_snapshot``: observability survives a
 restart without any store-side merge.
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry, counter_value
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.store import QuerySpec, SegmentStore, encode_vp_batch
 from tests.store.conftest import fresh_prefix, make_vp
 
@@ -59,25 +58,22 @@ def test_evictions_and_reads_are_timed(path):
 def test_stats_detail_is_the_registry_snapshot(path):
     with SegmentStore(path) as store:
         store.insert_many(vps_over_minutes(6))
-        spec = QuerySpec(minute=0, count=True)
-        store.query(spec)  # builds the minute's tiles
-        store.query(spec)  # served from them
+        store.query(QuerySpec(minute=0, count=True))
+        store.query(QuerySpec(minute=0, encoded=True))
         detail = store.stats().detail
         assert detail["metrics"] == store.metrics.snapshot()
-        assert counter_value(detail["metrics"], "store.query.tile_hit") == 1
-        assert counter_value(detail["metrics"], "store.query.tile_miss") == 1
-        assert detail["tile_cache"]["hits"] == 1
+        assert count(detail["metrics"], "store.query.wall_s") == 2
+        assert count(detail["metrics"], "store.insert.wall_s") == 1
 
 
 def test_metrics_can_be_disabled_per_store(path):
     with SegmentStore(path, metrics=MetricsRegistry(enabled=False)) as store:
         assert store.insert_many(vps_over_minutes(6)) == 6
-        store.query(QuerySpec(minute=0, count=True))
-        store.query(QuerySpec(minute=0, count=True))
+        assert store.query(QuerySpec(minute=0, count=True)).n == 2  # reads still answer
         store.evict_before(1)
-        assert store.metrics.snapshot() == {}
+        snap = store.metrics.snapshot()
+        assert snap == {} and count(snap, "store.query.wall_s") == 0
         assert store.stats().detail["metrics"] == {}
-        assert store.stats().detail["tile_cache"]["hits"] == 1  # the cache still works
 
 
 def test_a_saved_snapshot_folds_into_a_reopened_stores(path):
