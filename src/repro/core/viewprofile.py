@@ -13,7 +13,6 @@ which :func:`ViewProfile.storage_bytes` reproduces exactly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +40,9 @@ class ViewProfile:
     and stored, whoever built it: a vehicle's generator hands over the
     block it recorded into, :meth:`from_wire` the bytes it read, and a
     list of :class:`ViewDigest` objects is packed on the spot.
-    Identifier, minute, times, positions and Bloom keys are read off
-    the block; ``digests`` unpacks on demand and keeps nothing.  Only
+    Identifier, minute, times, positions, bounding box and Bloom keys
+    are read off the block on every call, and ``digests`` unpacks on
+    demand: nothing is cached, so a VP costs its bytes.  Only
     ``bloom`` (neighbours are added after construction) and
     ``trusted`` (set by the ingesting authority) may change.
     """
@@ -152,17 +152,17 @@ class ViewProfile:
             points=[Point(x, y) for x, y in self.positions_array.tolist()],
         )
 
-    @cached_property
+    @property
     def positions_array(self) -> np.ndarray:
         """(n_digests, 2) array of claimed positions, for bulk geometry."""
         return packed_columns(self._block)["location"].astype(np.float64)
 
-    @cached_property
+    @property
     def times_array(self) -> np.ndarray:
         """(n_digests,) array of digest times."""
         return packed_columns(self._block)["t"].astype(np.float64)
 
-    @cached_property
+    @property
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max) over the claimed positions."""
         pos = self.positions_array

@@ -44,12 +44,11 @@ shedding early instead of collapsing late.
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Coroutine
+from typing import TYPE_CHECKING, Any, Callable, Coroutine
 
 from repro.errors import NetworkError, ReproError, ValidationError, WireFormatError
 from repro.net.messages import (
@@ -67,6 +66,9 @@ from repro.net.server import ViewMapServer
 from repro.net.transport import Endpoint, Handler
 from repro.obs.admission import DEFAULT_MAX_DEPTH, AdmissionController
 from repro.obs.metrics import MetricsRegistry, stage_timer
+
+if TYPE_CHECKING:  # at run time asyncio loads with the first StreamingNetwork
+    import asyncio
 
 _log = logging.getLogger(__name__)
 
@@ -100,6 +102,8 @@ class _Session:
         write: Callable[[bytes], Coroutine[Any, Any, None]],
         on_close: Callable[[str], None],
     ) -> None:
+        import asyncio
+
         self.net = net
         self.address = address
         self.write = write
@@ -250,6 +254,8 @@ class StreamingNetwork:
         admission_depth: int = DEFAULT_MAX_DEPTH,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> None:
+        import asyncio
+
         if workers < 1:
             raise NetworkError("a streaming network needs at least one worker")
         self.workers = workers
@@ -280,6 +286,8 @@ class StreamingNetwork:
         self._call_on_loop(self._start_watchdog)
 
     def _run_loop(self) -> None:
+        import asyncio
+
         asyncio.set_event_loop(self._loop)
         self._loop.run_forever()
 
@@ -384,12 +392,16 @@ class StreamingNetwork:
         """Serve ``address`` over real TCP; returns the bound (host, port)."""
         if self._closed:
             raise NetworkError("network is closed")
+        import asyncio
+
         future = asyncio.run_coroutine_threadsafe(
             self._start_tcp(address, host, port), self._loop
         )
         return future.result(60.0)
 
     async def _start_tcp(self, address: str, host: str, port: int) -> tuple[str, int]:
+        import asyncio
+
         async def on_conn(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
             await self._serve_tcp_conn(address, reader, writer)
 
@@ -469,6 +481,8 @@ class StreamingNetwork:
 
     async def _watch_deadlines(self) -> None:
         """Shed connections whose in-flight record outlived the deadline."""
+        import asyncio
+
         interval = max(0.01, min(0.5, self.read_deadline_s / 4))
         while True:
             await asyncio.sleep(interval)

@@ -13,12 +13,13 @@ by ``decode_vp`` itself, before an attribute of the result is read.
 from __future__ import annotations
 
 import random
+import struct
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import VD_MESSAGE_BYTES
@@ -79,6 +80,47 @@ def vp_parts(draw) -> tuple[list[ViewDigest], BloomFilter]:
     return digests, BloomFilter.from_bytes(rng.randbytes(bloom_bytes), k=bloom_k)
 
 
+#: per-axis coordinate pools on float edges, each narrower than a VP's
+#: 10 km extent bound: signed zeros and the smallest float32 subnormals,
+#: the float32 limit, and 2**24, where float32 spacing reaches 2 m
+F32_MAX = float(np.finfo(np.float32).max)
+EDGE_POOLS = [
+    [0.0, -0.0, 2.0**-149, -(2.0**-149)],
+    [F32_MAX],
+    [-F32_MAX],
+    [2.0**24 - 1.0, 2.0**24, 2.0**24 + 2.0],
+]
+
+
+def edge_parts(xs: list[float], ys: list[float], seed: int) -> tuple[list[ViewDigest], BloomFilter]:
+    """Digests and Bloom of a VP claiming the positions ``zip(xs, ys)``."""
+    rng = random.Random(seed)
+    vp_id = rng.randbytes(16)
+    digests = [
+        ViewDigest(
+            second_index=second,
+            t=60.0 + second - 1,
+            location=(x, y),
+            file_size=second,
+            initial_location=(xs[0], ys[0]),
+            vp_id=vp_id,
+            chain_hash=rng.randbytes(16),
+        )
+        for second, x, y in zip(range(1, len(xs) + 1), xs, ys)
+    ]
+    return digests, BloomFilter.from_bytes(rng.randbytes(256))
+
+
+@st.composite
+def edge_vp_parts(draw) -> tuple[list[ViewDigest], BloomFilter]:
+    """Digests and Bloom of a VP whose positions sit on float edges."""
+    n = draw(st.integers(1, 60))
+    x_pool, y_pool = draw(st.sampled_from(EDGE_POOLS)), draw(st.sampled_from(EDGE_POOLS))
+    xs = draw(st.lists(st.sampled_from(x_pool), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from(y_pool), min_size=n, max_size=n))
+    return edge_parts(xs, ys, draw(st.integers(0, 2**32)))
+
+
 def assert_vp_matches(vp: ViewProfile, digests: list[ViewDigest], bloom: BloomFilter) -> None:
     """Every observable, against the digest objects the VP was built from."""
     assert vp.vp_id == digests[0].vp_id and isinstance(vp.vp_id, bytes)
@@ -137,6 +179,25 @@ def test_batch_frames_are_byte_identical(batch, as_view):
         assert_vp_matches(wire, digests, bloom)
         assert wire == vp
     assert encode_vp_batch(decode_vp_batch(frame)) == frame
+
+
+@given(parts=st.one_of(vp_parts(), edge_vp_parts()))
+@example(parts=edge_parts([-0.0, -0.0], [F32_MAX, F32_MAX], seed=1))
+@example(parts=edge_parts([0.0, -0.0, 0.0], [-F32_MAX] * 3, seed=2))
+@settings(max_examples=120, deadline=None)
+def test_geometry_is_bit_identical_on_every_read(parts):
+    # geometry is computed per read, never cached: the first read, every
+    # later one and the float64 min/max over the digests agree bit for
+    # bit (the sign of a zero included), and so does every batch encode
+    digests, bloom = parts
+    vp = ViewProfile(digests=digests, bloom=bloom)
+    positions = np.array([vd.location for vd in digests], dtype=np.float64)
+    box = (*positions.min(axis=0).tolist(), *positions.max(axis=0).tolist())
+    frame = encode_vp_batch([vp])
+    for read in (vp, vp, *decode_vp_batch(frame)):
+        assert read.positions_array.tobytes() == positions.tobytes()
+        assert struct.pack(">4d", *read.bounding_box) == struct.pack(">4d", *box)
+        assert encode_vp_batch([read]) == frame
 
 
 def test_digest_block_round_trip_matches_reference():

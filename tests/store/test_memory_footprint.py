@@ -26,6 +26,7 @@ from repro.geo.geometry import Point, Rect
 from repro.net.messages import pack_vp_batch_frame
 from repro.sim.stream import stream_convoy_vps, stream_vp
 from repro.store import make_store
+from repro.store.base import min_squared_distance, vp_claims_in_area
 from repro.store.codec import decode_vp_batch, encode_vp, encode_vp_batch
 from repro.store.serving import QuerySpec
 from tests.store.conftest import build_store
@@ -42,18 +43,20 @@ AREA_M = 2_000.0
 STORED_VP_BYTES_MAX = 400
 
 #: ceiling on what one VP object costs as built or decoded (block 4.3 kB
-#: + Bloom 0.4 kB + position array 1.1 kB + objects; the digest-by-digest
-#: decode it replaces retained ~46 kB)
-BUILT_VP_BYTES_MAX = 8_000
+#: + Bloom 0.4 kB + objects, 5.1 kB measured; no position array: geometry
+#: is read off the block per call.  The digest-by-digest decode it
+#: replaces retained ~46 kB)
+BUILT_VP_BYTES_MAX = 5_500
 
 #: ceiling per VP once a viewmap over it was built and verified: the VP
 #: as decoded (block 4.3 kB + Bloom 0.4 kB + objects, 4.9 kB) — site
-#: membership reads the viewmap's stacked columns, so no position array
-#: stays cached on the VP (6.3 kB while ``claims_location_near`` ran per member)
+#: membership reads the viewmap's stacked columns, and a VP caches no
+#: position array (6.3 kB while ``claims_location_near`` ran per member)
 INVESTIGATED_VP_BYTES_MAX = 5_500
 
-#: what a VP's first ``encode_vp`` may leave behind: nothing but noise
-#: (the block it was born as is the block it encodes)
+#: what a VP's first ``encode_vp`` — or a batch encode, an insert and
+#: every geometry read — may leave behind: nothing but noise (the block
+#: it was born as is the block it encodes; geometry caches nothing)
 FIRST_ENCODE_GROWTH_BYTES_MAX = 64
 
 
@@ -145,6 +148,36 @@ def test_vehicle_built_vps_cost_what_stored_ones_do(unpack_calls):
     assert built <= BUILT_VP_BYTES_MAX, built
     assert guard_built <= BUILT_VP_BYTES_MAX, guard_built
     assert encoded <= built + FIRST_ENCODE_GROWTH_BYTES_MAX, (encoded, built)
+
+
+def test_encoding_inserting_and_reading_geometry_leave_a_vp_its_size():
+    # While positions, times and the bounding box were cached properties,
+    # a frame encode (which reads ``bounding_box``) left each of these
+    # VPs a (60, 2) float64 array and a tuple heavier: +1.45 kB.
+    n = 64
+    site = Point(AREA_M / 2, AREA_M / 2)
+    quarter = Rect(0.0, 0.0, AREA_M / 2, AREA_M / 2)
+    tracemalloc.start()
+    try:
+        before = retained_bytes()
+        vps = [stream_vp(7, 1, vehicle, AREA_M) for vehicle in range(n)]
+        built = (retained_bytes() - before) / n
+        frames = [pack_vp_batch_frame(vps[i : i + 16]) for i in range(0, n, 16)]
+        store = make_store("memory")
+        assert store.insert_many(vps) == n
+        for vp in vps:
+            assert vp.bounding_box[0] <= vp.positions_array[:, 0].min()
+            assert vp.times_array.shape == (len(vp.positions_array),)
+            vp_claims_in_area(vp, quarter)
+            min_squared_distance(vp, site)
+        store.close()
+        del frames, store
+        after = (retained_bytes() - before) / n
+    finally:
+        tracemalloc.stop()
+    assert built <= BUILT_VP_BYTES_MAX, built
+    assert after <= built + FIRST_ENCODE_GROWTH_BYTES_MAX, (after, built)
+    assert all(set(vars(vp)) == {"_block", "bloom", "trusted"} for vp in vps)
 
 
 def test_an_investigation_leaves_stored_vps_the_size_they_were(unpack_calls):

@@ -5,7 +5,11 @@ from __future__ import annotations
 import subprocess
 import sys
 
-LOADED = "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+#: the experiment side's scientific stack, and the event loop's stack:
+#: asyncio (and the ssl it imports) load with the first StreamingNetwork
+LOADED = (
+    "print(sorted(m for m in ('scipy', 'networkx', 'asyncio', 'ssl') if m in sys.modules))"
+)
 
 
 def run_python(code: str) -> str:
@@ -25,7 +29,8 @@ def test_store_imports_without_scipy_or_networkx():
 def test_upload_serving_and_investigation_run_on_numpy_alone():
     # the always-on front-end, the store and a complete investigation:
     # viewmap construction is a numpy grid search over a plain
-    # adjacency, TrustRank a bincount (84 -> 39 MiB at import)
+    # adjacency, TrustRank a bincount, and importing the streaming
+    # front-end opens no event loop (84 -> 34.5 MiB RSS at import)
     code = """
 import sys
 import repro.core.system, repro.core.vehicle, repro.net.client, repro.net.concurrency
@@ -44,6 +49,30 @@ assert len(found) == 1 and found[0].solicited, found
 assert found[0].viewmap.edge_count > 0
 """ + LOADED
     assert run_python(code) == "[]"
+
+
+def test_asyncio_loads_when_a_stream_opens_and_the_stream_still_uploads():
+    code = """
+import sys
+from repro.core.system import ViewMapSystem
+from repro.net.concurrency import ConcurrentViewMapServer
+from repro.net.messages import pack_vp_batch_frame
+from repro.net.streaming import StreamingNetwork
+from repro.sim.stream import stream_vp
+
+before = 'asyncio' in sys.modules
+with ViewMapSystem(key_bits=512, seed=1) as system:
+    with StreamingNetwork(workers=1) as net:
+        after = 'asyncio' in sys.modules
+        server = ConcurrentViewMapServer(system=system, network=net)
+        conn = net.connect(server.address)
+        vp = stream_vp(7, 0, 0, 2e3)
+        reply = conn.upload_frame(pack_vp_batch_frame([vp]))
+        conn.close()
+    stored = system.database.store.get(vp.vp_id) == vp
+    print(before, after, reply["kind"], reply["inserted"], stored)
+"""
+    assert run_python(code) == "False True batch_ack 1 True"
 
 
 def test_polyline_helpers_import_without_networkx_and_the_router_still_routes():
