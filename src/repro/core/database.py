@@ -85,7 +85,7 @@ class VPDatabase:
         """
         return self.store.query(spec)
 
-    def query_encoded(self, spec: QuerySpec) -> bytes:
+    def query_encoded(self, spec: QuerySpec) -> memoryview:
         """Matching records as a ready codec frame (decode-free read)."""
         return self.store.query_encoded(spec)
 

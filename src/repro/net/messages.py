@@ -165,7 +165,7 @@ def pack_stream_record(kind: int, payload: bytes | memoryview) -> bytes:
             f"stream record payload of {len(payload)} bytes exceeds the "
             f"{MAX_STREAM_PAYLOAD_BYTES}-byte bound"
         )
-    return _STREAM_HEAD.pack(kind, len(payload)) + bytes(payload)
+    return b"".join((_STREAM_HEAD.pack(kind, len(payload)), payload))
 
 
 def peek_frame_minute(frame: bytes | memoryview) -> int:
@@ -289,15 +289,21 @@ def message_field(message: dict[str, Any], name: str, kind: type, item: type | N
 
     The only way a handler reads a decoded message: a field that is
     missing or not what the handler is about to use it as is a
-    :class:`ValidationError`.  Types are exact — ``True`` is no minute.
+    :class:`ValidationError`.  Types are exact — ``True`` is no minute —
+    except that ``bytes`` is a decoded attachment, a read-only
+    ``memoryview`` of the request: a handler copies what it keeps.
     """
     value = message.get(name)
-    if type(value) is not kind or (
-        item is not None and not all(type(entry) is item for entry in value)
+    if not _is_field(value, kind) or (
+        item is not None and not all(_is_field(entry, item) for entry in value)
     ):
         shape = kind.__name__ if item is None else f"{kind.__name__} of {item.__name__}"
         raise ValidationError(f"{message.get('kind')} needs {name!r} as {shape}")
     return value
+
+
+def _is_field(value: Any, kind: type) -> bool:
+    return type(value) is kind or (kind is bytes and type(value) is memoryview)
 
 
 def pack_query_view(spec: QuerySpec) -> dict[str, Any]:
@@ -373,12 +379,26 @@ def encode_message(kind: str, **fields: Any) -> bytes:
     O(1) in the payload.  ``kind`` selects the server handler.
     """
     attachments: list[bytes | bytearray | memoryview] = []
+    return b"".join((_envelope_head(kind, fields, attachments), *attachments))
+
+
+def envelope_head(kind: str, **fields: Any) -> bytes:
+    """The bytes :func:`encode_message` puts before the attachments.
+
+    For a sender whose one attachment already sits in a buffer with
+    room in front of it: writing this head there gives the message
+    without copying the attachment (a ``view`` reply).
+    """
+    return _envelope_head(kind, fields, [])
+
+
+def _envelope_head(kind: str, fields: dict[str, Any], attachments: list) -> bytes:
     header = json.dumps(
         _detach({"kind": kind, **fields}, attachments),
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    return b"".join((_ENVELOPE_HEAD.pack(len(header)), header, *attachments))
+    return _ENVELOPE_HEAD.pack(len(header)) + header
 
 
 def _detach(value: Any, attachments: list) -> Any:
@@ -401,9 +421,12 @@ def decode_message(data: bytes | memoryview) -> dict[str, Any]:
     """Decode a protocol message, restoring its binary attachments.
 
     The untrusted boundary: every malformed shape is a clean
-    :class:`WireFormatError` before any attachment is sliced.
+    :class:`WireFormatError` before any attachment is sliced.  An
+    attachment comes back as a read-only ``memoryview`` of ``data``,
+    never a copy: it keeps the whole message alive, and it hashes like
+    ``bytes`` only when ``data`` is hashable — copy what you keep.
     """
-    view = memoryview(data)
+    view = memoryview(data).toreadonly()
     if len(view) < _ENVELOPE_HEAD.size:
         raise WireFormatError("protocol message shorter than its length prefix")
     offset = _ENVELOPE_HEAD.size + _ENVELOPE_HEAD.unpack_from(view)[0]
@@ -420,7 +443,7 @@ def decode_message(data: bytes | memoryview) -> dict[str, Any]:
     if offset + sum(n for _, _, n in slots) != len(view):
         raise WireFormatError("protocol message attachments do not tile the buffer")
     for container, key, n in slots:
-        container[key] = bytes(view[offset : offset + n])
+        container[key] = view[offset : offset + n]
         offset += n
     return payload
 

@@ -39,6 +39,7 @@ from repro.errors import ReproError, ValidationError
 from repro.net.messages import (
     decode_message,
     encode_message,
+    envelope_head,
     message_field,
     unpack_query_view,
     unpack_vp_batch_frame,
@@ -46,8 +47,9 @@ from repro.net.messages import (
 from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import MetricsRegistry, stage_timer
 from repro.store.codec import join_encoded_records
+from repro.store.serving import reply_with_head
 
-Handler = Callable[[dict[str, Any]], bytes]
+Handler = Callable[[dict[str, Any]], bytes | memoryview]
 
 #: max minutes the upload-driven retention watermark may advance per
 #: accepted upload (see module docstring) — bounds the eviction blast
@@ -58,7 +60,7 @@ MAX_WATERMARK_STEP = 2
 def _locked(lock: threading.RLock, handler: Handler) -> Handler:
     """Serialize one message handler behind a lock."""
 
-    def guarded(message: dict[str, Any]) -> bytes:
+    def guarded(message: dict[str, Any]) -> bytes | memoryview:
         with lock:
             return handler(message)
 
@@ -147,8 +149,11 @@ class ViewMapServer:
         """
         return self._state_lock
 
-    def handle(self, payload: bytes) -> bytes:
+    def handle(self, payload: bytes) -> bytes | memoryview:
         """Decode, dispatch, and encode one request/response exchange.
+
+        A ``view`` reply is a read-only view of the store's reply
+        mapping; every other reply is ``bytes``.
 
         Every dispatched request lands in the ``server.handle.<kind>``
         latency histogram — the per-stage breakdown an SLO dashboard
@@ -223,6 +228,9 @@ class ViewMapServer:
                 return
 
     # -- handlers ------------------------------------------------------------
+    # Attachments arrive as read-only views of the request buffer: a
+    # handler copies (``bytes(...)``) what the system keeps or looks up
+    # by, since a view pins the request and may not hash.
 
     def _on_upload_vp_batch(self, message: dict[str, Any]) -> bytes:
         """Batch upload: one round-trip for a vehicle's pending VPs.
@@ -295,19 +303,23 @@ class ViewMapServer:
         except ReproError as exc:
             return encode_message("error", reason=str(exc))
 
-    def _on_query_view(self, message: dict[str, Any]) -> bytes:
+    def _on_query_view(self, message: dict[str, Any]) -> memoryview:
         """Serve one minute/area view query as a codec batch frame.
 
         The read-side twin of the zero-decode upload path: the storage
-        tier assembles the reply straight from stored frame spans — no
-        VP body is decoded anywhere on the authority, the *client*
-        decodes.  Replies are safe to serve lock-free on a concurrent
-        fabric because the store backends are thread-safe, so this kind
-        is deliberately NOT in ``GUARDED_KINDS``.
+        tier reads the stored records straight into one reply mapping —
+        no VP body is decoded anywhere on the authority, the *client*
+        decodes — and the envelope head is written into the room the
+        mapping keeps before the frame, so the reply is that one buffer,
+        byte-identical to ``encode_message("view", frame=..., n=...)``.
+        Replies are safe to serve lock-free on a concurrent fabric
+        because the store backends are thread-safe, so this kind is
+        deliberately NOT in ``GUARDED_KINDS``.
         """
         result = self.system.database.query(unpack_query_view(message))
         self.metrics.observe("serve.encoded_bytes", float(len(result.frame)))
-        return encode_message("view", frame=result.frame, n=result.n)
+        head = envelope_head("view", frame=result.frame, n=result.n)
+        return reply_with_head(result.frame, head)
 
     def _on_list_solicitations(self, message: dict[str, Any]) -> bytes:
         ids = self.system.solicitations.requested_ids()
@@ -315,8 +327,8 @@ class ViewMapServer:
 
     def _on_upload_video(self, message: dict[str, Any]) -> bytes:
         accepted = self.system.receive_video(
-            message_field(message, "vp_id", bytes),
-            message_field(message, "chunks", list, item=bytes),
+            bytes(message_field(message, "vp_id", bytes)),
+            [bytes(chunk) for chunk in message_field(message, "chunks", list, item=bytes)],
         )
         return encode_message("ack", accepted=accepted)
 
@@ -326,8 +338,8 @@ class ViewMapServer:
 
     def _on_claim_reward(self, message: dict[str, Any]) -> bytes:
         units = self.system.rewards.offered_units(
-            message_field(message, "vp_id", bytes),
-            message_field(message, "secret", bytes),
+            bytes(message_field(message, "vp_id", bytes)),
+            bytes(message_field(message, "secret", bytes)),
         )
         return encode_message("reward_offer", units=units)
 
@@ -337,8 +349,8 @@ class ViewMapServer:
         except ValueError as exc:
             raise ValidationError("sign_blinded needs decimal blinded values") from exc
         signatures = self.system.rewards.sign_blinded_batch(
-            message_field(message, "vp_id", bytes),
-            message_field(message, "secret", bytes),
+            bytes(message_field(message, "vp_id", bytes)),
+            bytes(message_field(message, "secret", bytes)),
             blinded,
         )
         return encode_message("signatures", signatures=[str(s) for s in signatures])

@@ -205,14 +205,17 @@ class VPStore(ABC):
             return QueryResult(spec=spec, n=len(vps), vps=vps)
 
     @abstractmethod
-    def query_encoded(self, spec: QuerySpec) -> bytes:
+    def query_encoded(self, spec: QuerySpec) -> memoryview:
         """The one read primitive: the stored frame of a selection.
 
-        Returns a :func:`repro.store.codec.encode_vp_batch` buffer of
+        Returns a :func:`repro.store.codec.encode_vp_batch` frame of
         the records the minute, area and trusted axes select, in
         insertion order — byte-identical to re-encoding the VPs, since
-        records are stored as framed.  The segment log frames its
-        records straight through.  :meth:`query` decodes it.
+        records are stored as framed.  The frame is a read-only view of
+        one anonymous reply mapping, with
+        :data:`~repro.store.serving.REPLY_HEAD_ROOM` free bytes before
+        it (:func:`~repro.store.serving.reply_with_head`); the mapping
+        is unmapped with its last view.  :meth:`query` decodes it.
         """
 
     @abstractmethod

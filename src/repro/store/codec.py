@@ -57,6 +57,9 @@ VP_BLOB_VERSION = 1
 
 VP_BATCH_VERSION = 1
 
+#: a batch frame opens with its version (1 B) and record count (u32)
+FRAME_HEADER_BYTES = 5
+
 #: trusted flag bit in a batch record's flags byte
 _FLAG_TRUSTED = 0x01
 
@@ -116,6 +119,11 @@ def decode_vp(blob: bytes | memoryview, trusted: bool = False) -> ViewProfile:
 # -- columnar batch format -------------------------------------------------
 
 
+def frame_header(count: int) -> bytes:
+    """The :data:`FRAME_HEADER_BYTES` that open a frame of ``count`` records."""
+    return pack_uint(VP_BATCH_VERSION, 1) + pack_uint(count, 4)
+
+
 def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
     """Serialize a whole batch of VPs into one contiguous buffer.
 
@@ -124,7 +132,7 @@ def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
     record order is batch order, which backends treat as insertion
     order.
     """
-    parts = [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(vps), 4)]
+    parts = [frame_header(len(vps))]
     for vp in vps:
         parts += _record_parts(
             (vp.vp_id, vp.minute, vp.trusted, *vp.bounding_box, encode_vp(vp))
@@ -141,7 +149,7 @@ def encode_row_batch(rows: Sequence[tuple]) -> bytes:
     the decoded VPs: bodies are stored verbatim and the metadata head
     derives from the same values.
     """
-    parts = [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(rows), 4)]
+    parts = [frame_header(len(rows))]
     for row in rows:
         parts += _record_parts(row)
     return b"".join(parts)
@@ -364,23 +372,7 @@ def join_encoded_records(batch: bytes, spans: Sequence[tuple[int, int]]) -> byte
     pass a whole frame through untouched should prefer that.
     """
     note_span_copies(len(spans))
-    return b"".join(
-        [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(spans), 4)]
-        + [batch[start:end] for start, end in spans]
-    )
-
-
-def join_encoded_spans(spans: Sequence[tuple[bytes, int, int]]) -> bytes:
-    """Like :func:`join_encoded_records` across *several* source frames.
-
-    ``spans`` are ``(batch, start, end)`` triples — the read path's
-    framing tool: the log frames records read from a segment into one
-    reply buffer without decoding a body.
-    """
-    return b"".join(
-        [pack_uint(VP_BATCH_VERSION, 1), pack_uint(len(spans), 4)]
-        + [batch[start:end] for batch, start, end in spans]
-    )
+    return b"".join([frame_header(len(spans))] + [batch[start:end] for start, end in spans])
 
 
 def decode_vp_batch(batch: bytes) -> list[ViewProfile]:

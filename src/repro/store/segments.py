@@ -26,10 +26,14 @@ trusted, bbox)`` columns and the ids in insertion order.
   there is no pending buffer and nothing to flush.  A batch is atomic
   per minute: a failed append is truncated away, earlier minutes stay.
 * **read** takes the minute's columns and a duplicate of its descriptor
-  under the lock, then selects and reads (``os.pread``) outside it —
-  not ``mmap``: a file mapping would be resident memory.  The columns
-  are the only index: a whole-minute count is the minute's row count,
-  and an area's bounding-box test runs before any record is read.
+  under the lock, then selects and reads outside it.  Segments are read
+  (``os.preadv``), never file-mapped: a file mapping would be resident
+  memory.  The selection's ``length`` column sizes the reply, and every
+  record is read straight into its slot of one anonymous mapping — the
+  whole reply, not the malloc heap — which is unmapped with its last
+  view.  The columns are the only index: a whole-minute count is the
+  minute's row count, and an area's bounding-box test runs before any
+  record is read.
 * **evict** closes and unlinks whole segments; a reader's duplicate
   still reads the complete old file, and there is nothing left to
   compact.  One descriptor stays open per live minute; retention bounds it.
@@ -44,7 +48,7 @@ import struct
 import tempfile
 import threading
 import zlib
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,14 +57,15 @@ from repro.errors import StorageError, WireFormatError
 from repro.obs.metrics import MetricsRegistry, stage_timer
 from repro.store.base import StoreStats, VPStore
 from repro.store.codec import (
+    FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
     Batch,
     decode_vp,
     encoded_body_claims_area,
-    join_encoded_spans,
+    frame_header,
     unpack_record_meta,
 )
-from repro.store.serving import QuerySpec
+from repro.store.serving import REPLY_HEAD_ROOM, QuerySpec, reply_mapping
 from repro.util.encoding import unpack_uint
 
 #: per-record header: record length, CRC-32 of the record
@@ -73,8 +78,24 @@ _SEGMENT_NAME = re.compile(r"(\d{8,})\.seg(\.tmp)?")
 #: one published record: where its bytes are, and what selection needs
 _ROW = np.dtype([("offset", "i8"), ("length", "i8"), ("trusted", "?"), ("box", "f8", (4,))])
 
-#: records per ``writev`` — two buffers each, under every platform's IOV_MAX
-_WRITEV_RECORDS = 256
+#: a minute with no segment: no rows to select
+_NO_ROWS = np.empty(0, _ROW)
+
+#: records per ``writev`` or ``preadv`` — two buffers each, under every
+#: platform's IOV_MAX
+_IOV_RECORDS = 256
+
+
+def _runs(rows: np.ndarray) -> Iterator[tuple[int, list[int]]]:
+    """``(file offset, record lengths)`` per run of rows adjacent in the
+    file: one ``preadv`` each, of at most ``_IOV_RECORDS`` records."""
+    offsets, lengths = rows["offset"], rows["length"]
+    apart = offsets[1:] != offsets[:-1] + lengths[:-1] + _HEADER.size
+    cuts = [0, *(np.flatnonzero(apart) + 1).tolist(), len(rows)]
+    offsets, lengths = offsets.tolist(), lengths.tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        for first in range(lo, hi, _IOV_RECORDS):
+            yield offsets[first], lengths[first : min(hi, first + _IOV_RECORDS)]
 
 
 class _Segment:
@@ -208,7 +229,7 @@ class SegmentStore(VPStore):
         records = iter(records)
         written: list[tuple] = []
         try:
-            while chunk := list(itertools.islice(records, _WRITEV_RECORDS)):
+            while chunk := list(itertools.islice(records, _IOV_RECORDS)):
                 parts: list = []
                 for meta, span in chunk:
                     parts += (_HEADER.pack(len(span), zlib.crc32(span)), span)
@@ -288,26 +309,31 @@ class SegmentStore(VPStore):
         with self._lock:
             return sorted(self._segments)
 
-    def query_encoded(self, spec: QuerySpec) -> bytes:
-        """The one read primitive: stored records framed straight through.
+    def query_encoded(self, spec: QuerySpec) -> memoryview:
+        """The one read primitive: stored records read into one mapping.
 
         Under the lock only the minute's published columns are taken
         and its descriptor duplicated (the duplicate outlives an
-        eviction).  Selection runs on the columns; each candidate is
-        read in place and, on an area query, kept iff a packed digest
-        location lies inside the area — the same float32 values the
-        decoded path checks.  Records are stored as framed, so the
-        reply is byte-identical to re-encoding the decoded selection.
+        eviction).  Selection runs on the columns, and their ``length``
+        sizes the reply before any read: one anonymous mapping
+        (:func:`~repro.store.serving.reply_mapping`) that the candidates
+        are ``preadv``'d straight into, slot after slot — one call per
+        run of records adjacent in the file.  On an area query a
+        candidate is kept iff a packed digest location lies inside the
+        area — the same float32 values the decoded path checks — and
+        one that is not is overwritten by the next kept one.
+        Records are stored as framed, so the reply is byte-identical to
+        re-encoding the decoded selection.  It is a read-only view of
+        the mapping, with :data:`~repro.store.serving.REPLY_HEAD_ROOM`
+        free bytes before it for an envelope head.
         """
         area = spec.area
         with self._lock:
             self._check_open()
             segment = self._segments.get(spec.minute)
-            if segment is None:
-                return join_encoded_spans([])
-            rows = segment.rows[: segment.n]
+            rows = segment.rows[: segment.n] if segment is not None else _NO_ROWS
             try:
-                fd = os.dup(segment.file.fileno())
+                fd = os.dup(segment.file.fileno()) if segment is not None else -1
             except OSError as exc:
                 raise StorageError(f"cannot read VP store at {self.path!r}: {exc}") from exc
         try:
@@ -321,16 +347,33 @@ class SegmentStore(VPStore):
                     & (box[:, 3] >= area.y_min)
                     & (box[:, 1] <= area.y_max)
                 ]
-            records = []
-            for offset, length in zip(rows["offset"].tolist(), rows["length"].tolist()):
-                record = self._pread(fd, offset, length)
-                if area is None or encoded_body_claims_area(
-                    record, area, RECORD_OVERHEAD_BYTES
-                ):
-                    records.append(record)
+            reply = reply_mapping(FRAME_HEADER_BYTES + int(rows["length"].sum()))
+            end = REPLY_HEAD_ROOM + FRAME_HEADER_BYTES
+            count = 0
+            gap = bytearray(_HEADER.size)  # takes the headers between a run's records
+            for offset, lengths in _runs(rows):
+                buffers, slot = [], end
+                for length in lengths:
+                    buffers += (reply[slot : slot + length], gap)
+                    slot += length
+                want = slot - end + _HEADER.size * (len(lengths) - 1)
+                if os.preadv(fd, buffers[:-1], offset) != want:
+                    raise StorageError("VP store segment is shorter than its published records")
+                slot = end
+                for length in lengths:
+                    if area is None or encoded_body_claims_area(
+                        reply, area, slot + RECORD_OVERHEAD_BYTES
+                    ):
+                        if slot != end:  # the area dropped a record before this one
+                            reply[end : end + length] = reply[slot : slot + length]
+                        end += length
+                        count += 1
+                    slot += length
         finally:
-            os.close(fd)
-        return join_encoded_spans([(record, 0, len(record)) for record in records])
+            if fd >= 0:
+                os.close(fd)
+        reply[REPLY_HEAD_ROOM : REPLY_HEAD_ROOM + FRAME_HEADER_BYTES] = frame_header(count)
+        return reply.toreadonly()[REPLY_HEAD_ROOM:end]
 
     def _count_query(self, spec: QuerySpec) -> int:
         """A whole minute's count is its published row count (trusted

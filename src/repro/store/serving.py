@@ -9,10 +9,18 @@ decoded objects — the client owns the codec, so the authority can serve
 raw spans.  A decoded read is the same frame decoded: one selection
 primitive a backend.  Selection itself runs on the log's per-minute
 columns (:mod:`repro.store.segments`); nothing here caches an answer.
+
+An encoded reply is one buffer from segment file to client: the log
+reads the selected records into one anonymous mapping
+(``mmap``, never the malloc heap) behind :data:`REPLY_HEAD_ROOM` free
+bytes, and :func:`reply_with_head` writes an envelope head into that
+room, so a server answers with head and frame as one view.  The
+mapping is unmapped with its last view.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -63,11 +71,45 @@ class QueryResult:
 
     ``n`` is always the match cardinality.  Decoded queries carry the
     VPs in ``vps`` (insertion order, or distance order for k-nearest);
-    ``encoded`` queries carry the codec batch frame in ``frame`` and
-    leave ``vps`` ``None``; count queries carry neither.
+    ``encoded`` queries carry the codec batch frame in ``frame`` — a
+    read-only view of the reply mapping — and leave ``vps`` ``None``;
+    count queries carry neither.
     """
 
     spec: QuerySpec
     n: int
     vps: list["ViewProfile"] | None = None
-    frame: bytes | None = None
+    frame: memoryview | None = None
+
+
+#: free bytes before the frame in an encoded reply's mapping: room for
+#: the largest ``view`` envelope head — a 4 B length and
+#: ``{"frame":{"$bytes":N},"kind":"view","n":K}`` with 10-digit N and K
+REPLY_HEAD_ROOM = 64
+
+
+def reply_mapping(frame_bytes: int) -> memoryview:
+    """A writable anonymous mapping for a frame of ``frame_bytes``,
+    which starts at :data:`REPLY_HEAD_ROOM`.
+
+    Prefaulted (``MAP_POPULATE``): a reply writes every page but what an
+    area query's dropped records leave at the tail, and one populate
+    costs less than a fault per page.
+    """
+    flags = mmap.MAP_PRIVATE | mmap.MAP_POPULATE
+    return memoryview(mmap.mmap(-1, REPLY_HEAD_ROOM + frame_bytes, flags=flags))
+
+
+def reply_with_head(frame: memoryview, head: bytes) -> memoryview:
+    """``head + frame`` as one read-only view, ``frame`` not copied.
+
+    ``frame`` is an encoded reply (``VPStore.query_encoded``), so it
+    starts at :data:`REPLY_HEAD_ROOM` of its mapping; ``head`` is
+    written right-aligned into the room before it.
+    """
+    start = REPLY_HEAD_ROOM - len(head)
+    if start < 0 or not isinstance(frame.obj, mmap.mmap):
+        raise ValueError("a reply head goes into the room of a reply mapping")
+    mapping = memoryview(frame.obj)
+    mapping[start:REPLY_HEAD_ROOM] = head
+    return mapping.toreadonly()[start : REPLY_HEAD_ROOM + len(frame)]

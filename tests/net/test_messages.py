@@ -82,6 +82,13 @@ MALFORMED_ENVELOPES = {
 }
 
 
+def assert_read_only_view(attachment) -> None:
+    """A decoded attachment is a read-only view of the message buffer."""
+    assert type(attachment) is memoryview and attachment.readonly
+    with pytest.raises(TypeError):
+        attachment[:1] = b"x"[: len(attachment)]
+
+
 class TestEnvelope:
     def test_roundtrip_with_bytes_fields(self):
         msg = encode_message("upload_video", vp_id=b"\x01\x02", chunks=[b"a", b"b"])
@@ -125,7 +132,8 @@ class TestEnvelope:
         decoded = decode_message(encode_message("view", frame=big, empty=b"", n=1))
         assert decoded["frame"] == big
         assert decoded["empty"] == b""
-        assert type(decoded["empty"]) is bytes
+        for key in ("frame", "empty"):
+            assert_read_only_view(decoded[key])
 
     def test_bytes_like_inputs_and_buffers(self):
         frame = bytes(range(64))
@@ -137,7 +145,8 @@ class TestEnvelope:
             assert decoded["view"] == frame[8:24]
             assert decoded["array"] == b"ab"
             assert decoded["plain"] == frame
-            assert all(type(decoded[k]) is bytes for k in ("view", "array", "plain"))
+            for key in ("view", "array", "plain"):
+                assert_read_only_view(decoded[key])
 
     def test_marker_shaped_user_dict_rejected_at_encode(self):
         # it could not be told from a real marker on the way back

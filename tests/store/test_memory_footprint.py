@@ -1,7 +1,8 @@
 """What a stored VP costs, as counted work — bytes retained, digests unpacked.
 
 No wall clock: ``tracemalloc`` counts the bytes a store still holds
-after its input is released, and a counting wrapper around
+after its input is released (and the heap a ``view`` reply passes
+through on its way to the client), and a counting wrapper around
 ``ViewDigest.unpack`` and the ``ViewDigest`` constructor (the
 ``unpack_calls`` fixture) counts digest objects created.  The paper
 prices a VP at 4584 bytes (Section 6.1); a store that read its VPs from
@@ -19,11 +20,14 @@ import tracemalloc
 
 from repro.core.guard import GuardVPFactory
 from repro.core.neighbors import NeighborRecord
+from repro.core.system import ViewMapSystem
 import repro.crypto.bloom as bloom_module
 from repro.core.verification import verify_viewmap
 from repro.core.viewmap import build_viewmap
 from repro.geo.geometry import Point, Rect
-from repro.net.messages import pack_vp_batch_frame
+from repro.net.messages import decode_message, encode_message, pack_vp_batch_frame
+from repro.net.server import ViewMapServer
+from repro.net.transport import InMemoryNetwork
 from repro.sim.stream import stream_convoy_vps, stream_vp
 from repro.store import make_store
 from repro.store.base import min_squared_distance, vp_claims_in_area
@@ -58,6 +62,16 @@ INVESTIGATED_VP_BYTES_MAX = 5_500
 #: every geometry read — may leave behind: nothing but noise (the block
 #: it was born as is the block it encodes; geometry caches nothing)
 FIRST_ENCODE_GROWTH_BYTES_MAX = 64
+
+#: VPs in the minute a ``view`` reply reads whole: a 2.4 MB frame
+REPLY_VPS = 512
+
+#: the heap a whole-minute ``view`` reply may pass through, as a share
+#: of the reply: the reply is one anonymous mapping from segment file to
+#: decoded message (untraced); when it was staged through per-record
+#: ``bytes``, a frame join, the envelope join and the client's copy, the
+#: traced peak was about twice the reply
+REPLY_HEAP_SHARE_MAX = 1 / 8
 
 
 def retained_bytes() -> int:
@@ -212,3 +226,21 @@ def test_an_investigation_leaves_stored_vps_the_size_they_were(unpack_calls):
     assert all("trajectory" not in vars(vp) for vp in vps)
     assert not any(hasattr(obj, "cache_info") for obj in vars(bloom_module).values())
     assert len(unpack_calls) == recording
+
+
+def test_a_whole_minute_view_reply_is_not_staged_in_the_heap():
+    vps = [stream_vp(7, 0, vehicle, AREA_M) for vehicle in range(REPLY_VPS)]
+    request = encode_message("query_view", session="analyst", minute=0, trusted=False)
+    with ViewMapSystem(key_bits=512, seed=3) as system:
+        server = ViewMapServer(system=system, network=InMemoryNetwork())
+        assert system.ingest_vps(vps) == REPLY_VPS
+        tracemalloc.start()
+        try:
+            reply = decode_message(server.handle(request))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    expected = encode_vp_batch(vps)
+    assert reply["n"] == REPLY_VPS and reply["frame"] == expected
+    assert len(expected) >= 2 << 20
+    assert peak < len(expected) * REPLY_HEAP_SHARE_MAX, peak
