@@ -23,6 +23,7 @@ from typing import Iterable
 
 from repro.core.viewprofile import ViewProfile
 from repro.store.base import StoreStats, VPStore
+from repro.store.codec import Batch
 from repro.store.segments import SegmentStore
 from repro.store.serving import QueryResult, QuerySpec
 
@@ -49,17 +50,16 @@ class VPDatabase:
         """Batch-ingest VPs, skipping duplicates; returns how many landed."""
         return self.store.insert_many(vps)
 
-    def insert_encoded(self, batch: bytes) -> int:
-        """Batch-ingest an encoded frame without decoding VP bodies.
+    def insert_encoded(self, batch: Batch) -> list[int]:
+        """Write a validated upload batch; no VP body is decoded.
 
-        ``batch`` is a :func:`repro.store.codec.encode_vp_batch` buffer
-        — the zero-decode upload path hands the wire bytes straight to
-        the backend.  Duplicates are skipped; returns how many landed.
+        Duplicates are skipped; returns the indices of the records that
+        landed, in batch order (``VPStore.write``).
         """
-        return self.store.insert_encoded(batch)
+        return self.store.write(batch)
 
     def existing_ids(self, vp_ids: Iterable[bytes]) -> set[bytes]:
-        """Which of these identifiers are already stored (one batch probe)."""
+        """Which of these identifiers are already stored (a read-only probe)."""
         return self.store.existing_ids(vp_ids)
 
     def __len__(self) -> int:

@@ -43,7 +43,7 @@ from repro.crypto.rsa import RSAKeyPair
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
 from repro.store.base import VPStore
-from repro.store.codec import iter_encoded_meta
+from repro.store.codec import Batch
 from repro.store.serving import QuerySpec
 from repro.store.lifecycle import LifecycleReport, RetentionPolicy, apply_retention
 
@@ -128,24 +128,20 @@ class ViewMapSystem:
                 raise ValidationError("anonymous uploads cannot claim trusted status")
         return self.database.insert_many(vps)
 
-    def ingest_encoded(self, frame: bytes) -> int:
-        """Batch-accept an encoded upload frame without decoding bodies.
+    def ingest_encoded(self, batch: Batch) -> list[int]:
+        """Batch-accept an encoded upload without decoding bodies.
 
-        The zero-decode twin of :meth:`ingest_vps`: ``frame`` is a
-        :func:`repro.store.codec.encode_vp_batch` buffer whose record
-        metadata has already passed wire validation
-        (:func:`repro.net.messages.unpack_vp_batch_frame`).  The
-        trusted-claim check is re-run here from the metadata — this is
-        a public entry point, and the rule that anonymous ingestion can
-        never mint trusted VPs must hold however the bytes arrive —
-        as a pure metadata walk (bodies are never sliced, let alone
-        decoded); then the buffer goes to the store as-is.  Returns how
-        many VPs were newly stored.
+        The zero-decode twin of :meth:`ingest_vps`: ``batch`` is what
+        :func:`repro.net.messages.unpack_vp_batch_frame` returned.  The
+        trusted-claim check is re-run over ``batch.meta`` (this is a
+        public entry point: anonymous ingestion never mints trusted
+        VPs, however the bytes arrive) and the batch goes to the store
+        as it is.  Returns the indices of the records it stored.
         """
-        for meta, _start, _end in iter_encoded_meta(frame):
+        for meta in batch.meta:
             if meta[2]:
                 raise ValidationError("anonymous uploads cannot claim trusted status")
-        return self.database.insert_encoded(frame)
+        return self.database.insert_encoded(batch)
 
     def ingest_trusted_vp(self, vp: ViewProfile) -> None:
         """Accept a VP through the authenticated authority path."""

@@ -13,8 +13,9 @@ Section 6.1 minus the secret that never leaves the vehicle.  A single
 VP is a frame of one.
 :func:`unpack_vp_batch_frame` is the one validator of an uploaded batch
 — framing integrity, batch size, body sizes, no trusted claims, every
-body policed in place — so the authority can route and store the body
-bytes without ever decoding a digest.
+body policed in place — and returns the one
+:class:`~repro.store.codec.Batch` the store writes, so the authority
+never decodes a digest.
 
 Handlers read request fields through :func:`message_field`: a missing
 or wrong-typed field is a :class:`ValidationError`, hence an ``error``
@@ -34,10 +35,12 @@ from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Rect
 from repro.store.codec import (
+    FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
+    Batch,
     encode_vp_batch,
     encoded_body_bytes,
-    iter_encoded_meta,
+    frame_count,
     verify_encoded_body,
 )
 from repro.store.serving import QuerySpec
@@ -74,48 +77,42 @@ def pack_vp_batch_frame(vps: list[ViewProfile]) -> bytes:
     return encode_vp_batch(vps)
 
 
-def unpack_vp_batch_frame(frame: bytes) -> tuple[list[tuple], list[tuple[int, int]]]:
+def unpack_vp_batch_frame(frame: bytes | memoryview) -> Batch:
     """Validate one uploaded batch frame without decoding a VP body.
 
-    Returns ``(rows, spans)``: per-record metadata rows ``(vp_id,
-    minute, trusted, x_min, y_min, x_max, y_max)`` and the raw byte
-    span of each record, so the caller can slice the fresh records
-    straight out of ``frame``.  Every rejection — damaged framing, a
-    record count that disagrees with the bytes present, an oversized
-    batch, a non-finite or inverted bounding box, a body that is not
-    exactly one complete 60-digest VP, a trusted-flag claim — is a
-    clean :class:`ValidationError` before a single record is ingested.
-    Bodies are policed in place by :func:`verify_encoded_body` (blob
-    geometry, digest keys matching the sidecar ``vp_id``, increasing
-    seconds, the claimed minute): everything a later read would enforce
-    holds by byte inspection, so a stored body can always be decoded —
-    without this path ever materializing a :class:`ViewProfile`.
+    Returns the frame as the :class:`~repro.store.codec.Batch` the
+    store writes, from its one metadata walk.  Every rejection —
+    damaged framing, a record count that disagrees with the bytes
+    present, an oversized batch, a non-finite or inverted bounding box,
+    a body that is not exactly one complete 60-digest VP, a
+    trusted-flag claim — is a clean :class:`ValidationError` before a
+    single record is ingested.  Each body is policed in place on its
+    record span by :func:`verify_encoded_body` (blob geometry, digest
+    keys matching the sidecar ``vp_id``, increasing seconds, the
+    claimed minute): everything a later read would enforce holds by
+    byte inspection, so a stored body can always be decoded — without
+    this path ever materializing a :class:`ViewProfile`.
     """
-    # the header's record count is authoritative (the walk enforces it
-    # byte-exactly), so the batch bound rejects oversized frames before
-    # a single record is parsed — MAX_VP_BATCH bounds server work
-    if len(frame) >= 5:
-        count = int.from_bytes(frame[1:5], "big")
+    try:
+        # the header's record count is authoritative (the walk enforces
+        # it byte-exactly), so the batch bound rejects oversized frames
+        # before a single record is parsed — MAX_VP_BATCH bounds server work
+        count = frame_count(frame)
         if count > MAX_VP_BATCH:
             raise ValidationError(
                 f"VP batch frame of {count} records exceeds the "
                 f"{MAX_VP_BATCH}-VP limit"
             )
-    rows: list[tuple] = []
-    spans: list[tuple[int, int]] = []
-    try:
-        for meta, start, end in iter_encoded_meta(frame):
-            rows.append(meta)
-            spans.append((start, end))
-        for meta, (start, end) in zip(rows, spans):
+        batch = Batch.from_frame(frame)
+        for index, meta in enumerate(batch.meta):
             if meta[2]:
                 raise ValidationError("anonymous uploads cannot claim trusted status")
-            body_start = start + RECORD_OVERHEAD_BYTES
-            if end - body_start != FRAME_BODY_BYTES:
+            record = batch.record_span(index)
+            if len(record) - RECORD_OVERHEAD_BYTES != FRAME_BODY_BYTES:
                 raise ValidationError(
-                    f"frame record body is {end - body_start} bytes; only complete "
-                    f"{VIDEO_UNIT_SECONDS}-digest VPs ({FRAME_BODY_BYTES} bytes) "
-                    "can be uploaded"
+                    f"frame record body is {len(record) - RECORD_OVERHEAD_BYTES} bytes; "
+                    f"only complete {VIDEO_UNIT_SECONDS}-digest VPs "
+                    f"({FRAME_BODY_BYTES} bytes) can be uploaded"
                 )
             if (
                 not all(math.isfinite(value) for value in meta[3:7])
@@ -124,9 +121,9 @@ def unpack_vp_batch_frame(frame: bytes) -> tuple[list[tuple], list[tuple[int, in
             ):
                 raise ValidationError("frame record bounding box is not a finite box")
             verify_encoded_body(
-                frame,
-                body_start,
-                bytes(meta[0]),
+                record,
+                RECORD_OVERHEAD_BYTES,
+                meta[0],
                 meta[1],
                 VIDEO_UNIT_SECONDS,
                 bbox=meta[3:7],
@@ -134,7 +131,7 @@ def unpack_vp_batch_frame(frame: bytes) -> tuple[list[tuple], list[tuple[int, in
             )
     except WireFormatError as exc:
         raise ValidationError(f"malformed VP batch frame: {exc}") from exc
-    return rows, spans
+    return batch
 
 
 #: streaming-connection handshake: a vehicle opens with these four bytes
@@ -153,7 +150,9 @@ STREAM_HEADER_BYTES = _STREAM_HEAD.size
 #: hard per-record payload bound: one full MAX_VP_BATCH frame.  A header
 #: declaring more is rejected before a single payload byte is buffered,
 #: so a hostile peer cannot make the authority reserve unbounded memory.
-MAX_STREAM_PAYLOAD_BYTES = 5 + MAX_VP_BATCH * (RECORD_OVERHEAD_BYTES + FRAME_BODY_BYTES)
+MAX_STREAM_PAYLOAD_BYTES = FRAME_HEADER_BYTES + MAX_VP_BATCH * (
+    RECORD_OVERHEAD_BYTES + FRAME_BODY_BYTES
+)
 
 
 def pack_stream_record(kind: int, payload: bytes | memoryview) -> bytes:
@@ -168,18 +167,6 @@ def pack_stream_record(kind: int, payload: bytes | memoryview) -> bytes:
     return b"".join((_STREAM_HEAD.pack(kind, len(payload)), payload))
 
 
-def peek_frame_minute(frame: bytes | memoryview) -> int:
-    """Cheap sidecar peek at a batch frame's first-record minute.
-
-    Used by admission control to pick a shard queue *before* the frame
-    is validated; a frame too short to carry a record maps to minute 0
-    (it will be rejected by :func:`unpack_vp_batch_frame` anyway).
-    """
-    if len(frame) < 10:
-        return 0
-    return int.from_bytes(frame[6:10], "big")
-
-
 class FrameParser:
     """Incremental parser for one vehicle's streaming connection.
 
@@ -190,7 +177,7 @@ class FrameParser:
     a *read-only* :class:`memoryview` of that buffer, which is never
     resized or reused, so downstream consumers (segment appends) may
     hold the span as long as they like.  That buffer is the only place
-    payload bytes land between the socket and ``insert_encoded`` — the
+    payload bytes land between the socket and the store's ``write`` — the
     zero-copy property the streaming ingest benchmark asserts.
 
     Resource bounds are enforced *before* buffering: a header declaring

@@ -46,7 +46,6 @@ from repro.net.messages import (
 )
 from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import MetricsRegistry, stage_timer
-from repro.store.codec import join_encoded_records
 from repro.store.serving import reply_with_head
 
 Handler = Callable[[dict[str, Any]], bytes | memoryview]
@@ -82,7 +81,7 @@ class ViewMapServer:
       unlinkability probes read a consistent log during load;
     * ``upload_vp_batch`` / ``query_view`` run without
       server-level locks — duplicate suppression and insert atomicity
-      are the storage backend's job;
+      are the storage backend's job, in its one ``write``;
     * the retention watermark (``system.retention``) advances under
       :attr:`control_lock`: the upload that first observes a newer
       minute takes the lock and runs the eviction pass, every other
@@ -93,10 +92,11 @@ class ViewMapServer:
       directly (``system.investigate(...)``) while this server is live
       must hold it too.
 
-    Under concurrent duplicate submissions of the *same* VP the per-VP
-    ``accepted`` flags of a batch ack are best-effort (both racing
-    requests may claim acceptance) while the store itself keeps exactly
-    one copy; ``inserted`` counts are always authoritative.
+    A batch ack is built from what the store's write landed:
+    ``accepted[i]`` is true iff this request stored record *i*, and
+    ``sum(accepted) == inserted`` — also when racing requests submit
+    the same VP, of which the store keeps exactly one copy and exactly
+    one ack claims it.
     """
 
     #: handler kinds serialized behind the control-plane state lock
@@ -246,39 +246,21 @@ class ViewMapServer:
         return self._ingest_frame(message_field(message, "frame", bytes))
 
     def _ingest_frame(self, frame: bytes | memoryview) -> bytes:
-        """Ingest one zero-decode batch frame (metadata-only path).
+        """Validate one frame into a ``Batch``, write it, ack what landed.
 
-        Validation (framing, batch bound, complete-VP body sizes, no
-        trusted claims) and the duplicate probe both read only the
-        record metadata; the accepted sub-batch is carved out of the
-        incoming buffer as raw byte spans.  When every record is fresh
-        — the overwhelmingly common case for an honest vehicle's first
-        upload — the original frame is forwarded untouched.
+        No VP body is decoded.  Duplicates (against the store or within
+        the batch) are decided by the store's write, once, under its
+        lock; the ack reports the indices it landed.
         """
-        rows, spans = unpack_vp_batch_frame(frame)
-        taken = self.system.database.existing_ids([bytes(row[0]) for row in rows])
-        accepted: list[bool] = []
-        fresh: list[int] = []
-        for index, row in enumerate(rows):
-            vp_id = bytes(row[0])
-            ok = vp_id not in taken
-            accepted.append(ok)
-            if ok:
-                taken.add(vp_id)
-                fresh.append(index)
-        if len(fresh) == len(rows):
-            inserted = self.system.ingest_encoded(frame)
-        elif fresh:
-            inserted = self.system.ingest_encoded(
-                join_encoded_records(frame, [spans[i] for i in fresh])
-            )
-        else:
-            inserted = 0
-        if fresh:
-            self._observe_minute(max(rows[i][1] for i in fresh))
-        self.metrics.inc("server.upload.accepted", len(fresh))
-        self.metrics.inc("server.upload.rejected", len(rows) - len(fresh))
-        return encode_message("batch_ack", accepted=accepted, inserted=inserted)
+        batch = unpack_vp_batch_frame(frame)
+        landed = self.system.ingest_encoded(batch)
+        if landed:
+            self._observe_minute(max(batch.meta[i][1] for i in landed))
+        self.metrics.inc("server.upload.accepted", len(landed))
+        self.metrics.inc("server.upload.rejected", len(batch) - len(landed))
+        stored = set(landed)
+        accepted = [i in stored for i in range(len(batch))]
+        return encode_message("batch_ack", accepted=accepted, inserted=len(landed))
 
     def ingest_frame_stream(self, frame: bytes | memoryview) -> bytes:
         """Streaming twin of the ``upload_vp_batch`` frame handler.

@@ -60,12 +60,12 @@ from repro.net.messages import (
     decode_message,
     encode_message,
     pack_stream_record,
-    peek_frame_minute,
 )
 from repro.net.server import ViewMapServer
 from repro.net.transport import Endpoint, Handler
 from repro.obs.admission import DEFAULT_MAX_DEPTH, AdmissionController
 from repro.obs.metrics import MetricsRegistry, stage_timer
+from repro.store.codec import peek_frame_minute
 
 if TYPE_CHECKING:  # at run time asyncio loads with the first StreamingNetwork
     import asyncio

@@ -10,9 +10,9 @@ Backends must agree exactly on semantics so they are interchangeable:
 
 * every write is one ``write(batch, strict)`` over a
   :class:`~repro.store.codec.Batch`: duplicate ids are skipped and the
-  landed count returned, or with ``strict`` raise ``ValidationError``
-  before any record lands.  The four ``insert*`` entry points are
-  defined once, here, on top of it;
+  indices of the landed records returned, or with ``strict`` raise
+  ``ValidationError`` before any record lands.  The four ``insert*``
+  entry points are defined once, here, on top of it;
 * every read goes through one entry point — ``query(QuerySpec)``
   (:mod:`repro.store.serving`) — whose axes compose minute, area,
   trusted, k-nearest, count and encoded selection.  Every backend holds
@@ -40,7 +40,7 @@ Backends must agree exactly on semantics so they are interchangeable:
 The contract includes thread safety: every backend tolerates
 concurrent calls from many threads, and ``write`` is atomic per
 backend — two racing batches containing the same VP id agree on one
-winner and the returned counts sum to the number of VPs actually stored.
+winner, and the indices each write returns name exactly what it stored.
 The log meets this with one lock; see ``docs/stores.md``.
 """
 
@@ -55,9 +55,8 @@ import numpy as np
 from repro.core.viewprofile import ViewProfile
 from repro.geo.geometry import Point, Rect
 from repro.obs.metrics import stage_timer
-from repro.store.codec import Batch, decode_vp_batch
+from repro.store.codec import Batch, decode_vp_batch, frame_count
 from repro.store.serving import QueryResult, QuerySpec
-from repro.util.encoding import unpack_uint
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,13 @@ class VPStore(ABC):
     # -- writes ------------------------------------------------------------
 
     @abstractmethod
-    def write(self, batch: Batch, strict: bool = False) -> int:
-        """Land one batch atomically; returns how many records were stored.
+    def write(self, batch: Batch, strict: bool = False) -> list[int]:
+        """Land one batch atomically; returns the stored records' indices.
 
-        The backend's only write path.  Duplicates (against the store
-        or within the batch) are skipped, or with ``strict`` raise
-        ``ValidationError`` before any record lands.  Each backend
-        takes the batch as bytes: record spans, or the whole frame.
+        The backend's only write path and only duplicate rule: records
+        already stored or earlier in the batch are skipped, or with
+        ``strict`` raise ``ValidationError`` before any record lands.
+        The indices, in batch order, are what an upload ack reports.
         """
 
     def insert(self, vp: ViewProfile) -> None:
@@ -131,7 +130,7 @@ class VPStore(ABC):
 
     def insert_many(self, vps: Iterable[ViewProfile]) -> int:
         """Batch-ingest VPs, skipping duplicates; returns how many landed."""
-        return self.write(Batch.from_vps(vps))
+        return len(self.write(Batch.from_vps(vps)))
 
     def insert_encoded(self, batch: bytes | memoryview, strict: bool = False) -> int:
         """Batch-ingest a codec frame; returns how many records landed.
@@ -141,14 +140,13 @@ class VPStore(ABC):
         receive buffer).  No backend decodes a body or copies a span on
         the way in.
         """
-        return self.write(Batch.from_frame(batch), strict)
+        return len(self.write(Batch.from_frame(batch), strict))
 
     def existing_ids(self, vp_ids: Iterable[bytes]) -> set[bytes]:
-        """Which of these identifiers are already stored (one batch probe).
+        """Which of these identifiers are already stored.
 
-        Backends override this with a single indexed query; the batch
-        upload front-end uses it to reject duplicates per VP without a
-        per-VP store round-trip.
+        A read-only probe, one membership test per id; it decides
+        nothing — duplicates are skipped by :meth:`write` alone.
         """
         return {vp_id for vp_id in vp_ids if vp_id in self}
 
@@ -194,7 +192,7 @@ class VPStore(ABC):
         with stage_timer(getattr(self, "metrics", None), "store.query"):
             if spec.encoded:
                 frame = self.query_encoded(spec)
-                return QueryResult(spec=spec, n=unpack_uint(frame[1:5]), frame=frame)
+                return QueryResult(spec=spec, n=frame_count(frame), frame=frame)
             if spec.count:
                 return QueryResult(spec=spec, n=self._count_query(spec))
             vps = decode_vp_batch(self.query_encoded(spec))

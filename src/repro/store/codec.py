@@ -27,11 +27,12 @@ so a consumer can deduplicate or append records without decoding a
 single body.  The batch format is the record format of the segment log
 (:mod:`repro.store.segments`) and the binary payload of the
 ``upload_vp_batch`` wire message itself: the authority validates from
-the metadata alone and appends the record bytes untouched.
+the metadata alone and appends the record bytes untouched.  No other
+module reads the layout (:func:`frame_count`, :func:`peek_frame_minute`).
 
 :class:`Batch` is what every store backend's one write primitive takes:
 it hides whether the records arrived as :class:`ViewProfile` objects or
-as such a frame, and hands each backend the form it stores.
+as such a frame (walked once), and hands each backend the form it stores.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ VP_BLOB_VERSION = 1
 VP_BATCH_VERSION = 1
 
 #: a batch frame opens with its version (1 B) and record count (u32)
-FRAME_HEADER_BYTES = 5
+_FRAME_HEAD = struct.Struct(">BI")
+FRAME_HEADER_BYTES = _FRAME_HEAD.size
 
 #: trusted flag bit in a batch record's flags byte
 _FLAG_TRUSTED = 0x01
@@ -66,8 +68,31 @@ _FLAG_TRUSTED = 0x01
 #: fixed leading section of one batch record: flags, minute, bbox
 _RECORD_HEAD = struct.Struct(">BI4d")
 
+#: the flags and minute that open :data:`_RECORD_HEAD`
+_RECORD_MINUTE = struct.Struct(">BI")
+
 #: bytes of one record before its body blob: head + vp_id + length prefix
 RECORD_OVERHEAD_BYTES = _RECORD_HEAD.size + VP_ID_BYTES + 4
+
+
+def frame_count(frame: bytes | memoryview) -> int:
+    """The record count a frame's header declares — before the walk
+    (:func:`iter_encoded_meta`) holds it to the bytes present."""
+    if len(frame) < FRAME_HEADER_BYTES:
+        raise WireFormatError("VP batch too short for header")
+    return _FRAME_HEAD.unpack_from(frame)[1]
+
+
+def peek_frame_minute(frame: bytes | memoryview) -> int:
+    """Cheap sidecar peek at a batch frame's first-record minute.
+
+    Used by admission control to pick a shard queue *before* the frame
+    is validated; a frame too short to carry a record maps to minute 0
+    (validation rejects it anyway).
+    """
+    if len(frame) < FRAME_HEADER_BYTES + _RECORD_MINUTE.size:
+        return 0
+    return _RECORD_MINUTE.unpack_from(frame, FRAME_HEADER_BYTES)[1]
 
 
 def encoded_body_bytes(n_digests: int) -> int:
@@ -121,7 +146,7 @@ def decode_vp(blob: bytes | memoryview, trusted: bool = False) -> ViewProfile:
 
 def frame_header(count: int) -> bytes:
     """The :data:`FRAME_HEADER_BYTES` that open a frame of ``count`` records."""
-    return pack_uint(VP_BATCH_VERSION, 1) + pack_uint(count, 4)
+    return _FRAME_HEAD.pack(VP_BATCH_VERSION, count)
 
 
 def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
@@ -140,21 +165,6 @@ def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
     return b"".join(parts)
 
 
-def encode_row_batch(rows: Sequence[tuple]) -> bytes:
-    """Frame storage rows into a batch buffer.
-
-    Each row is ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max,
-    body)`` with the body still encoded — the column order of
-    :meth:`Batch.rows`.  Byte-identical to :func:`encode_vp_batch` over
-    the decoded VPs: bodies are stored verbatim and the metadata head
-    derives from the same values.
-    """
-    parts = [frame_header(len(rows))]
-    for row in rows:
-        parts += _record_parts(row)
-    return b"".join(parts)
-
-
 def _record_parts(row: tuple) -> tuple:
     """One storage row as the byte parts of its frame record.
 
@@ -168,20 +178,6 @@ def _record_parts(row: tuple) -> tuple:
         _FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
     )
     return head, bytes(vp_id), pack_uint(len(body), 4), body
-
-
-def iter_encoded_records(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
-    """Walk a batch buffer yielding ``(row, start, end)`` per record.
-
-    ``row`` is a storage row (see :func:`encode_row_batch`);
-    ``batch[start:end]`` is the record's complete raw span (metadata +
-    body, exactly as framed), so a caller can regroup records into new
-    batch buffers (:func:`join_encoded_records`) without ever decoding
-    a body.  A thin body-slicing wrapper over :func:`iter_encoded_meta`
-    — one walker owns the framing validation.
-    """
-    for meta, start, end in iter_encoded_meta(batch):
-        yield (*meta, batch[start + RECORD_OVERHEAD_BYTES : end]), start, end
 
 
 def unpack_record_meta(batch: bytes, offset: int = 0) -> tuple[tuple, int]:
@@ -209,22 +205,20 @@ def unpack_record_meta(batch: bytes, offset: int = 0) -> tuple[tuple, int]:
 def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
     """Walk a batch buffer yielding metadata only — bodies never sliced.
 
-    Yields ``(meta, start, end)`` where ``meta`` is a storage row
-    (see :func:`encode_row_batch`) *without* its body column and
-    ``batch[start:end]`` is the record's raw span.  The walk seeks past
-    each body via its length prefix instead of materializing a ~4.5 kB
-    slice, so consumers that only police metadata (duplicate probes,
-    trusted-claim re-checks) touch a few dozen bytes per
-    record however large the batch is.  Framing validation is the same
-    as :func:`iter_encoded_records`.
+    Yields ``(meta, start, end)`` where ``meta`` is a record's
+    ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` and
+    ``batch[start:end]`` is its raw span.  The walk seeks past each
+    body via its length prefix instead of materializing a ~4.5 kB
+    slice, so a consumer that only polices metadata touches a few
+    dozen bytes per record however large the batch is.  The one
+    framing validator: version, a record count held byte-exactly to
+    the buffer, no trailing bytes.
     """
-    if len(batch) < 5:
-        raise WireFormatError("VP batch too short for header")
-    version = unpack_uint(batch[0:1])
+    count = frame_count(batch)
+    version = batch[0]
     if version != VP_BATCH_VERSION:
         raise WireFormatError(f"unsupported VP batch version {version}")
-    count = unpack_uint(batch[1:5])
-    offset = 5
+    offset = FRAME_HEADER_BYTES
     for _ in range(count):
         start = offset
         meta, offset = unpack_record_meta(batch, start)
@@ -342,9 +336,8 @@ def encoded_body_claims_area(body: bytes, area, offset: int = 0) -> bool:
 #: ingest path.  The streaming front-end's zero-copy contract — no
 #: ``bytes(...)`` copy of a record body between the socket receive
 #: buffer and the segment append — is asserted by regression tests and
-#: the streaming benchmark as "this counter did not move".  Legitimate
-#: copies (regrouping a frame's fresh records after duplicates) report
-#: here via :func:`note_span_copies` so the seam stays honest.
+#: the streaming benchmark as "this counter did not move".  A copy on
+#: that path would report here via :func:`note_span_copies`.
 _span_copies = 0
 
 
@@ -357,22 +350,6 @@ def note_span_copies(n: int) -> None:
 def span_copy_count() -> int:
     """Process-local running total of ingest-path record-span copies."""
     return _span_copies
-
-
-def join_encoded_records(batch: bytes, spans: Sequence[tuple[int, int]]) -> bytes:
-    """Build a new batch buffer from raw record spans of an existing one.
-
-    ``spans`` are ``(start, end)`` pairs as yielded by
-    :func:`iter_encoded_records` — the caller has already validated the
-    source frame by walking it, so this is pure byte slicing: the
-    upload handler's tool for carving the fresh records out of one
-    incoming wire frame.  Passing every span of ``batch`` in order
-    reproduces it byte-for-byte.  This *is* a copy of every span it
-    regroups, and says so (:func:`note_span_copies`): callers that can
-    pass a whole frame through untouched should prefer that.
-    """
-    note_span_copies(len(spans))
-    return b"".join([frame_header(len(spans))] + [batch[start:end] for start, end in spans])
 
 
 def decode_vp_batch(batch: bytes) -> list[ViewProfile]:
@@ -390,9 +367,9 @@ class Batch:
 
     Built :meth:`from_vps` or :meth:`from_frame`; ``meta`` holds one
     ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` tuple per
-    record either way, and :meth:`rows`, :meth:`record_span` and
-    :meth:`vps` derive the other forms on demand — so a backend asks for
-    the form it stores and never learns which one arrived.  The trusted
+    record either way, and :meth:`record_span` and :meth:`vps` derive
+    the other forms on demand — so a backend asks for the form it
+    stores and never learns which one arrived.  The trusted
     bit lives in ``meta``: a trusted write forces it without touching
     the caller's objects.
     """
@@ -459,20 +436,6 @@ class Batch:
             fresh.append(index)
         return fresh
 
-    def rows(self) -> list[tuple]:
-        """Storage rows (``meta`` + body) — what :func:`encode_row_batch` frames.
-
-        Frame bodies are slices of the source buffer: a ``memoryview``
-        frame yields ``memoryview`` bodies, never a ``bytes`` copy.
-        """
-        if self._vps is not None:
-            return [(*record, encode_vp(vp)) for record, vp in zip(self.meta, self._vps)]
-        frame = self._frame
-        return [
-            (*record, frame[start + RECORD_OVERHEAD_BYTES : end])
-            for record, (start, end) in zip(self.meta, self._spans)
-        ]
-
     def record_span(self, index: int) -> bytes | memoryview:
         """One record's raw span (head + body) — what a log appends.
 
@@ -489,9 +452,10 @@ class Batch:
         """The records as objects: the caller's own, or decoded bodies."""
         if self._vps is not None:
             return self._vps
+        frame = self._frame
         out: list[ViewProfile] = []
-        for vp_id, _minute, trusted, *_bbox, body in self.rows():
-            vp = decode_vp(body, trusted=bool(trusted))
+        for (vp_id, _minute, trusted, *_bbox), (start, end) in zip(self.meta, self._spans):
+            vp = decode_vp(frame[start + RECORD_OVERHEAD_BYTES : end], trusted=bool(trusted))
             if vp.vp_id != vp_id:
                 raise WireFormatError("VP batch record id does not match its body")
             out.append(vp)

@@ -21,7 +21,8 @@ trusted, bbox)`` columns and the ids in insertion order.
 * **write** appends the fresh record spans of the caller's buffer with
   one ``os.writev`` per 256 records of a touched minute (an object batch
   is framed chunk by chunk) and only then publishes ids and columns,
-  all under the one store lock — an ack means
+  all under the one store lock, and returns the landed records'
+  indices — an ack built from them means
   *handed to the kernel* (survives process death, not power loss);
   there is no pending buffer and nothing to flush.  A batch is atomic
   per minute: a failed append is truncated away, earlier minutes stay.
@@ -62,11 +63,11 @@ from repro.store.codec import (
     Batch,
     decode_vp,
     encoded_body_claims_area,
+    frame_count,
     frame_header,
     unpack_record_meta,
 )
 from repro.store.serving import REPLY_HEAD_ROOM, QuerySpec, reply_mapping
-from repro.util.encoding import unpack_uint
 
 #: per-record header: record length, CRC-32 of the record
 _HEADER = struct.Struct("<II")
@@ -250,8 +251,9 @@ class SegmentStore(VPStore):
 
     # -- writes ------------------------------------------------------------
 
-    def write(self, batch: Batch, strict: bool = False) -> int:
-        """Append the batch's fresh records, minute by minute."""
+    def write(self, batch: Batch, strict: bool = False) -> list[int]:
+        """Append the batch's fresh records, minute by minute; returns
+        their indices, decided and landed under the one lock."""
         with stage_timer(self.metrics, "store.insert"):
             meta = batch.meta
             with self._lock:
@@ -263,7 +265,9 @@ class SegmentStore(VPStore):
                     segment = self._segments.get(minute) or self._open(minute)
                     records = ((meta[i], batch.record_span(i)) for i in indices)
                     self._append(segment, minute, records)
-                return sum(map(len, by_minute.values()))
+                # collected after the appends: holding the fresh list across
+                # them kept ≈ 1 MiB more heap resident (pipeline investigate)
+                return sorted(itertools.chain.from_iterable(by_minute.values()))
 
     def iter_id_minutes(self) -> list[tuple[bytes, int]]:
         """(vp_id, minute) pairs, each minute in insertion order."""
@@ -379,7 +383,7 @@ class SegmentStore(VPStore):
         """A whole minute's count is its published row count (trusted
         rows under ``trusted_only``); an area's is its frame's header."""
         if spec.area is not None:
-            return unpack_uint(self.query_encoded(spec)[1:5])
+            return frame_count(self.query_encoded(spec))
         with self._lock:
             self._check_open()
             segment = self._segments.get(spec.minute)

@@ -96,15 +96,15 @@ def test_retry_after_scales_with_depth():
 
 
 class GatedStore(SegmentStore):
-    """A store whose encoded-ingest path blocks until the gate opens."""
+    """A store whose one write path blocks until the gate opens."""
 
     def __init__(self) -> None:
         super().__init__()
         self.gate = threading.Event()
 
-    def insert_encoded(self, batch, strict: bool = True):
+    def write(self, batch, strict: bool = False):
         assert self.gate.wait(30.0), "test gate never opened"
-        return super().insert_encoded(batch, strict=strict)
+        return super().write(batch, strict=strict)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,9 @@ from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.errors import WireFormatError
+from repro.store.codec import Batch
 from tests.conftest import run_linked_minute
+from tests.net.test_wire_frame import make_complete_vp
 
 
 @pytest.fixture
@@ -80,6 +82,33 @@ class TestBatchUpload:
     def test_oversized_batch_rejected(self):
         with pytest.raises(WireFormatError):
             pack_vp_batch_frame([None] * (MAX_VP_BATCH + 1))
+
+    @pytest.mark.parametrize("entry", ["handle", "ingest_frame_stream"])
+    def test_ack_reports_the_write_not_a_racing_one(self, stack, monkeypatch, entry):
+        # a racing upload of the same VP lands after this request was
+        # validated and before its own write: the store keeps one copy,
+        # and the ack must not claim it — the racer stored it, not us
+        net, onion, system, server = stack
+        frame = pack_vp_batch_frame([make_complete_vp(1)])
+        store = system.database.store
+        unpatched = store.write
+
+        def racing_write(batch, strict=False):
+            unpatched(Batch.from_frame(frame))
+            return unpatched(batch, strict)
+
+        monkeypatch.setattr(store, "write", racing_write)
+        if entry == "handle":
+            raw = server.handle(encode_message("upload_vp_batch", session="s", frame=frame))
+        else:
+            raw = server.ingest_frame_stream(frame)
+        reply = decode_message(raw)
+        assert reply["kind"] == "batch_ack"
+        assert reply["accepted"] == [False]
+        assert reply["inserted"] == 0
+        assert len(system.database) == 1
+        counters = server.metrics.snapshot()
+        assert counters["server.upload.rejected"]["value"] == 1
 
 
 class TestDispatchHardening:

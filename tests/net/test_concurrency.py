@@ -178,3 +178,8 @@ class TestConcurrentViewMapServer:
         # the store keeps exactly one copy however the races resolve
         assert len(system.database) == len(vps)
         assert sum(r["inserted"] for r in replies) == len(vps)
+        # and the acks say who stored it: one claim per VP, and every
+        # reply's flags count exactly what that request inserted
+        for i in range(len(vps)):
+            assert sum(r["accepted"][i] for r in replies) == 1
+        assert all(sum(r["accepted"]) == r["inserted"] for r in replies)

@@ -37,10 +37,10 @@ from repro.net.messages import (
     encode_message,
     pack_stream_record,
     pack_vp_batch_frame,
-    peek_frame_minute,
 )
 from repro.net.streaming import StreamingNetwork
 from repro.obs.metrics import counter_value
+from repro.store.codec import peek_frame_minute
 from tests.net.test_wire_frame import make_complete_vp, store_contents
 
 

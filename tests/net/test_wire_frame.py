@@ -45,7 +45,7 @@ from repro.store.codec import (
     RECORD_OVERHEAD_BYTES,
     encode_vp,
     encode_vp_batch,
-    iter_encoded_records,
+    iter_encoded_meta,
 )
 from repro.store.serving import QuerySpec
 from tests.conftest import run_linked_minute
@@ -102,6 +102,8 @@ def upload_compositions(system: ViewMapSystem, pool, compositions) -> list:
         batch = [pool[i] for i in composition]
         payload = encode_message("upload_vp_batch", session="s", frame=pack_vp_batch_frame(batch))
         reply = decode_message(server.handle(payload))
+        # the ack is what the store wrote: one flag per record it stored
+        assert sum(reply["accepted"]) == reply["inserted"]
         acks.append((reply["accepted"], reply["inserted"]))
     return acks
 
@@ -147,7 +149,7 @@ def test_frame_and_legacy_paths_store_identical_bytes(backend, vp_pool, composit
 
 def test_frame_upload_builds_no_vp_on_the_authority(vp_pool, monkeypatch):
     # zero-decode, exactly: into a store that keeps bytes, validation,
-    # the duplicate probe and the insert never construct a ViewProfile
+    # the duplicate rule and the write never construct a ViewProfile
     built: list[int] = []
     real_from_wire = ViewProfile.from_wire.__func__
     monkeypatch.setattr(
@@ -244,7 +246,7 @@ class TestMalformedFrames:
     def test_oversized_batch_rejected(self, stack, vp_pool):
         system, server = stack
         frame = pack_vp_batch_frame([vp_pool[0]])
-        record = list(iter_encoded_records(frame))[0]
+        record = list(iter_encoded_meta(frame))[0]
         oversized = b"".join(
             [
                 frame[0:1],

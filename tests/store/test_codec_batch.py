@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
 from repro.store.codec import (
+    FRAME_HEADER_BYTES,
+    RECORD_OVERHEAD_BYTES,
     Batch,
     decode_vp_batch,
-    encode_row_batch,
     encode_vp,
     encode_vp_batch,
     encoded_body_bytes,
-    iter_encoded_records,
-    join_encoded_records,
+    frame_header,
+    iter_encoded_meta,
 )
 from tests.store.conftest import fingerprints, make_vp
 
@@ -70,9 +71,11 @@ def test_encoded_rows_match_storage_metadata(specs):
     # every record must carry exactly the columns the SQLite backend
     # derives from the decoded VP — the group-commit path trusts them
     vps = build_corpus(specs)
-    rows = Batch.from_frame(encode_vp_batch(vps)).rows()
-    assert len(rows) == len(vps)
-    for vp, (vp_id, minute, trusted, x_min, y_min, x_max, y_max, body) in zip(vps, rows):
+    batch = Batch.from_frame(encode_vp_batch(vps))
+    assert len(batch) == len(vps)
+    for i, (vp, record) in enumerate(zip(vps, batch.meta)):
+        vp_id, minute, trusted, x_min, y_min, x_max, y_max = record
+        body = batch.record_span(i)[RECORD_OVERHEAD_BYTES:]
         assert bytes(vp_id) == vp.vp_id
         assert minute == vp.minute
         assert bool(trusted) == vp.trusted
@@ -89,9 +92,10 @@ def test_batch_forms_agree(specs):
     frame = encode_vp_batch(vps)
     from_vps, from_frame = Batch.from_vps(vps), Batch.from_frame(frame)
     assert from_vps.meta == from_frame.meta
-    assert from_vps.rows() == from_frame.rows()
-    assert encode_row_batch(from_vps.rows()) == frame
-    spans = [(start, end) for _row, start, end in iter_encoded_records(frame)]
+    # an object batch frames its records exactly as the frame holds them
+    joined = [from_vps.record_span(i) for i in range(len(vps))]
+    assert b"".join([frame_header(len(vps)), *joined]) == frame
+    spans = [(start, end) for _meta, start, end in iter_encoded_meta(frame)]
     for i, (start, end) in enumerate(spans):
         assert from_vps.record_span(i) == from_frame.record_span(i) == frame[start:end]
     assert all(a is b for a, b in zip(from_vps.vps(), vps))
@@ -110,29 +114,32 @@ def test_empty_batch_round_trips():
 def test_record_spans_tile_the_buffer(specs):
     # spans are contiguous, ordered, and joining ALL of them reproduces
     # the source buffer byte-for-byte — the slices a log appends are
-    # provably the framed records and nothing else
+    # provably the framed records and nothing else, and views of the
+    # caller's buffer rather than copies
     vps = build_corpus(specs)
     batch = encode_vp_batch(vps)
-    records = list(iter_encoded_records(batch))
-    offset = 5  # version + count header
-    for _row, start, end in records:
+    records = list(iter_encoded_meta(batch))
+    offset = FRAME_HEADER_BYTES
+    for _meta, start, end in records:
         assert start == offset
         assert end > start
         offset = end
     assert offset == len(batch)
-    assert join_encoded_records(batch, [(s, e) for _, s, e in records]) == batch
+    wrapped = Batch.from_frame(batch)
+    spans = [wrapped.record_span(i) for i in range(len(wrapped))]
+    assert all(isinstance(span, memoryview) and span.obj is batch for span in spans)
+    assert b"".join([frame_header(len(spans)), *spans]) == batch
 
 
 @given(specs=vp_specs)
 @settings(max_examples=25, deadline=None)
 def test_sliced_sub_batches_decode_to_their_records(specs):
-    # carving alternating records into a new frame preserves exactly
-    # those VPs, in span order — regrouping fresh records is lossless
+    # records framed again under a new header — what a log's read
+    # returns — decode to exactly those VPs, in span order
     vps = build_corpus(specs)
-    batch = encode_vp_batch(vps)
-    records = list(iter_encoded_records(batch))
-    picked = records[::2]
-    sub = join_encoded_records(batch, [(s, e) for _, s, e in picked])
+    batch = Batch.from_frame(encode_vp_batch(vps))
+    picked = [batch.record_span(i) for i in range(0, len(batch), 2)]
+    sub = b"".join([frame_header(len(picked)), *picked])
     assert fingerprints(decode_vp_batch(sub)) == fingerprints(vps[::2])
 
 
@@ -174,7 +181,7 @@ def test_batch_rejects_id_body_mismatch():
 
 
 class TestFramingCopiesNothingTwice:
-    """``encode_row_batch`` joins prefix and body as separate parts.
+    """Framing joins a record's prefix and body as separate parts.
 
     It used to build ``pack_prefixed(bytes(body))`` per row — every
     ~4.6 kB body copied before the join copied it again.
@@ -193,14 +200,18 @@ class TestFramingCopiesNothingTwice:
 
     def test_object_batch_frames_within_its_blobs_plus_the_join(self):
         vps = [make_vp(seed=i + 1, n=60, minute=0) for i in range(64)]
-        encode_row_batch(Batch.from_vps(vps).rows())  # what a VP memoizes is not the framing's
-        peak, frame = self._peak(lambda: encode_row_batch(Batch.from_vps(vps).rows()))
-        assert frame == encode_vp_batch(vps)
+        expected = encode_vp_batch(vps)  # what a VP memoizes is not the framing's
+        peak, frame = self._peak(lambda: encode_vp_batch(vps))
+        assert frame == expected
         assert peak < 2.2 * len(frame)  # the encoded bodies, then one join
 
     def test_memoryview_bodies_go_into_the_join_as_they_are(self):
         frame = encode_vp_batch([make_vp(seed=i + 1, n=60, minute=0) for i in range(64)])
-        rows = Batch.from_frame(memoryview(frame)).rows()
-        peak, again = self._peak(lambda: encode_row_batch(rows))
+        batch = Batch.from_frame(memoryview(frame))
+        peak, again = self._peak(
+            lambda: b"".join(
+                [frame_header(len(batch)), *(batch.record_span(i) for i in range(len(batch)))]
+            )
+        )
         assert again == frame
         assert peak < 1.2 * len(frame)  # the join is the only copy

@@ -6,10 +6,8 @@ pin the two halves of the zero-copy contract:
 
 * **counting** — :func:`repro.store.codec.span_copy_count` is the
   process-local materialization ledger.  Ingest on either placement
-  moves **zero** record spans; regrouping a frame's fresh records
-  (:func:`join_encoded_records`) is the one legitimate copy and is
-  visible on the counter (the positive control proving the ledger is
-  live).
+  moves **zero** record spans; :func:`note_span_copies` moving it is
+  the positive control proving the ledger is live.
 * **identity** — a memoryview batch ingests to the same observable
   contents as the equivalent ``bytes`` batch, the segment log appends
   the *source* spans (``span.obj is`` the original buffer).
@@ -24,8 +22,6 @@ from repro.store.codec import (
     Batch,
     encode_vp,
     encode_vp_batch,
-    iter_encoded_records,
-    join_encoded_records,
     note_span_copies,
     span_copy_count,
 )
@@ -54,14 +50,6 @@ class TestCopyLedger:
         before = span_copy_count()
         note_span_copies(3)
         assert span_copy_count() - before == 3
-
-    def test_join_encoded_records_is_counted(self, vp_pool):
-        batch = encode_vp_batch(vp_pool[:3])
-        spans = [(start, end) for _, start, end in iter_encoded_records(batch)]
-        before = span_copy_count()
-        joined = join_encoded_records(batch, spans)
-        assert span_copy_count() - before == 3
-        assert joined == batch
 
 
 class TestZeroCopyIngest:
@@ -98,7 +86,7 @@ class TestViewPlumbing:
             assert isinstance(span, memoryview)
             assert span.obj is frame
         with make_store("memory") as store:
-            assert store.write(batch) == 3
+            assert store.write(batch) == [0, 1, 2]
             got = {vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps}
             assert got == {vp.vp_id for vp in vp_pool[:3]}
 
