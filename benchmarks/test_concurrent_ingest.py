@@ -30,7 +30,7 @@ from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
 from repro.net.messages import encode_message, pack_vp_batch_frame
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
-from repro.store import make_store
+from repro.store import SegmentStore
 
 from benchmarks.conftest import fmt_row
 
@@ -70,9 +70,9 @@ def make_batches() -> list[list[ViewProfile]]:
 def make_backend(kind: str, tmp_path, tag: str):
     """A fresh store instance per fabric run (no cross-run duplicates)."""
     if kind == "memory":
-        return make_store("memory")
+        return SegmentStore()
     if kind == "sqlite":
-        return make_store("sqlite", str(tmp_path / tag))
+        return SegmentStore(str(tmp_path / tag))
     raise AssertionError(kind)
 
 
@@ -166,7 +166,7 @@ def test_benchmark_threaded_batch_ingest(benchmark):
             vp.positions_array
 
     def ingest():
-        store = make_store("memory")
+        store = SegmentStore()
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             inserted = sum(pool.map(store.insert_many, batches))
         assert inserted == 8 * VPS_PER_BATCH

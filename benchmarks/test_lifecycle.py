@@ -19,7 +19,7 @@ from repro.core.neighbors import NeighborTable
 from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point
-from repro.store import RetentionPolicy, apply_retention, make_store
+from repro.store import RetentionPolicy, SegmentStore, apply_retention
 from repro.store.serving import QuerySpec
 
 from benchmarks.conftest import bench_runs, fmt_row
@@ -72,9 +72,9 @@ def test_bounded_footprint_long_run(show, tmp_path):
     window_vps = WINDOW_MINUTES * VPS_PER_MINUTE
 
     path = str(tmp_path / "lifecycle")
-    stores: dict[str, VPStore] = {
-        "memory": make_store("memory"),
-        "sqlite": make_store("sqlite", path),
+    stores: dict[str, SegmentStore] = {
+        "memory": SegmentStore(),
+        "sqlite": SegmentStore(path),
     }
     peaks = {name: 0 for name in stores}
     evicted = {name: 0 for name in stores}
@@ -91,7 +91,7 @@ def test_bounded_footprint_long_run(show, tmp_path):
 
     # reference: a log holding exactly one window's worth of VPs
     ref_path = str(tmp_path / "window-only")
-    with make_store("sqlite", ref_path) as ref:
+    with SegmentStore(ref_path) as ref:
         for minute in range(minutes - WINDOW_MINUTES, minutes):
             ref.insert_many(stores["memory"].query(QuerySpec(minute=minute)).vps)
         window_bytes = segment_bytes(ref_path)
@@ -128,7 +128,7 @@ def test_bounded_footprint_long_run(show, tmp_path):
 def test_benchmark_retention_pass(benchmark):
     """Timed: ingest one minute + advance the watermark on a full window."""
     policy = RetentionPolicy(window_minutes=WINDOW_MINUTES)
-    store = make_store("memory")
+    store = SegmentStore()
     for minute in range(WINDOW_MINUTES):
         store.insert_many(minute_corpus(minute, VPS_PER_MINUTE))
     state = {"minute": WINDOW_MINUTES}

@@ -27,7 +27,7 @@ from repro.net.messages import decode_message, encode_message
 from repro.obs.metrics import MetricsRegistry, snapshot_percentiles
 from repro.sim.stream import iter_upload_payloads
 from repro.geo.geometry import Rect
-from repro.store import QuerySpec, make_store
+from repro.store import QuerySpec, SegmentStore
 from repro.store.codec import encode_vp_batch
 
 from benchmarks.conftest import fmt_row
@@ -60,7 +60,7 @@ def run_read_storm(tmp_path, payloads, tag: str):
     mean ``server.handle.query_view`` modeled latency, the storm's wall
     clock and the server registry.
     """
-    store = make_store("sqlite", str(tmp_path / f"read-{tag}"))
+    store = SegmentStore(str(tmp_path / f"read-{tag}"))
     with ThreadedNetwork(
         workers=WORKERS, latency_s=WIRE_LATENCY_S, metrics=MetricsRegistry()
     ) as net:

@@ -76,7 +76,7 @@ def run_slo_ingest(tmp_path, payloads, tag: str, enabled: bool):
     Returns ``(elapsed_s, front_snapshot, store_stats)`` — the server's
     and the fabric's registries combined, plus the store's ``stats()``
     (whose detail carries the store's metrics).  The store is what
-    ``make_store("sqlite", path)`` builds, with the arm's registry.
+    ``SegmentStore(path)`` builds, with the arm's registry.
     """
     store = SegmentStore(str(tmp_path / f"slo-{tag}"), metrics=MetricsRegistry(enabled=enabled))
     with ThreadedNetwork(

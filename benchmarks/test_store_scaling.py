@@ -24,7 +24,7 @@ from repro.core.neighbors import NeighborTable
 from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point, Rect
-from repro.store import make_store
+from repro.store import SegmentStore
 from repro.store.base import vp_claims_in_area
 from repro.store.serving import QuerySpec
 
@@ -88,9 +88,9 @@ def test_store_scaling(show, tmp_path):
         for vp in corpus:
             vp.positions_array  # prime caches so scans compare index work only
 
-        memory = make_store("memory")
+        memory = SegmentStore()
         memory.insert_many(corpus)
-        sqlite = make_store("sqlite", str(tmp_path / f"scaling-{n}"))
+        sqlite = SegmentStore(str(tmp_path / f"scaling-{n}"))
         sqlite.insert_many(corpus)
 
         t_lin, expected = timed(lambda: [linear_scan(corpus, a) for a in areas])
@@ -126,7 +126,7 @@ def test_sqlite_round_trip(show, tmp_path):
     corpus = make_corpus(2_000, seed=11)
     area = query_areas(seed=5)[0]
 
-    store = make_store("sqlite", path)
+    store = SegmentStore(path)
     t_ins, n = timed(lambda: store.insert_many(corpus))
     assert n == len(corpus)
     before = [
@@ -135,7 +135,7 @@ def test_sqlite_round_trip(show, tmp_path):
     ]
     store.close()
 
-    reopened = make_store("sqlite", path)
+    reopened = SegmentStore(path)
     t_q, after_vps = timed(lambda: reopened.query(QuerySpec(minute=0, area=area)).vps)
     after = [(vp.vp_id, [vd.pack() for vd in vp.digests]) for vp in after_vps]
     assert len(reopened) == len(corpus)
@@ -155,7 +155,7 @@ def test_benchmark_grid_area_queries(benchmark):
     segment log, which prunes on bounding-box columns, not a grid.
     """
     corpus = make_corpus(10_000)
-    memory = make_store("memory")
+    memory = SegmentStore()
     memory.insert_many(corpus)
     areas = query_areas()
     results = benchmark(lambda: [memory.query(QuerySpec(minute=0, area=a)).vps for a in areas])

@@ -12,11 +12,11 @@ Package map:
 * :mod:`repro.core` — the paper's contribution (VDs, VPs, guards,
   viewmaps, verification, solicitation, rewarding, the system facade);
 * :mod:`repro.store` — VP storage behind the database facade: one
-  engine, the minute-segment log ``SegmentStore``, on anonymous
-  segments (volatile, the default) or on named files (survives
-  authority restarts); pick one via
-  ``ViewMapSystem(store=make_store("sqlite", path))`` or the CLI's
-  ``--store`` option;
+  class, the minute-segment log ``SegmentStore``, whose placement is
+  its path — anonymous segments (volatile, the default) or named files
+  that survive authority restarts:
+  ``ViewMapSystem(store=SegmentStore(path))``, or the CLI's
+  ``--store-path`` option;
 * :mod:`repro.crypto` — hashes, Bloom filters, RSA blind signatures;
 * :mod:`repro.geo` / :mod:`repro.radio` / :mod:`repro.mobility` /
   :mod:`repro.sim` — the road, radio and traffic substrates;
@@ -52,9 +52,7 @@ _EXPORTS = {
     "verify_viewmap": "repro.core.verification",
     "Point": "repro.geo.geometry",
     "Rect": "repro.geo.geometry",
-    "VPStore": "repro.store",
     "SegmentStore": "repro.store",
-    "make_store": "repro.store",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

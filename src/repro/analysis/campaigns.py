@@ -1,4 +1,4 @@
-"""Seeded adversarial campaign grid: attacks × backends × retention.
+"""Seeded adversarial campaign grid: attacks × restarts × retention.
 
 The attack modules (:mod:`repro.attacks`) and the scale-out machinery
 (stores, retention, the concurrent front-end, zero-decode frames) each
@@ -6,18 +6,19 @@ carry their own tests, but nothing exercised them *against each other*:
 does fake-VP rejection still hold when the forgeries arrive mid-ingest
 over the threaded fabric into a file-backed store?  Does a
 far-future poisoning claim interact with windowed retention the way the
-watermark clamp promises, on every backend?  This module is that
-acceptance layer — a deterministic grid runner that drives each attack
-campaign end to end through the wire protocol against a matrix of
-deployment configurations, and reduces every cell to one
-machine-readable :class:`CampaignRow` with a stable JSON schema
-(``campaign-row/v2``) that CI diffs against a committed baseline
+watermark clamp promises, and does that survive an authority restart?
+This module is that acceptance layer — a deterministic grid runner that
+drives each attack campaign end to end through the wire protocol
+against a matrix of deployment configurations, and reduces every cell
+to one machine-readable :class:`CampaignRow` with a stable JSON schema
+(``campaign-row/v3``) that CI diffs against a committed baseline
 (``tools/check_campaigns.py``).
 
-One **cell** = (campaign, store backend, retention policy, seed).
-Each cell boots a fresh authority behind a
+One **cell** = (campaign, restart, retention policy, seed).  Each cell
+boots a fresh authority over named segments in its own scratch
+directory, behind a
 :class:`~repro.net.concurrency.ConcurrentViewMapServer` on a
-:class:`~repro.net.concurrency.ThreadedNetwork` and replays
+:class:`~repro.net.concurrency.ThreadedNetwork`, and replays
 ``cfg.minutes`` minutes of traffic in minute-synchronous waves:
 
 1. **convoy** — one trusted (police) VP plus mutually-linked witness
@@ -40,8 +41,15 @@ Each cell boots a fresh authority behind a
    saturation scan;
 4. **investigation** — at the attack minute the authority investigates
    the site (candidates sorted by VP id so TrustRank sees an identical
-   graph regardless of backend iteration order) and the solicitation
-   outcome is compared against the attack population.
+   graph regardless of upload order) and the solicitation outcome is
+   compared against the attack population;
+5. **restart** (``mid`` only) — right after the attack minute's sweep
+   and investigation the network and the system are closed, and a
+   fresh system (same seed and retention policy) boots over
+   ``SegmentStore(path)`` behind a fresh network and server to finish
+   the remaining minutes.  The row's counters and modeled wire time are
+   the merge of both incarnations', so a ``mid`` row must equal its
+   ``none`` row field for field (:func:`restart_violations`).
 
 Every row is a pure function of ``(cell axes, seed, config)``: VP
 generation, RSA keys and forgeries are all
@@ -76,9 +84,9 @@ from repro.net.messages import (
     pack_vp_batch_frame,
 )
 from repro.net.server import MAX_WATERMARK_STEP
-from repro.obs.metrics import Histogram, counter_value
+from repro.obs.metrics import Histogram, MetricsRegistry, counter_value
 from repro.sim.stream import stream_convoy_vps, stream_vp
-from repro.store import STORE_KINDS, RetentionPolicy, make_store, survey_overloaded
+from repro.store import RetentionPolicy, SegmentStore, survey_overloaded
 from repro.store.serving import QuerySpec
 from repro.util.rng import derive_seed
 
@@ -98,9 +106,13 @@ CAMPAIGNS = (
 #: with trusted VPs pinned past eviction
 RETENTIONS = ("none", "window", "pin_trusted")
 
+#: restart axis: one authority for the whole run, or a full restart over
+#: the same segments right after the attack minute
+RESTARTS = ("none", "mid")
+
 #: schema tag stamped into every row; bump on any field change so a
 #: stale baseline fails loudly instead of diffing garbage
-ROW_SCHEMA = "campaign-row/v2"
+ROW_SCHEMA = "campaign-row/v3"
 
 #: offset past the timeline end a poisoning campaign claims, far beyond
 #: any honest clock skew the watermark clamp absorbs
@@ -136,7 +148,7 @@ class CampaignGridConfig:
     """Axes and workload knobs of one campaign grid run.
 
     The defaults are the committed-baseline grid: 6 campaigns × 2
-    backends × 3 retention policies at seed 0.  Honest
+    restarts × 3 retention policies at seed 0.  Honest
     traffic per minute is ``n_vehicles`` streamed background VPs plus
     ``witnesses`` convoy VPs plus one trusted VP, sized so honest
     minutes stay under ``max_vps_per_minute`` while a concentration
@@ -145,7 +157,7 @@ class CampaignGridConfig:
 
     seed: int = 0
     campaigns: tuple[str, ...] = CAMPAIGNS
-    backends: tuple[str, ...] = ("memory", "sqlite")
+    restarts: tuple[str, ...] = RESTARTS
     retentions: tuple[str, ...] = RETENTIONS
     n_vehicles: int = 12
     minutes: int = 3
@@ -169,7 +181,7 @@ class CampaignGridConfig:
     def __post_init__(self) -> None:
         for axis, values, allowed in (
             ("campaigns", self.campaigns, CAMPAIGNS),
-            ("backends", self.backends, STORE_KINDS),
+            ("restarts", self.restarts, RESTARTS),
             ("retentions", self.retentions, RETENTIONS),
         ):
             if not values:
@@ -203,11 +215,11 @@ class CampaignGridConfig:
 
 @dataclass(frozen=True)
 class CampaignRow:
-    """One cell's machine-readable outcome (schema ``campaign-row/v2``)."""
+    """One cell's machine-readable outcome (schema ``campaign-row/v3``)."""
 
     schema: str
     campaign: str
-    backend: str
+    restart: str
     retention: str
     seed: int
     minutes: int
@@ -244,13 +256,6 @@ class CampaignRow:
         out = {name: getattr(self, name) for name in self.__dataclass_fields__}
         out["detected_signals"] = list(self.detected_signals)
         return out
-
-
-def _make_backend(kind: str, scratch: str):
-    """One cell's store: ``sqlite`` names its segment files under ``scratch``."""
-    if kind == "sqlite":
-        return make_store("sqlite", os.path.join(scratch, "authority"))
-    return make_store(kind)
 
 
 def _make_retention(name: str, cfg: CampaignGridConfig) -> RetentionPolicy | None:
@@ -417,7 +422,7 @@ def _investigate_site(
     seeds and candidates by VP id first: the log's insertion order
     (whichever concurrent upload landed first) must not leak into the
     viewmap's node order, or TrustRank's float summation — and therefore the
-    row — would differ between backends.  A minute whose trusted VP was
+    row — would differ between runs.  A minute whose trusted VP was
     evicted (kitchen-sink poisoning against an unpinned window) is not
     investigable and yields no solicitations.
     """
@@ -441,33 +446,44 @@ def _investigate_site(
     return solicited, {vp.vp_id for vp in candidates}
 
 
+def _boot(
+    path: str, retention: str, cfg: CampaignGridConfig
+) -> tuple[ViewMapSystem, ThreadedNetwork, ConcurrentViewMapServer]:
+    """One authority incarnation over the named segments at ``path``."""
+    system = ViewMapSystem(
+        key_bits=cfg.key_bits,
+        seed=derive_seed(cfg.seed, "authority"),
+        store=SegmentStore(path),
+        retention=_make_retention(retention, cfg),
+    )
+    net = ThreadedNetwork(workers=cfg.net_workers, latency_s=cfg.wire_latency_s)
+    return system, net, ConcurrentViewMapServer(system=system, network=net)
+
+
 def run_campaign_cell(
     campaign: str,
-    backend: str,
+    restart: str,
     retention: str,
     cfg: CampaignGridConfig,
     control: CampaignRow | None = None,
 ) -> CampaignRow:
     """Run one grid cell end to end and reduce it to its row.
 
-    ``control`` is the clean-traffic row of the same (backend,
+    ``control`` is the clean-traffic row of the same (restart,
     retention, seed) — the reference for honest-VP loss and the
     throughput ratio.  Omitted when computing the control itself.
     """
     if campaign not in CAMPAIGNS:
         raise ValidationError(f"unknown campaign {campaign!r}")
+    if restart not in RESTARTS:
+        raise ValidationError(f"unknown restart {restart!r}")
     if retention not in RETENTIONS:
         raise ValidationError(f"unknown retention policy {retention!r}")
     scratch = tempfile.TemporaryDirectory(prefix="repro-campaign-")
-    store = _make_backend(backend, scratch.name)
-    system = ViewMapSystem(
-        key_bits=cfg.key_bits,
-        seed=derive_seed(cfg.seed, "authority"),
-        store=store,
-        retention=_make_retention(retention, cfg),
-    )
-    net = ThreadedNetwork(workers=cfg.net_workers, latency_s=cfg.wire_latency_s)
-    server = ConcurrentViewMapServer(system=system, network=net)
+    path = os.path.join(scratch.name, "authority")
+    system, net, server = _boot(path, retention, cfg)
+    # both incarnations' server and network counters, merged at close
+    totals = MetricsRegistry()
 
     honest_ids: list[bytes] = []
     trusted_vp_ids: list[bytes] = []
@@ -521,6 +537,12 @@ def run_campaign_cell(
             if fired and detection_minute < 0:
                 detection_minute = minute
             signals |= fired
+            if restart == "mid" and minute == cfg.attack_minute:
+                net.close()
+                system.close()
+                totals.merge_snapshot(server.metrics.snapshot())
+                totals.merge_snapshot(net.metrics.snapshot())
+                system, net, server = _boot(path, retention, cfg)
 
         watermark_final = system.retention_watermark
         honest_retained = sum(
@@ -529,14 +551,14 @@ def run_campaign_cell(
         trusted_retained = sum(
             1 for vp_id in trusted_vp_ids if vp_id in system.database
         )
-        server_snap = server.metrics.snapshot()
-        wire = Histogram.from_dict(
-            net.metrics.snapshot().get("net.deliver.modeled_s") or {}
-        )
     finally:
         net.close()
         system.close()
         scratch.cleanup()
+    totals.merge_snapshot(server.metrics.snapshot())
+    totals.merge_snapshot(net.metrics.snapshot())
+    counts = totals.snapshot()
+    wire = Histogram.from_dict(counts.get("net.deliver.modeled_s") or {})
 
     honest_uploaded = len(honest_ids)
     # the modeled axis sums identical declared latencies, so the float
@@ -554,13 +576,13 @@ def run_campaign_cell(
     return CampaignRow(
         schema=ROW_SCHEMA,
         campaign=campaign,
-        backend=backend,
+        restart=restart,
         retention=retention,
         seed=cfg.seed,
         minutes=cfg.minutes,
         requests=wire.count,
-        accepted=counter_value(server_snap, "server.upload.accepted"),
-        rejected=counter_value(server_snap, "server.upload.rejected"),
+        accepted=counter_value(counts, "server.upload.accepted"),
+        rejected=counter_value(counts, "server.upload.rejected"),
         honest_uploaded=honest_uploaded,
         honest_retained=honest_retained,
         control_honest_retained=control_retained,
@@ -574,7 +596,7 @@ def run_campaign_cell(
             detection_minute - cfg.attack_minute if detection_minute >= 0 else -1
         ),
         watermark_final=watermark_final,
-        clamp_engagements=counter_value(server_snap, "server.watermark.clamped"),
+        clamp_engagements=counter_value(counts, "server.watermark.clamped"),
         modeled_wire_s=round(modeled_wire_s, 6),
         goodput_vps_per_s=round(goodput, 6),
         throughput_ratio=(
@@ -584,23 +606,23 @@ def run_campaign_cell(
 
 
 def run_campaign_grid(cfg: CampaignGridConfig = CampaignGridConfig()) -> list[CampaignRow]:
-    """Run the whole grid; rows in (backend, retention, campaign) order.
+    """Run the whole grid; rows in (restart, retention, campaign) order.
 
-    The clean control of each (backend, retention) combination
+    The clean control of each (restart, retention) combination
     always runs — even when ``cfg.campaigns`` omits ``clean`` — because
     every other cell's loss and throughput figures are measured against
     it; it only appears in the returned rows when requested.
     """
     rows: list[CampaignRow] = []
-    for backend in cfg.backends:
+    for restart in cfg.restarts:
         for retention in cfg.retentions:
-            control = run_campaign_cell("clean", backend, retention, cfg)
+            control = run_campaign_cell("clean", restart, retention, cfg)
             for campaign in cfg.campaigns:
                 if campaign == "clean":
                     rows.append(control)
                 else:
                     rows.append(
-                        run_campaign_cell(campaign, backend, retention, cfg, control=control)
+                        run_campaign_cell(campaign, restart, retention, cfg, control=control)
                     )
     return rows
 
@@ -619,7 +641,7 @@ def row_invariant_violations(row: CampaignRow) -> list[str]:
     acceptable; strings describe what broke.
     """
     v: list[str] = []
-    where = f"[{row.campaign}/{row.backend}/{row.retention}]"
+    where = f"[{row.campaign}/{row.restart}/{row.retention}]"
     if row.schema != ROW_SCHEMA:
         v.append(f"{where} schema {row.schema!r} != {ROW_SCHEMA!r}")
         return v
@@ -682,5 +704,33 @@ def row_invariant_violations(row: CampaignRow) -> list[str]:
             v.append(
                 f"{where} goodput under attack fell to {row.throughput_ratio} "
                 f"of control (< {MIN_THROUGHPUT_RATIO})"
+            )
+    return v
+
+
+def restart_violations(rows: list[CampaignRow]) -> list[str]:
+    """The restart axis's one invariant, as violations: every ``mid`` row
+    equals its ``none`` row (same campaign, retention and seed) field
+    for field, ``restart`` aside.  A ``mid`` row whose ``none`` row is
+    not in ``rows`` (a reduced grid) is not checked.
+
+    Shared, like :func:`row_invariant_violations`, by the integration
+    tests and ``tools/check_campaigns.py``.
+    """
+    none = {(r.campaign, r.retention, r.seed): r for r in rows if r.restart == "none"}
+    v: list[str] = []
+    for mid in rows:
+        base = none.get((mid.campaign, mid.retention, mid.seed))
+        if mid.restart != "mid" or base is None:
+            continue
+        drift = [
+            f"{name} {getattr(base, name)!r} -> {getattr(mid, name)!r}"
+            for name in base.__dataclass_fields__
+            if name != "restart" and getattr(base, name) != getattr(mid, name)
+        ]
+        if drift:
+            v.append(
+                f"[{mid.campaign}/mid/{mid.retention}] a restart changed the row: "
+                + ", ".join(drift)
             )
     return v

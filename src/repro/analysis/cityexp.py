@@ -17,7 +17,7 @@ from repro.mobility.scenarios import city_scenario
 from repro.radio.channel import DsrcChannel
 from repro.sim.contacts import mean_contact_time
 from repro.sim.runner import run_viewmap_simulation
-from repro.store import QuerySpec, RetentionPolicy, VPStore, make_store
+from repro.store import QuerySpec, RetentionPolicy, SegmentStore
 from repro.util.rng import derive_seed
 
 
@@ -41,7 +41,7 @@ def city_viewmap_stats(
     area_km: float = 6.0,
     seed: int = 0,
     label: str | None = None,
-    store: VPStore | str | None = None,
+    store: SegmentStore | None = None,
     workers: int = 1,
     retention: RetentionPolicy | None = None,
 ) -> tuple[CityViewmapStats, ViewMapGraph]:
@@ -49,8 +49,8 @@ def city_viewmap_stats(
 
     The simulated VP corpus is batch-ingested into an authority VP
     database before the viewmap is built, exercising the real ingest →
-    query path.  ``store`` selects the storage backend (an instance or a
-    :func:`repro.store.make_store` kind name; default volatile);
+    query path.  ``store`` is the store to ingest into (default: a
+    volatile ``SegmentStore()``);
     ``workers`` > 1 drives the ingest from that many concurrent uploader
     threads (the stores are thread-safe).  ``retention`` replays the
     ingest in minute order with the retention watermark advancing, so
@@ -75,8 +75,6 @@ def city_viewmap_stats(
         route_fn=make_grid_route_fn(scn.block_m),
         seed=seed,
     )
-    if isinstance(store, str):
-        store = make_store(store)
     database = VPDatabase(store=store) if store is not None else VPDatabase()
     result.ingest_concurrently(database, workers=workers, retention=retention)
     vmap = build_viewmap(database.query(QuerySpec(minute=0)).vps, minute=0)

@@ -17,7 +17,6 @@ import argparse
 import sys
 
 from repro.errors import ReproError
-from repro.store import STORE_KINDS
 
 
 def _cmd_fig15(args: argparse.Namespace) -> None:
@@ -101,9 +100,9 @@ def _dump_metrics(path: str, occupancy) -> None:
 def _cmd_fig21(args: argparse.Namespace) -> None:
     from repro.analysis.cityexp import city_viewmap_stats
     from repro.core.export import render_ascii, save_viewmap
-    from repro.store import RetentionPolicy, make_store
+    from repro.store import RetentionPolicy, SegmentStore
 
-    store = make_store(args.store, path=args.store_path)
+    store = SegmentStore(args.store_path)
     retention = (
         RetentionPolicy(window_minutes=args.retention_minutes)
         if args.retention_minutes > 0
@@ -117,8 +116,7 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
         occupancy = store.stats()
     finally:
         store.close()  # closes segment files
-    # the backend as selected: ``sqlite`` names the persistent segment log
-    print(f"store: {args.store} ({occupancy.vps} VPs, "
+    print(f"store: {args.store_path or 'anonymous segments'} ({occupancy.vps} VPs, "
           f"{occupancy.minutes} minutes)")
     print(f"{stats.label}: {stats.nodes} VPs, {stats.edges} viewlinks, "
           f"member ratio {stats.member_ratio:.3f}")
@@ -133,6 +131,7 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
 def _cmd_campaigns(args: argparse.Namespace) -> None:
     from repro.analysis.campaigns import (
         CampaignGridConfig,
+        restart_violations,
         row_invariant_violations,
         rows_to_json,
         run_campaign_grid,
@@ -140,7 +139,7 @@ def _cmd_campaigns(args: argparse.Namespace) -> None:
 
     overrides = {
         "campaigns": args.grid_campaigns,
-        "backends": args.grid_backends,
+        "restarts": args.grid_restarts,
         "retentions": args.grid_retentions,
     }
     cfg = CampaignGridConfig(
@@ -153,17 +152,18 @@ def _cmd_campaigns(args: argparse.Namespace) -> None:
     )
     rows = run_campaign_grid(cfg)
     print(
-        f"{'campaign':<14s} {'backend':<8s} {'retention':<12s} "
+        f"{'campaign':<14s} {'restart':<8s} {'retention':<12s} "
         f"{'success':>7s} {'loss':>6s} {'detect':>6s} {'ratio':>6s}"
     )
     violations: list[str] = []
     for row in rows:
         violations.extend(row_invariant_violations(row))
         print(
-            f"{row.campaign:<14s} {row.backend:<8s} {row.retention:<12s} "
+            f"{row.campaign:<14s} {row.restart:<8s} {row.retention:<12s} "
             f"{row.attack_success_rate:>7.2f} {row.honest_vp_loss:>6.2f} "
             f"{row.detection_latency_min:>6d} {row.throughput_ratio:>6.2f}"
         )
+    violations.extend(restart_violations(rows))
     if args.campaigns_json:
         with open(args.campaigns_json, "w", encoding="utf-8") as fh:
             fh.write(rows_to_json(rows))
@@ -186,9 +186,9 @@ def _cmd_stream(args: argparse.Namespace) -> None:
     from repro.net.streaming import StreamingNetwork
     from repro.obs.metrics import counter_value
     from repro.sim.stream import iter_minute_frames
-    from repro.store import make_store
+    from repro.store import SegmentStore
 
-    store = make_store(args.store, path=args.store_path)
+    store = SegmentStore(args.store_path)
     system = ViewMapSystem(store=store)
     frames = list(
         iter_minute_frames(args.vehicles, args.minutes, seed=args.seed)
@@ -239,120 +239,129 @@ def _cmd_stream(args: argparse.Namespace) -> None:
     print(
         f"{args.transport}: {len(frames)} frames / {n_vps} VPs in "
         f"{elapsed:.2f}s — {inserted} inserted, {shed} shed, "
-        f"{total} stored"
+        f"{total} stored in {args.store_path or 'anonymous segments'}"
     )
 
 
+#: every flag a command may declare, by name: its argparse keywords
+FLAGS: dict[str, dict] = {
+    "--seed": dict(type=int, default=0),
+    "--windows": dict(type=int, default=40),
+    "--runs": dict(type=int, default=10),
+    "--vehicles": dict(type=int, default=100),
+    "--area-km": dict(type=float, default=4.0),
+    "--minutes": dict(type=int, default=10),
+    "--speed": dict(type=float, default=50.0),
+    "--out": dict(type=str, default=""),
+    "--store-path": dict(
+        type=str,
+        default="",
+        help="segment-file prefix of a VP store that survives the run "
+        "(default: anonymous segments, nothing named on disk). The store "
+        "holds one open descriptor per live minute: without "
+        "--retention-minutes a run past `ulimit -n` live minutes fails",
+    ),
+    "--metrics-json": dict(
+        type=str,
+        default="",
+        help="write the run's merged per-stage metric registry "
+        "(counters, gauges, latency histograms + percentiles) to "
+        "this JSON file at exit",
+    ),
+    "--retention-minutes": dict(
+        type=int,
+        default=0,
+        help="evict VPs older than this many minutes as ingest "
+        "advances (0 = keep everything)",
+    ),
+    "--workers": dict(
+        type=int,
+        default=1,
+        help="concurrent uploader threads driving ingest (1 = serial)",
+    ),
+    "--campaigns-json": dict(
+        type=str,
+        default="",
+        help="write the campaign grid's rows (campaign-row/v3) to "
+        "this JSON file — the input of tools/check_campaigns.py",
+    ),
+    "--grid-campaigns": dict(
+        type=str,
+        default="",
+        help="comma-separated campaigns for the campaigns grid "
+        "(default: all, including the clean control)",
+    ),
+    "--grid-restarts": dict(
+        type=str,
+        default="",
+        help="comma-separated restart modes for the campaigns grid: "
+        "none, mid (default: both)",
+    ),
+    "--grid-retentions": dict(
+        type=str,
+        default="",
+        help="comma-separated retention policies for the campaigns "
+        "grid: none, window, pin_trusted (default: all)",
+    ),
+    "--transport": dict(
+        choices=("threaded", "streaming"),
+        default="threaded",
+        help="front-end for the stream command: threaded = buffered "
+        "worker-pool fabric, streaming = async zero-copy ingest "
+        "(frames parsed incrementally off the connection)",
+    ),
+    "--max-pending-bytes": dict(
+        type=int,
+        default=8 * 1024 * 1024,
+        help="per-connection cap on buffered-but-unprocessed upload "
+        "bytes for --transport streaming; a peer exceeding it is "
+        "shed with a clean error",
+    ),
+}
+
+#: name -> (handler, help, the flags the handler reads)
 COMMANDS = {
-    "campaigns": (_cmd_campaigns, "adversarial campaign grid: attacks x deployments"),
-    "fig8": (_cmd_fig8, "hash generation: cascaded vs whole-file"),
-    "fig12": (_cmd_fig12, "verification accuracy vs attacker position"),
-    "fig15": (_cmd_fig15, "VP linkage ratio vs distance per environment"),
-    "fig21": (_cmd_fig21, "build and render a traffic-derived viewmap"),
-    "privacy": (_cmd_privacy, "tracking entropy/success over time (figs 10/11/22ab)"),
-    "stream": (_cmd_stream, "replay a fleet upload burst through a transport"),
-    "table2": (_cmd_table2, "the 14 field measurement scenarios"),
+    "campaigns": (
+        _cmd_campaigns,
+        "adversarial campaign grid: attacks x deployments",
+        "--seed --campaigns-json --grid-campaigns --grid-restarts --grid-retentions",
+    ),
+    "fig8": (_cmd_fig8, "hash generation: cascaded vs whole-file", ""),
+    "fig12": (_cmd_fig12, "verification accuracy vs attacker position", "--seed --runs"),
+    "fig15": (_cmd_fig15, "VP linkage ratio vs distance per environment", "--seed --windows"),
+    "fig21": (
+        _cmd_fig21,
+        "build and render a traffic-derived viewmap",
+        "--seed --vehicles --area-km --speed --out --store-path --metrics-json "
+        "--retention-minutes --workers",
+    ),
+    "privacy": (
+        _cmd_privacy,
+        "tracking entropy/success over time (figs 10/11/22ab)",
+        "--seed --vehicles --area-km --minutes",
+    ),
+    "stream": (
+        _cmd_stream,
+        "replay a fleet upload burst through a transport",
+        "--seed --vehicles --minutes --store-path --workers --transport --max-pending-bytes",
+    ),
+    "table2": (_cmd_table2, "the 14 field measurement scenarios", "--seed --windows"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
+    """Construct the CLI argument parser: each command declares only the
+    flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="repro", description="ViewMap (NSDI 2017) reproduction experiments"
     )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
-    for name, (_, help_text) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--windows", type=int, default=40)
-        cmd.add_argument("--runs", type=int, default=10)
-        cmd.add_argument("--vehicles", type=int, default=100)
-        cmd.add_argument("--area-km", type=float, default=4.0)
-        cmd.add_argument("--minutes", type=int, default=10)
-        cmd.add_argument("--speed", type=float, default=50.0)
-        cmd.add_argument("--out", type=str, default="")
-        cmd.add_argument(
-            "--store",
-            choices=STORE_KINDS,
-            default="memory",
-            help="VP storage backend; every kind is the segment log "
-            "(memory: volatile, unlinked anonymous segments). Every kind "
-            "holds one open descriptor per live minute: without "
-            "--retention-minutes a run past `ulimit -n` live minutes fails",
-        )
-        cmd.add_argument(
-            "--store-path",
-            type=str,
-            default="",
-            help="segment-file prefix for --store sqlite "
-            "(default: anonymous segments, nothing named on disk)",
-        )
-        cmd.add_argument(
-            "--metrics-json",
-            type=str,
-            default="",
-            help="write the run's merged per-stage metric registry "
-            "(counters, gauges, latency histograms + percentiles) to "
-            "this JSON file at exit",
-        )
-        cmd.add_argument(
-            "--retention-minutes",
-            type=int,
-            default=0,
-            help="evict VPs older than this many minutes as ingest "
-            "advances (0 = keep everything)",
-        )
-        cmd.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="concurrent uploader threads driving ingest (1 = serial)",
-        )
-        cmd.add_argument(
-            "--campaigns-json",
-            type=str,
-            default="",
-            help="write the campaign grid's rows (campaign-row/v2) to "
-            "this JSON file — the input of tools/check_campaigns.py",
-        )
-        cmd.add_argument(
-            "--grid-campaigns",
-            type=str,
-            default="",
-            help="comma-separated campaigns for the campaigns grid "
-            "(default: all, including the clean control)",
-        )
-        cmd.add_argument(
-            "--grid-backends",
-            type=str,
-            default="",
-            help="comma-separated store backends for the campaigns grid "
-            "(default: memory,sqlite)",
-        )
-        cmd.add_argument(
-            "--grid-retentions",
-            type=str,
-            default="",
-            help="comma-separated retention policies for the campaigns "
-            "grid: none, window, pin_trusted (default: all)",
-        )
-        cmd.add_argument(
-            "--transport",
-            choices=("threaded", "streaming"),
-            default="threaded",
-            help="front-end for the stream command: threaded = buffered "
-            "worker-pool fabric, streaming = async zero-copy ingest "
-            "(frames parsed incrementally off the connection)",
-        )
-        cmd.add_argument(
-            "--max-pending-bytes",
-            type=int,
-            default=8 * 1024 * 1024,
-            help="per-connection cap on buffered-but-unprocessed upload "
-            "bytes for --transport streaming; a peer exceeding it is "
-            "shed with a clean error",
-        )
+    for name, (_, help_text, flags) in COMMANDS.items():
+        # no abbreviations: the retired ``--store`` must not parse as ``--store-path``
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            cmd.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -363,10 +372,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in (None, "list"):
             print("available experiments:")
-            for name, (_, help_text) in COMMANDS.items():
+            for name, (_, help_text, _) in COMMANDS.items():
                 print(f"  {name:<10s} {help_text}")
             return 0
-        handler, _ = COMMANDS[args.command]
+        handler, _, _ = COMMANDS[args.command]
         handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

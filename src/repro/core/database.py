@@ -4,10 +4,10 @@ Stores anonymized VPs exactly as uploaded — actual and guard VPs are
 indistinguishable and are treated identically.  Trusted VPs arrive through
 a separate authenticated path (police fleet) and carry the trusted flag.
 
-This class is a thin facade over a :class:`~repro.store.base.VPStore`
-backend — by default the segment log on anonymous segments
-(volatile, ``make_store("memory")``), or named segments for
-persistence.  Reads return fresh VPs decoded from the stored
+This class is a thin facade over a
+:class:`~repro.store.segments.SegmentStore` — by default on anonymous
+segments (volatile), or on named ones for persistence
+(``SegmentStore(path)``).  Reads return fresh VPs decoded from the stored
 bytes, equal in content to what was inserted, never the same object.
 Reads go through ONE entry point —
 :meth:`VPDatabase.query` with a :class:`~repro.store.serving.QuerySpec`
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.viewprofile import ViewProfile
-from repro.store.base import StoreStats, VPStore
+from repro.store.base import StoreStats
 from repro.store.codec import Batch
 from repro.store.segments import SegmentStore
 from repro.store.serving import QueryResult, QuerySpec
@@ -32,7 +32,7 @@ from repro.store.serving import QueryResult, QuerySpec
 class VPDatabase:
     """Minute-indexed store of anonymized view profiles."""
 
-    store: VPStore = field(default_factory=SegmentStore)
+    store: SegmentStore = field(default_factory=SegmentStore)
 
     def insert(self, vp: ViewProfile) -> None:
         """Store an uploaded VP; duplicate R values are rejected."""
@@ -41,7 +41,7 @@ class VPDatabase:
     def insert_trusted(self, vp: ViewProfile) -> None:
         """Store a VP through the authority path, marking it trusted.
 
-        The backend sets the flag only after duplicate validation, so a
+        The store sets the flag only after duplicate validation, so a
         rejected insert never flips a caller-held VP to trusted.
         """
         self.store.insert_trusted(vp)
@@ -54,7 +54,7 @@ class VPDatabase:
         """Write a validated upload batch; no VP body is decoded.
 
         Duplicates are skipped; returns the indices of the records that
-        landed, in batch order (``VPStore.write``).
+        landed, in batch order (``SegmentStore.write``).
         """
         return self.store.write(batch)
 
@@ -77,7 +77,7 @@ class VPDatabase:
         return self.store.minutes()
 
     def query(self, spec: QuerySpec) -> QueryResult:
-        """Run one read against the backend — THE read entry point.
+        """Run one read against the store — THE read entry point.
 
         Every axis combination (minute, area, trusted, k-nearest,
         count, encoded) goes through here; see
@@ -98,9 +98,9 @@ class VPDatabase:
         return self.store.evict_before(minute, keep_trusted=keep_trusted)
 
     def stats(self) -> StoreStats:
-        """Backend occupancy snapshot (see :class:`StoreStats`)."""
+        """Store occupancy snapshot (see :class:`StoreStats`)."""
         return self.store.stats()
 
     def close(self) -> None:
-        """Release backend resources (segment descriptors)."""
+        """Release store resources (segment descriptors)."""
         self.store.close()

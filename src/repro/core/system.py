@@ -42,10 +42,10 @@ from repro.crypto.cash import CashRegistry
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
-from repro.store.base import VPStore
 from repro.store.codec import Batch
 from repro.store.serving import QuerySpec
 from repro.store.lifecycle import LifecycleReport, RetentionPolicy, apply_retention
+from repro.store.segments import SegmentStore
 
 
 @dataclass
@@ -65,9 +65,9 @@ class ViewMapSystem:
     key_bits: int = 1024
     seed: int = 0
     reward_units: int = 5           #: default payout per reviewed video
-    #: optional storage backend; when given, the VP database wraps it
-    #: (e.g. ``make_store("sqlite", path)`` for a restart-surviving authority)
-    store: VPStore | None = None
+    #: optional store; when given, the VP database wraps it
+    #: (e.g. ``SegmentStore(path)`` for a restart-surviving authority)
+    store: SegmentStore | None = None
     #: the VP database; built from ``store`` (or an in-memory default)
     #: when not supplied.  Passing both is a configuration error.
     database: VPDatabase | None = None
@@ -86,7 +86,7 @@ class ViewMapSystem:
         if self.store is not None and self.database is not None:
             raise ValidationError(
                 "pass either store= or database=, not both: a supplied "
-                "database would silently shadow the requested backend"
+                "database would silently shadow the requested store"
             )
         if self.database is None:
             self.database = (
@@ -97,15 +97,23 @@ class ViewMapSystem:
         self.registry = CashRegistry(public=keypair.public)
         if self.retention is not None:
             # anchor the watermark so upload-driven advancement is ALWAYS
-            # clamped relative to something: a restart over a persistent
-            # store anchors at the newest stored minute, a fresh system
-            # at minute 0 (every timeline in this reproduction starts
-            # there; a production deployment would anchor on a trusted
-            # clock).  Without an anchor, the first packet a fresh
-            # server accepts could claim a far-future minute and poison
-            # the monotonic watermark, permanently disabling retention.
-            minutes = self.database.minutes()
-            self.retention_watermark = minutes[-1] if minutes else 0
+            # clamped relative to something.  Without an anchor, the
+            # first packet a fresh server accepts could claim a
+            # far-future minute and poison the monotonic watermark,
+            # permanently disabling retention.  A restart over a store
+            # that ran retention resumes at the watermark its last pass
+            # ran at — not at the newest stored minute, which may be a
+            # far-future claim the clamp absorbed but the store kept.
+            # A store that never evicted anchors at its newest minute,
+            # a fresh one at minute 0 (every timeline in this
+            # reproduction starts there; a production deployment would
+            # anchor on a trusted clock).
+            cutoff = self.database.store.cutoff
+            if cutoff is not None:
+                self.retention_watermark = cutoff + self.retention.retained_minutes - 1
+            else:
+                minutes = self.database.minutes()
+                self.retention_watermark = minutes[-1] if minutes else 0
 
     # -- ingestion ---------------------------------------------------------
 
@@ -119,8 +127,8 @@ class ViewMapSystem:
         """Batch-accept anonymously uploaded VPs (duplicates skipped).
 
         The batch path for callers that hold objects (replays, tests;
-        the wire delivers frames to :meth:`ingest_encoded`): one backend
-        round-trip instead of one per VP.  Returns how many VPs were
+        the wire delivers frames to :meth:`ingest_encoded`): one store
+        write instead of one per VP.  Returns how many VPs were
         newly stored.
         """
         for vp in vps:

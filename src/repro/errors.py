@@ -38,4 +38,4 @@ class NetworkError(ReproError):
 
 
 class StorageError(ReproError):
-    """A VP store backend could not be opened or operated."""
+    """A VP store could not be opened or operated."""

@@ -1,7 +1,7 @@
 """Concurrent authority front-end: a worker-pool fabric and server.
 
 The serial :class:`~repro.net.transport.InMemoryNetwork` delivers one
-request at a time, so the authority's storage backends never see
+request at a time, so the authority's store never sees
 contention and a fleet of uploading vehicles queues behind a single
 in-flight request.  This module adds the concurrent execution model on
 top of the same ``register``/``send`` contract:

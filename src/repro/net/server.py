@@ -12,8 +12,8 @@ strings can never resolve to arbitrary attributes of the server object.
 One server serves every fabric.  Its session log, retention pass and
 control-plane handlers are lock-guarded, which a serial fabric never
 contends and a concurrent one needs; the upload and ``query_view``
-paths take no server-level lock because every ``repro.store`` backend
-is thread-safe.
+paths take no server-level lock because the ``repro.store`` store is
+thread-safe.
 
 When the system carries a retention policy, the upload stream doubles
 as the server's clock — but a *clamped* one: a client-claimed minute
@@ -81,7 +81,7 @@ class ViewMapServer:
       unlinkability probes read a consistent log during load;
     * ``upload_vp_batch`` / ``query_view`` run without
       server-level locks — duplicate suppression and insert atomicity
-      are the storage backend's job, in its one ``write``;
+      are the store's job, in its one ``write``;
     * the retention watermark (``system.retention``) advances under
       :attr:`control_lock`: the upload that first observes a newer
       minute takes the lock and runs the eviction pass, every other
@@ -295,7 +295,7 @@ class ViewMapServer:
         mapping keeps before the frame, so the reply is that one buffer,
         byte-identical to ``encode_message("view", frame=..., n=...)``.
         Replies are safe to serve lock-free on a concurrent fabric
-        because the store backends are thread-safe, so this kind is
+        because the store is thread-safe, so this kind is
         deliberately NOT in ``GUARDED_KINDS``.
         """
         result = self.system.database.query(unpack_query_view(message))

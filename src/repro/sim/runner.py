@@ -64,7 +64,7 @@ class SimulationResult:
         same shape a city-scale authority sees from batched uploads —
         and returns how many VPs were newly stored.  ``database`` is
         anything exposing ``insert_many`` (``VPDatabase`` or a raw
-        ``repro.store`` backend).
+        ``SegmentStore``).
         """
         return sum(
             database.insert_many(self.vps_by_minute[minute])
@@ -79,8 +79,8 @@ class SimulationResult:
         the shape a city-scale authority sees when a fleet uploads over
         WiFi simultaneously.  Each minute's output is split into enough
         chunks that all workers stay busy even when the trace covers few
-        minutes.  ``database`` must be thread-safe (every ``repro.store``
-        backend and :class:`~repro.core.database.VPDatabase` over one).
+        minutes.  ``database`` must be thread-safe (``SegmentStore`` and
+        :class:`~repro.core.database.VPDatabase` over one are).
         Returns how many VPs were newly stored; the stored population is
         identical to the serial path, though per-minute insertion order
         may interleave differently.

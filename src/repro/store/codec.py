@@ -9,14 +9,14 @@ own self-describing blob:
 
 built from the same :mod:`repro.util.encoding` primitives as the wire
 formats.  The trusted flag deliberately lives *outside* the blob (as a
-backend column), mirroring the rule that trust is asserted by the
+store column), mirroring the rule that trust is asserted by the
 ingestion path, never by serialized content.
 
 On top of the per-VP blob sits the **columnar batch format**
 (:func:`encode_vp_batch` / :func:`decode_vp_batch`): one length-prefixed
 buffer per batch instead of N independently pickled objects.  Each
-record carries, *outside* the body blob, exactly the metadata a storage
-backend indexes on — trusted flag, minute, trajectory bounding box and
+record carries, *outside* the body blob, exactly the metadata the store
+indexes on — trusted flag, minute, trajectory bounding box and
 the VP identifier:
 
     version (1B) | count (4B)
@@ -30,9 +30,9 @@ single body.  The batch format is the record format of the segment log
 the metadata alone and appends the record bytes untouched.  No other
 module reads the layout (:func:`frame_count`, :func:`peek_frame_minute`).
 
-:class:`Batch` is what every store backend's one write primitive takes:
+:class:`Batch` is what the store's one write primitive takes:
 it hides whether the records arrived as :class:`ViewProfile` objects or
-as such a frame (walked once), and hands each backend the form it stores.
+as such a frame (walked once), and hands the store the form it stores.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def encode_vp(vp: ViewProfile) -> bytes:
 
 
 def decode_vp(blob: bytes | memoryview, trusted: bool = False) -> ViewProfile:
-    """Rebuild a VP from its storage blob; trust comes from the backend.
+    """Rebuild a VP from its storage blob; trust comes from the store.
 
     The VP keeps the blob's digest block as it is (copied out of a
     ``memoryview``) and validates it whole; no digest is unpacked.
@@ -154,7 +154,7 @@ def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
 
     Metadata (trusted flag, minute, bounding box, VP id) rides outside
     the body blobs so consumers can route and index without decoding;
-    record order is batch order, which backends treat as insertion
+    record order is batch order, which the store treats as insertion
     order.
     """
     parts = [frame_header(len(vps))]
@@ -368,7 +368,7 @@ class Batch:
     Built :meth:`from_vps` or :meth:`from_frame`; ``meta`` holds one
     ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` tuple per
     record either way, and :meth:`record_span` and :meth:`vps` derive
-    the other forms on demand — so a backend asks for the form it
+    the other forms on demand — so the store asks for the form it
     stores and never learns which one arrived.  The trusted
     bit lives in ``meta``: a trusted write forces it without touching
     the caller's objects.
@@ -418,7 +418,7 @@ class Batch:
     def fresh_indices(self, strict: bool, *taken: Container[bytes]) -> list[int]:
         """Indices of the records a store holding ``taken`` ids may land.
 
-        The one duplicate rule of every backend: a record is skipped
+        The store's one duplicate rule: a record is skipped
         when its id is in any ``taken`` container or earlier in this
         batch.  ``strict`` raises ``ValidationError`` on the first
         duplicate instead — before the caller has landed anything, so

@@ -10,11 +10,11 @@ that retention decision into the storage layer behind one small object:
   per-minute population cap (``max_vps_per_minute``) that flags
   suspicious concentration floods without silently discarding evidence;
 * :func:`apply_retention` — *how* to enforce it: computes the eviction
-  cutoff for the newest observed minute, calls the backend's
-  ``evict_before`` (every :class:`~repro.store.base.VPStore` implements
-  it) and returns a :class:`LifecycleReport` the caller can log or
-  assert on.  Eviction unlinks whole minute segments, so there is no
-  compaction step.
+  cutoff for the newest observed minute, calls the store's
+  :meth:`~repro.store.segments.SegmentStore.evict_before` and returns a
+  :class:`LifecycleReport` the caller can log or assert on.  Eviction
+  unlinks whole minute segments, so there is no compaction step, and
+  records the cutoff, which a named store keeps beside its segments.
 
 The policy object is deliberately dumb — no clocks, no threads.  The
 *watermark* (the newest minute the system has seen) is owned by whoever
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
-from repro.store.base import VPStore
+from repro.store.segments import SegmentStore
 from repro.store.serving import QuerySpec
 
 
@@ -49,8 +49,8 @@ class RetentionPolicy:
 
     ``pin_trusted`` exempts trusted VPs from eviction entirely: an
     investigation seeded from police-fleet VPs must never lose its
-    seeds to a retention pass racing the investigation window.  All
-    backends honor it (``evict_before(..., keep_trusted=True)``);
+    seeds to a retention pass racing the investigation window.  The
+    store honors it (``evict_before(..., keep_trusted=True)``);
     trusted VPs are a tiny, authority-controlled population, so the
     pinned footprint stays bounded by the fleet, not the city.
     """
@@ -99,7 +99,7 @@ class LifecycleReport:
     overloaded: dict[int, int] = field(default_factory=dict)
 
 
-def survey_overloaded(store: VPStore, max_vps_per_minute: int) -> dict[int, int]:
+def survey_overloaded(store: SegmentStore, max_vps_per_minute: int) -> dict[int, int]:
     """Minutes whose population exceeds an advisory per-minute cap.
 
     The concentration-flood detector (see
@@ -123,7 +123,7 @@ def survey_overloaded(store: VPStore, max_vps_per_minute: int) -> dict[int, int]
 
 
 def apply_retention(
-    store: VPStore,
+    store: SegmentStore,
     policy: RetentionPolicy,
     newest_minute: int,
 ) -> LifecycleReport:

@@ -10,12 +10,13 @@ so a stored VP costs its wire record plus 8 bytes.  With a ``path`` the
 segments are flat sibling files ``{path}.{minute:08d}.seg`` (nothing is
 created at ``path`` itself); with an empty path they are anonymous
 ``tempfile.TemporaryFile`` objects, unlinked from birth — the same
-engine, volatile (``make_store("memory")``).  Either way the record
-bytes live in the kernel's page cache, not in this process's heap; the
-heap holds the index, about 216 B per VP.  The index lives in memory
-and is rebuilt by one scan at open: the ``id -> (minute, row)`` map
-that rejects duplicates, and per minute the ``(offset, length,
-trusted, bbox)`` columns and the ids in insertion order.
+engine, volatile: the placement is the path and nothing else.  Either
+way the record bytes live in the kernel's page cache, not in this
+process's heap; the heap holds the index, about 216 B per VP.  The
+index lives in memory and is rebuilt by one scan at open: the
+``id -> (minute, row)`` map that rejects duplicates, and per minute
+the ``(offset, length, trusted, bbox)`` columns and the ids in
+insertion order.
 ``docs/stores.md`` has the contract in prose; in short:
 
 * **write** appends the fresh record spans of the caller's buffer with
@@ -38,6 +39,11 @@ trusted, bbox)`` columns and the ids in insertion order.
 * **evict** closes and unlinks whole segments; a reader's duplicate
   still reads the complete old file, and there is nothing left to
   compact.  One descriptor stays open per live minute; retention bounds it.
+  The highest cutoff ever applied is the store's ``cutoff``; with a path
+  it is durable as an empty ``{path}.{cutoff:08d}.cut`` marker, renamed
+  forward by each higher cutoff, so a restarted authority anchors its
+  retention watermark on it rather than on whatever minute an upload
+  claimed.
 """
 
 from __future__ import annotations
@@ -56,25 +62,27 @@ import numpy as np
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError, WireFormatError
 from repro.obs.metrics import MetricsRegistry, stage_timer
-from repro.store.base import StoreStats, VPStore
+from repro.store.base import StoreStats, min_squared_distance
 from repro.store.codec import (
     FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
     Batch,
     decode_vp,
+    decode_vp_batch,
     encoded_body_claims_area,
     frame_count,
     frame_header,
     unpack_record_meta,
 )
-from repro.store.serving import REPLY_HEAD_ROOM, QuerySpec, reply_mapping
+from repro.store.serving import REPLY_HEAD_ROOM, QueryResult, QuerySpec, reply_mapping
 
 #: per-record header: record length, CRC-32 of the record
 _HEADER = struct.Struct("<II")
 
-#: what follows ``{path}.`` in a segment's file name (``.tmp``: a
-#: keep_trusted rewrite that has not been renamed over its segment yet)
-_SEGMENT_NAME = re.compile(r"(\d{8,})\.seg(\.tmp)?")
+#: what follows ``{path}.`` in a file of the log: a segment (``.tmp``: a
+#: keep_trusted rewrite that has not been renamed over its segment yet),
+#: or the empty marker naming the eviction cutoff (which may be negative)
+_FILE_NAME = re.compile(r"(\d{8,})\.seg(\.tmp)?|(-?\d+)\.cut")
 
 #: one published record: where its bytes are, and what selection needs
 _ROW = np.dtype([("offset", "i8"), ("length", "i8"), ("trusted", "?"), ("box", "f8", (4,))])
@@ -117,10 +125,33 @@ class _Segment:
         self.n = 0
 
 
-class SegmentStore(VPStore):
-    """Minute-segment log, named or anonymous (see the module docstring)."""
+class SegmentStore:
+    """The VP store: a minute-segment log, named or anonymous.
 
-    kind = "segments"
+    ``SegmentStore(path)`` keeps its segments as files named from
+    ``path``; ``SegmentStore()`` keeps them anonymous.  The contract
+    every caller relies on:
+
+    * every write is one :meth:`write` over a
+      :class:`~repro.store.codec.Batch`: duplicate ids are skipped and
+      the indices of the landed records returned, or with ``strict``
+      ``ValidationError`` is raised before any record lands.  The four
+      ``insert*`` entry points are built on it;
+    * every read goes through :meth:`query` with a
+      :class:`~repro.store.serving.QuerySpec` (minute, area, trusted,
+      k-nearest, count, encoded).  The one read primitive is
+      :meth:`query_encoded`; decoded reads are
+      ``decode_vp_batch(query_encoded(spec))`` — fresh wire-backed VPs
+      per call, equal in content, never the inserted instance;
+    * minute-scoped selections return VPs in insertion order, and an
+      area selects a VP iff any claimed position lies inside the closed
+      rectangle — identical to a full linear scan;
+    * :meth:`evict_before` removes every VP of a minute below the
+      cutoff (with ``keep_trusted`` trusted VPs are pinned past it);
+    * it is thread-safe: one lock, and ``write`` is atomic — two racing
+      batches holding the same id agree on one winner, and the indices
+      each write returns name exactly what it stored.
+    """
 
     def __init__(self, path: str = "", metrics: MetricsRegistry | None = None) -> None:
         self.path = path
@@ -129,6 +160,8 @@ class SegmentStore(VPStore):
         #: minute -> segment; a registered segment holds at least one record
         self._segments: dict[int, _Segment] = {}
         self._ids: dict[bytes, tuple[int, int]] = {}  # id -> (minute, row)
+        #: the highest eviction cutoff applied (None: never evicted)
+        self.cutoff: int | None = None
         self._closed = False
         if path:
             try:
@@ -165,10 +198,12 @@ class SegmentStore(VPStore):
                     )
         directory, base = os.path.split(self.path)
         for name in sorted(os.listdir(directory or ".")):
-            match = _SEGMENT_NAME.fullmatch(name[len(base) + 1 :])
+            match = _FILE_NAME.fullmatch(name[len(base) + 1 :])
             if not name.startswith(base + ".") or match is None:
                 continue
-            if match[2]:  # the rewrite died before its rename: the segment is whole
+            if match[3] is not None:
+                self.cutoff = int(match[3])
+            elif match[2]:  # the rewrite died before its rename: the segment is whole
                 os.unlink(os.path.join(directory, name))
             else:
                 self._scan(int(match[1]))
@@ -249,6 +284,22 @@ class SegmentStore(VPStore):
         if self._closed:
             raise StorageError(f"VP store at {self.path!r} is closed")
 
+    def _mark_cutoff(self, minute: int) -> None:
+        """Raise ``cutoff`` to ``minute``; with a path, durably: the empty
+        marker is created whole or renamed forward, never rewritten."""
+        if self.cutoff is not None and minute <= self.cutoff:
+            return
+        try:
+            if self.path:
+                marker = f"{self.path}.{minute:08d}.cut"
+                if self.cutoff is None:
+                    open(marker, "xb").close()
+                else:
+                    os.replace(f"{self.path}.{self.cutoff:08d}.cut", marker)
+        except OSError as exc:
+            raise StorageError(f"cannot record the cutoff of {self.path!r}: {exc}") from exc
+        self.cutoff = minute
+
     # -- writes ------------------------------------------------------------
 
     def write(self, batch: Batch, strict: bool = False) -> list[int]:
@@ -268,6 +319,42 @@ class SegmentStore(VPStore):
                 # collected after the appends: holding the fresh list across
                 # them kept ≈ 1 MiB more heap resident (pipeline investigate)
                 return sorted(itertools.chain.from_iterable(by_minute.values()))
+
+    def insert(self, vp: ViewProfile) -> None:
+        """Store one VP; raises ``ValidationError`` on a duplicate id."""
+        self.write(Batch.from_vps([vp]), strict=True)
+
+    def insert_trusted(self, vp: ViewProfile) -> None:
+        """Store a VP through the authority path, marking it trusted.
+
+        The trusted bit travels in the batch metadata; the caller's
+        object is flagged only once the write has returned, so a
+        rejected or failed insert never leaves it claiming trust.
+        """
+        self.write(Batch.from_vps([vp], trusted=True), strict=True)
+        vp.trusted = True
+
+    def insert_many(self, vps: Iterable[ViewProfile]) -> int:
+        """Batch-ingest VPs, skipping duplicates; returns how many landed."""
+        return len(self.write(Batch.from_vps(vps)))
+
+    def insert_encoded(self, batch: bytes | memoryview, strict: bool = False) -> int:
+        """Batch-ingest a codec frame; returns how many records landed.
+
+        ``batch`` is a :func:`repro.store.codec.encode_vp_batch` buffer
+        or a read-only ``memoryview`` of one (the streaming front-end's
+        receive buffer); no body is decoded and no span copied on the
+        way in.
+        """
+        return len(self.write(Batch.from_frame(batch), strict))
+
+    def existing_ids(self, vp_ids: Iterable[bytes]) -> set[bytes]:
+        """Which of these identifiers are already stored.
+
+        A read-only probe, one membership test per id; it decides
+        nothing — duplicates are skipped by :meth:`write` alone.
+        """
+        return {vp_id for vp_id in vp_ids if vp_id in self}
 
     def iter_id_minutes(self) -> list[tuple[bytes, int]]:
         """(vp_id, minute) pairs, each minute in insertion order."""
@@ -312,6 +399,30 @@ class SegmentStore(VPStore):
         """Sorted minute indices with at least one stored VP."""
         with self._lock:
             return sorted(self._segments)
+
+    def query(self, spec: QuerySpec) -> QueryResult:
+        """Run one read request; the single entry point for every read.
+
+        Axes compose (see :class:`~repro.store.serving.QuerySpec`):
+        selection = minute, restricted by area and/or trusted flag;
+        then ``nearest`` ranks the selection by point-to-trajectory
+        distance (ties keep insertion order — stable sort) and keeps
+        ``k``; ``count`` returns cardinality only; ``encoded`` returns
+        the stored frame via :meth:`query_encoded`.  The whole read is
+        one ``store.query`` stage observation.
+        """
+        with stage_timer(self.metrics, "store.query"):
+            if spec.encoded:
+                frame = self.query_encoded(spec)
+                return QueryResult(spec=spec, n=frame_count(frame), frame=frame)
+            if spec.count:
+                return QueryResult(spec=spec, n=self._count_query(spec))
+            vps = decode_vp_batch(self.query_encoded(spec))
+            if spec.nearest is not None:
+                site = spec.nearest
+                vps.sort(key=lambda vp: min_squared_distance(vp, site))
+                vps = vps[: spec.k]
+            return QueryResult(spec=spec, n=len(vps), vps=vps)
 
     def query_encoded(self, spec: QuerySpec) -> memoryview:
         """The one read primitive: stored records read into one mapping.
@@ -396,12 +507,17 @@ class SegmentStore(VPStore):
     # -- lifecycle ---------------------------------------------------------
 
     def evict_before(self, minute: int, keep_trusted: bool = False) -> int:
-        """Unlink every segment below the cutoff; cost is per segment.
+        """Remove every VP with ``vp.minute < minute``; returns the count.
 
-        With ``keep_trusted`` a minute's trusted records are rewritten,
-        in order, to a temp file that is renamed over the segment (an
-        anonymous segment is simply replaced).  Old descriptors are
-        closed here; a reader holds its own duplicate.
+        The retention primitive (:mod:`repro.store.lifecycle`): whole
+        segments below the cutoff are unlinked, cost per segment, and
+        the cutoff is recorded (:attr:`cutoff`).  Safe beside ingest — a
+        VP racing into an evicted minute is stored and removed by the
+        next pass.  With ``keep_trusted`` a minute's trusted records are
+        rewritten, in order, to a temp file that is renamed over the
+        segment (an anonymous segment is simply replaced), so an
+        investigation's seeds survive.  Old descriptors are closed here;
+        a reader holds its own duplicate.
         """
         with stage_timer(self.metrics, "store.evict"), self._lock:
             self._check_open()
@@ -436,6 +552,7 @@ class SegmentStore(VPStore):
                     ) from exc
                 finally:
                     old.file.close()
+            self._mark_cutoff(minute)
             return evicted
 
     def stats(self) -> StoreStats:
@@ -443,7 +560,7 @@ class SegmentStore(VPStore):
         with self._lock:
             segments = list(self._segments.values())
             return StoreStats(
-                backend=self.kind,
+                backend="segments",
                 vps=len(self._ids),
                 trusted=sum(int(s.rows["trusted"][: s.n].sum()) for s in segments),
                 minutes=len(segments),
@@ -458,3 +575,9 @@ class SegmentStore(VPStore):
             for segment in self._segments.values():
                 segment.file.close()
             self._segments.clear()
+
+    def __enter__(self) -> "SegmentStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -2,12 +2,12 @@
 
 :class:`QuerySpec` / :class:`QueryResult` are the one query surface of
 the store layer.  Every read is a spec over orthogonal axes (minute,
-area, trusted, k-nearest, count, encoded) handed to ``VPStore.query``;
+area, trusted, k-nearest, count, encoded) handed to ``SegmentStore.query``;
 there are no per-shape read methods.  ``encoded=True`` asks for the
 stored frame representation (:mod:`repro.store.codec`) instead of
 decoded objects — the client owns the codec, so the authority can serve
 raw spans.  A decoded read is the same frame decoded: one selection
-primitive a backend.  Selection itself runs on the log's per-minute
+primitive.  Selection itself runs on the log's per-minute
 columns (:mod:`repro.store.segments`); nothing here caches an answer.
 
 An encoded reply is one buffer from segment file to client: the log
@@ -103,7 +103,7 @@ def reply_mapping(frame_bytes: int) -> memoryview:
 def reply_with_head(frame: memoryview, head: bytes) -> memoryview:
     """``head + frame`` as one read-only view, ``frame`` not copied.
 
-    ``frame`` is an encoded reply (``VPStore.query_encoded``), so it
+    ``frame`` is an encoded reply (``SegmentStore.query_encoded``), so it
     starts at :data:`REPLY_HEAD_ROOM` of its mapping; ``head`` is
     written right-aligned into the room before it.
     """

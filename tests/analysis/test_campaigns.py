@@ -25,7 +25,7 @@ def tiny_config(**overrides) -> CampaignGridConfig:
     """A single-cell-sized grid config the unit tests can afford."""
     defaults = dict(
         campaigns=("clean", "faker"),
-        backends=("memory",),
+        restarts=("none",),
         retentions=("window",),
         n_vehicles=4,
         witnesses=1,
@@ -47,13 +47,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             CampaignGridConfig(campaigns=("clean", "ddos"))
         with pytest.raises(ValidationError):
-            CampaignGridConfig(backends=("postgres",))
+            CampaignGridConfig(restarts=("crash",))
         with pytest.raises(ValidationError):
             CampaignGridConfig(retentions=("forever",))
 
     def test_rejects_empty_axes_and_bad_timeline(self):
         with pytest.raises(ValidationError):
-            CampaignGridConfig(backends=())
+            CampaignGridConfig(restarts=())
         with pytest.raises(ValidationError):
             CampaignGridConfig(minutes=1)
         with pytest.raises(ValidationError):
@@ -64,9 +64,11 @@ class TestConfigValidation:
     def test_rejects_unknown_cell_axes(self):
         cfg = tiny_config()
         with pytest.raises(ValidationError):
-            run_campaign_cell("ddos", "memory", "window", cfg)
+            run_campaign_cell("ddos", "none", "window", cfg)
         with pytest.raises(ValidationError):
-            run_campaign_cell("clean", "memory", "forever", cfg)
+            run_campaign_cell("clean", "crash", "window", cfg)
+        with pytest.raises(ValidationError):
+            run_campaign_cell("clean", "none", "forever", cfg)
 
 
 class TestRowShape:
@@ -82,7 +84,7 @@ class TestRowShape:
 
     def test_clean_cell_sanity(self):
         cfg = tiny_config()
-        row = run_campaign_cell("clean", "memory", "window", cfg)
+        row = run_campaign_cell("clean", "none", "window", cfg)
         per_minute = cfg.n_vehicles + cfg.witnesses
         assert row.honest_uploaded == per_minute * cfg.minutes
         assert row.accepted == row.honest_uploaded
@@ -94,8 +96,8 @@ class TestRowShape:
 
     def test_kitchen_sink_combines_all_components(self):
         cfg = tiny_config()
-        control = run_campaign_cell("clean", "memory", "none", cfg)
-        row = run_campaign_cell("kitchen_sink", "memory", "none", cfg, control=control)
+        control = run_campaign_cell("clean", "none", "none", cfg)
+        row = run_campaign_cell("kitchen_sink", "none", "none", cfg, control=control)
         expected = cfg.n_fakes + cfg.n_chain + cfg.n_dummies + cfg.n_saturated + 1
         assert row.attack_vps == expected
         assert row.attack_success_rate == 0.0
@@ -115,7 +117,7 @@ class TestRowShape:
 class TestInvariantChecks:
     def _clean_row(self) -> CampaignRow:
         cfg = tiny_config()
-        return run_campaign_cell("clean", "memory", "window", cfg)
+        return run_campaign_cell("clean", "none", "window", cfg)
 
     def test_detects_solicited_fakes(self):
         row = dataclasses.replace(

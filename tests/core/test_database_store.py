@@ -6,7 +6,7 @@ import pytest
 from repro.core.database import VPDatabase
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
-from repro.store import SegmentStore, make_store
+from repro.store import SegmentStore
 from repro.store.serving import QuerySpec
 from tests.store.conftest import build_store, fingerprints, make_vp
 
@@ -14,8 +14,8 @@ from tests.store.conftest import build_store, fingerprints, make_vp
 class TestFacadeOverBackends:
     @pytest.mark.parametrize(
         "store_factory",
-        [lambda: make_store("memory"), lambda: build_store("sqlite")],
-        ids=["memory", "sqlite"],
+        [lambda: SegmentStore(), lambda: build_store("named")],
+        ids=["anonymous", "named"],
     )
     def test_public_api_over_any_backend(self, store_factory):
         db = VPDatabase(store=store_factory())
@@ -27,8 +27,8 @@ class TestFacadeOverBackends:
         assert db.minutes() == [0]
         db.close()
 
-    def test_default_backend_is_memory(self):
-        # "memory" is the segment log on anonymous segments: it keeps
+    def test_default_store_is_anonymous(self):
+        # the default is the segment log on anonymous segments: it keeps
         # bytes, so a read is equal in content and a fresh object
         db = VPDatabase()
         assert isinstance(db.store, SegmentStore) and db.store.path == ""

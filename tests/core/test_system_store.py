@@ -6,7 +6,7 @@ from repro.core.system import ViewMapSystem
 from repro.core.vehicle import VehicleAgent
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
-from repro.store import make_store
+from repro.store import SegmentStore
 from tests.conftest import run_linked_minute
 from tests.store.conftest import build_store
 
@@ -17,7 +17,7 @@ def drive_minute():
     return run_linked_minute(police, civilian)
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+@pytest.mark.parametrize("kind", ["anonymous", "named"])
 def test_investigation_over_any_backend(kind):
     system = ViewMapSystem(key_bits=512, seed=1, store=build_store(kind))
     res_police, res_civ = drive_minute()
@@ -32,7 +32,7 @@ def test_store_and_database_together_rejected():
 
     with pytest.raises(ValidationError):
         ViewMapSystem(
-            key_bits=512, store=make_store("memory"), database=VPDatabase()
+            key_bits=512, store=SegmentStore(), database=VPDatabase()
         )
 
 
@@ -54,7 +54,7 @@ def test_batch_ingest_skips_duplicates():
 
 def test_sqlite_authority_survives_restart(tmp_path):
     path = str(tmp_path / "authority")
-    system = ViewMapSystem(key_bits=512, seed=4, store=make_store("sqlite", path))
+    system = ViewMapSystem(key_bits=512, seed=4, store=SegmentStore(path))
     res_police, res_civ = drive_minute()
     system.ingest_trusted_vp(res_police.actual_vp)
     system.ingest_vps([res_civ.actual_vp] + res_civ.guard_vps)
@@ -62,7 +62,7 @@ def test_sqlite_authority_survives_restart(tmp_path):
     system.database.close()
 
     # a fresh authority process over the same database file
-    reborn = ViewMapSystem(key_bits=512, seed=5, store=make_store("sqlite", path))
+    reborn = ViewMapSystem(key_bits=512, seed=5, store=SegmentStore(path))
     assert len(reborn.database) == stored
     inv = reborn.investigate(Point(300, 25), minute=0, site_radius_m=1000)
     assert res_civ.actual_vp.vp_id in inv.solicited

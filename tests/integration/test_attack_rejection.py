@@ -11,12 +11,11 @@ from repro.attacks.faker import forge_fake_vp
 from repro.core.system import ViewMapSystem
 from repro.core.vehicle import VehicleAgent
 from repro.geo.geometry import Point
-from repro.store import STORE_KINDS
 from tests.conftest import run_linked_minute
-from tests.store.conftest import build_store
+from tests.store.conftest import STORE_PLACEMENTS, build_store
 
 
-@pytest.fixture(params=STORE_KINDS)
+@pytest.fixture(params=STORE_PLACEMENTS)
 def system_with_incident(request):
     store = build_store(request.param)
     system = ViewMapSystem(key_bits=512, seed=31, store=store)

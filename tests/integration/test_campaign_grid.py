@@ -2,8 +2,9 @@
 
 The grid runner's own invariant list (shared with the CI gate) is
 asserted over a real multi-retention grid, plus the individual security
-claims spelled out cell by cell: fake-VP solicitation stays at zero on
-every store backend, far-future poisoning cannot push the retention
+claims spelled out cell by cell: fake-VP solicitation stays at zero
+with or without an authority restart, a restarted row equals its
+uninterrupted twin, far-future poisoning cannot push the retention
 watermark past the clamp bound, honest-VP loss under the worst campaign
 stays within the documented budget, and modeled goodput under attack
 keeps at least 70% of the clean control's.  A hypothesis property then
@@ -13,6 +14,8 @@ byte-identical serialized rows.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,30 +24,36 @@ from repro.analysis.campaigns import (
     MAX_HONEST_VP_LOSS,
     MIN_THROUGHPUT_RATIO,
     CampaignGridConfig,
+    restart_violations,
     row_invariant_violations,
     rows_to_json,
     run_campaign_cell,
     run_campaign_grid,
 )
 from repro.net.server import MAX_WATERMARK_STEP
-from repro.store import STORE_KINDS
 
 
 @pytest.fixture(scope="module")
 def retention_grid():
-    """Every campaign against every retention policy on one backend."""
-    cfg = CampaignGridConfig(backends=("memory",))
+    """Every campaign against every retention policy, no restart."""
+    cfg = CampaignGridConfig(restarts=("none",))
     return cfg, run_campaign_grid(cfg)
 
 
 @pytest.fixture(scope="module")
-def backend_rows():
-    """The faker campaign against both store placements."""
-    cfg = CampaignGridConfig(backends=STORE_KINDS, retentions=("window",))
+def restart_rows():
+    """The faker and poisoning campaigns under windowed retention, with
+    and without a restart after the attack minute, keyed by
+    ``(campaign, restart)``.  Poisoning is the cell whose restarted
+    watermark once jumped to the poisoner's far-future minute."""
+    cfg = CampaignGridConfig(retentions=("window",))
     rows = {}
-    for backend in STORE_KINDS:
-        control = run_campaign_cell("clean", backend, "window", cfg)
-        rows[backend] = run_campaign_cell("faker", backend, "window", cfg, control=control)
+    for restart in cfg.restarts:
+        control = run_campaign_cell("clean", restart, "window", cfg)
+        for campaign in ("faker", "poisoning"):
+            rows[campaign, restart] = run_campaign_cell(
+                campaign, restart, "window", cfg, control=control
+            )
     return rows
 
 
@@ -55,18 +64,41 @@ class TestPerCellInvariants:
         violations = [v for row in rows for v in row_invariant_violations(row)]
         assert violations == []
 
-    def test_no_fake_vp_is_ever_solicited(self, retention_grid, backend_rows):
+    def test_no_fake_vp_is_ever_solicited(self, retention_grid, restart_rows):
         _, rows = retention_grid
-        for row in list(rows) + list(backend_rows.values()):
+        for row in list(rows) + list(restart_rows.values()):
             assert row.attack_solicited == 0, row.campaign
             assert row.attack_success_rate == 0.0
 
-    def test_fake_rejection_holds_on_every_backend(self, backend_rows):
-        assert set(backend_rows) == set(STORE_KINDS)
-        for backend, row in backend_rows.items():
+    def test_fake_rejection_holds_with_and_without_a_restart(self, retention_grid, restart_rows):
+        _, rows = retention_grid
+        fakers = [row for row in rows if row.campaign == "faker"]
+        fakers += [row for (campaign, _), row in restart_rows.items() if campaign == "faker"]
+        assert {row.restart for row in fakers} == {"none", "mid"}
+        for row in fakers:
             assert row.attack_vps > 0
-            assert "verification_reject" in row.detected_signals, backend
+            assert "verification_reject" in row.detected_signals, (row.restart, row.retention)
             assert row.detection_latency_min == 0
+
+    def test_a_restart_changes_no_field_of_the_row(self, restart_rows):
+        assert set(restart_rows) == {
+            (campaign, restart)
+            for campaign in ("faker", "poisoning")
+            for restart in ("none", "mid")
+        }
+        for campaign in ("faker", "poisoning"):
+            mid = restart_rows[campaign, "mid"]
+            assert row_invariant_violations(mid) == []
+            assert restart_violations([restart_rows[campaign, "none"], mid]) == []
+        assert (
+            restart_rows["poisoning", "mid"].watermark_final
+            == restart_rows["poisoning", "none"].watermark_final
+        )
+
+    def test_the_restart_check_catches_a_drifted_row(self, restart_rows):
+        drifted = dataclasses.replace(restart_rows["poisoning", "mid"], watermark_final=10_003)
+        (violation,) = restart_violations([restart_rows["poisoning", "none"], drifted])
+        assert "watermark_final" in violation
 
     def test_poisoning_cannot_outrun_the_watermark_clamp(self, retention_grid):
         cfg, rows = retention_grid
@@ -116,7 +148,7 @@ class TestGridDeterminism:
         cfg = CampaignGridConfig(
             seed=seed,
             campaigns=("clean", "faker"),
-            backends=("memory",),
+            restarts=("none",),
             retentions=("window",),
             n_vehicles=4,
             witnesses=1,

@@ -11,7 +11,7 @@ from repro.net.client import VehicleClient
 from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
 from repro.net.messages import decode_message, encode_message, pack_vp_batch_frame
 from repro.net.onion import OnionNetwork
-from repro.store import make_store
+from repro.store import SegmentStore
 from tests.conftest import run_linked_minute
 
 
@@ -115,7 +115,7 @@ class TestThreadedNetworkConcurrency:
 def concurrent_stack():
     net = ThreadedNetwork(workers=4)
     onion = OnionNetwork(network=net, n_relays=4, hops=2, seed=5)
-    system = ViewMapSystem(key_bits=512, seed=6, store=make_store("memory"))
+    system = ViewMapSystem(key_bits=512, seed=6, store=SegmentStore())
     server = ConcurrentViewMapServer(system=system, network=net)
     yield net, onion, system, server
     net.close()

@@ -318,7 +318,7 @@ class TestUnboundedGeometryDoesNotWedge:
                 after = conn.request("list_solicitations", timeout=1.0, session="s")
                 assert after["kind"] == "solicitations"
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("backend", ["anonymous", "named"])
     def test_wide_vp_is_refused_and_ingest_goes_on(self, vp_pool, backend):
         honest, vp = vp_pool[0], vp_pool[3]  # two VPs of one minute
         store = build_store(backend)

@@ -28,7 +28,7 @@ from repro.net.messages import (
 )
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
-from repro.store import make_store
+from repro.store import SegmentStore
 from repro.store.base import vp_claims_in_area
 from repro.store.codec import encode_vp_batch
 from repro.store.serving import REPLY_HEAD_ROOM, QuerySpec, reply_with_head
@@ -43,7 +43,7 @@ MISSING = 5
 def serve(population: list[tuple]) -> tuple[ViewMapServer, list]:
     """A server over a fresh store holding ``(seed, minute, x0, step,
     trusted)`` VPs, inserted in one batch: adjacent in their segments."""
-    system = ViewMapSystem(key_bits=512, seed=3, store=make_store("memory"))
+    system = ViewMapSystem(key_bits=512, seed=3, store=SegmentStore())
     server = ViewMapServer(system=system, network=InMemoryNetwork())
     vps = []
     for seed, minute, x0, step, trusted in population:
@@ -159,7 +159,7 @@ def test_the_head_room_fits_ten_digit_counts():
     head = envelope_head("view", frame=huge, n=most)
     assert len(head) <= REPLY_HEAD_ROOM
     assert head.endswith(b'{"frame":{"$bytes":4294967295},"kind":"view","n":4294967295}')
-    store = make_store("memory")
+    store = SegmentStore()
     try:
         store.insert(make_vp(seed=1))
         frame = store.query_encoded(QuerySpec(minute=0))
@@ -172,7 +172,7 @@ def test_the_head_room_fits_ten_digit_counts():
 def test_a_head_goes_only_into_a_reply_mapping():
     with pytest.raises(ValueError, match="reply mapping"):
         reply_with_head(memoryview(encode_vp_batch([])), b"head")
-    store = make_store("memory")
+    store = SegmentStore()
     try:
         frame = store.query_encoded(QuerySpec(minute=0))
         with pytest.raises(ValueError, match="reply mapping"):

@@ -19,7 +19,7 @@ from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
 from repro.net.messages import decode_message, encode_message, pack_vp_batch_frame
 from repro.net.server import MAX_WATERMARK_STEP, ViewMapServer
 from repro.net.transport import InMemoryNetwork
-from repro.store import RetentionPolicy
+from repro.store import RetentionPolicy, SegmentStore
 
 
 def make_wire_vp(seed: int, minute: int, x0: float = 0.0) -> ViewProfile:
@@ -137,9 +137,7 @@ class TestSerialServerRetention:
         # a fresh server process over a persistent store must not trust
         # its first observed upload either: the system seeds the
         # watermark from the stored minutes at construction
-        from repro.store import make_store
-
-        store = make_store("memory")
+        store = SegmentStore()
         for minute in range(5):
             store.insert(make_wire_vp(seed=minute + 1, minute=minute))
         net = InMemoryNetwork()
@@ -154,6 +152,29 @@ class TestSerialServerRetention:
         # the first observation is clamped relative to the stored data
         assert system.retention_watermark <= 4 + MAX_WATERMARK_STEP
         assert set(system.database.minutes()) >= {0, 1, 2, 3, 4}
+
+    def test_restart_after_a_clamped_far_future_upload_keeps_the_watermark(self, tmp_path):
+        # the far-future VP is stored (only the watermark is clamped), so
+        # the newest stored minute is the attacker's; a restart must
+        # anchor on the last pass's durable cutoff instead, or retention
+        # never runs again
+        path = str(tmp_path / "log")
+        policy = RetentionPolicy(window_minutes=2)
+        net = InMemoryNetwork()
+        system = ViewMapSystem(key_bits=512, seed=1, store=SegmentStore(path), retention=policy)
+        server = ViewMapServer(system=system, network=net)
+        for minute in (0, 1, 10_000):
+            net.send("v", server.address,
+                     batch_payload([make_wire_vp(seed=minute + 1, minute=minute)]))
+        clamped = system.retention_watermark
+        assert clamped == 1 + MAX_WATERMARK_STEP
+        assert system.database.minutes()[-1] == 10_000
+        system.close()
+        reborn = ViewMapSystem(key_bits=512, seed=1, store=SegmentStore(path), retention=policy)
+        assert reborn.retention_watermark == clamped
+        # and the next honest minute still runs a pass
+        assert reborn.advance_retention(clamped + 1) is not None
+        reborn.close()
 
     def test_no_policy_accumulates_forever(self):
         net = InMemoryNetwork()
@@ -201,9 +222,7 @@ class TestConcurrentServerRetention:
         # the concurrent server advance the watermark, eviction unlinks
         # whole segments, and the id map keeps rejecting duplicates
         # after the passes
-        from repro.store import make_store
-
-        store = make_store("sqlite", str(tmp_path / "log"))
+        store = SegmentStore(str(tmp_path / "log"))
         with ThreadedNetwork(workers=4) as net:
             system = ViewMapSystem(
                 key_bits=512, seed=1, store=store,

@@ -76,7 +76,7 @@ def assert_transport_parity(backend: str, pool, compositions) -> None:
     assert threaded == streamed
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("backend", ["anonymous", "named"])
 @given(compositions=compositions_strategy)
 @settings(max_examples=10, deadline=None)
 def test_streaming_and_threaded_store_identical_bytes(backend, vp_pool, compositions):

@@ -140,7 +140,7 @@ def assert_wire_parity(backend: str, pool, compositions) -> None:
             assert store_contents(twin) == store_contents(wire)
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("backend", ["anonymous", "named"])
 @given(compositions=compositions_strategy)
 @settings(max_examples=20, deadline=None)
 def test_frame_and_legacy_paths_store_identical_bytes(backend, vp_pool, compositions):
@@ -157,7 +157,7 @@ def test_frame_upload_builds_no_vp_on_the_authority(vp_pool, monkeypatch):
         "from_wire",
         classmethod(lambda cls, *a, **kw: built.append(1) or real_from_wire(cls, *a, **kw)),
     )
-    with ViewMapSystem(key_bits=512, seed=3, store=build_store("sqlite")) as system:
+    with ViewMapSystem(key_bits=512, seed=3, store=build_store("named")) as system:
         acks = upload_compositions(system, vp_pool, [range(POOL_SIZE), [0, 1]])
         assert [inserted for _, inserted in acks] == [POOL_SIZE, 0]
         assert built == []

@@ -1,4 +1,4 @@
-"""Shared helpers for the VP store backend tests."""
+"""Shared helpers for the VP store tests."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point
 from repro.obs.metrics import MetricsRegistry
-from repro.store import SegmentStore, VPStore, make_store
+from repro.store import SegmentStore, make_store
 
-#: named segment files of ``build_store("sqlite")``, removed at exit
+#: named segment files of ``build_store("named")``, removed at exit
 _SCRATCH = tempfile.TemporaryDirectory(prefix="repro-store-tests-")
 _PREFIXES = itertools.count()
 
@@ -54,15 +54,17 @@ def fresh_prefix() -> str:
     return f"{_SCRATCH.name}/log{next(_PREFIXES)}"
 
 
-def build_store(kind: str, **kwargs) -> VPStore:
-    """``make_store(kind, **kwargs)``, the ``sqlite`` kind on fresh named
-    segment files: without a path it would be the ``memory`` placement
-    again, and a ``memory``/``sqlite`` row pair would test one thing twice."""
-    path = fresh_prefix() if kind == "sqlite" else ""
-    return make_store(kind, path, **kwargs)
+#: the log's two placements: unlinked anonymous segments, or named files
+STORE_PLACEMENTS = ("anonymous", "named")
 
 
-def _reopened(path: str) -> VPStore:
+def build_store(placement: str) -> SegmentStore:
+    """A fresh log in one of ``STORE_PLACEMENTS``; a named one gets a
+    prefix no other store in this run uses."""
+    return SegmentStore(fresh_prefix() if placement == "named" else "")
+
+
+def _reopened(path: str) -> SegmentStore:
     """A named log opened twice over files that are not its records: a
     sibling prefix's segment and a rewrite that died before its rename."""
     with SegmentStore(f"{path}.old") as sibling:
@@ -75,8 +77,8 @@ def _reopened(path: str) -> VPStore:
 
 #: every way a caller gets the one log, by row name -> builder(prefix)
 PLACEMENTS = {
-    "memory": lambda path: make_store("memory"),
-    "named": lambda path: make_store("sqlite", path),
+    "anonymous": lambda path: SegmentStore(),
+    "named": SegmentStore,
     "reopened": _reopened,
     # the instrumentation-off arm of the SLO bench
     "metrics-off": lambda path: SegmentStore(metrics=MetricsRegistry(enabled=False)),
@@ -88,6 +90,6 @@ PLACEMENTS = {
 }
 
 
-def build_placement(name: str) -> VPStore:
+def build_placement(name: str) -> SegmentStore:
     """A fresh store of the named ``PLACEMENTS`` row, on its own prefix."""
     return PLACEMENTS[name](fresh_prefix())

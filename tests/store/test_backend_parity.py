@@ -22,15 +22,20 @@ from hypothesis import strategies as st
 from repro.errors import StorageError, ValidationError
 from repro.geo.geometry import Point, Rect
 from repro.store import (
-    STORE_KINDS,
     QuerySpec,
     SegmentStore,
-    VPStore,
     decode_vp_batch,
     encode_vp_batch,
     make_store,
 )
-from tests.store.conftest import PLACEMENTS, build_placement, build_store, fingerprints, make_vp
+from tests.store.conftest import (
+    PLACEMENTS,
+    STORE_PLACEMENTS,
+    build_placement,
+    build_store,
+    fingerprints,
+    make_vp,
+)
 
 
 class ReferenceModel:
@@ -145,8 +150,8 @@ areas = st.tuples(
 
 def fresh_backends(tmp_dir):
     return [
-        make_store("memory"),
-        make_store("sqlite", str(tmp_dir / "log")),
+        SegmentStore(),
+        SegmentStore(str(tmp_dir / "log")),
     ]
 
 
@@ -291,7 +296,7 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
             expected_frame = encode_vp_batch(expected)
             for backend in backends:
                 result = backend.query(spec)
-                assert result.frame == expected_frame, backend.kind
+                assert result.frame == expected_frame, backend.path
                 assert result.n == len(expected)
     for backend in backends:
         backend.close()
@@ -317,20 +322,23 @@ def test_identity_contract():
     """
     spec = QuerySpec(minute=0)
     vp = make_vp(seed=7)
-    for kind in STORE_KINDS:
-        with build_store(kind) as store:
+    for placement in STORE_PLACEMENTS:
+        with build_store(placement) as store:
             store.insert(vp)
             first, second = store.query(spec).vps[0], store.query(spec).vps[0]
             got = store.get(vp.vp_id)
-            assert first == second == got == vp, kind
-            assert len({id(first), id(second), id(got), id(vp)}) == 4, kind
+            assert first == second == got == vp, placement
+            assert len({id(first), id(second), id(got), id(vp)}) == 4, placement
 
 
 def test_each_backend_defines_one_read_primitive():
-    """``query_encoded`` is abstract; decoded reads are defined once."""
-    assert "query_encoded" in VPStore.__abstractmethods__
+    """``query_encoded`` is the read primitive; a decoded read is its frame
+    decoded, never a second selection."""
     assert "query_encoded" in vars(SegmentStore)
-    assert "query" not in vars(SegmentStore)
+    vp = make_vp(seed=5)
+    with SegmentStore() as store:  # nothing stored: the frame is the only source
+        store.query_encoded = lambda spec: memoryview(encode_vp_batch([vp]))
+        assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([vp])
 
 
 @pytest.mark.parametrize("kind", list(PLACEMENTS))
@@ -350,18 +358,18 @@ def test_strict_batch_is_all_or_nothing(kind):
 
 def test_failed_trusted_insert_leaves_caller_untrusted(tmp_path):
     """A store failure mid-``insert_trusted`` must not mint a trusted VP."""
-    store = make_store("sqlite", str(tmp_path / "log"))
+    store = SegmentStore(str(tmp_path / "log"))
     vp = make_vp(seed=9)
     store.close()
     with pytest.raises(StorageError):
         store.insert_trusted(vp)
     assert vp.trusted is False
-    with make_store("sqlite", str(tmp_path / "log")) as reopened:
+    with SegmentStore(str(tmp_path / "log")) as reopened:
         assert vp.vp_id not in reopened
 
 
 def test_retired_kinds_resolve_to_the_one_log(tmp_path):
-    """``make_store("procs", path, ...)`` is ``make_store("sqlite", path)``.
+    """``make_store("procs", path, ...)`` is ``SegmentStore(path)``.
 
     The pipeline benchmark still asks for the retired placement with its
     shard and worker counts: it gets one in-process log, no child
@@ -380,7 +388,7 @@ def test_retired_kinds_resolve_to_the_one_log(tmp_path):
     retired = make_store(
         "procs", str(tmp_path / "procs" / "log"), n_shards=2, ingest_workers=2, shard_cells=2
     )
-    with retired, make_store("sqlite", str(tmp_path / "sqlite" / "log")) as log:
+    with retired, SegmentStore(str(tmp_path / "sqlite" / "log")) as log:
         assert type(retired) is SegmentStore
         assert multiprocessing.active_children() == []
         for frame in frames:

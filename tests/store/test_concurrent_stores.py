@@ -16,7 +16,7 @@ import pytest
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError
 from repro.geo.geometry import Rect
-from repro.store import make_store
+from repro.store import SegmentStore
 from repro.store.serving import QuerySpec
 from tests.store.conftest import PLACEMENTS, build_placement, fingerprint, make_vp
 
@@ -102,7 +102,7 @@ class TestConcurrentIngest:
 
 class TestLogConcurrencyMachinery:
     def test_closed_store_refuses_queries(self):
-        store = make_store("memory")
+        store = SegmentStore()
         store.insert(make_vp(seed=5))
         store.close()
         with pytest.raises(StorageError):
@@ -110,7 +110,7 @@ class TestLogConcurrencyMachinery:
         store.close()  # idempotent
 
     def test_trusted_flag_survives_threads(self):
-        store = make_store("memory")
+        store = SegmentStore()
         vp = make_vp(seed=6)
         store.insert_trusted(vp)
         out: list[bool] = []

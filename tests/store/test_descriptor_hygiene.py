@@ -1,6 +1,6 @@
 """Volatile stores leave nothing behind: no descriptor, no named file.
 
-The volatile placement of the segment log, ``make_store("memory")``,
+The volatile placement of the segment log, ``SegmentStore()``,
 holds exactly one descriptor per live minute, each on an anonymous
 segment that was never linked into any directory.  Eviction closes the evicted minutes'
 descriptors, ``close()`` must hand every one of them back, and no file
@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import StorageError
-from repro.store import QuerySpec, make_store
+from repro.store import QuerySpec, SegmentStore
 from repro.store.codec import encode_vp_batch
 from tests.store.conftest import make_vp
 
@@ -59,7 +59,7 @@ def test_close_returns_every_descriptor_and_names_nothing(tmp_path, monkeypatch)
     fds_before = len(os.listdir("/proc/self/fd"))
     files_before = file_targets()
 
-    store = make_store("memory")
+    store = SegmentStore()
     frame = encode_vp_batch([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
     assert store.insert_encoded(frame) == MINUTES
     # one descriptor per live minute, each on an unlinked segment
@@ -77,7 +77,7 @@ def test_close_returns_every_descriptor_and_names_nothing(tmp_path, monkeypatch)
 @pytest.mark.parametrize("keep_trusted", [False, True], ids=["all", "keep-trusted"])
 def test_eviction_returns_the_evicted_minutes_descriptors(keep_trusted, tmp_path):
     files_before = file_targets()
-    store = make_store("memory")
+    store = SegmentStore()
     try:
         store.insert_many([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
         store.insert_trusted(make_vp(seed=MINUTES + 1, minute=0, x0=50.0))
@@ -102,7 +102,7 @@ def test_unretained_store_fails_cleanly_at_the_descriptor_ceiling():
     resource = pytest.importorskip("resource")
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     headroom = 16
-    store = make_store("memory")
+    store = SegmentStore()
     minute = 0
     # the limit caps descriptor *numbers*: free ones below it are the
     # headroom plus whatever holes the table has
@@ -130,7 +130,7 @@ def test_named_store_close_returns_descriptors_and_keeps_its_files(tmp_path):
     fds_before = len(os.listdir("/proc/self/fd"))
     files_before = file_targets()
     path = str(tmp_path / "log")
-    store = make_store("sqlite", path)
+    store = SegmentStore(path)
     store.insert_many([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
     opened = opened_since(files_before)
     named = [target for target in opened.elements() if target.startswith(path)]
@@ -139,5 +139,5 @@ def test_named_store_close_returns_descriptors_and_keeps_its_files(tmp_path):
     store.close()
     assert len(os.listdir("/proc/self/fd")) == fds_before
     assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(t) for t in named)
-    with make_store("sqlite", path) as reopened:
+    with SegmentStore(path) as reopened:
         assert len(reopened) == MINUTES

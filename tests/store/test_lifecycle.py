@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Rect
-from repro.store import RetentionPolicy, apply_retention, make_store
+from repro.store import RetentionPolicy, SegmentStore, apply_retention
 from repro.store.serving import QuerySpec
 from tests.store.conftest import PLACEMENTS, build_placement, build_store, fingerprints, make_vp
 
@@ -38,7 +38,7 @@ class TestRetentionPolicy:
 
 class TestApplyRetention:
     def test_evicts_below_cutoff_and_reports(self):
-        store = make_store("memory")
+        store = SegmentStore()
         for minute in range(5):
             store.insert(make_vp(seed=minute + 1, minute=minute))
         report = apply_retention(
@@ -51,7 +51,7 @@ class TestApplyRetention:
     def test_overload_flagged_not_discarded(self):
         # the per-minute cap is advisory: VPs are potential evidence, so
         # a concentration flood is reported, never silently dropped
-        store = make_store("memory")
+        store = SegmentStore()
         for i in range(4):
             store.insert(make_vp(seed=i + 1, minute=0, x0=40.0 * i))
         policy = RetentionPolicy(window_minutes=5, max_vps_per_minute=3)
@@ -60,7 +60,7 @@ class TestApplyRetention:
         assert len(store) == 4
 
     def test_count_by_minute_matches_population(self):
-        for store in (make_store("memory"), build_store("sqlite")):
+        for store in (SegmentStore(), build_store("named")):
             for i in range(5):
                 store.insert(make_vp(seed=i + 1, minute=i % 2, x0=500.0 * i))
             assert store.query(QuerySpec(minute=0, count=True)).n == 3
@@ -138,7 +138,7 @@ class TestTrustedPinning:
             store.close()
 
     def test_apply_retention_honors_pin_trusted(self):
-        store = make_store("memory")
+        store = SegmentStore()
         store.insert(make_vp(seed=1, minute=0))
         store.insert_trusted(make_vp(seed=2, minute=0, x0=40.0))
         policy = RetentionPolicy(window_minutes=1, pin_trusted=True)
@@ -148,7 +148,7 @@ class TestTrustedPinning:
         store.close()
 
     def test_unpinned_policy_still_evicts_trusted(self):
-        store = make_store("memory")
+        store = SegmentStore()
         store.insert_trusted(make_vp(seed=2, minute=0, x0=40.0))
         report = apply_retention(
             store, RetentionPolicy(window_minutes=1), newest_minute=9
@@ -178,7 +178,7 @@ areas = st.tuples(
 
 
 def lifecycle_backends():
-    return [make_store("memory"), build_store("sqlite")]
+    return [SegmentStore(), build_store("named")]
 
 
 @given(ops=lifecycle_ops, area=areas)

@@ -29,7 +29,7 @@ from repro.net.messages import decode_message, encode_message, pack_vp_batch_fra
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.sim.stream import stream_convoy_vps, stream_vp
-from repro.store import make_store
+from repro.store import SegmentStore
 from repro.store.base import min_squared_distance, vp_claims_in_area
 from repro.store.codec import decode_vp_batch, encode_vp, encode_vp_batch
 from repro.store.serving import QuerySpec
@@ -39,7 +39,7 @@ N_VPS = 256
 VPS_PER_FRAME = 4
 AREA_M = 2_000.0
 
-#: ceiling on heap bytes retained per VP by ``make_store("memory")`` fed
+#: ceiling on heap bytes retained per VP by ``SegmentStore()`` fed
 #: codec frames: the id map entry, one 57 B column row and the id in the
 #: minute's list (216 B measured).  The record bytes live in an anonymous
 #: segment, outside the heap; the object store this replaced retained
@@ -91,7 +91,7 @@ def test_memory_store_retains_its_index_alone_per_vp(unpack_calls):
     tracemalloc.start()
     try:
         before = retained_bytes()
-        store = make_store("memory")
+        store = SegmentStore()
         for frame in frames:
             # a receive buffer: the store must not keep a view into it
             assert store.insert_encoded(memoryview(bytearray(frame))) == VPS_PER_FRAME
@@ -111,7 +111,7 @@ def test_memory_store_retains_its_index_alone_per_vp(unpack_calls):
 
 
 def test_sqlite_area_query_and_viewmap_unpack_no_digest(unpack_calls):
-    store = build_store("sqlite")
+    store = build_store("named")
     try:
         for frame in make_frames():
             store.insert_encoded(frame)
@@ -142,7 +142,7 @@ def test_vehicle_built_vps_cost_what_stored_ones_do(unpack_calls):
 
         # the upload path end to end, from the vehicle's generator to the
         # investigator's graph: no digest object anywhere
-        store = make_store("memory")
+        store = SegmentStore()
         for i in range(0, n, 16):
             assert store.insert_encoded(pack_vp_batch_frame(vps[i : i + 16])) == 16
         candidates = store.query(QuerySpec(minute=1, area=Rect(0.0, 0.0, AREA_M, AREA_M))).vps
@@ -177,7 +177,7 @@ def test_encoding_inserting_and_reading_geometry_leave_a_vp_its_size():
         vps = [stream_vp(7, 1, vehicle, AREA_M) for vehicle in range(n)]
         built = (retained_bytes() - before) / n
         frames = [pack_vp_batch_frame(vps[i : i + 16]) for i in range(0, n, 16)]
-        store = make_store("memory")
+        store = SegmentStore()
         assert store.insert_many(vps) == n
         for vp in vps:
             assert vp.bounding_box[0] <= vp.positions_array[:, 0].min()

@@ -3,7 +3,7 @@
 Every store is the minute-segment log; what varies is where its
 segments are (anonymous or named files), whether its index was rebuilt
 by a reopen, whether it records metrics, and which ``make_store`` call
-built it (``tests/store/conftest.py:PLACEMENTS``).  ``make_store("memory")``
+built it (``tests/store/conftest.py:PLACEMENTS``).  ``SegmentStore()``
 keeps each VP's wire record in an unlinked temporary segment, so on every
 placement reads return fresh objects equal in content to what was
 inserted.  The property tests (``test_read_state_machine.py``,

@@ -33,7 +33,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
-from repro.store import QuerySpec, encode_vp_batch, make_store
+from repro.store import QuerySpec, SegmentStore, encode_vp_batch
 from tests.store.conftest import build_store, fingerprint, make_vp
 
 MINUTES = 3
@@ -74,8 +74,8 @@ class ReadContract(RuleBasedStateMachine):
         #: name -> constructor; both are the segment log, and the
         #: file-backed one reopens its files
         self.factories = {
-            "memory": lambda: make_store("memory"),
-            "segments-file": lambda: make_store("sqlite", str(self.dir / "log")),
+            "anonymous": lambda: SegmentStore(),
+            "named": lambda: SegmentStore(str(self.dir / "log")),
         }
         self.stores = {name: build() for name, build in self.factories.items()}
         #: the flat model: stored keys in insertion order, key -> trusted
@@ -144,8 +144,8 @@ class ReadContract(RuleBasedStateMachine):
 
     @rule()
     def close_and_reopen(self):
-        self.stores["segments-file"].close()
-        self.stores["segments-file"] = self.factories["segments-file"]()
+        self.stores["named"].close()
+        self.stores["named"] = self.factories["named"]()
 
     # -- the oracle ----------------------------------------------------------
 
@@ -210,7 +210,7 @@ TestReadContract.settings = settings(
 )
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+@pytest.mark.parametrize("kind", ["anonymous", "named"])
 def test_get_after_eviction_is_none_and_gets_agree(kind):
     # what the decode-cache tests pinned that outlives the cache
     with build_store(kind) as store:

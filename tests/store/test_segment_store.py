@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.errors import StorageError, ValidationError
-from repro.store import QuerySpec, SegmentStore, encode_vp_batch, make_store
+from repro.store import QuerySpec, SegmentStore, encode_vp_batch
 from repro.store.codec import RECORD_OVERHEAD_BYTES, Batch, encode_vp
 from repro.store.segments import _HEADER
 from tests.store.conftest import make_vp
@@ -161,7 +161,7 @@ class TestReopen:
             store.insert(make_vp(seed=50, n=2, minute=1))
             assert store.evict_before(2, keep_trusted=True) == 4
             assert ids_of(store, 0) == [vp.vp_id for vp in trusted]
-            assert files_of(path) == ["log.00000000.seg"]
+            assert files_of(path) == ["log.00000000.seg", "log.00000002.cut"]
         with SegmentStore(path) as store:
             survivors = store.query(QuerySpec(minute=0)).vps
             assert [vp.vp_id for vp in survivors] == [vp.vp_id for vp in trusted]
@@ -169,8 +169,31 @@ class TestReopen:
             assert store.minutes() == [0]
             # an evicted id is free again; a surviving one is still taken
             assert store.insert_many([vps[0], vps[1]]) == 1
+            assert store.cutoff == 2  # read back from the marker
             assert store.evict_before(1) == 4
-        assert files_of(path) == []
+        assert files_of(path) == ["log.00000002.cut"]  # a lower cutoff does not move it
+
+    def test_the_cutoff_is_one_empty_marker_renamed_forward(self, tmp_path):
+        # a retention pass at a young watermark asks for a negative cutoff;
+        # the marker must name it too, or a restart forgets the pass
+        path = str(tmp_path / "log")
+        with SegmentStore(path) as store:
+            store.insert(make_vp(seed=1, minute=3))
+            assert store.cutoff is None and files_of(path) == ["log.00000003.seg"]
+            assert store.evict_before(-4) == 0
+            assert files_of(path) == ["log.-0000004.cut", "log.00000003.seg"]
+        for cutoff, expect in ((2, 2), (1, 2), (5, 5)):
+            with SegmentStore(path) as store:
+                assert store.cutoff in (-4, 2, 5)
+                store.evict_before(cutoff)
+                assert store.cutoff == expect  # monotonic: a lower cutoff is ignored
+            assert [n for n in files_of(path) if n.endswith(".cut")] == [f"log.{expect:08d}.cut"]
+        assert files_of(path) == ["log.00000005.cut"]
+        with SegmentStore(path) as store:
+            assert store.cutoff == 5 and len(store) == 0
+        with SegmentStore() as anonymous:  # kept in memory, no file named
+            anonymous.evict_before(7)
+            assert anonymous.cutoff == 7
 
     def test_a_rewrite_that_never_renamed_is_discarded(self, seeded):
         path, vps = seeded
@@ -195,8 +218,14 @@ class TestFiles:
         assert store.evict_before(2) == 13
         store.close()
         names = files_of(path)
-        assert names == ["db.00000002.seg", "db.00000003.seg", "db.sibling.00000000.seg"]
-        ours = names[:2]
+        assert names == [
+            "db.00000002.cut",
+            "db.00000002.seg",
+            "db.00000003.seg",
+            "db.sibling.00000000.seg",
+        ]
+        ours = names[:3]
+        assert os.path.getsize(tmp_path / ours[0]) == 0  # the cutoff marker is empty
         live = [vp for vp in vps if vp.minute >= 2]
         for name in ours:
             assert os.path.isfile(tmp_path / name) and not os.path.islink(tmp_path / name)
@@ -216,7 +245,7 @@ class TestFiles:
         conn.commit()
         conn.close()
         with pytest.raises(StorageError, match="no migration"):
-            make_store("sqlite", path)
+            SegmentStore(path)
 
     def test_unopenable_path_and_closed_store_raise_storage_error(self, tmp_path):
         with pytest.raises(StorageError):
@@ -237,7 +266,7 @@ class TestFiles:
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", None)
-        with make_store("sqlite") as store:
+        with SegmentStore() as store:
             store.insert_many([make_vp(seed=i + 1, minute=i % 2) for i in range(4)])
             assert len(store) == 4
             assert os.listdir(tmp_path) == []  # anonymous: never had a name
@@ -453,7 +482,7 @@ def test_a_read_racing_eviction_is_whole_or_empty(tmp_path, keep_trusted):
 
 
 def test_ack_means_stored_when_the_writer_is_killed(tmp_path):
-    """``make_store("sqlite", path)``: every acked id survives ``SIGKILL``.
+    """``SegmentStore(path)``: every acked id survives ``SIGKILL``.
 
     A write returns once the records were handed to the kernel; there
     is no buffer in the writing process for the ack to run ahead of.
@@ -462,8 +491,8 @@ def test_ack_means_stored_when_the_writer_is_killed(tmp_path):
     script = f"""
 import os, signal, sys
 from repro.sim.stream import stream_vp
-from repro.store import encode_vp_batch, make_store
-store = make_store("sqlite", {path!r})
+from repro.store import SegmentStore, encode_vp_batch
+store = SegmentStore({path!r})
 for f in range(12):
     vps = [stream_vp(7, f % 3, 8 * f + i, 3000.0) for i in range(8)]
     assert store.insert_encoded(encode_vp_batch(vps)) == 8
@@ -476,6 +505,6 @@ os.kill(os.getpid(), signal.SIGKILL)  # no close, no goodbye
     assert done.returncode == -signal.SIGKILL, done.stderr
     acked = [bytes.fromhex(token) for token in done.stdout.split()]
     assert len(acked) == 96
-    with make_store("sqlite", path) as reopened:
+    with SegmentStore(path) as reopened:
         assert sorted(vp_id for vp_id, _m in reopened.iter_id_minutes()) == sorted(acked)
         assert len(reopened) == len(acked)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.store import make_store
+from repro.store import SegmentStore
 from repro.store.codec import (
     Batch,
     encode_vp,
@@ -53,7 +53,7 @@ class TestCopyLedger:
 
 
 class TestZeroCopyIngest:
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("backend", ["anonymous", "named"])
     def test_ingest_moves_no_spans(self, backend, vp_pool):
         with build_store(backend) as store:
             before = span_copy_count()
@@ -63,7 +63,7 @@ class TestZeroCopyIngest:
             assert span_copy_count() == before, "a body span was materialized"
             assert len(store) == len(vp_pool)
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("backend", ["anonymous", "named"])
     def test_memoryview_and_bytes_ingest_identical(self, backend, vp_pool):
         frame = encode_vp_batch(vp_pool[:4])
         with build_store(backend) as via_bytes:
@@ -85,13 +85,13 @@ class TestViewPlumbing:
         for span in spans:
             assert isinstance(span, memoryview)
             assert span.obj is frame
-        with make_store("memory") as store:
+        with SegmentStore() as store:
             assert store.write(batch) == [0, 1, 2]
             got = {vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps}
             assert got == {vp.vp_id for vp in vp_pool[:3]}
 
     def test_strict_duplicate_still_clean_on_views(self, vp_pool):
         frame = memoryview(encode_vp_batch([vp_pool[0]])).toreadonly()
-        with make_store("memory") as store:
+        with SegmentStore() as store:
             assert store.insert_encoded(frame, strict=True) == 1
             assert store.insert_encoded(frame, strict=False) == 0

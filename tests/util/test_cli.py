@@ -56,19 +56,34 @@ class TestCommands:
         # is unchanged and the store reports both minutes
         assert main([
             "fig21", "--vehicles", "12", "--area-km", "1.5",
-            "--store", "sqlite", "--store-path", str(tmp_path / "log"),
+            "--store-path", str(tmp_path / "log"),
             "--retention-minutes", "5", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "store: sqlite" in out and "2 minutes" in out
+        assert f"store: {tmp_path / 'log'} (" in out and "2 minutes" in out
 
     @pytest.mark.parametrize(
-        "flag", ["--shards", "--shard-cells", "--ingest-workers", "--store=procs"]
+        "flag", ["--shards", "--shard-cells", "--ingest-workers", "--store=procs", "--store"]
     )
     def test_retired_placement_options_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit):
             main(["fig21", flag, "2"])
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig8", "--seed", "1"],
+            ["fig21", "--grid-restarts", "mid"],
+            ["campaigns", "--grid-backends", "memory"],
+            ["campaigns", "--store-path", "log"],
+            ["stream", "--retention-minutes", "1"],
+        ],
+    )
+    def test_a_command_declares_only_the_flags_it_reads(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fig21_retention_shorter_than_trace_evicts_early_minutes(self, capsys):
         assert main([
@@ -81,13 +96,12 @@ class TestCommands:
     def test_stream_small(self, capsys):
         assert main([
             "stream", "--vehicles", "6", "--minutes", "2", "--workers", "2",
-            "--store", "sqlite",
         ]) == 0
-        assert "12 inserted, 0 shed, 12 stored" in capsys.readouterr().out
+        assert "12 inserted, 0 shed, 12 stored in anonymous segments" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--group-commit-rows", "--slo-p99-ms"])
     def test_group_commit_flags_are_gone(self, flag, capsys):
-        # nothing they configured is reachable from make_store any more
+        # nothing they configured is reachable from the store any more
         with pytest.raises(SystemExit):
-            main(["stream", "--store", "sqlite", flag, "8"])
+            main(["stream", flag, "8"])
         assert "unrecognized arguments" in capsys.readouterr().err

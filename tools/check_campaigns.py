@@ -1,14 +1,17 @@
 """Campaign-grid acceptance gate for the CI campaigns job.
 
 Validates a campaign-grid rows file (``python -m repro.cli campaigns
---campaigns-json ...`` output, schema ``campaign-row/v2``) in two
+--campaigns-json ...`` output, schema ``campaign-row/v3``) in three
 layers:
 
 1. every row must satisfy the per-cell security/SLO invariants
    (:func:`repro.analysis.campaigns.row_invariant_violations` — zero
    fake-VP solicitations, bounded honest-VP loss, clamped watermark,
    attack detection, goodput floor);
-2. every row present in the committed baseline must match the run's
+2. every ``mid`` row (an authority restarted after the attack minute)
+   must equal its ``none`` row but for ``restart``
+   (:func:`repro.analysis.campaigns.restart_violations`);
+3. every row present in the committed baseline must match the run's
    row **exactly** — rows are deterministic functions of (axes, seed,
    config), so any drift is a behavior change, not noise.
 
@@ -20,8 +23,8 @@ layers:
 Cells in the run but absent from the baseline (a PR widening the grid)
 WARN instead of failing; ``--require-all`` turns those into failures
 once the baseline has been refreshed with ``--update``.  Baseline cells
-missing from the run warn only, so a reduced grid (one backend, one
-campaign) can still be checked while developing.
+missing from the run warn only, so a reduced grid (one restart mode,
+one campaign) can still be checked while developing.
 
 Exit codes: 0 = acceptable, 1 = invariant violation or baseline
 mismatch, 2 = usage/input error.
@@ -42,6 +45,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.campaigns import (  # noqa: E402
     ROW_SCHEMA,
     CampaignRow,
+    restart_violations,
     row_invariant_violations,
 )
 
@@ -49,7 +53,7 @@ from repro.analysis.campaigns import (  # noqa: E402
 def cell_key(row: dict) -> str:
     """The grid coordinates identifying one cell across files."""
     return "/".join(
-        str(row.get(axis)) for axis in ("campaign", "backend", "retention", "seed")
+        str(row.get(axis)) for axis in ("campaign", "restart", "retention", "seed")
     )
 
 
@@ -148,13 +152,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     failures: list[str] = []
-    for key, row in sorted(current.items()):
-        try:
-            violations = row_invariant_violations(as_row(row))
-        except TypeError as exc:
-            print(f"malformed row {key}: {exc}", file=sys.stderr)
-            return 2
-        failures.extend(violations)
+    try:
+        rows = [as_row(row) for _key, row in sorted(current.items())]
+    except TypeError as exc:
+        print(f"malformed row: {exc}", file=sys.stderr)
+        return 2
+    for row in rows:
+        failures.extend(row_invariant_violations(row))
+    failures.extend(restart_violations(rows))
 
     if args.update:
         if failures:
