@@ -166,9 +166,16 @@ class ThreadedNetwork:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain in-flight deliveries and shut the worker pool down."""
+        """Drain in-flight deliveries, shut the pool down, drop the endpoints.
+
+        A registered handler is usually a method of the server or relay
+        that holds this network; releasing the table breaks that cycle,
+        so both are freed by reference counting once the caller drops them.
+        """
         self._closed = True
         self._pool.shutdown(wait=True)
+        with self._lock:
+            self._endpoints.clear()
 
     def __enter__(self) -> "ThreadedNetwork":
         return self

@@ -5,9 +5,10 @@ formats of :mod:`repro.net.messages`.  The server sees only the exit
 relay's address and a rotating session id — it cannot attribute uploads
 to users.  Sessions are logged so privacy tests can verify unlinkability.
 
-Dispatch goes through an explicit handler registry built at startup:
-the request ``kind`` is looked up in a closed table, so crafted kind
-strings can never resolve to arbitrary attributes of the server object.
+Dispatch goes through an explicit handler registry: the request
+``kind`` is looked up in a closed table of plain functions, so crafted
+kind strings can never resolve to arbitrary attributes of the server
+object, and the table holds no reference back to any server.
 
 One server serves every fabric.  Its session log, retention pass and
 control-plane handlers are lock-guarded, which a serial fabric never
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from repro.core.system import ViewMapSystem
 from repro.errors import ReproError, ValidationError
@@ -48,7 +49,7 @@ from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import MetricsRegistry, stage_timer
 from repro.store.serving import reply_with_head
 
-Handler = Callable[[dict[str, Any]], bytes | memoryview]
+Handler = Callable[["ViewMapServer", dict[str, Any]], bytes | memoryview]
 
 #: max minutes the upload-driven retention watermark may advance per
 #: accepted upload (see module docstring) — bounds the eviction blast
@@ -56,12 +57,12 @@ Handler = Callable[[dict[str, Any]], bytes | memoryview]
 MAX_WATERMARK_STEP = 2
 
 
-def _locked(lock: threading.RLock, handler: Handler) -> Handler:
-    """Serialize one message handler behind a lock."""
+def _locked(handler: Handler) -> Handler:
+    """Serialize one message handler behind its server's control lock."""
 
-    def guarded(message: dict[str, Any]) -> bytes | memoryview:
-        with lock:
-            return handler(message)
+    def guarded(server: "ViewMapServer", message: dict[str, Any]) -> bytes | memoryview:
+        with server._state_lock:
+            return handler(server, message)
 
     return guarded
 
@@ -119,23 +120,13 @@ class ViewMapServer:
     #: wall time — which already folds in every modeled sleep (network
     #: delivery) taken within the handler's extent
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    _handlers: dict[str, Handler] = field(init=False, repr=False)
+    #: kind -> handler, called as ``handler(self, message)``; filled in
+    #: below the class, shared by every server
+    _handlers: ClassVar[dict[str, Handler]]
 
     def __post_init__(self) -> None:
         self._log_lock = threading.Lock()
         self._state_lock = threading.RLock()
-        self._handlers = {
-            "upload_vp_batch": self._on_upload_vp_batch,
-            "query_view": self._on_query_view,
-            "list_solicitations": self._on_list_solicitations,
-            "upload_video": self._on_upload_video,
-            "list_rewards": self._on_list_rewards,
-            "claim_reward": self._on_claim_reward,
-            "sign_blinded": self._on_sign_blinded,
-            "public_key": self._on_public_key,
-        }
-        for kind in self.GUARDED_KINDS:
-            self._handlers[kind] = _locked(self._state_lock, self._handlers[kind])
         self.network.register(self.address, self.handle)
 
     @property
@@ -167,7 +158,7 @@ class ViewMapServer:
             if handler is None:
                 return encode_message("error", reason=f"unknown kind: {kind}")
             with stage_timer(self.metrics, f"server.handle.{kind}"):
-                return handler(message)
+                return handler(self, message)
         except ReproError as exc:
             return encode_message("error", reason=str(exc))
 
@@ -340,3 +331,18 @@ class ViewMapServer:
     def _on_public_key(self, message: dict[str, Any]) -> bytes:
         public = self.system.rewards.public_key
         return encode_message("public_key", n=str(public.n), e=str(public.e))
+
+
+ViewMapServer._handlers = {
+    kind: _locked(handler) if kind in ViewMapServer.GUARDED_KINDS else handler
+    for kind, handler in {
+        "upload_vp_batch": ViewMapServer._on_upload_vp_batch,
+        "query_view": ViewMapServer._on_query_view,
+        "list_solicitations": ViewMapServer._on_list_solicitations,
+        "upload_video": ViewMapServer._on_upload_video,
+        "list_rewards": ViewMapServer._on_list_rewards,
+        "claim_reward": ViewMapServer._on_claim_reward,
+        "sign_blinded": ViewMapServer._on_sign_blinded,
+        "public_key": ViewMapServer._on_public_key,
+    }.items()
+}

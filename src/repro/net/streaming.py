@@ -93,7 +93,13 @@ DEFAULT_ADMISSION_SHARDS = 4
 
 
 class _Session:
-    """Server-side state of one streaming connection (loop thread only)."""
+    """Server-side state of one streaming connection (loop thread only).
+
+    Its ``write`` and ``on_close`` callbacks usually close over the
+    client half, which holds this session back: the pair is a cycle
+    until :meth:`StreamingNetwork._process` ends on the close sentinel
+    and drops them.
+    """
 
     def __init__(
         self,
@@ -109,12 +115,17 @@ class _Session:
         self.write = write
         self.on_close = on_close
         self.parser = FrameParser(max_payload_bytes=net.max_record_bytes)
-        self.queue: asyncio.Queue[tuple[int, memoryview]] = asyncio.Queue()
+        #: parsed records; ``None`` is the close sentinel
+        self.queue: asyncio.Queue[tuple[int, memoryview] | None] = asyncio.Queue()
         self.queued_bytes = 0
         self.record_started_at: float | None = None
         self.closed = False
         self.shedding = False
-        self.task: asyncio.Task | None = None
+
+    def feed_chunks(self, data: bytes, chunk: int) -> None:
+        """Feed ``data`` as the ``chunk``-byte slices a socket would deliver."""
+        for start in range(0, len(data), chunk):
+            self.feed(data[start : start + chunk])
 
     def feed(self, data: bytes | memoryview) -> None:
         """Consume one chunk off the wire; enforce the resource bounds."""
@@ -166,19 +177,17 @@ class StreamConnection:
     # -- client -> server --------------------------------------------------
 
     def _send_bytes(self, data: bytes) -> None:
-        loop = self._net._loop
-        session = self._session
-        for start in range(0, len(data), self._chunk):
-            chunk = data[start : start + self._chunk]
-            loop.call_soon_threadsafe(session.feed, chunk)
+        """Hand ``data`` to the loop in one wake-up, fed chunk by chunk."""
+        self._net._loop.call_soon_threadsafe(self._session.feed_chunks, data, self._chunk)
 
     def _submit(self, kind: int, payload: bytes) -> Future:
         if self.closed:
             raise NetworkError("streaming connection is closed")
         future: Future = Future()
-        with self._lock:
+        record = pack_stream_record(kind, payload)
+        with self._lock:  # a record's reply slot and its bytes keep one order
             self._pending.append(future)
-        self._send_bytes(pack_stream_record(kind, payload))
+            self._send_bytes(record)
         return future
 
     def upload_frame_async(self, frame: bytes) -> Future:
@@ -272,6 +281,8 @@ class StreamingNetwork:
         self._endpoints: dict[str, Endpoint] = {}
         self._servers: dict[str, ViewMapServer] = {}
         self._sessions: set[_Session] = set()
+        #: session, shed and TCP tasks; ``close`` waits for every one
+        self._tasks: set[asyncio.Task] = set()
         self._tcp_servers: list[asyncio.AbstractServer] = []
         self._lock = threading.RLock()
         self._closed = False
@@ -402,8 +413,8 @@ class StreamingNetwork:
     async def _start_tcp(self, address: str, host: str, port: int) -> tuple[str, int]:
         import asyncio
 
-        async def on_conn(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            await self._serve_tcp_conn(address, reader, writer)
+        def on_conn(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+            self._spawn(self._serve_tcp_conn(address, reader, writer))
 
         server = await asyncio.start_server(on_conn, host, port)
         self._tcp_servers.append(server)
@@ -418,8 +429,15 @@ class StreamingNetwork:
             await writer.drain()
 
         def on_close(_reason: str) -> None:
+            # a graceful close with bytes still unsent waits for a peer
+            # that may never read them: the transport would stay open, and
+            # this task and any write parked on drain() would never end
+            transport = writer.transport
             try:
-                writer.close()
+                if self._closed or transport.get_write_buffer_size():
+                    transport.abort()
+                else:
+                    writer.close()
             except Exception:
                 pass
 
@@ -439,11 +457,19 @@ class StreamingNetwork:
 
     # -- session lifecycle (loop thread) ------------------------------------
 
+    def _spawn(self, coro: Coroutine[Any, Any, None]) -> None:
+        """Run ``coro`` as a task that ``close`` waits for."""
+        task = self._loop.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
     def _start_session(self, session: _Session) -> None:
         self._sessions.add(session)
         self.metrics.inc("stream.conn.opened")
         self.metrics.set_gauge("stream.conn.open", float(len(self._sessions)))
-        session.task = self._loop.create_task(self._process(session))
+        self._spawn(self._process(session))
+        if self._closed:  # accepted while the network closes: close() waits on it
+            self._close_session(session, "network closed")
 
     def _close_session(self, session: _Session, reason: str) -> None:
         if session.closed:
@@ -451,8 +477,7 @@ class StreamingNetwork:
         session.closed = True
         self._sessions.discard(session)
         self.metrics.set_gauge("stream.conn.open", float(len(self._sessions)))
-        if session.task is not None:
-            session.task.cancel()
+        session.queue.put_nowait(None)
         session.on_close(reason)
 
     def _close_session_threadsafe(self, session: _Session, reason: str) -> None:
@@ -467,7 +492,7 @@ class StreamingNetwork:
         reply = pack_stream_record(
             STREAM_KIND_MSG, encode_message("error", reason=reason)
         )
-        self._loop.create_task(self._finish_shed(session, reply, reason))
+        self._spawn(self._finish_shed(session, reply, reason))
 
     async def _finish_shed(self, session: _Session, reply: bytes, reason: str) -> None:
         try:
@@ -477,31 +502,34 @@ class StreamingNetwork:
         self._close_session(session, reason)
 
     def _start_watchdog(self) -> None:
-        self._watchdog = self._loop.create_task(self._watch_deadlines())
-
-    async def _watch_deadlines(self) -> None:
-        """Shed connections whose in-flight record outlived the deadline."""
-        import asyncio
-
+        """Arm the deadline check; a timer handle, re-armed per tick."""
         interval = max(0.01, min(0.5, self.read_deadline_s / 4))
-        while True:
-            await asyncio.sleep(interval)
-            now = self._loop.time()
-            for session in list(self._sessions):
-                started = session.record_started_at
-                if started is not None and now - started > self.read_deadline_s:
-                    self._shed(
-                        session,
-                        f"read deadline: record incomplete after "
-                        f"{self.read_deadline_s:g}s",
-                    )
+        self._watchdog = self._loop.call_later(interval, self._watch_deadlines, interval)
+
+    def _watch_deadlines(self, interval: float) -> None:
+        """Shed connections whose in-flight record outlived the deadline."""
+        now = self._loop.time()
+        for session in list(self._sessions):
+            started = session.record_started_at
+            if started is not None and now - started > self.read_deadline_s:
+                self._shed(
+                    session,
+                    f"read deadline: record incomplete after {self.read_deadline_s:g}s",
+                )
+        self._watchdog = self._loop.call_later(interval, self._watch_deadlines, interval)
 
     # -- record processing ---------------------------------------------------
 
     async def _process(self, session: _Session) -> None:
-        """Drain one connection's records strictly in order."""
-        while True:
-            kind, payload = await session.queue.get()
+        """Drain one connection's records strictly in order.
+
+        Ends on the close sentinel (or the first record taken after a
+        close) by returning, never by cancellation, and then drops the
+        session's callbacks: no traceback pins the session, and the
+        session/client-connection pair is freed by reference counting.
+        """
+        while (item := await session.queue.get()) is not None and not session.closed:
+            kind, payload = item
             try:
                 if kind == STREAM_KIND_FRAME:
                     reply = await self._ingest(session, payload)
@@ -526,11 +554,13 @@ class StreamingNetwork:
                 record = pack_stream_record(
                     STREAM_KIND_MSG, encode_message("error", reason=str(exc))
                 )
+            if session.closed:
+                break  # closed while the handler ran: the reply has no reader
             try:
                 await session.write(record)
             except (ConnectionError, OSError):
                 self._close_session(session, "peer write failed")
-                return
+        session.write = session.on_close = None
 
     async def _dispatch_msg(self, session: _Session, payload: memoryview) -> bytes:
         with self._lock:
@@ -567,25 +597,40 @@ class StreamingNetwork:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shed every connection, stop the loop, drain the handler pool."""
+        """Shed every connection, wait for its task, stop the loop.
+
+        Every session ends on its close sentinel once its in-flight
+        handler returns; the watchdog timer is cancelled, and the TCP
+        listeners, endpoint and server tables are released, so the
+        network, its sessions and the servers registered on it are
+        freed by reference counting once the caller drops them.
+        """
+        import asyncio
+
         if self._closed:
             return
         self._closed = True
 
-        def shutdown() -> None:
+        async def shutdown() -> None:
             self._watchdog.cancel()
             for server in self._tcp_servers:
                 server.close()
+            self._tcp_servers.clear()
             for session in list(self._sessions):
                 self._close_session(session, "network closed")
+            while self._tasks:
+                await asyncio.wait(list(self._tasks))
 
         try:
-            self._call_on_loop(shutdown)
+            asyncio.run_coroutine_threadsafe(shutdown(), self._loop).result()
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(10.0)
             self._pool.shutdown(wait=True)
             self._loop.close()
+            with self._lock:
+                self._endpoints.clear()
+                self._servers.clear()
 
     def __enter__(self) -> "StreamingNetwork":
         return self

@@ -26,7 +26,8 @@ insertion order.
   indices — an ack built from them means
   *handed to the kernel* (survives process death, not power loss);
   there is no pending buffer and nothing to flush.  A batch is atomic
-  per minute: a failed append is truncated away, earlier minutes stay.
+  per minute: a failed append is truncated away (a minute it opened is
+  closed, its new file unlinked), earlier minutes stay.
 * **read** takes the minute's columns and a duplicate of its descriptor
   under the lock, then selects and reads outside it.  Segments are read
   (``os.preadv``), never file-mapped: a file mapping would be resident
@@ -48,6 +49,7 @@ insertion order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import re
@@ -172,12 +174,16 @@ class SegmentStore:
 
     # -- files ---------------------------------------------------------------
 
+    def _file(self, minute: int, suffix: str = "") -> str:
+        """The name of a minute's segment file under ``path``."""
+        return f"{self.path}.{minute:08d}.seg{suffix}"
+
     def _open(self, minute: int, suffix: str = "") -> _Segment:
         """A segment on the minute's append handle (unbuffered)."""
         try:
             if not self.path:
                 return _Segment(tempfile.TemporaryFile(buffering=0), "")
-            path = f"{self.path}.{minute:08d}.seg{suffix}"
+            path = self._file(minute, suffix)
             # "a+b" creates without truncating; a rewrite target starts empty
             return _Segment(open(path, "w+b" if suffix else "a+b", buffering=0), path)
         except OSError as exc:
@@ -313,9 +319,20 @@ class SegmentStore:
                 for i in batch.fresh_indices(strict, self._ids):
                     by_minute.setdefault(meta[i][1], []).append(i)
                 for minute, indices in by_minute.items():
-                    segment = self._segments.get(minute) or self._open(minute)
                     records = ((meta[i], batch.record_span(i)) for i in indices)
-                    self._append(segment, minute, records)
+                    segment = self._segments.get(minute)
+                    fresh = segment is None
+                    created = fresh and bool(self.path) and not os.path.exists(self._file(minute))
+                    segment = segment or self._open(minute)
+                    try:
+                        self._append(segment, minute, records)
+                    except BaseException:
+                        if fresh:  # registered by its first append only: nobody else closes it
+                            segment.file.close()
+                            if created:
+                                with contextlib.suppress(OSError):
+                                    os.unlink(segment.path)
+                        raise
                 # collected after the appends: holding the fresh list across
                 # them kept ≈ 1 MiB more heap resident (pipeline investigate)
                 return sorted(itertools.chain.from_iterable(by_minute.values()))

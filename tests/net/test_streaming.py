@@ -21,6 +21,7 @@ Three layers are pinned here:
 from __future__ import annotations
 
 import socket
+import threading
 
 import pytest
 
@@ -250,6 +251,41 @@ class TestStreamingTransport:
             "query_view", session="s", minute=0, encoded=True, area=[0, 0, 5000, 1]
         )
         assert narrow["kind"] == "view" and 0 < narrow["n"] < len(crowd)
+
+    def test_concurrent_submitters_each_get_their_own_reply(self, stack, vp_pool):
+        # records split into many chunks, pushed from several threads at
+        # once on one connection: each record's bytes must reach the
+        # parser unbroken, and in the order its reply slot was taken
+        system, net, server = stack
+        conn = net.connect(server.address, chunk_bytes=4)
+        start = threading.Barrier(len(vp_pool))
+        wrong: list[str] = []
+
+        def submitter(n: int) -> None:
+            try:
+                start.wait(10.0)
+                upload = conn.upload_frame_async(pack_vp_batch_frame([vp_pool[n]]))
+                for i in range(40):
+                    kind = f"probe-{n}-{i}"
+                    reason = conn.request(kind, timeout=10.0).get("reason", "")
+                    if reason != f"unknown kind: {kind}":
+                        wrong.append(f"{kind} got {reason!r}")
+                ack = decode_message(upload.result(10.0))
+                if ack.get("inserted") != 1:
+                    wrong.append(f"upload {n} got {ack}")
+            except Exception as exc:
+                wrong.append(f"submitter {n} raised {exc!r}")
+
+        threads = [
+            threading.Thread(target=submitter, args=(n,)) for n in range(len(vp_pool))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert wrong == []
+        assert len(system.database) == len(vp_pool)
+        assert not conn.closed
 
     def test_connect_unknown_address(self, stack):
         _, net, _ = stack

@@ -10,6 +10,7 @@ dies.
 from __future__ import annotations
 
 import errno
+import gc
 import os
 import shutil
 import signal
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -375,10 +377,19 @@ class TestShortWrite:
                 raise OSError(errno.EIO, "input/output error")
             return real_writev(fd, parts)
 
+        # the failed minute's descriptor is closed, not left to a
+        # finalizer: an unclosed-file warning is an error here
+        unraisable: list = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         monkeypatch.setattr(os, "writev", fail_second)
-        with pytest.raises(StorageError):
-            store.insert_many(early + late)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(StorageError):
+                store.insert_many(early + late)
+            gc.collect()
         monkeypatch.undo()
+        assert unraisable == []
+        assert not os.path.exists(f"{path}.00000001.seg")  # and no empty file stays
         assert ids_of(store, 0) == [vp.vp_id for vp in early]
         assert ids_of(store, 1) == [] and store.minutes() == [0]
         assert store.query(QuerySpec(minute=0, count=True)).n == 3
