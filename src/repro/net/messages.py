@@ -178,7 +178,7 @@ class FrameParser:
     resized or reused, so downstream consumers (segment appends) may
     hold the span as long as they like.  That buffer is the only place
     payload bytes land between the socket and the store's ``write`` — the
-    zero-copy property the streaming ingest benchmark asserts.
+    zero-copy property the streaming tests assert.
 
     Resource bounds are enforced *before* buffering: a header declaring
     more than ``max_payload_bytes`` (default: one full 256-VP batch

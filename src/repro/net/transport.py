@@ -5,17 +5,14 @@ payload and returns the handler's bytes response.  The network keeps a
 delivery log (addresses and sizes only — like a backbone observer) that
 privacy tests use to check what an eavesdropper could see.
 
-``latency_s`` models the last-mile round-trip of one delivery (e.g. a
-vehicle's WiFi upload hop).  It defaults to zero so functional tests are
-instant; throughput benchmarks raise it to study how the serial fabric
-compares with the worker-pool fabric in
+Delivery costs nothing but the handler's own time; the modeled
+last-mile round-trip (``latency_s``) lives on the worker-pool fabric,
 :class:`repro.net.concurrency.ThreadedNetwork`, which shares this
-``register``/``send`` contract.
+``register``/``send``/``close`` contract.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,8 +39,6 @@ class InMemoryNetwork:
     the privacy/unlinkability tests reason about.
     """
 
-    #: modeled per-delivery round-trip latency in seconds (0 = instant)
-    latency_s: float = 0.0
     _endpoints: dict[str, Endpoint] = field(default_factory=dict)
     #: (source, destination, payload_size) triples seen by the fabric
     delivery_log: list[tuple[str, str, int]] = field(default_factory=list)
@@ -69,7 +64,20 @@ class InMemoryNetwork:
         endpoint = self._endpoints.get(destination)
         if endpoint is None:
             raise NetworkError(f"no endpoint at {destination}")
-        if self.latency_s > 0.0:
-            time.sleep(self.latency_s)
         self.delivery_log.append((source, destination, len(payload)))
         return endpoint.handler(payload)
+
+    def close(self) -> None:
+        """Drop the endpoint table.
+
+        A registered handler is usually a method of the server or relay
+        that holds this network; releasing the table breaks that cycle,
+        so both are freed by reference counting once the caller drops them.
+        """
+        self._endpoints.clear()
+
+    def __enter__(self) -> "InMemoryNetwork":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -262,7 +262,7 @@ class MetricsRegistry:
     One lock guards the whole registry: every instrument operation is a
     few dict/float updates, far below the modeled latencies the stages
     measure, so finer striping would buy nothing.  ``enabled=False``
-    turns every mutation into a no-op (the benchmark's control arm).
+    turns every mutation into a no-op.
     """
 
     def __init__(self, enabled: bool = True) -> None:

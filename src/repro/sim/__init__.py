@@ -22,7 +22,6 @@ _EXPORTS = {
     "contact_intervals": ".contacts",
     "iter_minute_frames": ".stream",
     "iter_minute_vps": ".stream",
-    "iter_upload_payloads": ".stream",
     "mean_contact_time": ".contacts",
     "stream_convoy_vps": ".stream",
 }

@@ -13,11 +13,11 @@ complete, wire-eligible VP per (vehicle, minute) — each materialized on
 demand from a seed-derived :class:`~repro.core.viewdigest.VDGenerator`
 and dropped as soon as the consumer moves on.  :func:`iter_minute_frames`
 chunks that stream into zero-decode upload frames
-(:func:`~repro.net.messages.pack_vp_batch_frame`), and
-:func:`iter_upload_payloads` wraps the frames into ready-to-send
-``upload_vp_batch`` requests.  Peak memory is one frame's worth of VPs
-(``batch_vps``), independent of ``n_vehicles * minutes`` — the knob a
-load test scales into the millions.
+(:func:`~repro.net.messages.pack_vp_batch_frame`), ready to send as
+``upload_vp_batch`` requests or raw stream records.  Peak memory is one
+frame's worth of VPs (``batch_vps``), independent of
+``n_vehicles * minutes`` — the knob a load test scales into the
+millions.
 
 Determinism: every VP is a pure function of ``(seed, minute, vehicle)``
 via :func:`~repro.util.rng.derive_seed`, so two streams with the same
@@ -46,7 +46,7 @@ from repro.core.viewdigest import (
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.errors import SimulationError
 from repro.geo.geometry import Point
-from repro.net.messages import MAX_VP_BATCH, encode_message, pack_vp_batch_frame
+from repro.net.messages import MAX_VP_BATCH, pack_vp_batch_frame
 from repro.util.rng import derive_seed
 
 #: default city edge length the streamed fleet drives inside, metres
@@ -214,26 +214,3 @@ def iter_minute_frames(
     if pending:
         yield MinuteFrame(current, len(pending), pack_vp_batch_frame(pending))
 
-
-def iter_upload_payloads(
-    n_vehicles: int,
-    minutes: int,
-    seed: int = 0,
-    area_m: float = DEFAULT_AREA_M,
-    batch_vps: int = DEFAULT_BATCH_VPS,
-) -> Iterator[bytes]:
-    """Stream ready-to-send ``upload_vp_batch`` frame requests.
-
-    One encoded message per :func:`iter_minute_frames` frame, each with
-    a fresh session id (the rotating-session idiom of the anonymous
-    upload protocol).  Feed these straight into a network fabric's
-    ``send``/``send_async``.
-    """
-    for index, mf in enumerate(
-        iter_minute_frames(
-            n_vehicles, minutes, seed=seed, area_m=area_m, batch_vps=batch_vps
-        )
-    ):
-        yield encode_message(
-            "upload_vp_batch", session=f"stream-{seed}-{index}", frame=mf.frame
-        )

@@ -335,9 +335,9 @@ def encoded_body_claims_area(body: bytes, area, offset: int = 0) -> bool:
 #: process-local count of record-span byte materializations on the
 #: ingest path.  The streaming front-end's zero-copy contract — no
 #: ``bytes(...)`` copy of a record body between the socket receive
-#: buffer and the segment append — is asserted by regression tests and
-#: the streaming benchmark as "this counter did not move".  A copy on
-#: that path would report here via :func:`note_span_copies`.
+#: buffer and the segment append — is asserted by regression tests as
+#: "this counter did not move".  A copy on that path would report here
+#: via :func:`note_span_copies`.
 _span_copies = 0
 
 

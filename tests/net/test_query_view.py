@@ -77,6 +77,13 @@ class TestQueryView:
         )
         nowhere = Rect(9e5, 9e5, 9.1e5, 9.1e5)
         assert client.query_view(0, area=nowhere) == []
+        # on the wire a cold area is a view of no records: n == 0 and
+        # the empty batch frame, not an error or a missing attachment
+        area = [nowhere.x_min, nowhere.y_min, nowhere.x_max, nowhere.y_max]
+        payload = encode_message("query_view", session="s", minute=0, area=area)
+        cold = decode_message(server.handle(payload))
+        assert (cold["kind"], cold["n"]) == ("view", 0)
+        assert cold["frame"] == encode_vp_batch([])
 
     def test_trusted_filter(self, serving_stack):
         net, onion, system, server, client = serving_stack

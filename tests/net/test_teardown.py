@@ -39,6 +39,7 @@ from repro.net.messages import (
 from repro.net.onion import OnionNetwork
 from repro.net.server import ViewMapServer
 from repro.net.streaming import StreamingNetwork
+from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import counter_value
 from repro.store import SegmentStore
 from tests.conftest import run_linked_minute
@@ -123,8 +124,9 @@ def read_records(sock: socket.socket, parser: FrameParser, want: int) -> list:
     return records
 
 
-def test_a_closed_threaded_authority_is_freed_without_the_collector(no_collector):
-    net = ThreadedNetwork(workers=2)
+def assert_onion_authority_freed(net) -> None:
+    """Upload and query over onion relays on ``net``, close, and check
+    the server, system, store, network and relays are already gone."""
     onion = OnionNetwork(network=net, n_relays=4, hops=2, seed=5)
     system = ViewMapSystem(key_bits=512, seed=6, store=SegmentStore())
     server = ViewMapServer(system=system, network=net)
@@ -143,6 +145,14 @@ def test_a_closed_threaded_authority_is_freed_without_the_collector(no_collector
 
     assert alive(refs) == []
     assert repro_garbage() == []
+
+
+def test_a_closed_serial_authority_is_freed_without_the_collector(no_collector):
+    assert_onion_authority_freed(InMemoryNetwork())
+
+
+def test_a_closed_threaded_authority_is_freed_without_the_collector(no_collector):
+    assert_onion_authority_freed(ThreadedNetwork(workers=2))
 
 
 def test_a_closed_streaming_authority_is_freed_without_the_collector(

@@ -8,10 +8,11 @@ import pytest
 
 from repro.core.system import ViewMapSystem
 from repro.errors import SimulationError
-from repro.net.messages import MAX_VP_BATCH, decode_message
+from repro.net.messages import MAX_VP_BATCH, decode_message, encode_message
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
-from repro.sim import iter_minute_frames, iter_minute_vps, iter_upload_payloads
+from repro.obs.metrics import Histogram
+from repro.sim import iter_minute_frames, iter_minute_vps
 from repro.store.codec import decode_vp_batch
 
 
@@ -86,26 +87,39 @@ class TestPinnedInputs:
         )
 
 
+def upload_payloads(n_vehicles: int, minutes: int, seed: int, batch_vps: int) -> list[bytes]:
+    """One ``upload_vp_batch`` request per streamed frame, each on a fresh session."""
+    return [
+        encode_message("upload_vp_batch", session=f"stream-{seed}-{i}", frame=mf.frame)
+        for i, mf in enumerate(
+            iter_minute_frames(n_vehicles, minutes, seed=seed, batch_vps=batch_vps)
+        )
+    ]
+
+
 class TestStreamIngest:
     def test_payloads_ingest_through_the_server(self):
         net = InMemoryNetwork()
         system = ViewMapSystem(key_bits=512, seed=1)
         server = ViewMapServer(system=system, network=net)
         n_vehicles, minutes = 5, 2
-        for payload in iter_upload_payloads(n_vehicles, minutes, seed=3, batch_vps=4):
+        payloads = upload_payloads(n_vehicles, minutes, seed=3, batch_vps=4)
+        for payload in payloads:
             reply = decode_message(net.send("vehicle", server.address, payload))
             assert reply["kind"] == "batch_ack"
             assert all(reply["accepted"])
         assert len(system.database) == n_vehicles * minutes
-        assert server.metrics.snapshot()["server.upload.accepted"]["value"] == (
-            n_vehicles * minutes
-        )
+        snap = server.metrics.snapshot()
+        assert snap["server.upload.accepted"]["value"] == n_vehicles * minutes
+        # the server boundary's ingest latency: one observation per upload
+        modeled = Histogram.from_dict(snap["server.handle.upload_vp_batch.modeled_s"])
+        assert modeled.count == len(payloads)
 
     def test_replayed_stream_is_all_duplicates(self):
         net = InMemoryNetwork()
         system = ViewMapSystem(key_bits=512, seed=1)
         server = ViewMapServer(system=system, network=net)
-        payloads = list(iter_upload_payloads(3, 1, seed=9, batch_vps=3))
+        payloads = upload_payloads(3, 1, seed=9, batch_vps=3)
         for payload in payloads:
             net.send("vehicle", server.address, payload)
         for payload in payloads:  # identical bytes: every VP already stored

@@ -80,7 +80,7 @@ PLACEMENTS = {
     "anonymous": lambda path: SegmentStore(),
     "named": SegmentStore,
     "reopened": _reopened,
-    # the instrumentation-off arm of the SLO bench
+    # the store with its registry disabled
     "metrics-off": lambda path: SegmentStore(metrics=MetricsRegistry(enabled=False)),
     # the call the pipeline workloads still make: a retired kind name
     # and three placement keywords that are accepted and ignored

@@ -8,6 +8,9 @@ with exactly the non-evicted matching VPs.
 
 from __future__ import annotations
 
+import glob
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,11 @@ from repro.geo.geometry import Rect
 from repro.store import RetentionPolicy, SegmentStore, apply_retention
 from repro.store.serving import QuerySpec
 from tests.store.conftest import PLACEMENTS, build_placement, build_store, fingerprints, make_vp
+
+
+def segment_bytes(store: SegmentStore) -> int:
+    """Bytes of every file a named log keeps under its prefix."""
+    return sum(os.path.getsize(name) for name in glob.glob(f"{glob.escape(store.path)}.*"))
 
 
 class TestRetentionPolicy:
@@ -58,6 +66,36 @@ class TestApplyRetention:
         report = apply_retention(store, policy, newest_minute=0)
         assert report.overloaded == {0: 4}
         assert len(store) == 4
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_a_long_run_keeps_exactly_the_last_window(self, placement):
+        # retention advancing with ingest, on every way a caller gets
+        # the log: a run eight windows long leaves one window live, and
+        # a named log's files track that window, not the history
+        # (eviction unlinks whole segments)
+        window, per_minute, minutes = 5, 6, 40
+        policy = RetentionPolicy(window_minutes=window)
+        store = build_placement(placement)
+        evicted = peak = 0
+        for minute in range(minutes):
+            store.insert_many(
+                [
+                    make_vp(seed=minute * per_minute + i + 1, minute=minute, x0=300.0 * i)
+                    for i in range(per_minute)
+                ]
+            )
+            evicted += apply_retention(store, policy, minute).evicted
+            peak = max(peak, len(store))
+        assert store.minutes() == list(range(minutes - window, minutes))
+        assert len(store) == window * per_minute
+        assert peak <= 2 * window * per_minute
+        assert evicted == (minutes - window) * per_minute
+        if placement == "named":
+            with build_store("named") as one_window:
+                for minute in store.minutes():
+                    one_window.insert_many(store.query(QuerySpec(minute=minute)).vps)
+                assert segment_bytes(store) <= 2 * segment_bytes(one_window)
+        store.close()
 
     def test_count_by_minute_matches_population(self):
         for store in (SegmentStore(), build_store("named")):
