@@ -47,16 +47,18 @@ directory, behind a
    and investigation the network and the system are closed, and a
    fresh system (same seed and retention policy) boots over
    ``SegmentStore(path)`` behind a fresh network and server to finish
-   the remaining minutes.  The row's counters and modeled wire time are
+   the remaining minutes.  The row's counters and request count are
    the merge of both incarnations', so a ``mid`` row must equal its
    ``none`` row field for field (:func:`restart_violations`).
 
 Every row is a pure function of ``(cell axes, seed, config)``: VP
 generation, RSA keys and forgeries are all
 :func:`~repro.util.rng.derive_seed`-derived, waves are awaited before
-the next begins, and modeled (not wall) network time prices throughput
-— so ``rows_to_json`` output is byte-identical across runs and
-machines, which is what lets the baseline diff gate on exact equality.
+the next begins, and network time is priced by count — each delivered
+request costs :data:`WIRE_S_PER_REQUEST` of modeled wire time, never a
+sleep or a clock read — so ``rows_to_json`` output is byte-identical
+across runs and machines, which is what lets the baseline diff gate on
+exact equality.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ DETECTION_SIGNALS = (
 #: MAX_WATERMARK_STEP minutes of the window)
 MAX_HONEST_VP_LOSS = 0.6
 
+#: modeled wire time one delivered request costs: the row's
+#: ``modeled_wire_s`` is ``requests`` times this, the denominator of
+#: every goodput figure
+WIRE_S_PER_REQUEST = 0.005
+
 #: acceptance bound: minimum modeled goodput under attack, as a
 #: fraction of the clean control's
 MIN_THROUGHPUT_RATIO = 0.7
@@ -170,7 +177,6 @@ class CampaignGridConfig:
     n_saturated: int = 2
     window_minutes: int = 2
     max_vps_per_minute: int = 28
-    wire_latency_s: float = 0.005
     net_workers: int = 4
     site_x: float = 5_000.0
     site_y: float = 5_000.0
@@ -201,11 +207,6 @@ class CampaignGridConfig:
             raise ValidationError("honest traffic needs vehicles and witnesses")
         if self.window_minutes < 1:
             raise ValidationError("window_minutes must be >= 1")
-        if self.wire_latency_s <= 0.0:
-            raise ValidationError(
-                "wire_latency_s must be > 0: modeled wire time is the "
-                "denominator of every goodput figure"
-            )
 
     @property
     def site(self) -> Point:
@@ -245,8 +246,9 @@ class CampaignRow:
     #: retention watermark state after the run
     watermark_final: int
     clamp_engagements: int
-    #: modeled network time and the goodput it prices (honest VPs per
-    #: modeled wire second), relative to the clean control
+    #: modeled network time (``requests`` x WIRE_S_PER_REQUEST) and the
+    #: goodput it prices (honest VPs per modeled wire second), relative
+    #: to the clean control
     modeled_wire_s: float
     goodput_vps_per_s: float
     throughput_ratio: float
@@ -456,7 +458,7 @@ def _boot(
         store=SegmentStore(path),
         retention=_make_retention(retention, cfg),
     )
-    net = ThreadedNetwork(workers=cfg.net_workers, latency_s=cfg.wire_latency_s)
+    net = ThreadedNetwork(workers=cfg.net_workers)
     return system, net, ConcurrentViewMapServer(system=system, network=net)
 
 
@@ -558,12 +560,10 @@ def run_campaign_cell(
     totals.merge_snapshot(server.metrics.snapshot())
     totals.merge_snapshot(net.metrics.snapshot())
     counts = totals.snapshot()
-    wire = Histogram.from_dict(counts.get("net.deliver.modeled_s") or {})
+    requests = Histogram.from_dict(counts.get("net.deliver.wall_s") or {}).count
 
     honest_uploaded = len(honest_ids)
-    # the modeled axis sums identical declared latencies, so the float
-    # total is independent of delivery interleaving
-    modeled_wire_s = wire.sum
+    modeled_wire_s = requests * WIRE_S_PER_REQUEST
     goodput = honest_uploaded / modeled_wire_s if modeled_wire_s > 0 else 0.0
     control_retained = control.honest_retained if control else honest_retained
     control_goodput = control.goodput_vps_per_s if control else round(goodput, 6)
@@ -580,7 +580,7 @@ def run_campaign_cell(
         retention=retention,
         seed=cfg.seed,
         minutes=cfg.minutes,
-        requests=wire.count,
+        requests=requests,
         accepted=counter_value(counts, "server.upload.accepted"),
         rejected=counter_value(counts, "server.upload.rejected"),
         honest_uploaded=honest_uploaded,

@@ -42,7 +42,6 @@ def city_viewmap_stats(
     seed: int = 0,
     label: str | None = None,
     store: SegmentStore | None = None,
-    workers: int = 1,
     retention: RetentionPolicy | None = None,
 ) -> tuple[CityViewmapStats, ViewMapGraph]:
     """Simulate one minute of city traffic and build its viewmap.
@@ -50,9 +49,7 @@ def city_viewmap_stats(
     The simulated VP corpus is batch-ingested into an authority VP
     database before the viewmap is built, exercising the real ingest →
     query path.  ``store`` is the store to ingest into (default: a
-    volatile ``SegmentStore()``);
-    ``workers`` > 1 drives the ingest from that many concurrent uploader
-    threads (the stores are thread-safe).  ``retention`` replays the
+    volatile ``SegmentStore()``).  ``retention`` replays the
     ingest in minute order with the retention watermark advancing, so
     the database ends the run holding only the retained window (a
     window shorter than the trace evicts the early minutes — including
@@ -76,7 +73,7 @@ def city_viewmap_stats(
         seed=seed,
     )
     database = VPDatabase(store=store) if store is not None else VPDatabase()
-    result.ingest_concurrently(database, workers=workers, retention=retention)
+    result.ingest_into(database, retention=retention)
     vmap = build_viewmap(database.query(QuerySpec(minute=0)).vps, minute=0)
     stats = vmap.degree_stats()
     n_counts = list(result.neighbor_counts[0].values())

@@ -111,7 +111,7 @@ def _cmd_fig21(args: argparse.Namespace) -> None:
     try:
         stats, vmap = city_viewmap_stats(
             args.speed, n_vehicles=args.vehicles, area_km=args.area_km, seed=args.seed,
-            store=store, workers=args.workers, retention=retention,
+            store=store, retention=retention,
         )
         occupancy = store.stats()
     finally:
@@ -215,7 +215,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
                 snap = net.metrics.snapshot()
                 shed = max(shed, counter_value(snap, "server.upload.shed"))
         else:
-            with ThreadedNetwork(workers=max(args.workers, 1)) as net:
+            with ThreadedNetwork(workers=args.workers) as net:
                 ConcurrentViewMapServer(system=system, network=net, address="authority")
                 futures = [
                     net.send_async(
@@ -241,6 +241,14 @@ def _cmd_stream(args: argparse.Namespace) -> None:
         f"{elapsed:.2f}s — {inserted} inserted, {shed} shed, "
         f"{total} stored in {args.store_path or 'anonymous segments'}"
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 #: every flag a command may declare, by name: its argparse keywords
@@ -275,9 +283,10 @@ FLAGS: dict[str, dict] = {
         "advances (0 = keep everything)",
     ),
     "--workers": dict(
-        type=int,
+        type=_positive_int,
         default=1,
-        help="concurrent uploader threads driving ingest (1 = serial)",
+        help="threaded: fabric worker threads; streaming: held "
+        "connections (at most 64)",
     ),
     "--campaigns-json": dict(
         type=str,
@@ -333,7 +342,7 @@ COMMANDS = {
         _cmd_fig21,
         "build and render a traffic-derived viewmap",
         "--seed --vehicles --area-km --speed --out --store-path --metrics-json "
-        "--retention-minutes --workers",
+        "--retention-minutes",
     ),
     "privacy": (
         _cmd_privacy,

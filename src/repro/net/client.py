@@ -73,9 +73,8 @@ class VehicleClient:
         """One anonymous request over a fresh circuit (rotated session).
 
         The single timing point of the client: every request's RTT —
-        circuit build, fabric delivery (including any modeled network
-        latency, which the sleeps fold into wall time), server handling
-        and the reply — lands in the ``client.rtt.<kind>`` histogram.
+        circuit build, fabric delivery, server handling and the reply —
+        lands in the ``client.rtt.<kind>`` histogram.
         """
         with stage_timer(self.metrics, f"client.rtt.{kind}"):
             circuit = self.onion.build_circuit()

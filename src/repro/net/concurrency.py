@@ -10,8 +10,8 @@ top of the same ``register``/``send`` contract:
   across a bounded worker pool.  ``send`` blocks for the reply (so every
   existing client works unchanged) while ``send_async`` returns a future,
   letting one caller keep many requests in flight.  Requests overlap
-  wherever the work releases the GIL: the modeled last-mile latency,
-  segment appends and reads, and hashing.
+  wherever the work releases the GIL: segment appends and reads, and
+  hashing.
 * ``ConcurrentViewMapServer`` — an alias of
   :class:`~repro.net.server.ViewMapServer`, whose session log, retention
   pass and control-plane handlers are lock-guarded on every fabric.
@@ -51,16 +51,13 @@ class ThreadedNetwork:
     def __init__(
         self,
         workers: int = DEFAULT_WORKERS,
-        latency_s: float = 0.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if workers < 1:
             raise NetworkError("a threaded network needs at least one worker")
         self.workers = workers
-        #: modeled per-delivery round-trip latency in seconds (0 = instant)
-        self.latency_s = latency_s
-        #: per-delivery latency (``net.deliver``, modeled axis =
-        #: ``latency_s``) and pool queue-wait (``net.queue_wait_s``)
+        #: per-delivery wall time (``net.deliver``) and pool queue-wait
+        #: (``net.queue_wait_s``)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: (source, destination, payload_size) triples seen by the fabric
         self.delivery_log: list[tuple[str, str, int]] = []
@@ -98,17 +95,14 @@ class ThreadedNetwork:
     def _deliver(self, source: str, destination: str, payload: bytes) -> bytes:
         """Run one delivery on the current thread (worker or caller).
 
-        One delivery is one ``net.deliver`` observation: the modeled
-        axis is the declared ``latency_s`` (the last-mile model), the
-        wall axis additionally carries the handler's own time.
+        One delivery is one ``net.deliver`` observation: the handler's
+        own wall time.
         """
         with self._lock:
             endpoint = self._endpoints.get(destination)
         if endpoint is None:
             raise NetworkError(f"no endpoint at {destination}")
-        with stage_timer(self.metrics, "net.deliver", modeled_s=self.latency_s):
-            if self.latency_s > 0.0:
-                time.sleep(self.latency_s)
+        with stage_timer(self.metrics, "net.deliver"):
             with self._lock:
                 self.delivery_log.append((source, destination, len(payload)))
             return endpoint.handler(payload)

@@ -115,10 +115,7 @@ class ViewMapServer:
     #: session ids observed per request kind (for unlinkability tests)
     session_log: list[tuple[str, str]] = field(default_factory=list)
     #: per-kind handler latency histograms (``server.handle.<kind>``)
-    #: and upload accept/reject counters.  The handler declares no
-    #: modeled contributions of its own, so the modeled axis equals
-    #: wall time — which already folds in every modeled sleep (network
-    #: delivery) taken within the handler's extent
+    #: and upload accept/reject counters
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: kind -> handler, called as ``handler(self, message)``; filled in
     #: below the class, shared by every server

@@ -5,9 +5,8 @@ payload and returns the handler's bytes response.  The network keeps a
 delivery log (addresses and sizes only — like a backbone observer) that
 privacy tests use to check what an eavesdropper could see.
 
-Delivery costs nothing but the handler's own time; the modeled
-last-mile round-trip (``latency_s``) lives on the worker-pool fabric,
-:class:`repro.net.concurrency.ThreadedNetwork`, which shares this
+Delivery costs nothing but the handler's own time.  The worker-pool
+fabric, :class:`repro.net.concurrency.ThreadedNetwork`, shares this
 ``register``/``send``/``close`` contract.
 """
 

@@ -2,7 +2,7 @@
 
 Per-stage latency histograms with bounded-error percentiles, counters
 and gauges in a thread-safe :class:`MetricsRegistry`, and the
-:func:`stage_timer` modeled-vs-wall timing idiom.  Every layer of the
+:func:`stage_timer` wall-clock timing idiom.  Every layer of the
 stack — client, server, network fabric, the store — keeps a registry
 and exposes it through ``stats()`` or a ``metrics`` attribute.
 """
@@ -13,7 +13,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    StageTimer,
     counter_value,
     snapshot_percentiles,
     stage_timer,
@@ -25,7 +24,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "StageTimer",
     "counter_value",
     "snapshot_percentiles",
     "stage_timer",

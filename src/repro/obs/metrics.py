@@ -22,13 +22,10 @@ measurement-first spirit the systems literature argues for:
   A registry constructed with ``enabled=False`` turns every record
   into a no-op, so benchmarks can price the instrumentation itself.
 * :func:`stage_timer` — the one instrumentation idiom used everywhere:
-  wraps a stage, records wall time into ``<stage>.wall_s`` and
-  *modeled* time into ``<stage>.modeled_s``.  Modeled time is the sum
-  of declared contributions (a fabric's ``latency_s``) — the costs
-  the single-CPU container simulates with real sleeps — falling back
-  to wall time when a stage declares none.  Percentiles over modeled
-  time are machine-independent; percentiles over wall time price the
-  implementation.
+  wraps a stage and records its wall time into ``<stage>.wall_s``.
+  Time is measured, never modeled: nothing in the stack sleeps to
+  simulate a cost, and a cost that is only modeled (the campaign
+  grid's wire time) is counted, not timed.
 """
 
 from __future__ import annotations
@@ -98,7 +95,7 @@ class Histogram:
 
     A positive value ``v`` lands in bucket ``floor(log(v) / log(growth))``
     — bucket ``i`` covers ``[growth**i, growth**(i+1))``.  Non-positive
-    values (a zero-length modeled stage) are counted in a dedicated zero
+    values (a zero-length stage) are counted in a dedicated zero
     bucket.  The quantile estimator walks cumulative bucket counts to
     the requested order statistic's bucket and answers with the bucket's
     geometric midpoint, clamped to the observed ``[min, max]`` — so the
@@ -260,8 +257,8 @@ class MetricsRegistry:
     """Thread-safe name -> instrument map with mergeable snapshots.
 
     One lock guards the whole registry: every instrument operation is a
-    few dict/float updates, far below the modeled latencies the stages
-    measure, so finer striping would buy nothing.  ``enabled=False``
+    few dict/float updates, far below the stage latencies it
+    measures, so finer striping would buy nothing.  ``enabled=False``
     turns every mutation into a no-op.
     """
 
@@ -364,49 +361,17 @@ def snapshot_percentiles(snap: dict) -> dict:
     return out
 
 
-class StageTimer:
-    """The handle a ``stage_timer`` block uses to declare modeled time."""
-
-    __slots__ = ("modeled_s", "declared")
-
-    def __init__(self) -> None:
-        self.modeled_s = 0.0
-        self.declared = False
-
-    def add_modeled(self, seconds: float) -> None:
-        """Declare a modeled contribution (a fabric's ``latency_s``)."""
-        self.modeled_s += seconds
-        self.declared = True
-
-
 @contextmanager
-def stage_timer(
-    registry: MetricsRegistry | None,
-    stage: str,
-    modeled_s: float | None = None,
-) -> Iterator[StageTimer]:
-    """Time one stage into ``<stage>.wall_s`` and ``<stage>.modeled_s``.
+def stage_timer(registry: MetricsRegistry | None, stage: str) -> Iterator[None]:
+    """Time one stage's ``perf_counter`` span into ``<stage>.wall_s``.
 
-    Wall time is the block's ``perf_counter`` span.  Modeled time is the
-    sum of declared contributions — ``modeled_s`` up front and/or
-    ``timer.add_modeled(...)`` inside the block — the latencies the
-    deployment simulates with real sleeps.  A stage that declares no
-    modeled cost records its wall time as modeled too (on a single-CPU
-    container wall already *includes* the sleeps, so the fallback is
-    the honest upper bound).  ``registry=None`` or a disabled registry
-    records nothing.
+    ``registry=None`` or a disabled registry records nothing.
     """
-    timer = StageTimer()
-    if modeled_s:
-        timer.add_modeled(modeled_s)
-    enabled = registry is not None and registry.enabled
-    start = time.perf_counter() if enabled else 0.0
+    if registry is None or not registry.enabled:
+        yield
+        return
+    start = time.perf_counter()
     try:
-        yield timer
+        yield
     finally:
-        if enabled:
-            wall = time.perf_counter() - start
-            registry.observe(f"{stage}.wall_s", wall)
-            registry.observe(
-                f"{stage}.modeled_s", timer.modeled_s if timer.declared else wall
-            )
+        registry.observe(f"{stage}.wall_s", time.perf_counter() - start)

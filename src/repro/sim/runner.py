@@ -57,91 +57,28 @@ class SimulationResult:
         """Every VP (actual + guard) across all minutes."""
         return [vp for vps in self.vps_by_minute.values() for vp in vps]
 
-    def ingest_into(self, database) -> int:
+    def ingest_into(self, database, retention=None) -> int:
         """Batch-insert every produced VP into a VP database (or store).
 
-        Uses the ``insert_many`` batch path one minute at a time — the
-        same shape a city-scale authority sees from batched uploads —
-        and returns how many VPs were newly stored.  ``database`` is
-        anything exposing ``insert_many`` (``VPDatabase`` or a raw
+        One ``insert_many`` per minute, in minute order — the same shape
+        a city-scale authority sees from batched uploads — returning how
+        many VPs were newly stored.  ``database`` is anything exposing
+        ``insert_many`` and ``evict_before`` (``VPDatabase`` or a raw
         ``SegmentStore``).
-        """
-        return sum(
-            database.insert_many(self.vps_by_minute[minute])
-            for minute in sorted(self.vps_by_minute)
-        )
-
-    def ingest_concurrently(self, database, workers: int = 4, retention=None) -> int:
-        """Batch-insert every produced VP with N concurrent uploaders.
-
-        Replays the corpus through the same ``insert_many`` batch path
-        as :meth:`ingest_into`, but from a pool of ``workers`` threads —
-        the shape a city-scale authority sees when a fleet uploads over
-        WiFi simultaneously.  Each minute's output is split into enough
-        chunks that all workers stay busy even when the trace covers few
-        minutes.  ``database`` must be thread-safe (``SegmentStore`` and
-        :class:`~repro.core.database.VPDatabase` over one are).
-        Returns how many VPs were newly stored; the stored population is
-        identical to the serial path, though per-minute insertion order
-        may interleave differently.
 
         ``retention`` (a :class:`~repro.store.lifecycle.RetentionPolicy`)
-        turns the replay into a *live* long-run: minutes are replayed in
-        wall-clock order and after each one the retention watermark
-        advances — eviction runs concurrently with the next minute's
-        uploads, exactly the steady state of a long-lived authority.
-        The store then ends the run holding only the retained window
-        (trusted VPs excepted when the policy pins them).
+        turns the replay into a long run: after each minute the database
+        evicts everything below ``retention.cutoff(minute)`` (trusted
+        VPs excepted when the policy pins them), so the run ends holding
+        only the retained window.
         """
-        minutes = sorted(self.vps_by_minute)
-        if (workers <= 1 and retention is None) or not minutes:
-            return self.ingest_into(database)
-        workers = max(workers, 1)
-        insert = database.insert_many
-        from concurrent.futures import ThreadPoolExecutor
-
-        def minute_batches(minute: int, n_chunks: int) -> list[list[ViewProfile]]:
-            vps = self.vps_by_minute[minute]
-            if not vps:  # defaultdict reads can leave empty minutes behind
-                return []
-            n_chunks = min(n_chunks, len(vps))
-            size = -(-len(vps) // n_chunks)
-            return [vps[s : s + size] for s in range(0, len(vps), size)]
-
-        if retention is None:
-            # no watermark to order by: every minute's chunks fly at once
-            chunks_per_minute = -(-workers // len(minutes))  # ceil division
-            batches = [
-                b for minute in minutes for b in minute_batches(minute, chunks_per_minute)
-            ]
-            if not batches:
-                return 0
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(batches)),
-                thread_name_prefix="repro-ingest",
-            ) as pool:
-                futures = [pool.submit(insert, b) for b in batches]
-                return sum(f.result() for f in futures)
-
         inserted = 0
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-ingest"
-        ) as pool:
-            eviction = None
-            for minute in minutes:
-                futures = [
-                    pool.submit(insert, b) for b in minute_batches(minute, workers)
-                ]
-                inserted += sum(f.result() for f in futures)
-                if eviction is not None:
-                    eviction.result()  # previous minute's pass, overlapped
-                eviction = pool.submit(
-                    database.evict_before,
-                    retention.cutoff(minute),
-                    keep_trusted=retention.pin_trusted,
+        for minute in sorted(self.vps_by_minute):
+            inserted += database.insert_many(self.vps_by_minute[minute])
+            if retention is not None:
+                database.evict_before(
+                    retention.cutoff(minute), keep_trusted=retention.pin_trusted
                 )
-            if eviction is not None:
-                eviction.result()
         return inserted
 
     def actual_vps(self, minute: int) -> list[ViewProfile]:

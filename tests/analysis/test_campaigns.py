@@ -59,7 +59,7 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             CampaignGridConfig(minutes=3, attack_minute=3)
         with pytest.raises(ValidationError):
-            CampaignGridConfig(wire_latency_s=0.0)
+            CampaignGridConfig(window_minutes=0)
 
     def test_rejects_unknown_cell_axes(self):
         cfg = tiny_config()

@@ -6,8 +6,9 @@ claims spelled out cell by cell: fake-VP solicitation stays at zero
 with or without an authority restart, a restarted row equals its
 uninterrupted twin, far-future poisoning cannot push the retention
 watermark past the clamp bound, honest-VP loss under the worst campaign
-stays within the documented budget, and modeled goodput under attack
-keeps at least 70% of the clean control's.  A hypothesis property then
+stays within the documented budget, modeled wire time is priced by
+request count, and modeled goodput under attack keeps at least 70% of
+the clean control's.  A hypothesis property then
 pins full-grid determinism: the same seed and config produce
 byte-identical serialized rows.
 """
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from repro.analysis.campaigns import (
     MAX_HONEST_VP_LOSS,
     MIN_THROUGHPUT_RATIO,
+    WIRE_S_PER_REQUEST,
     CampaignGridConfig,
     restart_violations,
     row_invariant_violations,
@@ -132,6 +134,12 @@ class TestPerCellInvariants:
                 assert row.throughput_ratio == 1.0
             else:
                 assert row.throughput_ratio >= MIN_THROUGHPUT_RATIO
+
+    def test_wire_time_is_priced_by_request_count(self, retention_grid):
+        _, rows = retention_grid
+        for row in rows:
+            assert row.modeled_wire_s == round(row.requests * WIRE_S_PER_REQUEST, 6)
+            assert "net.deliver.modeled_s" not in row.to_dict()
 
     def test_concentration_flood_trips_the_population_monitor(self, retention_grid):
         _, rows = retention_grid

@@ -171,7 +171,7 @@ def test_a_fleet_burst_lands_whole_on_every_fabric(fabric, placement):
         stored = [vp.vp_id for m in store.minutes() for vp in store.query(QuerySpec(minute=m)).vps]
         assert len(stored) == len(store) == len(ids)
         assert set(stored) == ids
-        handled = server.metrics.snapshot()[f"server.handle.{stage}.modeled_s"]
+        handled = server.metrics.snapshot()[f"server.handle.{stage}.wall_s"]
         assert Histogram.from_dict(handled).count == len(frames)
         inserts = store.stats().detail["metrics"]["store.insert.wall_s"]
         assert Histogram.from_dict(inserts).count == len(frames)

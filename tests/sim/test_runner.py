@@ -78,7 +78,7 @@ class TestLinkageRealism:
         assert vmap.graph.has_edge(a.vp_id, b.vp_id)
 
 
-class TestConcurrentIngest:
+class TestIngestInto:
     def _fabricated_result(self, n_minutes=2, per_minute=6):
         from repro.sim.runner import SimulationResult
         from tests.store.conftest import make_vp
@@ -93,51 +93,29 @@ class TestConcurrentIngest:
                 seed += 1
         return result
 
-    def test_concurrent_matches_serial_population(self):
-        from repro.store import SegmentStore
-
-        result = self._fabricated_result()
-        serial, threaded = SegmentStore(), SegmentStore()
-        assert result.ingest_into(serial) == result.ingest_concurrently(
-            threaded, workers=4
-        )
-        assert len(serial) == len(threaded) == 12
-        for minute in serial.minutes():
-            assert {vp.vp_id for vp in serial.query(QuerySpec(minute=minute)).vps} == {
-                vp.vp_id for vp in threaded.query(QuerySpec(minute=minute)).vps
-            }
-
-    def test_workers_exceeding_minutes_still_ingests_all(self):
-        from repro.store import SegmentStore
-
-        result = self._fabricated_result(n_minutes=1, per_minute=8)
-        store = SegmentStore()
-        assert result.ingest_concurrently(store, workers=8) == 8
-        assert len(store) == 8
-
     def test_empty_minute_from_defaultdict_read_is_harmless(self):
         from repro.store import SegmentStore
 
         result = self._fabricated_result(n_minutes=1, per_minute=3)
         result.vps_by_minute[7]  # defaultdict read leaves an empty minute
         store = SegmentStore()
-        assert result.ingest_concurrently(store, workers=4) == 3
+        assert result.ingest_into(store) == 3
         assert len(store) == 3
 
     def test_no_vps_at_all(self):
         from repro.sim.runner import SimulationResult
-        from repro.store import SegmentStore
+        from repro.store import RetentionPolicy, SegmentStore
 
-        assert SimulationResult().ingest_concurrently(SegmentStore(), workers=4) == 0
+        assert SimulationResult().ingest_into(SegmentStore()) == 0
+        policy = RetentionPolicy(window_minutes=2)
+        assert SimulationResult().ingest_into(SegmentStore(), retention=policy) == 0
 
     def test_retention_replay_keeps_only_the_window(self):
         from repro.store import RetentionPolicy, SegmentStore
 
         result = self._fabricated_result(n_minutes=4, per_minute=5)
         store = SegmentStore()
-        inserted = result.ingest_concurrently(
-            store, workers=4, retention=RetentionPolicy(window_minutes=2)
-        )
+        inserted = result.ingest_into(store, retention=RetentionPolicy(window_minutes=2))
         assert inserted == 20  # every VP passed through the store...
         assert store.minutes() == [2, 3]  # ...but only the window remains
         assert len(store) == 10
@@ -146,13 +124,11 @@ class TestConcurrentIngest:
                 vp.vp_id for vp in result.vps_by_minute[minute]
             }
 
-    def test_retention_replay_with_single_worker(self):
+    def test_retention_replay_with_a_one_minute_window(self):
         from repro.store import RetentionPolicy, SegmentStore
 
         result = self._fabricated_result(n_minutes=3, per_minute=4)
         store = SegmentStore()
-        inserted = result.ingest_concurrently(
-            store, workers=1, retention=RetentionPolicy(window_minutes=1)
-        )
+        inserted = result.ingest_into(store, retention=RetentionPolicy(window_minutes=1))
         assert inserted == 12
         assert store.minutes() == [2]

@@ -112,8 +112,8 @@ class TestStreamIngest:
         snap = server.metrics.snapshot()
         assert snap["server.upload.accepted"]["value"] == n_vehicles * minutes
         # the server boundary's ingest latency: one observation per upload
-        modeled = Histogram.from_dict(snap["server.handle.upload_vp_batch.modeled_s"])
-        assert modeled.count == len(payloads)
+        handled = Histogram.from_dict(snap["server.handle.upload_vp_batch.wall_s"])
+        assert handled.count == len(payloads)
 
     def test_replayed_stream_is_all_duplicates(self):
         net = InMemoryNetwork()

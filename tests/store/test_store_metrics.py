@@ -41,7 +41,6 @@ def test_each_write_call_is_one_insert_observation(path):
         store.insert_encoded(encode_vp_batch(vps_over_minutes(4, base_seed=200)))
         snap = store.metrics.snapshot()
         assert count(snap, "store.insert.wall_s") == 3
-        assert count(snap, "store.insert.modeled_s") == 3  # nothing modeled: wall again
 
 
 def test_evictions_and_reads_are_timed(path):

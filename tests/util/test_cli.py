@@ -57,7 +57,7 @@ class TestCommands:
         assert main([
             "fig21", "--vehicles", "12", "--area-km", "1.5",
             "--store-path", str(tmp_path / "log"),
-            "--retention-minutes", "5", "--workers", "2",
+            "--retention-minutes", "5",
         ]) == 0
         out = capsys.readouterr().out
         assert f"store: {tmp_path / 'log'} (" in out and "2 minutes" in out
@@ -78,6 +78,7 @@ class TestCommands:
             ["campaigns", "--grid-backends", "memory"],
             ["campaigns", "--store-path", "log"],
             ["stream", "--retention-minutes", "1"],
+            ["fig21", "--workers", "2"],
         ],
     )
     def test_a_command_declares_only_the_flags_it_reads(self, argv, capsys):
@@ -98,6 +99,14 @@ class TestCommands:
             "stream", "--vehicles", "6", "--minutes", "2", "--workers", "2",
         ]) == 0
         assert "12 inserted, 0 shed, 12 stored in anonymous segments" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("transport", ["threaded", "streaming"])
+    def test_stream_rejects_fewer_than_one_worker(self, transport, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--transport", transport, "--workers", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers: must be >= 1" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--group-commit-rows", "--slo-p99-ms"])
     def test_group_commit_flags_are_gone(self, flag, capsys):
