@@ -16,7 +16,7 @@ receiver can re-derive hash inputs exactly from the wire bytes.
 
 from __future__ import annotations
 
-import math
+import hashlib
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from repro.constants import (
     VP_ID_BYTES,
     VP_SECRET_BYTES,
 )
-from repro.crypto.hashing import chain_step, digest16
+from repro.crypto.hashing import CHAIN_META_DTYPE, chain_step, digest16
 from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Point
 from repro.util.encoding import (
@@ -79,36 +79,57 @@ def packed_columns(block: bytes | memoryview) -> np.ndarray:
     return np.frombuffer(block, dtype=PACKED_DIGEST_DTYPE)
 
 
-def packed_block_defect(fields: np.ndarray) -> str | None:
-    """Why these packed digests cannot be one VP's, or ``None``.
+def packed_block_defect(fields: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """Why blocks of packed digests cannot be VPs: one ordered rule table.
 
-    The rules :class:`ViewDigest` and the ``ViewProfile`` constructor
-    enforce digest by digest, over the columns of a whole block; the
-    caller raises the error class of its own call site.
+    ``fields`` holds blocks along its last axis — one VP's ``(n,)``
+    digests, or an upload frame's ``(count, n)`` — and each rule is a
+    ``(broken, message)`` pair, ``broken`` a mask of shape
+    ``fields.shape[:-1]``.  These are the rules :class:`ViewDigest` and
+    the ``ViewProfile`` constructor enforce digest by digest; a block's
+    defect is the message of the first rule it breaks, and the caller
+    raises the error class of its own call site.  No rule warns,
+    whatever the digests hold.
     """
-    if not len(fields):
-        return "a view profile needs at least one digest"
-    seconds = fields["second_index"]
-    if not 1 <= seconds.min() <= seconds.max() <= VIDEO_UNIT_SECONDS:
-        return f"second index must be 1..{VIDEO_UNIT_SECONDS}"
-    vp_ids = fields["vp_id"]
-    if vp_ids.tobytes() != vp_ids[0].tobytes() * len(fields):
-        return "all digests in a VP must share one R value"
-    if (seconds[1:] <= seconds[:-1]).any():
-        return "VP digests must have increasing second indices"
-    location = fields["location"]
-    (x_min, y_min), (x_max, y_max) = location.min(axis=0).tolist(), location.max(axis=0).tolist()
-    width, height = x_max - x_min, y_max - y_min
-    if not (np.isfinite(fields["t"]).all() and math.isfinite(width + height)):
+    if not fields.shape[-1]:
+        return [(np.ones(fields.shape[:-1], dtype=bool), _EMPTY)]
+    # native copies of the columns the rules read: every reduction below
+    # then runs over plain memory, not byte-swapped strided rows
+    seconds = fields["second_index"].astype(np.int64)
+    ids = fields["vp_id"].view(np.uint64)
+    x = fields["location"][..., 0].astype(np.float64)
+    y = fields["location"][..., 1].astype(np.float64)
+    x_min, x_max, y_min, y_max = _min(x, -1), _max(x, -1), _min(y, -1), _max(y, -1)
+    # finite iff every time and position is: NaN propagates, an infinity
+    # stays one, and no finite sum of these overflows
+    reach = _max(np.abs(fields["t"].astype(np.float64)), -1)
+    reach = reach + abs(x_min) + abs(x_max) + abs(y_min) + abs(y_max)
+    return [
+        # read unsigned, a second of 0 wraps past the top as well
+        (_max((seconds - 1).view(np.uint64), -1) >= VIDEO_UNIT_SECONDS, _SECOND_RANGE),
+        (_any(ids != ids[..., :1, :], (-2, -1)), "all digests in a VP must share one R value"),
+        (
+            _any(seconds[..., 1:] <= seconds[..., :-1], -1),
+            "VP digests must have increasing second indices",
+        ),
         # NaN/Inf would sail through min/max into the spatial index and
-        # time arrays — poison, not data (either reaches a box corner,
-        # and no finite extent has one)
-        return "VP digests carry non-finite time/location"
-    if width > MAX_VP_EXTENT_M or height > MAX_VP_EXTENT_M:
-        # 10 km in one minute is not a drive; and the viewmap's pair
-        # search keys grid cells over all of a minute's positions
-        return f"VP positions span more than {MAX_VP_EXTENT_M:.0f} m along one axis"
-    return None
+        # time arrays — poison, not data
+        ((reach != reach) | (reach == np.inf), "VP digests carry non-finite time/location"),
+        (
+            # 10 km in one minute is not a drive; and the viewmap's pair
+            # search keys grid cells over all of a minute's positions.
+            # ``max > min + extent`` is ``max - min > extent`` for
+            # float32 values, without an inf - inf on poisoned rows
+            (x_max > x_min + MAX_VP_EXTENT_M) | (y_max > y_min + MAX_VP_EXTENT_M),
+            _EXTENT,
+        ),
+    ]
+
+
+_min, _max, _any = np.minimum.reduce, np.maximum.reduce, np.logical_or.reduce
+_EMPTY = "a view profile needs at least one digest"
+_SECOND_RANGE = f"second index must be 1..{VIDEO_UNIT_SECONDS}"
+_EXTENT = f"VP positions span more than {MAX_VP_EXTENT_M:.0f} m along one axis"
 
 
 def write_packed_rows(
@@ -143,10 +164,24 @@ def packed_chain_heads(
     fields: np.ndarray, head: bytes, chunks: Sequence[bytes]
 ) -> Iterator[bytes]:
     """Replay the cascaded chain from ``head`` over the (T, L, F) columns
-    of packed digests and one content chunk each: ``H_ui``, second by second."""
-    metas = zip(fields["t"].tolist(), fields["location"].tolist(), fields["file_size"].tolist())
-    for (t, location, file_size), chunk in zip(metas, chunks):
-        head = chain_step(t, location, file_size, head, chunk)
+    of packed digests and one content chunk each: ``H_ui``, second by second.
+
+    Every second's ``T | L | F`` is packed up front into one column of
+    :data:`~repro.crypto.hashing.CHAIN_META_DTYPE` records — the layout
+    :func:`chain_step` packs one second at a time — so the loop only
+    hashes.  Lazy: a caller that stops at a mismatch hashes no further.
+    """
+    meta = np.empty(len(fields), dtype=CHAIN_META_DTYPE)
+    meta["t"] = fields["t"]
+    meta["x"] = fields["location"][:, 0]
+    meta["y"] = fields["location"][:, 1]
+    meta["file_size"] = fields["file_size"]
+    sha256 = hashlib.sha256
+    for second, chunk in zip(meta.view(f"V{meta.itemsize}").tolist(), chunks):
+        h = sha256(second)
+        h.update(head)
+        h.update(chunk)
+        head = h.digest()[:HASH_BYTES]
         yield head
 
 
@@ -363,7 +398,8 @@ class VDGenerator:
         first = self._claim(len(chunks))
         if not chunks:
             return
-        sizes = np.cumsum([len(chunk) for chunk in chunks]) + self._file_size
+        lengths = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+        sizes = lengths.cumsum() + self._file_size
         rows = write_packed_rows(self._block, first, self.vp_id, times, positions, sizes)
         heads = b"".join(packed_chain_heads(rows, self._head, chunks))
         rows["chain_hash"] = np.frombuffer(heads, dtype=np.uint8).reshape(-1, HASH_BYTES)

@@ -56,9 +56,9 @@ class ViewProfile:
             block = digests.block
         else:  # the VP owns its block: the caller's list is read once, here
             block = b"".join([vd.pack() for vd in digests])
-        defect = packed_block_defect(packed_columns(block))
-        if defect:
-            raise ValidationError(defect)
+        for broken, message in packed_block_defect(packed_columns(block)):
+            if broken:
+                raise ValidationError(message)
         self._block = block
         self.bloom = bloom
         self.trusted = trusted

@@ -17,12 +17,24 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.constants import HASH_BYTES
 from repro.errors import DigestChainError
 
 #: ``T_ui | L_ui | F_ui`` as a chain step hashes them: 32 bytes, the
 #: location as two float64 (of values already rounded to float32)
 _CHAIN_META = struct.Struct(">dddQ")
+
+#: the same layout as one numpy record, built from the same format
+#: string: a run of seconds packs into one column of these, whose
+#: ``itemsize`` slices are byte-for-byte what :func:`chain_step` packs
+CHAIN_META_DTYPE = np.dtype(
+    [
+        (name, ">" + code)
+        for name, code in zip(("t", "x", "y", "file_size"), _CHAIN_META.format[1:])
+    ]
+)
 
 
 def digest16(*parts: bytes) -> bytes:

@@ -15,7 +15,9 @@ VP is a frame of one.
 — framing integrity, batch size, body sizes, no trusted claims, every
 body policed in place — and returns the one
 :class:`~repro.store.codec.Batch` the store writes, so the authority
-never decodes a digest.
+never decodes a digest.  Its records have a fixed 4640-byte stride, so
+it makes one pass over the frame's columns: each rule is one mask over
+every record, and the first record breaking one is reported.
 
 Handlers read request fields through :func:`message_field`: a missing
 or wrong-typed field is a :class:`ValidationError`, hence an ``error``
@@ -29,19 +31,25 @@ import math
 import struct
 from typing import Any
 
-from repro.constants import VIDEO_UNIT_SECONDS
+import numpy as np
+
+from repro.constants import VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS, VP_ID_BYTES
+from repro.core.viewdigest import packed_block_defect
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Rect
 from repro.store.codec import (
+    COMPLETE_RECORD_DTYPE,
+    FLAG_TRUSTED,
     FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
+    VP_BATCH_VERSION,
+    VP_BLOB_VERSION,
     Batch,
     encode_vp_batch,
     encoded_body_bytes,
     frame_count,
-    verify_encoded_body,
 )
 from repro.store.serving import QuerySpec
 
@@ -53,6 +61,9 @@ MAX_VP_BATCH = 256
 #: exact body size of a complete 60-digest VP inside a batch frame —
 #: the only record shape an upload frame may carry
 FRAME_BODY_BYTES = encoded_body_bytes(VIDEO_UNIT_SECONDS)
+
+#: the digest block inside such a body
+_FRAME_BLOCK_BYTES = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
 
 
 def pack_vp_batch_frame(vps: list[ViewProfile]) -> bytes:
@@ -81,57 +92,152 @@ def unpack_vp_batch_frame(frame: bytes | memoryview) -> Batch:
     """Validate one uploaded batch frame without decoding a VP body.
 
     Returns the frame as the :class:`~repro.store.codec.Batch` the
-    store writes, from its one metadata walk.  Every rejection —
-    damaged framing, a record count that disagrees with the bytes
-    present, an oversized batch, a non-finite or inverted bounding box,
-    a body that is not exactly one complete 60-digest VP, a
-    trusted-flag claim — is a clean :class:`ValidationError` before a
-    single record is ingested.  Each body is policed in place on its
-    record span by :func:`verify_encoded_body` (blob geometry, digest
-    keys matching the sidecar ``vp_id``, increasing seconds, the
-    claimed minute): everything a later read would enforce holds by
-    byte inspection, so a stored body can always be decoded — without
-    this path ever materializing a :class:`ViewProfile`.
+    store writes.  Every rejection — damaged framing, a record count
+    that disagrees with the bytes present, an oversized batch, a
+    non-finite or inverted bounding box, a body that is not exactly one
+    complete 60-digest VP, a trusted-flag claim — is a clean
+    :class:`ValidationError` before a single record is ingested.
+
+    A frame of complete VPs has a fixed record stride, so it is read as
+    one array of records and each rule (:func:`_record_rules`) is one
+    mask over all of them: everything a later read would enforce holds
+    by byte inspection, so a stored body can always be decoded —
+    without this path ever materializing a :class:`ViewProfile`.  The
+    first record breaking a rule is reported, with the first rule it
+    breaks.  A frame of any other length is walked by
+    :func:`~repro.store.codec.iter_encoded_meta`, the one framing
+    validator, which rejects it or finds the first record that is not
+    a complete VP.
     """
     try:
-        # the header's record count is authoritative (the walk enforces
-        # it byte-exactly), so the batch bound rejects oversized frames
-        # before a single record is parsed — MAX_VP_BATCH bounds server work
+        # the header's record count is authoritative, so the batch bound
+        # rejects oversized frames before a single record is parsed —
+        # MAX_VP_BATCH bounds server work
         count = frame_count(frame)
         if count > MAX_VP_BATCH:
             raise ValidationError(
                 f"VP batch frame of {count} records exceeds the "
                 f"{MAX_VP_BATCH}-VP limit"
             )
-        batch = Batch.from_frame(frame)
-        for index, meta in enumerate(batch.meta):
-            if meta[2]:
-                raise ValidationError("anonymous uploads cannot claim trusted status")
-            record = batch.record_span(index)
-            if len(record) - RECORD_OVERHEAD_BYTES != FRAME_BODY_BYTES:
-                raise ValidationError(
-                    f"frame record body is {len(record) - RECORD_OVERHEAD_BYTES} bytes; "
-                    f"only complete {VIDEO_UNIT_SECONDS}-digest VPs "
-                    f"({FRAME_BODY_BYTES} bytes) can be uploaded"
-                )
-            if (
-                not all(math.isfinite(value) for value in meta[3:7])
-                or meta[3] > meta[5]
-                or meta[4] > meta[6]
-            ):
-                raise ValidationError("frame record bounding box is not a finite box")
-            verify_encoded_body(
-                record,
-                RECORD_OVERHEAD_BYTES,
-                meta[0],
-                meta[1],
-                VIDEO_UNIT_SECONDS,
-                bbox=meta[3:7],
-                bloom_k=BloomFilter.k,
-            )
+        stride = COMPLETE_RECORD_DTYPE.itemsize
+        # a wrong version is the walk's to report, before any record rule
+        if len(frame) == FRAME_HEADER_BYTES + count * stride and frame[0] == VP_BATCH_VERSION:
+            records = np.frombuffer(frame, COMPLETE_RECORD_DTYPE, count, FRAME_HEADER_BYTES)
+            if (records["body_len"] == FRAME_BODY_BYTES).all():
+                _police(records)
+                ids = records["vp_id"].tobytes()
+                meta = [  # policed: no record claims trust
+                    (ids[i * VP_ID_BYTES : (i + 1) * VP_ID_BYTES], minute, 0, *box)
+                    for i, (minute, box) in enumerate(
+                        zip(records["minute"].tolist(), records["bbox"].tolist())
+                    )
+                ]
+                spans = [
+                    (start, start + stride)
+                    for start in range(FRAME_HEADER_BYTES, len(frame), stride)
+                ]
+                return Batch(meta, frame=frame, spans=spans)
+        walked = Batch.from_frame(frame)
+        # the walk held the count to the bytes, so some record is not a
+        # complete VP; the records before it sit at the fixed stride
+        first = next(i for i in range(count) if len(walked.record_span(i)) != stride)
+        _police(np.frombuffer(frame, COMPLETE_RECORD_DTYPE, first, FRAME_HEADER_BYTES))
+        if walked.meta[first][2]:
+            raise ValidationError(_TRUSTED_CLAIM)
+        body = len(walked.record_span(first)) - RECORD_OVERHEAD_BYTES
+        raise ValidationError(
+            f"frame record body is {body} bytes; "
+            f"only complete {VIDEO_UNIT_SECONDS}-digest VPs "
+            f"({FRAME_BODY_BYTES} bytes) can be uploaded"
+        )
     except WireFormatError as exc:
-        raise ValidationError(f"malformed VP batch frame: {exc}") from exc
-    return batch
+        raise ValidationError(f"{_MALFORMED}{exc}") from exc
+
+
+_TRUSTED_CLAIM = "anonymous uploads cannot claim trusted status"
+
+#: a frame rejected for its bytes, not for a claim, says so first
+_MALFORMED = "malformed VP batch frame: "
+
+
+def _record_rules(records: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """The upload rules over complete-VP records, in the order they are
+    reported: one ``(broken, message)`` pair per rule, ``broken`` a mask
+    over the records and ``message`` a :meth:`str.format` template of
+    the record's ``version``, ``bloom_k`` and ``block_len``.
+
+    After the sidecar's own rules come the body's, checked in place:
+    blob version and geometry, the one Bloom hash count an upload may
+    declare (a smaller k would inflate viewmap false linkage),
+    :func:`~repro.core.viewdigest.packed_block_defect` over the
+    digests, every digest keyed by the sidecar's ``vp_id`` (one body
+    cannot be registered under a second identifier), the sidecar box
+    exactly the digests' location bounds (a forged box would mis-prune
+    area queries) and a first digest time inside the claimed minute.
+    """
+    box = records["bbox"].astype(np.float64)
+    digests = records["digests"]
+    location = digests["location"]
+    x, y = location[..., 0].astype(np.float64), location[..., 1].astype(np.float64)
+    # exact comparison is sound: wire locations are float32-rounded
+    # before packing, so an honest sidecar (built over the same values)
+    # matches bit-for-bit
+    low, high = np.minimum.reduce, np.maximum.reduce
+    bounds = np.stack([low(x, -1), low(y, -1), high(x, -1), high(y, -1)], axis=-1)
+    start = digests["t"][:, 0].astype(np.float64)
+    in_range = (start >= 0) & (start < float(VIDEO_UNIT_SECONDS << 32))
+    start_minute = np.where(in_range, start, 0).astype(np.int64) // VIDEO_UNIT_SECONDS
+    body = _MALFORMED + "frame body"
+    return [
+        (records["flags"] & FLAG_TRUSTED != 0, _TRUSTED_CLAIM),
+        (
+            ~np.isfinite(box).all(axis=1) | (box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3]),
+            "frame record bounding box is not a finite box",
+        ),
+        (
+            records["version"] != VP_BLOB_VERSION,
+            body + " has unsupported VP blob version {version}",
+        ),
+        (records["bloom_k"] < 1, body + " declares a zero-hash bloom filter"),
+        (
+            records["bloom_k"] != BloomFilter.k,
+            body + f" declares bloom k={{bloom_k}}; uploads must use k={BloomFilter.k}",
+        ),
+        (
+            records["block_len"] != _FRAME_BLOCK_BYTES,
+            body + f" digest block is {{block_len}} bytes, expected {_FRAME_BLOCK_BYTES}",
+        ),
+        *((broken, f"{body}: {message}") for broken, message in packed_block_defect(digests)),
+        (
+            (digests["vp_id"][:, 0] != records["vp_id"]).any(axis=1),
+            body + " digest is keyed by a different vp_id",
+        ),
+        (
+            (box != bounds).any(axis=1),
+            _MALFORMED + "frame record bounding box does not match the body's locations",
+        ),
+        (
+            ~in_range | (start_minute != records["minute"]),
+            body + " start time does not match the claimed minute",
+        ),
+    ]
+
+
+def _police(records: np.ndarray) -> None:
+    """Raise the first broken rule of the first record breaking one."""
+    rules = _record_rules(records)
+    broken = np.array([mask for mask, _message in rules])
+    failing = broken.any(axis=0)
+    if failing.any():
+        index = int(failing.argmax())
+        record = records[index]
+        raise ValidationError(
+            rules[int(broken[:, index].argmax())][1].format(
+                version=int(record["version"]),
+                bloom_k=int(record["bloom_k"]),
+                block_len=int(record["block_len"]),
+            )
+        )
 
 
 #: streaming-connection handshake: a vehicle opens with these four bytes

@@ -26,13 +26,18 @@ the VP identifier:
 so a consumer can deduplicate or append records without decoding a
 single body.  The batch format is the record format of the segment log
 (:mod:`repro.store.segments`) and the binary payload of the
-``upload_vp_batch`` wire message itself: the authority validates from
-the metadata alone and appends the record bytes untouched.  No other
-module reads the layout (:func:`frame_count`, :func:`peek_frame_minute`).
+``upload_vp_batch`` wire message itself: the authority validates it
+without decoding a body and appends the record bytes untouched.  No
+other module reads the layout (:func:`frame_count`,
+:func:`peek_frame_minute`, and :data:`COMPLETE_RECORD_DTYPE`, through
+which a frame of complete VPs — a fixed record stride — reads as one
+record array, its digests as ``(count, 60)`` columns).
 
 :class:`Batch` is what the store's one write primitive takes:
 it hides whether the records arrived as :class:`ViewProfile` objects or
 as such a frame (walked once), and hands the store the form it stores.
+Built from objects, a batch's minutes and boxes come out of one pass
+over all its digest columns.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ from __future__ import annotations
 import struct
 from typing import Container, Iterable, Iterator, Sequence
 
-from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VP_ID_BYTES
-from repro.core.viewdigest import PACKED_FIELD, packed_block_defect, packed_columns
+import numpy as np
+
+from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS, VP_ID_BYTES
+from repro.core.viewdigest import PACKED_DIGEST_DTYPE, PACKED_FIELD, packed_columns
 from repro.core.viewprofile import ViewProfile
 from repro.errors import ValidationError, WireFormatError
 from repro.util.encoding import (
@@ -63,7 +70,7 @@ _FRAME_HEAD = struct.Struct(">BI")
 FRAME_HEADER_BYTES = _FRAME_HEAD.size
 
 #: trusted flag bit in a batch record's flags byte
-_FLAG_TRUSTED = 0x01
+FLAG_TRUSTED = 0x01
 
 #: fixed leading section of one batch record: flags, minute, bbox
 _RECORD_HEAD = struct.Struct(">BI4d")
@@ -73,6 +80,25 @@ _RECORD_MINUTE = struct.Struct(">BI")
 
 #: bytes of one record before its body blob: head + vp_id + length prefix
 RECORD_OVERHEAD_BYTES = _RECORD_HEAD.size + VP_ID_BYTES + 4
+
+#: one record carrying a complete 60-digest VP, as numpy reads it: the
+#: head :data:`_RECORD_HEAD` packs, the id and the body length, then the
+#: blob :func:`encode_vp` writes.  A frame of such records has a fixed
+#: stride, so it reads as one array of these — every column a view
+COMPLETE_RECORD_DTYPE = np.dtype(
+    [
+        ("flags", "u1"),
+        ("minute", ">u4"),
+        ("bbox", ">f8", (4,)),
+        ("vp_id", "u1", (VP_ID_BYTES,)),
+        ("body_len", ">u4"),
+        ("version", "u1"),
+        ("bloom_k", ">u2"),
+        ("block_len", ">u4"),
+        ("digests", PACKED_DIGEST_DTYPE, (VIDEO_UNIT_SECONDS,)),
+        ("bloom", "u1", (BLOOM_BYTES,)),
+    ]
+)
 
 
 def frame_count(frame: bytes | memoryview) -> int:
@@ -158,11 +184,47 @@ def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
     order.
     """
     parts = [frame_header(len(vps))]
-    for vp in vps:
-        parts += _record_parts(
-            (vp.vp_id, vp.minute, vp.trusted, *vp.bounding_box, encode_vp(vp))
-        )
+    for row, vp in zip(_vp_meta(vps), vps):
+        parts += _record_parts((*row, encode_vp(vp)))
     return b"".join(parts)
+
+
+def _vp_meta(vps: Sequence[ViewProfile], trusted: bool = False) -> list[tuple]:
+    """The ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` row
+    of each VP, from one pass over the joined digest columns of each
+    :data:`_META_PASS_VPS` VPs.
+
+    Boxes are reduced at each VP's first row of the joined blocks, so
+    VPs of any digest count share the pass.  A minute is
+    :func:`minute_of` the first digest time, an exact int: one outside
+    the record's 4-byte field is a :class:`WireFormatError` here,
+    before a record is framed or stored.
+    """
+    rows = []
+    for first in range(0, len(vps), _META_PASS_VPS):
+        part = vps[first : first + _META_PASS_VPS]
+        blocks = [vp.digest_block() for vp in part]
+        fields = packed_columns(b"".join(blocks))
+        starts = np.cumsum([0] + [len(block) for block in blocks[:-1]]) // VD_MESSAGE_BYTES
+        lows = np.minimum.reduceat(fields["location"], starts).tolist()
+        highs = np.maximum.reduceat(fields["location"], starts).tolist()
+        for vp, t0, low, high in zip(part, fields["t"][starts].tolist(), lows, highs):
+            minute = minute_of(t0)
+            if minute < 0:
+                raise WireFormatError(f"cannot batch-encode negative minute {minute}")
+            if minute >> 32:
+                raise WireFormatError(
+                    f"cannot batch-encode a VP starting at t={t0!r}: its minute "
+                    "does not fit the 4-byte minute field"
+                )
+            rows.append((vp.vp_id, minute, int(trusted or vp.trusted), *low, *high))
+    return rows
+
+
+#: VPs per metadata pass: a pass copies their digest blocks side by
+#: side, so a store write of thousands of objects never holds them all
+#: twice
+_META_PASS_VPS = 64
 
 
 def _record_parts(row: tuple) -> tuple:
@@ -172,10 +234,8 @@ def _record_parts(row: tuple) -> tuple:
     the caller's join as it is, so that join is the only copy.
     """
     vp_id, minute, trusted, x_min, y_min, x_max, y_max, body = row
-    if minute < 0:
-        raise WireFormatError(f"cannot batch-encode negative minute {minute}")
     head = _RECORD_HEAD.pack(
-        _FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
+        FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
     )
     return head, bytes(vp_id), pack_uint(len(body), 4), body
 
@@ -199,7 +259,7 @@ def unpack_record_meta(batch: bytes, offset: int = 0) -> tuple[tuple, int]:
     end = head_end + VP_ID_BYTES + 4 + body_len
     if end > len(batch):
         raise WireFormatError("truncated VP batch record")
-    return (vp_id, minute, flags & _FLAG_TRUSTED, x_min, y_min, x_max, y_max), end
+    return (vp_id, minute, flags & FLAG_TRUSTED, x_min, y_min, x_max, y_max), end
 
 
 def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
@@ -227,83 +287,6 @@ def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
         raise WireFormatError(
             f"VP batch of {count} records leaves {len(batch) - offset} trailing bytes"
         )
-
-
-def verify_encoded_body(
-    batch: bytes,
-    body_start: int,
-    vp_id: bytes,
-    minute: int,
-    n_digests: int,
-    bbox: tuple[float, float, float, float] | None = None,
-    bloom_k: int | None = None,
-) -> None:
-    """Decode-free integrity check of one record's body inside a frame.
-
-    Confirms by direct byte inspection — no :class:`ViewProfile`
-    materialization, no hashing — everything :func:`decode_vp` and the
-    VP constructors would enforce structurally at read time, plus the
-    consistency of the uploader-written sidecar with the body: blob
-    version, exact digest-block geometry, every packed digest keyed by the sidecar's ``vp_id`` (one
-    body cannot be registered under a second identifier), strictly
-    increasing 1-based second indices, a finite first digest time that
-    lands in the sidecar's claimed ``minute``, ``bbox`` (when given)
-    exactly the min/max of the digests' packed locations (a forged box
-    would mis-prune area queries), and ``bloom_k``
-    (when given) the only hash count the wire form may declare (a
-    smaller k would inflate viewmap false linkage).  The zero-decode
-    upload path runs this per record, so a frame that passes can never
-    poison a minute read.  Raises :class:`WireFormatError` on any
-    violation.
-    ``body_start`` indexes the body blob inside ``batch`` (bodies are
-    checked in place, never sliced out).
-    """
-    if batch[body_start] != VP_BLOB_VERSION:
-        raise WireFormatError(
-            f"frame body has unsupported VP blob version {batch[body_start]}"
-        )
-    k = unpack_uint(batch[body_start + 1 : body_start + 3])
-    if k < 1:
-        raise WireFormatError("frame body declares a zero-hash bloom filter")
-    if bloom_k is not None and k != bloom_k:
-        raise WireFormatError(
-            f"frame body declares bloom k={k}; uploads must use k={bloom_k}"
-        )
-    block_bytes = unpack_uint(batch[body_start + 3 : body_start + 7])
-    if block_bytes != n_digests * VD_MESSAGE_BYTES:
-        raise WireFormatError(
-            f"frame body digest block is {block_bytes} bytes, expected "
-            f"{n_digests * VD_MESSAGE_BYTES}"
-        )
-    base = body_start + 7
-    # the whole digest block as columns, in place — the per-record hot
-    # path of wire validation touches no digest one by one; the
-    # memoryview slice is zero-copy, true to "checked in place"
-    block = memoryview(batch)[base : base + block_bytes]
-    if len(block) != block_bytes:
-        raise WireFormatError("frame body digest block is truncated")
-    fields = packed_columns(block)
-    defect = packed_block_defect(fields)
-    if defect:
-        raise WireFormatError(f"frame body: {defect}")
-    if fields["vp_id"][0].tobytes() != vp_id:
-        raise WireFormatError("frame body digest is keyed by a different vp_id")
-    if fields["second_index"][-1] > n_digests:
-        raise WireFormatError("frame body digest seconds run past the digest count")
-    t, location = fields["t"], fields["location"]
-    if bbox is not None and tuple(bbox) != (
-        *location.min(axis=0).tolist(),
-        *location.max(axis=0).tolist(),
-    ):
-        # exact comparison is sound: wire locations are float32-rounded
-        # before packing, so an honest sidecar (built by
-        # ViewProfile.bounding_box over the same values) matches bit-for-bit
-        raise WireFormatError(
-            "frame record bounding box does not match the body's locations"
-        )
-    t0 = float(t[0])
-    if t0 < 0 or minute_of(t0) != minute:
-        raise WireFormatError("frame body start time does not match the claimed minute")
 
 
 def encoded_body_claims_area(body: bytes, area, offset: int = 0) -> bool:
@@ -392,11 +375,7 @@ class Batch:
     def from_vps(cls, vps: Iterable[ViewProfile], trusted: bool = False) -> "Batch":
         """Wrap the caller's objects; ``trusted`` marks every record."""
         vps = list(vps)
-        meta = [
-            (vp.vp_id, vp.minute, int(trusted or vp.trusted), *vp.bounding_box)
-            for vp in vps
-        ]
-        return cls(meta, vps=vps)
+        return cls(_vp_meta(vps, trusted), vps=vps)
 
     @classmethod
     def from_frame(cls, frame: bytes | memoryview) -> "Batch":
