@@ -68,30 +68,21 @@ class ViewMapSystem:
     #: optional store; when given, the VP database wraps it
     #: (e.g. ``SegmentStore(path)`` for a restart-surviving authority)
     store: SegmentStore | None = None
-    #: the VP database; built from ``store`` (or an in-memory default)
-    #: when not supplied.  Passing both is a configuration error.
-    database: VPDatabase | None = None
-    solicitations: SolicitationBoard = field(default_factory=SolicitationBoard)
+    #: the VP database over ``store`` (anonymous segments by default)
+    database: VPDatabase = field(init=False)
+    solicitations: SolicitationBoard = field(default_factory=SolicitationBoard, init=False)
     #: optional storage retention policy; ``advance_retention`` applies
     #: it as the observed minute watermark moves (None = keep forever)
     retention: RetentionPolicy | None = None
     rewards: RewardService = field(init=False)
     registry: CashRegistry = field(init=False)
-    pending_review: dict[bytes, list[bytes]] = field(default_factory=dict)
-    reviewed: set[bytes] = field(default_factory=set)
+    pending_review: dict[bytes, list[bytes]] = field(default_factory=dict, init=False)
+    reviewed: set[bytes] = field(default_factory=set, init=False)
     #: newest minute a retention pass has run at (-1 = never)
     retention_watermark: int = field(default=-1, init=False)
 
     def __post_init__(self) -> None:
-        if self.store is not None and self.database is not None:
-            raise ValidationError(
-                "pass either store= or database=, not both: a supplied "
-                "database would silently shadow the requested store"
-            )
-        if self.database is None:
-            self.database = (
-                VPDatabase(store=self.store) if self.store is not None else VPDatabase()
-            )
+        self.database = VPDatabase(store=self.store) if self.store is not None else VPDatabase()
         keypair = RSAKeyPair.generate(self.key_bits, rng=random.Random(self.seed))
         self.rewards = RewardService(signer=BlindSigner(keypair=keypair))
         self.registry = CashRegistry(public=keypair.public)

@@ -13,7 +13,7 @@ sessions with the system").  This package provides:
   transport, with per-request circuit and session rotation;
 * :mod:`repro.net.messages` — the wire formats for VP upload,
   solicitation polling, video upload and reward claims (catalogued in
-  ``docs/protocol.md``);
+  ``docs/protocol.md#message-kinds``);
 * :mod:`repro.net.server` / :mod:`repro.net.client` — the system service
   endpoint and the vehicle-side client.
 """

@@ -76,7 +76,7 @@ class ViewMapServer:
     :class:`~repro.net.concurrency.ThreadedNetwork` worker pool or a
     :class:`~repro.net.streaming.StreamingNetwork`.
 
-    Concurrency model (see ``docs/architecture.md``):
+    Concurrency model (see ``docs/architecture.md#the-server``):
 
     * the session log is appended under a dedicated lock, so
       unlinkability probes read a consistent log during load;

@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING, Any, Callable, Coroutine
 
 from repro.errors import NetworkError, ReproError, ValidationError, WireFormatError
 from repro.net.messages import (
-    MAX_STREAM_PAYLOAD_BYTES,
     STREAM_KIND_FRAME,
     STREAM_KIND_MSG,
     STREAM_MAGIC,
@@ -114,7 +113,7 @@ class _Session:
         self.address = address
         self.write = write
         self.on_close = on_close
-        self.parser = FrameParser(max_payload_bytes=net.max_record_bytes)
+        self.parser = FrameParser()
         #: parsed records; ``None`` is the close sentinel
         self.queue: asyncio.Queue[tuple[int, memoryview] | None] = asyncio.Queue()
         self.queued_bytes = 0
@@ -167,7 +166,7 @@ class StreamConnection:
     def __init__(self, net: "StreamingNetwork", address: str, chunk_bytes: int) -> None:
         self._net = net
         self._chunk = max(1, chunk_bytes)
-        self._parser = FrameParser(max_payload_bytes=net.max_record_bytes)
+        self._parser = FrameParser()
         self._pending: deque[Future] = deque()
         self._lock = threading.Lock()
         self.closed = False
@@ -256,7 +255,6 @@ class StreamingNetwork:
         workers: int = DEFAULT_WORKERS,
         *,
         metrics: MetricsRegistry | None = None,
-        max_record_bytes: int = MAX_STREAM_PAYLOAD_BYTES,
         max_pending_bytes: int = DEFAULT_MAX_PENDING_BYTES,
         read_deadline_s: float = DEFAULT_READ_DEADLINE_S,
         admission_shards: int = DEFAULT_ADMISSION_SHARDS,
@@ -269,7 +267,6 @@ class StreamingNetwork:
             raise NetworkError("a streaming network needs at least one worker")
         self.workers = workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.max_record_bytes = max_record_bytes
         self.max_pending_bytes = max_pending_bytes
         self.read_deadline_s = read_deadline_s
         self.chunk_bytes = chunk_bytes

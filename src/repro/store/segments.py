@@ -17,7 +17,7 @@ index lives in memory and is rebuilt by one scan at open: the
 ``id -> (minute, row)`` map that rejects duplicates, and per minute
 the ``(offset, length, trusted, bbox)`` columns and the ids in
 insertion order.
-``docs/stores.md`` has the contract in prose; in short:
+``docs/stores.md#the-segment-log`` has the contract in prose; in short:
 
 * **write** appends the fresh record spans of the caller's buffer with
   one ``os.writev`` per 256 records of a touched minute (an object batch

@@ -27,15 +27,6 @@ def test_investigation_over_any_backend(kind):
     assert res_civ.actual_vp.vp_id in inv.solicited
 
 
-def test_store_and_database_together_rejected():
-    from repro.core.database import VPDatabase
-
-    with pytest.raises(ValidationError):
-        ViewMapSystem(
-            key_bits=512, store=SegmentStore(), database=VPDatabase()
-        )
-
-
 def test_batch_ingest_rejects_trusted_claims():
     system = ViewMapSystem(key_bits=512, seed=2)
     _, res_civ = drive_minute()
