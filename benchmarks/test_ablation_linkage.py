@@ -9,6 +9,7 @@ from repro.attacks.faker import forge_fake_vp
 from repro.core.vehicle import VehicleAgent
 from repro.core.viewmap import build_viewmap
 from repro.geo.geometry import Point
+from repro.store.codec import encode_vp_batch
 
 from benchmarks.conftest import bench_runs
 
@@ -39,7 +40,7 @@ def test_ablation_two_way_vs_one_way(benchmark, show):
                 seed=trial,
             )
             profiles = [res_a.actual_vp, res_b.actual_vp, fake]
-            vmap = build_viewmap(profiles, minute=0)
+            vmap = build_viewmap(encode_vp_batch(profiles), minute=0)
             if vmap.graph.degree(fake.vp_id) > 0:
                 two_way_joined += 1
             # one-way variant: accept if either side's Bloom matches

@@ -17,7 +17,7 @@ to one machine-readable :class:`CampaignRow` with a stable JSON schema
 One **cell** = (campaign, restart, retention policy, seed).  Each cell
 boots a fresh authority over named segments in its own scratch
 directory, behind a
-:class:`~repro.net.concurrency.ConcurrentViewMapServer` on a
+:class:`~repro.net.server.ViewMapServer` on a
 :class:`~repro.net.concurrency.ThreadedNetwork`, and replays
 ``cfg.minutes`` minutes of traffic in minute-synchronous waves:
 
@@ -78,17 +78,18 @@ from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.errors import SimulationError, ValidationError
 from repro.geo.geometry import Point
-from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
+from repro.net.concurrency import ThreadedNetwork
 from repro.net.messages import (
     MAX_VP_BATCH,
     decode_message,
     encode_message,
     pack_vp_batch_frame,
 )
-from repro.net.server import MAX_WATERMARK_STEP
+from repro.net.server import MAX_WATERMARK_STEP, ViewMapServer
 from repro.obs.metrics import Histogram, MetricsRegistry, counter_value
 from repro.sim.stream import stream_convoy_vps, stream_vp
 from repro.store import RetentionPolicy, SegmentStore, survey_overloaded
+from repro.store.codec import Batch, RecordColumns, frame_header
 from repro.store.serving import QuerySpec
 from repro.util.rng import derive_seed
 
@@ -389,7 +390,7 @@ def _require_batch_ack(response: bytes) -> None:
 
 
 def _monitor_sweep(
-    server: ConcurrentViewMapServer, cfg: CampaignGridConfig, minute: int
+    server: ViewMapServer, cfg: CampaignGridConfig, minute: int
 ) -> set[str]:
     """One operator monitoring pass; returns the signals that fired.
 
@@ -420,37 +421,35 @@ def _investigate_site(
 ) -> tuple[list[bytes], set[bytes]]:
     """Investigate the attack minute; (solicited ids, candidate ids).
 
-    Mirrors :meth:`ViewMapSystem.investigate` but sorts the trusted
-    seeds and candidates by VP id first: the log's insertion order
-    (whichever concurrent upload landed first) must not leak into the
-    viewmap's node order, or TrustRank's float summation — and therefore the
-    row — would differ between runs.  A minute whose trusted VP was
-    evicted (kitchen-sink poisoning against an unpinned window) is not
-    investigable and yields no solicitations.
+    Mirrors :meth:`ViewMapSystem.investigate` but spans the area over
+    every trusted VP and orders the candidate frame by VP id: the log's
+    insertion order (whichever concurrent upload landed first) must not
+    leak into the viewmap's node order, or TrustRank's float summation —
+    and therefore the row — would differ between runs.  A minute whose
+    trusted VP was evicted (kitchen-sink poisoning against an unpinned
+    window) is not investigable and yields no solicitations.
     """
     minute = cfg.attack_minute
-    trusted = sorted(
-        system.database.query(QuerySpec(minute=minute, trusted_only=True)).vps,
-        key=lambda vp: vp.vp_id,
-    )
-    if not trusted:
+    seeds = QuerySpec(minute=minute, trusted_only=True, encoded=True)
+    trusted = RecordColumns.from_frame(system.database.query(seeds).frame)
+    if not len(trusted):
         return [], set()
     area = coverage_area(cfg.site, trusted)
-    candidates = sorted(
-        system.database.query(QuerySpec(minute=minute, area=area)).vps,
-        key=lambda vp: vp.vp_id,
-    )
-    vmap = build_viewmap(candidates, minute, area=area)
+    read = system.database.query(QuerySpec(minute=minute, area=area, encoded=True))
+    candidates = Batch.from_frame(read.frame)
+    by_id = sorted(range(len(candidates)), key=lambda i: candidates.meta[i][0])
+    frame = b"".join([frame_header(len(by_id)), *map(candidates.record_span, by_id)])
+    vmap = build_viewmap(frame, minute, area=area)
     verification = verify_viewmap(vmap, cfg.site, cfg.site_radius_m)
     solicited = sorted(verification.legitimate)
     for vp_id in solicited:
         system.solicitations.post(vp_id)
-    return solicited, {vp.vp_id for vp in candidates}
+    return solicited, {meta[0] for meta in candidates.meta}
 
 
 def _boot(
     path: str, retention: str, cfg: CampaignGridConfig
-) -> tuple[ViewMapSystem, ThreadedNetwork, ConcurrentViewMapServer]:
+) -> tuple[ViewMapSystem, ThreadedNetwork, ViewMapServer]:
     """One authority incarnation over the named segments at ``path``."""
     system = ViewMapSystem(
         key_bits=cfg.key_bits,
@@ -459,7 +458,7 @@ def _boot(
         retention=_make_retention(retention, cfg),
     )
     net = ThreadedNetwork(workers=cfg.net_workers)
-    return system, net, ConcurrentViewMapServer(system=system, network=net)
+    return system, net, ViewMapServer(system=system, network=net)
 
 
 def run_campaign_cell(

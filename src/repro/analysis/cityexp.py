@@ -74,7 +74,7 @@ def city_viewmap_stats(
     )
     database = VPDatabase(store=store) if store is not None else VPDatabase()
     result.ingest_into(database, retention=retention)
-    vmap = build_viewmap(database.query(QuerySpec(minute=0)).vps, minute=0)
+    vmap = build_viewmap(database.query(QuerySpec(minute=0, encoded=True)).frame, minute=0)
     stats = vmap.degree_stats()
     n_counts = list(result.neighbor_counts[0].values())
     mean_neighbors = sum(n_counts) / max(len(n_counts), 1)

@@ -181,7 +181,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
     import time
 
     from repro.core.system import ViewMapSystem
-    from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
+    from repro.net import ThreadedNetwork, ViewMapServer
     from repro.net.messages import decode_message, encode_message
     from repro.net.streaming import StreamingNetwork
     from repro.obs.metrics import counter_value
@@ -198,7 +198,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
     try:
         if args.transport == "streaming":
             with StreamingNetwork(max_pending_bytes=args.max_pending_bytes) as net:
-                ConcurrentViewMapServer(system=system, network=net, address="authority")
+                ViewMapServer(system=system, network=net, address="authority")
                 lanes = [net.connect("authority") for _ in range(min(args.workers, 64))]
                 futures = [
                     lanes[i % len(lanes)].upload_frame_async(mf.frame)
@@ -216,7 +216,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
                 shed = max(shed, counter_value(snap, "server.upload.shed"))
         else:
             with ThreadedNetwork(workers=args.workers) as net:
-                ConcurrentViewMapServer(system=system, network=net, address="authority")
+                ViewMapServer(system=system, network=net, address="authority")
                 futures = [
                     net.send_async(
                         f"vehicle-{i}",

@@ -11,7 +11,7 @@ segments (volatile), or on named ones for persistence
 bytes, equal in content to what was inserted, never the same object.
 Reads go through ONE entry point —
 :meth:`VPDatabase.query` with a :class:`~repro.store.serving.QuerySpec`
-(minute, area, trusted, k-nearest, count, encoded) — plus
+(minute, area, trusted, count, encoded) — plus
 :meth:`VPDatabase.query_encoded` for a caller that wants the frame
 bytes alone; there is no per-shape read method to pick between.
 """
@@ -79,8 +79,8 @@ class VPDatabase:
     def query(self, spec: QuerySpec) -> QueryResult:
         """Run one read against the store — THE read entry point.
 
-        Every axis combination (minute, area, trusted, k-nearest,
-        count, encoded) goes through here; see
+        Every axis combination (minute, area, trusted, count, encoded)
+        goes through here; see
         :class:`~repro.store.serving.QuerySpec`.
         """
         return self.store.query(spec)

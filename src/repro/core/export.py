@@ -19,7 +19,8 @@ from repro.core.viewmap import ViewMapGraph
 def viewmap_to_dict(vmap: ViewMapGraph) -> dict:
     """Serialize a viewmap: nodes with positions/kind, edges as id pairs."""
     nodes = []
-    for vp_id, vp in vmap.profiles.items():
+    for row, vp_id in enumerate(vmap.members.ids):
+        vp = vmap.members.profile(row)
         start = vp.start_point
         end = vp.end_point
         nodes.append(
@@ -52,13 +53,11 @@ def render_ascii(vmap: ViewMapGraph, width: int = 72, height: int = 24) -> str:
     glyphs mean more VPs.  Edges are not drawn — on a road grid the node
     density already traces the street pattern the paper's figure shows.
     """
-    if not vmap.profiles:
+    if not vmap.node_count:
         return "(empty viewmap)"
+    vps = map(vmap.members.profile, range(vmap.node_count))
     mids = np.array(
-        [
-            vp.trajectory.at((vp.start_time + vp.end_time) / 2).to_tuple()
-            for vp in vmap.profiles.values()
-        ]
+        [vp.trajectory.at((vp.start_time + vp.end_time) / 2).to_tuple() for vp in vps]
     )
     x_min, y_min = mids.min(axis=0)
     x_max, y_max = mids.max(axis=0)

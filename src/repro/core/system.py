@@ -16,10 +16,10 @@ Concurrency: the ingestion methods are safe to call from many threads —
 they validate their arguments without touching shared state and delegate
 to the (thread-safe) VP store.  The investigation/upload/reward methods
 mutate plain dict/set state and must be externally serialized.  The
-concurrent front-end (:class:`~repro.net.concurrency.ConcurrentViewMapServer`)
-serializes its own control-plane *handlers* behind ``control_lock``;
-operator code calling these methods directly while such a server is
-live must hold that same lock (``with server.control_lock: ...``).
+front-end (:class:`~repro.net.server.ViewMapServer`) serializes its own
+control-plane *handlers* behind ``control_lock``; operator code calling
+these methods directly while such a server is live must hold that same
+lock (``with server.control_lock: ...``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.crypto.cash import CashRegistry
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
-from repro.store.codec import Batch
+from repro.store.codec import Batch, RecordColumns
 from repro.store.serving import QuerySpec
 from repro.store.lifecycle import LifecycleReport, RetentionPolicy, apply_retention
 from repro.store.segments import SegmentStore
@@ -182,23 +182,26 @@ class ViewMapSystem:
         minute: int,
         site_radius_m: float = 200.0,
         link_radius_m: float = DSRC_RANGE_M,
-        n_trusted: int = 1,
         solicit: bool = True,
     ) -> Investigation:
         """Build and verify the viewmap of one incident minute.
 
-        Selects the trusted VPs closest to the site, spans the coverage
-        area over site + seeds, constructs the viewmap, runs Algorithm 1,
-        and (optionally) posts the legitimate in-site identifiers.
+        Seeds on the trusted VP claiming the position nearest the site
+        (the earlier stored on a tie), spans the coverage area over site
+        + seed, builds the viewmap from the frame the area query read,
+        runs Algorithm 1, and (optionally) posts the legitimate in-site
+        identifiers.
         """
-        trusted = self.database.query(
-            QuerySpec(minute=minute, trusted_only=True, nearest=site, k=n_trusted)
-        ).vps
-        if not trusted:
+        seeds = QuerySpec(minute=minute, trusted_only=True, encoded=True)
+        trusted = RecordColumns.from_frame(self.database.query(seeds).frame)
+        if not len(trusted):
             raise ValidationError(f"no trusted VP available for minute {minute}")
-        area = coverage_area(site, trusted)
-        candidates = self.database.query(QuerySpec(minute=minute, area=area)).vps
-        vmap = build_viewmap(candidates, minute, area=area, radius_m=link_radius_m)
+        d = trusted.xy - (site.x, site.y)
+        reach = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        reach[~trusted.held] = float("inf")
+        area = coverage_area(site, trusted.take(reach.min(axis=1).argmin(keepdims=True)))
+        candidates = self.database.query(QuerySpec(minute=minute, area=area, encoded=True))
+        vmap = build_viewmap(candidates.frame, minute, area=area, radius_m=link_radius_m)
         verification = verify_viewmap(vmap, site, site_radius_m)
         solicited = sorted(verification.legitimate)
         if solicit:

@@ -10,12 +10,12 @@ site and the nearest trusted VPs.  Edges (*viewlinks*) join pairs that
    in the other's Bloom filter (mutual linkage — precludes edges forged
    by only one side).
 
-Construction runs on columns: the members' packed digest blocks are
-stacked into ``(members, 60)`` arrays, and membership, the proximity
+Construction reads a frame's ``(members, 60)`` record columns
+(:class:`~repro.store.codec.RecordColumns`): membership, the proximity
 sweep, the time-aligned range test and the Bloom test are array
 operations over all members or all surviving pairs, in passes of bounded
-size.  Nothing is cached on a :class:`ViewProfile` or in a module, and
-numpy is all it needs: a grid pair search, a plain :class:`ViewLinks`.
+size.  No :class:`ViewProfile` is built, nothing is cached in a module,
+and numpy is all it needs: a grid pair search, a plain :class:`ViewLinks`.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from repro.constants import DSRC_RANGE_M, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
-from repro.core.viewdigest import packed_columns
+from repro.constants import DSRC_RANGE_M, VIDEO_UNIT_SECONDS
 from repro.core.viewprofile import ViewProfile
-from repro.crypto.bloom import key_positions, unpacked_bits
+from repro.crypto.bloom import key_positions
 from repro.errors import ValidationError
 from repro.geo.geometry import Point, Rect
+from repro.store.codec import RecordColumns
 
 
 def mutual_linkage(a: ViewProfile, b: ViewProfile) -> bool:
@@ -103,25 +103,12 @@ class ViewLinks:
 
 @dataclass
 class ViewMapGraph:
-    """A constructed viewmap: VPs as nodes, viewlinks as edges."""
+    """A constructed viewmap (by :func:`build_viewmap`): VPs as nodes, viewlinks as edges."""
 
     minute: int
-    graph: ViewLinks = field(default_factory=ViewLinks)
-    profiles: dict[bytes, ViewProfile] = field(default_factory=dict)
-    #: the members' digest columns, stacked on first need
-    _cols: _Stacked | None = field(default=None, repr=False, compare=False)
-
-    def add_profile(self, vp: ViewProfile) -> None:
-        """Add a member VP as an (initially isolated) node."""
-        self.profiles[vp.vp_id] = vp
-        self.graph.add_node(vp.vp_id)
-        self._cols = None
-
-    def add_viewlink(self, a: bytes, b: bytes) -> None:
-        """Create the undirected viewlink between two member VPs."""
-        if a not in self.profiles or b not in self.profiles:
-            raise ValidationError("both endpoints must be viewmap members")
-        self.graph.add_edge(a, b)
+    graph: ViewLinks
+    #: the members' record columns, row ``i`` the ``i``-th node
+    members: RecordColumns = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -133,16 +120,14 @@ class ViewMapGraph:
 
     def trusted_ids(self) -> list[bytes]:
         """VP ids of the trusted seeds present in this viewmap."""
-        return [vp_id for vp_id, vp in self.profiles.items() if vp.trusted]
+        return [vp_id for vp_id, seed in zip(self.members.ids, self.members.trusted) if seed]
 
     def members_near(self, center: Point, radius_m: float) -> list[bytes]:
         """VP ids claiming any location within ``radius_m`` of ``center``."""
-        if self._cols is None:
-            self._cols = _Stacked(list(self.profiles.values()))
-        dx = self._cols.xy[..., 0] - center.x
-        dy = self._cols.xy[..., 1] - center.y
-        near = ((dx * dx + dy * dy <= radius_m * radius_m) & self._cols.held).any(axis=1)
-        return [vp_id for vp_id, hit in zip(self.profiles, near.tolist()) if hit]
+        dx = self.members.xy[..., 0] - center.x
+        dy = self.members.xy[..., 1] - center.y
+        near = ((dx * dx + dy * dy <= radius_m * radius_m) & self.members.held).any(axis=1)
+        return [vp_id for vp_id, hit in zip(self.members.ids, near.tolist()) if hit]
 
     def isolated_ids(self) -> list[bytes]:
         """Members without a single viewlink (paper: <3% in practice)."""
@@ -167,71 +152,60 @@ class ViewMapGraph:
         }
 
 
-def coverage_area(
-    site: Point, trusted_vps: list[ViewProfile], margin_m: float = 500.0
-) -> Rect:
+def coverage_area(site: Point, trusted: RecordColumns, margin_m: float = 500.0) -> Rect:
     """The viewmap coverage area C: spans the site and the trusted VPs.
 
     The paper notes C is "normally much larger than the investigation
     site" because police cars are rarely adjacent to the incident.
     """
-    xs = [site.x]
-    ys = [site.y]
-    for vp in trusted_vps:
-        x_min, y_min, x_max, y_max = vp.bounding_box
-        xs.extend([x_min, x_max])
-        ys.extend([y_min, y_max])
-    return Rect(
-        x_min=min(xs) - margin_m,
-        y_min=min(ys) - margin_m,
-        x_max=max(xs) + margin_m,
-        y_max=max(ys) + margin_m,
-    )
+    xy = np.vstack([[site.x, site.y], trusted.xy[trusted.held]])
+    return Rect(*(xy.min(axis=0) - margin_m).tolist(), *(xy.max(axis=0) + margin_m).tolist())
 
 
 def build_viewmap(
-    profiles: list[ViewProfile],
+    frame: bytes | memoryview,
     minute: int,
     area: Rect | None = None,
     radius_m: float = DSRC_RANGE_M,
     skip_bloom_check: bool = False,
 ) -> ViewMapGraph:
-    """Construct the viewmap for one minute from candidate VPs.
+    """Construct the viewmap for one minute from a codec frame of candidates.
 
-    ``profiles`` should already be filtered to the target minute (the VP
-    database does that); ``area`` optionally restricts membership to the
-    coverage area C.  Nodes keep the input order, viewlinks are added in
-    ascending member order.  ``skip_bloom_check`` exists for synthetic
-    graph experiments where profiles carry no real Blooms.  Digest times
-    and positions must be finite (the store's frame check refuses others).
+    ``frame`` is what the VP database read (a ``QuerySpec(encoded=True)``
+    result, normally already the target minute); ``area`` optionally
+    restricts membership to the coverage area C.  Nodes keep the frame's
+    record order (an id's first record, if one repeats), viewlinks are
+    added in ascending member order.  ``skip_bloom_check`` exists for
+    synthetic graph experiments where profiles carry no real Blooms.
     """
-    vmap = ViewMapGraph(minute=minute)
-    members = [vp for vp in profiles if vp.minute == minute]
-    cols = _Stacked(members)
+    cols = RecordColumns.from_frame(frame)
+    keep = cols.minute == minute
     if area is not None:
         x, y = cols.xy[..., 0], cols.xy[..., 1]
         inside = (x >= area.x_min) & (x <= area.x_max) & (y >= area.y_min) & (y <= area.y_max)
-        claims = (inside & cols.held).any(axis=1)
-        if not claims.all():
-            members = [vp for vp, keep in zip(members, claims.tolist()) if keep]
-            cols = _Stacked(members)
-    for vp in members:
-        vmap.add_profile(vp)
-    vmap._cols = cols
-    if len(members) < 2:
+        keep &= (inside & cols.held).any(axis=1)
+    if not keep.all():
+        cols = cols.take(np.flatnonzero(keep))
+    graph = ViewLinks()
+    for vp_id in cols.ids:
+        graph.add_node(vp_id)
+    vmap = ViewMapGraph(minute=minute, graph=graph, members=cols)
+    if len(cols) < 2:
         return vmap
 
     seconds = np.unique(cols.t[cols.held].astype(np.int64))
-    a, b = np.divmod(_candidate_codes(cols, seconds, radius_m), len(members))
+    a, b = np.divmod(_candidate_codes(cols, seconds, radius_m), len(cols))
     linked = _aligned_within_range(cols, seconds, a, b, radius_m)
     a, b = a[linked], b[linked]
     if not skip_bloom_check:
-        tests = _bloom_tests(members, cols, np.concatenate([a, b]), np.concatenate([b, a]))
+        tests = _bloom_tests(cols, np.concatenate([a, b]), np.concatenate([b, a]))
         linked = tests[: len(a)] & tests[len(a) :]
         a, b = a[linked], b[linked]
-    ids = [vp.vp_id for vp in members]
     for i, j in zip(a.tolist(), b.tolist()):
-        vmap.add_viewlink(ids[i], ids[j])
+        graph.add_edge(cols.ids[i], cols.ids[j])
+    if len(cols) > graph.number_of_nodes():  # an id twice: its first row is its node
+        first = {vp_id: row for row, vp_id in reversed(list(enumerate(cols.ids)))}
+        vmap.members = cols.take(np.sort(list(first.values())))
     return vmap
 
 
@@ -241,19 +215,6 @@ def build_viewmap(
 _PAIR_CHUNK = 1024
 
 
-class _Stacked:
-    """The members' digests as ``(members, 60)`` columns, short VPs zero-padded."""
-
-    def __init__(self, vps: list[ViewProfile]) -> None:
-        size = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
-        block = b"".join([vp.digest_block().ljust(size, b"\0") for vp in vps])
-        fields = packed_columns(block).reshape(len(vps), VIDEO_UNIT_SECONDS)
-        #: whether the row carries a digest (real second indices start at 1)
-        self.held = fields["second_index"] > 0
-        self.t = fields["t"].astype(np.float64)
-        self.xy = fields["location"].astype(np.float64)  # (members, 60, 2)
-
-
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
     """Mask of the first of every run of equal values."""
     first = np.ones(len(ordered), dtype=bool)
@@ -261,7 +222,7 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return first
 
 
-def _candidate_codes(cols: _Stacked, seconds: np.ndarray, radius_m: float) -> np.ndarray:
+def _candidate_codes(cols: RecordColumns, seconds: np.ndarray, radius_m: float) -> np.ndarray:
     """Pairs close at some probe second, as sorted codes ``a * members + b``, a < b.
 
     One pair search per probe second (a dozen across the seconds the
@@ -334,7 +295,7 @@ def _pairs_within(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndar
 
 
 def _aligned_within_range(
-    cols: _Stacked, seconds: np.ndarray, a: np.ndarray, b: np.ndarray, radius_m: float
+    cols: RecordColumns, seconds: np.ndarray, a: np.ndarray, b: np.ndarray, radius_m: float
 ) -> np.ndarray:
     """Per pair: any time-aligned pair of claimed locations within ``radius_m``?
 
@@ -365,9 +326,7 @@ def _aligned_within_range(
     return aligned
 
 
-def _bloom_tests(
-    members: list[ViewProfile], cols: _Stacked, tester: np.ndarray, keyed: np.ndarray
-) -> np.ndarray:
+def _bloom_tests(cols: RecordColumns, tester: np.ndarray, keyed: np.ndarray) -> np.ndarray:
     """Per test: does ``tester``'s Bloom hold any of ``keyed``'s digests?
 
     Bit positions are derived under the *tested* filter's geometry, as
@@ -377,15 +336,17 @@ def _bloom_tests(
     one, so normally there is one group.
     """
     passed = np.zeros(len(tester), dtype=bool)
-    geometry = np.array([(vp.bloom.k, vp.bloom.m_bits) for vp in members])
+    geometry = np.stack([cols.bloom_k, cols.bloom_bits], axis=1)
     for k, m_bits in set(map(tuple, geometry[np.unique(tester)].tolist())):
         tests = np.flatnonzero((geometry[tester] == (k, m_bits)).all(axis=1))
         tester_ids, tester_slot = np.unique(tester[tests], return_inverse=True)
-        bits = unpacked_bits([members[i].bloom for i in tester_ids.tolist()])
+        bits = np.unpackbits(cols.bloom[tester_ids, : m_bits // 8], axis=1, bitorder="little")
         keyed_ids, keyed_slot = np.unique(keyed[tests], return_inverse=True)
-        keys = [key for i in keyed_ids.tolist() for key in members[i].bloom_keys()]
+        held = cols.held[keyed_ids]
+        # the Bloom keys: every held digest's wire bytes, member by member
+        keys = [digest.tobytes() for digest in cols.digests[keyed_ids][held]]
         positions = np.zeros((len(keyed_ids), VIDEO_UNIT_SECONDS, k), dtype=np.intp)
-        positions[cols.held[keyed_ids]] = key_positions(keys, k, m_bits)
+        positions[held] = key_positions(keys, k, m_bits)
         for lo in range(0, len(tests), _PAIR_CHUNK):
             chunk = tests[lo : lo + _PAIR_CHUNK]
             test, row = np.nonzero(cols.held[keyed[chunk]])

@@ -12,15 +12,14 @@ functions.  Fig. 14 plots this; the paper picks m=2048 for a 0.1% rate at
 300 neighbours.
 
 Viewmap construction asks in batches — :func:`key_positions` for many
-items, :func:`unpacked_bits` for many filters — and keeps nothing
-between builds.
+items — and keeps nothing between builds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,16 +88,6 @@ def key_positions(keys: Iterable[bytes], k: int, m_bits: int) -> np.ndarray:
     return ((h1 + np.arange(k, dtype=np.uint64) * h2) % m).astype(np.intp)
 
 
-def unpacked_bits(filters: Sequence[BloomFilter]) -> np.ndarray:
-    """Same-geometry filters as a ``(filters, m_bits)`` array of 0/1 bytes.
-
-    ``[i, pos]`` is bit ``pos`` of filter ``i``, so a batch of
-    :func:`key_positions` indexes it directly.
-    """
-    packed = np.frombuffer(b"".join([f._bits for f in filters]), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(filters), -1), axis=1, bitorder="little")
-
-
 @dataclass
 class BloomFilter:
     """A fixed-size Bloom filter over byte-string items.
@@ -131,10 +120,6 @@ class BloomFilter:
             self._bits[pos >> 3] & (1 << (pos & 7))
             for pos in _bit_positions(item, self.k, self.m_bits)
         )
-
-    def contains_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Membership of a :func:`key_positions` batch: one bool per item."""
-        return unpacked_bits([self])[0][positions].all(axis=-1)
 
     def fill_ratio(self) -> float:
         """Fraction of bits set — 1.0 flags an all-ones poisoning attack."""

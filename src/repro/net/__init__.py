@@ -6,9 +6,7 @@ sessions with the system").  This package provides:
 
 * :mod:`repro.net.transport` — an in-memory request/response network;
 * :mod:`repro.net.concurrency` — the worker-pool fabric
-  (:class:`ThreadedNetwork`) and the concurrency-hardened service
-  front-end (:class:`ConcurrentViewMapServer`) for load scenarios where
-  many vehicles talk to the authority at once;
+  (:class:`ThreadedNetwork`) for many vehicles talking at once;
 * :mod:`repro.net.onion` — layered-encryption onion circuits over either
   transport, with per-request circuit and session rotation;
 * :mod:`repro.net.messages` — the wire formats for VP upload,
@@ -19,7 +17,7 @@ sessions with the system").  This package provides:
 """
 
 from repro.net.transport import InMemoryNetwork, Endpoint
-from repro.net.concurrency import ConcurrentViewMapServer, ThreadedNetwork
+from repro.net.concurrency import ThreadedNetwork
 from repro.net.onion import OnionNetwork, OnionCircuit, Relay
 from repro.net.messages import encode_message, decode_message
 from repro.net.server import ViewMapServer
@@ -28,7 +26,6 @@ from repro.net.client import VehicleClient
 __all__ = [
     "InMemoryNetwork",
     "ThreadedNetwork",
-    "ConcurrentViewMapServer",
     "Endpoint",
     "OnionNetwork",
     "OnionCircuit",

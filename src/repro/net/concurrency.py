@@ -12,9 +12,6 @@ top of the same ``register``/``send`` contract:
   letting one caller keep many requests in flight.  Requests overlap
   wherever the work releases the GIL: segment appends and reads, and
   hashing.
-* ``ConcurrentViewMapServer`` — an alias of
-  :class:`~repro.net.server.ViewMapServer`, whose session log, retention
-  pass and control-plane handlers are lock-guarded on every fabric.
 
 Nested deliveries (an onion relay forwarding to the next hop from inside
 a handler) run inline on the worker that is already driving the request.
@@ -178,6 +175,5 @@ class ThreadedNetwork:
         self.close()
 
 
-#: the one server is safe on every fabric; the name stays importable
-#: because the pipeline benchmark and the campaign grid construct it
+#: the old name of :class:`ViewMapServer`, imported by the pipeline benchmark only
 ConcurrentViewMapServer = ViewMapServer

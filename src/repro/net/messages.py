@@ -404,7 +404,7 @@ def pack_query_view(spec: QuerySpec) -> dict[str, Any]:
 
     The client-side twin of :func:`unpack_query_view`: only the axes
     the wire read path serves travel (minute, optional area box,
-    trusted filter) — count, k-nearest and the result shape stay
+    trusted filter) — count and the result shape stay
     authority-internal.
     """
     fields: dict[str, Any] = {"minute": spec.minute, "trusted": spec.trusted_only}

@@ -6,8 +6,8 @@ queue unbounded work (and unbounded receive buffers) on the authority.
 This module is the explicit back-pressure plane the ROADMAP calls for:
 
 * **bounded per-shard queues** — admission is tracked per shard key
-  (the frame's first-record minute, the same axis the composite router
-  shards on), so one hot minute saturating its queue cannot starve
+  (the frame's first-record minute, the axis the segment log files
+  records by), so one hot minute saturating its queue cannot starve
   ingest for the rest of the fleet;
 * **surfaced to clients** — a rejected upload is not silently dropped:
   the reply is a ``busy`` message carrying ``retry_after`` seconds, a

@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.core.viewprofile import ViewProfile
-from repro.geo.geometry import Point, Rect
+from repro.geo.geometry import Rect
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,3 @@ def vp_claims_in_area(vp: ViewProfile, area: Rect) -> bool:
     )
     return bool(inside.any())
 
-
-def min_squared_distance(vp: ViewProfile, site: Point) -> float:
-    """Squared distance from ``site`` to the VP's nearest claimed position."""
-    pos = vp.positions_array
-    dx = pos[:, 0] - site.x
-    dy = pos[:, 1] - site.y
-    return float(np.min(dx * dx + dy * dy))

@@ -33,24 +33,26 @@ other module reads the layout (:func:`frame_count`,
 which a frame of complete VPs — a fixed record stride — reads as one
 record array, its digests as ``(count, 60)`` columns).
 
-:class:`Batch` is what the store's one write primitive takes:
-it hides whether the records arrived as :class:`ViewProfile` objects or
-as such a frame (walked once), and hands the store the form it stores.
-Built from objects, a batch's minutes and boxes come out of one pass
-over all its digest columns.
+:class:`Batch` is what the store's one write primitive takes, from
+:class:`ViewProfile` objects (minutes and boxes in one pass over their
+digest columns) or a frame (walked once); :class:`RecordColumns` is what
+investigation reads, a frame's records as ``(records, 60)`` columns.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass, fields
 from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS, VP_ID_BYTES
-from repro.core.viewdigest import PACKED_DIGEST_DTYPE, PACKED_FIELD, packed_columns
+from repro.core.viewdigest import PACKED_DIGEST_DTYPE, PACKED_FIELD, PackedDigests
+from repro.core.viewdigest import packed_block_defect, packed_columns
 from repro.core.viewprofile import ViewProfile
-from repro.errors import ValidationError, WireFormatError
+from repro.crypto.bloom import BloomFilter
+from repro.errors import ReproError, ValidationError, WireFormatError
 from repro.util.encoding import (
     pack_uint,
     unpack_pair_f32,
@@ -157,14 +159,19 @@ def decode_vp(blob: bytes | memoryview, trusted: bool = False) -> ViewProfile:
     The VP keeps the blob's digest block as it is (copied out of a
     ``memoryview``) and validates it whole; no digest is unpacked.
     """
+    bloom_k, digest_block, bloom_bits = _blob_parts(blob)
+    return ViewProfile.from_wire(digest_block, bloom_bits, bloom_k, trusted)
+
+
+def _blob_parts(blob: bytes | memoryview) -> tuple[int, bytes | memoryview, bytes | memoryview]:
+    """A storage blob's Bloom ``k``, digest block and Bloom bits, sliced, not copied."""
     if len(blob) < 3:
         raise WireFormatError("VP blob too short for header")
     version = unpack_uint(blob[0:1])
     if version != VP_BLOB_VERSION:
         raise WireFormatError(f"unsupported VP blob version {version}")
-    bloom_k = unpack_uint(blob[1:3])
     digest_block, offset = unpack_prefixed(blob, 3)
-    return ViewProfile.from_wire(digest_block, blob[offset:], bloom_k, trusted)
+    return unpack_uint(blob[1:3]), digest_block, blob[offset:]
 
 
 # -- columnar batch format -------------------------------------------------
@@ -335,14 +342,20 @@ def span_copy_count() -> int:
     return _span_copies
 
 
-def decode_vp_batch(batch: bytes) -> list[ViewProfile]:
+def decode_vp_batch(batch: bytes | memoryview) -> list[ViewProfile]:
     """Rebuild the full VP list from a batch buffer (order preserved).
 
     The trusted flag is restored from the record metadata — inside a
     batch buffer it is ingestion-path state the store wrote, not
     uploader-controlled content.
     """
-    return Batch.from_frame(batch).vps()
+    out: list[ViewProfile] = []
+    for (vp_id, _minute, trusted, *_bbox), start, end in iter_encoded_meta(batch):
+        vp = decode_vp(batch[start + RECORD_OVERHEAD_BYTES : end], trusted=bool(trusted))
+        if vp.vp_id != vp_id:
+            raise WireFormatError("VP batch record id does not match its body")
+        out.append(vp)
+    return out
 
 
 class Batch:
@@ -350,9 +363,9 @@ class Batch:
 
     Built :meth:`from_vps` or :meth:`from_frame`; ``meta`` holds one
     ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` tuple per
-    record either way, and :meth:`record_span` and :meth:`vps` derive
-    the other forms on demand — so the store asks for the form it
-    stores and never learns which one arrived.  The trusted
+    record either way, and :meth:`record_span` frames a record on
+    demand — so the store asks for the form it stores and never learns
+    which one arrived.  The trusted
     bit lives in ``meta``: a trusted write forces it without touching
     the caller's objects.
     """
@@ -427,15 +440,83 @@ class Batch:
         start, end = self._spans[index]
         return memoryview(self._frame)[start:end]
 
-    def vps(self) -> list[ViewProfile]:
-        """The records as objects: the caller's own, or decoded bodies."""
-        if self._vps is not None:
-            return self._vps
-        frame = self._frame
-        out: list[ViewProfile] = []
-        for (vp_id, _minute, trusted, *_bbox), (start, end) in zip(self.meta, self._spans):
-            vp = decode_vp(frame[start + RECORD_OVERHEAD_BYTES : end], trusted=bool(trusted))
-            if vp.vp_id != vp_id:
-                raise WireFormatError("VP batch record id does not match its body")
-            out.append(vp)
-        return out
+
+@dataclass(eq=False)
+class RecordColumns:
+    """A frame's records laid out once as columns: what investigation reads.
+
+    ``digests`` is ``(records, 60)`` :data:`PACKED_DIGEST_DTYPE`, short VPs
+    zero-padded and ``held`` marking real rows (``t``, ``xy``: float64 copies);
+    beside it each record's head id, trust, minute and Bloom (bytes zero-padded).
+    """
+
+    ids: list[bytes]
+    trusted: np.ndarray
+    minute: np.ndarray
+    digests: np.ndarray
+    held: np.ndarray
+    bloom_k: np.ndarray
+    bloom_bits: np.ndarray
+    bloom: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.t = self.digests["t"].astype(np.float64)
+        self.xy = self.digests["location"].astype(np.float64)  # (records, 60, 2)
+
+    @classmethod
+    def from_frame(cls, frame: bytes | memoryview) -> "RecordColumns":
+        """Lay out a frame's records, held to the checks decoding runs
+        (:func:`~repro.core.viewdigest.packed_block_defect` once per digest
+        count): the first failing record raises what its decode would."""
+        batch = Batch.from_frame(frame)
+        faults: dict[int, Exception] = {}  # the first fault of each failing record
+        bloom_k, blocks, blooms = [], [], []
+        for row in range(len(batch)):
+            try:
+                k, block, bits = _blob_parts(batch.record_span(row)[RECORD_OVERHEAD_BYTES:])
+                PackedDigests(block)  # the geometry checks decoding runs
+                BloomFilter.from_bytes(bits, k)
+            except ReproError as exc:
+                faults[row] = exc
+                k, block, bits = 1, b"", b"\0"
+            bloom_k.append(k)
+            blocks.append(block)
+            blooms.append(bytes(bits))
+        lengths = np.array([len(block) for block in blocks], dtype=np.intp) // VD_MESSAGE_BYTES
+        size = max([VIDEO_UNIT_SECONDS, *lengths.tolist()]) * VD_MESSAGE_BYTES
+        padded = [b if len(b) == size else bytes(b).ljust(size, b"\0") for b in blocks]
+        digests = packed_columns(b"".join(padded)).reshape(len(blocks), size // VD_MESSAGE_BYTES)
+        held = np.arange(digests.shape[-1]) < lengths[:, None]
+        for n in np.unique(lengths).tolist():
+            group = np.flatnonzero(lengths == n)
+            for broken, message in packed_block_defect(digests[group, :n]):
+                for row in group[broken].tolist():
+                    faults.setdefault(row, ValidationError(message))
+        ids = [meta[0] for meta in batch.meta]
+        head_ids = np.frombuffer(b"".join(ids), dtype=np.uint8).reshape(-1, VP_ID_BYTES)
+        mismatch = held[:, 0] & (digests["vp_id"][:, 0] != head_ids).any(axis=1)
+        for row in np.flatnonzero(mismatch).tolist():
+            faults.setdefault(row, WireFormatError("VP batch record id does not match its body"))
+        if faults:
+            raise faults[min(faults)]
+        sizes = np.array([len(bits) for bits in blooms], dtype=np.int64)
+        widest = int(sizes.max(initial=0))
+        bloom = b"".join([bits.ljust(widest, b"\0") for bits in blooms])
+        bloom = np.frombuffer(bloom, np.uint8).reshape(len(ids), widest)
+        heads = np.array([meta[1:3] for meta in batch.meta], dtype=np.int64).reshape(-1, 2)
+        bloom_k = np.array(bloom_k, dtype=np.int64)
+        return cls(ids, heads[:, 1] > 0, heads[:, 0], digests, held, bloom_k, 8 * sizes, bloom)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray) -> "RecordColumns":
+        """The records at ``rows``, in that order."""
+        arrays = (getattr(self, field.name)[rows] for field in fields(self)[1:])
+        return RecordColumns([self.ids[row] for row in rows.tolist()], *arrays)
+
+    def profile(self, row: int) -> ViewProfile:
+        """Record ``row`` as a :class:`ViewProfile`, built on request."""
+        block = self.digests[row][self.held[row]].tobytes()
+        bits = self.bloom[row, : self.bloom_bits[row] // 8].tobytes()
+        return ViewProfile.from_wire(block, bits, int(self.bloom_k[row]), bool(self.trusted[row]))

@@ -12,7 +12,8 @@ created at ``path`` itself); with an empty path they are anonymous
 ``tempfile.TemporaryFile`` objects, unlinked from birth — the same
 engine, volatile: the placement is the path and nothing else.  Either
 way the record bytes live in the kernel's page cache, not in this
-process's heap; the heap holds the index, about 216 B per VP.  The
+process's heap; the heap holds the index alone (bounded per VP by
+``STORED_VP_BYTES_MAX`` in ``tests/store/test_memory_footprint.py``).  The
 index lives in memory and is rebuilt by one scan at open: the
 ``id -> (minute, row)`` map that rejects duplicates, and per minute
 the ``(offset, length, trusted, bbox)`` columns and the ids in
@@ -64,7 +65,7 @@ import numpy as np
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError, WireFormatError
 from repro.obs.metrics import MetricsRegistry, stage_timer
-from repro.store.base import StoreStats, min_squared_distance
+from repro.store.base import StoreStats
 from repro.store.codec import (
     FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
@@ -141,7 +142,7 @@ class SegmentStore:
       ``insert*`` entry points are built on it;
     * every read goes through :meth:`query` with a
       :class:`~repro.store.serving.QuerySpec` (minute, area, trusted,
-      k-nearest, count, encoded).  The one read primitive is
+      count, encoded).  The one read primitive is
       :meth:`query_encoded`; decoded reads are
       ``decode_vp_batch(query_encoded(spec))`` — fresh wire-backed VPs
       per call, equal in content, never the inserted instance;
@@ -422,10 +423,8 @@ class SegmentStore:
 
         Axes compose (see :class:`~repro.store.serving.QuerySpec`):
         selection = minute, restricted by area and/or trusted flag;
-        then ``nearest`` ranks the selection by point-to-trajectory
-        distance (ties keep insertion order — stable sort) and keeps
-        ``k``; ``count`` returns cardinality only; ``encoded`` returns
-        the stored frame via :meth:`query_encoded`.  The whole read is
+        ``count`` returns cardinality only; ``encoded`` returns the
+        stored frame via :meth:`query_encoded`, anything else decodes it.  The whole read is
         one ``store.query`` stage observation.
         """
         with stage_timer(self.metrics, "store.query"):
@@ -435,10 +434,6 @@ class SegmentStore:
             if spec.count:
                 return QueryResult(spec=spec, n=self._count_query(spec))
             vps = decode_vp_batch(self.query_encoded(spec))
-            if spec.nearest is not None:
-                site = spec.nearest
-                vps.sort(key=lambda vp: min_squared_distance(vp, site))
-                vps = vps[: spec.k]
             return QueryResult(spec=spec, n=len(vps), vps=vps)
 
     def query_encoded(self, spec: QuerySpec) -> memoryview:

@@ -3,6 +3,7 @@
 from repro.attacks.faker import forge_fake_vp
 from repro.core.viewmap import build_viewmap, mutual_linkage
 from repro.geo.geometry import Point
+from repro.store.codec import encode_vp_batch
 
 
 class TestForgeFakeVP:
@@ -25,7 +26,7 @@ class TestForgeFakeVP:
             minute=0, claimed_path=[Point(300, 25), Point(400, 25)], seed=3
         )
         vmap = build_viewmap(
-            [res_a.actual_vp, res_b.actual_vp, fake], minute=0
+            encode_vp_batch([res_a.actual_vp, res_b.actual_vp, fake]), minute=0
         )
         assert vmap.graph.degree(fake.vp_id) == 0
 
@@ -41,7 +42,8 @@ class TestForgeFakeVP:
         )
         assert fake.may_link_to(res_a.actual_vp)
         assert not mutual_linkage(fake, res_a.actual_vp)
-        vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp, fake], minute=0)
+        frame = encode_vp_batch([res_a.actual_vp, res_b.actual_vp, fake])
+        vmap = build_viewmap(frame, minute=0)
         assert vmap.graph.degree(fake.vp_id) == 0
 
     def test_colluding_fakes_can_link_to_each_other(self):
@@ -55,5 +57,5 @@ class TestForgeFakeVP:
         a.bloom.add(b.digests[0].bloom_key())
         a.bloom.add(b.digests[-1].bloom_key())
         assert mutual_linkage(a, b)
-        vmap = build_viewmap([a, b], minute=0)
+        vmap = build_viewmap(encode_vp_batch([a, b]), minute=0)
         assert vmap.edge_count == 1

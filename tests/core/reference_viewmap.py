@@ -1,11 +1,11 @@
 """The per-pair, object-by-object viewmap construction, kept as the oracle.
 
-Until ``build_viewmap`` ran on the members' stacked digest columns this
-was it: a ``Trajectory`` per member interpolated in Python at every
-probe second, a set of candidate index pairs, an ``np.intersect1d`` per
+Until ``build_viewmap`` ran on the members' digest columns this was
+it: a ``Trajectory`` per member interpolated in Python at every probe
+second, a set of candidate index pairs, an ``np.intersect1d`` per
 candidate, and per-key Bloom bit positions tested bit by bit.  Nothing
 here calls the code that replaced it (the helpers of
-``repro.core.viewmap``, ``key_positions``, ``unpacked_bits``), so the
+``repro.core.viewmap``, ``key_positions``, ``RecordColumns``), so the
 columnar path is compared against an independent definition.
 
 One deliberate difference from what ``src/`` held: a key's bit
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.constants import DSRC_RANGE_M
-from repro.core.viewmap import ViewMapGraph
+from repro.core.viewmap import ViewLinks
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter, _bit_positions
 from repro.geo.geometry import Point, Rect
@@ -93,8 +93,9 @@ def reference_build_viewmap(
     area: Rect | None = None,
     radius_m: float = DSRC_RANGE_M,
     skip_bloom_check: bool = False,
-) -> ViewMapGraph:
-    vmap = ViewMapGraph(minute=minute)
+) -> tuple[list[bytes], ViewLinks]:
+    """The member ids, each once in first-seen order, and the viewlinks."""
+    graph = ViewLinks()
     members = []
     for vp in profiles:
         if vp.minute != minute:
@@ -110,14 +111,15 @@ def reference_build_viewmap(
             if not bool(np.any(inside)):
                 continue
         members.append(vp)
-        vmap.add_profile(vp)
+        graph.add_node(vp.vp_id)
+    nodes = list(dict.fromkeys(vp.vp_id for vp in members))
     if len(members) < 2:
-        return vmap
+        return nodes, graph
 
     for i, j in reference_candidate_pairs(members, radius_m):
         a, b = members[i], members[j]
         if not reference_aligned_within_range(a, b, radius_m):
             continue
         if skip_bloom_check or (_holds_any_key(a, b) and _holds_any_key(b, a)):
-            vmap.add_viewlink(a.vp_id, b.vp_id)
-    return vmap
+            graph.add_edge(a.vp_id, b.vp_id)
+    return nodes, graph

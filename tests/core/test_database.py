@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.database import VPDatabase
 from repro.errors import ValidationError
-from repro.geo.geometry import Point, Rect
+from repro.geo.geometry import Rect
 from repro.store.serving import QuerySpec
 from tests.core.test_viewprofile import make_vp
 
@@ -58,13 +58,3 @@ class TestTrusted:
         db.insert(make_vp(seed=4))
         assert db.query(QuerySpec(minute=0, trusted_only=True)).vps == []
 
-    def test_nearest_trusted_ordering(self):
-        db = VPDatabase()
-        near = make_vp(seed=5, x0=0.0)
-        far = make_vp(seed=6, x0=5_000.0)
-        db.insert_trusted(far)
-        db.insert_trusted(near)
-        best = db.query(QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0), k=1)).vps
-        assert best == [near]
-        both = db.query(QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0), k=2)).vps
-        assert both == [near, far]

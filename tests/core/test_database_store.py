@@ -1,11 +1,9 @@
 """Tests for the store-backed VP database facade and its satellite fixes."""
 
-import numpy as np
 import pytest
 
 from repro.core.database import VPDatabase
 from repro.errors import ValidationError
-from repro.geo.geometry import Point
 from repro.store import SegmentStore
 from repro.store.serving import QuerySpec
 from tests.store.conftest import build_store, fingerprints, make_vp
@@ -64,24 +62,3 @@ class TestInsertTrustedMutation:
         assert vp.trusted
         assert db.query(QuerySpec(minute=0, trusted_only=True)).vps == [vp]
 
-
-class TestNearestTrustedVectorized:
-    def test_matches_pointwise_reference(self):
-        db = VPDatabase()
-        vps = [make_vp(seed=i, x0=123.0 * i, y0=37.0 * i) for i in range(6)]
-        for vp in vps:
-            db.insert_trusted(vp)
-        site = Point(400.0, 100.0)
-
-        def pointwise(vp):
-            return min(site.distance_to(p) for p in vp.trajectory.points)
-
-        expected = sorted(vps, key=pointwise)[:3]
-        assert db.query(QuerySpec(minute=0, trusted_only=True, nearest=site, k=3)).vps == expected
-
-    def test_uses_positions_array(self):
-        db = VPDatabase()
-        vp = make_vp(seed=9)
-        db.insert_trusted(vp)
-        assert isinstance(vp.positions_array, np.ndarray)
-        assert db.query(QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0))).vps == [vp]

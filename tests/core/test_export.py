@@ -3,13 +3,14 @@
 import json
 
 from repro.core.export import render_ascii, save_viewmap, viewmap_to_dict
-from repro.core.viewmap import ViewMapGraph, build_viewmap
+from repro.core.viewmap import build_viewmap
+from repro.store.codec import encode_vp_batch
 
 
 class TestViewmapExport:
     def test_dict_structure(self, linked_pair):
         _, _, res_a, res_b = linked_pair
-        vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp], minute=0)
+        vmap = build_viewmap(encode_vp_batch([res_a.actual_vp, res_b.actual_vp]), minute=0)
         data = viewmap_to_dict(vmap)
         assert data["minute"] == 0
         assert len(data["nodes"]) == 2
@@ -19,7 +20,7 @@ class TestViewmapExport:
     def test_node_fields(self, linked_pair):
         _, _, res_a, res_b = linked_pair
         res_a.actual_vp.trusted = True
-        vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp], minute=0)
+        vmap = build_viewmap(encode_vp_batch([res_a.actual_vp, res_b.actual_vp]), minute=0)
         data = viewmap_to_dict(vmap)
         trusted = [n for n in data["nodes"] if n["trusted"]]
         assert len(trusted) == 1
@@ -28,7 +29,7 @@ class TestViewmapExport:
 
     def test_save_roundtrips_as_json(self, linked_pair, tmp_path):
         _, _, res_a, res_b = linked_pair
-        vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp], minute=0)
+        vmap = build_viewmap(encode_vp_batch([res_a.actual_vp, res_b.actual_vp]), minute=0)
         path = tmp_path / "viewmap.json"
         save_viewmap(vmap, path)
         loaded = json.loads(path.read_text())
@@ -36,7 +37,7 @@ class TestViewmapExport:
 
     def test_ascii_render(self, linked_pair):
         _, _, res_a, res_b = linked_pair
-        vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp], minute=0)
+        vmap = build_viewmap(encode_vp_batch([res_a.actual_vp, res_b.actual_vp]), minute=0)
         art = render_ascii(vmap, width=30, height=8)
         lines = art.splitlines()
         assert len(lines) == 8
@@ -44,7 +45,7 @@ class TestViewmapExport:
         assert any(c != " " for line in lines for c in line)
 
     def test_empty_viewmap_render(self):
-        assert "empty" in render_ascii(ViewMapGraph(minute=0))
+        assert "empty" in render_ascii(build_viewmap(encode_vp_batch([]), minute=0))
 
 
 class TestInvestigatePeriod:

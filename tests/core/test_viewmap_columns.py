@@ -1,10 +1,11 @@
-"""``build_viewmap`` on stacked columns against the per-pair oracle.
+"""``build_viewmap`` on a frame's record columns against the per-pair oracle.
 
 ``tests/core/reference_viewmap.py`` is the implementation ``src/`` held
-until viewmap construction moved onto the members' stacked 60 x 72 B
-blocks.  Every case below builds the same population through both and
-asks for the same node *list* (TrustRank indexes its matrix by it), the
-same edge *set*, or the same exception class.  The last test is the one
+until viewmap construction moved onto the members' 60 x 72 B blocks as
+columns.  Every case below builds the same population through both —
+``build_viewmap`` from its codec frame, the oracle from the objects —
+and asks for the same node *list* (TrustRank indexes its matrix by it),
+the same edge *set*, or the same exception class.  The last test is the one
 the oracle cannot give: digest times are the uploader's choice, and no
 choice of them may make the construction's memory grow faster than
 members x 60 + candidate pairs x 60.
@@ -28,24 +29,30 @@ from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.sim.stream import stream_convoy_vps, stream_vp
+from repro.store.codec import encode_vp_batch
 from tests.core.reference_viewmap import reference_build_viewmap
 from tests.core.test_record_minute import GRAZING_GAP, GRAZING_SITE, GRAZING_SPEED
 
 RADII = [DSRC_RANGE_M, 40.0, 150.0, float(np.nextafter(np.float32(30.0), np.float32(0.0))), 2_000.0]
 
 
+def built(profiles, minute, **kwargs):
+    vmap = build_viewmap(encode_vp_batch(profiles), minute, **kwargs)
+    assert vmap.members.ids == list(vmap.graph.nodes)  # row i is node i
+    return list(vmap.graph.nodes), vmap.graph
+
+
 def outcome(build, profiles, minute, **kwargs):
     try:
-        vmap = build(profiles, minute, **kwargs)
+        nodes, graph = build(profiles, minute, **kwargs)
     except Exception as exc:  # the comparison is the exception's class
         return type(exc)
-    assert list(vmap.profiles) == list(vmap.graph.nodes)
-    assert all(vmap.profiles[vp.vp_id] is vp for vp in vmap.profiles.values())
-    return list(vmap.graph.nodes), {frozenset(edge) for edge in vmap.graph.edges}
+    assert nodes == list(graph.nodes)
+    return nodes, {frozenset(edge) for edge in graph.edges}
 
 
 def assert_same_viewmap(profiles, minute, **kwargs):
-    got = outcome(build_viewmap, profiles, minute, **kwargs)
+    got = outcome(built, profiles, minute, **kwargs)
     want = outcome(reference_build_viewmap, profiles, minute, **kwargs)
     assert got == want
     return got
@@ -294,11 +301,11 @@ def test_far_apart_seconds_agree_with_the_oracle():
 
 
 def test_far_apart_seconds_cost_no_more_than_pairs_times_sixty():
-    vps = hostile_population(HOSTILE_MEMBERS)
+    frame = encode_vp_batch(hostile_population(HOSTILE_MEMBERS))
     tracemalloc.start()
     try:
-        by_geometry = build_viewmap(vps, 0, skip_bloom_check=True)
-        with_blooms = build_viewmap(vps, 0)
+        by_geometry = build_viewmap(frame, 0, skip_bloom_check=True)
+        with_blooms = build_viewmap(frame, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

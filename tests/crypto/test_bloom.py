@@ -10,7 +10,6 @@ from repro.crypto.bloom import (
     false_linkage_rate,
     key_positions,
     optimal_hash_count,
-    unpacked_bits,
 )
 from repro.errors import ValidationError
 
@@ -67,30 +66,6 @@ class TestBloomFilter:
         assert batch.tolist() == [_bit_positions(key, k, m_bits) for key in keys]
         assert key_positions(iter(keys[:3]), k, m_bits).tolist() == batch[:3].tolist()
         assert key_positions([], k, m_bits).shape == (0, k)
-
-    @pytest.mark.parametrize("k, m_bits", [(8, 2048), (5, 2040), (2, 64)])
-    def test_contains_positions_matches_contains(self, k, m_bits):
-        bloom = BloomFilter(m_bits=m_bits, k=k)
-        present = [f"present-{i}".encode() for i in range(12)]
-        for key in present:
-            bloom.add(key)
-        keys = present + [f"absent-{i}".encode() for i in range(300)]
-        held = bloom.contains_positions(key_positions(keys, k, m_bits))
-        assert held.tolist() == [key in bloom for key in keys]
-        assert held[: len(present)].all()
-        assert bool(bloom.contains_positions(key_positions([b"present-0"], k, m_bits)[0]))
-        saturated = BloomFilter.all_ones(m_bits, k)
-        assert saturated.contains_positions(key_positions(keys, k, m_bits)).all()
-
-    def test_unpacked_bits_follow_the_filters_bit_order(self):
-        a, b = BloomFilter(m_bits=64, k=2), BloomFilter(m_bits=64, k=2)
-        a.add(b"a")
-        b.add(b"b")
-        bits = unpacked_bits([a, b])
-        assert bits.shape == (2, 64)
-        for row, bloom in zip(bits, (a, b)):
-            packed = bloom.to_bytes()
-            assert row.tolist() == [(packed[p >> 3] >> (p & 7)) & 1 for p in range(64)]
 
     def test_no_position_cache_survives_a_lookup(self):
         # the module used to keep a 65 536-entry LRU of per-key tuples

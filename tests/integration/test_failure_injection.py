@@ -6,6 +6,7 @@ from repro.core.system import ViewMapSystem
 from repro.core.vehicle import VehicleAgent
 from repro.core.viewmap import build_viewmap
 from repro.geo.geometry import Point
+from repro.store.codec import encode_vp_batch
 from tests.conftest import run_linked_minute
 
 
@@ -24,7 +25,7 @@ class TestLossyChannel:
             if i == 43:  # b hears a exactly once
                 b.receive(vda, t, pb)
         res_a, res_b = a.finalize_minute(), b.finalize_minute()
-        vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp], minute=0)
+        vmap = build_viewmap(encode_vp_batch([res_a.actual_vp, res_b.actual_vp]), minute=0)
         assert vmap.edge_count == 1
 
     def test_one_way_loss_means_no_link(self):
@@ -38,7 +39,7 @@ class TestLossyChannel:
             b.emit(t, pb, minute=0)
             b.receive(vda, t, pb)  # only b hears a
         res_a, res_b = a.finalize_minute(), b.finalize_minute()
-        vmap = build_viewmap([res_a.actual_vp, res_b.actual_vp], minute=0)
+        vmap = build_viewmap(encode_vp_batch([res_a.actual_vp, res_b.actual_vp]), minute=0)
         assert vmap.edge_count == 0
 
 

@@ -8,6 +8,7 @@ from repro.mobility.scenarios import city_scenario, two_vehicle_passes
 from repro.radio.channel import DsrcChannel
 from repro.sim.runner import run_viewmap_simulation
 from repro.store.serving import QuerySpec
+from repro.store.codec import encode_vp_batch
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestLinkageRealism:
         traces = two_vehicle_passes([80.0], dwell_s=60)
         channel = DsrcChannel(seed=2)
         result = run_viewmap_simulation(traces, channel, seed=2)
-        vmap = build_viewmap(result.vps_by_minute[0], minute=0)
+        vmap = build_viewmap(encode_vp_batch(result.vps_by_minute[0]), minute=0)
         a, b = result.actual_vps(0)
         assert vmap.graph.has_edge(a.vp_id, b.vp_id)
 
@@ -65,7 +66,7 @@ class TestLinkageRealism:
         traces = two_vehicle_passes([500.0], dwell_s=60)
         channel = DsrcChannel(seed=3)
         result = run_viewmap_simulation(traces, channel, seed=3)
-        vmap = build_viewmap(result.vps_by_minute[0], minute=0)
+        vmap = build_viewmap(encode_vp_batch(result.vps_by_minute[0]), minute=0)
         a, b = result.actual_vps(0)
         assert not vmap.graph.has_edge(a.vp_id, b.vp_id)
 
@@ -73,7 +74,7 @@ class TestLinkageRealism:
         traces = two_vehicle_passes([80.0], dwell_s=60)
         channel = DsrcChannel(seed=4)
         result = run_viewmap_simulation(traces, channel, seed=4, fast_links=False)
-        vmap = build_viewmap(result.vps_by_minute[0], minute=0)
+        vmap = build_viewmap(encode_vp_batch(result.vps_by_minute[0]), minute=0)
         a, b = result.actual_vps(0)
         assert vmap.graph.has_edge(a.vp_id, b.vp_id)
 

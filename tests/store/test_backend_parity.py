@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError, ValidationError
-from repro.geo.geometry import Point, Rect
+from repro.geo.geometry import Rect
 from repro.store import (
     QuerySpec,
     SegmentStore,
@@ -99,20 +99,15 @@ class ReferenceModel:
             ]
         if spec.trusted_only:
             vps = [vp for vp in vps if vp.trusted]
-        if spec.nearest is not None:
-            site = spec.nearest
-            vps.sort(key=lambda vp: min(site.distance_to(p) for p in vp.trajectory.points))
-            vps = vps[: spec.k]
         return vps
 
 
-def selection_specs(minute, rect, site):
+def selection_specs(minute, rect):
     """One spec per decoded selection shape the investigator uses."""
     return (
         QuerySpec(minute=minute),
         QuerySpec(minute=minute, area=rect),
         QuerySpec(minute=minute, trusted_only=True),
-        QuerySpec(minute=minute, trusted_only=True, nearest=site, k=2),
     )
 
 
@@ -225,11 +220,10 @@ def test_backends_agree_with_reference(ops, area, batch):
     # -- compare every observable ------------------------------------------
     x0, y0, w, h = area
     rect = Rect(x0, y0, x0 + w, y0 + h)
-    site = Point(150.0, 150.0)
     assert len({len(store) for store in stores}) == 1
     assert len({tuple(store.minutes()) for store in stores}) == 1
     for minute in range(4):
-        for spec in selection_specs(minute, rect, site):
+        for spec in selection_specs(minute, rect):
             expected = fingerprints(reference.select(spec))
             for backend in backends:
                 assert fingerprints(backend.query(spec).vps) == expected, spec
@@ -270,9 +264,8 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
 
     x0, y0, w, h = area
     rect = Rect(x0, y0, x0 + w, y0 + h)
-    site = Point(150.0, 150.0)
     for minute in range(4):
-        for spec in selection_specs(minute, rect, site):
+        for spec in selection_specs(minute, rect):
             expected = reference.select(spec)
             for backend in backends:
                 result = backend.query(spec)
@@ -290,7 +283,7 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
             for backend in backends:
                 assert backend.query(replace(spec, count=True)).n == expected_n, spec
         # encoded axis: byte-identical frames, client-side decode parity
-        for spec in selection_specs(minute, rect, site)[:3]:
+        for spec in selection_specs(minute, rect):
             expected = reference.select(spec)
             spec = replace(spec, encoded=True)
             expected_frame = encode_vp_batch(expected)

@@ -9,15 +9,18 @@ decoded VP, and loud failures on truncated or version-skewed buffers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.viewdigest import PACKED_DIGEST_DTYPE
 from repro.errors import WireFormatError
 from repro.store.codec import (
     FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
     Batch,
+    RecordColumns,
     decode_vp_batch,
     encode_vp,
     encode_vp_batch,
@@ -98,8 +101,8 @@ def test_batch_forms_agree(specs):
     spans = [(start, end) for _meta, start, end in iter_encoded_meta(frame)]
     for i, (start, end) in enumerate(spans):
         assert from_vps.record_span(i) == from_frame.record_span(i) == frame[start:end]
-    assert all(a is b for a, b in zip(from_vps.vps(), vps))
-    assert fingerprints(from_frame.vps()) == fingerprints(vps)
+    columns = RecordColumns.from_frame(frame)
+    assert fingerprints(map(columns.profile, range(len(columns)))) == fingerprints(vps)
     # a trusted write forces the bit in the metadata only
     assert all(record[2] for record in Batch.from_vps(vps, trusted=True).meta)
     assert [vp.trusted for vp in vps] == [bool(spec[5]) for spec in specs]
@@ -178,6 +181,83 @@ def test_batch_rejects_id_body_mismatch():
     buf[id_offset] ^= 0xFF
     with pytest.raises(WireFormatError):
         decode_vp_batch(bytes(buf))
+
+
+def _digests(buf: bytearray, record: int) -> np.ndarray:
+    """A writable view of one record's digests inside ``buf``."""
+    start = [start for _meta, start, _end in iter_encoded_meta(bytes(buf))][record]
+    body = start + RECORD_OVERHEAD_BYTES
+    n = int.from_bytes(buf[body + 3 : body + 7], "big") // 72
+    return np.frombuffer(memoryview(buf)[body + 7 : body + 7 + 72 * n], PACKED_DIGEST_DTYPE)
+
+
+def _body(buf: bytearray, record: int) -> int:
+    return [start for _meta, start, _end in iter_encoded_meta(bytes(buf))][record] + (
+        RECORD_OVERHEAD_BYTES
+    )
+
+
+def _set(field, value, at=slice(None)):
+    def corrupt(buf, record):
+        _digests(buf, record)[field][at] = value
+
+    return corrupt
+
+
+def _poke(offset, value):
+    def corrupt(buf, record):
+        buf[_body(buf, record) + offset] = value
+
+    return corrupt
+
+
+#: damage to one record, each of what decoding it refuses
+CORRUPTIONS = {
+    "blob version": _poke(0, 9),
+    "zero-hash bloom": lambda buf, record: buf.__setitem__(
+        slice(_body(buf, record) + 1, _body(buf, record) + 3), b"\0\0"
+    ),
+    "block not whole digests": _poke(6, 73),
+    "head id": lambda buf, record: buf.__setitem__(
+        _body(buf, record) - RECORD_OVERHEAD_BYTES + 1 + 4 + 32,
+        buf[_body(buf, record) - RECORD_OVERHEAD_BYTES + 1 + 4 + 32] ^ 0xFF,
+    ),
+    "body id": _set("vp_id", 7),
+    "one digest's id": _set("vp_id", 7, at=-1),
+    "second 0": _set("second_index", 0, at=0),
+    "second repeated": _set("second_index", 1),
+    "time NaN": _set("t", float("nan"), at=1),
+    "position inf": _set("location", float("inf"), at=-1),
+    "too wide": _set("location", 20_000.0, at=-1),
+}
+
+
+def _refusal(read, frame):
+    try:
+        read(frame)
+    except Exception as exc:  # the comparison is the class and the message
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("first", [None, *CORRUPTIONS])
+@pytest.mark.parametrize("second", sorted(CORRUPTIONS))
+def test_columns_refuse_what_decoding_refuses(first, second):
+    # a minute, a 4-digest VP and a minute: damage one record, or two;
+    # the earlier damaged record decides, with what decoding it says
+    vps = [make_vp(seed=1, n=60), make_vp(seed=2, n=4), make_vp(seed=3, n=60)]
+    buf = bytearray(encode_vp_batch(vps))
+    CORRUPTIONS[second](buf, 2)
+    if first is not None:
+        CORRUPTIONS[first](buf, 1)
+    want = _refusal(decode_vp_batch, bytes(buf))
+    assert want is not None
+    assert _refusal(RecordColumns.from_frame, bytes(buf)) == want
+
+
+def test_columns_of_an_empty_frame():
+    columns = RecordColumns.from_frame(encode_vp_batch([]))
+    assert len(columns) == 0 and columns.digests.shape == (0, 60)
 
 
 class TestFramingCopiesNothingTwice:

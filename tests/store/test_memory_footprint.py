@@ -30,7 +30,7 @@ from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.sim.stream import stream_convoy_vps, stream_vp
 from repro.store import SegmentStore
-from repro.store.base import min_squared_distance, vp_claims_in_area
+from repro.store.base import vp_claims_in_area
 from repro.store.codec import decode_vp_batch, encode_vp, encode_vp_batch
 from repro.store.serving import QuerySpec
 from tests.store.conftest import build_store
@@ -40,7 +40,7 @@ VPS_PER_FRAME = 4
 AREA_M = 2_000.0
 
 #: ceiling on heap bytes retained per VP by ``SegmentStore()`` fed
-#: codec frames: the id map entry, one 57 B column row and the id in the
+#: codec frames: the id map entry, one 49 B column row and the id in the
 #: minute's list (216 B measured).  The record bytes live in an anonymous
 #: segment, outside the heap; the object store this replaced retained
 #: 6.3 kB per VP (decoded block, Bloom, positions and a 60-cell grid entry)
@@ -54,7 +54,7 @@ BUILT_VP_BYTES_MAX = 5_500
 
 #: ceiling per VP once a viewmap over it was built and verified: the VP
 #: as decoded (block 4.3 kB + Bloom 0.4 kB + objects, 4.9 kB) — site
-#: membership reads the viewmap's stacked columns, and a VP caches no
+#: membership reads the viewmap's record columns, and a VP caches no
 #: position array (6.3 kB while ``claims_location_near`` ran per member)
 INVESTIGATED_VP_BYTES_MAX = 5_500
 
@@ -116,11 +116,12 @@ def test_sqlite_area_query_and_viewmap_unpack_no_digest(unpack_calls):
         for frame in make_frames():
             store.insert_encoded(frame)
         quarter = Rect(0.0, 0.0, AREA_M / 2, AREA_M / 2)
-        candidates = store.query(QuerySpec(minute=0, area=Rect(0.0, 0.0, AREA_M, AREA_M))).vps
-        vmap = build_viewmap(candidates, minute=0, area=quarter)
+        area = Rect(0.0, 0.0, AREA_M, AREA_M)
+        candidates = store.query(QuerySpec(minute=0, area=area, encoded=True))
+        vmap = build_viewmap(candidates.frame, minute=0, area=quarter)
     finally:
         store.close()
-    assert len(candidates) == N_VPS
+    assert candidates.n == N_VPS
     assert 0 < vmap.node_count < N_VPS  # members and non-members both present
     assert len(unpack_calls) == 0
 
@@ -145,10 +146,12 @@ def test_vehicle_built_vps_cost_what_stored_ones_do(unpack_calls):
         store = SegmentStore()
         for i in range(0, n, 16):
             assert store.insert_encoded(pack_vp_batch_frame(vps[i : i + 16])) == 16
-        candidates = store.query(QuerySpec(minute=1, area=Rect(0.0, 0.0, AREA_M, AREA_M))).vps
-        vmap = build_viewmap(candidates, minute=1, area=Rect(0.0, 0.0, AREA_M / 2, AREA_M / 2))
+        area = Rect(0.0, 0.0, AREA_M, AREA_M)
+        candidates = store.query(QuerySpec(minute=1, area=area, encoded=True))
+        quarter = Rect(0.0, 0.0, AREA_M / 2, AREA_M / 2)
+        vmap = build_viewmap(candidates.frame, minute=1, area=quarter)
         store.close()
-        assert len(candidates) == n and 0 < vmap.node_count < n
+        assert candidates.n == n and 0 < vmap.node_count < n
         assert len(unpack_calls) == 0
 
         heard = [NeighborRecord(first=vd, last=vd) for vd in (vp.digests[0] for vp in vps)]
@@ -169,7 +172,6 @@ def test_encoding_inserting_and_reading_geometry_leave_a_vp_its_size():
     # a frame encode (which reads ``bounding_box``) left each of these
     # VPs a (60, 2) float64 array and a tuple heavier: +1.45 kB.
     n = 64
-    site = Point(AREA_M / 2, AREA_M / 2)
     quarter = Rect(0.0, 0.0, AREA_M / 2, AREA_M / 2)
     tracemalloc.start()
     try:
@@ -183,7 +185,6 @@ def test_encoding_inserting_and_reading_geometry_leave_a_vp_its_size():
             assert vp.bounding_box[0] <= vp.positions_array[:, 0].min()
             assert vp.times_array.shape == (len(vp.positions_array),)
             vp_claims_in_area(vp, quarter)
-            min_squared_distance(vp, site)
         store.close()
         del frames, store
         after = (retained_bytes() - before) / n
@@ -209,12 +210,12 @@ def test_an_investigation_leaves_stored_vps_the_size_they_were(unpack_calls):
     recording = len(unpack_calls)  # the convoys' own VD exchange
     # once on a copy, untraced: numpy imports numpy.ma inside its first
     # np.unique (0.5 MB that scipy's import used to hide), no VP's cost
-    verify_viewmap(build_viewmap(decode_vp_batch(frames[0]), minute=3), Point(*sites[0]), 200.0)
+    verify_viewmap(build_viewmap(frames[0], minute=3), Point(*sites[0]), 200.0)
     tracemalloc.start()
     try:
         before = retained_bytes()
         vps = [vp for frame in frames for vp in decode_vp_batch(frame)]
-        vmap = build_viewmap(vps, minute=3)
+        vmap = build_viewmap(encode_vp_batch(vps), minute=3)
         verification = verify_viewmap(vmap, Point(*sites[0]), 200.0)
         nodes, edges, legitimate = vmap.node_count, vmap.edge_count, len(verification.legitimate)
         del vmap, verification

@@ -22,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import StorageError, ValidationError
-from repro.geo.geometry import Point, Rect
+from repro.geo.geometry import Rect
 from repro.store import QuerySpec, encode_vp_batch
 from tests.store.conftest import PLACEMENTS, build_placement, fingerprint, fingerprints, make_vp
 
@@ -120,7 +120,6 @@ class TestAreaQuery:
             assert store.query_encoded(spec) == EMPTY_FRAME
             assert store.query(spec).vps == []
             assert store.query(replace(spec, count=True)).n == 0
-        assert store.query(QuerySpec(minute=9, nearest=Point(0, 0), k=3)).vps == []
         assert store.evict_before(10) == 0
 
 
@@ -139,26 +138,6 @@ class TestTrusted:
             store.insert_trusted(dup)
         assert not dup.trusted
         assert store.query(QuerySpec(minute=0, trusted_only=True)).vps == []
-
-    def test_nearest_trusted_vectorized_ordering(self, store):
-        near = make_vp(seed=7, x0=0.0)
-        far = make_vp(seed=8, x0=5_000.0)
-        store.insert_trusted(far)
-        store.insert_trusted(near)
-        nearest = QuerySpec(minute=0, trusted_only=True, nearest=Point(0, 0), k=1)
-        assert fingerprints(store.query(nearest).vps) == fingerprints([near])
-        assert fingerprints(store.query(replace(nearest, k=2)).vps) == fingerprints([near, far])
-
-    def test_nearest_ties_keep_insertion_order(self, store):
-        # both trajectories end 100 m from the site, on opposite sides;
-        # only insertion order can break the tie
-        site = Point(0.0, 0.0)
-        for minute, order in ((0, (100.0, -130.0)), (1, (-130.0, 100.0))):
-            seed = 20 + 10 * minute
-            tied = [make_vp(seed=seed + i, minute=minute, x0=x0) for i, x0 in enumerate(order)]
-            store.insert_many(tied + [make_vp(seed=seed + 9, minute=minute, x0=400.0)])
-            ranked = store.query(QuerySpec(minute=minute, nearest=site, k=2)).vps
-            assert fingerprints(ranked) == fingerprints(tied), minute
 
 
 class TestAcrossMinutes:
@@ -214,8 +193,6 @@ class TestAcrossMinutes:
         assert fingerprints(store.query(in_area).vps) == fingerprints([near])
         trusted = QuerySpec(minute=3, trusted_only=True)
         assert fingerprints(store.query(trusted).vps) == fingerprints([near])
-        nearest = replace(trusted, nearest=Point(0, 0))
-        assert fingerprints(store.query(nearest).vps) == fingerprints([near])
 
 
 class TestBatches:
@@ -264,12 +241,6 @@ class TestEvictionEdges:
 
 
 class TestSelectionEdges:
-    def test_nearest_k_beyond_the_population_ranks_all(self, store):
-        vps = [make_vp(seed=i + 1, x0=x0) for i, x0 in enumerate((900.0, 100.0, 500.0))]
-        store.insert_many(vps)
-        ranked = store.query(QuerySpec(minute=0, nearest=Point(0, 0), k=10)).vps
-        assert fingerprints(ranked) == fingerprints([vps[1], vps[2], vps[0]])
-
     def test_counts_agree_with_decoded_selections(self, store):
         store.insert_many(spread(4))
         store.insert_trusted(make_vp(seed=60, x0=1000.0))

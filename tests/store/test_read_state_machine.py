@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ValidationError
-from repro.geo.geometry import Point, Rect
+from repro.geo.geometry import Rect
 from repro.store import QuerySpec, SegmentStore, encode_vp_batch
 from tests.store.conftest import build_store, fingerprint, make_vp
 
@@ -43,7 +43,6 @@ AREAS = (
     Rect(250.0, 250.0, 1000.0, 1000.0),  # another, often empty
     Rect(-1e7, -1e7, 1e7, 1e7),  # wider than any index: the whole minute
 )
-SITE = Point(150.0, 150.0)
 
 #: every selection ``QuerySpec`` allows: minute x area x trusted
 SELECTIONS = [
@@ -172,7 +171,6 @@ class ReadContract(RuleBasedStateMachine):
         for spec in SELECTIONS:
             frame = encode_vp_batch(self.expected(spec))
             n = int.from_bytes(frame[1:5], "big")
-            nearest = None
             for name, store in self.stores.items():
                 selected = store.query(spec)
                 assert selected.n == len(selected.vps) == n, (name, spec)
@@ -181,11 +179,6 @@ class ReadContract(RuleBasedStateMachine):
                 encoded = store.query(replace(spec, encoded=True))
                 assert (encoded.n, encoded.frame) == (n, frame), (name, spec)
                 assert store.query(replace(spec, count=True)).n == n, (name, spec)
-                ranked = store.query(replace(spec, nearest=SITE, k=2)).vps
-                assert len(ranked) == min(2, n), (name, spec)
-                ids = [vp.vp_id for vp in ranked]
-                nearest = ids if nearest is None else nearest
-                assert ids == nearest, (name, spec)
 
     @invariant()
     def point_reads_agree(self):

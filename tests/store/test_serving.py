@@ -10,6 +10,7 @@ ingest/evict/count traffic through the one store lock.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.geo.geometry import Point, Rect
+from repro.geo.geometry import Rect
 from repro.store import encode_vp_batch
 from repro.store.base import vp_claims_in_area
 from repro.store.serving import QuerySpec
@@ -34,15 +35,17 @@ class TestQuerySpec:
         "kwargs",
         [
             {"minute": -1},
-            {"minute": 0, "k": 0},
             {"minute": 0, "count": True, "encoded": True},
-            {"minute": 0, "nearest": Point(0, 0), "count": True},
-            {"minute": 0, "nearest": Point(0, 0), "encoded": True},
         ],
     )
     def test_invalid_axes_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             QuerySpec(**kwargs)
+
+    def test_a_read_selects_and_shapes_it_never_ranks(self):
+        # investigation seeds on the trusted frame's columns, not on a store ranking
+        axes = {field.name for field in dataclasses.fields(QuerySpec)}
+        assert axes == {"minute", "area", "trusted_only", "count", "encoded"}
 
 
 @pytest.mark.parametrize("kind", list(PLACEMENTS))
