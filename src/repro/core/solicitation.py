@@ -91,7 +91,7 @@ def validate_video_upload(system_vp: ViewProfile, chunks: list[bytes]) -> bool:
     if len(chunks) != system_vp.n_digests:
         return False
     fields = packed_columns(system_vp.digest_block())
-    heads = packed_chain_heads(fields, system_vp.vp_id, chunks)
+    heads = packed_chain_heads(fields, [system_vp.vp_id], chunks)
     return all(
         head == stored.tobytes() for head, stored in zip(heads, fields["chain_hash"])
     )

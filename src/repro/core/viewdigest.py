@@ -126,6 +126,18 @@ def packed_block_defect(fields: np.ndarray) -> list[tuple[np.ndarray, str]]:
     ]
 
 
+def first_defect(rules: list[tuple[np.ndarray, str]]) -> tuple[int, str] | None:
+    """The first block breaking one of ``rules`` — ``(broken, message)``
+    pairs as :func:`packed_block_defect` returns them for a 1-D run of
+    blocks — and the message of the first rule it breaks, or ``None``."""
+    broken = np.array([mask for mask, _message in rules])
+    failing = broken.any(axis=0)
+    if not failing.any():
+        return None
+    index = int(failing.argmax())
+    return index, rules[int(broken[:, index].argmax())][1]
+
+
 _min, _max, _any = np.minimum.reduce, np.maximum.reduce, np.logical_or.reduce
 _EMPTY = "a view profile needs at least one digest"
 _SECOND_RANGE = f"second index must be 1..{VIDEO_UNIT_SECONDS}"
@@ -135,18 +147,23 @@ _EXTENT = f"VP positions span more than {MAX_VP_EXTENT_M:.0f} m along one axis"
 def write_packed_rows(
     block: np.ndarray,
     first: int,
-    vp_id: bytes,
+    vp_ids: bytes,
     times: Sequence[float],
-    positions: Sequence[tuple[float, float]],
+    positions: Sequence[tuple[float, float]] | np.ndarray,
     file_sizes: Sequence[int],
 ) -> np.ndarray:
-    """Fill ``len(times)`` consecutive seconds of a minute's block, from
-    row ``first``, in every column but the chain hash; returns those rows.
+    """Fill ``len(times)`` consecutive seconds of each minute along the
+    last axis of ``block`` — one VP's ``(60,)`` or a frame's
+    ``(count, 60)`` — from second ``first``, in every column but the
+    chain hash; returns those rows.
 
-    Assigning a position *is* its rounding to float32; one that does not
-    fit raises what packing it would, instead of being stored as inf.
+    ``times`` and ``file_sizes`` are shared by every minute;
+    ``positions`` is ``(len(times), 2)`` or one such per minute, and
+    ``vp_ids`` one 16-byte id per minute, joined.  Assigning a position
+    *is* its rounding to float32; one that does not fit raises what
+    packing it would, instead of being stored as inf.
     """
-    rows = block[first : first + len(times)]
+    rows = block[..., first : first + len(times)]
     rows["t"] = times
     try:
         with np.errstate(over="raise"):
@@ -154,35 +171,41 @@ def write_packed_rows(
     except FloatingPointError as exc:
         raise OverflowError("float too large to pack with f format") from exc
     rows["file_size"] = file_sizes
-    rows["initial_location"] = block["location"][0]
-    rows["second_index"] = np.arange(first + 1, first + len(rows) + 1)
-    rows["vp_id"] = np.frombuffer(vp_id, dtype=np.uint8)
+    rows["initial_location"] = block["location"][..., :1, :]
+    rows["second_index"] = np.arange(first + 1, first + rows.shape[-1] + 1)
+    ids = np.frombuffer(vp_ids, dtype=np.uint8)
+    rows["vp_id"] = ids.reshape(*block.shape[:-1], 1, VP_ID_BYTES)
     return rows
 
 
 def packed_chain_heads(
-    fields: np.ndarray, head: bytes, chunks: Sequence[bytes]
+    fields: np.ndarray, heads: Sequence[bytes], chunks: Sequence[bytes]
 ) -> Iterator[bytes]:
-    """Replay the cascaded chain from ``head`` over the (T, L, F) columns
-    of packed digests and one content chunk each: ``H_ui``, second by second.
+    """Replay cascaded chains over the (T, L, F) columns of packed
+    digests: ``H_ui``, row by row and second by second.
 
-    Every second's ``T | L | F`` is packed up front into one column of
+    ``fields`` holds one chain along its last axis — ``(seconds,)``, or
+    ``(rows, seconds)`` for a frame — and each row starts from its own
+    entry of ``heads`` and absorbs ``chunks``, one per second (every
+    row the same sequence; a row stops where either runs out).  Every
+    second's ``T | L | F`` is packed up front into one array of
     :data:`~repro.crypto.hashing.CHAIN_META_DTYPE` records — the layout
     :func:`chain_step` packs one second at a time — so the loop only
     hashes.  Lazy: a caller that stops at a mismatch hashes no further.
     """
-    meta = np.empty(len(fields), dtype=CHAIN_META_DTYPE)
+    fields = fields.reshape(len(heads), fields.shape[-1])
+    meta = np.empty(fields.shape, dtype=CHAIN_META_DTYPE)
     meta["t"] = fields["t"]
-    meta["x"] = fields["location"][:, 0]
-    meta["y"] = fields["location"][:, 1]
+    meta["x"] = fields["location"][..., 0]
+    meta["y"] = fields["location"][..., 1]
     meta["file_size"] = fields["file_size"]
     sha256 = hashlib.sha256
-    for second, chunk in zip(meta.view(f"V{meta.itemsize}").tolist(), chunks):
-        h = sha256(second)
-        h.update(head)
-        h.update(chunk)
-        head = h.digest()[:HASH_BYTES]
-        yield head
+    for head, seconds in zip(heads, meta.view(f"V{meta.itemsize}").tolist()):
+        for second, chunk in zip(seconds, chunks):
+            h = sha256(second + head)
+            h.update(chunk)
+            head = h.digest()[:HASH_BYTES]
+            yield head
 
 
 @dataclass(frozen=True)
@@ -401,7 +424,7 @@ class VDGenerator:
         lengths = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
         sizes = lengths.cumsum() + self._file_size
         rows = write_packed_rows(self._block, first, self.vp_id, times, positions, sizes)
-        heads = b"".join(packed_chain_heads(rows, self._head, chunks))
+        heads = b"".join(packed_chain_heads(rows, [self._head], chunks))
         rows["chain_hash"] = np.frombuffer(heads, dtype=np.uint8).reshape(-1, HASH_BYTES)
         self._head = heads[-HASH_BYTES:]
         self._file_size = int(sizes[-1])

@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.constants import VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS, VP_ID_BYTES
-from repro.core.viewdigest import packed_block_defect
+from repro.core.viewdigest import first_defect, packed_block_defect
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
@@ -225,14 +225,12 @@ def _record_rules(records: np.ndarray) -> list[tuple[np.ndarray, str]]:
 
 def _police(records: np.ndarray) -> None:
     """Raise the first broken rule of the first record breaking one."""
-    rules = _record_rules(records)
-    broken = np.array([mask for mask, _message in rules])
-    failing = broken.any(axis=0)
-    if failing.any():
-        index = int(failing.argmax())
+    found = first_defect(_record_rules(records))
+    if found is not None:
+        index, message = found
         record = records[index]
         raise ValidationError(
-            rules[int(broken[:, index].argmax())][1].format(
+            message.format(
                 version=int(record["version"]),
                 bloom_k=int(record["bloom_k"]),
                 block_len=int(record["block_len"]),

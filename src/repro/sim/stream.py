@@ -8,45 +8,59 @@ the wrong shape for *load* experiments — driving a million-vehicle
 upload burst through the authority should not require a million VPs in
 RAM first.
 
-This module streams instead.  :func:`iter_minute_vps` lazily yields one
-complete, wire-eligible VP per (vehicle, minute) — each materialized on
-demand from a seed-derived :class:`~repro.core.viewdigest.VDGenerator`
-and dropped as soon as the consumer moves on.  :func:`iter_minute_frames`
-chunks that stream into zero-decode upload frames
-(:func:`~repro.net.messages.pack_vp_batch_frame`), ready to send as
-``upload_vp_batch`` requests or raw stream records.  Peak memory is one
-frame's worth of VPs (``batch_vps``), independent of
-``n_vehicles * minutes`` — the knob a load test scales into the
-millions.
+This module streams instead.  :func:`iter_minute_frames` yields a
+fleet's upload burst as zero-decode ``upload_vp_batch`` frames, each
+written by :func:`stream_frame` straight into one array of
+:data:`~repro.store.codec.COMPLETE_RECORD_DTYPE` records: one pass
+fills every digest column of the frame, one loop runs every VP's
+cascaded chain, and the rule table runs once over the frame — no
+:class:`ViewProfile` exists on that path.  :func:`iter_minute_vps`
+lazily yields the same VPs as objects, one :func:`stream_vp` each.
+Peak memory is one frame's records (``batch_vps`` of them),
+independent of ``n_vehicles * minutes`` — the knob a load test scales
+into the millions.
 
 Determinism: every VP is a pure function of ``(seed, minute, vehicle)``
-via :func:`~repro.util.rng.derive_seed`, so two streams with the same
-arguments produce byte-identical frames and disjoint seeds produce
-disjoint VP ids — runs are reproducible and populations never collide
-across tags.
+via :func:`~repro.util.rng.derive_seed`, drawn and filled by the one
+routine both paths share, so a frame is byte-equal to encoding the
+:func:`stream_vp` VPs it carries, two streams with the same arguments
+produce byte-identical frames and disjoint seeds produce disjoint VP
+ids — runs are reproducible and populations never collide across tags.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.constants import VIDEO_UNIT_SECONDS
-from repro.core.neighbors import NeighborTable
+from repro.constants import VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
 from repro.core.vehicle import VehicleAgent
 from repro.core.viewdigest import (
+    PACKED_DIGEST_DTYPE,
     PackedDigests,
-    VDGenerator,
+    first_defect,
     make_secret,
+    packed_block_defect,
+    packed_chain_heads,
     validate_incoming_vd,
+    vp_id_from_secret,
+    write_packed_rows,
 )
-from repro.core.viewprofile import ViewProfile, build_view_profile
-from repro.errors import SimulationError
+from repro.core.viewprofile import ViewProfile
+from repro.crypto.bloom import BloomFilter
+from repro.errors import SimulationError, ValidationError
 from repro.geo.geometry import Point
-from repro.net.messages import MAX_VP_BATCH, pack_vp_batch_frame
+from repro.net.messages import MAX_VP_BATCH
+from repro.store.codec import (
+    COMPLETE_RECORD_DTYPE,
+    VP_BLOB_VERSION,
+    encoded_body_bytes,
+    frame_header,
+    record_minute,
+)
 from repro.util.rng import derive_seed
 
 #: default city edge length the streamed fleet drives inside, metres
@@ -59,6 +73,15 @@ DEFAULT_BATCH_VPS = 16
 #: 0-based seconds of one recording minute (a complete, wire-eligible VP)
 _SECONDS = np.arange(VIDEO_UNIT_SECONDS, dtype=np.float64)
 
+#: a streamed vehicle's offset from its start, second by second: 2 m/s
+#: along x (a start is never -0.0, so adding 0.0 keeps y bit for bit)
+_DRIFT = np.stack([2.0 * _SECONDS, np.zeros(VIDEO_UNIT_SECONDS)], axis=-1)
+
+#: a streamed minute's video: one content chunk a second, and the file
+#: size after each
+_CHUNKS = [b"chunk"] * VIDEO_UNIT_SECONDS
+_FILE_SIZES = np.cumsum([len(chunk) for chunk in _CHUNKS])
+
 
 @dataclass(frozen=True)
 class MinuteFrame:
@@ -69,25 +92,65 @@ class MinuteFrame:
     frame: bytes
 
 
-def stream_vp(seed: int, minute: int, vehicle: int, area_m: float) -> ViewProfile:
-    """One complete 60-digest VP for a (vehicle, minute) of the stream.
+def _record(
+    digests: np.ndarray, seed: int, minute: int, vehicles: Sequence[int], area_m: float
+) -> None:
+    """Record each vehicle's minute into its row of ``digests``, a
+    ``(len(vehicles), 60)`` array of packed digests, every column.
 
-    The vehicle starts each minute at a seed-derived city position and
-    drives a short straight segment, one position a second, recorded
-    in one pass — the cheapest trajectory that still produces genuine
-    hash chains, Bloom filters and bounding boxes (the parts ingest
-    cost depends on).
+    A vehicle starts each minute at a seed-derived city position and
+    drives a short straight segment, one position a second — the
+    cheapest trajectory that still produces genuine hash chains and
+    bounding boxes (the parts ingest cost depends on).  The draws are
+    per vehicle; the columns are filled and the chains run once for
+    all of them.
     """
-    rng = random.Random(derive_seed(seed, "stream-pos", minute, vehicle))
-    x0 = rng.uniform(0.0, area_m)
-    y0 = rng.uniform(0.0, area_m)
-    gen = VDGenerator(make_secret(derive_seed(seed, "stream-vp", minute, vehicle)))
-    positions = np.empty((VIDEO_UNIT_SECONDS, 2))
-    positions[:, 0] = x0 + 2.0 * _SECONDS
-    positions[:, 1] = y0
+    origins, ids = [], []
+    for vehicle in vehicles:
+        rng = random.Random(derive_seed(seed, "stream-pos", minute, vehicle))
+        origins.append((rng.uniform(0.0, area_m), rng.uniform(0.0, area_m)))
+        secret = make_secret(derive_seed(seed, "stream-vp", minute, vehicle))
+        ids.append(vp_id_from_secret(secret))
+    positions = np.array(origins).reshape(-1, 1, 2) + _DRIFT
     times = minute * float(VIDEO_UNIT_SECONDS) + _SECONDS + 1
-    gen.record(times, positions, [b"chunk"] * VIDEO_UNIT_SECONDS)
-    return build_view_profile(gen.digests, NeighborTable())
+    write_packed_rows(digests, 0, b"".join(ids), times, positions, _FILE_SIZES)
+    heads = b"".join(packed_chain_heads(digests, ids, _CHUNKS))
+    digests["chain_hash"] = np.frombuffer(heads, dtype=np.uint8).reshape(digests.shape + (-1,))
+
+
+def stream_vp(seed: int, minute: int, vehicle: int, area_m: float) -> ViewProfile:
+    """One complete 60-digest VP for a (vehicle, minute) of the stream,
+    with an empty Bloom filter (streamed VPs hear no neighbours)."""
+    digests = np.empty((1, VIDEO_UNIT_SECONDS), dtype=PACKED_DIGEST_DTYPE)
+    _record(digests, seed, minute, (vehicle,), area_m)
+    return ViewProfile(PackedDigests(digests.tobytes()), BloomFilter())
+
+
+def stream_frame(seed: int, minute: int, vehicles: Sequence[int], area_m: float) -> bytes:
+    """The ``upload_vp_batch`` frame of ``vehicles``' VPs of ``minute``.
+
+    Byte-equal to encoding their :func:`stream_vp` VPs as one batch,
+    and refused as that would be: a VP breaking a digest rule is the
+    :class:`ValidationError` its construction raises, and a minute past
+    the record's 4-byte field the :class:`WireFormatError` of
+    :func:`~repro.store.codec.record_minute` — raised whole, so no
+    partial frame is ever returned.
+    """
+    records = np.zeros(len(vehicles), dtype=COMPLETE_RECORD_DTYPE)
+    digests = records["digests"]
+    _record(digests, seed, minute, vehicles, area_m)
+    defect = first_defect(packed_block_defect(digests))
+    if defect is not None:
+        raise ValidationError(defect[1])
+    records["minute"] = [record_minute(t0) for t0 in digests["t"][:, 0].tolist()]
+    x, y = digests["location"][..., 0], digests["location"][..., 1]
+    records["bbox"] = np.stack([x.min(-1), y.min(-1), x.max(-1), y.max(-1)], axis=-1)
+    records["vp_id"] = digests["vp_id"][:, 0]
+    records["body_len"] = encoded_body_bytes(VIDEO_UNIT_SECONDS)
+    records["version"] = VP_BLOB_VERSION
+    records["bloom_k"] = BloomFilter.k
+    records["block_len"] = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
+    return frame_header(len(records)) + records.tobytes()
 
 
 def _first_and_last_heard(
@@ -176,8 +239,7 @@ def iter_minute_vps(
     the arrival order an authority sees from a fleet uploading at each
     minute boundary.  Nothing is retained between yields.
     """
-    if n_vehicles < 1 or minutes < 1:
-        raise SimulationError("streaming needs n_vehicles >= 1 and minutes >= 1")
+    _check_fleet(n_vehicles, minutes)
     for minute in range(minutes):
         for vehicle in range(n_vehicles):
             yield minute, stream_vp(seed, minute, vehicle, area_m)
@@ -192,25 +254,22 @@ def iter_minute_frames(
 ) -> Iterator[MinuteFrame]:
     """Stream a fleet's upload burst as zero-decode wire frames.
 
-    Each yielded :class:`MinuteFrame` packs up to ``batch_vps`` VPs of
-    one minute through :func:`~repro.net.messages.pack_vp_batch_frame`
-    — the exact bytes an upgraded client puts on the wire, which the
-    authority routes and stores without decoding a body.  Frames never
-    span minutes, so per-minute ingest assertions stay exact.
+    Each yielded :class:`MinuteFrame` carries up to ``batch_vps``
+    vehicles of one minute, in :func:`iter_minute_vps` order, as the
+    :func:`stream_frame` bytes an upgraded client puts on the wire,
+    which the authority routes and stores without decoding a body.
+    Frames never span minutes, so per-minute ingest assertions stay
+    exact.
     """
     if not 1 <= batch_vps <= MAX_VP_BATCH:
         raise SimulationError(f"batch_vps must be in [1, {MAX_VP_BATCH}]")
-    pending: list[ViewProfile] = []
-    current = 0
-    for minute, vp in iter_minute_vps(n_vehicles, minutes, seed=seed, area_m=area_m):
-        if minute != current and pending:
-            yield MinuteFrame(current, len(pending), pack_vp_batch_frame(pending))
-            pending = []
-        current = minute
-        pending.append(vp)
-        if len(pending) == batch_vps:
-            yield MinuteFrame(current, len(pending), pack_vp_batch_frame(pending))
-            pending = []
-    if pending:
-        yield MinuteFrame(current, len(pending), pack_vp_batch_frame(pending))
+    _check_fleet(n_vehicles, minutes)
+    for minute in range(minutes):
+        for first in range(0, n_vehicles, batch_vps):
+            vehicles = range(first, min(first + batch_vps, n_vehicles))
+            yield MinuteFrame(minute, len(vehicles), stream_frame(seed, minute, vehicles, area_m))
 
+
+def _check_fleet(n_vehicles: int, minutes: int) -> None:
+    if n_vehicles < 1 or minutes < 1:
+        raise SimulationError("streaming needs n_vehicles >= 1 and minutes >= 1")

@@ -63,6 +63,8 @@ from repro.util.timeline import minute_of
 
 DUPLICATE_ID_MESSAGE = "a VP with this identifier already exists"
 
+RECORD_ID_MISMATCH = "VP batch record id does not match its body"
+
 VP_BLOB_VERSION = 1
 
 VP_BATCH_VERSION = 1
@@ -202,10 +204,8 @@ def _vp_meta(vps: Sequence[ViewProfile], trusted: bool = False) -> list[tuple]:
     :data:`_META_PASS_VPS` VPs.
 
     Boxes are reduced at each VP's first row of the joined blocks, so
-    VPs of any digest count share the pass.  A minute is
-    :func:`minute_of` the first digest time, an exact int: one outside
-    the record's 4-byte field is a :class:`WireFormatError` here,
-    before a record is framed or stored.
+    VPs of any digest count share the pass; minutes are
+    :func:`record_minute` of each first digest time.
     """
     rows = []
     for first in range(0, len(vps), _META_PASS_VPS):
@@ -216,16 +216,23 @@ def _vp_meta(vps: Sequence[ViewProfile], trusted: bool = False) -> list[tuple]:
         lows = np.minimum.reduceat(fields["location"], starts).tolist()
         highs = np.maximum.reduceat(fields["location"], starts).tolist()
         for vp, t0, low, high in zip(part, fields["t"][starts].tolist(), lows, highs):
-            minute = minute_of(t0)
-            if minute < 0:
-                raise WireFormatError(f"cannot batch-encode negative minute {minute}")
-            if minute >> 32:
-                raise WireFormatError(
-                    f"cannot batch-encode a VP starting at t={t0!r}: its minute "
-                    "does not fit the 4-byte minute field"
-                )
-            rows.append((vp.vp_id, minute, int(trusted or vp.trusted), *low, *high))
+            rows.append((vp.vp_id, record_minute(t0), int(trusted or vp.trusted), *low, *high))
     return rows
+
+
+def record_minute(t0: float) -> int:
+    """The minute field of a record whose first digest is at ``t0``:
+    :func:`minute_of` it, an exact int.  One outside the 4-byte field is
+    a :class:`WireFormatError`, before a record is framed or stored."""
+    minute = minute_of(t0)
+    if minute < 0:
+        raise WireFormatError(f"cannot batch-encode negative minute {minute}")
+    if minute >> 32:
+        raise WireFormatError(
+            f"cannot batch-encode a VP starting at t={t0!r}: its minute "
+            "does not fit the 4-byte minute field"
+        )
+    return minute
 
 
 #: VPs per metadata pass: a pass copies their digest blocks side by
@@ -349,13 +356,20 @@ def decode_vp_batch(batch: bytes | memoryview) -> list[ViewProfile]:
     batch buffer it is ingestion-path state the store wrote, not
     uploader-controlled content.
     """
-    out: list[ViewProfile] = []
-    for (vp_id, _minute, trusted, *_bbox), start, end in iter_encoded_meta(batch):
-        vp = decode_vp(batch[start + RECORD_OVERHEAD_BYTES : end], trusted=bool(trusted))
-        if vp.vp_id != vp_id:
-            raise WireFormatError("VP batch record id does not match its body")
-        out.append(vp)
-    return out
+    return [
+        decode_record(batch[start:end], vp_id, trusted)
+        for (vp_id, _minute, trusted, *_bbox), start, end in iter_encoded_meta(batch)
+    ]
+
+
+def decode_record(record: bytes | memoryview, vp_id: bytes, trusted: int) -> ViewProfile:
+    """One record's span (head and body) as its VP, the body held to
+    the ``vp_id`` the head carries — a record whose body is keyed by
+    another id is refused, never returned under the head's."""
+    vp = decode_vp(record[RECORD_OVERHEAD_BYTES:], trusted=bool(trusted))
+    if vp.vp_id != vp_id:
+        raise WireFormatError(RECORD_ID_MISMATCH)
+    return vp
 
 
 class Batch:
@@ -496,7 +510,7 @@ class RecordColumns:
         head_ids = np.frombuffer(b"".join(ids), dtype=np.uint8).reshape(-1, VP_ID_BYTES)
         mismatch = held[:, 0] & (digests["vp_id"][:, 0] != head_ids).any(axis=1)
         for row in np.flatnonzero(mismatch).tolist():
-            faults.setdefault(row, WireFormatError("VP batch record id does not match its body"))
+            faults.setdefault(row, WireFormatError(RECORD_ID_MISMATCH))
         if faults:
             raise faults[min(faults)]
         sizes = np.array([len(bits) for bits in blooms], dtype=np.int64)

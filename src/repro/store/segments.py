@@ -70,7 +70,7 @@ from repro.store.codec import (
     FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
     Batch,
-    decode_vp,
+    decode_record,
     decode_vp_batch,
     encoded_body_claims_area,
     frame_count,
@@ -403,7 +403,7 @@ class SegmentStore:
             offset, length, trusted, _box = segment.rows[where[1]].tolist()
             # under the lock: one record, and no descriptor to duplicate
             record = self._pread(segment.file.fileno(), offset, length)
-        return decode_vp(memoryview(record)[RECORD_OVERHEAD_BYTES:], trusted=trusted)
+        return decode_record(memoryview(record), vp_id, trusted)
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,11 +1,12 @@
 """Column kernels on the vehicle side equal their per-object definitions.
 
 * ``packed_chain_heads`` packs every second's ``T | L | F`` into one
-  column before hashing; it yields what iterated ``chain_step`` and the
+  array before hashing and runs one chain per row, each from its own
+  head; row by row it yields what iterated ``chain_step`` and the
   field-by-field ``reference_chain_step`` yield, for any times (NaN and
   infinities included), float32-extreme locations, file sizes up to
-  2**64 - 1 and empty chunks — and the upload check built on it still
-  stops hashing at the first mismatch.
+  2**64 - 1, empty chunks and rows of no seconds — and the upload check
+  built on it still stops hashing at the first mismatch.
 * ``encode_vp_batch`` and ``Batch.from_vps`` derive every record's
   minute and bounding box in one pass over the batch's joined digest
   columns; the frame equals one encoded VP by VP, for batches mixing
@@ -50,29 +51,26 @@ float32s = st.one_of(
 
 @st.composite
 def chain_columns(draw):
-    """(packed rows, head, chunks): chunks may be fewer or more than rows."""
-    n = draw(st.integers(0, 12))
-    rows = np.zeros(n, dtype=PACKED_DIGEST_DTYPE)
-    rows["t"] = draw(
-        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)
-    )
-    rows["location"] = np.array(
-        draw(st.lists(st.tuples(float32s, float32s), min_size=n, max_size=n)), dtype=np.float32
-    ).reshape(n, 2)
-    rows["file_size"] = draw(
-        st.lists(
-            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1])),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    head = draw(st.binary(min_size=16, max_size=16))
+    """(packed rows, heads, chunks): ``(rows, n)`` digests and one head
+    per row; the shared chunks may be fewer or more than ``n``."""
+    n_rows, n = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+
+    def cells(elements, dtype, *shape):
+        values = draw(st.lists(elements, min_size=n_rows * n, max_size=n_rows * n))
+        return np.array(values, dtype=dtype).reshape(n_rows, n, *shape)
+
+    rows = np.zeros((n_rows, n), dtype=PACKED_DIGEST_DTYPE)
+    rows["t"] = cells(st.floats(allow_nan=True, allow_infinity=True), np.float64)
+    rows["location"] = cells(st.tuples(float32s, float32s), np.float32, 2)
+    sizes = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1]))
+    rows["file_size"] = cells(sizes, np.uint64)
+    heads = draw(st.lists(st.binary(min_size=16, max_size=16), min_size=n_rows, max_size=n_rows))
     chunks = draw(st.lists(st.binary(max_size=40), max_size=n + 2))
-    return rows, head, chunks
+    return rows, heads, chunks
 
 
 def iterated(step, rows: np.ndarray, head: bytes, chunks: list[bytes]) -> list[bytes]:
-    """``step`` applied second by second over the rows' Python values."""
+    """``step`` applied second by second over one row's Python values."""
     heads = []
     columns = zip(rows["t"].tolist(), rows["location"].tolist(), rows["file_size"].tolist())
     for (t, location, file_size), chunk in zip(columns, chunks):
@@ -84,17 +82,22 @@ def iterated(step, rows: np.ndarray, head: bytes, chunks: list[bytes]) -> list[b
 @settings(max_examples=300, deadline=None)
 @given(columns=chain_columns())
 def test_packed_chain_heads_equal_iterated_chain_steps(columns):
-    rows, head, chunks = columns
-    heads = list(packed_chain_heads(rows, head, chunks))
-    assert len(heads) == min(len(rows), len(chunks))
-    assert heads == iterated(chain_step, rows, head, chunks)
-    assert heads == iterated(reference_chain_step, rows, head, chunks)
+    rows, heads, chunks = columns
+    replayed = list(packed_chain_heads(rows, heads, chunks))
+    per_row = min(rows.shape[1], len(chunks))
+    assert len(replayed) == len(rows) * per_row
+    for row, head in enumerate(heads):
+        mine = replayed[row * per_row : (row + 1) * per_row]
+        assert mine == iterated(chain_step, rows[row], head, chunks)
+        assert mine == iterated(reference_chain_step, rows[row], head, chunks)
+    # one row alone, as a vehicle records it, is that row of the frame
+    assert list(packed_chain_heads(rows[-1], heads[-1:], chunks)) == mine
 
 
 def test_a_nan_time_keeps_its_bits_in_the_chain():
     rows = np.zeros(1, dtype=PACKED_DIGEST_DTYPE)
     rows["t"].view(">u8")[0] = 0x7FF8_0000_DEAD_BEEF  # a NaN with a payload
-    (head,) = packed_chain_heads(rows, bytes(16), [b"x"])
+    (head,) = packed_chain_heads(rows, [bytes(16)], [b"x"])
     hashed = rows["t"].tobytes() + struct.pack(">ddQ", 0.0, 0.0, 0) + bytes(16) + b"x"
     assert head == hashlib.sha256(hashed).digest()[:16]
     assert head == chain_step(rows["t"].tolist()[0], (0.0, 0.0), 0, bytes(16), b"x")

@@ -5,14 +5,23 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.system import ViewMapSystem
-from repro.errors import SimulationError
-from repro.net.messages import MAX_VP_BATCH, decode_message, encode_message
+from repro.core.viewprofile import ViewProfile
+from repro.errors import SimulationError, ValidationError, WireFormatError
+from repro.net.messages import (
+    MAX_VP_BATCH,
+    decode_message,
+    encode_message,
+    pack_vp_batch_frame,
+)
 from repro.net.server import ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.obs.metrics import Histogram
 from repro.sim import iter_minute_frames, iter_minute_vps
+from repro.sim.stream import stream_frame, stream_vp
 from repro.store.codec import decode_vp_batch
 
 
@@ -87,6 +96,92 @@ class TestPinnedInputs:
         )
 
 
+def packed_per_vp(seed: int, minute: int, vehicles: range, area_m: float) -> bytes:
+    """A frame as it was built before frames were written: one VP
+    object per vehicle, packed as a batch."""
+    return pack_vp_batch_frame([stream_vp(seed, minute, v, area_m) for v in vehicles])
+
+
+def raised(build) -> tuple[type, str] | None:
+    """The class and message ``build()`` raises, or None."""
+    try:
+        build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestFramesAreWrittenNotPacked:
+    """A frame is written straight into its records; it equals packing
+    the ``stream_vp`` VPs it carries, byte for byte, and fails as that would."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        minutes=st.integers(1, 2),
+        n_vehicles=st.integers(1, 40),
+        batch_vps=st.sampled_from([1, 7, 16, MAX_VP_BATCH]),
+        area_m=st.one_of(st.floats(-1e38, 1e38, allow_nan=False), st.sampled_from([0.0, 2000.0])),
+    )
+    def test_every_frame_equals_packing_its_stream_vps(
+        self, seed, minutes, n_vehicles, batch_vps, area_m
+    ):
+        frames = iter_minute_frames(n_vehicles, minutes, seed, area_m, batch_vps)
+        carried = {minute: 0 for minute in range(minutes)}
+        for mf in frames:
+            first = carried[mf.minute]
+            vehicles = range(first, first + mf.n_vps)
+            assert mf.frame == packed_per_vp(seed, mf.minute, vehicles, area_m)
+            carried[mf.minute] += mf.n_vps
+        # every vehicle of every minute, the partial last batch included
+        assert carried == {minute: n_vehicles for minute in range(minutes)}
+
+    def test_the_frame_path_builds_no_view_profile(self, monkeypatch):
+        built = []
+        init = ViewProfile.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ViewProfile, "__init__", counting)
+        frames = list(iter_minute_frames(20, 2, seed=3, batch_vps=7))
+        assert sum(mf.n_vps for mf in frames) == 40
+        assert built == []
+        stream_vp(3, 0, 0, 2000.0)  # the object path is still counted
+        assert built == [1]
+
+    @pytest.mark.parametrize(
+        "minute, area_m, error",
+        [
+            (0, 1e39, OverflowError),  # a position past float32
+            (0, float("nan"), ValidationError),  # a digest rule
+            (2**32, 2000.0, WireFormatError),  # a minute past the 4-byte field
+            (2**40, 2000.0, WireFormatError),
+            (-1, 2000.0, WireFormatError),
+        ],
+    )
+    def test_a_frame_is_refused_as_packing_its_vps_is(self, minute, area_m, error):
+        vehicles = range(16)
+        expected = raised(lambda: packed_per_vp(5, minute, vehicles, area_m))
+        assert expected is not None and expected[0] is error
+        assert raised(lambda: stream_frame(5, minute, vehicles, area_m)) == expected
+
+    def test_a_position_past_float32_yields_no_partial_frame(self):
+        message = "float too large to pack with f format"
+        assert raised(lambda: stream_vp(2, 0, 0, 1e39)) == (OverflowError, message)
+        yielded = []
+        with pytest.raises(OverflowError, match=message):
+            for mf in iter_minute_frames(16, 1, seed=2, area_m=1e39):
+                yielded.append(mf)
+        assert yielded == []
+
+    def test_the_last_u32_minute_is_written(self):
+        minute = 2**32 - 1
+        frame = stream_frame(5, minute, range(3), 2000.0)
+        assert frame == packed_per_vp(5, minute, range(3), 2000.0)
+
+
 def upload_payloads(n_vehicles: int, minutes: int, seed: int, batch_vps: int) -> list[bytes]:
     """One ``upload_vp_batch`` request per streamed frame, each on a fresh session."""
     return [
@@ -142,7 +237,6 @@ class TestStreamConvoy:
                     assert mutual_linkage(a, b)
 
     def test_convoy_vps_are_wire_eligible_and_cross_the_site(self):
-        from repro.net.messages import pack_vp_batch_frame
         from repro.sim.stream import stream_convoy_vps
 
         trusted, witnesses = stream_convoy_vps(3, 2, 1, (1000.0, 1000.0))

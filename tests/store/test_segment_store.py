@@ -22,11 +22,18 @@ import warnings
 
 import pytest
 
-from repro.errors import StorageError, ValidationError
+from repro.constants import VP_ID_BYTES
+from repro.errors import StorageError, ValidationError, WireFormatError
 from repro.store import QuerySpec, SegmentStore, encode_vp_batch
-from repro.store.codec import RECORD_OVERHEAD_BYTES, Batch, encode_vp
+from repro.store.codec import (
+    FRAME_HEADER_BYTES,
+    RECORD_ID_MISMATCH,
+    RECORD_OVERHEAD_BYTES,
+    Batch,
+    encode_vp,
+)
 from repro.store.segments import _HEADER
-from tests.store.conftest import make_vp
+from tests.store.conftest import STORE_PLACEMENTS, build_store, make_vp
 
 HEADER = _HEADER.size
 
@@ -438,6 +445,24 @@ class TestChunkedAppend:
             assert store.query_encoded(QuerySpec(minute=0)) == frame
         monkeypatch.undo()
         assert calls == [256, 1]
+
+
+@pytest.mark.parametrize("placement", STORE_PLACEMENTS)
+def test_a_record_keyed_apart_from_its_body_is_refused_by_every_read(placement):
+    # the storage path takes frames the upload validator already passed,
+    # so a record whose head id is not its body's can only be planted;
+    # a read by that head id must refuse it as a query does
+    frame = bytearray(encode_vp_batch([make_vp(seed=41)]))
+    id_at = FRAME_HEADER_BYTES + RECORD_OVERHEAD_BYTES - 4 - VP_ID_BYTES
+    frame[id_at] ^= 0xFF
+    head_id = bytes(frame[id_at : id_at + VP_ID_BYTES])
+    with build_store(placement) as store:
+        assert store.insert_encoded(bytes(frame)) == 1
+        with pytest.raises(WireFormatError) as by_get:
+            store.get(head_id)
+        with pytest.raises(WireFormatError) as by_query:
+            store.query(QuerySpec(minute=0))
+    assert str(by_get.value) == str(by_query.value) == RECORD_ID_MISMATCH
 
 
 @pytest.mark.parametrize("keep_trusted", [False, True])
