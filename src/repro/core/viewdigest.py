@@ -17,6 +17,7 @@ receiver can re-derive hash inputs exactly from the wire bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -449,8 +450,21 @@ def validate_incoming_vd(
     inside a DSRC radius of the receiver.  Returns False rather than
     raising: rejected digests are simply ignored on the road.
     """
-    if abs(vd.t - now) > time_slack_s:
+    return digest_in_reach(vd.t, *vd.location, now, receiver_position, max_range_m, time_slack_s)
+
+
+def digest_in_reach(
+    t: float,
+    x: float,
+    y: float,
+    now: float,
+    receiver_position: Point,
+    max_range_m: float,
+    time_slack_s: float = 1.0,
+) -> bool:
+    """:func:`validate_incoming_vd` over a digest's time ``t`` and
+    location ``(x, y)`` alone, for a caller reading packed columns."""
+    if abs(t - now) > time_slack_s:
         return False
-    if receiver_position.distance_to(vd.point) > max_range_m:
-        return False
-    return True
+    # Point.distance_to's own expression, without building a Point
+    return not math.hypot(receiver_position.x - x, receiver_position.y - y) > max_range_m

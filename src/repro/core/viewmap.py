@@ -25,7 +25,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from repro.constants import DSRC_RANGE_M, VIDEO_UNIT_SECONDS
+from repro.constants import BLOOM_BITS, DSRC_RANGE_M, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import key_positions
 from repro.errors import ValidationError
@@ -326,27 +326,31 @@ def _aligned_within_range(
     return aligned
 
 
+def bloom_keys(digests: np.ndarray) -> list[bytes]:
+    """The Bloom key of each packed digest — its 72 wire bytes — sliced
+    out of one copy of them all."""
+    block = digests.tobytes()
+    return [block[at : at + VD_MESSAGE_BYTES] for at in range(0, len(block), VD_MESSAGE_BYTES)]
+
+
 def _bloom_tests(cols: RecordColumns, tester: np.ndarray, keyed: np.ndarray) -> np.ndarray:
     """Per test: does ``tester``'s Bloom hold any of ``keyed``'s digests?
 
-    Bit positions are derived under the *tested* filter's geometry, as
-    :func:`mutual_linkage` does, once per keyed member and only for
+    Bit positions are derived under the *tested* filter's hash count,
+    as :func:`mutual_linkage` does, once per keyed member and only for
     those that got this far, and read out of the testers' unpacked bit
-    arrays.  Tests are grouped by that geometry; the wire only carries
-    one, so normally there is one group.
+    arrays.  Every record holds one Bloom size, so tests are grouped by
+    ``k`` alone; an upload declares one, so normally there is one group.
     """
     passed = np.zeros(len(tester), dtype=bool)
-    geometry = np.stack([cols.bloom_k, cols.bloom_bits], axis=1)
-    for k, m_bits in set(map(tuple, geometry[np.unique(tester)].tolist())):
-        tests = np.flatnonzero((geometry[tester] == (k, m_bits)).all(axis=1))
+    for k in np.unique(cols.bloom_k[np.unique(tester)]).tolist():
+        tests = np.flatnonzero(cols.bloom_k[tester] == k)
         tester_ids, tester_slot = np.unique(tester[tests], return_inverse=True)
-        bits = np.unpackbits(cols.bloom[tester_ids, : m_bits // 8], axis=1, bitorder="little")
+        bits = np.unpackbits(cols.bloom[tester_ids], axis=1, bitorder="little")
         keyed_ids, keyed_slot = np.unique(keyed[tests], return_inverse=True)
         held = cols.held[keyed_ids]
-        # the Bloom keys: every held digest's wire bytes, member by member
-        keys = [digest.tobytes() for digest in cols.digests[keyed_ids][held]]
         positions = np.zeros((len(keyed_ids), VIDEO_UNIT_SECONDS, k), dtype=np.intp)
-        positions[held] = key_positions(keys, k, m_bits)
+        positions[held] = key_positions(bloom_keys(cols.digests[keyed_ids][held]), k, BLOOM_BITS)
         for lo in range(0, len(tests), _PAIR_CHUNK):
             chunk = tests[lo : lo + _PAIR_CHUNK]
             test, row = np.nonzero(cols.held[keyed[chunk]])

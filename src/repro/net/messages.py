@@ -33,22 +33,23 @@ from typing import Any
 
 import numpy as np
 
-from repro.constants import VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS, VP_ID_BYTES
+from repro.constants import VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS
 from repro.core.viewdigest import first_defect, packed_block_defect
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
 from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Rect
 from repro.store.codec import (
-    COMPLETE_RECORD_DTYPE,
     FLAG_TRUSTED,
+    FRAME_BODY_BYTES,
     FRAME_HEADER_BYTES,
+    RECORD_BYTES,
+    RECORD_DTYPE,
     RECORD_OVERHEAD_BYTES,
-    VP_BATCH_VERSION,
     VP_BLOB_VERSION,
     Batch,
+    RecordLengthError,
     encode_vp_batch,
-    encoded_body_bytes,
     frame_count,
 )
 from repro.store.serving import QuerySpec
@@ -57,12 +58,7 @@ from repro.store.serving import QuerySpec
 #: near the size of a typical WiFi upload burst and bounds server work
 MAX_VP_BATCH = 256
 
-
-#: exact body size of a complete 60-digest VP inside a batch frame —
-#: the only record shape an upload frame may carry
-FRAME_BODY_BYTES = encoded_body_bytes(VIDEO_UNIT_SECONDS)
-
-#: the digest block inside such a body
+#: the digest block of a complete VP: the only one an upload may carry
 _FRAME_BLOCK_BYTES = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
 
 
@@ -98,16 +94,16 @@ def unpack_vp_batch_frame(frame: bytes | memoryview) -> Batch:
     complete 60-digest VP, a trusted-flag claim — is a clean
     :class:`ValidationError` before a single record is ingested.
 
-    A frame of complete VPs has a fixed record stride, so it is read as
-    one array of records and each rule (:func:`_record_rules`) is one
-    mask over all of them: everything a later read would enforce holds
-    by byte inspection, so a stored body can always be decoded —
-    without this path ever materializing a :class:`ViewProfile`.  The
+    Every record has the one stride, so the frame is read as one array
+    of records (``Batch.from_frame``) and each rule
+    (:func:`_record_rules`) is one mask over all of them: everything a
+    later read would enforce holds by byte inspection, so a stored body
+    can always be decoded — without this path ever materializing a
+    :class:`ViewProfile`.  The
     first record breaking a rule is reported, with the first rule it
     breaks.  A frame of any other length is walked by
-    :func:`~repro.store.codec.iter_encoded_meta`, the one framing
-    validator, which rejects it or finds the first record that is not
-    a complete VP.
+    :func:`~repro.store.codec.iter_encoded_meta`, the framing check,
+    which rejects it or finds the first record of another length.
     """
     try:
         # the header's record count is authoritative, so the batch bound
@@ -119,37 +115,21 @@ def unpack_vp_batch_frame(frame: bytes | memoryview) -> Batch:
                 f"VP batch frame of {count} records exceeds the "
                 f"{MAX_VP_BATCH}-VP limit"
             )
-        stride = COMPLETE_RECORD_DTYPE.itemsize
-        # a wrong version is the walk's to report, before any record rule
-        if len(frame) == FRAME_HEADER_BYTES + count * stride and frame[0] == VP_BATCH_VERSION:
-            records = np.frombuffer(frame, COMPLETE_RECORD_DTYPE, count, FRAME_HEADER_BYTES)
-            if (records["body_len"] == FRAME_BODY_BYTES).all():
-                _police(records)
-                ids = records["vp_id"].tobytes()
-                meta = [  # policed: no record claims trust
-                    (ids[i * VP_ID_BYTES : (i + 1) * VP_ID_BYTES], minute, 0, *box)
-                    for i, (minute, box) in enumerate(
-                        zip(records["minute"].tolist(), records["bbox"].tolist())
-                    )
-                ]
-                spans = [
-                    (start, start + stride)
-                    for start in range(FRAME_HEADER_BYTES, len(frame), stride)
-                ]
-                return Batch(meta, frame=frame, spans=spans)
-        walked = Batch.from_frame(frame)
-        # the walk held the count to the bytes, so some record is not a
-        # complete VP; the records before it sit at the fixed stride
-        first = next(i for i in range(count) if len(walked.record_span(i)) != stride)
-        _police(np.frombuffer(frame, COMPLETE_RECORD_DTYPE, first, FRAME_HEADER_BYTES))
-        if walked.meta[first][2]:
-            raise ValidationError(_TRUSTED_CLAIM)
-        body = len(walked.record_span(first)) - RECORD_OVERHEAD_BYTES
-        raise ValidationError(
-            f"frame record body is {body} bytes; "
-            f"only complete {VIDEO_UNIT_SECONDS}-digest VPs "
-            f"({FRAME_BODY_BYTES} bytes) can be uploaded"
-        )
+        try:
+            batch = Batch.from_frame(frame)
+        except RecordLengthError as odd:
+            # the framing holds, but a record is not one stride; those
+            # before it sit at the stride
+            _police(np.frombuffer(frame, RECORD_DTYPE, odd.index, FRAME_HEADER_BYTES))
+            if odd.meta[2]:
+                raise ValidationError(_TRUSTED_CLAIM) from None
+            raise ValidationError(
+                f"frame record body is {odd.length - RECORD_OVERHEAD_BYTES} bytes; "
+                f"only complete {VIDEO_UNIT_SECONDS}-digest VPs "
+                f"({FRAME_BODY_BYTES} bytes) can be uploaded"
+            ) from None
+        _police(batch.records)
+        return batch
     except WireFormatError as exc:
         raise ValidationError(f"{_MALFORMED}{exc}") from exc
 
@@ -254,9 +234,7 @@ STREAM_HEADER_BYTES = _STREAM_HEAD.size
 #: hard per-record payload bound: one full MAX_VP_BATCH frame.  A header
 #: declaring more is rejected before a single payload byte is buffered,
 #: so a hostile peer cannot make the authority reserve unbounded memory.
-MAX_STREAM_PAYLOAD_BYTES = FRAME_HEADER_BYTES + MAX_VP_BATCH * (
-    RECORD_OVERHEAD_BYTES + FRAME_BODY_BYTES
-)
+MAX_STREAM_PAYLOAD_BYTES = FRAME_HEADER_BYTES + MAX_VP_BATCH * RECORD_BYTES
 
 
 def pack_stream_record(kind: int, payload: bytes | memoryview) -> bytes:

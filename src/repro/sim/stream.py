@@ -11,7 +11,7 @@ RAM first.
 This module streams instead.  :func:`iter_minute_frames` yields a
 fleet's upload burst as zero-decode ``upload_vp_batch`` frames, each
 written by :func:`stream_frame` straight into one array of
-:data:`~repro.store.codec.COMPLETE_RECORD_DTYPE` records: one pass
+:data:`~repro.store.codec.RECORD_DTYPE` records: one pass
 fills every digest column of the frame, one loop runs every VP's
 cascaded chain, and the rule table runs once over the frame — no
 :class:`ViewProfile` exists on that path.  :func:`iter_minute_vps`
@@ -41,11 +41,12 @@ from repro.core.vehicle import VehicleAgent
 from repro.core.viewdigest import (
     PACKED_DIGEST_DTYPE,
     PackedDigests,
+    digest_in_reach,
     first_defect,
     make_secret,
     packed_block_defect,
     packed_chain_heads,
-    validate_incoming_vd,
+    packed_columns,
     vp_id_from_secret,
     write_packed_rows,
 )
@@ -55,9 +56,9 @@ from repro.errors import SimulationError, ValidationError
 from repro.geo.geometry import Point
 from repro.net.messages import MAX_VP_BATCH
 from repro.store.codec import (
-    COMPLETE_RECORD_DTYPE,
+    FRAME_BODY_BYTES,
+    RECORD_DTYPE,
     VP_BLOB_VERSION,
-    encoded_body_bytes,
     frame_header,
     record_minute,
 )
@@ -136,7 +137,7 @@ def stream_frame(seed: int, minute: int, vehicles: Sequence[int], area_m: float)
     :func:`~repro.store.codec.record_minute` — raised whole, so no
     partial frame is ever returned.
     """
-    records = np.zeros(len(vehicles), dtype=COMPLETE_RECORD_DTYPE)
+    records = np.zeros(len(vehicles), dtype=RECORD_DTYPE)
     digests = records["digests"]
     _record(digests, seed, minute, vehicles, area_m)
     defect = first_defect(packed_block_defect(digests))
@@ -146,7 +147,7 @@ def stream_frame(seed: int, minute: int, vehicles: Sequence[int], area_m: float)
     x, y = digests["location"][..., 0], digests["location"][..., 1]
     records["bbox"] = np.stack([x.min(-1), y.min(-1), x.max(-1), y.max(-1)], axis=-1)
     records["vp_id"] = digests["vp_id"][:, 0]
-    records["body_len"] = encoded_body_bytes(VIDEO_UNIT_SECONDS)
+    records["body_len"] = FRAME_BODY_BYTES
     records["version"] = VP_BLOB_VERSION
     records["bloom_k"] = BloomFilter.k
     records["block_len"] = VIDEO_UNIT_SECONDS * VD_MESSAGE_BYTES
@@ -158,11 +159,13 @@ def _first_and_last_heard(
 ) -> set[int]:
     """Seconds of the first and the last of a peer's broadcasts that a
     receiver driving ``track`` accepts — all a neighbour table keeps.
-    Scanned from either end of the minute, so a peer that stays in
-    range costs two unpacked digests, not sixty."""
+    Scanned from either end of the minute, each probe reading the
+    peer's time and location columns: no digest is unpacked."""
+    fields = packed_columns(digests.block)
+    peer_t, peer_xy = fields["t"].tolist(), fields["location"].tolist()
 
     def heard(s: int) -> bool:
-        return validate_incoming_vd(digests[s], times[s], track[s], max_range_m)
+        return digest_in_reach(peer_t[s], *peer_xy[s], times[s], track[s], max_range_m)
 
     seconds = range(len(digests))
     first = next((s for s in seconds if heard(s)), None)

@@ -1,41 +1,25 @@
-"""Storage blob codec for view profiles.
+"""The VP record codec: one fixed record per VP, read as one dtype.
 
-The network wire format (:mod:`repro.net.messages`) only carries
-*complete* 60-digest VPs; storage must also round-trip partial VPs (the
-test and simulation corpus includes shorter ones), so the store uses its
-own self-describing blob:
+A VP is the paper's fixed shape (Section 6.1): 60 view digests and one
+Bloom bit-array.  It is sent, stored and read as one record,
+:data:`RECORD_DTYPE` — a head of exactly what the store indexes on
+(trusted flag, minute, trajectory bounding box, VP identifier) and a
+body of 60 digest slots and the Bloom bits — and a batch of VPs as a
+**frame**: version and record count, then the records.  A VP of
+``n < 60`` digests (the test and simulation corpus) fills the first
+``n`` slots, says so in ``block_len = n x 72`` and leaves the rest
+zero, so each VP has one stored byte form and every record one stride.
 
-    version (1B) | bloom k (2B) | len-prefixed packed digests | bloom bits
-
-built from the same :mod:`repro.util.encoding` primitives as the wire
-formats.  The trusted flag deliberately lives *outside* the blob (as a
-store column), mirroring the rule that trust is asserted by the
-ingestion path, never by serialized content.
-
-On top of the per-VP blob sits the **columnar batch format**
-(:func:`encode_vp_batch` / :func:`decode_vp_batch`): one length-prefixed
-buffer per batch instead of N independently pickled objects.  Each
-record carries, *outside* the body blob, exactly the metadata the store
-indexes on — trusted flag, minute, trajectory bounding box and
-the VP identifier:
-
-    version (1B) | count (4B)
-    record := flags (1B) | minute (4B) | bbox (4 x float64)
-              | vp_id (16B) | len-prefixed body blob
-
-so a consumer can deduplicate or append records without decoding a
-single body.  The batch format is the record format of the segment log
-(:mod:`repro.store.segments`) and the binary payload of the
-``upload_vp_batch`` wire message itself: the authority validates it
-without decoding a body and appends the record bytes untouched.  No
-other module reads the layout (:func:`frame_count`,
-:func:`peek_frame_minute`, and :data:`COMPLETE_RECORD_DTYPE`, through
-which a frame of complete VPs — a fixed record stride — reads as one
-record array, its digests as ``(count, 60)`` columns).
-
+The frame is the record format of the segment log
+(:mod:`repro.store.segments`) and the payload of the ``upload_vp_batch``
+wire message: records are deduplicated, routed and appended without
+reading a body.  Trust lives in the head, never in serialized content:
+the ingesting path asserts it.  Every reader views a frame as one
+:data:`RECORD_DTYPE` array held to one list of body rules
+(:func:`_body_rules`); :func:`iter_encoded_meta` walks a frame by its
+length fields, the framing check a frame of another length gets.
 :class:`Batch` is what the store's one write primitive takes, from
-:class:`ViewProfile` objects (minutes and boxes in one pass over their
-digest columns) or a frame (walked once); :class:`RecordColumns` is what
+:class:`ViewProfile` objects or a frame; :class:`RecordColumns` is what
 investigation reads, a frame's records as ``(records, 60)`` columns.
 """
 
@@ -48,17 +32,10 @@ from typing import Container, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES, VIDEO_UNIT_SECONDS, VP_ID_BYTES
-from repro.core.viewdigest import PACKED_DIGEST_DTYPE, PACKED_FIELD, PackedDigests
-from repro.core.viewdigest import packed_block_defect, packed_columns
+from repro.core.viewdigest import PACKED_DIGEST_DTYPE, first_defect, packed_block_defect
+from repro.core.viewdigest import packed_columns
 from repro.core.viewprofile import ViewProfile
-from repro.crypto.bloom import BloomFilter
-from repro.errors import ReproError, ValidationError, WireFormatError
-from repro.util.encoding import (
-    pack_uint,
-    unpack_pair_f32,
-    unpack_prefixed,
-    unpack_uint,
-)
+from repro.errors import ValidationError, WireFormatError
 from repro.util.timeline import minute_of
 
 DUPLICATE_ID_MESSAGE = "a VP with this identifier already exists"
@@ -82,14 +59,14 @@ _RECORD_HEAD = struct.Struct(">BI4d")
 #: the flags and minute that open :data:`_RECORD_HEAD`
 _RECORD_MINUTE = struct.Struct(">BI")
 
-#: bytes of one record before its body blob: head + vp_id + length prefix
-RECORD_OVERHEAD_BYTES = _RECORD_HEAD.size + VP_ID_BYTES + 4
+#: the body's own head: blob version, Bloom k, digest block length
+_BODY_HEAD = struct.Struct(">BHI")
 
-#: one record carrying a complete 60-digest VP, as numpy reads it: the
-#: head :data:`_RECORD_HEAD` packs, the id and the body length, then the
-#: blob :func:`encode_vp` writes.  A frame of such records has a fixed
-#: stride, so it reads as one array of these — every column a view
-COMPLETE_RECORD_DTYPE = np.dtype(
+#: every VP record, as numpy reads it: the head :data:`_RECORD_HEAD`
+#: packs, the id and the body length, then the body :func:`encode_vp`
+#: writes.  Every record has this one stride, so a frame reads as one
+#: array of these — every column a view
+RECORD_DTYPE = np.dtype(
     [
         ("flags", "u1"),
         ("minute", ">u4"),
@@ -104,10 +81,22 @@ COMPLETE_RECORD_DTYPE = np.dtype(
     ]
 )
 
+#: bytes of one record: the stride of a frame and of the segment log
+RECORD_BYTES = RECORD_DTYPE.itemsize
+
+#: bytes of one record before its body: head, vp_id, body length
+RECORD_OVERHEAD_BYTES = RECORD_DTYPE.fields["version"][1]
+
+#: bytes of every record's body (:func:`encode_vp`)
+FRAME_BODY_BYTES = RECORD_BYTES - RECORD_OVERHEAD_BYTES
+
+#: a body's 60 digest slots
+_SLOTS = RECORD_DTYPE["digests"]
+
 
 def frame_count(frame: bytes | memoryview) -> int:
-    """The record count a frame's header declares — before the walk
-    (:func:`iter_encoded_meta`) holds it to the bytes present."""
+    """The record count a frame's header declares — before the frame is
+    held to that many records."""
     if len(frame) < FRAME_HEADER_BYTES:
         raise WireFormatError("VP batch too short for header")
     return _FRAME_HEAD.unpack_from(frame)[1]
@@ -125,55 +114,37 @@ def peek_frame_minute(frame: bytes | memoryview) -> int:
     return _RECORD_MINUTE.unpack_from(frame, FRAME_HEADER_BYTES)[1]
 
 
-def encoded_body_bytes(n_digests: int) -> int:
-    """Exact storage-blob size of a VP carrying ``n_digests`` digests.
-
-    Pure layout arithmetic (version + bloom k + length prefix + packed
-    digests + bloom bits) — lets a consumer check a record's body is a
-    well-formed complete VP from the length alone, without decoding it.
-    """
-    return 1 + 2 + 4 + n_digests * VD_MESSAGE_BYTES + BLOOM_BYTES
-
-
 def encode_vp(vp: ViewProfile) -> bytes:
-    """Serialize one VP (of any digest count) to its storage blob.
+    """Serialize one VP to its :data:`FRAME_BODY_BYTES` body.
 
     The digest block is the VP's own (held since it was read from
-    bytes, or joined once on first encode); the Bloom bits are read
-    live, because neighbours are added to a VP after it is built —
-    so the blob itself is never memoized.
+    bytes, or joined once on first encode), zero slots pad it to 60;
+    the Bloom bits are read live, because neighbours are added to a VP
+    after it is built — so the body itself is never memoized.
     """
-    block = vp.digest_block()
-    return b"".join(
-        (
-            pack_uint(VP_BLOB_VERSION, 1),
-            pack_uint(vp.bloom.k, 2),
-            pack_uint(len(block), 4),
-            block,
-            vp.bloom.to_bytes(),
+    block = _block(vp)
+    head = _BODY_HEAD.pack(VP_BLOB_VERSION, vp.bloom.k, len(block))
+    return b"".join((head, block, bytes(_SLOTS.itemsize - len(block)), vp.bloom.to_bytes()))
+
+
+def _block(vp: ViewProfile) -> bytes:
+    """The VP's digest block — if a record can hold its Bloom, of one size."""
+    if vp.bloom.m_bits != 8 * BLOOM_BYTES:
+        raise WireFormatError(
+            f"cannot encode a {vp.bloom.m_bits}-bit Bloom filter; "
+            f"a VP record holds {8 * BLOOM_BYTES} bits"
         )
-    )
+    return vp.digest_block()
 
 
 def decode_vp(blob: bytes | memoryview, trusted: bool = False) -> ViewProfile:
-    """Rebuild a VP from its storage blob; trust comes from the store.
-
-    The VP keeps the blob's digest block as it is (copied out of a
-    ``memoryview``) and validates it whole; no digest is unpacked.
-    """
-    bloom_k, digest_block, bloom_bits = _blob_parts(blob)
-    return ViewProfile.from_wire(digest_block, bloom_bits, bloom_k, trusted)
-
-
-def _blob_parts(blob: bytes | memoryview) -> tuple[int, bytes | memoryview, bytes | memoryview]:
-    """A storage blob's Bloom ``k``, digest block and Bloom bits, sliced, not copied."""
-    if len(blob) < 3:
-        raise WireFormatError("VP blob too short for header")
-    version = unpack_uint(blob[0:1])
-    if version != VP_BLOB_VERSION:
-        raise WireFormatError(f"unsupported VP blob version {version}")
-    digest_block, offset = unpack_prefixed(blob, 3)
-    return unpack_uint(blob[1:3]), digest_block, blob[offset:]
+    """Rebuild a VP from its body (:func:`encode_vp`); trust comes from
+    the store.  The body is held to the record rules every reader
+    applies; the VP copies out its digests, no digest is unpacked."""
+    if len(blob) != FRAME_BODY_BYTES:
+        raise WireFormatError(f"VP blob is {len(blob)} bytes, not {FRAME_BODY_BYTES}")
+    # a body is the tail of a record: read it behind a blank head
+    return _decoded(np.frombuffer(bytes(RECORD_OVERHEAD_BYTES) + blob, RECORD_DTYPE), [trusted])[0]
 
 
 # -- columnar batch format -------------------------------------------------
@@ -205,12 +176,13 @@ def _vp_meta(vps: Sequence[ViewProfile], trusted: bool = False) -> list[tuple]:
 
     Boxes are reduced at each VP's first row of the joined blocks, so
     VPs of any digest count share the pass; minutes are
-    :func:`record_minute` of each first digest time.
+    :func:`record_minute` of each first digest time.  A VP whose Bloom
+    a record cannot hold is refused here, before anything is framed.
     """
     rows = []
     for first in range(0, len(vps), _META_PASS_VPS):
         part = vps[first : first + _META_PASS_VPS]
-        blocks = [vp.digest_block() for vp in part]
+        blocks = [_block(vp) for vp in part]
         fields = packed_columns(b"".join(blocks))
         starts = np.cumsum([0] + [len(block) for block in blocks[:-1]]) // VD_MESSAGE_BYTES
         lows = np.minimum.reduceat(fields["location"], starts).tolist()
@@ -251,82 +223,148 @@ def _record_parts(row: tuple) -> tuple:
     head = _RECORD_HEAD.pack(
         FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
     )
-    return head, bytes(vp_id), pack_uint(len(body), 4), body
-
-
-def unpack_record_meta(batch: bytes, offset: int = 0) -> tuple[tuple, int]:
-    """One record's metadata row (no body) and the offset just past it.
-
-    ``batch[offset:]`` begins with a record; the body is sought past
-    via its length prefix, never sliced.  The one place the record
-    head is parsed: the frame walkers and the segment log's recovery
-    scan (whose records stand alone, without a frame header) share it.
-    """
-    head_end = offset + _RECORD_HEAD.size
-    if head_end + VP_ID_BYTES + 4 > len(batch):
-        raise WireFormatError("truncated VP batch record")
-    flags, minute, x_min, y_min, x_max, y_max = _RECORD_HEAD.unpack(
-        batch[offset:head_end]
-    )
-    vp_id = batch[head_end : head_end + VP_ID_BYTES]
-    body_len = unpack_uint(batch[head_end + VP_ID_BYTES : head_end + VP_ID_BYTES + 4])
-    end = head_end + VP_ID_BYTES + 4 + body_len
-    if end > len(batch):
-        raise WireFormatError("truncated VP batch record")
-    return (vp_id, minute, flags & FLAG_TRUSTED, x_min, y_min, x_max, y_max), end
+    return head, bytes(vp_id), FRAME_BODY_BYTES.to_bytes(4, "big"), body
 
 
 def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
-    """Walk a batch buffer yielding metadata only — bodies never sliced.
+    """Walk a batch buffer by its length fields, yielding metadata only.
 
-    Yields ``(meta, start, end)`` where ``meta`` is a record's
-    ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` and
-    ``batch[start:end]`` is its raw span.  The walk seeks past each
-    body via its length prefix instead of materializing a ~4.5 kB
-    slice, so a consumer that only polices metadata touches a few
-    dozen bytes per record however large the batch is.  The one
-    framing validator: version, a record count held byte-exactly to
-    the buffer, no trailing bytes.
+    Yields ``(meta, start, end)``: a record's ``(vp_id, minute, trusted,
+    x_min, y_min, x_max, y_max)`` and its raw span, each body sought
+    past, never sliced.  The framing check of a frame that is not
+    ``count`` whole records: version, a record count held byte-exactly
+    to the buffer, no trailing bytes.
     """
     count = frame_count(batch)
     version = batch[0]
     if version != VP_BATCH_VERSION:
         raise WireFormatError(f"unsupported VP batch version {version}")
-    offset = FRAME_HEADER_BYTES
+    start = FRAME_HEADER_BYTES
     for _ in range(count):
-        start = offset
-        meta, offset = unpack_record_meta(batch, start)
-        yield meta, start, offset
-    if offset != len(batch):
+        body_at = start + RECORD_OVERHEAD_BYTES
+        if body_at > len(batch):
+            raise WireFormatError("truncated VP batch record")
+        flags, minute, *box = _RECORD_HEAD.unpack_from(batch, start)
+        vp_id = batch[start + _RECORD_HEAD.size : body_at - 4]
+        end = body_at + int.from_bytes(batch[body_at - 4 : body_at], "big")
+        if end > len(batch):
+            raise WireFormatError("truncated VP batch record")
+        yield (vp_id, minute, flags & FLAG_TRUSTED, *box), start, end
+        start = end
+    if start != len(batch):
         raise WireFormatError(
-            f"VP batch of {count} records leaves {len(batch) - offset} trailing bytes"
+            f"VP batch of {count} records leaves {len(batch) - start} trailing bytes"
         )
 
 
-def encoded_body_claims_area(body: bytes, area, offset: int = 0) -> bool:
-    """Decode-free exact area membership over one stored body blob.
+class RecordLengthError(WireFormatError):
+    """A frame whose framing holds but whose record ``index`` is not one
+    stride: ``meta`` is that record's walked row, ``length`` its bytes."""
 
-    True iff any packed digest location lies inside the closed
-    rectangle ``area`` — byte-for-byte the same values
-    :func:`decode_vp` would hand to ``vp_claims_in_area`` (wire
-    locations are float32-rounded before packing), so the encoded
-    read path returns exactly the decoded path's record set.
-    ``offset`` indexes the body inside a larger buffer (a frame or an
-    mmap); the body is inspected in place, never sliced out.
+    def __init__(self, index: int, meta: tuple, length: int) -> None:
+        super().__init__(f"VP batch record is {length} bytes, not {RECORD_BYTES}")
+        self.index, self.meta, self.length = index, meta, length
+
+
+def _frame_records(frame: bytes | memoryview) -> np.ndarray:
+    """A frame's records as one :data:`RECORD_DTYPE` array (a view):
+    ``count`` records, each declaring the one body length.  Anything
+    else is a :class:`WireFormatError` — the framing fault
+    :func:`iter_encoded_meta` finds, or a :class:`RecordLengthError`
+    for the first record of another length."""
+    count = frame_count(frame)
+    if frame[0] == VP_BATCH_VERSION and len(frame) == FRAME_HEADER_BYTES + count * RECORD_BYTES:
+        records = np.frombuffer(frame, RECORD_DTYPE, count, FRAME_HEADER_BYTES)
+        if (records["body_len"] == FRAME_BODY_BYTES).all():
+            return records
+    walked = [(meta, end - start) for meta, start, end in iter_encoded_meta(frame)]
+    index = next(i for i, (_meta, length) in enumerate(walked) if length != RECORD_BYTES)
+    raise RecordLengthError(index, *walked[index])
+
+
+def record_meta(records: np.ndarray) -> list[tuple]:
+    """Each record's ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)``
+    row, read off its head columns; only the ids are materialized."""
+    trusted = (records["flags"] & FLAG_TRUSTED).tolist()
+    return [
+        (vp_id, minute, flag, *box)
+        for vp_id, minute, flag, box in zip(
+            _ids(records), records["minute"].tolist(), trusted, records["bbox"].tolist()
+        )
+    ]
+
+
+def _ids(records: np.ndarray) -> list[bytes]:
+    """The head ``vp_id`` of each record, as ``bytes`` (they key dicts)."""
+    ids = records["vp_id"].tobytes()
+    return [ids[at : at + VP_ID_BYTES] for at in range(0, len(ids), VP_ID_BYTES)]
+
+
+def held_mask(records: np.ndarray) -> np.ndarray:
+    """``(records, 60)``: the digest slots each record fills, its first
+    ``block_len // 72``."""
+    return np.arange(VIDEO_UNIT_SECONDS) < records["block_len"][:, None] // VD_MESSAGE_BYTES
+
+
+def _body_rules(records: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """What every reader refuses in a body before its digest rules, as
+    ``(broken, message)`` pairs in the order they are reported, each
+    ``message`` a template of the body's ``version`` and ``block_len``.
+
+    The blob version; whole digests that fit the 60 slots (an empty
+    block is the digest rules' to refuse); a Bloom of at least one hash;
+    and zero slots past the held digests, so a VP has one stored form.
     """
-    block_bytes = unpack_uint(body[offset + 3 : offset + 7])
-    base = offset + 7
-    x_min, x_max = area.x_min, area.x_max
-    y_min, y_max = area.y_min, area.y_max
-    # digest by digest, first hit returns: on a hot cell nearly every
-    # row the SQL box filter lets through claims the area at once
-    view = memoryview(body)
-    first, last = PACKED_FIELD["location"].start, PACKED_FIELD["location"].stop
-    for start in range(base, base + block_bytes, VD_MESSAGE_BYTES):
-        x, y = unpack_pair_f32(view[start + first : start + last])
-        if x_min <= x <= x_max and y_min <= y <= y_max:
-            return True
-    return False
+    block, held = records["block_len"].astype(np.int64), held_mask(records)
+    dirty = np.zeros(len(records), dtype=bool)
+    short = np.flatnonzero(~held[:, -1])
+    if short.size:  # a complete VP has no slot to check
+        slots = records["digests"][short].view(np.uint8).reshape(len(short), VIDEO_UNIT_SECONDS, -1)
+        dirty[short] = (slots.any(axis=2) & ~held[short]).any(axis=1)
+    return [
+        (records["version"] != VP_BLOB_VERSION, "unsupported VP blob version {version}"),
+        (
+            (block % VD_MESSAGE_BYTES != 0) | (block > _SLOTS.itemsize),
+            "digest block of {block_len} bytes is not whole digests in 60 slots",
+        ),
+        (records["bloom_k"] == 0, "bloom hash count must be positive"),
+        (dirty, "VP digest slots past its held digests are not zero"),
+    ]
+
+
+def _body_fault(records: np.ndarray) -> tuple[int, WireFormatError] | None:
+    """The first body breaking a :func:`_body_rules` rule, and its error."""
+    found = first_defect(_body_rules(records))
+    if found is None:
+        return None
+    row, message = found
+    version, block_len = int(records["version"][row]), int(records["block_len"][row])
+    return row, WireFormatError(message.format(version=version, block_len=block_len))
+
+
+def _decoded(
+    records: np.ndarray, trusted: Sequence[bool], ids: Sequence[bytes] | None = None
+) -> list[ViewProfile]:
+    """Each record's body as its VP, in order; the first that cannot be
+    one raises: a body rule, a digest rule (:meth:`ViewProfile.from_wire`),
+    or digests keyed by another id than the head's ``ids``."""
+    fault = _body_fault(records)
+    held = held_mask(records)
+    vps = []
+    for row in range(len(records) if fault is None else fault[0]):
+        record = records[row]
+        vp = ViewProfile.from_wire(
+            record["digests"][held[row]].tobytes(),
+            record["bloom"].tobytes(),
+            int(record["bloom_k"]),
+            bool(trusted[row]),
+        )
+        if ids is not None and vp.vp_id != ids[row]:
+            raise WireFormatError(RECORD_ID_MISMATCH)
+        vps.append(vp)
+    if fault is not None:
+        raise fault[1]
+    return vps
 
 
 #: process-local count of record-span byte materializations on the
@@ -354,24 +392,14 @@ def decode_vp_batch(batch: bytes | memoryview) -> list[ViewProfile]:
 
     The trusted flag is restored from the record metadata — inside a
     batch buffer it is ingestion-path state the store wrote, not
-    uploader-controlled content.
+    uploader-controlled content; a body keyed by another id than its
+    head's is refused, never returned under the head's.
     """
-    return [
-        decode_record(batch[start:end], vp_id, trusted)
-        for (vp_id, _minute, trusted, *_bbox), start, end in iter_encoded_meta(batch)
-    ]
+    records = _frame_records(batch)
+    return _decoded(records, (records["flags"] & FLAG_TRUSTED).tolist(), _ids(records))
 
 
-def decode_record(record: bytes | memoryview, vp_id: bytes, trusted: int) -> ViewProfile:
-    """One record's span (head and body) as its VP, the body held to
-    the ``vp_id`` the head carries — a record whose body is keyed by
-    another id is refused, never returned under the head's."""
-    vp = decode_vp(record[RECORD_OVERHEAD_BYTES:], trusted=bool(trusted))
-    if vp.vp_id != vp_id:
-        raise WireFormatError(RECORD_ID_MISMATCH)
-    return vp
-
-
+@dataclass(eq=False, slots=True)
 class Batch:
     """One store write: records as VP objects or as a codec frame.
 
@@ -381,42 +409,31 @@ class Batch:
     demand — so the store asks for the form it stores and never learns
     which one arrived.  The trusted
     bit lives in ``meta``: a trusted write forces it without touching
-    the caller's objects.
+    the caller's objects.  A frame's ``records`` are its
+    :data:`RECORD_DTYPE` view (``None`` for objects).
     """
 
-    __slots__ = ("meta", "_vps", "_frame", "_spans")
-
-    def __init__(
-        self,
-        meta: list[tuple],
-        vps: list[ViewProfile] | None = None,
-        frame: bytes | memoryview | None = None,
-        spans: list[tuple[int, int]] | None = None,
-    ) -> None:
-        self.meta = meta
-        self._vps = vps
-        self._frame = frame
-        self._spans = spans
+    meta: list[tuple]
+    records: np.ndarray | None = None
+    _frame: bytes | memoryview | None = None
+    _vps: list[ViewProfile] | None = None
 
     @classmethod
     def from_vps(cls, vps: Iterable[ViewProfile], trusted: bool = False) -> "Batch":
         """Wrap the caller's objects; ``trusted`` marks every record."""
         vps = list(vps)
-        return cls(_vp_meta(vps, trusted), vps=vps)
+        return cls(_vp_meta(vps, trusted), _vps=vps)
 
     @classmethod
     def from_frame(cls, frame: bytes | memoryview) -> "Batch":
         """Wrap a codec frame (``bytes`` or a read-only ``memoryview``).
 
-        One metadata walk validates the framing; bodies stay where they
-        are.  Only the 16-byte ids are materialized (they key dicts).
+        The frame must be ``count`` records of the one stride (else
+        :class:`WireFormatError`); bodies stay where they are.  Only
+        the 16-byte ids are materialized (they key dicts).
         """
-        meta: list[tuple] = []
-        spans: list[tuple[int, int]] = []
-        for (vp_id, *rest), start, end in iter_encoded_meta(frame):
-            meta.append((bytes(vp_id), *rest))
-            spans.append((start, end))
-        return cls(meta, frame=frame, spans=spans)
+        records = _frame_records(frame)
+        return cls(record_meta(records), records, frame)
 
     def __len__(self) -> int:
         return len(self.meta)
@@ -451,17 +468,18 @@ class Batch:
         """
         if self._vps is not None:
             return b"".join(_record_parts((*self.meta[index], encode_vp(self._vps[index]))))
-        start, end = self._spans[index]
-        return memoryview(self._frame)[start:end]
+        start = FRAME_HEADER_BYTES + index * RECORD_BYTES
+        return memoryview(self._frame)[start : start + RECORD_BYTES]
 
 
 @dataclass(eq=False)
 class RecordColumns:
     """A frame's records laid out once as columns: what investigation reads.
 
-    ``digests`` is ``(records, 60)`` :data:`PACKED_DIGEST_DTYPE`, short VPs
-    zero-padded and ``held`` marking real rows (``t``, ``xy``: float64 copies);
-    beside it each record's head id, trust, minute and Bloom (bytes zero-padded).
+    ``digests`` is the ``(records, 60)`` :data:`PACKED_DIGEST_DTYPE` column of
+    the frame, ``held`` marking the filled slots (``t``, ``xy``: float64
+    copies); beside it each record's head id, trust, minute and Bloom — all
+    views of the frame but ``ids``.
     """
 
     ids: list[bytes]
@@ -470,7 +488,6 @@ class RecordColumns:
     digests: np.ndarray
     held: np.ndarray
     bloom_k: np.ndarray
-    bloom_bits: np.ndarray
     bloom: np.ndarray
 
     def __post_init__(self) -> None:
@@ -479,47 +496,35 @@ class RecordColumns:
 
     @classmethod
     def from_frame(cls, frame: bytes | memoryview) -> "RecordColumns":
-        """Lay out a frame's records, held to the checks decoding runs
-        (:func:`~repro.core.viewdigest.packed_block_defect` once per digest
-        count): the first failing record raises what its decode would."""
-        batch = Batch.from_frame(frame)
-        faults: dict[int, Exception] = {}  # the first fault of each failing record
-        bloom_k, blocks, blooms = [], [], []
-        for row in range(len(batch)):
-            try:
-                k, block, bits = _blob_parts(batch.record_span(row)[RECORD_OVERHEAD_BYTES:])
-                PackedDigests(block)  # the geometry checks decoding runs
-                BloomFilter.from_bytes(bits, k)
-            except ReproError as exc:
-                faults[row] = exc
-                k, block, bits = 1, b"", b"\0"
-            bloom_k.append(k)
-            blocks.append(block)
-            blooms.append(bytes(bits))
-        lengths = np.array([len(block) for block in blocks], dtype=np.intp) // VD_MESSAGE_BYTES
-        size = max([VIDEO_UNIT_SECONDS, *lengths.tolist()]) * VD_MESSAGE_BYTES
-        padded = [b if len(b) == size else bytes(b).ljust(size, b"\0") for b in blocks]
-        digests = packed_columns(b"".join(padded)).reshape(len(blocks), size // VD_MESSAGE_BYTES)
-        held = np.arange(digests.shape[-1]) < lengths[:, None]
-        for n in np.unique(lengths).tolist():
-            group = np.flatnonzero(lengths == n)
+        """View a frame's records as columns, held to the checks decoding
+        runs (:func:`_body_rules`, then
+        :func:`~repro.core.viewdigest.packed_block_defect` once per held
+        count, then the head id): the first failing record raises what
+        its decode would."""
+        records = _frame_records(frame)
+        digests, held = records["digests"], held_mask(records)
+        counts = held.sum(axis=1)
+        fault = _body_fault(records)  # a body rule outranks its record's digest rules
+        faults: dict[int, Exception] = dict([fault] if fault else [])
+        for n in np.unique(counts).tolist():
+            group = np.flatnonzero(counts == n)
             for broken, message in packed_block_defect(digests[group, :n]):
                 for row in group[broken].tolist():
                     faults.setdefault(row, ValidationError(message))
-        ids = [meta[0] for meta in batch.meta]
-        head_ids = np.frombuffer(b"".join(ids), dtype=np.uint8).reshape(-1, VP_ID_BYTES)
-        mismatch = held[:, 0] & (digests["vp_id"][:, 0] != head_ids).any(axis=1)
+        mismatch = (digests["vp_id"][:, 0] != records["vp_id"]).any(axis=1)
         for row in np.flatnonzero(mismatch).tolist():
             faults.setdefault(row, WireFormatError(RECORD_ID_MISMATCH))
         if faults:
             raise faults[min(faults)]
-        sizes = np.array([len(bits) for bits in blooms], dtype=np.int64)
-        widest = int(sizes.max(initial=0))
-        bloom = b"".join([bits.ljust(widest, b"\0") for bits in blooms])
-        bloom = np.frombuffer(bloom, np.uint8).reshape(len(ids), widest)
-        heads = np.array([meta[1:3] for meta in batch.meta], dtype=np.int64).reshape(-1, 2)
-        bloom_k = np.array(bloom_k, dtype=np.int64)
-        return cls(ids, heads[:, 1] > 0, heads[:, 0], digests, held, bloom_k, 8 * sizes, bloom)
+        return cls(
+            _ids(records),
+            records["flags"] & FLAG_TRUSTED != 0,
+            records["minute"].astype(np.int64),
+            digests,
+            held,
+            records["bloom_k"].astype(np.int64),
+            records["bloom"],
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -532,5 +537,5 @@ class RecordColumns:
     def profile(self, row: int) -> ViewProfile:
         """Record ``row`` as a :class:`ViewProfile`, built on request."""
         block = self.digests[row][self.held[row]].tobytes()
-        bits = self.bloom[row, : self.bloom_bits[row] // 8].tobytes()
+        bits = self.bloom[row].tobytes()
         return ViewProfile.from_wire(block, bits, int(self.bloom_k[row]), bool(self.trusted[row]))

@@ -6,7 +6,7 @@ records (:mod:`repro.store.codec`) verbatim, each behind a header::
 
     length (u32 LE) | crc32 of the record (u32 LE) | record
 
-so a stored VP costs its wire record plus 8 bytes.  With a ``path`` the
+so a stored VP costs its wire record, one stride, plus 8 bytes.  With a ``path`` the
 segments are flat sibling files ``{path}.{minute:08d}.seg`` (nothing is
 created at ``path`` itself); with an empty path they are anonymous
 ``tempfile.TemporaryFile`` objects, unlinked from birth — the same
@@ -16,7 +16,7 @@ process's heap; the heap holds the index alone (bounded per VP by
 ``STORED_VP_BYTES_MAX`` in ``tests/store/test_memory_footprint.py``).  The
 index lives in memory and is rebuilt by one scan at open: the
 ``id -> (minute, row)`` map that rejects duplicates, and per minute
-the ``(offset, length, trusted, bbox)`` columns and the ids in
+the ``(offset, trusted, bbox)`` columns and the ids in
 insertion order.
 ``docs/stores.md#the-segment-log`` has the contract in prose; in short:
 
@@ -32,7 +32,7 @@ insertion order.
 * **read** takes the minute's columns and a duplicate of its descriptor
   under the lock, then selects and reads outside it.  Segments are read
   (``os.preadv``), never file-mapped: a file mapping would be resident
-  memory.  The selection's ``length`` column sizes the reply, and every
+  memory.  The selection's row count sizes the reply, and every
   record is read straight into its slot of one anonymous mapping — the
   whole reply, not the malloc heap — which is unmapped with its last
   view.  The columns are the only index: a whole-minute count is the
@@ -64,18 +64,20 @@ import numpy as np
 
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError, WireFormatError
+from repro.geo.geometry import Rect
 from repro.obs.metrics import MetricsRegistry, stage_timer
 from repro.store.base import StoreStats
 from repro.store.codec import (
     FRAME_HEADER_BYTES,
+    RECORD_BYTES,
+    RECORD_DTYPE,
     RECORD_OVERHEAD_BYTES,
     Batch,
-    decode_record,
     decode_vp_batch,
-    encoded_body_claims_area,
     frame_count,
     frame_header,
-    unpack_record_meta,
+    held_mask,
+    record_meta,
 )
 from repro.store.serving import REPLY_HEAD_ROOM, QueryResult, QuerySpec, reply_mapping
 
@@ -88,7 +90,10 @@ _HEADER = struct.Struct("<II")
 _FILE_NAME = re.compile(r"(\d{8,})\.seg(\.tmp)?|(-?\d+)\.cut")
 
 #: one published record: where its bytes are, and what selection needs
-_ROW = np.dtype([("offset", "i8"), ("length", "i8"), ("trusted", "?"), ("box", "f8", (4,))])
+_ROW = np.dtype([("offset", "i8"), ("trusted", "?"), ("box", "f8", (4,))])
+
+#: bytes of one stored record: its header and the one record stride
+_STORED_BYTES = _HEADER.size + RECORD_BYTES
 
 #: a minute with no segment: no rows to select
 _NO_ROWS = np.empty(0, _ROW)
@@ -97,17 +102,43 @@ _NO_ROWS = np.empty(0, _ROW)
 #: platform's IOV_MAX
 _IOV_RECORDS = 256
 
+#: records per masked pass of an area query: its float64 coordinates
+#: and masks stay a few tens of kB, under what the read itself holds
+_AREA_RECORDS = 32
 
-def _runs(rows: np.ndarray) -> Iterator[tuple[int, list[int]]]:
-    """``(file offset, record lengths)`` per run of rows adjacent in the
-    file: one ``preadv`` each, of at most ``_IOV_RECORDS`` records."""
-    offsets, lengths = rows["offset"], rows["length"]
-    apart = offsets[1:] != offsets[:-1] + lengths[:-1] + _HEADER.size
+
+def _runs(rows: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(file offset, records)`` per run of rows adjacent in the file:
+    one ``preadv`` each, of at most ``_IOV_RECORDS`` records."""
+    offsets = rows["offset"]
+    apart = offsets[1:] != offsets[:-1] + _STORED_BYTES
     cuts = [0, *(np.flatnonzero(apart) + 1).tolist(), len(rows)]
-    offsets, lengths = offsets.tolist(), lengths.tolist()
+    offsets = offsets.tolist()
     for lo, hi in zip(cuts, cuts[1:]):
         for first in range(lo, hi, _IOV_RECORDS):
-            yield offsets[first], lengths[first : min(hi, first + _IOV_RECORDS)]
+            yield offsets[first], min(hi, first + _IOV_RECORDS) - first
+
+
+def _keep_claims(reply: memoryview, start: int, stop: int, area: Rect) -> int:
+    """Compact the records in ``reply[start:stop]`` to those with a held
+    digest location inside the closed rectangle ``area``; returns where
+    the kept ones end.  One masked pass per ``_AREA_RECORDS`` records,
+    the float32 locations meeting the bounds as float64, as decoded VPs
+    do: a float32 comparison rounds the bounds."""
+    end = start
+    for first in range(start, stop, _AREA_RECORDS * RECORD_BYTES):
+        n = min(_AREA_RECORDS, (stop - first) // RECORD_BYTES)
+        records = np.frombuffer(reply, RECORD_DTYPE, n, first)
+        claims = held_mask(records)
+        for axis, low, high in ((0, area.x_min, area.x_max), (1, area.y_min, area.y_max)):
+            coordinate = records["digests"]["location"][..., axis].astype(np.float64)
+            claims &= (coordinate >= low) & (coordinate <= high)
+        for row in np.flatnonzero(claims.any(axis=1)).tolist():
+            at = first + row * RECORD_BYTES
+            if at != end:  # the area dropped a record before this one
+                reply[end : end + RECORD_BYTES] = reply[at : at + RECORD_BYTES]
+            end += RECORD_BYTES
+    return end
 
 
 class _Segment:
@@ -220,41 +251,45 @@ class SegmentStore:
 
         The first record whose header, length or CRC fails ends the
         segment: everything before it was acked, nothing after it was.
+        A whole, CRC-good record of another length than the one stride
+        is another layout's: the segment is refused, and nothing in it
+        truncated.
         """
-        segment = self._open(minute)
-        records: list[tuple] = []
+        path = self._file(minute)
+        metas: list[tuple] = []
         good = 0
-        with open(segment.path, "rb") as reader:
+        with open(path, "rb") as reader:
             while len(header := reader.read(_HEADER.size)) == _HEADER.size:
                 length, crc = _HEADER.unpack(header)
                 record = reader.read(length)
-                if length < RECORD_OVERHEAD_BYTES or len(record) < length:
+                torn = length < RECORD_OVERHEAD_BYTES or len(record) < length
+                if torn or zlib.crc32(record) != crc:
                     break
-                if zlib.crc32(record) != crc:
-                    break
-                (vp_id, *rest), _end = unpack_record_meta(record)
-                records.append(((bytes(vp_id), *rest), length))
-                good += _HEADER.size + length
+                if length != RECORD_BYTES:
+                    raise WireFormatError(f"{path!r} holds a {length}-byte record: another layout")
+                metas += record_meta(np.frombuffer(record, RECORD_DTYPE))
+                good += _STORED_BYTES
+        segment = self._open(minute)
         os.ftruncate(segment.file.fileno(), good)  # a no-op unless the tail was torn
-        if records:
-            self._publish(segment, minute, records)
+        if metas:
+            self._publish(segment, minute, metas)
         else:
             segment.file.close()
             os.unlink(segment.path)
 
-    def _publish(self, segment: _Segment, minute: int, records: list[tuple]) -> None:
-        """Make ``(meta, length)`` records visible — their bytes are in the file."""
-        n = segment.n + len(records)
+    def _publish(self, segment: _Segment, minute: int, metas: list[tuple]) -> None:
+        """Make records visible by their metadata — their bytes are in the file."""
+        n = segment.n + len(metas)
         if n > len(segment.rows):
             grown = np.empty(max(n, 2 * len(segment.rows)), _ROW)
             grown[: segment.n] = segment.rows[: segment.n]
             segment.rows = grown
         end = segment.size
-        for row, ((vp_id, _minute, trusted, *box), length) in enumerate(records, segment.n):
-            segment.rows[row] = (end + _HEADER.size, length, bool(trusted), tuple(box))
+        for row, (vp_id, _minute, trusted, *box) in enumerate(metas, segment.n):
+            segment.rows[row] = (end + _HEADER.size, bool(trusted), tuple(box))
             segment.ids.append(vp_id)
             self._ids[vp_id] = (minute, row)
-            end += _HEADER.size + length
+            end += _STORED_BYTES
         segment.n = n
         segment.size = end
         self._segments[minute] = segment
@@ -276,7 +311,7 @@ class SegmentStore:
                 parts: list = []
                 for meta, span in chunk:
                     parts += (_HEADER.pack(len(span), zlib.crc32(span)), span)
-                    written.append((meta, len(span)))
+                    written.append(meta)
                 if os.writev(fd, parts) != sum(len(part) for part in parts):
                     raise OSError("short write")
         except BaseException as exc:
@@ -400,10 +435,10 @@ class SegmentStore:
             if where is None:
                 return None
             segment = self._segments[where[0]]
-            offset, length, trusted, _box = segment.rows[where[1]].tolist()
+            offset = int(segment.rows["offset"][where[1]])
             # under the lock: one record, and no descriptor to duplicate
-            record = self._pread(segment.file.fileno(), offset, length)
-        return decode_record(memoryview(record), vp_id, trusted)
+            record = self._pread(segment.file.fileno(), offset, RECORD_BYTES)
+        return decode_vp_batch(frame_header(1) + record)[0]
 
     def __len__(self) -> int:
         with self._lock:
@@ -441,14 +476,14 @@ class SegmentStore:
 
         Under the lock only the minute's published columns are taken
         and its descriptor duplicated (the duplicate outlives an
-        eviction).  Selection runs on the columns, and their ``length``
+        eviction).  Selection runs on the columns, and its row count
         sizes the reply before any read: one anonymous mapping
         (:func:`~repro.store.serving.reply_mapping`) that the candidates
         are ``preadv``'d straight into, slot after slot — one call per
-        run of records adjacent in the file.  On an area query a
-        candidate is kept iff a packed digest location lies inside the
-        area — the same float32 values the decoded path checks — and
-        one that is not is overwritten by the next kept one.
+        run of records adjacent in the file.  On an area query the
+        records read are then masked as arrays (:func:`_keep_claims`):
+        a candidate is kept iff a held digest location lies inside the
+        area, and one that is not is overwritten by the next kept one.
         Records are stored as framed, so the reply is byte-identical to
         re-encoding the decoded selection.  It is a read-only view of
         the mapping, with :data:`~repro.store.serving.REPLY_HEAD_ROOM`
@@ -474,31 +509,21 @@ class SegmentStore:
                     & (box[:, 3] >= area.y_min)
                     & (box[:, 1] <= area.y_max)
                 ]
-            reply = reply_mapping(FRAME_HEADER_BYTES + int(rows["length"].sum()))
-            end = REPLY_HEAD_ROOM + FRAME_HEADER_BYTES
-            count = 0
+            reply = reply_mapping(FRAME_HEADER_BYTES + len(rows) * RECORD_BYTES)
+            start = end = REPLY_HEAD_ROOM + FRAME_HEADER_BYTES
             gap = bytearray(_HEADER.size)  # takes the headers between a run's records
-            for offset, lengths in _runs(rows):
-                buffers, slot = [], end
-                for length in lengths:
-                    buffers += (reply[slot : slot + length], gap)
-                    slot += length
-                want = slot - end + _HEADER.size * (len(lengths) - 1)
-                if os.preadv(fd, buffers[:-1], offset) != want:
+            for offset, n in _runs(rows):
+                slots = range(end, end + n * RECORD_BYTES, RECORD_BYTES)
+                buffers = [part for at in slots for part in (reply[at : at + RECORD_BYTES], gap)]
+                if os.preadv(fd, buffers[:-1], offset) != n * _STORED_BYTES - _HEADER.size:
                     raise StorageError("VP store segment is shorter than its published records")
-                slot = end
-                for length in lengths:
-                    if area is None or encoded_body_claims_area(
-                        reply, area, slot + RECORD_OVERHEAD_BYTES
-                    ):
-                        if slot != end:  # the area dropped a record before this one
-                            reply[end : end + length] = reply[slot : slot + length]
-                        end += length
-                        count += 1
-                    slot += length
+                end += n * RECORD_BYTES
         finally:
             if fd >= 0:
                 os.close(fd)
+        if area is not None:
+            end = _keep_claims(reply, start, end, area)
+        count = (end - start) // RECORD_BYTES
         reply[REPLY_HEAD_ROOM : REPLY_HEAD_ROOM + FRAME_HEADER_BYTES] = frame_header(count)
         return reply.toreadonly()[REPLY_HEAD_ROOM:end]
 
@@ -548,8 +573,8 @@ class SegmentStore:
                     if keep:
                         fd = old.file.fileno()
                         kept = [
-                            ((old.ids[i], m, True, *box), self._pread(fd, offset, length))
-                            for i, (offset, length, _t, box) in zip(keep, rows[keep].tolist())
+                            ((old.ids[i], m, True, *box), self._pread(fd, offset, RECORD_BYTES))
+                            for i, (offset, _t, box) in zip(keep, rows[keep].tolist())
                         ]
                         survivor = self._open(m, ".tmp")
                         self._append(survivor, m, kept)

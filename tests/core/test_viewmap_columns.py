@@ -23,13 +23,13 @@ from hypothesis import strategies as st
 
 from repro.constants import DSRC_RANGE_M, VIDEO_UNIT_SECONDS
 from repro.core.viewdigest import PACKED_DIGEST_DTYPE
-from repro.core.viewmap import build_viewmap, mutual_linkage
+from repro.core.viewmap import bloom_keys, build_viewmap, mutual_linkage
 from repro.core.viewprofile import ViewProfile
 from repro.crypto.bloom import BloomFilter
-from repro.errors import ValidationError
+from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Rect
 from repro.sim.stream import stream_convoy_vps, stream_vp
-from repro.store.codec import encode_vp_batch
+from repro.store.codec import RecordColumns, encode_vp_batch
 from tests.core.reference_viewmap import reference_build_viewmap
 from tests.core.test_record_minute import GRAZING_GAP, GRAZING_SITE, GRAZING_SPEED
 
@@ -246,20 +246,28 @@ def test_a_backwards_clock_is_refused_only_where_a_probe_reaches_it():
 # -- mixed Bloom geometry ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("order", ["narrow_first", "wide_first"])
-def test_filters_of_different_sizes_link_as_mutual_linkage_says(order):
-    # Bit positions were derived under the key owner's geometry and read
-    # from the other VP's bits: IndexError with the narrow filter first,
-    # a confirmed link silently dropped with the wide one first.
+def test_filters_of_different_sizes_are_refused_at_encode():
+    # a record holds one Bloom size: a VP summarised into another cannot
+    # be framed, so no viewmap meets two sizes
     trusted, witness = convoy(3, 1, grazing=False)
-    wide = BloomFilter(m_bits=4096, k=6)
-    wide.add(trusted.bloom_keys()[0])
-    wide.add(trusted.bloom_keys()[-1])
-    resummarised = ViewProfile(witness.digests, wide)
-    stranger = ViewProfile(background(5, 1).digests, BloomFilter(m_bits=4096, k=6))
+    resized = ViewProfile(witness.digests, BloomFilter(m_bits=4096, k=6))
+    with pytest.raises(WireFormatError, match="cannot encode a 4096-bit Bloom filter"):
+        encode_vp_batch([trusted, resized])
+
+
+@pytest.mark.parametrize("order", ["default_k_first", "other_k_first"])
+def test_filters_of_different_k_link_as_mutual_linkage_says(order):
+    # Bit positions are derived under the tested filter's hash count and
+    # read from its bits, whichever filter's member comes first.
+    trusted, witness = convoy(3, 1, grazing=False)
+    other_k = BloomFilter(k=6)
+    other_k.add(trusted.bloom_keys()[0])
+    other_k.add(trusted.bloom_keys()[-1])
+    resummarised = ViewProfile(witness.digests, other_k)
+    stranger = ViewProfile(background(5, 1).digests, BloomFilter(k=6))
     assert mutual_linkage(trusted, resummarised)
     profiles = [trusted, resummarised, stranger]
-    if order == "wide_first":
+    if order == "other_k_first":
         profiles.reverse()
     nodes, edges = assert_same_viewmap(profiles, 1, radius_m=5_000.0)
     assert edges == {frozenset({trusted.vp_id, resummarised.vp_id})}
@@ -267,6 +275,20 @@ def test_filters_of_different_sizes_link_as_mutual_linkage_says(order):
         for b in profiles:
             linked = frozenset({a.vp_id, b.vp_id}) in edges
             assert a is b or linked == mutual_linkage(a, b)
+
+
+def test_bloom_keys_sliced_from_one_copy_are_each_digests_wire_bytes():
+    # the keyed block is copied once and sliced at 72 B: the keys are
+    # what one ``tobytes()`` per digest, and each VP's own keys, say
+    seconds = [3, 9, 40, 41, 60]
+    partial = block_vp(9, seconds, [60.0 + s for s in seconds], [(5.0 * s, 1.0) for s in seconds])
+    vps = [background(4, 1), partial, background(4, 2)]
+    cols = RecordColumns.from_frame(encode_vp_batch(vps))
+    rows = np.array([2, 1, 0])
+    digests = cols.digests[rows][cols.held[rows]]
+    keys = bloom_keys(digests)
+    assert keys == [digest.tobytes() for digest in digests]
+    assert keys == [key for row in rows.tolist() for key in vps[row].bloom_keys()]
 
 
 # -- hostile times -------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.store.codec import (
     VP_BLOB_VERSION,
     Batch,
     frame_count,
+    iter_encoded_meta,
 )
 from repro.util.encoding import unpack_uint
 from repro.util.timeline import minute_of
@@ -144,12 +145,12 @@ def reference_unpack_vp_batch_frame(frame: bytes | memoryview) -> Batch:
     """Validate one uploaded batch frame without decoding a VP body.
 
     Returns the frame as the :class:`~repro.store.codec.Batch` the
-    store writes, from its one metadata walk.  Every rejection —
-    damaged framing, a record count that disagrees with the bytes
-    present, an oversized batch, a non-finite or inverted bounding box,
-    a body that is not exactly one complete 60-digest VP, a
-    trusted-flag claim — is a clean :class:`ValidationError` before a
-    single record is ingested.  Each body is policed in place on its
+    store writes, once its one metadata walk finds nothing wrong.
+    Every rejection — damaged framing, a record count that disagrees
+    with the bytes present, an oversized batch, a non-finite or
+    inverted bounding box, a body that is not exactly one complete
+    60-digest VP, a trusted-flag claim — is a clean
+    :class:`ValidationError` before a single record is ingested.  Each body is policed in place on its
     record span by :func:`reference_verify_encoded_body` (blob geometry, digest
     keys matching the sidecar ``vp_id``, increasing seconds, the
     claimed minute): everything a later read would enforce holds by
@@ -166,11 +167,11 @@ def reference_unpack_vp_batch_frame(frame: bytes | memoryview) -> Batch:
                 f"VP batch frame of {count} records exceeds the "
                 f"{MAX_VP_BATCH}-VP limit"
             )
-        batch = Batch.from_frame(frame)
-        for index, meta in enumerate(batch.meta):
+        # the whole walk first: a framing fault outranks any record's
+        for meta, start, end in list(iter_encoded_meta(frame)):
             if meta[2]:
                 raise ValidationError("anonymous uploads cannot claim trusted status")
-            record = batch.record_span(index)
+            record = memoryview(frame)[start:end]
             if len(record) - RECORD_OVERHEAD_BYTES != FRAME_BODY_BYTES:
                 raise ValidationError(
                     f"frame record body is {len(record) - RECORD_OVERHEAD_BYTES} bytes; "
@@ -194,4 +195,4 @@ def reference_unpack_vp_batch_frame(frame: bytes | memoryview) -> Batch:
             )
     except WireFormatError as exc:
         raise ValidationError(f"malformed VP batch frame: {exc}") from exc
-    return batch
+    return Batch.from_frame(frame)

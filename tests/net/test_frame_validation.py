@@ -27,15 +27,15 @@ from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.errors import ValidationError
 from repro.net.messages import FRAME_BODY_BYTES, pack_vp_batch_frame, unpack_vp_batch_frame
 from repro.store.codec import (
-    COMPLETE_RECORD_DTYPE,
     FRAME_HEADER_BYTES,
+    RECORD_DTYPE,
     RECORD_OVERHEAD_BYTES,
     encode_vp_batch,
 )
 from tests.net.reference_validation import reference_unpack_vp_batch_frame
 
 #: one record of an upload frame: sidecar + body of a complete VP
-RECORD_BYTES = COMPLETE_RECORD_DTYPE.itemsize
+RECORD_BYTES = RECORD_DTYPE.itemsize
 
 #: offset of each field inside a record, and its struct format
 RECORD_FIELDS = {
@@ -262,7 +262,7 @@ EACH_RULE = {
     "trusted": (_second_record(0, ">B", lambda v: v | 1), "cannot claim trusted status"),
     "short body": (
         encode_vp_batch([POOL[0], build_view_profile(POOL[1].digests[:59], NeighborTable())]),
-        "frame record body is 4511 bytes",
+        "digest block is 4248 bytes, expected 4320",
     ),
     "box not finite": (_second_record(5, ">d", lambda v: float("nan")), "not a finite box"),
     "box inverted": (_second_record(5, ">d", lambda v: v + 1e5), "not a finite box"),
@@ -339,7 +339,7 @@ def test_a_memoryview_frame_validates_like_bytes(record):
 def test_the_record_dtype_is_the_codec_record():
     vp = POOL[0]
     records = np.frombuffer(
-        pack_vp_batch_frame([vp]), COMPLETE_RECORD_DTYPE, 1, FRAME_HEADER_BYTES
+        pack_vp_batch_frame([vp]), RECORD_DTYPE, 1, FRAME_HEADER_BYTES
     )
     assert RECORD_BYTES == RECORD_OVERHEAD_BYTES + FRAME_BODY_BYTES == 4640
     assert records["vp_id"][0].tobytes() == vp.vp_id

@@ -49,6 +49,7 @@ from repro.store.codec import (
 )
 from repro.store.serving import QuerySpec
 from tests.conftest import run_linked_minute
+from tests.net.reference_validation import reference_unpack_vp_batch_frame
 from tests.store.conftest import build_store
 
 POOL_SIZE = 8
@@ -229,9 +230,21 @@ class TestMalformedFrames:
             gen.tick(float(i + 1), Point(5.0 * i, 0.0), b"chunk")
         short_vp = build_view_profile(gen.digests, NeighborTable())
         frame = encode_vp_batch([short_vp])
-        with pytest.raises(ValidationError, match="complete"):
-            unpack_vp_batch_frame(frame)
-        self.reject(system, server, frame)
+        # the same VP in a record of its own length, its empty slots cut
+        # out: refused by its size, before any body rule
+        slots = 5 + RECORD_OVERHEAD_BYTES + 7
+        cut = bytearray(frame[: slots + 576] + frame[slots + 60 * 72 :])
+        cut[5 + RECORD_OVERHEAD_BYTES - 4 : 5 + RECORD_OVERHEAD_BYTES] = (839).to_bytes(4, "big")
+        for bad, gist in (
+            (frame, "digest block is 576 bytes, expected 4320"),
+            (bytes(cut), "body is 839 bytes; only complete 60-digest"),
+        ):
+            with pytest.raises(ValidationError, match=gist) as ours:
+                unpack_vp_batch_frame(bad)
+            with pytest.raises(ValidationError) as reference:
+                reference_unpack_vp_batch_frame(bad)
+            assert str(ours.value) == str(reference.value)
+            self.reject(system, server, bad)
 
     def test_trusted_claim_rejected(self, stack, vp_pool):
         system, server = stack

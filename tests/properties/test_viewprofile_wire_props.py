@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.constants import VD_MESSAGE_BYTES
+from repro.constants import BLOOM_BYTES, VD_MESSAGE_BYTES
 from repro.core.viewdigest import ViewDigest
 from repro.core.viewmap import build_viewmap
 from repro.core.viewprofile import ViewProfile
@@ -36,17 +36,20 @@ from repro.store.codec import (
     encode_vp,
     encode_vp_batch,
 )
-from repro.util.encoding import f32round, pack_prefixed, pack_uint
+from repro.util.encoding import f32round, pack_uint
 from repro.util.timeline import minute_of
 from tests.store.conftest import make_vp
 
 
 def reference_blob(digests: list[ViewDigest], bloom: BloomFilter) -> bytes:
-    """The storage blob's definition: header, every ``pack()``, the Bloom."""
+    """The storage blob's definition: header, every ``pack()`` in the
+    first of 60 slots, zeros in the rest, the Bloom."""
     return (
         pack_uint(VP_BLOB_VERSION, 1)
         + pack_uint(bloom.k, 2)
-        + pack_prefixed(b"".join(vd.pack() for vd in digests))
+        + pack_uint(len(digests) * VD_MESSAGE_BYTES, 4)
+        + b"".join(vd.pack() for vd in digests)
+        + bytes((60 - len(digests)) * VD_MESSAGE_BYTES)
         + bloom.to_bytes()
     )
 
@@ -57,7 +60,6 @@ def vp_parts(draw) -> tuple[list[ViewDigest], BloomFilter]:
     seconds = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=60)))
     minute = draw(st.integers(0, 10_000))
     bloom_k = draw(st.integers(1, 16))
-    bloom_bytes = draw(st.sampled_from([8, 64, 256]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     vp_id = rng.randbytes(16)
     start = (f32round(rng.uniform(-1e5, 1e5)), f32round(rng.uniform(-1e5, 1e5)))
@@ -77,7 +79,7 @@ def vp_parts(draw) -> tuple[list[ViewDigest], BloomFilter]:
         )
         for second in seconds
     ]
-    return digests, BloomFilter.from_bytes(rng.randbytes(bloom_bytes), k=bloom_k)
+    return digests, BloomFilter.from_bytes(rng.randbytes(BLOOM_BYTES), k=bloom_k)
 
 
 #: per-axis coordinate pools on float edges, each narrower than a VP's
@@ -257,10 +259,24 @@ def damaged_blobs() -> list[tuple[str, bytes, type]]:
         ("cut before length prefix", blob[:3], WireFormatError),
         ("cut inside length prefix", blob[:5], WireFormatError),
         ("cut after length prefix", blob[:7], WireFormatError),
-        ("empty bloom", blob[:block_end], ValidationError),
+        ("empty bloom", blob[:block_end], WireFormatError),
         ("bad version", b"\x02" + blob[1:], WireFormatError),
-        ("zero bloom k", blob[:1] + b"\x00\x00" + blob[3:], ValidationError),
-        ("empty digest block", blob[:3] + pack_uint(0, 4) + blob[block_end:], ValidationError),
+        ("zero bloom k", blob[:1] + b"\x00\x00" + blob[3:], WireFormatError),
+        (
+            "empty digest block",
+            blob[:3] + pack_uint(0, 4) + bytes(60 * VD_MESSAGE_BYTES) + blob[-BLOOM_BYTES:],
+            ValidationError,
+        ),
+        (
+            "block past the 60 slots",
+            blob[:3] + pack_uint(61 * VD_MESSAGE_BYTES, 4) + blob[7:],
+            WireFormatError,
+        ),
+        (
+            "a filled slot past the held digests",
+            blob[: -BLOOM_BYTES - 1] + b"\x01" + blob[-BLOOM_BYTES:],
+            WireFormatError,
+        ),
         (
             "block one byte short of a digest multiple",
             blob[:3] + pack_uint(4 * VD_MESSAGE_BYTES - 1, 4) + blob[7:],
@@ -309,21 +325,13 @@ def test_damaged_blob_is_refused_at_decode(blob, expected, as_view):
     assert type(raised.value) is expected
 
 
-def test_every_truncation_is_refused_or_is_the_same_vp_with_a_shorter_bloom():
-    """Cut anywhere: inside the header or the digest block is damaged
-    framing, at the block's end an empty Bloom, and inside the Bloom a
-    valid blob of the same digests with fewer Bloom bytes."""
-    whole = decode_vp(good_blob())
+def test_every_truncation_is_refused():
+    """A body is one size: cut anywhere, header, slots or Bloom, it is
+    damaged framing, never a VP with fewer digests or Bloom bytes."""
     blob = good_blob()
-    block_end = 7 + 4 * VD_MESSAGE_BYTES
     for cut in range(len(blob)):
-        if cut <= block_end:
-            with pytest.raises(WireFormatError if cut < block_end else ValidationError):
-                decode_vp(blob[:cut])
-        else:
-            vp = decode_vp(blob[:cut])
-            assert vp.digest_block() == whole.digest_block()
-            assert vp.bloom.to_bytes() == blob[block_end:cut]
+        with pytest.raises(WireFormatError, match=f"VP blob is {cut} bytes"):
+            decode_vp(blob[:cut])
 
 
 def test_damaged_digest_block_is_refused_by_from_wire():

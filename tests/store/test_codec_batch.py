@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.viewdigest import PACKED_DIGEST_DTYPE
 from repro.errors import WireFormatError
 from repro.store.codec import (
+    FRAME_BODY_BYTES,
     FRAME_HEADER_BYTES,
     RECORD_OVERHEAD_BYTES,
     Batch,
@@ -24,7 +25,6 @@ from repro.store.codec import (
     decode_vp_batch,
     encode_vp,
     encode_vp_batch,
-    encoded_body_bytes,
     frame_header,
     iter_encoded_meta,
 )
@@ -146,10 +146,10 @@ def test_sliced_sub_batches_decode_to_their_records(specs):
     assert fingerprints(decode_vp_batch(sub)) == fingerprints(vps[::2])
 
 
-def test_encoded_body_bytes_matches_real_blobs():
+def test_every_body_is_one_size_whatever_its_digest_count():
     for n in (1, 4, 60):
         vp = make_vp(seed=n, n=n)
-        assert len(encode_vp(vp)) == encoded_body_bytes(n)
+        assert len(encode_vp(vp)) == FRAME_BODY_BYTES
 
 
 def test_batch_rejects_bad_version():

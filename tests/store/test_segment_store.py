@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 import warnings
+import zlib
 
 import pytest
 
@@ -203,6 +204,30 @@ class TestReopen:
         with SegmentStore() as anonymous:  # kept in memory, no file named
             anonymous.evict_before(7)
             assert anonymous.cutoff == 7
+
+    @pytest.mark.parametrize("acked", [0, 2])
+    def test_a_whole_record_of_another_layout_refuses_the_store(self, tmp_path, acked):
+        # a CRC-good record in the length-prefixed layout the one stride
+        # replaced — a 4-digest VP without its empty slots — behind
+        # ``acked`` records: the store refuses to open and truncates
+        # nothing, so no acked record is lost to a layout change
+        path = str(tmp_path / "log")
+        with SegmentStore(path) as store:
+            store.insert_many([make_vp(seed=i + 1, n=60) for i in range(acked)])
+        record = encode_vp_batch([make_vp(seed=9, n=4)])[FRAME_HEADER_BYTES:]
+        slots = RECORD_OVERHEAD_BYTES + 7
+        old = bytearray(record[: slots + 4 * 72] + record[slots + 60 * 72 :])
+        body_len = len(old) - RECORD_OVERHEAD_BYTES  # 7 + 4 x 72 + 256, the old body
+        old[RECORD_OVERHEAD_BYTES - 4 : RECORD_OVERHEAD_BYTES] = body_len.to_bytes(4, "big")
+        segment = path + ".00000000.seg"
+        with open(segment, "ab") as fh:
+            fh.write(_HEADER.pack(len(old), zlib.crc32(old)) + old)
+        with open(segment, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(StorageError, match=f"holds a {len(old)}-byte record"):
+            SegmentStore(path)
+        with open(segment, "rb") as fh:
+            assert fh.read() == before
 
     def test_a_rewrite_that_never_renamed_is_discarded(self, seeded):
         path, vps = seeded
