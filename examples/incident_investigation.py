@@ -68,7 +68,7 @@ def main():
         claimed_path=[incident, Point(incident.x + 200, incident.y)],
         seed=13,
     )
-    system.ingest_vp(fake)
+    system.ingest_vps([fake])
     print(f"  fake VP {fake.vp_id.hex()[:12]}... claims the incident location")
 
     print("\n== 4. Investigation ==")

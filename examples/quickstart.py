@@ -55,9 +55,7 @@ def main():
     system = ViewMapSystem(key_bits=512, seed=9)
     system.ingest_trusted_vp(res_police.actual_vp)
     for res in (res_witness, res_bystander):
-        system.ingest_vp(res.actual_vp)
-        for guard in res.guard_vps:
-            system.ingest_vp(guard)
+        system.ingest_vps([res.actual_vp, *res.guard_vps])
     print(f"  VP database holds {len(system.database)} profiles "
           f"(actual and guard VPs indistinguishable)")
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.database import VPDatabase
 from repro.core.viewmap import ViewMapGraph, build_viewmap
 from repro.geo.obstacles import corridor_los
 from repro.geo.routing import make_grid_route_fn
@@ -72,9 +71,9 @@ def city_viewmap_stats(
         route_fn=make_grid_route_fn(scn.block_m),
         seed=seed,
     )
-    database = VPDatabase(store=store) if store is not None else VPDatabase()
-    result.ingest_into(database, retention=retention)
-    vmap = build_viewmap(database.query(QuerySpec(minute=0, encoded=True)).frame, minute=0)
+    store = store if store is not None else SegmentStore()
+    result.ingest_into(store, retention=retention)
+    vmap = build_viewmap(store.query(QuerySpec(minute=0, encoded=True)).frame, minute=0)
     stats = vmap.degree_stats()
     n_counts = list(result.neighbor_counts[0].values())
     mean_neighbors = sum(n_counts) / max(len(n_counts), 1)

@@ -3,6 +3,9 @@
 Stores anonymized VPs exactly as uploaded — actual and guard VPs are
 indistinguishable and are treated identically.  Trusted VPs arrive through
 a separate authenticated path (police fleet) and carry the trusted flag.
+Every write is a codec frame (:meth:`VPDatabase.insert_encoded`); the
+objects a caller holds become frames at
+:class:`~repro.core.system.ViewMapSystem`, never here.
 
 This class is a thin facade over a
 :class:`~repro.store.segments.SegmentStore` — by default on anonymous
@@ -33,22 +36,6 @@ class VPDatabase:
     """Minute-indexed store of anonymized view profiles."""
 
     store: SegmentStore = field(default_factory=SegmentStore)
-
-    def insert(self, vp: ViewProfile) -> None:
-        """Store an uploaded VP; duplicate R values are rejected."""
-        self.store.insert(vp)
-
-    def insert_trusted(self, vp: ViewProfile) -> None:
-        """Store a VP through the authority path, marking it trusted.
-
-        The store sets the flag only after duplicate validation, so a
-        rejected insert never flips a caller-held VP to trusted.
-        """
-        self.store.insert_trusted(vp)
-
-    def insert_many(self, vps: Iterable[ViewProfile]) -> int:
-        """Batch-ingest VPs, skipping duplicates; returns how many landed."""
-        return self.store.insert_many(vps)
 
     def insert_encoded(self, batch: Batch) -> list[int]:
         """Write a validated upload batch; no VP body is decoded.

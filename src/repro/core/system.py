@@ -13,8 +13,10 @@
   untraceable cash via blind signatures.
 
 Concurrency: the ingestion methods are safe to call from many threads —
-they validate their arguments without touching shared state and delegate
-to the (thread-safe) VP store.  The investigation/upload/reward methods
+they validate their arguments without touching shared state and write
+codec frames to the (thread-safe) VP store, each frame one atomic store
+write (two racing :meth:`~ViewMapSystem.ingest_vps` calls may interleave
+frame by frame).  The investigation/upload/reward methods
 mutate plain dict/set state and must be externally serialized.  The
 front-end (:class:`~repro.net.server.ViewMapServer`) serializes its own
 control-plane *handlers* behind ``control_lock``; operator code calling
@@ -42,7 +44,7 @@ from repro.crypto.cash import CashRegistry
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import ValidationError
 from repro.geo.geometry import Point
-from repro.store.codec import Batch, RecordColumns
+from repro.store.codec import Batch, RecordColumns, encode_vp_batch, encode_vp_frames
 from repro.store.serving import QuerySpec
 from repro.store.lifecycle import LifecycleReport, RetentionPolicy, apply_retention
 from repro.store.segments import SegmentStore
@@ -108,24 +110,23 @@ class ViewMapSystem:
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest_vp(self, vp: ViewProfile) -> None:
-        """Accept one anonymously uploaded VP (actual or guard alike)."""
-        if vp.trusted:
-            raise ValidationError("anonymous uploads cannot claim trusted status")
-        self.database.insert(vp)
-
     def ingest_vps(self, vps: list[ViewProfile]) -> int:
-        """Batch-accept anonymously uploaded VPs (duplicates skipped).
+        """Accept anonymously uploaded VPs (actual or guard alike;
+        duplicates skipped); returns how many were newly stored.
 
-        The batch path for callers that hold objects (replays, tests;
-        the wire delivers frames to :meth:`ingest_encoded`): one store
-        write instead of one per VP.  Returns how many VPs were
-        newly stored.
+        The entry point for callers that hold objects (replays, tests;
+        the wire delivers frames to :meth:`ingest_encoded`).  Every VP
+        is checked before anything is written — its trusted claim, then
+        the record rules :func:`~repro.store.codec.encode_vp_frames`
+        applies — so a VP refused anywhere stores none of them; the list
+        is then written through :meth:`ingest_encoded` one bounded frame
+        at a time.
         """
         for vp in vps:
             if vp.trusted:
                 raise ValidationError("anonymous uploads cannot claim trusted status")
-        return self.database.insert_many(vps)
+        frames = encode_vp_frames(vps)
+        return sum(len(self.ingest_encoded(Batch.from_frame(frame))) for frame in frames)
 
     def ingest_encoded(self, batch: Batch) -> list[int]:
         """Batch-accept an encoded upload without decoding bodies.
@@ -143,8 +144,15 @@ class ViewMapSystem:
         return self.database.insert_encoded(batch)
 
     def ingest_trusted_vp(self, vp: ViewProfile) -> None:
-        """Accept a VP through the authenticated authority path."""
-        self.database.insert_trusted(vp)
+        """Accept a VP through the authenticated authority path.
+
+        One trusted record, written strictly: a duplicate id raises
+        ``ValidationError``.  The caller's object is flagged trusted
+        only once the write has returned, so a refused write never
+        leaves it claiming trust.
+        """
+        self.database.store.insert_encoded(encode_vp_batch([vp], trusted=True), strict=True)
+        vp.trusted = True
 
     # -- retention ---------------------------------------------------------
 

@@ -26,6 +26,9 @@ from repro.errors import SimulationError
 from repro.geo.geometry import Point
 from repro.mobility.traces import TraceSet
 from repro.radio.channel import DsrcChannel
+from repro.store.codec import encode_vp_frames
+from repro.store.lifecycle import RetentionPolicy
+from repro.store.segments import SegmentStore
 from repro.util.rng import derive_seed, make_rng
 
 LOS_DELIVERY_P = 0.95    #: fast-mode per-beacon delivery probability (LOS)
@@ -57,28 +60,28 @@ class SimulationResult:
         """Every VP (actual + guard) across all minutes."""
         return [vp for vps in self.vps_by_minute.values() for vp in vps]
 
-    def ingest_into(self, database, retention=None) -> int:
-        """Batch-insert every produced VP into a VP database (or store).
+    def ingest_into(self, store: SegmentStore, retention: RetentionPolicy | None = None) -> int:
+        """Write every produced VP into a VP store, minute by minute.
 
-        One ``insert_many`` per minute, in minute order — the same shape
-        a city-scale authority sees from batched uploads — returning how
-        many VPs were newly stored.  ``database`` is anything exposing
-        ``insert_many`` and ``evict_before`` (``VPDatabase`` or a raw
-        ``SegmentStore``).
+        Each minute goes in as codec frames
+        (:func:`~repro.store.codec.encode_vp_frames`, every VP of the
+        minute checked before its first frame is written) through
+        ``store.insert_encoded``, in minute order — the shape a
+        city-scale authority sees from batched uploads — returning how
+        many VPs were newly stored.
 
-        ``retention`` (a :class:`~repro.store.lifecycle.RetentionPolicy`)
-        turns the replay into a long run: after each minute the database
-        evicts everything below ``retention.cutoff(minute)`` (trusted
-        VPs excepted when the policy pins them), so the run ends holding
-        only the retained window.
+        ``retention`` turns the replay into a long run: after each
+        minute the store evicts everything below
+        ``retention.cutoff(minute)`` (trusted VPs excepted when the
+        policy pins them), so the run ends holding only the retained
+        window.
         """
         inserted = 0
         for minute in sorted(self.vps_by_minute):
-            inserted += database.insert_many(self.vps_by_minute[minute])
+            for frame in encode_vp_frames(self.vps_by_minute[minute]):
+                inserted += store.insert_encoded(frame)
             if retention is not None:
-                database.evict_before(
-                    retention.cutoff(minute), keep_trusted=retention.pin_trusted
-                )
+                store.evict_before(retention.cutoff(minute), keep_trusted=retention.pin_trusted)
         return inserted
 
     def actual_vps(self, minute: int) -> list[ViewProfile]:

@@ -18,16 +18,18 @@ the ingesting path asserts it.  Every reader views a frame as one
 :data:`RECORD_DTYPE` array held to one list of body rules
 (:func:`_body_rules`); :func:`iter_encoded_meta` walks a frame by its
 length fields, the framing check a frame of another length gets.
-:class:`Batch` is what the store's one write primitive takes, from
-:class:`ViewProfile` objects or a frame; :class:`RecordColumns` is what
-investigation reads, a frame's records as ``(records, 60)`` columns.
+:class:`Batch` is what the store's one write primitive takes, a frame's
+records; :class:`RecordColumns` is what investigation reads, a frame's
+records as ``(records, 60)`` columns.  :class:`ViewProfile` objects
+become frames here, and only here (:func:`encode_vp_batch`,
+:func:`encode_vp_frames`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 
@@ -155,17 +157,38 @@ def frame_header(count: int) -> bytes:
     return _FRAME_HEAD.pack(VP_BATCH_VERSION, count)
 
 
-def encode_vp_batch(vps: Sequence[ViewProfile]) -> bytes:
+def encode_vp_batch(vps: Sequence[ViewProfile], trusted: bool = False) -> bytes:
     """Serialize a whole batch of VPs into one contiguous buffer.
 
     Metadata (trusted flag, minute, bounding box, VP id) rides outside
     the body blobs so consumers can route and index without decoding;
     record order is batch order, which the store treats as insertion
-    order.
+    order.  ``trusted`` marks every record (the caller's objects are
+    not touched).
     """
+    return _framed(vps, _vp_meta(vps, trusted))
+
+
+def encode_vp_frames(vps: Sequence[ViewProfile], trusted: bool = False) -> Iterator[bytes]:
+    """``vps`` as frames of at most :data:`_META_PASS_VPS` records, in order.
+
+    Every VP is held to the record rules (:func:`_vp_meta`) before the
+    first frame is made, so a VP refused anywhere in ``vps`` refuses the
+    whole list before a caller writing frame by frame has written one;
+    only one frame's bodies are held at a time.
+    """
+    rows = _vp_meta(vps, trusted)
+    for first in range(0, len(vps), _META_PASS_VPS):
+        last = first + _META_PASS_VPS
+        yield _framed(vps[first:last], rows[first:last])
+
+
+def _framed(vps: Sequence[ViewProfile], rows: list[tuple]) -> bytes:
+    """The frame of ``vps``, whose :func:`_vp_meta` rows are ``rows``."""
     parts = [frame_header(len(vps))]
-    for row, vp in zip(_vp_meta(vps), vps):
-        parts += _record_parts((*row, encode_vp(vp)))
+    for (vp_id, minute, trusted, *box), vp in zip(rows, vps):
+        head = _RECORD_HEAD.pack(FLAG_TRUSTED if trusted else 0, minute, *box)
+        parts += head, bytes(vp_id), FRAME_BODY_BYTES.to_bytes(4, "big"), encode_vp(vp)
     return b"".join(parts)
 
 
@@ -207,23 +230,10 @@ def record_minute(t0: float) -> int:
     return minute
 
 
-#: VPs per metadata pass: a pass copies their digest blocks side by
-#: side, so a store write of thousands of objects never holds them all
-#: twice
+#: VPs per metadata pass and per :func:`encode_vp_frames` frame: a pass
+#: copies their digest blocks side by side, so a write of thousands of
+#: objects never holds them all twice
 _META_PASS_VPS = 64
-
-
-def _record_parts(row: tuple) -> tuple:
-    """One storage row as the byte parts of its frame record.
-
-    Prefix and body stay separate parts: a ``memoryview`` body goes into
-    the caller's join as it is, so that join is the only copy.
-    """
-    vp_id, minute, trusted, x_min, y_min, x_max, y_max, body = row
-    head = _RECORD_HEAD.pack(
-        FLAG_TRUSTED if trusted else 0, minute, x_min, y_min, x_max, y_max
-    )
-    return head, bytes(vp_id), FRAME_BODY_BYTES.to_bytes(4, "big"), body
 
 
 def iter_encoded_meta(batch: bytes) -> Iterator[tuple[tuple, int, int]]:
@@ -401,28 +411,17 @@ def decode_vp_batch(batch: bytes | memoryview) -> list[ViewProfile]:
 
 @dataclass(eq=False, slots=True)
 class Batch:
-    """One store write: records as VP objects or as a codec frame.
+    """One store write: a codec frame, built :meth:`from_frame`.
 
-    Built :meth:`from_vps` or :meth:`from_frame`; ``meta`` holds one
-    ``(vp_id, minute, trusted, x_min, y_min, x_max, y_max)`` tuple per
-    record either way, and :meth:`record_span` frames a record on
-    demand — so the store asks for the form it stores and never learns
-    which one arrived.  The trusted
-    bit lives in ``meta``: a trusted write forces it without touching
-    the caller's objects.  A frame's ``records`` are its
-    :data:`RECORD_DTYPE` view (``None`` for objects).
+    ``meta`` holds one ``(vp_id, minute, trusted, x_min, y_min, x_max,
+    y_max)`` tuple per record, read off the heads; ``records`` is the
+    frame's :data:`RECORD_DTYPE` view, and :meth:`record_span` a
+    record's bytes in the frame.
     """
 
     meta: list[tuple]
-    records: np.ndarray | None = None
-    _frame: bytes | memoryview | None = None
-    _vps: list[ViewProfile] | None = None
-
-    @classmethod
-    def from_vps(cls, vps: Iterable[ViewProfile], trusted: bool = False) -> "Batch":
-        """Wrap the caller's objects; ``trusted`` marks every record."""
-        vps = list(vps)
-        return cls(_vp_meta(vps, trusted), _vps=vps)
+    records: np.ndarray
+    _frame: bytes | memoryview
 
     @classmethod
     def from_frame(cls, frame: bytes | memoryview) -> "Batch":
@@ -459,15 +458,9 @@ class Batch:
             fresh.append(index)
         return fresh
 
-    def record_span(self, index: int) -> bytes | memoryview:
-        """One record's raw span (head + body) — what a log appends.
-
-        A frame's record is a view of the caller's buffer, never a copy;
-        an object batch frames the record on demand, so a caller walking
-        the batch in chunks never holds every framed record at once.
-        """
-        if self._vps is not None:
-            return b"".join(_record_parts((*self.meta[index], encode_vp(self._vps[index]))))
+    def record_span(self, index: int) -> memoryview:
+        """One record's raw span (head + body) — what a log appends: a
+        view of the caller's buffer, never a copy."""
         start = FRAME_HEADER_BYTES + index * RECORD_BYTES
         return memoryview(self._frame)[start : start + RECORD_BYTES]
 

@@ -20,9 +20,9 @@ the ``(offset, trusted, bbox)`` columns and the ids in
 insertion order.
 ``docs/stores.md#the-segment-log`` has the contract in prose; in short:
 
-* **write** appends the fresh record spans of the caller's buffer with
-  one ``os.writev`` per 256 records of a touched minute (an object batch
-  is framed chunk by chunk) and only then publishes ids and columns,
+* **write** appends the fresh record spans of the caller's frame with
+  one ``os.writev`` per 256 records of a touched minute and only then
+  publishes ids and columns,
   all under the one store lock, and returns the landed records'
   indices — an ack built from them means
   *handed to the kernel* (survives process death, not power loss);
@@ -167,10 +167,10 @@ class SegmentStore:
     every caller relies on:
 
     * every write is one :meth:`write` over a
-      :class:`~repro.store.codec.Batch`: duplicate ids are skipped and
-      the indices of the landed records returned, or with ``strict``
-      ``ValidationError`` is raised before any record lands.  The four
-      ``insert*`` entry points are built on it;
+      :class:`~repro.store.codec.Batch`, a codec frame: duplicate ids
+      are skipped and the indices of the landed records returned, or
+      with ``strict`` ``ValidationError`` is raised before any record
+      lands.  :meth:`insert_encoded` is it for a frame's bytes;
     * every read goes through :meth:`query` with a
       :class:`~repro.store.serving.QuerySpec` (minute, area, trusted,
       count, encoded).  The one read primitive is
@@ -297,9 +297,8 @@ class SegmentStore:
     def _append(self, segment: _Segment, minute: int, records: Iterable[tuple]) -> None:
         """Write ``(meta, span)`` records to the segment, then publish them.
 
-        Records are drawn 256 at a time, one ``writev`` each, so an
-        object batch is framed one chunk at a time; the minute is
-        published only after its last chunk.  A failed or short write
+        Records are drawn 256 at a time, one ``writev`` each; the minute
+        is published only after its last chunk.  A failed or short write
         is truncated away before the error surfaces, so the file never
         holds a record nothing names.
         """
@@ -372,24 +371,6 @@ class SegmentStore:
                 # collected after the appends: holding the fresh list across
                 # them kept ≈ 1 MiB more heap resident (pipeline investigate)
                 return sorted(itertools.chain.from_iterable(by_minute.values()))
-
-    def insert(self, vp: ViewProfile) -> None:
-        """Store one VP; raises ``ValidationError`` on a duplicate id."""
-        self.write(Batch.from_vps([vp]), strict=True)
-
-    def insert_trusted(self, vp: ViewProfile) -> None:
-        """Store a VP through the authority path, marking it trusted.
-
-        The trusted bit travels in the batch metadata; the caller's
-        object is flagged only once the write has returned, so a
-        rejected or failed insert never leaves it claiming trust.
-        """
-        self.write(Batch.from_vps([vp], trusted=True), strict=True)
-        vp.trusted = True
-
-    def insert_many(self, vps: Iterable[ViewProfile]) -> int:
-        """Batch-ingest VPs, skipping duplicates; returns how many landed."""
-        return len(self.write(Batch.from_vps(vps)))
 
     def insert_encoded(self, batch: bytes | memoryview, strict: bool = False) -> int:
         """Batch-ingest a codec frame; returns how many records landed.

@@ -40,28 +40,6 @@ def unpack_uint(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def pack_prefixed(data: bytes, width: int = 4) -> bytes:
-    """Length-prefix a byte string with a ``width``-byte big-endian count.
-
-    Used by storage blobs that concatenate variable-length sections (the
-    VP store codec); the fixed-size wire formats never need it.
-    """
-    return pack_uint(len(data), width) + data
-
-
-def unpack_prefixed(data: bytes, offset: int = 0, width: int = 4) -> tuple[bytes, int]:
-    """Read one length-prefixed section; returns (payload, next_offset)."""
-    if offset + width > len(data):
-        raise WireFormatError("truncated length prefix")
-    length = unpack_uint(data[offset : offset + width])
-    end = offset + width + length
-    if end > len(data):
-        raise WireFormatError(
-            f"length prefix claims {length} bytes but only {len(data) - offset - width} remain"
-        )
-    return data[offset + width : end], end
-
-
 def to_hex(data: bytes) -> str:
     """Render bytes as lowercase hex (for identifiers in logs and boards)."""
     return data.hex()

@@ -7,10 +7,11 @@
   infinities included), float32-extreme locations, file sizes up to
   2**64 - 1, empty chunks and rows of no seconds — and the upload check
   built on it still stops hashing at the first mismatch.
-* ``encode_vp_batch`` and ``Batch.from_vps`` derive every record's
+* ``encode_vp_batch`` and ``encode_vp_frames`` derive every record's
   minute and bounding box in one pass over the batch's joined digest
   columns; the frame equals one encoded VP by VP, for batches mixing
-  digest counts and negative coordinates.
+  digest counts and negative coordinates, and the bounded frames are
+  that frame cut every 64 records.
 * A minute past the record's 4-byte field is a ``WireFormatError`` at
   every entry point that frames or stores a VP, and nothing is stored.
 """
@@ -38,9 +39,9 @@ from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.crypto.hashing import chain_step
 from repro.errors import WireFormatError
 from repro.net.messages import pack_vp_batch_frame, unpack_vp_batch_frame
-from repro.store.codec import Batch, encode_vp, encode_vp_batch
+from repro.store.codec import Batch, encode_vp, encode_vp_batch, encode_vp_frames
 from tests.core.reference_recording import reference_chain_step
-from tests.store.conftest import build_store
+from tests.store.conftest import build_store, insert_vp, insert_vps
 
 #: float32 values at and near the ends of the format, and non-numbers
 float32s = st.one_of(
@@ -176,7 +177,7 @@ def mixed_vps(draw):
 @given(vps=mixed_vps(), trusted=st.booleans())
 def test_batch_metadata_equals_the_per_vp_encoding(vps, trusted):
     assert encode_vp_batch(vps) == reference_encode_vp_batch(vps)
-    assert Batch.from_vps(vps, trusted=trusted).meta == [
+    assert Batch.from_frame(encode_vp_batch(vps, trusted=trusted)).meta == [
         (vp.vp_id, vp.minute, int(trusted or vp.trusted), *vp.bounding_box) for vp in vps
     ]
 
@@ -185,6 +186,11 @@ def test_a_batch_of_many_passes_equals_the_per_vp_encoding():
     vp, _chunks = recorded_minute(4)
     vps = [build_view_profile(vp.digests[: 1 + i % 60], NeighborTable()) for i in range(150)]
     assert encode_vp_batch(vps) == reference_encode_vp_batch(vps)
+    for trusted in (False, True):
+        assert list(encode_vp_frames(vps, trusted=trusted)) == [
+            encode_vp_batch(vps[first : first + 64], trusted=trusted) for first in (0, 64, 128)
+        ]
+    assert list(encode_vp_frames([])) == []
 
 
 # -- the 4-byte minute field -------------------------------------------------------
@@ -209,7 +215,9 @@ def test_a_minute_past_the_field_is_a_wire_format_error_when_framed(t0):
     with pytest.raises(WireFormatError, match="4-byte minute field"):
         pack_vp_batch_frame([vp])
     with pytest.raises(WireFormatError, match="4-byte minute field"):
-        Batch.from_vps([vp])
+        encode_vp_batch([vp], trusted=True)
+    with pytest.raises(WireFormatError, match="4-byte minute field"):
+        next(encode_vp_frames([vp]))
 
 
 @pytest.mark.parametrize("t0", PAST_THE_FIELD)
@@ -218,15 +226,17 @@ def test_a_minute_past_the_field_stores_nothing(t0, placement):
     vp = vp_starting_at(t0)
     with build_store(placement) as store:
         with pytest.raises(WireFormatError):
-            store.insert(vp)
+            insert_vp(store, vp)
         with pytest.raises(WireFormatError):
-            store.insert_many([vp_starting_at(60.0, seed=6), vp])
+            insert_vps(store, [vp_starting_at(60.0, seed=6), vp])
         assert len(store) == 0 and store.minutes() == []
     system = ViewMapSystem(key_bits=512, seed=1, store=build_store(placement))
     try:
         with pytest.raises(WireFormatError):
             system.ingest_vps([vp_starting_at(60.0, seed=7), vp])
-        assert len(system.database) == 0
+        with pytest.raises(WireFormatError):
+            system.ingest_trusted_vp(vp)
+        assert len(system.database) == 0 and not vp.trusted
     finally:
         system.close()
 

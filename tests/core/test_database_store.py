@@ -3,10 +3,17 @@
 import pytest
 
 from repro.core.database import VPDatabase
+from repro.core.system import ViewMapSystem
 from repro.errors import ValidationError
 from repro.store import SegmentStore
 from repro.store.serving import QuerySpec
-from tests.store.conftest import build_store, fingerprints, make_vp
+from tests.store.conftest import (
+    build_store,
+    fingerprints,
+    insert_vp,
+    insert_vps,
+    make_vp,
+)
 
 
 class TestFacadeOverBackends:
@@ -18,7 +25,7 @@ class TestFacadeOverBackends:
     def test_public_api_over_any_backend(self, store_factory):
         db = VPDatabase(store=store_factory())
         vp = make_vp(seed=1)
-        db.insert(vp)
+        insert_vp(db.store, vp)
         assert len(db) == 1
         assert vp.vp_id in db
         assert fingerprints([db.get(vp.vp_id)]) == fingerprints([vp])
@@ -31,7 +38,7 @@ class TestFacadeOverBackends:
         db = VPDatabase()
         assert isinstance(db.store, SegmentStore) and db.store.path == ""
         vp = make_vp(seed=2)
-        db.insert(vp)
+        insert_vp(db.store, vp)
         got = db.get(vp.vp_id)
         assert got == vp and got is not vp and got is not db.get(vp.vp_id)
         db.close()
@@ -39,8 +46,8 @@ class TestFacadeOverBackends:
     def test_insert_many_batch_path(self):
         db = VPDatabase()
         vps = [make_vp(seed=i) for i in range(4)]
-        assert db.insert_many(vps) == 4
-        assert db.insert_many(vps) == 0  # idempotent re-ingest
+        assert insert_vps(db.store, vps) == 4
+        assert insert_vps(db.store, vps) == 0  # idempotent re-ingest
         assert db.stats().vps == 4
 
 
@@ -48,17 +55,17 @@ class TestInsertTrustedMutation:
     def test_rejected_insert_does_not_flip_caller_flag(self):
         # the seed implementation set vp.trusted = True *before* the
         # duplicate check, leaking trust into caller-held objects
-        db = VPDatabase()
-        db.insert(make_vp(seed=5))
+        system = ViewMapSystem(key_bits=512)
+        system.ingest_vps([make_vp(seed=5)])
         dup = make_vp(seed=5)
         with pytest.raises(ValidationError):
-            db.insert_trusted(dup)
+            system.ingest_trusted_vp(dup)
         assert not dup.trusted
 
     def test_accepted_insert_still_sets_flag(self):
-        db = VPDatabase()
+        system = ViewMapSystem(key_bits=512)
         vp = make_vp(seed=6)
-        db.insert_trusted(vp)
+        system.ingest_trusted_vp(vp)
         assert vp.trusted
-        assert db.query(QuerySpec(minute=0, trusted_only=True)).vps == [vp]
+        assert system.database.query(QuerySpec(minute=0, trusted_only=True)).vps == [vp]
 

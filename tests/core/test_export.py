@@ -61,7 +61,7 @@ class TestInvestigatePeriod:
         for minute in (0, 1):
             res_pol, res_civ = run_linked_minute(police, civ, minute=minute)
             system.ingest_trusted_vp(res_pol.actual_vp)
-            system.ingest_vp(res_civ.actual_vp)
+            system.ingest_vps([res_civ.actual_vp])
         invs = system.investigate_period(
             Point(300, 25), minutes=[0, 1, 2], site_radius_m=1000
         )

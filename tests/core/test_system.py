@@ -21,9 +21,7 @@ def populated_system():
     civilian = VehicleAgent(vehicle_id=1, seed=11)
     res_police, res_civ = run_linked_minute(police, civilian)
     system.ingest_trusted_vp(res_police.actual_vp)
-    system.ingest_vp(res_civ.actual_vp)
-    for guard in res_civ.guard_vps + res_police.guard_vps:
-        system.ingest_vp(guard)
+    system.ingest_vps([res_civ.actual_vp, *res_civ.guard_vps, *res_police.guard_vps])
     return system, civilian, res_civ
 
 
@@ -36,7 +34,7 @@ class TestIngestion:
         vp = agent.finalize_minute().actual_vp
         vp.trusted = True
         with pytest.raises(ValidationError):
-            system.ingest_vp(vp)
+            system.ingest_vps([vp])
 
 
 class TestInvestigation:
@@ -128,7 +126,7 @@ class TestSeedChoice:
         tied = [make_vp(seed=20 + i, minute=minute, x0=x0) for i, x0 in enumerate(order)]
         for vp in tied:
             system.ingest_trusted_vp(vp)
-        system.ingest_vp(make_vp(seed=29, minute=minute, x0=400.0))
+        system.ingest_vps([make_vp(seed=29, minute=minute, x0=400.0)])
         assert chosen_seed(monkeypatch, system, Point(0.0, 0.0), minute) == [tied[0].vp_id]
 
 

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.system import ViewMapSystem
 from repro.core.vehicle import VehicleAgent
-from repro.errors import ValidationError
+from repro.errors import ValidationError, WireFormatError
 from repro.geo.geometry import Point
 from repro.store import SegmentStore
 from tests.conftest import run_linked_minute
-from tests.store.conftest import build_store
+from tests.store.conftest import build_store, make_vp
 
 
 def drive_minute():
@@ -41,6 +41,38 @@ def test_batch_ingest_skips_duplicates():
     vps = [res_civ.actual_vp] + res_civ.guard_vps
     assert system.ingest_vps(vps) == len(vps)
     assert system.ingest_vps(vps) == 0
+
+
+def _refused_late(refusal):
+    """160 VPs (three 64-record frames) whose 141st is refused; the
+    class and message the refusal raises."""
+    vps = [make_vp(seed=i + 1, minute=i % 3, x0=50.0 * i) for i in range(160)]
+    if refusal == "trusted":
+        vps[140].trusted = True
+        return vps, ValidationError, "anonymous uploads cannot claim trusted status"
+    vps[140] = make_vp(seed=999, minute=2**32)
+    t0 = vps[140].digests[0].t
+    message = (
+        f"cannot batch-encode a VP starting at t={t0!r}: its minute "
+        "does not fit the 4-byte minute field"
+    )
+    return vps, WireFormatError, message
+
+
+@pytest.mark.parametrize("refusal", ["trusted", "minute"])
+@pytest.mark.parametrize("kind", ["anonymous", "named"])
+def test_a_late_refusal_stores_none_of_the_list(kind, refusal):
+    # the list spans three frames and the refused VP is in the third:
+    # every VP is checked before the first frame is written
+    vps, error, message = _refused_late(refusal)
+    system = ViewMapSystem(key_bits=512, seed=6, store=build_store(kind))
+    try:
+        with pytest.raises(error) as raised:
+            system.ingest_vps(vps)
+        assert type(raised.value) is error and str(raised.value) == message
+        assert len(system.database) == 0 and system.database.minutes() == []
+    finally:
+        system.close()
 
 
 def test_sqlite_authority_survives_restart(tmp_path):

@@ -23,7 +23,7 @@ def system_with_incident(request):
     witness = VehicleAgent(vehicle_id=1, seed=32)
     res_pol, res_wit = run_linked_minute(police, witness)
     system.ingest_trusted_vp(res_pol.actual_vp)
-    system.ingest_vp(res_wit.actual_vp)
+    system.ingest_vps([res_wit.actual_vp])
     yield system, witness, res_wit
     system.close()
 
@@ -34,7 +34,7 @@ class TestFakeVPRejection:
         fake = forge_fake_vp(
             minute=0, claimed_path=[Point(300, 25), Point(350, 25)], seed=1
         )
-        system.ingest_vp(fake)
+        system.ingest_vps([fake])
         inv = system.investigate(Point(300, 25), minute=0, site_radius_m=500)
         assert fake.vp_id not in inv.solicited
         assert res_wit.actual_vp.vp_id in inv.solicited
@@ -47,7 +47,7 @@ class TestFakeVPRejection:
             claim_neighbors=[res_wit.actual_vp],  # one-way claim
             seed=2,
         )
-        system.ingest_vp(fake)
+        system.ingest_vps([fake])
         inv = system.investigate(Point(300, 25), minute=0, site_radius_m=500)
         assert fake.vp_id not in inv.solicited
 

@@ -38,7 +38,7 @@ def investigated(city_run):
         if vp is police_vp:
             system.ingest_trusted_vp(vp)
         else:
-            system.ingest_vp(vp)
+            system.ingest_vps([vp])
     site = police_vp.end_point  # incident near the police car's path
     inv = system.investigate(site, minute=0, site_radius_m=600)
     return system, result, inv, police_id

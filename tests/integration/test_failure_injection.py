@@ -87,7 +87,7 @@ class TestRewardEdgeCases:
         civ = VehicleAgent(vehicle_id=1, seed=55)
         res_pol, res_civ = run_linked_minute(police, civ)
         system.ingest_trusted_vp(res_pol.actual_vp)
-        system.ingest_vp(res_civ.actual_vp)
+        system.ingest_vps([res_civ.actual_vp])
         system.investigate(Point(300, 25), minute=0, site_radius_m=1000)
         vp_id = res_civ.actual_vp.vp_id
         assert system.receive_video(vp_id, res_civ.video.chunks)
@@ -103,7 +103,7 @@ class TestRewardEdgeCases:
         civ = VehicleAgent(vehicle_id=1, seed=57)
         res_pol, res_civ = run_linked_minute(police, civ)
         system.ingest_trusted_vp(res_pol.actual_vp)
-        system.ingest_vp(res_civ.actual_vp)
+        system.ingest_vps([res_civ.actual_vp])
         system.investigate(Point(300, 25), minute=0, site_radius_m=1000)
         vp_id = res_civ.actual_vp.vp_id
         assert system.receive_video(vp_id, res_civ.video.chunks)

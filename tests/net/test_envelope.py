@@ -44,7 +44,7 @@ from repro.store.codec import RECORD_OVERHEAD_BYTES, decode_vp_batch
 from repro.store.serving import QuerySpec
 from tests.net.test_messages import MALFORMED_ENVELOPES
 from tests.net.test_wire_frame import make_complete_vp, nan_vp_frame
-from tests.store.conftest import build_store
+from tests.store.conftest import build_store, insert_vp
 
 #: envelope bytes allowed on top of the binary payload, whatever its size
 MAX_ENVELOPE_OVERHEAD = 128
@@ -302,7 +302,7 @@ class TestUnboundedGeometryDoesNotWedge:
         vp = vp_pool[0]
         with ViewMapSystem(key_bits=512, seed=3) as system:  # the memory backend
             server = ViewMapServer(system=system, network=InMemoryNetwork())
-            system.database.insert(vp)
+            insert_vp(system.database.store, vp)
             reply = decode_message(within(1.0, server.handle, self.wide_query(vp)))
             assert (reply["kind"], reply["n"]) == ("view", 1)
 
@@ -324,7 +324,7 @@ class TestUnboundedGeometryDoesNotWedge:
         store = build_store(backend)
         with ViewMapSystem(key_bits=512, seed=3, store=store) as system:
             server = ViewMapServer(system=system, network=InMemoryNetwork())
-            system.database.insert(honest)
+            insert_vp(system.database.store, honest)
             assert vp.minute == honest.minute
             upload = encode_message("upload_vp_batch", session="s", frame=wide_vp_frame(vp))
             assert_error_reply(within(1.0, server.handle, upload), backend)

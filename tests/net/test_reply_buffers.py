@@ -33,7 +33,7 @@ from repro.store.base import vp_claims_in_area
 from repro.store.codec import encode_vp_batch
 from repro.store.serving import REPLY_HEAD_ROOM, QuerySpec, reply_with_head
 from tests.conftest import run_linked_minute
-from tests.store.conftest import make_vp
+from tests.store.conftest import insert_vp, insert_vps, make_vp
 
 #: the populated minutes; MISSING has no segment at all
 MINUTES = (0, 1)
@@ -50,7 +50,7 @@ def serve(population: list[tuple]) -> tuple[ViewMapServer, list]:
         vp = make_vp(seed=seed, n=3, minute=minute, x0=x0, y0=x0 / 2, step=step)
         vp.trusted = trusted  # travels in the batch metadata
         vps.append(vp)
-    system.database.store.insert_many(vps)
+    insert_vps(system.database.store, vps)
     return server, vps
 
 
@@ -161,7 +161,7 @@ def test_the_head_room_fits_ten_digit_counts():
     assert head.endswith(b'{"frame":{"$bytes":4294967295},"kind":"view","n":4294967295}')
     store = SegmentStore()
     try:
-        store.insert(make_vp(seed=1))
+        insert_vp(store, make_vp(seed=1))
         frame = store.query_encoded(QuerySpec(minute=0))
         reply = reply_with_head(frame, head)
         assert reply == head + frame and reply.readonly
@@ -193,7 +193,7 @@ def test_handlers_keep_bytes_not_views_of_the_request():
     police, civilian = VehicleAgent(vehicle_id=100, seed=10), VehicleAgent(vehicle_id=1, seed=11)
     res_police, res_civ = run_linked_minute(police, civilian)
     system.ingest_trusted_vp(res_police.actual_vp)
-    system.ingest_vp(res_civ.actual_vp)
+    system.ingest_vps([res_civ.actual_vp])
     system.investigate(Point(300, 25), minute=0, site_radius_m=1000)
     vp_id, video = res_civ.actual_vp.vp_id, res_civ.video
 

@@ -20,6 +20,7 @@ from repro.net.messages import decode_message, encode_message, pack_vp_batch_fra
 from repro.net.server import MAX_WATERMARK_STEP, ViewMapServer
 from repro.net.transport import InMemoryNetwork
 from repro.store import RetentionPolicy, SegmentStore
+from tests.store.conftest import insert_vp
 
 
 def make_wire_vp(seed: int, minute: int, x0: float = 0.0) -> ViewProfile:
@@ -139,7 +140,7 @@ class TestSerialServerRetention:
         # watermark from the stored minutes at construction
         store = SegmentStore()
         for minute in range(5):
-            store.insert(make_wire_vp(seed=minute + 1, minute=minute))
+            insert_vp(store, make_wire_vp(seed=minute + 1, minute=minute))
         net = InMemoryNetwork()
         system = ViewMapSystem(
             key_bits=512, seed=1, store=store,

@@ -11,6 +11,7 @@ from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.geo.geometry import Point
 from repro.obs.metrics import MetricsRegistry
 from repro.store import SegmentStore, make_store
+from repro.store.codec import encode_vp_batch
 
 #: named segment files of ``build_store("named")``, removed at exit
 _SCRATCH = tempfile.TemporaryDirectory(prefix="repro-store-tests-")
@@ -31,6 +32,25 @@ def make_vp(
     for i in range(n):
         gen.tick(base + i + 1, Point(x0 + step * i, y0), b"chunk")
     return build_view_profile(gen.digests, NeighborTable())
+
+
+def insert_vp(store: SegmentStore, vp: ViewProfile) -> None:
+    """Write one VP as a one-record frame, strictly: a duplicate id
+    raises ``ValidationError`` and lands nothing."""
+    store.insert_encoded(encode_vp_batch([vp]), strict=True)
+
+
+def insert_trusted_vp(store: SegmentStore, vp: ViewProfile) -> None:
+    """Write one VP as a trusted one-record frame, strictly; the object
+    is flagged trusted once the write has returned, as the authority
+    path (``ViewMapSystem.ingest_trusted_vp``) flags it."""
+    store.insert_encoded(encode_vp_batch([vp], trusted=True), strict=True)
+    vp.trusted = True
+
+
+def insert_vps(store: SegmentStore, vps: list[ViewProfile]) -> int:
+    """Write VPs as one frame, duplicates skipped; returns how many landed."""
+    return store.insert_encoded(encode_vp_batch(list(vps)))
 
 
 def fingerprint(vp: ViewProfile) -> tuple:
@@ -68,7 +88,7 @@ def _reopened(path: str) -> SegmentStore:
     """A named log opened twice over files that are not its records: a
     sibling prefix's segment and a rewrite that died before its rename."""
     with SegmentStore(f"{path}.old") as sibling:
-        sibling.insert(make_vp(seed=9_999))
+        insert_vp(sibling, make_vp(seed=9_999))
     with open(f"{path}.00000000.seg.tmp", "wb") as fh:
         fh.write(b"half a rewrite")
     SegmentStore(path).close()

@@ -1,8 +1,8 @@
 """Property test: every placement answers every query identically.
 
-Randomized insert/query sequences (every write entry point, object and
-frame, strict and not, with duplicate-id rejection and trusted-path
-inserts) are replayed against both placements of the one engine — the
+Randomized insert/query sequences (every write form — one record,
+one trusted record, a frame strict and not — with duplicate-id
+rejection) are replayed against both placements of the one engine — the
 volatile and the named segment log — plus a deliberately naive
 reference model reproducing the seed database's flat linear-scan
 semantics; all must agree on every observable.
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.system import ViewMapSystem
 from repro.errors import StorageError, ValidationError
 from repro.geo.geometry import Rect
 from repro.store import (
@@ -34,6 +35,9 @@ from tests.store.conftest import (
     build_placement,
     build_store,
     fingerprints,
+    insert_trusted_vp,
+    insert_vp,
+    insert_vps,
     make_vp,
 )
 
@@ -50,12 +54,6 @@ class ReferenceModel:
             raise ValidationError("duplicate")
         self._by_id[vp.vp_id] = vp
         self._order.append(vp)
-
-    def insert_trusted(self, vp):
-        if vp.vp_id in self._by_id:
-            raise ValidationError("duplicate")
-        vp.trusted = True
-        self.insert(vp)
 
     def insert_many(self, vps):
         n = 0
@@ -123,8 +121,9 @@ ops = st.lists(
     min_size=1,
     max_size=14,
 )
-#: the write entry points; the two frame ones are ``insert_encoded``
-ENTRY_POINTS = ("insert", "insert_trusted", "insert_many", "encoded", "encoded_strict")
+#: the write forms, every one an ``insert_encoded`` frame: one record
+#: (strict), one trusted record (strict), a batch, a strict batch
+ENTRY_POINTS = ("insert_vp", "insert_trusted_vp", "insert_vps", "encoded_strict")
 
 #: a write op is (seed, minute, x_cell, y_cell, entry point)
 write_ops = st.lists(
@@ -151,18 +150,16 @@ def fresh_backends(tmp_dir):
 
 
 def replay_write(store, entry, vps):
-    """Send ``vps`` through one entry point; the count stored, or "dup"."""
+    """Send ``vps`` through one write form; the count stored, or "dup"."""
     try:
-        if entry == "insert":
-            store.insert(vps[0])
-        elif entry == "insert_trusted":
-            store.insert_trusted(vps[0])
-        elif entry == "insert_many":
-            return store.insert_many(vps)
+        if entry == "insert_vp":
+            insert_vp(store, vps[0])
+        elif entry == "insert_trusted_vp":
+            insert_trusted_vp(store, vps[0])
+        elif entry == "insert_vps":
+            return insert_vps(store, vps)
         else:
-            return store.insert_encoded(
-                encode_vp_batch(vps), strict=entry == "encoded_strict"
-            )
+            return store.insert_encoded(encode_vp_batch(vps), strict=True)
     except ValidationError:
         return "dup"
     return 1
@@ -197,7 +194,7 @@ def test_backends_agree_with_reference(ops, area, batch):
     for op in ops:
         entry = op[4]
         copies = corpus(op)
-        if previous is not None and entry not in ("insert", "insert_trusted"):
+        if previous is not None and entry not in ("insert_vp", "insert_trusted_vp"):
             copies = [[new, old] for new, old in zip(copies, corpus(previous))]
         else:
             copies = [[vp] for vp in copies]
@@ -206,16 +203,16 @@ def test_backends_agree_with_reference(ops, area, batch):
         assert len(set(outcomes)) == 1, f"{entry} outcome diverged: {outcomes}"
         assert len({len(store) for store in stores}) == 1, f"{entry} left stray records"
         # on rejection no backend may have flipped the caller's flag
-        if outcomes[0] == "dup" and entry == "insert_trusted":
+        if outcomes[0] == "dup" and entry == "insert_trusted_vp":
             assert all(not vps[0].trusted for vps in copies)
 
     # -- batch ingest (duplicates silently skipped) ------------------------
     batch_copies = [corpus(op) for op in batch]
     counts = {
-        i: store.insert_many([copies[i] for copies in batch_copies])
+        i: insert_vps(store, [copies[i] for copies in batch_copies])
         for i, store in enumerate(stores)
     }
-    assert len(set(counts.values())) == 1, "insert_many count diverged"
+    assert len(set(counts.values())) == 1, "insert_vps count diverged"
 
     # -- compare every observable ------------------------------------------
     x0, y0, w, h = area
@@ -256,9 +253,9 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
         for store, vp in zip(stores, copies):
             try:
                 if trusted:
-                    store.insert_trusted(vp)
+                    insert_trusted_vp(store, vp)
                 else:
-                    store.insert(vp)
+                    insert_vp(store, vp)
             except ValidationError:
                 pass
 
@@ -300,7 +297,7 @@ def test_query_spec_parity_decoded_and_encoded(ops, area):
 def test_make_store_round_trip(kind):
     store = build_placement(kind)
     vp = make_vp(seed=42)
-    store.insert(vp)
+    insert_vp(store, vp)
     assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([vp])
     store.close()
 
@@ -317,7 +314,7 @@ def test_identity_contract():
     vp = make_vp(seed=7)
     for placement in STORE_PLACEMENTS:
         with build_store(placement) as store:
-            store.insert(vp)
+            insert_vp(store, vp)
             first, second = store.query(spec).vps[0], store.query(spec).vps[0]
             got = store.get(vp.vp_id)
             assert first == second == got == vp, placement
@@ -339,7 +336,7 @@ def test_strict_batch_is_all_or_nothing(kind):
     """A strict batch with one duplicate raises and stores none of it."""
     vps = [make_vp(seed=seed, minute=seed % 2) for seed in range(1, 5)]
     with build_placement(kind) as store:
-        store.insert(make_vp(seed=3, minute=1))
+        insert_vp(store, make_vp(seed=3, minute=1))
         with pytest.raises(ValidationError):
             store.insert_encoded(encode_vp_batch(vps), strict=True)
         assert len(store) == 1
@@ -350,12 +347,12 @@ def test_strict_batch_is_all_or_nothing(kind):
 
 
 def test_failed_trusted_insert_leaves_caller_untrusted(tmp_path):
-    """A store failure mid-``insert_trusted`` must not mint a trusted VP."""
+    """A store failure mid-``ingest_trusted_vp`` must not mint a trusted VP."""
     store = SegmentStore(str(tmp_path / "log"))
     vp = make_vp(seed=9)
     store.close()
     with pytest.raises(StorageError):
-        store.insert_trusted(vp)
+        ViewMapSystem(key_bits=512, store=store).ingest_trusted_vp(vp)
     assert vp.trusted is False
     with SegmentStore(str(tmp_path / "log")) as reopened:
         assert vp.vp_id not in reopened

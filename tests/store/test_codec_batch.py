@@ -25,6 +25,8 @@ from repro.store.codec import (
     decode_vp_batch,
     encode_vp,
     encode_vp_batch,
+    encode_vp_frames,
+    frame_count,
     frame_header,
     iter_encoded_meta,
 )
@@ -89,22 +91,24 @@ def test_encoded_rows_match_storage_metadata(specs):
 @given(specs=vp_specs)
 @settings(max_examples=25, deadline=None)
 def test_batch_forms_agree(specs):
-    # the write primitive's value type: whichever form the records
-    # arrived in, every derived form is the same
+    # the write primitive's value type: however the objects were
+    # framed, every derived form is the same
     vps = build_corpus(specs)
     frame = encode_vp_batch(vps)
-    from_vps, from_frame = Batch.from_vps(vps), Batch.from_frame(frame)
-    assert from_vps.meta == from_frame.meta
-    # an object batch frames its records exactly as the frame holds them
-    joined = [from_vps.record_span(i) for i in range(len(vps))]
+    batch = Batch.from_frame(frame)
+    parts = [Batch.from_frame(part) for part in encode_vp_frames(vps)]
+    assert [meta for part in parts for meta in part.meta] == batch.meta
+    # the bounded frames hold their records exactly as the one frame does
+    joined = [part.record_span(i) for part in parts for i in range(len(part))]
     assert b"".join([frame_header(len(vps)), *joined]) == frame
     spans = [(start, end) for _meta, start, end in iter_encoded_meta(frame)]
     for i, (start, end) in enumerate(spans):
-        assert from_vps.record_span(i) == from_frame.record_span(i) == frame[start:end]
+        assert batch.record_span(i) == joined[i] == frame[start:end]
     columns = RecordColumns.from_frame(frame)
     assert fingerprints(map(columns.profile, range(len(columns)))) == fingerprints(vps)
-    # a trusted write forces the bit in the metadata only
-    assert all(record[2] for record in Batch.from_vps(vps, trusted=True).meta)
+    # a trusted frame forces the bit in the metadata only
+    trusted = Batch.from_frame(encode_vp_batch(vps, trusted=True))
+    assert all(record[2] for record in trusted.meta)
     assert [vp.trusted for vp in vps] == [bool(spec[5]) for spec in specs]
 
 
@@ -263,8 +267,8 @@ def test_columns_of_an_empty_frame():
 class TestFramingCopiesNothingTwice:
     """Framing joins a record's prefix and body as separate parts.
 
-    It used to build ``pack_prefixed(bytes(body))`` per row — every
-    ~4.6 kB body copied before the join copied it again.
+    It used to build a length-prefixed copy of every body per row —
+    every ~4.6 kB body copied before the join copied it again.
     """
 
     @staticmethod
@@ -284,6 +288,14 @@ class TestFramingCopiesNothingTwice:
         peak, frame = self._peak(lambda: encode_vp_batch(vps))
         assert frame == expected
         assert peak < 2.2 * len(frame)  # the encoded bodies, then one join
+
+    def test_bounded_frames_hold_one_frame_at_a_time(self):
+        vps = [make_vp(seed=i + 1, n=60, minute=0) for i in range(512)]
+        encode_vp_batch(vps)  # what a VP memoizes is not the framing's
+        one = len(encode_vp_batch(vps[:64]))
+        peak, count = self._peak(lambda: sum(frame_count(f) for f in encode_vp_frames(vps)))
+        assert count == len(vps)
+        assert peak < 4 * one  # a frame's bodies and join, and the last frame
 
     def test_memoryview_bodies_go_into_the_join_as_they_are(self):
         frame = encode_vp_batch([make_vp(seed=i + 1, n=60, minute=0) for i in range(64)])

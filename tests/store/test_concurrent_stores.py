@@ -13,12 +13,21 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.system import ViewMapSystem
 from repro.core.viewprofile import ViewProfile
 from repro.errors import StorageError
 from repro.geo.geometry import Rect
 from repro.store import SegmentStore
 from repro.store.serving import QuerySpec
-from tests.store.conftest import PLACEMENTS, build_placement, fingerprint, make_vp
+from tests.store.conftest import (
+    PLACEMENTS,
+    build_placement,
+    fingerprint,
+    insert_trusted_vp,
+    insert_vp,
+    insert_vps,
+    make_vp,
+)
 
 N_THREADS = 6
 VPS_PER_THREAD = 12
@@ -43,7 +52,7 @@ class TestConcurrentIngest:
         batches = [corpus_for(t) for t in range(N_THREADS)]
 
         serial = build_placement(kind)
-        serial_counts = [serial.insert_many(batch) for batch in batches]
+        serial_counts = [insert_vps(serial, batch) for batch in batches]
         expected_ids = {vp.vp_id for batch in batches for vp in batch}
         assert len(serial) == len(expected_ids)
 
@@ -52,7 +61,7 @@ class TestConcurrentIngest:
 
         def ingest(batch):
             barrier.wait()  # maximize overlap
-            return store.insert_many(batch)
+            return insert_vps(store, batch)
 
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
             counts = list(pool.map(ingest, batches))
@@ -73,7 +82,7 @@ class TestConcurrentIngest:
     def test_parallel_readers_during_writes(self, kind):
         store = build_placement(kind)
         seed_vps = [make_vp(seed=i + 1, minute=0, x0=10.0 * i) for i in range(8)]
-        store.insert_many(seed_vps)
+        insert_vps(store, seed_vps)
         area = Rect(-5, -5, 500, 5)
         stop = threading.Event()
         errors: list[Exception] = []
@@ -91,7 +100,7 @@ class TestConcurrentIngest:
         for t in threads:
             t.start()
         for i in range(40):
-            store.insert(make_vp(seed=500 + i, minute=0, x0=1000.0 + i))
+            insert_vp(store, make_vp(seed=500 + i, minute=0, x0=1000.0 + i))
         stop.set()
         for t in threads:
             t.join(timeout=10.0)
@@ -103,7 +112,7 @@ class TestConcurrentIngest:
 class TestLogConcurrencyMachinery:
     def test_closed_store_refuses_queries(self):
         store = SegmentStore()
-        store.insert(make_vp(seed=5))
+        insert_vp(store, make_vp(seed=5))
         store.close()
         with pytest.raises(StorageError):
             store.get(make_vp(seed=5).vp_id)
@@ -112,7 +121,7 @@ class TestLogConcurrencyMachinery:
     def test_trusted_flag_survives_threads(self):
         store = SegmentStore()
         vp = make_vp(seed=6)
-        store.insert_trusted(vp)
+        insert_trusted_vp(store, vp)
         out: list[bool] = []
 
         def probe() -> None:
@@ -149,7 +158,7 @@ class TestOneWinner:
 
             def ingest(vp):
                 barrier.wait()
-                counts.append(store.insert_many([vp]))
+                counts.append(insert_vps(store, [vp]))
 
             threads = [threading.Thread(target=ingest, args=(vp,)) for vp in (a, b)]
             for t in threads:
@@ -163,10 +172,10 @@ class TestOneWinner:
     def test_insert_trusted_rejection_does_not_mutate(self, kind):
         store = build_placement(kind)
         original = make_vp(seed=9, minute=0)
-        store.insert_many([original])
+        insert_vps(store, [original])
         duplicate = make_vp(seed=9, minute=0)  # same id, caller-held copy
         with pytest.raises(Exception) as excinfo:
-            store.insert_trusted(duplicate)
+            ViewMapSystem(key_bits=512, store=store).ingest_trusted_vp(duplicate)
         assert "already exists" in str(excinfo.value)
         assert duplicate.trusted is False  # rejected insert never mutates
         assert store.get(original.vp_id).trusted is False
@@ -185,10 +194,10 @@ class TestEvictionRaces:
     def test_insert_into_just_evicted_minute_recreates_it(self, kind):
         store = build_placement(kind)
         vps = [make_vp(seed=300 + i, minute=0, x0=40.0 * i) for i in range(8)]
-        store.insert_many(vps)
+        insert_vps(store, vps)
         assert store.evict_before(1) == 8
         # the very VPs that were evicted insert cleanly again
-        assert store.insert_many(vps) == 8
+        assert insert_vps(store, vps) == 8
         assert len(store.query(QuerySpec(minute=0)).vps) == 8
         for vp in vps:
             assert vp.vp_id in store
@@ -215,7 +224,7 @@ class TestEvictionRaces:
                     make_vp(seed=400 + 4 * i + j, minute=j % 3, x0=30.0 * i)
                     for j in range(4)
                 ]
-                assert store.insert_many(batch) == 4  # ids evicted, never taken
+                assert insert_vps(store, batch) == 4  # ids evicted, never taken
         finally:
             stop.set()
             t.join(timeout=10.0)

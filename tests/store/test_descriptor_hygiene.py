@@ -21,7 +21,7 @@ import pytest
 from repro.errors import StorageError
 from repro.store import QuerySpec, SegmentStore
 from repro.store.codec import encode_vp_batch
-from tests.store.conftest import make_vp
+from tests.store.conftest import insert_trusted_vp, insert_vp, insert_vps, make_vp
 
 MINUTES = 20
 
@@ -79,8 +79,8 @@ def test_eviction_returns_the_evicted_minutes_descriptors(keep_trusted, tmp_path
     files_before = file_targets()
     store = SegmentStore()
     try:
-        store.insert_many([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
-        store.insert_trusted(make_vp(seed=MINUTES + 1, minute=0, x0=50.0))
+        insert_vps(store, [make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
+        insert_trusted_vp(store, make_vp(seed=MINUTES + 1, minute=0, x0=50.0))
         cutoff = MINUTES // 2
         pinned = 1 if keep_trusted else 0
         assert store.evict_before(cutoff, keep_trusted=keep_trusted) == cutoff + 1 - pinned
@@ -111,7 +111,7 @@ def test_unretained_store_fails_cleanly_at_the_descriptor_ceiling():
         resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
         with pytest.raises(StorageError, match="one descriptor stays open per live minute"):
             while minute < limit:
-                store.insert(make_vp(seed=minute + 1, minute=minute))
+                insert_vp(store, make_vp(seed=minute + 1, minute=minute))
                 minute += 1
         assert headroom <= minute < limit
         assert len(store) == minute and store.minutes() == list(range(minute))
@@ -119,7 +119,7 @@ def test_unretained_store_fails_cleanly_at_the_descriptor_ceiling():
             store.query(QuerySpec(minute=0))
         assert store.evict_before(minute - 1) == minute - 1
         assert len(store.query(QuerySpec(minute=minute - 1)).vps) == 1
-        store.insert(make_vp(seed=minute + 1, minute=minute))
+        insert_vp(store, make_vp(seed=minute + 1, minute=minute))
         assert store.minutes() == [minute - 1, minute]
     finally:
         resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
@@ -131,7 +131,7 @@ def test_named_store_close_returns_descriptors_and_keeps_its_files(tmp_path):
     files_before = file_targets()
     path = str(tmp_path / "log")
     store = SegmentStore(path)
-    store.insert_many([make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
+    insert_vps(store, [make_vp(seed=m + 1, minute=m) for m in range(MINUTES)])
     opened = opened_since(files_before)
     named = [target for target in opened.elements() if target.startswith(path)]
     assert len(named) == MINUTES and not anonymous_segments(opened), opened

@@ -19,7 +19,16 @@ from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.store import RetentionPolicy, SegmentStore, apply_retention
 from repro.store.serving import QuerySpec
-from tests.store.conftest import PLACEMENTS, build_placement, build_store, fingerprints, make_vp
+from tests.store.conftest import (
+    PLACEMENTS,
+    build_placement,
+    build_store,
+    fingerprints,
+    insert_trusted_vp,
+    insert_vp,
+    insert_vps,
+    make_vp,
+)
 
 
 def segment_bytes(store: SegmentStore) -> int:
@@ -48,7 +57,7 @@ class TestApplyRetention:
     def test_evicts_below_cutoff_and_reports(self):
         store = SegmentStore()
         for minute in range(5):
-            store.insert(make_vp(seed=minute + 1, minute=minute))
+            insert_vp(store, make_vp(seed=minute + 1, minute=minute))
         report = apply_retention(
             store, RetentionPolicy(window_minutes=2), newest_minute=4
         )
@@ -61,7 +70,7 @@ class TestApplyRetention:
         # a concentration flood is reported, never silently dropped
         store = SegmentStore()
         for i in range(4):
-            store.insert(make_vp(seed=i + 1, minute=0, x0=40.0 * i))
+            insert_vp(store, make_vp(seed=i + 1, minute=0, x0=40.0 * i))
         policy = RetentionPolicy(window_minutes=5, max_vps_per_minute=3)
         report = apply_retention(store, policy, newest_minute=0)
         assert report.overloaded == {0: 4}
@@ -78,11 +87,12 @@ class TestApplyRetention:
         store = build_placement(placement)
         evicted = peak = 0
         for minute in range(minutes):
-            store.insert_many(
+            insert_vps(
+                store,
                 [
                     make_vp(seed=minute * per_minute + i + 1, minute=minute, x0=300.0 * i)
                     for i in range(per_minute)
-                ]
+                ],
             )
             evicted += apply_retention(store, policy, minute).evicted
             peak = max(peak, len(store))
@@ -93,14 +103,14 @@ class TestApplyRetention:
         if placement == "named":
             with build_store("named") as one_window:
                 for minute in store.minutes():
-                    one_window.insert_many(store.query(QuerySpec(minute=minute)).vps)
+                    insert_vps(one_window, store.query(QuerySpec(minute=minute)).vps)
                 assert segment_bytes(store) <= 2 * segment_bytes(one_window)
         store.close()
 
     def test_count_by_minute_matches_population(self):
         for store in (SegmentStore(), build_store("named")):
             for i in range(5):
-                store.insert(make_vp(seed=i + 1, minute=i % 2, x0=500.0 * i))
+                insert_vp(store, make_vp(seed=i + 1, minute=i % 2, x0=500.0 * i))
             assert store.query(QuerySpec(minute=0, count=True)).n == 3
             assert len(store.query(QuerySpec(minute=0)).vps) == 3
             assert store.query(QuerySpec(minute=1, count=True)).n == 2
@@ -117,7 +127,7 @@ class TestEvictionSemantics:
             for m in range(4)
             for i in range(3)
         ]
-        store.insert_many(vps)
+        insert_vps(store, vps)
         assert store.evict_before(2) == 6
         assert store.minutes() == [2, 3]
         for vp in vps:
@@ -129,7 +139,7 @@ class TestEvictionSemantics:
         # evicted ids are free again: the same R value can be reused
         # (the duplicate check must not remember ghosts)
         readd = make_vp(seed=1, minute=0)
-        store.insert(readd)
+        insert_vp(store, readd)
         assert fingerprints(store.query(QuerySpec(minute=0)).vps) == fingerprints([readd])
         assert store.evict_before(10) == 7
         assert len(store) == 0
@@ -149,9 +159,9 @@ class TestTrustedPinning:
                 for i in range(3)
             ]
             seeds = [make_vp(seed=100 + m, minute=m, x0=40.0) for m in range(3)]
-            store.insert_many(anon)
+            insert_vps(store, anon)
             for vp in seeds:
-                store.insert_trusted(vp)
+                insert_trusted_vp(store, vp)
 
             assert store.evict_before(2, keep_trusted=True) == 6
             # seeds of the evicted minutes survive, in order, queryable
@@ -166,8 +176,8 @@ class TestTrustedPinning:
             )
             # pinned ids stay claimed; evicted anonymous ids free up
             with pytest.raises(ValidationError):
-                store.insert(make_vp(seed=100, minute=0, x0=40.0))
-            store.insert(make_vp(seed=1, minute=0, x0=0.0))
+                insert_vp(store, make_vp(seed=100, minute=0, x0=40.0))
+            insert_vp(store, make_vp(seed=1, minute=0, x0=0.0))
             # a later unpinned pass reclaims everything below the cutoff:
             # 2 at minute 0 (seed + re-add), 1 at minute 1, 4 at minute 2
             assert store.evict_before(3) == 7
@@ -177,8 +187,8 @@ class TestTrustedPinning:
 
     def test_apply_retention_honors_pin_trusted(self):
         store = SegmentStore()
-        store.insert(make_vp(seed=1, minute=0))
-        store.insert_trusted(make_vp(seed=2, minute=0, x0=40.0))
+        insert_vp(store, make_vp(seed=1, minute=0))
+        insert_trusted_vp(store, make_vp(seed=2, minute=0, x0=40.0))
         policy = RetentionPolicy(window_minutes=1, pin_trusted=True)
         report = apply_retention(store, policy, newest_minute=9)
         assert report.evicted == 1
@@ -187,7 +197,7 @@ class TestTrustedPinning:
 
     def test_unpinned_policy_still_evicts_trusted(self):
         store = SegmentStore()
-        store.insert_trusted(make_vp(seed=2, minute=0, x0=40.0))
+        insert_trusted_vp(store, make_vp(seed=2, minute=0, x0=40.0))
         report = apply_retention(
             store, RetentionPolicy(window_minutes=1), newest_minute=9
         )
@@ -243,7 +253,7 @@ def test_any_interleaving_retains_exactly_the_survivors(ops, area):
             ]
             alive.setdefault(minute, []).append(copies[-1])
             for store, vp in zip(backends, copies):
-                store.insert(vp)
+                insert_vp(store, vp)
 
     x0, y0, w, h = area
     rect = Rect(x0, y0, x0 + w, y0 + h)

@@ -33,7 +33,7 @@ from repro.store import SegmentStore
 from repro.store.base import vp_claims_in_area
 from repro.store.codec import decode_vp_batch, encode_vp, encode_vp_batch
 from repro.store.serving import QuerySpec
-from tests.store.conftest import build_store
+from tests.store.conftest import build_store, insert_vps
 
 N_VPS = 256
 VPS_PER_FRAME = 4
@@ -180,7 +180,7 @@ def test_encoding_inserting_and_reading_geometry_leave_a_vp_its_size():
         built = (retained_bytes() - before) / n
         frames = [pack_vp_batch_frame(vps[i : i + 16]) for i in range(0, n, 16)]
         store = SegmentStore()
-        assert store.insert_many(vps) == n
+        assert insert_vps(store, vps) == n
         for vp in vps:
             assert vp.bounding_box[0] <= vp.positions_array[:, 0].min()
             assert vp.times_array.shape == (len(vp.positions_array),)

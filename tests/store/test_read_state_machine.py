@@ -34,7 +34,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.errors import ValidationError
 from repro.geo.geometry import Rect
 from repro.store import QuerySpec, SegmentStore, encode_vp_batch
-from tests.store.conftest import build_store, fingerprint, make_vp
+from tests.store.conftest import build_store, fingerprint, insert_trusted_vp, insert_vp, make_vp
 
 MINUTES = 3
 AREAS = (
@@ -96,7 +96,7 @@ class ReadContract(RuleBasedStateMachine):
         for store in self.stores.values():
             vp = vp_of(key)  # a fresh object per store: no aliasing
             try:
-                (store.insert_trusted if trusted else store.insert)(vp)
+                (insert_trusted_vp if trusted else insert_vp)(store, vp)
                 outcomes.add("stored")
             except ValidationError:
                 outcomes.add("duplicate")
@@ -208,7 +208,7 @@ def test_get_after_eviction_is_none_and_gets_agree(kind):
     # what the decode-cache tests pinned that outlives the cache
     with build_store(kind) as store:
         vp = make_vp(seed=1, minute=0)
-        store.insert(vp)
+        insert_vp(store, vp)
         first, second = store.get(vp.vp_id), store.get(vp.vp_id)
         assert fingerprint(first) == fingerprint(second) == fingerprint(vp)
         assert store.evict_before(1) == 1

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.neighbors import NeighborTable
+from repro.core.system import ViewMapSystem
 from repro.core.viewdigest import VDGenerator, make_secret
 from repro.core.viewprofile import ViewProfile, build_view_profile
 from repro.crypto.bloom import BloomFilter
@@ -38,10 +39,16 @@ from repro.store.codec import (
     decode_vp_batch,
     encode_vp,
     encode_vp_batch,
+    encode_vp_frames,
     iter_encoded_meta,
 )
 from repro.store.serving import QuerySpec
-from tests.store.conftest import STORE_PLACEMENTS, build_store, fingerprint, fingerprints
+from tests.store.conftest import (
+    STORE_PLACEMENTS,
+    build_store,
+    fingerprint,
+    fingerprints,
+)
 
 #: one VP: (digest count, minute, x cell, y cell, trusted)
 vp_specs = st.lists(
@@ -201,17 +208,18 @@ def test_a_bloom_of_another_size_is_refused_by_every_writer(placement):
     vp = diagonal_vp(3, 60, 0, 0.0, 0.0, False)
     wide = ViewProfile(vp.digests, BloomFilter(m_bits=4096, k=6))
     want = (WireFormatError, "cannot encode a 4096-bit Bloom filter; a VP record holds 2048 bits")
-    store = build_store(placement)
+    system = ViewMapSystem(key_bits=512, store=build_store(placement))
     try:
         writers = [
             lambda: encode_vp(wide),
             lambda: encode_vp_batch([vp, wide]),
+            lambda: encode_vp_batch([vp, wide], trusted=True),
+            lambda: next(encode_vp_frames([vp, wide])),
             lambda: pack_vp_batch_frame([vp, wide]),
-            lambda: store.insert(wide),
-            lambda: store.insert_trusted(wide),
-            lambda: store.insert_many([vp, wide]),
+            lambda: system.ingest_vps([vp, wide]),
+            lambda: system.ingest_trusted_vp(wide),
         ]
         assert [_refusal(write) for write in writers] == [want] * len(writers)
-        assert len(store) == 0 and not wide.trusted  # refused before anything landed
+        assert len(system.database) == 0 and not wide.trusted  # refused before anything landed
     finally:
-        store.close()
+        system.close()

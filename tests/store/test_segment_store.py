@@ -12,6 +12,7 @@ from __future__ import annotations
 import errno
 import gc
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -28,13 +29,22 @@ from repro.errors import StorageError, ValidationError, WireFormatError
 from repro.store import QuerySpec, SegmentStore, encode_vp_batch
 from repro.store.codec import (
     FRAME_HEADER_BYTES,
+    RECORD_BYTES,
+    RECORD_DTYPE,
     RECORD_ID_MISMATCH,
     RECORD_OVERHEAD_BYTES,
     Batch,
     encode_vp,
 )
 from repro.store.segments import _HEADER
-from tests.store.conftest import STORE_PLACEMENTS, build_store, make_vp
+from tests.store.conftest import (
+    STORE_PLACEMENTS,
+    build_store,
+    insert_trusted_vp,
+    insert_vp,
+    insert_vps,
+    make_vp,
+)
 
 HEADER = _HEADER.size
 
@@ -61,7 +71,7 @@ def seeded(tmp_path):
     vps = {m: [make_vp(seed=10 * m + i + 1, n=2, minute=m) for i in range(3)] for m in (0, 1)}
     with SegmentStore(path) as store:
         for minute_vps in vps.values():
-            assert store.insert_many(minute_vps) == 3
+            assert insert_vps(store, minute_vps) == 3
     return path, vps
 
 
@@ -75,12 +85,24 @@ def reopen_copy(path, tmp_path, name, damage):
     return SegmentStore(copy), segment
 
 
+def cuts_inside(size: int) -> list[int]:
+    """Offsets to cut a stored record of ``size`` bytes at: every byte of
+    its header and of the record head, each ``RECORD_DTYPE`` field
+    boundary and its neighbours, the last byte, and a fixed sample of
+    64 body offsets."""
+    head = HEADER + RECORD_OVERHEAD_BYTES
+    bounds = [HEADER + RECORD_DTYPE.fields[name][1] for name in RECORD_DTYPE.names]
+    cuts = {*range(head + 1), *(at + d for at in bounds for d in (-1, 0, 1)), size - 1}
+    cuts.update(random.Random(0).sample(range(head, size), 64))
+    return sorted(cut for cut in cuts if 0 <= cut < size)
+
+
 class TestTornTail:
     def test_every_cut_inside_the_final_record(self, seeded, tmp_path):
         path, vps = seeded
         sizes = [stored_size(vp) for vp in vps[1]]
         start = sum(sizes[:2])
-        for cut in range(start, start + sizes[2]):
+        for cut in (start + inside for inside in cuts_inside(sizes[2])):
             store, segment = reopen_copy(
                 path, tmp_path, f"cut{cut}", lambda seg: os.truncate(seg, cut)
             )
@@ -89,10 +111,30 @@ class TestTornTail:
                 assert ids_of(store, 0) == [vp.vp_id for vp in vps[0]], cut
                 assert os.path.getsize(segment) == start, cut
                 # the un-acked VP may be sent again, and lands whole
-                store.insert(vps[1][2])
+                insert_vp(store, vps[1][2])
             with SegmentStore(segment[: -len(".00000001.seg")]) as store:
                 assert ids_of(store, 1) == [vp.vp_id for vp in vps[1]], cut
             shutil.rmtree(tmp_path / f"cut{cut}")
+
+    @pytest.mark.parametrize("kept", [0, RECORD_OVERHEAD_BYTES, RECORD_BYTES - 1])
+    def test_a_short_final_record_is_torn_whatever_its_crc(self, seeded, tmp_path, kept):
+        # a header naming one whole stride over the ``kept`` bytes that
+        # follow it, with their CRC: the read came up short, so it is cut
+        path, vps = seeded
+        start = sum(stored_size(vp) for vp in vps[1][:2])
+
+        def forge(segment):
+            with open(segment, "r+b") as fh:
+                fh.seek(start + HEADER)
+                kept_bytes = fh.read(kept)
+                fh.seek(start)
+                fh.write(_HEADER.pack(RECORD_BYTES, zlib.crc32(kept_bytes)))
+            os.truncate(segment, start + HEADER + kept)
+
+        store, segment = reopen_copy(path, tmp_path, "short", forge)
+        with store:
+            assert ids_of(store, 1) == [vp.vp_id for vp in vps[1][:2]]
+            assert os.path.getsize(segment) == start
 
     @pytest.mark.parametrize("record, inside", [(0, 5), (1, 1), (1, 200), (1, HEADER)])
     def test_cuts_inside_earlier_records(self, seeded, tmp_path, record, inside):
@@ -151,15 +193,15 @@ class TestReopen:
                 assert ids_of(store, minute) == [vp.vp_id for vp in minute_vps]
             assert len(store) == 6
             with pytest.raises(ValidationError):
-                store.insert(vps[0][1])  # strict: raises, lands nothing
+                insert_vp(store, vps[0][1])  # strict: raises, lands nothing
             with pytest.raises(ValidationError):
                 store.insert_encoded(encode_vp_batch([late, vps[1][0]]), strict=True)
             assert late.vp_id not in store and len(store) == 6
             # non-strict: the duplicate is skipped, the fresh one appended last
-            assert store.insert_many([vps[0][2], late, vps[0][0]]) == 1
+            assert insert_vps(store, [vps[0][2], late, vps[0][0]]) == 1
         with SegmentStore(path) as store:
             assert ids_of(store, 0) == [vp.vp_id for vp in vps[0]] + [late.vp_id]
-            assert store.insert_many([late]) == 0
+            assert insert_vps(store, [late]) == 0
 
     def test_keep_trusted_eviction_keeps_the_trusted_in_order(self, tmp_path):
         path = str(tmp_path / "log")
@@ -167,8 +209,8 @@ class TestReopen:
         trusted = [vps[1], vps[3], vps[4]]
         with SegmentStore(path) as store:
             for vp in vps:
-                (store.insert_trusted if vp in trusted else store.insert)(vp)
-            store.insert(make_vp(seed=50, n=2, minute=1))
+                (insert_trusted_vp if vp in trusted else insert_vp)(store, vp)
+            insert_vp(store, make_vp(seed=50, n=2, minute=1))
             assert store.evict_before(2, keep_trusted=True) == 4
             assert ids_of(store, 0) == [vp.vp_id for vp in trusted]
             assert files_of(path) == ["log.00000000.seg", "log.00000002.cut"]
@@ -178,7 +220,7 @@ class TestReopen:
             assert all(vp.trusted for vp in survivors)
             assert store.minutes() == [0]
             # an evicted id is free again; a surviving one is still taken
-            assert store.insert_many([vps[0], vps[1]]) == 1
+            assert insert_vps(store, [vps[0], vps[1]]) == 1
             assert store.cutoff == 2  # read back from the marker
             assert store.evict_before(1) == 4
         assert files_of(path) == ["log.00000002.cut"]  # a lower cutoff does not move it
@@ -188,7 +230,7 @@ class TestReopen:
         # the marker must name it too, or a restart forgets the pass
         path = str(tmp_path / "log")
         with SegmentStore(path) as store:
-            store.insert(make_vp(seed=1, minute=3))
+            insert_vp(store, make_vp(seed=1, minute=3))
             assert store.cutoff is None and files_of(path) == ["log.00000003.seg"]
             assert store.evict_before(-4) == 0
             assert files_of(path) == ["log.-0000004.cut", "log.00000003.seg"]
@@ -213,7 +255,7 @@ class TestReopen:
         # nothing, so no acked record is lost to a layout change
         path = str(tmp_path / "log")
         with SegmentStore(path) as store:
-            store.insert_many([make_vp(seed=i + 1, n=60) for i in range(acked)])
+            insert_vps(store, [make_vp(seed=i + 1, n=60) for i in range(acked)])
         record = encode_vp_batch([make_vp(seed=9, n=4)])[FRAME_HEADER_BYTES:]
         slots = RECORD_OVERHEAD_BYTES + 7
         old = bytearray(record[: slots + 4 * 72] + record[slots + 60 * 72 :])
@@ -228,6 +270,16 @@ class TestReopen:
             SegmentStore(path)
         with open(segment, "rb") as fh:
             assert fh.read() == before
+
+    def test_a_whole_record_of_a_head_alone_refuses_the_store(self, tmp_path):
+        # the shortest length the scan reads as a record rather than a
+        # torn tail: CRC-good and of another length, so another layout
+        path = str(tmp_path / "log")
+        head = bytes(RECORD_OVERHEAD_BYTES)
+        with open(path + ".00000000.seg", "wb") as fh:
+            fh.write(_HEADER.pack(len(head), zlib.crc32(head)) + head)
+        with pytest.raises(StorageError, match=f"holds a {len(head)}-byte record"):
+            SegmentStore(path)
 
     def test_a_rewrite_that_never_renamed_is_discarded(self, seeded):
         path, vps = seeded
@@ -247,8 +299,8 @@ class TestFiles:
         (tmp_path / "db.sibling.00000000.seg").write_bytes(b"someone else's")
         vps = [make_vp(seed=i + 1, n=1 + i % 3, minute=i % 4) for i in range(24)]
         store = SegmentStore(path)
-        store.insert_many(vps)
-        store.insert_trusted(make_vp(seed=77, n=2, minute=0))
+        insert_vps(store, vps)
+        insert_trusted_vp(store, make_vp(seed=77, n=2, minute=0))
         assert store.evict_before(2) == 13
         store.close()
         names = files_of(path)
@@ -288,7 +340,7 @@ class TestFiles:
         store.close()
         store.close()  # idempotent
         for call in (
-            lambda: store.insert(make_vp()),
+            lambda: insert_vp(store, make_vp()),
             lambda: store.query_encoded(QuerySpec(minute=0)),
             lambda: store.evict_before(1),
         ):
@@ -301,7 +353,7 @@ class TestFiles:
 
         monkeypatch.setattr(tempfile, "tempdir", None)
         with SegmentStore() as store:
-            store.insert_many([make_vp(seed=i + 1, minute=i % 2) for i in range(4)])
+            insert_vps(store, [make_vp(seed=i + 1, minute=i % 2) for i in range(4)])
             assert len(store) == 4
             assert os.listdir(tmp_path) == []  # anonymous: never had a name
 
@@ -316,7 +368,7 @@ class TestShortWrite:
         before = [make_vp(seed=i + 1, n=1, minute=0) for i in range(3)]
         batch = [make_vp(seed=100 + i, n=1, minute=0) for i in range(300)]
         store = SegmentStore(path)
-        store.insert_many(before)
+        insert_vps(store, before)
         size = os.path.getsize(segment)
         real_writev, calls = os.writev, []
 
@@ -327,13 +379,13 @@ class TestShortWrite:
 
         monkeypatch.setattr(os, "writev", short_second)
         with pytest.raises(StorageError, match="short write"):
-            store.insert_many(batch)
+            insert_vps(store, batch)
         monkeypatch.undo()
         assert calls == [256, 44]
         assert os.path.getsize(segment) == size
         assert ids_of(store, 0) == [vp.vp_id for vp in before]
         assert len(store) == 3 and not any(vp.vp_id in store for vp in batch)
-        assert store.insert_many(batch) == 300  # appends where the minute ended
+        assert insert_vps(store, batch) == 300  # appends where the minute ended
         store.close()
         with SegmentStore(path) as reopened:
             assert ids_of(reopened, 0) == [vp.vp_id for vp in before + batch]
@@ -347,7 +399,7 @@ class TestShortWrite:
         before = [make_vp(seed=i + 1, n=1, minute=0) for i in range(2)]
         batch = [make_vp(seed=100 + i, n=1, minute=0) for i in range(600)]
         store = SegmentStore(path)
-        store.insert_many(before)
+        insert_vps(store, before)
         size = os.path.getsize(segment)
         real_writev, calls = os.writev, []
 
@@ -359,7 +411,7 @@ class TestShortWrite:
 
         monkeypatch.setattr(os, "writev", fail_one)
         with pytest.raises(StorageError, match="no space"):
-            store.insert_many(batch)
+            insert_vps(store, batch)
         monkeypatch.undo()
         assert calls == [256, 256, 88][:failing]
         assert os.path.getsize(segment) == size
@@ -375,7 +427,7 @@ class TestShortWrite:
         path = str(tmp_path / "log")
         segment = path + ".00000000.seg"
         store = SegmentStore(path)
-        store.insert(make_vp(seed=1, n=1))
+        insert_vp(store, make_vp(seed=1, n=1))
         size = os.path.getsize(segment)
         real_span = Batch.record_span
 
@@ -386,10 +438,10 @@ class TestShortWrite:
 
         monkeypatch.setattr(Batch, "record_span", broken_span)
         with pytest.raises(ValueError, match="record 300"):
-            store.insert_many([make_vp(seed=100 + i, n=1) for i in range(400)])
+            insert_vps(store, [make_vp(seed=100 + i, n=1) for i in range(400)])
         monkeypatch.undo()
         assert os.path.getsize(segment) == size and len(store) == 1
-        store.insert(make_vp(seed=2, n=1))  # the append handle is where the minute ends
+        insert_vp(store, make_vp(seed=2, n=1))  # the append handle is where the minute ends
         store.close()
         with SegmentStore(path) as reopened:
             assert len(reopened) == 2
@@ -417,7 +469,7 @@ class TestShortWrite:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             with pytest.raises(StorageError):
-                store.insert_many(early + late)
+                insert_vps(store, early + late)
             gc.collect()
         monkeypatch.undo()
         assert unraisable == []
@@ -425,7 +477,7 @@ class TestShortWrite:
         assert ids_of(store, 0) == [vp.vp_id for vp in early]
         assert ids_of(store, 1) == [] and store.minutes() == [0]
         assert store.query(QuerySpec(minute=0, count=True)).n == 3
-        assert store.insert_many(early + late) == 3  # the rest lands on a retry
+        assert insert_vps(store, early + late) == 3  # the rest lands on a retry
         store.close()
         with SegmentStore(path) as reopened:
             assert ids_of(reopened, 1) == [vp.vp_id for vp in late]
@@ -444,7 +496,7 @@ class TestChunkedAppend:
 
         monkeypatch.setattr(os, "writev", counting)
         with SegmentStore(path) as store:
-            assert store.insert_many(vps) == n
+            assert insert_vps(store, vps) == n
             # records are stored as framed: the read is the batch's frame
             assert store.query_encoded(QuerySpec(minute=0)) == encode_vp_batch(vps)
         monkeypatch.undo()
@@ -520,7 +572,7 @@ def test_a_read_racing_eviction_is_whole_or_empty(tmp_path, keep_trusted):
     try:
         deadline = time.monotonic() + 20.0
         for _ in range(25):
-            assert store.insert_many(vps) == len(vps)
+            assert insert_vps(store, vps) == len(vps)
             assert store.query_encoded(spec) == before
             stop.clear()
             reader = threading.Thread(target=read)

@@ -22,7 +22,14 @@ from repro.geo.geometry import Rect
 from repro.store import encode_vp_batch
 from repro.store.base import vp_claims_in_area
 from repro.store.serving import QuerySpec
-from tests.store.conftest import PLACEMENTS, build_placement, make_vp
+from tests.store.conftest import (
+    PLACEMENTS,
+    build_placement,
+    insert_trusted_vp,
+    insert_vp,
+    insert_vps,
+    make_vp,
+)
 
 
 class TestQuerySpec:
@@ -52,15 +59,15 @@ class TestQuerySpec:
 class TestMinuteSelection:
     def test_whole_minute_counts(self, kind):
         with build_placement(kind) as store:
-            store.insert_many([make_vp(seed=i, minute=1) for i in range(4)])
-            store.insert_trusted(make_vp(seed=99, minute=1))
+            insert_vps(store, [make_vp(seed=i, minute=1) for i in range(4)])
+            insert_trusted_vp(store, make_vp(seed=99, minute=1))
             assert store.query(QuerySpec(minute=1, count=True)).n == 5
             assert store.query(QuerySpec(minute=1, trusted_only=True, count=True)).n == 1
             assert store.query(QuerySpec(minute=2, count=True)).n == 0
 
     def test_far_area_returns_an_empty_frame(self, kind):
         with build_placement(kind) as store:
-            store.insert_many([make_vp(seed=i, minute=0, x0=0.0) for i in range(3)])
+            insert_vps(store, [make_vp(seed=i, minute=0, x0=0.0) for i in range(3)])
             far = Rect(50_000.0, 50_000.0, 51_000.0, 51_000.0)
             assert store.query(QuerySpec(minute=0, area=far)).vps == []
             frame = store.query_encoded(QuerySpec(minute=0, area=far, encoded=True))
@@ -69,9 +76,9 @@ class TestMinuteSelection:
 
     def test_counts_after_eviction(self, kind):
         with build_placement(kind) as store:
-            store.insert_many([make_vp(seed=i, minute=0) for i in range(3)])
-            store.insert_trusted(make_vp(seed=9, minute=0))
-            store.insert_many([make_vp(seed=10 + i, minute=5) for i in range(2)])
+            insert_vps(store, [make_vp(seed=i, minute=0) for i in range(3)])
+            insert_trusted_vp(store, make_vp(seed=9, minute=0))
+            insert_vps(store, [make_vp(seed=10 + i, minute=5) for i in range(2)])
             assert store.query(QuerySpec(minute=0, count=True)).n == 4
             store.evict_before(3, keep_trusted=True)
             assert store.query(QuerySpec(minute=0, count=True)).n == 1
@@ -152,7 +159,7 @@ def test_area_selection_matches_a_naive_scan(kind, shape, population, data):
     ]
     with build_placement(kind) as store:
         for vp, (*_, trusted) in zip(vps, population):
-            (store.insert_trusted if trusted else store.insert)(vp)
+            (insert_trusted_vp if trusted else insert_vp)(store, vp)
         area = RECTANGLES[shape](vps, data)
         for trusted_only in (False, True):
             naive = [
@@ -183,7 +190,7 @@ def test_minute_counts_exact_under_concurrent_ingest_and_evict(kind):
     def writer(base: int) -> None:
         try:
             for i in range(40):
-                store.insert(make_vp(seed=base + i, minute=(base + i) % 4))
+                insert_vp(store, make_vp(seed=base + i, minute=(base + i) % 4))
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 

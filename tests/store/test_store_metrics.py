@@ -14,7 +14,7 @@ import pytest
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.store import QuerySpec, SegmentStore, encode_vp_batch
-from tests.store.conftest import fresh_prefix, make_vp
+from tests.store.conftest import fresh_prefix, insert_vp, insert_vps, make_vp
 
 #: anonymous and named segments
 PATHS = {"memory": lambda: "", "named": fresh_prefix}
@@ -35,9 +35,9 @@ def path(request):
 
 def test_each_write_call_is_one_insert_observation(path):
     with SegmentStore(path) as store:
-        store.insert_many(vps_over_minutes(12))  # three minutes, one write
+        insert_vps(store, vps_over_minutes(12))  # three minutes, one write
         assert count(store.metrics.snapshot(), "store.insert.wall_s") == 1
-        store.insert(make_vp(seed=100))
+        insert_vp(store, make_vp(seed=100))
         store.insert_encoded(encode_vp_batch(vps_over_minutes(4, base_seed=200)))
         snap = store.metrics.snapshot()
         assert count(snap, "store.insert.wall_s") == 3
@@ -45,7 +45,7 @@ def test_each_write_call_is_one_insert_observation(path):
 
 def test_evictions_and_reads_are_timed(path):
     with SegmentStore(path) as store:
-        store.insert_many(vps_over_minutes(6))
+        insert_vps(store, vps_over_minutes(6))
         store.query(QuerySpec(minute=0))
         store.query(QuerySpec(minute=1, count=True))
         store.evict_before(2)
@@ -56,7 +56,7 @@ def test_evictions_and_reads_are_timed(path):
 
 def test_stats_detail_is_the_registry_snapshot(path):
     with SegmentStore(path) as store:
-        store.insert_many(vps_over_minutes(6))
+        insert_vps(store, vps_over_minutes(6))
         store.query(QuerySpec(minute=0, count=True))
         store.query(QuerySpec(minute=0, encoded=True))
         detail = store.stats().detail
@@ -67,7 +67,7 @@ def test_stats_detail_is_the_registry_snapshot(path):
 
 def test_metrics_can_be_disabled_per_store(path):
     with SegmentStore(path, metrics=MetricsRegistry(enabled=False)) as store:
-        assert store.insert_many(vps_over_minutes(6)) == 6
+        assert insert_vps(store, vps_over_minutes(6)) == 6
         assert store.query(QuerySpec(minute=0, count=True)).n == 2  # reads still answer
         store.evict_before(1)
         snap = store.metrics.snapshot()
@@ -77,15 +77,15 @@ def test_metrics_can_be_disabled_per_store(path):
 
 def test_a_saved_snapshot_folds_into_a_reopened_stores(path):
     store = SegmentStore(path)
-    store.insert_many(vps_over_minutes(8))
-    store.insert(make_vp(seed=50, minute=4))
+    insert_vps(store, vps_over_minutes(8))
+    insert_vp(store, make_vp(seed=50, minute=4))
     saved = store.metrics.snapshot()
     store.close()
     reopened = SegmentStore(path)
     try:
         # a new registry: the fresh epoch starts empty
         assert count(reopened.metrics.snapshot(), "store.insert.wall_s") == 0
-        reopened.insert_many(vps_over_minutes(8, base_seed=100))
+        insert_vps(reopened, vps_over_minutes(8, base_seed=100))
         fresh = reopened.metrics.snapshot()
         combined = MetricsRegistry()
         for snap in (saved, fresh):
@@ -101,9 +101,9 @@ def test_stores_sharing_a_registry_report_into_one_view(path):
     first = SegmentStore(path, metrics=registry)
     second = SegmentStore(fresh_prefix() if path else "", metrics=registry)
     try:
-        first.insert_many(vps_over_minutes(3))
-        second.insert_many(vps_over_minutes(3, base_seed=10))
-        second.insert(make_vp(seed=20))
+        insert_vps(first, vps_over_minutes(3))
+        insert_vps(second, vps_over_minutes(3, base_seed=10))
+        insert_vp(second, make_vp(seed=20))
         assert count(registry.snapshot(), "store.insert.wall_s") == 3
         assert first.stats().detail["metrics"] == second.stats().detail["metrics"]
     finally:

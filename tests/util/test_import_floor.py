@@ -42,8 +42,7 @@ from repro.sim.stream import stream_convoy_vps
 system = ViewMapSystem(key_bits=512, seed=1)
 trusted, witnesses = stream_convoy_vps(5, 0, 4, (1000.0, 1000.0))
 system.ingest_trusted_vp(trusted)
-for vp in witnesses:
-    system.ingest_vp(vp)
+system.ingest_vps(witnesses)
 found = system.investigate_period(Point(1000.0, 1000.0), [0])
 assert len(found) == 1 and found[0].solicited, found
 assert found[0].viewmap.edge_count > 0
